@@ -171,10 +171,6 @@ class CubicForm:
         return f"CubicForm({self.coeffs!r})"
 
 
-def lerp(f0: CubicForm, f1: CubicForm, t: float) -> CubicForm:
-    return CubicForm((1 - t) * f0.coeffs + t * f1.coeffs)
-
-
 # ---------------------------------------------------------------------------
 # Charted lines
 # ---------------------------------------------------------------------------

@@ -298,12 +298,15 @@ def build_po_group(
     red: ReductionMap,
     marking: dict[int, Vec7],
     group: FiniteGroup,
-) -> tuple[set[tuple[tuple[int, ...], ...]], int]:
+) -> tuple[np.ndarray, int]:
     """Images of every group element; returns (projective image set, order of
     the matrix set before projectivization).
 
     Vectorized: the 7x7 extensions are built from the marking in one numpy
-    pass per element batch, then restricted and reduced mod 3 in bulk.
+    pass over the group's element table, then restricted and reduced mod 3
+    in bulk.  Each 5x5 block is encoded as a base-3 integer (first entry most
+    significant), so the projective image set is the sorted array of codes of
+    the representatives ``_canonical_sign`` picks, the smaller code of M and -M.
     """
     labels = list(range(1, lines_mod.N_LINES + 1))
     class_mat = np.array([marking[l] for l in labels], dtype=np.int64)  # 27 x 7
@@ -311,8 +314,7 @@ def build_po_group(
     six = [by_vec[tuple(e(i))] for i in range(1, 7)]
     c12 = by_vec[class_vector(("c", 1, 2))]
 
-    perms = sorted(group.elements)
-    pmat = np.array([p.images for p in perms], dtype=np.int64) - 1  # n x 27
+    pmat = group.table.astype(np.int64)  # n x 27
 
     six_idx = np.array([l - 1 for l in six])
     col_classes = class_mat[pmat[:, six_idx]]  # n x 6 x 7
@@ -324,29 +326,24 @@ def build_po_group(
     m7 = np.concatenate([h_img[:, :, None], col_classes.transpose(0, 2, 1)], axis=2)
 
     r = np.array(red.root_matrix, dtype=np.int64)  # 7 x 6
-    mr = np.einsum("nij,jk->nik", m7, r)  # n x 7 x 6
+    mr = m7 @ r  # n x 7 x 6
     sub = mr[:, list(red._row_subset), :]  # n x 6 x 6
     adj = np.array(red._sub_adjugate, dtype=np.int64)
-    num = np.einsum("ij,njk->nik", adj, sub)
+    num = adj @ sub
     if np.any(num % red._sub_det):
         raise ValueError("some element does not preserve the root lattice")
     w6 = num // red._sub_det
     u = np.array(red.u, dtype=np.int64)
     u_inv = np.array(red.u_inv, dtype=np.int64)
-    conj = np.einsum("ij,njk,kl->nil", u, w6, u_inv)
+    conj = u @ w6 @ u_inv
     if np.any(conj[:, 1:, 0] % 3):
         raise ValueError("some element does not descend to the quotient")
-    blocks = conj[:, 1:, 1:] % 3
+    blocks = conj[:, 1:, 1:].reshape(-1, 25) % 3
 
-    projective: set[tuple[tuple[int, ...], ...]] = set()
-    signed: set[tuple[tuple[int, ...], ...]] = set()
-    for b in blocks:
-        m = tuple(tuple(int(x) for x in row) for row in b)
-        neg = tuple(tuple((3 - x) % 3 for x in row) for row in m)
-        signed.add(m)
-        signed.add(neg)
-        projective.add(_canonical_sign([list(r_) for r_ in m]))
-    return projective, len(signed)
+    place = 3 ** np.arange(24, -1, -1, dtype=np.int64)
+    codes, neg_codes = blocks @ place, ((3 - blocks) % 3) @ place
+    signed = np.unique(np.concatenate([codes, neg_codes]))
+    return np.unique(np.minimum(codes, neg_codes)), len(signed)
 
 
 def images_in_po(

@@ -9,6 +9,8 @@ from functools import lru_cache
 from itertools import permutations
 from typing import Sequence
 
+import numpy as np
+
 from . import fermat_data
 from .exact import Cyc, ONE, ZERO, ZETA, ZETA5, Poly4
 from .perm import FiniteGroup, Permutation, generate, parse_cycles
@@ -199,92 +201,52 @@ def weyl_group() -> FiniteGroup:
 def graph_automorphisms(graph: IncidenceGraph | None = None) -> FiniteGroup:
     """Enumerate all adjacency-preserving bijections of the 27 lines.
 
-    Backtracks over the image of a fixed ordered skew six; the rest of a
-    candidate map is forced by neighborhood signatures against the six, and
-    every forced candidate is then checked edge-for-edge.
+    An automorphism is fixed by the image of a reference ordered skew six
+    (the lexicographically first one): every other vertex must go to the
+    vertex with the same neighborhood signature against the image six.  All
+    ordered skew sixes are built column by column, every forced extension is
+    read off in one pass, and each candidate is then checked for bijectivity
+    and edge-for-edge with uint32 adjacency masks.
     """
     g = graph or incidence_graph()
-    masks = g.masks
-    all_mask = (1 << N_LINES) - 1
-    nonadj = [all_mask & ~masks[v] & ~(1 << v) for v in range(N_LINES)]
-    adjlist = [[u for u in range(N_LINES) if masks[v] >> u & 1] for v in range(N_LINES)]
+    masks = np.array(g.masks, dtype=np.uint32)
+    bit = np.uint32(1) << np.arange(N_LINES, dtype=np.uint32)
+    adjacent = (masks[:, None] & bit) != 0
 
-    ref = _first_skew_six(masks)
-    # signature of each non-six vertex: which of the six it meets
-    sig_of = {}
-    for v in range(N_LINES):
-        if v in ref:
-            continue
-        sig_of[v] = frozenset(i for i, r in enumerate(ref) if masks[v] >> r & 1)
+    sixes = np.zeros((1, 0), dtype=np.intp)
+    free = np.array([bit.sum()], dtype=np.uint32)  # vertices skew to the prefix
+    for _ in range(6):
+        prefix, v = np.nonzero(free[:, None] & bit)
+        sixes = np.column_stack([sixes[prefix], v])
+        free = free[prefix] & ~masks[v] & ~bit[v]
+    if not len(sixes):
+        raise ValueError("graph has no skew six")
 
-    autos = []
-    image = [0] * 6
-
-    def extend(candidate_six: tuple[int, ...]) -> tuple[int, ...] | None:
-        by_sig: dict[frozenset[int], int] = {}
-        six_set = set(candidate_six)
-        for v in range(N_LINES):
-            if v in six_set:
-                continue
-            s = frozenset(i for i, r in enumerate(candidate_six) if masks[v] >> r & 1)
-            if s in by_sig:
-                return None
-            by_sig[s] = v
-        perm = [0] * N_LINES
-        for i, r in enumerate(ref):
-            perm[r] = candidate_six[i]
-        for v, s in sig_of.items():
-            w = by_sig.get(s)
-            if w is None:
-                return None
-            perm[v] = w
-        # full edge check
-        for x in range(N_LINES):
-            mask = 0
-            for y in adjlist[x]:
-                mask |= 1 << perm[y]
-            if mask != masks[perm[x]]:
-                return None
-        return tuple(perm)
-
-    def search(depth: int, used: int):
-        if depth == 6:
-            perm = extend(tuple(image))
-            if perm is not None:
-                autos.append(Permutation(tuple(x + 1 for x in perm)))
-            return
-        cand = all_mask & ~used
-        for i in range(depth):
-            cand &= nonadj[image[i]]
-        while cand:
-            v = (cand & -cand).bit_length() - 1
-            cand &= cand - 1
-            image[depth] = v
-            search(depth + 1, used | (1 << v))
-
-    search(0, 0)
-    return FiniteGroup(generators=tuple(weyl_generators()), elements=frozenset(autos))
-
-
-def _first_skew_six(masks: Sequence[int]) -> tuple[int, ...]:
-    all_mask = (1 << N_LINES) - 1
-    nonadj = [all_mask & ~masks[v] & ~(1 << v) for v in range(N_LINES)]
-
-    def grow(chosen: list[int], cand: int) -> tuple[int, ...] | None:
-        if len(chosen) == 6:
-            return tuple(chosen)
-        c = cand
-        while c:
-            v = (c & -c).bit_length() - 1
-            c &= c - 1
-            got = grow(chosen + [v], cand & nonadj[v] & ~((1 << (v + 1)) - 1))
-            if got:
-                return got
-        return None
-
-    six = grow([], all_mask)
-    assert six is not None
-    return six
+    # signature of each vertex: which members of the six it meets; the six
+    # themselves get the out-of-range code 64
+    n, rows = len(sixes), np.arange(len(sixes))[:, None]
+    sig = np.zeros((n, N_LINES), dtype=np.uint8)
+    for i in range(6):
+        sig |= adjacent[sixes[:, i]].view(np.uint8) << i
+    sig[rows, sixes] = 64
+    ref, ref_sig = sixes[0], sig[0]
+    others = np.flatnonzero(ref_sig < 64)
+    vertices = np.arange(N_LINES, dtype=np.uint8)
+    by_sig = np.full((n, 65), N_LINES, dtype=np.uint8)
+    by_sig[rows, sig] = vertices
+    # a signature shared by two vertices outside the six fails the round trip
+    ok = np.all((np.take_along_axis(by_sig, sig, axis=1) == vertices) | (sig == 64), axis=1)
+    perm = np.empty((n, N_LINES), dtype=np.uint8)
+    perm[:, ref] = sixes
+    perm[:, others] = by_sig[:, ref_sig[others]]
+    ok &= np.all(perm < N_LINES, axis=1)  # every signature of the reference is matched
+    perm = perm[ok]
+    images = bit[perm]
+    keep = np.bitwise_or.reduce(images, axis=1) == bit.sum()  # a bijection
+    for x in range(N_LINES):
+        neighbors = np.bitwise_or.reduce(images[:, adjacent[x]], axis=1)
+        keep &= neighbors == masks[perm[:, x]]
+    return FiniteGroup.from_table(perm[keep])
 
 
 # ---------------------------------------------------------------------------

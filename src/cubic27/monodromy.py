@@ -159,7 +159,7 @@ def basepoint_fiber(
     cfg = cfg or TrackerConfig()
     cat = list(_catalog_lines())
     base = spec.basepoint_form()
-    if np.allclose(base.coeffs, fermat_form().coeffs, atol=0.0):
+    if base == fermat_form():
         return cat
     refined = []
     for i, line in enumerate(cat):
@@ -476,7 +476,7 @@ def compute_monodromy(
         return loop, p, None, revalidated
 
     records: list[LoopRecord] = []
-    elements: set[Permutation] = {Permutation.identity()}
+    group = perm.TRIVIAL_GROUP
     generators: list[Permutation] = []
     stall = 0
     violations = 0
@@ -506,13 +506,13 @@ def compute_monodromy(
                         )
                     )
                     continue
-                in_w = p in weyl.elements
+                in_w = p in weyl
                 fixes_tri = centralizes = in16 = None
                 ok = in_w
                 if symmetric_like:
                     fixes_tri = all(p(x) == x for x in (25, 26, 27))
                     centralizes = all(p * g == g * p for g in s4_gens)
-                    in16 = p in order16.elements
+                    in16 = p in order16
                     ok = ok and fixes_tri and centralizes and in16
                 if not ok:
                     violations += 1
@@ -529,9 +529,9 @@ def compute_monodromy(
                     )
                     continue
                 grew = False
-                if p not in elements:
+                if p not in group:
                     generators.append(p)
-                    elements = set(perm.generate(generators).elements)
+                    group = perm.generate(generators)
                     grew = True
                 records.append(
                     LoopRecord(
@@ -551,11 +551,6 @@ def compute_monodromy(
         if pool is not None:
             pool.shutdown(wait=False, cancel_futures=True)
 
-    group = (
-        perm.generate(generators)
-        if generators
-        else perm.TRIVIAL_GROUP
-    )
     components = [
         {
             "orbit": orbit,
@@ -574,7 +569,7 @@ def compute_monodromy(
         config=asdict(cfg),
         loops=records,
         group=group.to_record(),
-        group_elements=sorted(format_cycles(p) for p in group.elements),
+        group_elements=sorted(format_cycles(p) for p in group),
         components=components,
         conclusive=stabilized_after is not None,
         stabilized_after=stabilized_after,
@@ -618,22 +613,25 @@ def find_other_s6(
 ) -> FiniteGroup:
     """Randomized search for the non-reflection order-720 subgroup acting
     with orbit sizes {12, 15}: sample element pairs, close the subgroup with
-    a cap just above 720, keep the first hit.  Deterministic given the seed.
+    a cap of 720, keep the first hit.  Deterministic given the seed.
+
+    Orbits depend only on the generators, so they are tested before the
+    closure; the filters are a conjunction, so their order does not change
+    which pair is the first hit.
     """
-    ambient = ambient or lines_mod.weyl_group()
-    pool = sorted(ambient.elements)
+    if ambient is None:
+        ambient = lines_mod.weyl_group()
     rng = _random.Random(seed)
     target_fp = _s6_fingerprint()
     for _ in range(max_attempts):
-        a, b = rng.choice(pool), rng.choice(pool)
+        a, b = rng.choice(ambient), rng.choice(ambient)
+        if sorted(len(o) for o in perm.orbits([a, b])) != [12, 15]:
+            continue
         try:
             candidate = perm.generate([a, b], cap=720)
         except perm.GroupGenerationError:
             continue
         if candidate.order != 720:
-            continue
-        orbit_sizes = sorted(len(o) for o in perm.orbits(candidate))
-        if orbit_sizes != [12, 15]:
             continue
         if perm.fingerprint(candidate) != target_fp:
             continue
@@ -693,7 +691,7 @@ def _claim_weyl_reconstruction() -> Claim:
     details = {
         "generated_order": w.order,
         "automorphism_count": autos.order,
-        "element_sets_equal": w.elements == autos.elements,
+        "element_sets_equal": w == autos,
     }
     ok = w.order == 51840 and details["element_sets_equal"]
     return Claim("weyl-reconstruction", "incidence-graph automorphism group has order 51840 and equals the generated group", ok, details)
@@ -710,7 +708,7 @@ def _claim_s4_action() -> Claim:
     stab13 = perm.pointwise_stabilizer(group, [13])
 
     def stabilizer_parity(stab: FiniteGroup) -> tuple[str, int] | None:
-        nontrivial = [p for p in stab.elements if not p.is_identity()]
+        nontrivial = [p for p in stab if not p.is_identity()]
         if len(nontrivial) != 1:
             return None
         pre = lines_mod.coordinate_preimages(nontrivial[0])
@@ -758,14 +756,14 @@ def _claim_subgroup_ladder() -> Claim:
     details = {
         "centralizer_order": cent.order,
         "centralizer_all_involutions": all(
-            p.order() == 2 for p in cent.elements if not p.is_identity()
+            p.order() == 2 for p in cent if not p.is_identity()
         ),
         "normalizer_order": norm.order,
         "normalizer_direct_product": perm.direct_product_check(norm, s4, cent),
         "tritangent_stabilizer_order": tri.order,
         "intersection_order": inter.order,
-        "intersection_elementary_abelian": all(p.order() <= 2 for p in inter.elements),
-        "intersection_equals_klein_product": inter.elements == g16.elements,
+        "intersection_elementary_abelian": all(p.order() <= 2 for p in inter),
+        "intersection_equals_klein_product": inter == g16,
         "order16_direct_product": perm.direct_product_check(g16, sigma_part, tau_part),
     }
     ok = (
@@ -788,11 +786,10 @@ def _claim_exceptional_isomorphism() -> Claim:
     w = lines_mod.weyl_group()
     projective, signed = lattice.build_po_group(red, marking, w)
     rng = _random.Random(90)
-    pool = sorted(w.elements)
     homo = all(
         lattice.po_image(red, perm.compose(p, q), marking)
         == _f3_matmul(lattice.po_image(red, p, marking), lattice.po_image(red, q, marking))
-        for p, q in [(rng.choice(pool), rng.choice(pool)) for _ in range(25)]
+        for p, q in [(rng.choice(w), rng.choice(w)) for _ in range(25)]
     )
     details = {
         "projective_image_order": len(projective),
@@ -839,16 +836,16 @@ def _claim_presentation_and_double_sixes() -> Claim:
     w_a5 = perm.generate(gens[1:])
     full = perm.generate(gens)
     pairing_ok = True
-    subgroups: set[frozenset] = set()
+    subgroups: set[FiniteGroup] = set()
     for s in sixes:
         partner = lines_mod.partner_six(s)
         if tuple(sorted(lines_mod.partner_six(partner))) != tuple(s):
             pairing_ok = False
         ga = perm.generate(lattice.weyl_presentation_from_six(s)[1:])
         gb = perm.generate(lattice.weyl_presentation_from_six(partner)[1:])
-        if ga.elements != gb.elements:
+        if ga != gb:
             pairing_ok = False
-        subgroups.add(ga.elements)
+        subgroups.add(ga)
     details = {
         "reference_six_reproduces_printed_generators": gens == printed,
         "coxeter_relations_reference": coxeter_ok(gens),
@@ -885,7 +882,7 @@ def _claim_non_reflection(seed: int) -> Claim:
     sub_a5, _ = perm.is_subconjugate(w, s4, w_a5)
     klein = lines_mod.monodromy_klein_group()
     six_transposition_count = sum(
-        1 for p in klein.elements if p.cycle_type().get(2, 0) == 6 and p.cycle_type().get(1, 0) == 15
+        1 for p in klein if p.cycle_type().get(2, 0) == 6 and p.cycle_type().get(1, 0) == 15
     )
     other = find_other_s6(seed=seed, ambient=w)
     sub_other, witness = perm.is_subconjugate(w, s4, other)
@@ -946,9 +943,9 @@ def _claim_preferred_double_six() -> Claim:
     ok = w_a5 is not None and cent_a5 is not None
     if ok:
         maximal = perm.generate(list(w_a5.generators) + list(cent_a5.generators))
-        contains_s4 = s4.elements <= maximal.elements
+        contains_s4 = s4 <= maximal
         cent_in_max = FiniteGroup.from_elements(
-            [g for g in maximal.elements if all(g * h == h * g for h in s4.generators)]
+            [g for g in maximal if all(g * h == h * g for h in s4.generators)]
         )
         klein = lines_mod.monodromy_klein_group()
         details.update(
@@ -956,7 +953,7 @@ def _claim_preferred_double_six() -> Claim:
                 "w_a5_centralizer_order": cent_a5.order,
                 "maximal_order": maximal.order,
                 "maximal_contains_s4": contains_s4,
-                "centralizer_of_s4_in_maximal_is_monodromy_group": cent_in_max.elements == klein.elements,
+                "centralizer_of_s4_in_maximal_is_monodromy_group": cent_in_max == klein,
             }
         )
         ok = (

@@ -1,12 +1,13 @@
 """Exact permutation and finite-group engine on the point set {1..27}.
 
-Permutations act on line labels 1..27.  Groups are stored as fully enumerated
-element sets (the largest group in scope, the full Weyl group, has order 51840
-on 27 points), so normalizers, centralizers and subconjugacy tests are plain
-exhaustive filters over the element set.
+Permutations act on line labels 1..27.  A group is stored as one element table,
+an ``(order, 27)`` uint8 array of 0-based image rows in lexicographic order
+(the largest group in scope, the full Weyl group, has order 51840).  Closure is
+Dimino's algorithm; normalizers, centralizers, stabilizers, subconjugacy tests
+and element orders are exhaustive boolean masks over the table.
 
 Composition convention, fixed repo-wide: ``compose(p, q)`` applies ``q`` first,
-then ``p`` (so ``compose(p, q)(x) == p(q(x))``).
+then ``p`` (so ``compose(p, q)(x) == p(q(x))``); on table rows it is ``p[q]``.
 """
 
 from __future__ import annotations
@@ -15,11 +16,15 @@ import math
 import re
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 N_POINTS = 27
 
 _IDENTITY_IMAGES = tuple(range(1, N_POINTS + 1))
+_IDENTITY_ROW = np.arange(N_POINTS, dtype=np.uint8)
 
 
 class GroupGenerationError(RuntimeError):
@@ -54,10 +59,7 @@ class Permutation:
         return compose(self, other)
 
     def inverse(self) -> "Permutation":
-        inv = [0] * N_POINTS
-        for i, x in enumerate(self.images):
-            inv[x - 1] = i + 1
-        return Permutation(inv)
+        return _from_row(np.argsort(_row(self)).tolist())
 
     def is_identity(self) -> bool:
         return self.images == _IDENTITY_IMAGES
@@ -82,20 +84,12 @@ class Permutation:
 
     def cycle_type(self) -> dict[int, int]:
         """Cycle-length multiset including fixed points (length 1)."""
-        counts: Counter[int] = Counter()
-        moved = 0
-        for cyc in self.cycles():
-            counts[len(cyc)] += 1
-            moved += len(cyc)
-        if moved < N_POINTS:
-            counts[1] = N_POINTS - moved
-        return dict(counts)
+        counts = Counter(map(len, self.cycles()))
+        fixed = N_POINTS - sum(counts.elements())
+        return {**counts, 1: fixed} if fixed else dict(counts)
 
     def order(self) -> int:
-        return math.lcm(*(len(c) for c in self.cycles())) if self.cycles() else 1
-
-    def fixed_points(self) -> tuple[int, ...]:
-        return tuple(i + 1 for i in range(N_POINTS) if self.images[i] == i + 1)
+        return math.lcm(*(len(c) for c in self.cycles()))
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Permutation) and self.images == other.images
@@ -115,9 +109,7 @@ IDENTITY = Permutation.identity()
 
 def compose(p: Permutation, q: Permutation) -> Permutation:
     """Product applying ``q`` first, then ``p``."""
-    qi = q.images
-    pi = p.images
-    return Permutation(tuple(pi[qi[i] - 1] for i in range(N_POINTS)))
+    return Permutation([p.images[x - 1] for x in q.images])
 
 
 _CYCLE_TEXT_RE = re.compile(r"^\s*(\(\s*\d+\s*(?:,\s*\d+\s*)*\)\s*)+$|^\s*\(\s*\)\s*$")
@@ -160,6 +152,20 @@ def format_cycles(p: Permutation) -> str:
     return "".join("(" + ",".join(map(str, c)) + ")" for c in canon)
 
 
+def _row(p: Permutation) -> np.ndarray:
+    return np.array(p.images, dtype=np.uint8) - 1
+
+
+def _from_row(row: Sequence[int]) -> Permutation:
+    return Permutation([x + 1 for x in row])
+
+
+def _row_keys(table: np.ndarray) -> list[bytes]:
+    """The bytes of each row of a uint8 table, for membership tests."""
+    raw = table.tobytes()
+    return [raw[i : i + N_POINTS] for i in range(0, len(raw), N_POINTS)]
+
+
 @dataclass(frozen=True)
 class GroupFingerprint:
     order: int
@@ -170,32 +176,58 @@ class GroupFingerprint:
         return dict(self.element_orders)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FiniteGroup:
-    """A fully enumerated subgroup of Sym({1..27})."""
+    """A subgroup of Sym({1..27}) stored as its element table.  The constructor
+    sorts the rows, so row 0 is the identity, iteration and indexing follow
+    ``sorted`` order, and equal groups have equal tables."""
 
     generators: tuple[Permutation, ...]
-    elements: frozenset[Permutation]
-    order: int = field(default=0)
+    table: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if self.order == 0:
-            object.__setattr__(self, "order", len(self.elements))
-        if self.order != len(self.elements):
-            raise ValueError("order field disagrees with element count")
-        if IDENTITY not in self.elements:
+        table = np.asarray(self.table, dtype=np.uint8)
+        table = table[np.lexsort(table.T[::-1])]
+        table.setflags(write=False)
+        object.__setattr__(self, "table", table)
+        if not len(table) or not np.array_equal(table[0], _IDENTITY_ROW):
             raise ValueError("group must contain the identity")
-        if not all(g in self.elements for g in self.generators):
+        if not all(g in self for g in self.generators):
             raise ValueError("generators must belong to the element set")
 
+    @property
+    def order(self) -> int:
+        return len(self.table)
+
+    @cached_property
+    def _keys(self) -> frozenset[bytes]:
+        return frozenset(_row_keys(self.table))
+
+    @property
+    def elements(self) -> frozenset[Permutation]:
+        """The elements as a set of Permutation objects (built on each access)."""
+        return frozenset(self)
+
     def __contains__(self, p: Permutation) -> bool:
-        return p in self.elements
+        return _row(p).tobytes() in self._keys
+
+    def __len__(self) -> int:
+        return len(self.table)
+
+    def __getitem__(self, i: int) -> Permutation:
+        return _from_row(self.table[i].tolist())
 
     def __iter__(self) -> Iterator[Permutation]:
-        return iter(sorted(self.elements))
+        return map(_from_row, self.table.tolist())
 
     def __le__(self, other: "FiniteGroup") -> bool:
-        return self.elements <= other.elements
+        return self._keys <= other._keys
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, FiniteGroup) and np.array_equal(self.table, other.table)
+
+    def __hash__(self) -> int:
+        return hash(self.table.tobytes())
 
     def to_record(self) -> dict:
         fp = fingerprint(self)
@@ -212,187 +244,156 @@ class FiniteGroup:
 
     @classmethod
     def from_elements(cls, elements: Iterable[Permutation]) -> "FiniteGroup":
-        els = frozenset(elements)
-        gens = small_generating_set(els)
-        return cls(generators=gens, elements=els)
+        return cls.from_table(np.array([_row(p) for p in set(elements)]).reshape(-1, N_POINTS))
+
+    @classmethod
+    def from_table(cls, table: np.ndarray) -> "FiniteGroup":
+        """Group on the distinct rows of a table that is closed under composition."""
+        return cls(generators=small_generating_set(table), table=table)
 
 
-TRIVIAL_GROUP = FiniteGroup(generators=(), elements=frozenset([IDENTITY]))
+TRIVIAL_GROUP = FiniteGroup(generators=(), table=_IDENTITY_ROW[None, :])
 
 
 def generate(gens: Sequence[Permutation], cap: int = 200_000) -> FiniteGroup:
-    """Breadth-first closure of the generated subgroup.
+    """Dimino closure of the generated subgroup: with each new generator the
+    group is grown as a union of left cosets ``c H`` of the previous group H,
+    adding one whenever a generator times a representative falls outside.
 
-    Raises GroupGenerationError if the closure exceeds ``cap`` elements, which
+    Raises GroupGenerationError exactly when the order exceeds ``cap``, which
     signals a wrong generator set (nothing in scope is larger than 51840).
     """
     if not gens:
         raise ValueError("generate requires at least one generator")
-    gen_imgs = [g.images for g in gens]
-    elements = {_IDENTITY_IMAGES}
-    frontier = [_IDENTITY_IMAGES]
-    while frontier:
-        new_frontier = []
-        for e in frontier:
-            for g in gen_imgs:
-                prod = tuple(g[e[i] - 1] for i in range(N_POINTS))
-                if prod not in elements:
-                    elements.add(prod)
-                    if len(elements) > cap:
-                        raise GroupGenerationError(
-                            f"closure exceeded cap of {cap} elements"
-                        )
-                    new_frontier.append(prod)
-        frontier = new_frontier
-    return FiniteGroup(
-        generators=tuple(gens),
-        elements=frozenset(Permutation(e) for e in elements),
-    )
+    table = _IDENTITY_ROW[None, :]
+    seen = set(_row_keys(table))
+    active: list[np.ndarray] = []
+    for s in map(_row, gens):
+        if s.tobytes() in seen:
+            continue
+        active.append(s)
+        prev = table
+        blocks = [prev]
+        reps = [_IDENTITY_ROW]
+        for rep in reps:  # grows while it is walked
+            for t in active:
+                c = t[rep]
+                if c.tobytes() in seen:
+                    continue
+                coset = c[prev]
+                seen.update(_row_keys(coset))
+                if len(seen) > cap:
+                    raise GroupGenerationError(f"closure exceeded cap of {cap} elements")
+                reps.append(c)
+                blocks.append(coset)
+        table = np.concatenate(blocks)
+    return FiniteGroup(generators=tuple(gens), table=table)
 
 
-def orbits(group: FiniteGroup, domain: Iterable[int] | None = None) -> list[list[int]]:
-    """Partition of ``domain`` (default all 27 points) into group orbits,
-    each orbit sorted, orbit list sorted by smallest element."""
-    pts = sorted(set(domain)) if domain is not None else list(_IDENTITY_IMAGES)
-    gens = group.generators if group.generators else (IDENTITY,)
-    remaining = set(pts)
-    out = []
-    while remaining:
-        start = min(remaining)
-        orbit = {start}
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for g in gens:
-                    y = g.images[x - 1]
-                    if y not in orbit:
-                        orbit.add(y)
-                        nxt.append(y)
-            frontier = nxt
-        if not orbit <= remaining:
-            raise ValueError("domain is not invariant under the group")
-        remaining -= orbit
-        out.append(sorted(orbit))
-    return out
+def orbits(group: FiniteGroup | Sequence[Permutation]) -> list[list[int]]:
+    """Orbits on the 27 points of a group, or of the group a generator list
+    generates; each orbit sorted, orbit list sorted by smallest element."""
+    gens = group.generators if isinstance(group, FiniteGroup) else group
+    reach = np.eye(N_POINTS)
+    for g in gens:
+        reach[_IDENTITY_ROW, _row(g)] = 1
+    for _ in range(5):  # paths of every length up to 2**5 > 27
+        reach = np.minimum(reach @ reach, 1)
+    smallest = reach.argmax(axis=1)  # each point's orbit, by its smallest point
+    return [(np.flatnonzero(smallest == m) + 1).tolist() for m in np.unique(smallest)]
 
 
 def pointwise_stabilizer(group: FiniteGroup, points: Iterable[int]) -> FiniteGroup:
-    pts = [p - 1 for p in points]
-    els = [g for g in group.elements if all(g.images[i] == i + 1 for i in pts)]
-    return FiniteGroup.from_elements(els)
+    pts = np.array([p - 1 for p in points], dtype=np.intp)
+    t = group.table
+    return FiniteGroup.from_table(t[np.all(t[:, pts] == pts, axis=1)])
 
 
 def setwise_stabilizer(group: FiniteGroup, points: Iterable[int]) -> FiniteGroup:
-    target = frozenset(points)
-    els = [
-        g for g in group.elements if frozenset(g.images[p - 1] for p in target) == target
-    ]
-    return FiniteGroup.from_elements(els)
+    pts = np.array(sorted({p - 1 for p in points}), dtype=np.intp)
+    t = group.table
+    return FiniteGroup.from_table(t[np.all(np.isin(t[:, pts], pts), axis=1)])
 
 
 def _require_subgroup(group: FiniteGroup, sub: FiniteGroup, what: str) -> None:
-    if not sub.elements <= group.elements:
+    if not sub <= group:
         raise NotASubgroupError(f"{what}: second argument is not a subgroup of the first")
 
 
-def centralizer(group: FiniteGroup, sub: FiniteGroup) -> FiniteGroup:
-    """Elements of ``group`` commuting with every element of ``sub``.
+def _member_mask(rows: np.ndarray, group: FiniteGroup) -> np.ndarray:
+    return np.fromiter(map(group._keys.__contains__, _row_keys(rows)), dtype=bool, count=len(rows))
 
-    Commuting with the generators suffices, since centralizing a generating
-    set centralizes the generated group.
-    """
+
+def _conjugating_mask(ambient: FiniteGroup, sub: FiniteGroup, target: FiniteGroup) -> np.ndarray:
+    """Rows ``p`` of the ambient table with ``p g p^-1`` in ``target`` for every
+    generator ``g`` of ``sub``, so that ``p`` conjugates ``sub`` into ``target``."""
+    t = ambient.table
+    inv = np.empty_like(t)
+    inv[np.arange(len(t))[:, None], t] = _IDENTITY_ROW
+    mask = np.ones(len(t), dtype=bool)
+    for g in map(_row, sub.generators):
+        idx = np.flatnonzero(mask)
+        conj = np.take_along_axis(t[idx], g[inv[idx]], axis=1)
+        mask[idx] = _member_mask(conj, target)
+    return mask
+
+
+def centralizer(group: FiniteGroup, sub: FiniteGroup) -> FiniteGroup:
+    """Elements of ``group`` commuting with every element of ``sub``; commuting
+    with the generators suffices, since they generate ``sub``."""
     _require_subgroup(group, sub, "centralizer")
-    gens = [g.images for g in sub.generators]
-    els = []
-    for p in group.elements:
-        pi = p.images
-        if all(
-            tuple(pi[g[i] - 1] for i in range(N_POINTS))
-            == tuple(g[pi[i] - 1] for i in range(N_POINTS))
-            for g in gens
-        ):
-            els.append(p)
-    return FiniteGroup.from_elements(els)
+    t = group.table
+    mask = np.ones(len(t), dtype=bool)
+    for g in map(_row, sub.generators):
+        mask &= np.all(t[:, g] == g[t], axis=1)
+    return FiniteGroup.from_table(t[mask])
 
 
 def normalizer(group: FiniteGroup, sub: FiniteGroup) -> FiniteGroup:
-    """Elements ``g`` with ``g sub g^-1 == sub``.
-
-    Conjugates of the generators landing inside ``sub`` force containment,
-    and finiteness upgrades containment to equality.
-    """
+    """Elements ``g`` with ``g sub g^-1 == sub``: conjugates of the generators
+    inside ``sub`` force containment, and finiteness upgrades it to equality."""
     _require_subgroup(group, sub, "normalizer")
-    sub_imgs = {s.images for s in sub.elements}
-    gens = [g.images for g in sub.generators]
-    els = []
-    for p in group.elements:
-        pi = p.images
-        inv = [0] * N_POINTS
-        for i, x in enumerate(pi):
-            inv[x - 1] = i + 1
-        ok = True
-        for g in gens:
-            conj = tuple(pi[g[inv[i] - 1] - 1] for i in range(N_POINTS))
-            if conj not in sub_imgs:
-                ok = False
-                break
-        if ok:
-            els.append(p)
-    return FiniteGroup.from_elements(els)
+    return FiniteGroup.from_table(group.table[_conjugating_mask(group, sub, sub)])
 
 
 def intersect(g1: FiniteGroup, g2: FiniteGroup) -> FiniteGroup:
-    return FiniteGroup.from_elements(g1.elements & g2.elements)
+    return FiniteGroup.from_table(g1.table[_member_mask(g1.table, g2)])
 
 
 def conjugate_subgroup(sub: FiniteGroup, g: Permutation) -> FiniteGroup:
     ginv = g.inverse()
-    els = [compose(compose(g, h), ginv) for h in sub.elements]
+    rows = _row(g)[sub.table[:, _row(ginv)]]
     gens = tuple(compose(compose(g, h), ginv) for h in sub.generators)
-    return FiniteGroup(generators=gens or (IDENTITY,), elements=frozenset(els))
+    return FiniteGroup(generators=gens or (IDENTITY,), table=rows)
 
 
 def is_subconjugate(
     ambient: FiniteGroup, sub: FiniteGroup, target: FiniteGroup
 ) -> tuple[bool, Permutation | None]:
-    """Whether some ambient element conjugates ``sub`` into ``target``.
+    """Whether some ambient element conjugates ``sub`` into ``target``, by an
+    exhaustive scan; returns the lexicographically smallest witness when true."""
+    hits = np.flatnonzero(_conjugating_mask(ambient, sub, target))
+    if not len(hits):
+        return False, None
+    return True, ambient[int(hits[0])]
 
-    Exhaustive scan over the ambient element set; returns a witness when true.
-    """
-    target_imgs = {t.images for t in target.elements}
-    gens = [g.images for g in sub.generators]
-    for p in ambient.elements:
-        pi = p.images
-        inv = [0] * N_POINTS
-        for i, x in enumerate(pi):
-            inv[x - 1] = i + 1
-        ok = True
-        for g in gens:
-            conj = tuple(pi[g[inv[i] - 1] - 1] for i in range(N_POINTS))
-            if conj not in target_imgs:
-                ok = False
-                break
-        if ok:
-            return True, p
-    return False, None
+
+def _element_orders(table: np.ndarray) -> np.ndarray:
+    """Order of every row: the exponent of its first power equal to the identity."""
+    orders = np.zeros(len(table), dtype=np.int64)
+    power, k = table, 1
+    while not orders.all():
+        orders[(orders == 0) & np.all(power == _IDENTITY_ROW, axis=1)] = k
+        power, k = np.take_along_axis(table, power, axis=1), k + 1
+    return orders
 
 
 def fingerprint(group: FiniteGroup) -> GroupFingerprint:
-    counts: Counter[int] = Counter()
-    for g in group.elements:
-        counts[g.order()] += 1
+    values, counts = np.unique(_element_orders(group.table), return_counts=True)
     # Generator commutation decides abelianness for the whole group.
-    abelian = all(
-        compose(a, b) == compose(b, a)
-        for a in group.generators
-        for b in group.generators
-    )
-    return GroupFingerprint(
-        order=group.order,
-        element_orders=tuple(sorted(counts.items())),
-        abelian=abelian,
-    )
+    abelian = all(a * b == b * a for a in group.generators for b in group.generators)
+    orders = tuple(zip(values.tolist(), counts.tolist()))
+    return GroupFingerprint(order=group.order, element_orders=orders, abelian=abelian)
 
 
 # Fingerprints of the named groups that show up in the verification suite.
@@ -417,39 +418,36 @@ def identify(fp: GroupFingerprint) -> str:
 
 def direct_product_check(group: FiniteGroup, a: FiniteGroup, b: FiniteGroup) -> bool:
     """True iff ``group`` is the internal direct product of ``a`` and ``b``."""
-    if not (a.elements <= group.elements and b.elements <= group.elements):
+    if not (a <= group and b <= group) or a.order * b.order != group.order:
         return False
-    if a.order * b.order != group.order:
-        return False
-    if a.elements & b.elements != {IDENTITY}:
+    if len(a._keys & b._keys) != 1:  # only the identity
         return False
     for sub in (a, b):
-        sub_imgs = {s.images for s in sub.elements}
         for g in group.generators:
             ginv = g.inverse()
             for h in sub.generators:
-                if compose(compose(g, h), ginv).images not in sub_imgs:
+                if compose(compose(g, h), ginv) not in sub:
                     return False
     return True
 
 
-def small_generating_set(elements: Iterable[Permutation]) -> tuple[Permutation, ...]:
-    """Greedy small generating set for an enumerated subgroup; rejects
-    element sets that are not closed (their closure overshoots the input)."""
-    els = sorted(elements)
-    if len(els) == 1:
-        if els != [IDENTITY]:
-            raise ValueError("a one-element set must be the identity")
-        return ()
+def small_generating_set(table: np.ndarray) -> tuple[Permutation, ...]:
+    """Greedy small generating set for the distinct rows of an element table:
+    walk the elements in sorted order and keep each one the closure so far
+    misses.  Rejects row sets that are not a group: the closure overshoots
+    the input, or the input is empty or repeats a row."""
+    rows = np.asarray(table, dtype=np.uint8)
+    keys = _row_keys(rows)
     gens: list[Permutation] = []
-    known: set[Permutation] = {IDENTITY}
-    for e in els:
-        if e in known:
+    known = TRIVIAL_GROUP
+    for i in np.lexsort(rows.T[::-1]).tolist():
+        if known.order == len(rows) or keys[i] in known._keys:
             continue
-        gens.append(e)
-        known = set(generate(gens).elements)
-        if len(known) == len(els):
-            break
-    if known != set(els):
+        gens.append(_from_row(rows[i].tolist()))
+        try:
+            known = generate(gens, cap=len(rows))
+        except GroupGenerationError:
+            raise ValueError("element set is not closed under composition") from None
+    if known.order != len(rows):
         raise ValueError("element set is not closed under composition")
     return tuple(gens)

@@ -200,6 +200,15 @@ class TestMod3Reduction:
             ]
             assert left == _canonical_sign(prod)
 
+    def test_projective_codes_are_the_po_images(self, reduction, marking, s4):
+        projective, signed = build_po_group(reduction, marking, s4)
+        expected = set()
+        for p in s4:
+            flat = [x for row in po_image(reduction, p, marking) for x in row]
+            expected.add(sum(x * 3 ** (24 - k) for k, x in enumerate(flat)))
+        assert set(projective.tolist()) == expected
+        assert len(projective) == 24 and signed == 48
+
     def test_bijective_onto_order_51840(self, reduction, marking, weyl):
         projective, signed = build_po_group(reduction, marking, weyl)
         assert len(projective) == 51840

@@ -6,6 +6,7 @@ import pytest
 from cubic27 import fermat_data
 from cubic27.exact import ZETA, symmetric_basis
 from cubic27.lines import (
+    IncidenceGraph,
     ProjectiveLine,
     catalog_line,
     coordinate_action_table,
@@ -26,7 +27,7 @@ from cubic27.lines import (
     catalog_records,
     double_sixes,
 )
-from cubic27.perm import IDENTITY, orbits, parse_cycles
+from cubic27.perm import IDENTITY, orbits, parse_cycles, setwise_stabilizer
 
 
 class TestCatalog:
@@ -111,6 +112,21 @@ class TestAutomorphisms:
 
     def test_identity_is_automorphism(self, weyl):
         assert IDENTITY in weyl.elements
+
+    @pytest.mark.parametrize("edge", [(1, 2), (1, 27)])
+    def test_toggled_edge_shrinks_the_group(self, weyl, edge):
+        # toggling one adjacency leaves only maps that fix the pair setwise
+        i, j = edge
+        masks = list(incidence_graph().masks)
+        masks[i - 1] ^= 1 << (j - 1)
+        masks[j - 1] ^= 1 << (i - 1)
+        toggled = IncidenceGraph(masks)
+        autos = graph_automorphisms(toggled)
+        assert 1 < autos.order < 51840
+        assert setwise_stabilizer(weyl, [i, j]) <= autos
+        for p in autos:
+            for x in range(1, 28):
+                assert {p(y) for y in toggled.neighbors(x)} == set(toggled.neighbors(p(x)))
 
 
 class TestCoordinateAction:

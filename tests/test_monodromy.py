@@ -25,7 +25,7 @@ from cubic27.monodromy import (
     random_loop,
     symmetric_family,
 )
-from cubic27.htrack import line_distance
+from cubic27.htrack import line_distance, residual
 from cubic27.perm import format_cycles, generate, is_subconjugate, orbits, parse_cycles
 
 
@@ -95,6 +95,17 @@ class TestBasepointFiber:
         spec = FamilySpec(kind=FamilyKind.FULL, basepoint=embed_symmetric(1, 0.02, -0.01j))
         fiber = basepoint_fiber(spec)
         assert len(fiber) == 27
+
+    def test_near_fermat_basepoint_is_refined(self):
+        # a basepoint within 1e-5 relative of Fermat is not Fermat: its lines
+        # must be Newton-refined, not the raw catalog
+        coeffs = fermat_form().coeffs.copy()
+        coeffs[MONOMIAL_EXPONENTS.index((3, 0, 0, 0))] *= 1 + 1e-7
+        base = CubicForm(coeffs)
+        fiber = basepoint_fiber(FamilySpec(kind=FamilyKind.FULL, basepoint=base))
+        raw = [np.abs(residual(base, line)).max() for line in basepoint_fiber(full_family())]
+        assert max(raw) > 1e-9
+        assert max(np.abs(residual(base, line)).max() for line in fiber) < 1e-10
 
     def test_cayley_basepoint_rejected(self):
         spec = FamilySpec(kind=FamilyKind.FULL, basepoint=cayley_form())
@@ -246,6 +257,14 @@ class TestOtherS6:
     def test_s4_subconjugate(self, weyl, s4, other_s6):
         found, _ = is_subconjugate(weyl, s4, other_s6)
         assert found
+
+    def test_seed_one_pair(self, other_s6):
+        # the pair drawn at seed 1 (the 1121st sample); the order in which the
+        # search applies its filters must not change it
+        assert [format_cycles(g) for g in other_s6.generators] == [
+            "(1,14,4,19,5)(2,18,7,3,15)(9,13,16,22,17)(10,20,26,12,21)(11,23,24,25,27)",
+            "(1,18,4,15,8,7)(2,14,6,5,3,19)(9,23,22,16,21,26)(10,24,12,17,25,27)(11,13,20)",
+        ]
 
     def test_deterministic(self, weyl, other_s6):
         again = find_other_s6(seed=1, ambient=weyl)

@@ -364,3 +364,75 @@ class TestSerialization:
         assert rec["fingerprint"]["name"] == "K4"
         regenerated = generate([parse_cycles(s) for s in rec["generators"]])
         assert regenerated.elements == klein.elements
+
+
+def _reference_closure(gens):
+    """Breadth-first closure over Permutation objects."""
+    elements = {IDENTITY}
+    frontier = [IDENTITY]
+    while frontier:
+        new = []
+        for e in frontier:
+            for g in gens:
+                p = compose(g, e)
+                if p not in elements:
+                    elements.add(p)
+                    new.append(p)
+        frontier = new
+    return elements
+
+
+def _conjugates_into(p, sub, target):
+    pinv = p.inverse()
+    return all(compose(compose(p, h), pinv) in target.elements for h in sub.elements)
+
+
+@pytest.fixture(scope="module")
+def random_subgroups(weyl):
+    """Subgroups of W generated by random pairs, small enough to brute force."""
+    rng = random.Random(2024)
+    out = []
+    while len(out) < 4:
+        try:
+            out.append(generate([rng.choice(weyl), rng.choice(weyl)], cap=1500))
+        except GroupGenerationError:
+            continue
+    return out
+
+
+class TestTableAgainstBruteForce:
+    def test_closure_and_cap(self, random_subgroups):
+        for group in random_subgroups:
+            gens = list(group.generators)
+            assert group.elements == _reference_closure(gens)
+            assert list(group) == sorted(group.elements)
+            assert generate(gens, cap=group.order).order == group.order
+            with pytest.raises(GroupGenerationError):
+                generate(gens, cap=group.order - 1)
+
+    def test_centralizer_and_normalizer(self, random_subgroups):
+        rng = random.Random(5)
+        for group in random_subgroups:
+            sub = generate([rng.choice(group)])
+            cent = {p for p in group if all(p * h == h * p for h in sub.generators)}
+            norm = {p for p in group if _conjugates_into(p, sub, sub)}
+            assert centralizer(group, sub).elements == cent
+            assert normalizer(group, sub).elements == norm
+
+    def test_stabilizers(self, random_subgroups):
+        rng = random.Random(6)
+        for group in random_subgroups:
+            pts = rng.sample(range(1, 28), 2)
+            pointwise = {p for p in group if all(p(x) == x for x in pts)}
+            setwise = {p for p in group if {p(x) for x in pts} == set(pts)}
+            assert pointwise_stabilizer(group, pts).elements == pointwise
+            assert setwise_stabilizer(group, pts).elements == setwise
+
+    def test_subconjugacy_witness_is_lexicographic_minimum(self, random_subgroups):
+        rng = random.Random(7)
+        for group in random_subgroups:
+            sub = generate([rng.choice(group)])
+            target = conjugate_subgroup(sub, rng.choice(group))
+            found, witness = is_subconjugate(group, sub, target)
+            witnesses = [p for p in group if _conjugates_into(p, sub, target)]
+            assert found and witness == min(witnesses)
