@@ -109,7 +109,6 @@ def cmd_monodromy(args) -> int:
         budget=args.loops,
         seed=args.seed,
         scale=args.scale,
-        jobs=args.jobs,
     )
     if args.format == "structured":
         _emit({"command": "monodromy", **report.to_dict()}, args.format)
@@ -153,7 +152,6 @@ def cmd_verify_all(args) -> int:
         seed=args.seed,
         sym_budget=args.sym_loops,
         full_budget=args.full_loops,
-        jobs=args.jobs,
         include_monodromy=not args.skip_monodromy,
     )
     if args.format == "structured":
@@ -183,12 +181,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("text", "structured"),
         default="text",
         help="output format",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=int(os.environ.get("CUBIC27_JOBS", "1")),
-        help="parallel loop workers (env CUBIC27_JOBS)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -7,12 +7,16 @@ A tracked line is a 2x4 complex row-span matrix in a gauge: two columns
 complex unknowns.  The residual of (f, line) is the binary cubic
 f(s*p + t*q) written in the coefficients of s^3, s^2 t, s t^2, t^3; it
 vanishes exactly when the line lies on Z(f).
+
+Forms are held as their symmetric polarization tensor T, f(x) = T(x, x, x):
+one batched contraction over the rows of every line gives the residual and
+the chart Jacobian together, one per Newton iteration.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import combinations
+from itertools import combinations, permutations
 from typing import Sequence
 
 import numpy as np
@@ -34,40 +38,29 @@ MONOMIAL_EXPONENTS: tuple[tuple[int, int, int, int], ...] = tuple(
 )
 N_MONOMIALS = len(MONOMIAL_EXPONENTS)  # 20
 
-# variable-index triples (with repetition) of each cubic monomial
-_MONOMIAL_VARS = np.array(
-    [
-        sum(([i] * e[i] for i in range(4)), [])
-        for e in MONOMIAL_EXPONENTS
-    ],
-    dtype=np.int64,
-)
 
-_QUAD_EXPONENTS = tuple(
-    sorted(
-        (
-            (d0, d1, d2, 2 - d0 - d1 - d2)
-            for d0 in range(3)
-            for d1 in range(3 - d0)
-            for d2 in range(3 - d0 - d1)
-        ),
-        reverse=True,
-    )
-)
-_QUAD_INDEX = {e: k for k, e in enumerate(_QUAD_EXPONENTS)}
-_QUAD_VARS = np.array(
-    [sum(([i] * e[i] for i in range(4)), []) for e in _QUAD_EXPONENTS],
-    dtype=np.int64,
-)
-
-# scatter tensor: gradient coefficients = einsum("jqm,m->jq", _GRAD_SCATTER, f)
-_GRAD_SCATTER = np.zeros((4, len(_QUAD_EXPONENTS), N_MONOMIALS))
+# coeffs @ _POLAR_SCATTER = the symmetric polarization tensor T[i, j, k] of
+# the cubic, f(x) = T(x, x, x): each monomial's coefficient is spread evenly
+# over the orderings of its variables.
+_POLAR_SCATTER = np.zeros((N_MONOMIALS, 4, 4, 4))
 for _m, _e in enumerate(MONOMIAL_EXPONENTS):
-    for _j in range(4):
-        if _e[_j]:
-            _d = list(_e)
-            _d[_j] -= 1
-            _GRAD_SCATTER[_j, _QUAD_INDEX[tuple(_d)], _m] = _e[_j]
+    _orderings = set(permutations([i for i in range(4) for _ in range(_e[i])]))
+    for _ijk in _orderings:
+        _POLAR_SCATTER[(_m, *_ijk)] = 1 / len(_orderings)
+_POLAR_SCATTER = _POLAR_SCATTER.reshape(N_MONOMIALS, 64)
+
+# The contraction returns G[n, ab, i] = T(e_i, m_a, m_b) for the row pairs
+# ab = (pp, pq, qp, qq) of a line (p, q); flat index ab * 4 + i.
+_RESIDUAL_WEIGHT = np.array([1, 3, 3, 1])
+
+# Jacobian column of the unknown at flat position pos (p_j -> j, q_j -> 4 + j):
+# d/dp_j has rows (3G[pp], 6G[pq], 3G[qq], 0) at entry j, d/dq_j the same
+# rows shifted down by one.  Zero-weight slots read entry 0 and drop it.
+_JAC_INDEX = np.zeros((8, 4), dtype=np.int64)
+_JAC_WEIGHT = np.zeros((8, 4))
+for _j in range(4):
+    _JAC_INDEX[_j, :3] = _JAC_INDEX[4 + _j, 1:] = (_j, 4 + _j, 12 + _j)
+    _JAC_WEIGHT[_j, :3] = _JAC_WEIGHT[4 + _j, 1:] = (3, 6, 3)
 
 _PLUCKER_PAIRS = tuple(combinations(range(4), 2))
 
@@ -175,11 +168,13 @@ class CubicForm:
 # Charted lines
 # ---------------------------------------------------------------------------
 
+# gauge pair (j1, j2) -> flat positions of the 4 chart unknowns
+_FREE_TABLE = np.zeros((4, 4, 4), dtype=np.int64)
+for _a, _b in _PLUCKER_PAIRS:
+    _f1, _f2 = (k for k in range(4) if k not in (_a, _b))
+    _FREE_TABLE[_a, _b] = _FREE_TABLE[_b, _a] = (_f1, _f2, 4 + _f1, 4 + _f2)
 
-def _orthonormal_rows(mats: np.ndarray) -> np.ndarray:
-    """Row-orthonormal representatives of the spans; gauge-independent."""
-    q, _ = np.linalg.qr(mats.transpose(0, 2, 1))  # (n, 4, 2), orthonormal columns
-    return q.transpose(0, 2, 1)
+_PLUCKER_A, _PLUCKER_B = np.array(_PLUCKER_PAIRS).T
 
 
 def _minor_conds(mats: np.ndarray) -> np.ndarray:
@@ -189,12 +184,8 @@ def _minor_conds(mats: np.ndarray) -> np.ndarray:
     The value is sigma_max/sigma_min of the 2x2 minor of the orthonormal
     representative: the norm of the chart's free entries grows like it.
     """
-    on = _orthonormal_rows(mats)
-    n = mats.shape[0]
-    sub = np.empty((n, 6, 2, 2), dtype=complex)
-    for k, (a, b) in enumerate(_PLUCKER_PAIRS):
-        sub[:, k, :, 0] = on[:, :, a]
-        sub[:, k, :, 1] = on[:, :, b]
+    on, _ = np.linalg.qr(mats.transpose(0, 2, 1))  # (n, 4, 2), orthonormal columns
+    sub = np.stack((on[:, _PLUCKER_A], on[:, _PLUCKER_B]), axis=3)  # (n, 6, 2, 2)
     sv = np.linalg.svd(sub, compute_uv=False)  # (n, 6, 2)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         cond = sv[..., 0] / sv[..., 1]
@@ -202,23 +193,35 @@ def _minor_conds(mats: np.ndarray) -> np.ndarray:
     return cond
 
 
+def _gauge_conds(unknowns: np.ndarray) -> np.ndarray:
+    """The value of _minor_conds at the current gauge, in closed form; (n,).
+
+    With the chart written [I | X] (unknowns = X row by row), the rows'
+    Gram matrix is I + X X^H, and the orthonormal representative's gauge
+    minor has condition sqrt((1 + lmax) / (1 + lmin)) over the eigenvalues
+    of X X^H.  (1 + lmax)(1 + lmin) = 1 + tr + |det X|^2 avoids lmin, and
+    lmax comes from the entries of X X^H without cancellation.
+    """
+    a, b, c, d = unknowns.T
+    h11 = a.real**2 + a.imag**2 + b.real**2 + b.imag**2
+    h22 = c.real**2 + c.imag**2 + d.real**2 + d.imag**2
+    h12 = np.abs(a * c.conj() + b * d.conj())
+    top = 1 + (h11 + h22 + np.hypot(h11 - h22, 2 * h12)) / 2
+    return top / np.sqrt(1 + h11 + h22 + np.abs(a * d - b * c) ** 2)
+
+
 def _normalize_batch(mats: np.ndarray, gauges: np.ndarray) -> np.ndarray:
     """Left-multiply each 2x4 by the inverse of its gauge minor and pin the
     gauge columns to the exact identity."""
-    n = mats.shape[0]
-    out = np.empty_like(mats)
-    for i in range(n):
-        j1, j2 = gauges[i]
-        m = mats[i][:, [j1, j2]]
-        out[i] = np.linalg.solve(m, mats[i])
-        out[i][:, [j1, j2]] = np.eye(2)
+    cols = gauges[:, None, :]
+    out = np.linalg.solve(np.take_along_axis(mats, cols, axis=2), mats)
+    np.put_along_axis(out, cols, np.eye(2), axis=2)
     return out
 
 
 def _best_gauges(mats: np.ndarray) -> np.ndarray:
-    conds = _minor_conds(mats)
-    best = np.argmin(conds, axis=1)
-    return np.array([_PLUCKER_PAIRS[k] for k in best], dtype=np.int64)
+    best = np.argmin(_minor_conds(mats), axis=1)
+    return np.array(_PLUCKER_PAIRS, dtype=np.int64)[best]
 
 
 class ChartedLine:
@@ -233,11 +236,7 @@ class ChartedLine:
         if np.linalg.matrix_rank(m, tol=1e-12) != 2:
             raise ValueError("span matrix must have rank 2")
         batch = m[None, :, :]
-        g = (
-            np.array([sorted(gauge)], dtype=np.int64)
-            if gauge
-            else _best_gauges(batch)
-        )
+        g = np.array([sorted(gauge)], dtype=np.int64) if gauge else _best_gauges(batch)
         self.matrix = _normalize_batch(batch, g)[0]
         self.gauge = (int(g[0, 0]), int(g[0, 1]))
 
@@ -251,9 +250,7 @@ class ChartedLine:
 
 def plucker(matrix: np.ndarray) -> np.ndarray:
     """Unit Plucker 6-vector of a 2x4 span matrix."""
-    p, q = np.asarray(matrix)[0], np.asarray(matrix)[1]
-    v = np.array([p[a] * q[b] - p[b] * q[a] for a, b in _PLUCKER_PAIRS])
-    return v / np.linalg.norm(v)
+    return _plucker_batch(np.asarray(matrix)[None])[0]
 
 
 def line_distance(l1, l2) -> float:
@@ -266,15 +263,18 @@ def line_distance(l1, l2) -> float:
     """
     m1 = l1.matrix if isinstance(l1, ChartedLine) else np.asarray(l1, dtype=complex)
     m2 = l2.matrix if isinstance(l2, ChartedLine) else np.asarray(l2, dtype=complex)
-    u, v = plucker(m1), plucker(m2)
-    residual_vec = v - np.vdot(u, v) * u
-    return float(min(np.linalg.norm(residual_vec), 1.0))
+    return float(_chordal(plucker(m1), plucker(m2)))
+
+
+def _chordal(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """line_distance between broadcast rows of unit Plucker vectors."""
+    inner = (u.conj() * v).sum(axis=-1, keepdims=True)
+    return np.minimum(np.linalg.norm(v - inner * u, axis=-1), 1.0)
 
 
 def _plucker_batch(mats: np.ndarray) -> np.ndarray:
     p, q = mats[:, 0, :], mats[:, 1, :]
-    cols = [p[:, a] * q[:, b] - p[:, b] * q[:, a] for a, b in _PLUCKER_PAIRS]
-    v = np.stack(cols, axis=1)
+    v = p[:, _PLUCKER_A] * q[:, _PLUCKER_B] - p[:, _PLUCKER_B] * q[:, _PLUCKER_A]
     return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
@@ -284,34 +284,67 @@ def _min_pairwise_distance(mats: np.ndarray) -> float:
     u = _plucker_batch(mats)
     overlap = np.abs(u @ u.conj().T) ** 2
     np.fill_diagonal(overlap, 0.0)
-    # largest off-diagonal overlap = closest pair
-    return float(np.sqrt(max(0.0, 1.0 - overlap.max())))
+    near = overlap > 1 - 1e-8
+    if not near.any():
+        # largest off-diagonal overlap = closest pair
+        return float(np.sqrt(max(0.0, 1.0 - overlap.max())))
+    # 1 - overlap rounds distances below ~1e-4 (two coincident lines read
+    # anywhere up to 1.5e-8); measure those pairs as line_distance does
+    i, j = np.nonzero(near)
+    return float(_chordal(u[i], u[j]).min())
 
 
 # ---------------------------------------------------------------------------
-# Residual and Jacobian
+# The polarization-tensor kernel: residual and Jacobian from one contraction
 # ---------------------------------------------------------------------------
+
+
+def _polar(coeffs: np.ndarray) -> np.ndarray:
+    """T of the form as a (16, 4) matrix, rows (j, k) and columns i."""
+    return (coeffs @ _POLAR_SCATTER).reshape(16, 4)
+
+
+def _contract(tensor: np.ndarray, mats: np.ndarray) -> np.ndarray:
+    """G[..., n, ab, i] = T(e_i, m_a, m_b) over the row pairs ab = (pp, pq,
+    qp, qq) of every line; (n, 4, 4), or (k, n, 4, 4) for a stack of k
+    tensors."""
+    n = mats.shape[0]
+    outer = (mats[:, :, None, :, None] * mats[:, None, :, None, :]).reshape(4 * n, 16)
+    return (outer @ tensor).reshape(tensor.shape[:-2] + (n, 4, 4))
+
+
+def _residual(g: np.ndarray, mats: np.ndarray) -> np.ndarray:
+    """(p.G[pp], 3q.G[pp], 3p.G[qq], q.G[qq]): the coefficients of
+    T(sp + tq, sp + tq, sp + tq) = f(s*p + t*q); (n, 4)."""
+    return np.einsum("nci,ndi->ndc", mats, g[:, ::3]).reshape(-1, 4) * _RESIDUAL_WEIGHT
+
+
+class _Chart:
+    """Index arrays of a batch's chart unknowns (free_idx as returned by
+    _free_indices): their flat positions in the (n, 2, 4) batch, and the
+    gather and weights that assemble the (n, 4, 4) Jacobian from the
+    contraction."""
+
+    __slots__ = ("unknowns", "jac_index", "jac_weight")
+
+    def __init__(self, free_idx: np.ndarray):
+        lines = np.arange(len(free_idx))
+        self.unknowns = free_idx + 8 * lines[:, None]
+        self.jac_index = _JAC_INDEX[free_idx].transpose(0, 2, 1) + 16 * lines[:, None, None]
+        self.jac_weight = _JAC_WEIGHT[free_idx].transpose(0, 2, 1)
+
+    def jacobian(self, g: np.ndarray) -> np.ndarray:
+        return g.reshape(-1)[self.jac_index] * self.jac_weight
+
+    def update(self, mats: np.ndarray, deltas: np.ndarray) -> np.ndarray:
+        out = mats.copy()
+        out.reshape(-1)[self.unknowns] += deltas
+        return out
 
 
 def _residual_batch(coeffs: np.ndarray, mats: np.ndarray) -> np.ndarray:
     """Binary-cubic coefficients of f(s*p + t*q) for each line; (n, 4)."""
-    p, q = mats[:, 0, :], mats[:, 1, :]
-    a = p[:, _MONOMIAL_VARS]  # (n, 20, 3)
-    b = q[:, _MONOMIAL_VARS]
-    c0 = a[:, :, 0] * a[:, :, 1] * a[:, :, 2]
-    c1 = (
-        a[:, :, 0] * a[:, :, 1] * b[:, :, 2]
-        + a[:, :, 0] * b[:, :, 1] * a[:, :, 2]
-        + b[:, :, 0] * a[:, :, 1] * a[:, :, 2]
-    )
-    c2 = (
-        a[:, :, 0] * b[:, :, 1] * b[:, :, 2]
-        + b[:, :, 0] * a[:, :, 1] * b[:, :, 2]
-        + b[:, :, 0] * b[:, :, 1] * a[:, :, 2]
-    )
-    c3 = b[:, :, 0] * b[:, :, 1] * b[:, :, 2]
-    cubic = np.stack([c0, c1, c2, c3], axis=2)  # (n, 20, 4)
-    return np.einsum("m,nmk->nk", coeffs, cubic)
+    return _residual(_contract(_polar(coeffs), mats), mats)
 
 
 def _jacobian_batch(coeffs: np.ndarray, mats: np.ndarray, free_idx: np.ndarray) -> np.ndarray:
@@ -319,32 +352,12 @@ def _jacobian_batch(coeffs: np.ndarray, mats: np.ndarray, free_idx: np.ndarray) 
 
     free_idx[i] lists the flat unknown positions (p_k -> k, q_k -> 4 + k).
     """
-    grad = np.einsum("jqm,m->jq", _GRAD_SCATTER, coeffs)  # (4, 10)
-    p, q = mats[:, 0, :], mats[:, 1, :]
-    a = p[:, _QUAD_VARS]  # (n, 10, 2)
-    b = q[:, _QUAD_VARS]
-    t0 = a[:, :, 0] * a[:, :, 1]
-    t1 = a[:, :, 0] * b[:, :, 1] + b[:, :, 0] * a[:, :, 1]
-    t2 = b[:, :, 0] * b[:, :, 1]
-    quad = np.stack([t0, t1, t2], axis=2)  # (n, 10, 3)
-    gline = np.einsum("jq,nqk->njk", grad, quad)  # (n, 4, 3)
-    n = mats.shape[0]
-    full = np.zeros((n, 4, 8), dtype=complex)
-    # d/dp_j: s * (grad_j f)|line  -> rows (s^3, s^2 t, s t^2)
-    full[:, 0:3, 0:4] = gline.transpose(0, 2, 1)
-    # d/dq_j: t * (grad_j f)|line  -> rows (s^2 t, s t^2, t^3)
-    full[:, 1:4, 4:8] = gline.transpose(0, 2, 1)
-    return np.take_along_axis(full, free_idx[:, None, :], axis=2)
+    return _Chart(free_idx).jacobian(_contract(_polar(coeffs), mats))
 
 
 def _free_indices(gauges: np.ndarray) -> np.ndarray:
     """Flat positions of the 4 chart unknowns for each line; (n, 4)."""
-    n = gauges.shape[0]
-    out = np.empty((n, 4), dtype=np.int64)
-    for i in range(n):
-        free = [k for k in range(4) if k not in (gauges[i, 0], gauges[i, 1])]
-        out[i] = [free[0], free[1], 4 + free[0], 4 + free[1]]
-    return out
+    return _FREE_TABLE[gauges[:, 0], gauges[:, 1]]
 
 
 def residual(f: CubicForm, line) -> np.ndarray:
@@ -354,31 +367,24 @@ def residual(f: CubicForm, line) -> np.ndarray:
 
 
 def jacobian(f: CubicForm, line: ChartedLine) -> np.ndarray:
-    gauges = np.array([line.gauge], dtype=np.int64)
-    return _jacobian_batch(f.coeffs, line.matrix[None, :, :], _free_indices(gauges))[0]
-
-
-def _apply_updates(mats: np.ndarray, free_idx: np.ndarray, deltas: np.ndarray) -> np.ndarray:
-    out = mats.copy()
-    flat = out.reshape(out.shape[0], 8)
-    np.put_along_axis(flat, free_idx, np.take_along_axis(flat, free_idx, axis=1) + deltas, axis=1)
-    return flat.reshape(out.shape)
+    free = _free_indices(np.array([line.gauge], dtype=np.int64))
+    return _jacobian_batch(f.coeffs, line.matrix[None, :, :], free)[0]
 
 
 def _newton_batch(
-    coeffs: np.ndarray,
-    mats: np.ndarray,
-    free_idx: np.ndarray,
-    cfg: TrackerConfig,
+    tensor: np.ndarray, mats: np.ndarray, chart: _Chart, cfg: TrackerConfig
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """Newton-correct every line against the form; returns (mats, final
-    residual norms, max last-correction norms, iterations used).
+    """Newton-correct every line against the form with polarization tensor
+    ``tensor``; returns (mats, final residual norms, max last-correction
+    norms, iterations used).  Each iteration does one contraction: the one
+    that measures the residual also gives the next Jacobian.
 
     Raises NewtonFailure when some line fails to reach newton_tol within
     max_newton_iters or loses the quadratic convergence tail.
     """
     cur = mats
-    res = _residual_batch(coeffs, cur)
+    g = _contract(tensor, cur)
+    res = _residual(g, cur)
     norms = np.linalg.norm(res, axis=1)
     last_step = np.zeros(len(mats))
     prev_step = np.full(len(mats), np.inf)
@@ -386,19 +392,19 @@ def _newton_batch(
     while norms.max() > cfg.newton_tol:
         if iters >= cfg.max_newton_iters:
             raise NewtonFailure(f"no convergence in {cfg.max_newton_iters} iterations")
-        jac = _jacobian_batch(coeffs, cur, free_idx)
         try:
-            deltas = np.linalg.solve(jac, -res[..., None])[..., 0]
+            deltas = np.linalg.solve(chart.jacobian(g), -res[..., None])[..., 0]
         except np.linalg.LinAlgError as exc:
             raise NewtonFailure("singular Jacobian") from exc
         step_norms = np.linalg.norm(deltas, axis=1)
-        cur = _apply_updates(cur, free_idx, deltas)
-        res = _residual_batch(coeffs, cur)
+        cur = chart.update(cur, deltas)
+        g = _contract(tensor, cur)
+        res = _residual(g, cur)
         norms = np.linalg.norm(res, axis=1)
         prev_step, last_step = last_step, step_norms
         if iters >= 1:
             bound = cfg.quad_tail_factor * prev_step**2 + cfg.quad_tail_floor
-            if np.any(last_step > bound):
+            if (last_step > bound).any():
                 raise NewtonFailure("quadratic convergence tail lost")
         iters += 1
     return cur, norms, last_step, iters
@@ -407,10 +413,8 @@ def _newton_batch(
 def newton_correct(f: CubicForm, line: ChartedLine, cfg: TrackerConfig) -> ChartedLine:
     """Refine one line onto Z(f); raises NewtonFailure on divergence.
     An input already satisfying the tolerance is returned unchanged."""
-    gauges = np.array([line.gauge], dtype=np.int64)
-    mats, _, _, iters = _newton_batch(
-        f.coeffs, line.matrix[None, :, :].copy(), _free_indices(gauges), cfg
-    )
+    chart = _Chart(_free_indices(np.array([line.gauge], dtype=np.int64)))
+    mats, _, _, iters = _newton_batch(_polar(f.coeffs), line.matrix[None, :, :], chart, cfg)
     if iters == 0:
         return line
     return ChartedLine(mats[0], gauge=line.gauge)
@@ -444,30 +448,31 @@ class _Batch:
     def __init__(self, lines: Sequence[ChartedLine]):
         self.mats = np.stack([l.matrix for l in lines]).astype(complex)
         self.gauges = np.array([l.gauge for l in lines], dtype=np.int64)
-        self.free = _free_indices(self.gauges)
+        self.chart = _Chart(_free_indices(self.gauges))
 
     def rechart(self, cond_limit: float) -> None:
-        conds = _minor_conds(self.mats)
-        current = conds[np.arange(len(self.mats)), self._gauge_slots()]
-        stale = current > cond_limit
-        if not np.any(stale):
+        """Re-select the gauge of every line whose current gauge condition
+        exceeds cond_limit; only those lines pay for the six-minor SVD."""
+        unknowns = self.mats.reshape(-1)[self.chart.unknowns]
+        stale = _gauge_conds(unknowns) > cond_limit
+        if not stale.any():
             return
         best = _best_gauges(self.mats[stale])
         self.mats[stale] = _normalize_batch(self.mats[stale], best)
         self.gauges[stale] = best
-        self.free = _free_indices(self.gauges)
-
-    def _gauge_slots(self) -> np.ndarray:
-        return np.array(
-            [_PLUCKER_PAIRS.index((int(a), int(b))) for a, b in self.gauges],
-            dtype=np.int64,
-        )
+        self.chart = _Chart(_free_indices(self.gauges))
 
     def to_lines(self) -> list[ChartedLine]:
-        return [
-            ChartedLine(self.mats[i], gauge=(int(self.gauges[i, 0]), int(self.gauges[i, 1])))
-            for i in range(len(self.mats))
-        ]
+        """The batch as ChartedLines, with one batched rank check instead of
+        a construction (rank check and normalization) per line."""
+        if np.any(np.linalg.matrix_rank(self.mats, tol=1e-12) != 2):
+            raise ValueError("span matrix must have rank 2")
+        out = []
+        for m, gauge in zip(self.mats.copy(), self.gauges.tolist()):
+            line = ChartedLine.__new__(ChartedLine)
+            line.matrix, line.gauge = m, tuple(gauge)
+            out.append(line)
+        return out
 
 
 def track_segment(
@@ -482,15 +487,18 @@ def track_segment(
     Per accepted step: Euler prediction from the Davidenko system, lockstep
     Newton correction, then the separation barrier (pairwise line distance at
     least separation_factor times the largest last Newton correction).  Steps
-    halve on any failure and grow after a run of accepted steps.
+    halve on any failure and grow after a run of accepted steps.  The
+    predictor contracts the homotopy's tensor and its t-derivative in one
+    call.
     """
     cfg = cfg or TrackerConfig()
     batch = _Batch(lines)
     batch.rechart(cfg.rechart_cond)
+    t0, t1 = _polar(f0.coeffs), _polar(f1.coeffs)
     # the start lines must be Newton-correctable on f0
-    mats, norms, _, it0 = _newton_batch(f0.coeffs, batch.mats, batch.free, cfg)
+    mats, norms, _, it0 = _newton_batch(t0, batch.mats, batch.chart, cfg)
     batch.mats = mats
-    df = f1.coeffs - f0.coeffs
+    pair = np.stack((t0, _polar(f1.coeffs - f0.coeffs)))  # (T at t, dT/dt)
     newton_iters = np.full(len(lines), it0, dtype=np.int64)
 
     t = 0.0
@@ -504,38 +512,32 @@ def track_segment(
     while t < 1.0 - 1e-14:
         h_eff = min(h, 1.0 - t)
         t_new = t + h_eff
-        ft = (1 - t) * f0.coeffs + t * f1.coeffs
-        ft_new = (1 - t_new) * f0.coeffs + t_new * f1.coeffs
+        pair[0] = (1 - t) * t0 + t * t1
         try:
-            jac = _jacobian_batch(ft, batch.mats, batch.free)
-            rhs = -_residual_batch(df, batch.mats)
-            velocity = np.linalg.solve(jac, rhs[..., None])[..., 0]
-            predicted = _apply_updates(batch.mats, batch.free, h_eff * velocity)
+            g_t, g_dt = _contract(pair, batch.mats)
+            rhs = -_residual(g_dt, batch.mats)
+            velocity = np.linalg.solve(batch.chart.jacobian(g_t), rhs[..., None])[..., 0]
+            predicted = batch.chart.update(batch.mats, h_eff * velocity)
             corrected, norms, last_corr, iters = _newton_batch(
-                ft_new, predicted, batch.free, cfg
+                (1 - t_new) * t0 + t_new * t1, predicted, batch.chart, cfg
             )
             sep = _min_pairwise_distance(corrected)
             if sep < cfg.separation_factor * float(last_corr.max()):
                 raise SeparationLoss(
                     f"separation {sep:.3e} below barrier at t={t_new:.6f}"
                 )
-        except (NewtonFailure, np.linalg.LinAlgError) as exc:
+        except (NewtonFailure, SeparationLoss, np.linalg.LinAlgError) as exc:
             last_failure = exc if isinstance(exc, TrackFailure) else NewtonFailure(str(exc))
             h /= 2
             streak = 0
             if h < cfg.step_min:
+                if isinstance(exc, SeparationLoss):
+                    raise SeparationLoss(
+                        f"separation kept failing down to step_min at t={t:.6f}"
+                    ) from exc
                 raise StepUnderflow(
                     f"step underflow at t={t:.6f}: {last_failure}"
                 ) from last_failure
-            continue
-        except SeparationLoss as exc:
-            last_failure = exc
-            h /= 2
-            streak = 0
-            if h < cfg.step_min:
-                raise SeparationLoss(
-                    f"separation kept failing down to step_min at t={t:.6f}"
-                ) from exc
             continue
 
         batch.mats = corrected
@@ -554,7 +556,7 @@ def track_segment(
     # (already in-tolerance) corrected lines
     try:
         polish_cfg = replace(cfg, newton_tol=cfg.polish_tol, max_newton_iters=3)
-        mats, _, _, extra = _newton_batch(f1.coeffs, batch.mats, batch.free, polish_cfg)
+        mats, _, _, extra = _newton_batch(t1, batch.mats, batch.chart, polish_cfg)
         batch.mats = mats
         newton_iters += extra
     except NewtonFailure:
@@ -600,10 +602,7 @@ def match_to_base(
 ) -> Permutation:
     tracked_u = _plucker_batch(np.stack([l.matrix for l in tracked]))
     base_u = _plucker_batch(np.stack([l.matrix for l in base_lines]))
-    # stable chordal distances: norm of base minus its projection onto tracked
-    inner = tracked_u.conj() @ base_u.T  # inner[i, j] = <tracked_i, base_j>
-    resid = base_u[None, :, :] - inner[:, :, None] * tracked_u[:, None, :]
-    dist = np.minimum(np.linalg.norm(resid, axis=2), 1.0)
+    dist = _chordal(tracked_u[:, None, :], base_u[None, :, :])  # [tracked, base]
     images = []
     for i in range(len(tracked)):
         order = np.argsort(dist[i])

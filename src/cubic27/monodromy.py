@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import random as _random
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from enum import Enum
 from functools import lru_cache
@@ -442,7 +441,6 @@ def compute_monodromy(
     seed: int = 1,
     stall_threshold: int = 10,
     scale: float | None = None,
-    jobs: int = 1,
 ) -> MonodromyReport:
     """Accumulate revalidated loop permutations until ``stall_threshold``
     consecutive accepted loops add no new group elements, or the budget runs
@@ -466,15 +464,6 @@ def compute_monodromy(
         s4_gens = lines_mod.s4_generators()
         order16 = _order16_group()
 
-    def run_one(i: int) -> tuple[Loop, Permutation | None, str | None, bool]:
-        loop = _build_loop(spec, strategy, i, seed, scale, cfg)
-        try:
-            p = htrack.track_loop(loop.vertices, base_lines, cfg)
-        except TrackFailure as exc:
-            return loop, None, f"{type(exc).__name__}: {exc}", False
-        revalidated = htrack.revalidate(loop.vertices, p, base_lines, cfg)
-        return loop, p, None, revalidated
-
     records: list[LoopRecord] = []
     group = perm.TRIVIAL_GROUP
     generators: list[Permutation] = []
@@ -482,74 +471,67 @@ def compute_monodromy(
     violations = 0
     stabilized_after = None
 
-    next_index = 0
-    pool = ThreadPoolExecutor(max_workers=max(1, jobs)) if jobs > 1 else None
-    try:
-        while next_index < budget and stabilized_after is None:
-            batch = list(range(next_index, min(budget, next_index + max(1, jobs))))
-            next_index = batch[-1] + 1
-            if pool is not None:
-                results = list(pool.map(run_one, batch))
-            else:
-                results = [run_one(i) for i in batch]
-            for i, (loop, p, failure, revalidated) in zip(batch, results):
-                if p is None or not revalidated:
-                    records.append(
-                        LoopRecord(
-                            index=i, kind=loop.kind, accepted=False,
-                            permutation=format_cycles(p) if p else None,
-                            failure=failure or "revalidation mismatch",
-                            revalidated=False, fixes_tritangent=None,
-                            centralizes_s4=None, in_weyl_group=None,
-                            in_order16=None, new_elements=False,
-                            meta=_loop_meta(loop),
-                        )
-                    )
-                    continue
-                in_w = p in weyl
-                fixes_tri = centralizes = in16 = None
-                ok = in_w
-                if symmetric_like:
-                    fixes_tri = all(p(x) == x for x in (25, 26, 27))
-                    centralizes = all(p * g == g * p for g in s4_gens)
-                    in16 = p in order16
-                    ok = ok and fixes_tri and centralizes and in16
-                if not ok:
-                    violations += 1
-                    records.append(
-                        LoopRecord(
-                            index=i, kind=loop.kind, accepted=False,
-                            permutation=format_cycles(p),
-                            failure="structural invariant violation",
-                            revalidated=True, fixes_tritangent=fixes_tri,
-                            centralizes_s4=centralizes, in_weyl_group=in_w,
-                            in_order16=in16, new_elements=False,
-                            meta=_loop_meta(loop),
-                        )
-                    )
-                    continue
-                grew = False
-                if p not in group:
-                    generators.append(p)
-                    group = perm.generate(generators)
-                    grew = True
-                records.append(
-                    LoopRecord(
-                        index=i, kind=loop.kind, accepted=True,
-                        permutation=format_cycles(p), failure=None,
-                        revalidated=True, fixes_tritangent=fixes_tri,
-                        centralizes_s4=centralizes, in_weyl_group=in_w,
-                        in_order16=in16, new_elements=grew,
-                        meta=_loop_meta(loop),
-                    )
+    for i in range(budget):
+        loop = _build_loop(spec, strategy, i, seed, scale, cfg)
+        p, failure = None, "revalidation mismatch"
+        try:
+            p = htrack.track_loop(loop.vertices, base_lines, cfg)
+        except TrackFailure as exc:
+            failure = f"{type(exc).__name__}: {exc}"
+        if p is None or not htrack.revalidate(loop.vertices, p, base_lines, cfg):
+            records.append(
+                LoopRecord(
+                    index=i, kind=loop.kind, accepted=False,
+                    permutation=format_cycles(p) if p else None,
+                    failure=failure,
+                    revalidated=False, fixes_tritangent=None,
+                    centralizes_s4=None, in_weyl_group=None,
+                    in_order16=None, new_elements=False,
+                    meta=_loop_meta(loop),
                 )
-                stall = 0 if grew else stall + 1
-                if stall >= stall_threshold:
-                    stabilized_after = i + 1
-                    break
-    finally:
-        if pool is not None:
-            pool.shutdown(wait=False, cancel_futures=True)
+            )
+            continue
+        in_w = p in weyl
+        fixes_tri = centralizes = in16 = None
+        ok = in_w
+        if symmetric_like:
+            fixes_tri = all(p(x) == x for x in (25, 26, 27))
+            centralizes = all(p * g == g * p for g in s4_gens)
+            in16 = p in order16
+            ok = ok and fixes_tri and centralizes and in16
+        if not ok:
+            violations += 1
+            records.append(
+                LoopRecord(
+                    index=i, kind=loop.kind, accepted=False,
+                    permutation=format_cycles(p),
+                    failure="structural invariant violation",
+                    revalidated=True, fixes_tritangent=fixes_tri,
+                    centralizes_s4=centralizes, in_weyl_group=in_w,
+                    in_order16=in16, new_elements=False,
+                    meta=_loop_meta(loop),
+                )
+            )
+            continue
+        grew = False
+        if p not in group:
+            generators.append(p)
+            group = perm.generate(generators)
+            grew = True
+        records.append(
+            LoopRecord(
+                index=i, kind=loop.kind, accepted=True,
+                permutation=format_cycles(p), failure=None,
+                revalidated=True, fixes_tritangent=fixes_tri,
+                centralizes_s4=centralizes, in_weyl_group=in_w,
+                in_order16=in16, new_elements=grew,
+                meta=_loop_meta(loop),
+            )
+        )
+        stall = 0 if grew else stall + 1
+        if stall >= stall_threshold:
+            stabilized_after = i + 1
+            break
 
     components = [
         {
@@ -972,10 +954,8 @@ def _claim_exact_identities() -> Claim:
     return Claim("exact-identities", "three-cusp equivalence, four nodes, tritangent vanishing and the normalizer determinant hold exactly", all(r.passed for r in results), details)
 
 
-def _claim_symmetric_monodromy(seed: int, budget: int, jobs: int) -> tuple[Claim, MonodromyReport]:
-    report = compute_monodromy(
-        symmetric_family(), budget=max(40, budget), seed=seed, jobs=jobs
-    )
+def _claim_symmetric_monodromy(seed: int, budget: int) -> tuple[Claim, MonodromyReport]:
+    report = compute_monodromy(symmetric_family(), budget=max(40, budget), seed=seed)
     expected = expected_symmetric_monodromy()
     accepted = [r for r in report.loops if r.accepted]
     details = {
@@ -1002,8 +982,8 @@ def _claim_symmetric_monodromy(seed: int, budget: int, jobs: int) -> tuple[Claim
     return Claim("symmetric-monodromy", "symmetric-family monodromy stabilizes to the Klein 4-group with every accepted loop revalidated inside the order-16 bound", ok, details), report
 
 
-def _claim_full_monodromy(seed: int, budget: int, jobs: int) -> tuple[Claim, MonodromyReport]:
-    report = compute_monodromy(full_family(), budget=budget, seed=seed, jobs=jobs)
+def _claim_full_monodromy(seed: int, budget: int) -> tuple[Claim, MonodromyReport]:
+    report = compute_monodromy(full_family(), budget=budget, seed=seed)
     accepted = [r for r in report.loops if r.accepted]
     details = {
         "conclusive": report.conclusive,
@@ -1090,8 +1070,8 @@ def _finite_difference_jacobian(f: CubicForm, line: ChartedLine, h: float = 1e-7
         plus, minus = flat.copy(), flat.copy()
         plus[pos] += h
         minus[pos] -= h
-        rp = htrack._residual_batch(f.coeffs, plus.reshape(1, 2, 4))[0]
-        rm = htrack._residual_batch(f.coeffs, minus.reshape(1, 2, 4))[0]
+        rp = htrack.residual(f, plus.reshape(2, 4))
+        rm = htrack.residual(f, minus.reshape(2, 4))
         out[:, k] = (rp - rm) / (2 * h)
     return out
 
@@ -1100,7 +1080,6 @@ def verify_claims(
     seed: int = 1,
     sym_budget: int = 40,
     full_budget: int = 300,
-    jobs: int = 1,
     include_monodromy: bool = True,
 ) -> ClaimsReport:
     """Run the whole verification suite; monodromy claims can be skipped for
@@ -1117,8 +1096,8 @@ def verify_claims(
         _claim_component_structure(),
     ]
     if include_monodromy:
-        sym_claim, _ = _claim_symmetric_monodromy(seed, sym_budget, jobs)
-        full_claim, _ = _claim_full_monodromy(seed, full_budget, jobs)
+        sym_claim, _ = _claim_symmetric_monodromy(seed, sym_budget)
+        full_claim, _ = _claim_full_monodromy(seed, full_budget)
         claims.append(sym_claim)
         claims.append(full_claim)
         claims.append(_claim_numeric_hygiene(seed))

@@ -16,9 +16,15 @@ from cubic27.htrack import (
     revalidate,
     track_loop,
     track_segment,
+    _PLUCKER_PAIRS,
+    _Batch,
+    _best_gauges,
     _free_indices,
+    _gauge_conds,
     _jacobian_batch,
     _min_pairwise_distance,
+    _minor_conds,
+    _normalize_batch,
     _residual_batch,
 )
 from cubic27.monodromy import embed_symmetric
@@ -75,6 +81,64 @@ class TestResidual:
 
     def test_nonvanishing_off_surface(self, forms, catalog):
         assert np.linalg.norm(residual(forms[1], catalog[0])) > 0.1
+
+
+def _random_mats(rng, n):
+    return rng.standard_normal((n, 2, 4)) + 1j * rng.standard_normal((n, 2, 4))
+
+
+class TestKernelOracle:
+    """The contraction kernel against direct evaluation of the monomials."""
+
+    @staticmethod
+    def restriction_by_interpolation(coeffs, mat):
+        # f(p + t q) at the 4th roots of unity, then the Vandermonde solve
+        # for its coefficients in 1, t, t^2, t^3 (= s^3, s^2 t, s t^2, t^3)
+        exps = np.array(MONOMIAL_EXPONENTS)
+        ts = np.exp(0.5j * np.pi * np.arange(4))
+        values = [np.prod((mat[0] + t * mat[1]) ** exps, axis=1) @ coeffs for t in ts]
+        return np.linalg.solve(np.vander(ts, 4, increasing=True), values)
+
+    def test_residual_matches_interpolated_restriction(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(50):
+            coeffs = rng.standard_normal(20) + 1j * rng.standard_normal(20)
+            lines_ = [ChartedLine(m) for m in _random_mats(rng, 3)]
+            got = _residual_batch(coeffs, np.stack([l.matrix for l in lines_]))
+            for line, res in zip(lines_, got):
+                want = self.restriction_by_interpolation(coeffs, line.matrix)
+                assert np.linalg.norm(res - want) <= 1e-12 * np.linalg.norm(want)
+
+
+class TestRechart:
+    def test_closed_form_matches_six_minor_svd(self):
+        rng = np.random.default_rng(77)
+        n = 200
+        slots = rng.integers(0, 6, n)
+        gauges = np.array(_PLUCKER_PAIRS, dtype=np.int64)[slots]
+        charted = _normalize_batch(_random_mats(rng, n), gauges)
+        unknowns = np.take_along_axis(charted.reshape(n, 8), _free_indices(gauges), axis=1)
+        svd = _minor_conds(charted)[np.arange(n), slots]
+        assert np.allclose(_gauge_conds(unknowns), svd, rtol=1e-12, atol=0)
+
+    def test_rechart_picks_the_svd_gauges_on_stale_lines(self):
+        rng = np.random.default_rng(78)
+        n, limit = 60, 2.0
+        slots = rng.integers(0, 6, n)
+        lines_ = [
+            ChartedLine(m, gauge=_PLUCKER_PAIRS[k]) for m, k in zip(_random_mats(rng, n), slots)
+        ]
+        mats = np.stack([l.matrix for l in lines_])
+        stale = _minor_conds(mats)[np.arange(n), slots] > limit
+        assert 0 < stale.sum() < n
+        want = np.array([l.gauge for l in lines_], dtype=np.int64)
+        want[stale] = _best_gauges(mats[stale])
+        batch = _Batch(lines_)
+        batch.rechart(limit)
+        assert np.array_equal(batch.gauges, want)
+        assert np.array_equal(batch.mats[~stale], mats[~stale])
+        assert np.array_equal(batch.mats[stale], _normalize_batch(mats[stale], want[stale]))
+        assert np.all(_minor_conds(batch.mats)[stale].min(axis=1) <= limit)
 
 
 class TestJacobian:
@@ -144,6 +208,16 @@ class TestLineDistance:
         dmin = _min_pairwise_distance(mats)
         assert dmin > 0.1
         assert abs(dmin - 0.8660254) < 1e-6
+
+    def test_min_pairwise_resolves_nearly_coincident_lines(self, catalog):
+        # 1 - |<u, v>|^2 cannot see a distance of 1e-10; the separation
+        # barrier needs it to tell a path jump from two distinct lines
+        mats = np.stack([l.matrix for l in catalog])
+        mats[1] = mats[0]
+        mats[1, 1, 3] += 1e-10
+        want = line_distance(mats[0], mats[1])
+        assert 1e-11 < want < 1e-9
+        assert _min_pairwise_distance(mats) == pytest.approx(want, rel=1e-6)
 
     def test_invariance_under_row_operations(self, catalog):
         rng = np.random.default_rng(8)
