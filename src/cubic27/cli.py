@@ -165,6 +165,17 @@ def cmd_verify_all(args) -> int:
     return 0 if report.all_passed() else 1
 
 
+def _loop_budget(text: str) -> int:
+    """A loop budget: a non-negative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cubic27",
@@ -190,15 +201,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     mon = sub.add_parser("monodromy", help="run a monodromy computation")
     mon.add_argument("--family", choices=("symmetric", "full"), required=True)
-    mon.add_argument("--loops", type=int, default=40, help="loop budget")
-    mon.add_argument("--strategy", choices=("auto", "random", "circles", "mixed"), default="auto")
+    mon.add_argument("--loops", type=_loop_budget, default=40, help="loop budget")
+    mon.add_argument("--strategy", choices=("mixed", "random"), default="mixed")
     mon.add_argument("--scale", type=float, default=None, help="triangle perturbation scale")
 
     sub.add_parser("symcheck", help="run the exact polynomial identities")
 
     ver = sub.add_parser("verify-all", help="run every claim; nonzero exit on failure")
-    ver.add_argument("--sym-loops", type=int, default=40)
-    ver.add_argument("--full-loops", type=int, default=300)
+    ver.add_argument("--sym-loops", type=_loop_budget, default=40)
+    ver.add_argument("--full-loops", type=_loop_budget, default=300)
     ver.add_argument("--skip-monodromy", action="store_true", help="exact claims only")
 
     return parser

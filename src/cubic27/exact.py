@@ -1,5 +1,6 @@
 """Exact arithmetic: Q(zeta) with zeta^2 = zeta - 1, sparse polynomials in
-four variables, and integer matrices with Smith normal form.
+four variables, Gauss-Jordan elimination over Q and Q(zeta), and integer
+matrices with Smith normal form.
 
 zeta is a primitive 6th root of unity (zeta^3 = -1, zeta^6 = 1); the numeric
 embedding pins zeta = exp(i*pi/3).
@@ -8,6 +9,7 @@ embedding pins zeta = exp(i*pi/3).
 from __future__ import annotations
 
 import cmath
+import math
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -86,6 +88,9 @@ class Cyc:
 
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0
+
+    def __bool__(self) -> bool:
+        return bool(self.a or self.b)
 
     def is_rational(self) -> bool:
         return self.b == 0
@@ -294,8 +299,42 @@ def symmetric_basis() -> tuple[Poly4, Poly4, Poly4]:
 
 
 # ---------------------------------------------------------------------------
-# Integer matrices and Smith normal form
+# Matrices: field elimination, integer matrices and Smith normal form
 # ---------------------------------------------------------------------------
+
+
+def _gauss_jordan(rows: Sequence[Sequence]) -> tuple[list[list], list[int], object]:
+    """Gauss-Jordan elimination over an exact field (Fraction or Cyc entries).
+
+    Returns the reduced row echelon form, its pivot columns (their number is
+    the rank) and, for a square matrix, the determinant: the product of the
+    pivots, negated once per row swap (None if the matrix is not square).
+    """
+    m = [list(row) for row in rows]
+    pivots: list[int] = []
+    values = []
+    sign = 1
+    for col in range(len(m[0])):
+        r = len(pivots)
+        found = next((i for i in range(r, len(m)) if m[i][col]), None)
+        if found is None:
+            continue
+        if found != r:
+            m[r], m[found] = m[found], m[r]
+            sign = -sign
+        values.append(m[r][col])
+        inv = 1 / m[r][col]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][col]:
+                f = m[i][col]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(col)
+    if len(m) != len(m[0]):
+        return m, pivots, None
+    if len(pivots) < len(m):
+        return m, pivots, 0 * m[0][0]  # zero, in the entries' field
+    return m, pivots, math.prod(values, start=sign)
 
 
 def mat_identity(n: int) -> IntMatrix:
@@ -303,6 +342,7 @@ def mat_identity(n: int) -> IntMatrix:
 
 
 def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    """Matrix product; entries may be of any ring (int, Fraction, Cyc)."""
     rows, inner, cols = len(a), len(b), len(b[0])
     assert len(a[0]) == inner
     return [

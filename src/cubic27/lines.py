@@ -12,24 +12,27 @@ from typing import Sequence
 import numpy as np
 
 from . import fermat_data
-from .exact import Cyc, ONE, ZERO, ZETA, ZETA5, Poly4
+from .exact import Cyc, ONE, ZERO, ZETA, ZETA5, Poly4, _gauss_jordan
 from .perm import FiniteGroup, Permutation, generate, parse_cycles
 
 N_LINES = 27
 
 _SYMBOLS = {"0": ZERO, "1": ONE, "-1": -ONE, "z": ZETA, "Z": ZETA5}
+_PLUCKER_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
 
 class ProjectiveLine:
     """Row span of a 2x4 matrix over Q(zeta), stored in reduced row echelon
     form so that equal lines compare (and hash) equal."""
 
-    __slots__ = ("span",)
+    __slots__ = ("span", "_plucker")
 
     def __init__(self, row0: Sequence, row1: Sequence):
-        r0 = [Cyc.coerce(x) for x in row0]
-        r1 = [Cyc.coerce(x) for x in row1]
-        self.span = _rref2x4(r0, r1)
+        rows, pivots, _ = _gauss_jordan([[Cyc.coerce(x) for x in row] for row in (row0, row1)])
+        if len(pivots) != 2:
+            raise ValueError("span matrix does not have rank 2")
+        self.span = (tuple(rows[0]), tuple(rows[1]))
+        self._plucker = None
 
     def rows(self) -> tuple[tuple[Cyc, ...], tuple[Cyc, ...]]:
         return self.span
@@ -40,13 +43,27 @@ class ProjectiveLine:
     def __hash__(self) -> int:
         return hash(self.span)
 
+    def plucker(self) -> tuple[Cyc, ...]:
+        """Plucker coordinates p_ij = r0_i r1_j - r0_j r1_i of the reduced
+        span, for ij = 01, 02, 03, 12, 13, 23; computed once per line."""
+        if self._plucker is None:
+            r0, r1 = self.span
+            self._plucker = tuple(r0[i] * r1[j] - r0[j] * r1[i] for i, j in _PLUCKER_PAIRS)
+        return self._plucker
+
+    def pairing(self, other: "ProjectiveLine") -> Cyc:
+        """The Plucker pairing p01 q23 - p02 q13 + p03 q12 + p12 q03 - p13 q02
+        + p23 q01: the Laplace expansion along its first two rows of the 4x4
+        determinant stacking both reduced spans."""
+        p, q = self.plucker(), other.plucker()
+        return (p[0] * q[5] - p[1] * q[4] + p[2] * q[3]
+                + p[3] * q[2] - p[4] * q[1] + p[5] * q[0])
+
     def meets(self, other: "ProjectiveLine") -> bool:
-        """Two distinct lines in P^3 meet iff the stacked 4x4 is singular."""
+        """Two distinct lines in P^3 meet iff their Plucker pairing vanishes."""
         if self == other:
             raise ValueError("meet is only defined for distinct lines")
-        stacked = [list(self.span[0]), list(self.span[1]),
-                   list(other.span[0]), list(other.span[1])]
-        return _det4(stacked).is_zero()
+        return not self.pairing(other)
 
     def permute_coordinates(self, sigma: Sequence[int]) -> "ProjectiveLine":
         """Push the line forward along the coordinate permutation sigma
@@ -68,52 +85,6 @@ class ProjectiveLine:
         return f"ProjectiveLine({self.span[0]!r}, {self.span[1]!r})"
 
 
-def _rref2x4(r0: list[Cyc], r1: list[Cyc]) -> tuple[tuple[Cyc, ...], tuple[Cyc, ...]]:
-    rows = [r0[:], r1[:]]
-    pivots = []
-    col = 0
-    for target in range(2):
-        while col < 4:
-            pivot_row = None
-            for r in range(target, 2):
-                if not rows[r][col].is_zero():
-                    pivot_row = r
-                    break
-            if pivot_row is None:
-                col += 1
-                continue
-            rows[target], rows[pivot_row] = rows[pivot_row], rows[target]
-            inv = rows[target][col].inverse()
-            rows[target] = [x * inv for x in rows[target]]
-            for r in range(2):
-                if r != target and not rows[r][col].is_zero():
-                    factor = rows[r][col]
-                    rows[r] = [a - factor * b for a, b in zip(rows[r], rows[target])]
-            pivots.append(col)
-            col += 1
-            break
-        else:
-            break
-    if len(pivots) != 2:
-        raise ValueError("span matrix does not have rank 2")
-    return tuple(rows[0]), tuple(rows[1])
-
-
-def _det4(m: list[list[Cyc]]) -> Cyc:
-    total = ZERO
-    for perm in permutations(range(4)):
-        sign = 1
-        for i in range(4):
-            for j in range(i + 1, 4):
-                if perm[i] > perm[j]:
-                    sign = -sign
-        term = Cyc(sign)
-        for i in range(4):
-            term = term * m[i][perm[i]]
-        total = total + term
-    return total
-
-
 @lru_cache(maxsize=1)
 def fermat_catalog() -> tuple[ProjectiveLine, ...]:
     """The 27 exact lines, indexed 1..27 (index 0 of the tuple is line 1)."""
@@ -130,10 +101,6 @@ def catalog_line(label: int) -> ProjectiveLine:
 @lru_cache(maxsize=1)
 def _catalog_index() -> dict[ProjectiveLine, int]:
     return {line: i + 1 for i, line in enumerate(fermat_catalog())}
-
-
-def meet(l1: ProjectiveLine, l2: ProjectiveLine) -> bool:
-    return l1.meets(l2)
 
 
 class IncidenceGraph:
@@ -470,31 +437,8 @@ def tritangent_span_rank() -> int:
     """Rank of the 6x4 matrix stacking the tritangent lines' spans."""
     rows = []
     for label in fermat_data.ORBIT_TRITANGENT:
-        rows.extend(list(r) for r in catalog_line(label).span)
-    return _rank(rows)
-
-
-def _rank(rows: list[list[Cyc]]) -> int:
-    m = [row[:] for row in rows]
-    rank = 0
-    cols = len(m[0])
-    for col in range(cols):
-        pivot = None
-        for r in range(rank, len(m)):
-            if not m[r][col].is_zero():
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        inv = m[rank][col].inverse()
-        m[rank] = [x * inv for x in m[rank]]
-        for r in range(len(m)):
-            if r != rank and not m[r][col].is_zero():
-                f = m[r][col]
-                m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
-        rank += 1
-    return rank
+        rows.extend(catalog_line(label).span)
+    return len(_gauss_jordan(rows)[1])
 
 
 def catalog_records() -> list[dict]:

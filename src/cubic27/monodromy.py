@@ -17,6 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from . import fermat_data, htrack, lattice, lines as lines_mod, perm, symverify
+from .exact import mat_mul
 from .htrack import ChartedLine, CubicForm, TrackerConfig, TrackFailure
 from .perm import FiniteGroup, Permutation, format_cycles
 
@@ -29,17 +30,6 @@ class FamilyKind(Enum):
     FULL = "full"
     SYMMETRIC = "symmetric"
     SLICE = "slice"
-
-
-@dataclass(frozen=True)
-class SymmetricCoefficients:
-    a: complex
-    b: complex
-    c: complex
-
-    def __post_init__(self):
-        if self.a == 0 and self.b == 0 and self.c == 0:
-            raise ValueError("symmetric coefficients must not all vanish")
 
 
 @lru_cache(maxsize=1)
@@ -369,32 +359,10 @@ class MonodromyReport:
     )
 
     def to_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "seed": self.seed,
-            "strategy": self.strategy,
-            "budget": self.budget,
-            "stall_threshold": self.stall_threshold,
-            "scale": self.scale,
-            "config": self.config,
-            "loops": [vars(r) for r in self.loops],
-            "group": self.group,
-            "group_elements": self.group_elements,
-            "components": self.components,
-            "conclusive": self.conclusive,
-            "stabilized_after": self.stabilized_after,
-            "invariant_violations": self.invariant_violations,
-            "convention_note": self.convention_note,
-        }
+        return asdict(self)
 
 
 _DEFAULT_SCALES = {FamilyKind.SYMMETRIC: 0.9, FamilyKind.FULL: 1.8, FamilyKind.SLICE: 0.9}
-
-
-def _default_strategy(kind: FamilyKind) -> str:
-    # meridian circles around probed discriminant points keep the loop pool
-    # from stalling on identity streaks, in every family
-    return "mixed"
 
 
 _GOLDEN_ANGLE = 2 * np.pi * 0.6180339887498949
@@ -412,8 +380,6 @@ def _build_loop(
     hint = (index * _GOLDEN_ANGLE) % (2 * np.pi)
     if strategy == "random":
         return random_loop(spec, rng, scale)
-    if strategy == "circles":
-        return _meridian_loop(spec, rng, cfg, scale=scale, angle_hint=hint)
     if strategy == "mixed":
         if index % 2 == 1:
             return _meridian_loop(spec, rng, cfg, scale=scale, angle_hint=hint)
@@ -435,7 +401,7 @@ def _loop_meta(loop: Loop) -> dict:
 
 def compute_monodromy(
     spec: FamilySpec,
-    strategy: str = "auto",
+    strategy: str = "mixed",
     budget: int = 40,
     cfg: TrackerConfig | None = None,
     seed: int = 1,
@@ -455,8 +421,6 @@ def compute_monodromy(
     cfg = cfg or TrackerConfig()
     if scale is None:
         scale = _DEFAULT_SCALES[spec.kind]
-    if strategy == "auto":
-        strategy = _default_strategy(spec.kind)
     base_lines = basepoint_fiber(spec, cfg)
     weyl = lines_mod.weyl_group()
     symmetric_like = spec.kind is not FamilyKind.FULL
@@ -770,7 +734,9 @@ def _claim_exceptional_isomorphism() -> Claim:
     rng = _random.Random(90)
     homo = all(
         lattice.po_image(red, perm.compose(p, q), marking)
-        == _f3_matmul(lattice.po_image(red, p, marking), lattice.po_image(red, q, marking))
+        == lattice._canonical_sign(
+            mat_mul(lattice.po_image(red, p, marking), lattice.po_image(red, q, marking))
+        )
         for p, q in [(rng.choice(w), rng.choice(w)) for _ in range(25)]
     )
     details = {
@@ -787,15 +753,6 @@ def _claim_exceptional_isomorphism() -> Claim:
         and list(red.divisors) == [1, 3, 3, 3, 3, 3]
     )
     return Claim("exceptional-isomorphism", "mod-3 reduction is a bijection onto a projective orthogonal group of order 51840 (103680 before projectivization)", ok, details)
-
-
-def _f3_matmul(a, b):
-    n = len(a)
-    prod = [
-        [sum(a[i][k] * b[k][j] for k in range(n)) % 3 for j in range(n)]
-        for i in range(n)
-    ]
-    return lattice._canonical_sign(prod)
 
 
 def _claim_presentation_and_double_sixes() -> Claim:
@@ -955,7 +912,7 @@ def _claim_exact_identities() -> Claim:
 
 
 def _claim_symmetric_monodromy(seed: int, budget: int) -> tuple[Claim, MonodromyReport]:
-    report = compute_monodromy(symmetric_family(), budget=max(40, budget), seed=seed)
+    report = compute_monodromy(symmetric_family(), budget=budget, seed=seed)
     expected = expected_symmetric_monodromy()
     accepted = [r for r in report.loops if r.accepted]
     details = {

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations
 
-from .exact import Cyc, Poly4, symmetric_basis
+from .exact import Cyc, Poly4, _gauss_jordan, mat_mul, symmetric_basis
 from . import lines as lines_mod
 
 
@@ -92,7 +92,7 @@ def check_cayley_nodes() -> CheckResult:
         details["nodes"].append(is_node)
         passed = passed and is_node
         hess = _affine_hessian(m111, chart=k)
-        det = mat_det_cyc(hess)
+        det = _gauss_jordan(hess)[2]
         details["hessian_dets"].append(str(det.a))
         passed = passed and not det.is_zero()
     # smooth-point control away from the vertices
@@ -113,22 +113,6 @@ def _affine_hessian(poly: Poly4, chart: int) -> list[list[Cyc]]:
         for b in range(3):
             second[a][b] = row_grad[others[b]].evaluate(point)
     return second  # type: ignore[return-value]
-
-
-def mat_det_cyc(m: list[list[Cyc]]) -> Cyc:
-    n = len(m)
-    total = Cyc(0)
-    for sigma in permutations(range(n)):
-        sign = 1
-        for i in range(n):
-            for j in range(i + 1, n):
-                if sigma[i] > sigma[j]:
-                    sign = -sign
-        term = Cyc(sign)
-        for i in range(n):
-            term = term * m[i][sigma[i]]
-        total = total + term
-    return total
 
 
 def check_tritangent_vanishing() -> CheckResult:
@@ -169,41 +153,19 @@ def check_normalizer_family() -> CheckResult:
     passed = True
     for lam in samples:
         c = _normalizer_matrix(lam)
-        det = _det_fraction(c)
+        det = _gauss_jordan(c)[2]
         expected = (lam - 1) ** 3 * (lam + 3)
         if det != expected:
             passed = False
         for sigma in permutations(range(4)):
             p = [[Fraction(1 if sigma[i] == j else 0) for j in range(4)] for i in range(4)]
-            if _matmul_fraction(c, p) != _matmul_fraction(p, c):
+            if mat_mul(c, p) != mat_mul(p, c):
                 passed = False
     details["determinant_matches_(lam-1)^3(lam+3)"] = passed
-    details["singular_at_1"] = _det_fraction(_normalizer_matrix(Fraction(1))) == 0
-    details["singular_at_-3"] = _det_fraction(_normalizer_matrix(Fraction(-3))) == 0
+    details["singular_at_1"] = _gauss_jordan(_normalizer_matrix(Fraction(1)))[2] == 0
+    details["singular_at_-3"] = _gauss_jordan(_normalizer_matrix(Fraction(-3)))[2] == 0
     ok = passed and details["singular_at_1"] and details["singular_at_-3"]
     return CheckResult("normalizer_matrix_family", ok, details)
-
-
-def _det_fraction(m: list[list[Fraction]]) -> Fraction:
-    total = Fraction(0)
-    for sigma in permutations(range(len(m))):
-        sign = 1
-        for i in range(len(m)):
-            for j in range(i + 1, len(m)):
-                if sigma[i] > sigma[j]:
-                    sign = -sign
-        term = Fraction(sign)
-        for i in range(len(m)):
-            term *= m[i][sigma[i]]
-        total += term
-    return total
-
-
-def _matmul_fraction(a, b):
-    n = len(a)
-    return [
-        [sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)] for i in range(n)
-    ]
 
 
 def run_all_checks() -> list[CheckResult]:

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from cubic27 import monodromy
 from cubic27.cli import main
 from cubic27.perm import format_cycles, parse_cycles
 
@@ -97,6 +98,22 @@ class TestBadFlags:
             main(["monodromy"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["monodromy", "--family", "symmetric", "--loops", "-1"],
+        ["verify-all", "--sym-loops", "-1"],
+        ["verify-all", "--full-loops", "-1"],
+    ])
+    def test_negative_loop_budget_exits_2(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("strategy", ["auto", "circles"])
+    def test_removed_strategies_exit_2(self, strategy):
+        with pytest.raises(SystemExit) as exc:
+            main(["monodromy", "--family", "symmetric", "--strategy", strategy])
+        assert exc.value.code == 2
+
 
 class TestGroup:
     def test_group_claims_pass(self, capsys):
@@ -110,6 +127,21 @@ class TestGroup:
 
 
 class TestVerifyAll:
+    def test_sym_loops_budget_is_honored(self, monkeypatch):
+        budgets = []
+
+        class Stop(Exception):
+            pass
+
+        def spy(spec, **kwargs):
+            budgets.append((spec.kind, kwargs["budget"]))
+            raise Stop
+
+        monkeypatch.setattr(monodromy, "compute_monodromy", spy)
+        with pytest.raises(Stop):
+            main(["verify-all", "--sym-loops", "10"])
+        assert budgets == [(monodromy.FamilyKind.SYMMETRIC, 10)]
+
     def test_exact_claims_only(self, capsys):
         code, out = run_cli(
             capsys, "--format", "structured", "verify-all", "--skip-monodromy"

@@ -1,12 +1,13 @@
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 import sympy
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from cubic27.exact import (
+    _gauss_jordan,
     Cyc,
     ONE,
     Poly4,
@@ -21,6 +22,7 @@ from cubic27.exact import (
     smith_normal_form,
     symmetric_basis,
 )
+from cubic27.lines import ProjectiveLine, fermat_catalog
 
 
 def rand_cyc(rng, small=False):
@@ -55,6 +57,10 @@ class TestCyclotomic:
             assert x * y == y * x
             if not x.is_zero():
                 assert x * x.inverse() == ONE
+
+    def test_truth_value_is_nonzero(self):
+        assert not ZERO and not Cyc(0, 0)
+        assert ONE and ZETA and Cyc(0, Fraction(-1, 3))
 
     def test_inverse_of_zero_raises(self):
         with pytest.raises(ZeroDivisionError):
@@ -218,3 +224,107 @@ class TestSmithNormalForm:
         assert mat_det(c) == 3
         three_i = [[3 if i == j else 0 for j in range(6)] for i in range(6)]
         assert mat_mul(c, adj) == three_i
+
+
+# ---------------------------------------------------------------------------
+# Field elimination and the Plucker pairing against a Leibniz oracle
+# ---------------------------------------------------------------------------
+
+
+def leibniz_det(m):
+    """Sum over permutations of signed products (24 terms for a 4x4)."""
+    n = len(m)
+    total = 0
+    for sigma in permutations(range(n)):
+        inversions = sum(sigma[i] > sigma[j] for i in range(n) for j in range(i + 1, n))
+        term = -1 if inversions % 2 else 1
+        for i in range(n):
+            term = term * m[i][sigma[i]]
+        total = total + term
+    return total
+
+
+def leibniz_rank(m):
+    """Largest k with a nonzero k x k minor."""
+    for k in range(min(len(m), len(m[0])), 0, -1):
+        for rows in combinations(range(len(m)), k):
+            for cols in combinations(range(len(m[0])), k):
+                if leibniz_det([[m[r][c] for c in cols] for r in rows]) != 0:
+                    return k
+    return 0
+
+
+def rand_fraction(rng):
+    return Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+
+
+def random_matrix(rng, n, rank, entry):
+    """n x n matrix of rank at most ``rank``: (n x rank) times (rank x n).
+
+    Half the factors' entries are zero, so that zero pivots force row swaps."""
+    zero = entry(rng) * 0
+    b = [[entry(rng) if rng.random() < 0.5 else zero for _ in range(rank)] for _ in range(n)]
+    c = [[entry(rng) if rng.random() < 0.5 else zero for _ in range(n)] for _ in range(rank)]
+    return [[sum((b[i][k] * c[k][j] for k in range(rank)), zero) for j in range(n)] for i in range(n)]
+
+
+class TestGaussJordan:
+    @pytest.mark.parametrize("entry", [rand_fraction, lambda rng: rand_cyc(rng, small=True)],
+                             ids=["fraction", "cyc"])
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_against_leibniz(self, entry, n):
+        rng = random.Random(10 * n + (entry is rand_fraction))
+        for trial in range(30):
+            rank = trial % (n + 1)  # singular for all but every (n+1)-th trial
+            m = random_matrix(rng, n, rank, entry)
+            reduced, pivots, det = _gauss_jordan(m)
+            assert det == leibniz_det(m)
+            assert len(pivots) == leibniz_rank(m)
+            assert pivots == sorted(set(pivots))
+            for k, col in enumerate(pivots):
+                assert all(x == 0 for x in reduced[k][:col]) and reduced[k][col] == 1
+                assert all(reduced[i][col] == 0 for i in range(n) if i != k)
+            assert all(x == 0 for row in reduced[len(pivots):] for x in row)
+            # every input row is the combination of reduced rows read off at the pivots
+            for row in m:
+                combo = [sum((row[col] * reduced[k][j] for k, col in enumerate(pivots)), 0 * row[0])
+                         for j in range(n)]
+                assert combo == row
+
+    def test_determinant_stays_in_the_field(self):
+        assert isinstance(_gauss_jordan([[Cyc(0), ONE], [ONE, Cyc(0)]])[2], Cyc)
+        assert _gauss_jordan([[Cyc(0), ONE], [Cyc(0), ZETA]])[2] == Cyc(0)
+        assert _gauss_jordan([[Fraction(0)] * 2] * 2)[2] == 0
+
+    def test_non_square_has_no_determinant(self):
+        reduced, pivots, det = _gauss_jordan([[ONE, ZETA, ZERO], [ZETA, ZETA * ZETA, ONE]])
+        assert det is None and pivots == [0, 2]
+        assert reduced == [[ONE, ZETA, ZERO], [ZERO, ZERO, ONE]]
+
+
+class TestPluckerPairing:
+    def test_catalog_pairs_match_the_stacked_determinant(self):
+        cat = fermat_catalog()
+        meeting = 0
+        for a, b in combinations(cat, 2):
+            value = a.pairing(b)
+            assert value == leibniz_det([*a.span, *b.span])
+            assert a.meets(b) == value.is_zero()
+            meeting += a.meets(b)
+        assert meeting == 27 * 10 // 2
+
+    def test_random_spans_match_the_stacked_determinant(self):
+        rng = random.Random(5)
+        for trial in range(60):
+            rows = [[rand_cyc(rng, small=True) for _ in range(4)] for _ in range(3)]
+            if trial % 2:  # the second line passes through a point of the first
+                s, t = rand_cyc(rng, small=True), rand_cyc(rng, small=True)
+                rows.append([s * x + t * y for x, y in zip(rows[0], rows[1])])
+            else:
+                rows.append([rand_cyc(rng, small=True) for _ in range(4)])
+            a, b = ProjectiveLine(rows[0], rows[1]), ProjectiveLine(rows[2], rows[3])
+            value = a.pairing(b)
+            assert value == leibniz_det([*a.span, *b.span])
+            assert value == b.pairing(a)
+            if trial % 2:
+                assert value.is_zero()

@@ -17,7 +17,6 @@ from cubic27.lines import (
     incidence_graph,
     line_restrictions_vanish,
     marking_from_six,
-    meet,
     monodromy_klein_elements,
     partner_six,
     skew_sixes,
@@ -70,15 +69,15 @@ class TestCatalog:
 
 class TestMeet:
     def test_tritangent_lines_meet(self):
-        assert meet(catalog_line(25), catalog_line(26))
-        assert meet(catalog_line(25), catalog_line(27))
+        assert catalog_line(25).meets(catalog_line(26))
+        assert catalog_line(25).meets(catalog_line(27))
 
     def test_skew_pair(self):
-        assert not meet(catalog_line(1), catalog_line(3))
+        assert not catalog_line(1).meets(catalog_line(3))
 
     def test_self_meet_rejected(self):
         with pytest.raises(ValueError):
-            meet(catalog_line(1), catalog_line(1))
+            catalog_line(1).meets(catalog_line(1))
 
 
 class TestIncidenceGraph:

@@ -10,7 +10,6 @@ from cubic27.monodromy import (
     FamilySpec,
     Loop,
     SingularBasepoint,
-    SymmetricCoefficients,
     basepoint_fiber,
     cayley_form,
     circle_loop,
@@ -37,8 +36,6 @@ class TestEmbedding:
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             embed_symmetric(0, 0, 0)
-        with pytest.raises(ValueError):
-            SymmetricCoefficients(0, 0, 0)
 
     def test_coordinate_invariance(self):
         form = embed_symmetric(2, -1 + 1j, 0.5)

@@ -80,13 +80,14 @@ class TestNormalizerFamily:
         assert result.details["singular_at_-3"]
 
     def test_commutes_with_a_transposition_at_lambda_2(self):
-        from cubic27.symverify import _matmul_fraction, _normalizer_matrix
+        from cubic27.exact import mat_mul
+        from cubic27.symverify import _normalizer_matrix
 
         c = _normalizer_matrix(Fraction(2))
         swap01 = [
             [Fraction(int(i == (1, 0, 2, 3)[j])) for j in range(4)] for i in range(4)
         ]
-        assert _matmul_fraction(c, swap01) == _matmul_fraction(swap01, c)
+        assert mat_mul(c, swap01) == mat_mul(swap01, c)
 
 
 def test_run_all_checks_pass_and_have_details():
