@@ -66,13 +66,12 @@ def cmd_group(args) -> int:
         monodromy._claim_s4_action(),
         monodromy._claim_subgroup_ladder(),
         monodromy._claim_presentation_and_double_sixes(),
-        monodromy._claim_non_reflection(args.seed),
+        monodromy._claim_non_reflection(),
         monodromy._claim_preferred_double_six(),
         monodromy._claim_component_structure(),
     ]
     doc = {
         "command": "group",
-        "seed": args.seed,
         "composition_convention": "compose(p, q) applies q first",
         "claims": [c.to_dict() for c in claims],
         "all_passed": all(c.passed for c in claims),

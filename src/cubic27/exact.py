@@ -432,83 +432,50 @@ def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
         for row in v:
             row[dst] += k * row[src]
 
-    t = 0
-    while t < min(rows, cols):
-        # pivot: smallest |nonzero| in the trailing block
-        pivot = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                if m[i][j] != 0 and (pivot is None or abs(m[i][j]) < abs(m[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        swap_rows(t, pivot[0])
-        swap_cols(t, pivot[1])
-        dirty = False
-        for i in range(t + 1, rows):
-            if m[i][t] != 0:
-                kq = m[i][t] // m[t][t]
-                add_row(t, i, -kq)
-                if m[i][t] != 0:
-                    dirty = True
-        for j in range(t + 1, cols):
-            if m[t][j] != 0:
-                kq = m[t][j] // m[t][t]
-                add_col(t, j, -kq)
-                if m[t][j] != 0:
-                    dirty = True
-        if dirty:
-            continue  # remainders left; re-pick a smaller pivot
-        t += 1
+    n = min(rows, cols)
 
-    # normalize signs, then enforce the divisibility chain
-    for i in range(min(rows, cols)):
-        if m[i][i] < 0:
-            for j in range(cols):
-                m[i][j] = -m[i][j]
-            for j in range(rows):
-                u[i][j] = -u[i][j]
+    def reduce_from(t):
+        """Clear row and column t beyond the diagonal, pivoting on a smallest
+        |nonzero| entry of the trailing block, for t, t + 1, ..."""
+        while t < n:
+            pivot = None
+            for i in range(t, rows):
+                for j in range(t, cols):
+                    if m[i][j] != 0 and (pivot is None or abs(m[i][j]) < abs(m[pivot[0]][pivot[1]])):
+                        pivot = (i, j)
+            if pivot is None:
+                break
+            swap_rows(t, pivot[0])
+            swap_cols(t, pivot[1])
+            dirty = False
+            for i in range(t + 1, rows):
+                if m[i][t] != 0:
+                    add_row(t, i, -(m[i][t] // m[t][t]))
+                    dirty = dirty or m[i][t] != 0
+            for j in range(t + 1, cols):
+                if m[t][j] != 0:
+                    add_col(t, j, -(m[t][j] // m[t][t]))
+                    dirty = dirty or m[t][j] != 0
+            if not dirty:  # otherwise remainders are left; re-pick a smaller pivot
+                t += 1
+
+    def normalize_signs():
+        for i in range(n):
+            if m[i][i] < 0:
+                m[i] = [-x for x in m[i]]
+                u[i] = [-x for x in u[i]]
+
+    reduce_from(0)
+    normalize_signs()
+    # enforce the divisibility chain
     i = 0
-    while i < min(rows, cols) - 1:
+    while i < n - 1:
         a_i, a_next = m[i][i], m[i + 1][i + 1]
         if a_i != 0 and a_next % a_i != 0:
-            # classic fix-up: fold the offending entry into column i
+            # classic fix-up: fold the offending entry into column i, re-reduce
             add_col(i + 1, i, 1)
-            # re-reduce the 2x2 block from row i
-            t = i
-            while t < min(rows, cols):
-                pivot = None
-                for r in range(t, rows):
-                    for c in range(t, cols):
-                        if m[r][c] != 0 and (
-                            pivot is None or abs(m[r][c]) < abs(m[pivot[0]][pivot[1]])
-                        ):
-                            pivot = (r, c)
-                if pivot is None:
-                    break
-                swap_rows(t, pivot[0])
-                swap_cols(t, pivot[1])
-                dirty = False
-                for r in range(t + 1, rows):
-                    if m[r][t] != 0:
-                        kq = m[r][t] // m[t][t]
-                        add_row(t, r, -kq)
-                        if m[r][t] != 0:
-                            dirty = True
-                for c in range(t + 1, cols):
-                    if m[t][c] != 0:
-                        kq = m[t][c] // m[t][t]
-                        add_col(t, c, -kq)
-                        if m[t][c] != 0:
-                            dirty = True
-                if not dirty:
-                    t += 1
-            for r in range(min(rows, cols)):
-                if m[r][r] < 0:
-                    for c in range(cols):
-                        m[r][c] = -m[r][c]
-                    for c in range(rows):
-                        u[r][c] = -u[r][c]
+            reduce_from(i)
+            normalize_signs()
             i = 0
             continue
         i += 1

@@ -123,19 +123,20 @@ def marking_vectors(six: Sequence[int]) -> dict[int, Vec7]:
     return {label: class_vector(tag) for label, tag in tags.items()}
 
 
+def reflection_permutation(marking: dict[int, Vec7], root: Sequence[int]) -> Permutation:
+    """The permutation of line labels induced by the reflection in a root,
+    read through a marking (label -> class vector)."""
+    by_vec = {v: label for label, v in marking.items()}
+    return Permutation(
+        [by_vec[reflect(marking[label], root)] for label in range(1, lines_mod.N_LINES + 1)]
+    )
+
+
 def weyl_presentation_from_six(six: Sequence[int]) -> list[Permutation]:
     """The six reflection permutations s0..s5 induced on line labels by the
     marking of an ordered skew six."""
     vecs = marking_vectors(six)
-    by_vec = {v: label for label, v in vecs.items()}
-    gens = []
-    for root in simple_roots():
-        images = []
-        for label in range(1, lines_mod.N_LINES + 1):
-            target = reflect(vecs[label], root)
-            images.append(by_vec[target])
-        gens.append(Permutation(images))
-    return gens
+    return [reflection_permutation(vecs, root) for root in simple_roots()]
 
 
 def extend_to_lattice_automorphism(

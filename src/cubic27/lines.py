@@ -65,17 +65,6 @@ class ProjectiveLine:
             raise ValueError("meet is only defined for distinct lines")
         return not self.pairing(other)
 
-    def permute_coordinates(self, sigma: Sequence[int]) -> "ProjectiveLine":
-        """Push the line forward along the coordinate permutation sigma
-        (coordinate i of a point moves to slot sigma[i])."""
-        rows = []
-        for row in self.span:
-            new = [ZERO] * 4
-            for i in range(4):
-                new[sigma[i]] = row[i]
-            rows.append(new)
-        return ProjectiveLine(rows[0], rows[1])
-
     def to_complex(self, conjugate_embedding: bool = False):
         return [
             [x.to_complex(conjugate_embedding) for x in row] for row in self.span
@@ -96,11 +85,6 @@ def fermat_catalog() -> tuple[ProjectiveLine, ...]:
 
 def catalog_line(label: int) -> ProjectiveLine:
     return fermat_catalog()[label - 1]
-
-
-@lru_cache(maxsize=1)
-def _catalog_index() -> dict[ProjectiveLine, int]:
-    return {line: i + 1 for i, line in enumerate(fermat_catalog())}
 
 
 class IncidenceGraph:
@@ -221,17 +205,40 @@ def graph_automorphisms(graph: IncidenceGraph | None = None) -> FiniteGroup:
 # ---------------------------------------------------------------------------
 
 
+def _scaled_to_leading_one(p: Sequence[Cyc]) -> tuple[Cyc, ...]:
+    """A nonzero Plucker vector scaled so its first nonzero coordinate is 1:
+    one representative per line."""
+    lead = next(x for x in p if x)
+    if lead == ONE:
+        return tuple(p)
+    inv = 1 / lead
+    return tuple(x * inv if x else x for x in p)
+
+
 def coordinate_permutation_action(sigma: Sequence[int]) -> Permutation:
     """Line permutation induced by pushing coordinates forward along sigma
-    (a permutation of (0,1,2,3)); images are re-identified in the catalog by
-    exact span equality."""
+    (a permutation of (0,1,2,3); coordinate i of a point moves to slot
+    sigma[i]).
+
+    The pushforward permutes Plucker coordinates with signs:
+    p'_{sigma(i) sigma(j)} = p_ij, negated when sigma(i) > sigma(j).  Each
+    image is found exactly among the catalog's Plucker vectors up to scale.
+    """
     if sorted(sigma) != [0, 1, 2, 3]:
         raise ValueError("sigma must be a permutation of (0,1,2,3)")
-    idx = _catalog_index()
+    slot = {pair: k for k, pair in enumerate(_PLUCKER_PAIRS)}
+    moves = [
+        (slot[min(sigma[i], sigma[j]), max(sigma[i], sigma[j])], sigma[i] > sigma[j])
+        for i, j in _PLUCKER_PAIRS
+    ]
+    cat = fermat_catalog()
+    labels = {_scaled_to_leading_one(line.plucker()): i for i, line in enumerate(cat, start=1)}
     images = []
-    for line in fermat_catalog():
-        moved = line.permute_coordinates(sigma)
-        label = idx.get(moved)
+    for line in cat:
+        moved = [ZERO] * 6
+        for x, (k, negate) in zip(line.plucker(), moves):
+            moved[k] = -x if negate else x
+        label = labels.get(_scaled_to_leading_one(moved))
         if label is None:
             raise ValueError("coordinate image not in catalog; embedding mismatch")
         images.append(label)

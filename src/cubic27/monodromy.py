@@ -552,39 +552,20 @@ def component_structure(group: FiniteGroup) -> list[tuple[list[int], int, str]]:
     return out
 
 
-def find_other_s6(
-    seed: int = 1,
-    ambient: FiniteGroup | None = None,
-    max_attempts: int = 5000,
-) -> FiniteGroup:
-    """Randomized search for the non-reflection order-720 subgroup acting
-    with orbit sizes {12, 15}: sample element pairs, close the subgroup with
-    a cap of 720, keep the first hit.  Deterministic given the seed.
+def find_other_s6() -> FiniteGroup:
+    """The non-reflection S6 of W(E6), written down as the twisted group
+    <s_i c>.
 
-    Orbits depend only on the generators, so they are tested before the
-    closure; the filters are a conjunction, so their order does not change
-    which pair is the first hit.
+    The s_i are the W(A5) reflections s1..s5 of the reference skew six and c
+    is the reflection in the root 2h - e1 - ... - e6, which is orthogonal to
+    every e_j - e_{j+1}, so c commutes with each s_i and lies outside W(A5).
+    Hence w -> w c^(length of w) maps W(A5) isomorphically onto a second
+    S6, which moves the lines in orbits 12 + 15 instead of 6 + 6 + 15.
     """
-    if ambient is None:
-        ambient = lines_mod.weyl_group()
-    rng = _random.Random(seed)
-    target_fp = _s6_fingerprint()
-    for _ in range(max_attempts):
-        a, b = rng.choice(ambient), rng.choice(ambient)
-        if sorted(len(o) for o in perm.orbits([a, b])) != [12, 15]:
-            continue
-        try:
-            candidate = perm.generate([a, b], cap=720)
-        except perm.GroupGenerationError:
-            continue
-        if candidate.order != 720:
-            continue
-        if perm.fingerprint(candidate) != target_fp:
-            continue
-        return candidate
-    raise RuntimeError(
-        f"no order-720 subgroup with orbits (12, 15) found in {max_attempts} samples; retry with a new seed"
-    )
+    marking = lattice.marking_vectors(fermat_data.PRESENTATION_SIX)
+    s = lattice.weyl_presentation_from_six(fermat_data.PRESENTATION_SIX)[1:]
+    c = lattice.reflection_permutation(marking, (2, -1, -1, -1, -1, -1, -1))
+    return perm.generate([g * c for g in s])
 
 
 @lru_cache(maxsize=1)
@@ -696,7 +677,7 @@ def _claim_subgroup_ladder() -> Claim:
     tri = perm.pointwise_stabilizer(w, [25, 26, 27])
     inter = perm.intersect(tri, norm)
     gens16 = lines_mod.tritangent_klein_generators()
-    g16 = perm.generate(list(gens16.values()))
+    g16 = _order16_group()
     sigma_part = perm.generate([gens16["sigma1"], gens16["sigma2"]])
     tau_part = perm.generate([gens16["tau1"], gens16["tau2"]])
     details = {
@@ -812,7 +793,7 @@ def _claim_presentation_and_double_sixes() -> Claim:
     return Claim("presentation-double-sixes", "skew sixes give Coxeter presentations; 72 sixes pair into 36 double sixes with identical order-720 subgroups of orbit type 6+6+15", ok, details)
 
 
-def _claim_non_reflection(seed: int) -> Claim:
+def _claim_non_reflection() -> Claim:
     w = lines_mod.weyl_group()
     s4 = lines_mod.s4_group()
     w_a5 = perm.generate(
@@ -823,13 +804,14 @@ def _claim_non_reflection(seed: int) -> Claim:
     six_transposition_count = sum(
         1 for p in klein if p.cycle_type().get(2, 0) == 6 and p.cycle_type().get(1, 0) == 15
     )
-    other = find_other_s6(seed=seed, ambient=w)
+    other = find_other_s6()
     sub_other, witness = perm.is_subconjugate(w, s4, other)
     details = {
         "s4_subconjugate_to_w_a5": sub_a5,
         "klein_six_transposition_elements": six_transposition_count,
         "other_s6_order": other.order,
         "other_s6_orbit_sizes": sorted(len(o) for o in perm.orbits(other)),
+        "other_s6_fingerprint_is_s6": perm.fingerprint(other) == _s6_fingerprint(),
         "s4_subconjugate_to_other_s6": sub_other,
         "witness": format_cycles(witness) if witness else None,
     }
@@ -838,6 +820,7 @@ def _claim_non_reflection(seed: int) -> Claim:
         and six_transposition_count == 1
         and other.order == 720
         and details["other_s6_orbit_sizes"] == [12, 15]
+        and details["other_s6_fingerprint_is_s6"]
         and sub_other
     )
     return Claim("non-reflection", "S4 is not subconjugate to the reflection S6 but is subconjugate to the other S6 (orbits 12+15); the monodromy Klein group has one 2^6 element", ok, details)
@@ -883,9 +866,7 @@ def _claim_preferred_double_six() -> Claim:
     if ok:
         maximal = perm.generate(list(w_a5.generators) + list(cent_a5.generators))
         contains_s4 = s4 <= maximal
-        cent_in_max = FiniteGroup.from_elements(
-            [g for g in maximal if all(g * h == h * g for h in s4.generators)]
-        )
+        cent_in_max = perm.intersect(maximal, perm.centralizer(w, s4))
         klein = lines_mod.monodromy_klein_group()
         details.update(
             {
@@ -1047,7 +1028,7 @@ def verify_claims(
         _claim_subgroup_ladder(),
         _claim_exceptional_isomorphism(),
         _claim_presentation_and_double_sixes(),
-        _claim_non_reflection(seed),
+        _claim_non_reflection(),
         _claim_preferred_double_six(),
         _claim_exact_identities(),
         _claim_component_structure(),

@@ -149,22 +149,23 @@ def check_normalizer_family() -> CheckResult:
     Degree-4 agreement at five sample values pins the determinant polynomial.
     """
     samples = [Fraction(x) for x in (0, 2, 3, -1, 5)]
-    details: dict = {"samples": [str(s) for s in samples]}
-    passed = True
+    perm_mats = [
+        [[Fraction(1 if sigma[i] == j else 0) for j in range(4)] for i in range(4)]
+        for sigma in permutations(range(4))
+    ]
+    dets_match = commutes = True
     for lam in samples:
         c = _normalizer_matrix(lam)
-        det = _gauss_jordan(c)[2]
-        expected = (lam - 1) ** 3 * (lam + 3)
-        if det != expected:
-            passed = False
-        for sigma in permutations(range(4)):
-            p = [[Fraction(1 if sigma[i] == j else 0) for j in range(4)] for i in range(4)]
-            if mat_mul(c, p) != mat_mul(p, c):
-                passed = False
-    details["determinant_matches_(lam-1)^3(lam+3)"] = passed
-    details["singular_at_1"] = _gauss_jordan(_normalizer_matrix(Fraction(1)))[2] == 0
-    details["singular_at_-3"] = _gauss_jordan(_normalizer_matrix(Fraction(-3)))[2] == 0
-    ok = passed and details["singular_at_1"] and details["singular_at_-3"]
+        dets_match = dets_match and _gauss_jordan(c)[2] == (lam - 1) ** 3 * (lam + 3)
+        commutes = commutes and all(mat_mul(c, p) == mat_mul(p, c) for p in perm_mats)
+    details = {
+        "samples": [str(s) for s in samples],
+        "determinant_matches_(lam-1)^3(lam+3)": dets_match,
+        "commutes_with_permutation_matrices": commutes,
+        "singular_at_1": _gauss_jordan(_normalizer_matrix(Fraction(1)))[2] == 0,
+        "singular_at_-3": _gauss_jordan(_normalizer_matrix(Fraction(-3)))[2] == 0,
+    }
+    ok = dets_match and commutes and details["singular_at_1"] and details["singular_at_-3"]
     return CheckResult("normalizer_matrix_family", ok, details)
 
 

@@ -25,8 +25,8 @@ def w_a5():
 
 
 @pytest.fixture(scope="session")
-def other_s6(weyl):
-    return monodromy.find_other_s6(seed=1, ambient=weyl)
+def other_s6():
+    return monodromy.find_other_s6()
 
 
 @pytest.fixture(scope="session")

@@ -124,6 +124,7 @@ class TestGroup:
         assert doc["composition_convention"] == "compose(p, q) applies q first"
         ids = {c["id"] for c in doc["claims"]}
         assert "subgroup-ladder" in ids and "preferred-double-six" in ids
+        assert "seed" not in doc
 
 
 class TestVerifyAll:
@@ -153,6 +154,18 @@ class TestVerifyAll:
         assert "weyl-reconstruction" in ids
         assert "exceptional-isomorphism" in ids
         assert "symmetric-monodromy" not in ids  # skipped
+
+    def test_exact_claims_do_not_depend_on_the_seed(self, capsys):
+        docs = []
+        for seed in ("1", "2"):
+            _, out = run_cli(
+                capsys, "--format", "structured", "--seed", seed,
+                "verify-all", "--skip-monodromy",
+            )
+            doc = json.loads(out)
+            assert doc.pop("seed") == int(seed)
+            docs.append(doc)
+        assert docs[0] == docs[1]
 
 
 class TestIso:

@@ -165,6 +165,20 @@ class TestCoordinateAction:
             st = tuple(s[t[i]] for i in range(4))  # apply t first
             assert table[st] == table[s] * table[t]
 
+    def test_table_matches_pushed_forward_spans(self):
+        # oracle: move column i of each span to slot sigma[i], re-reduce, and
+        # compare with the catalog line the table names as the image
+        cat = fermat_catalog()
+        for sigma, p in coordinate_action_table().items():
+            for label, line in enumerate(cat, start=1):
+                rows = []
+                for row in line.span:
+                    moved = [None] * 4
+                    for i in range(4):
+                        moved[sigma[i]] = row[i]
+                    rows.append(moved)
+                assert ProjectiveLine(*rows) == catalog_line(p(label))
+
     def test_invalid_sigma_rejected(self):
         with pytest.raises(ValueError):
             coordinate_permutation_action((0, 0, 1, 2))

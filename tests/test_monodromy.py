@@ -3,13 +3,14 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from cubic27 import fermat_data, lines
+from cubic27 import fermat_data, lattice, lines
 from cubic27.htrack import CubicForm, MONOMIAL_EXPONENTS
 from cubic27.monodromy import (
     FamilyKind,
     FamilySpec,
     Loop,
     SingularBasepoint,
+    _claim_non_reflection,
     basepoint_fiber,
     cayley_form,
     circle_loop,
@@ -18,14 +19,20 @@ from cubic27.monodromy import (
     embed_symmetric,
     expected_symmetric_monodromy,
     fermat_form,
-    find_other_s6,
     full_family,
     probe_discriminant,
     random_loop,
     symmetric_family,
 )
 from cubic27.htrack import line_distance, residual
-from cubic27.perm import format_cycles, generate, is_subconjugate, orbits, parse_cycles
+from cubic27.perm import (
+    fingerprint,
+    format_cycles,
+    generate,
+    is_subconjugate,
+    orbits,
+    parse_cycles,
+)
 
 
 class TestEmbedding:
@@ -259,7 +266,7 @@ class TestComponentStructure:
 
 
 class TestOtherS6:
-    def test_search_result(self, other_s6):
+    def test_order_and_orbits(self, other_s6):
         assert other_s6.order == 720
         assert sorted(len(o) for o in orbits(other_s6)) == [12, 15]
 
@@ -272,17 +279,30 @@ class TestOtherS6:
         found, _ = is_subconjugate(weyl, s4, other_s6)
         assert found
 
-    def test_seed_one_pair(self, other_s6):
-        # the pair drawn at seed 1 (the 1121st sample); the order in which the
-        # search applies its filters must not change it
-        assert [format_cycles(g) for g in other_s6.generators] == [
-            "(1,14,4,19,5)(2,18,7,3,15)(9,13,16,22,17)(10,20,26,12,21)(11,23,24,25,27)",
-            "(1,18,4,15,8,7)(2,14,6,5,3,19)(9,23,22,16,21,26)(10,24,12,17,25,27)(11,13,20)",
-        ]
+    def test_fingerprint_is_s6(self, other_s6, w_a5):
+        assert fingerprint(other_s6) == fingerprint(w_a5)
 
-    def test_deterministic(self, weyl, other_s6):
-        again = find_other_s6(seed=1, ambient=weyl)
-        assert again.elements == other_s6.elements
+    def test_twist_commutes_and_lies_outside(self, other_s6):
+        # c, the reflection in 2h - e1 - ... - e6, commutes with s1..s5 and is
+        # not in <s_i c>, so s_i -> s_i c extends to an isomorphism
+        six = fermat_data.PRESENTATION_SIX
+        s = lattice.weyl_presentation_from_six(six)[1:]
+        c = lattice.reflection_permutation(
+            lattice.marking_vectors(six), (2, -1, -1, -1, -1, -1, -1)
+        )
+        assert not c.is_identity() and c.order() == 2
+        assert all(g * c == c * g for g in s)
+        assert c not in other_s6
+        assert all(g * c in other_s6 for g in s)
+
+    def test_non_reflection_witness_pinned(self):
+        # the lexicographically smallest witness depends only on the group
+        claim = _claim_non_reflection()
+        assert claim.passed
+        assert claim.details["other_s6_fingerprint_is_s6"] is True
+        assert claim.details["witness"] == (
+            "(1,5,14)(2,6,18)(3,7,15)(4,8,19)(9,24,13)(10,20,22)(11,21,23)(12,17,16)(25,26,27)"
+        )
 
 
 class TestFaultIsolation:

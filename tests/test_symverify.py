@@ -76,8 +76,29 @@ class TestNormalizerFamily:
     def test_determinant_and_commutation(self):
         result = check_normalizer_family()
         assert result.passed
+        assert result.details["determinant_matches_(lam-1)^3(lam+3)"] is True
+        assert result.details["commutes_with_permutation_matrices"] is True
         assert result.details["singular_at_1"]
         assert result.details["singular_at_-3"]
+
+    def test_commutation_failure_is_not_a_determinant_mismatch(self, monkeypatch):
+        # upper triangular with diagonal (lam-1, lam-1, lam-1, lam+3): the
+        # determinant is right, but the ones above the diagonal break the
+        # commutation with the permutation matrices
+        from cubic27 import symverify
+
+        def triangular(lam):
+            diag = (lam - 1, lam - 1, lam - 1, lam + 3)
+            return [
+                [diag[i] if i == j else Fraction(int(j > i)) for j in range(4)]
+                for i in range(4)
+            ]
+
+        monkeypatch.setattr(symverify, "_normalizer_matrix", triangular)
+        result = check_normalizer_family()
+        assert result.details["determinant_matches_(lam-1)^3(lam+3)"] is True
+        assert result.details["commutes_with_permutation_matrices"] is False
+        assert not result.passed
 
     def test_commutes_with_a_transposition_at_lambda_2(self):
         from cubic27.exact import mat_mul
