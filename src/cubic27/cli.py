@@ -107,7 +107,6 @@ def cmd_monodromy(args) -> int:
         strategy=args.strategy,
         budget=args.loops,
         seed=args.seed,
-        scale=args.scale,
     )
     if args.format == "structured":
         _emit({"command": "monodromy", **report.to_dict()}, args.format)
@@ -128,10 +127,13 @@ def cmd_monodromy(args) -> int:
         for comp in report.components:
             print(f"  component {comp['label']}: {comp['orbit']} (stabilizer {comp['stabilizer_order']})")
         print(f"invariant violations: {report.invariant_violations}")
+        order, bound = report.group["order"], report.bound_order
         if report.conclusive:
-            print(f"conclusive: stabilized after {report.stabilized_after} loops")
+            print(f"conclusive: stabilized after {report.stabilized_after} loops at the bound order {bound}")
+        elif report.stabilized_after is None:
+            print(f"INCONCLUSIVE: budget exhausted before stabilization (order {order}, bound {bound})")
         else:
-            print("INCONCLUSIVE: budget exhausted before stabilization")
+            print(f"INCONCLUSIVE: stalled at order {order} below the bound {bound}")
     return 0 if report.conclusive else 1
 
 
@@ -202,7 +204,6 @@ def build_parser() -> argparse.ArgumentParser:
     mon.add_argument("--family", choices=("symmetric", "full"), required=True)
     mon.add_argument("--loops", type=_loop_budget, default=40, help="loop budget")
     mon.add_argument("--strategy", choices=("mixed", "random"), default="mixed")
-    mon.add_argument("--scale", type=float, default=None, help="triangle perturbation scale")
 
     sub.add_parser("symcheck", help="run the exact polynomial identities")
 

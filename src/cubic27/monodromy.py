@@ -1,8 +1,8 @@
 """Monodromy orchestration: families of cubic forms, loop construction
 (random triangles and meridian circles around empirically located
-discriminant points), group accumulation with a stabilization heuristic,
-component structure of the line cover, and the full claim-verification
-suite.
+discriminant points), group accumulation inside each family's exact
+upper-bound group, component structure of the line cover, and the full
+claim-verification suite.
 """
 
 from __future__ import annotations
@@ -327,10 +327,8 @@ class LoopRecord:
     permutation: str | None
     failure: str | None
     revalidated: bool
-    fixes_tritangent: bool | None
-    centralizes_s4: bool | None
-    in_weyl_group: bool | None
-    in_order16: bool | None
+    # membership of the revalidated permutation in the family's upper bound
+    in_bound: bool | None
     new_elements: bool
     # loop construction details: scale for triangles; center, radius and the
     # probed discriminant parameter for meridian circles
@@ -350,6 +348,7 @@ class MonodromyReport:
     group: dict
     group_elements: list[str]
     components: list[dict]
+    bound_order: int
     conclusive: bool
     stabilized_after: int | None
     invariant_violations: int
@@ -373,11 +372,11 @@ def _build_loop(
     strategy: str,
     index: int,
     seed: int,
-    scale: float,
     cfg: TrackerConfig,
 ) -> Loop:
     rng = np.random.default_rng((seed, index))
     hint = (index * _GOLDEN_ANGLE) % (2 * np.pi)
+    scale = _DEFAULT_SCALES[spec.kind]
     if strategy == "random":
         return random_loop(spec, rng, scale)
     if strategy == "mixed":
@@ -399,6 +398,22 @@ def _loop_meta(loop: Loop) -> dict:
     return out
 
 
+@lru_cache(maxsize=None)
+def upper_bound(kind: FamilyKind) -> FiniteGroup:
+    """The family's exact upper bound for its monodromy group.
+
+    Every loop permutation is an automorphism of the incidence graph, so it
+    lies in W(E6).  A family whose cubics all keep the coordinate symmetry
+    (the symmetric family, and slices along S4-invariant directions) has
+    monodromy commuting with the coordinate action, so it lies in the
+    centralizer C_W(S4).
+    """
+    weyl = lines_mod.weyl_group()
+    if kind is FamilyKind.FULL:
+        return weyl
+    return perm.centralizer(weyl, lines_mod.s4_group())
+
+
 def compute_monodromy(
     spec: FamilySpec,
     strategy: str = "mixed",
@@ -406,27 +421,19 @@ def compute_monodromy(
     cfg: TrackerConfig | None = None,
     seed: int = 1,
     stall_threshold: int = 10,
-    scale: float | None = None,
 ) -> MonodromyReport:
-    """Accumulate revalidated loop permutations until ``stall_threshold``
-    consecutive accepted loops add no new group elements, or the budget runs
-    out (the report is then flagged inconclusive).
+    """Accumulate loop permutations until ``stall_threshold`` consecutive
+    accepted loops add no new group elements, or the budget runs out.
 
-    Every accepted permutation must revalidate at tightened tolerances and
-    pass the structural sanity checks (incidence-graph automorphism; for the
-    symmetric family also: fixes the tritangent, centralizes the coordinate
-    action, lies in the order-16 upper-bound group); violations are counted
-    and the offending loop is rejected.
+    A loop is accepted iff its permutation revalidates at tightened
+    tolerances and lies in the family's ``upper_bound``; a revalidated
+    permutation outside the bound is counted as an invariant violation and
+    rejected.  The run is conclusive only when the stall fired and the group
+    found equals the bound, so the lower bound meets the upper one.
     """
     cfg = cfg or TrackerConfig()
-    if scale is None:
-        scale = _DEFAULT_SCALES[spec.kind]
     base_lines = basepoint_fiber(spec, cfg)
-    weyl = lines_mod.weyl_group()
-    symmetric_like = spec.kind is not FamilyKind.FULL
-    if symmetric_like:
-        s4_gens = lines_mod.s4_generators()
-        order16 = _order16_group()
+    bound = upper_bound(spec.kind)
 
     records: list[LoopRecord] = []
     group = perm.TRIVIAL_GROUP
@@ -436,62 +443,32 @@ def compute_monodromy(
     stabilized_after = None
 
     for i in range(budget):
-        loop = _build_loop(spec, strategy, i, seed, scale, cfg)
+        loop = _build_loop(spec, strategy, i, seed, cfg)
         p, failure = None, "revalidation mismatch"
         try:
             p = htrack.track_loop(loop.vertices, base_lines, cfg)
         except TrackFailure as exc:
             failure = f"{type(exc).__name__}: {exc}"
-        if p is None or not htrack.revalidate(loop.vertices, p, base_lines, cfg):
-            records.append(
-                LoopRecord(
-                    index=i, kind=loop.kind, accepted=False,
-                    permutation=format_cycles(p) if p else None,
-                    failure=failure,
-                    revalidated=False, fixes_tritangent=None,
-                    centralizes_s4=None, in_weyl_group=None,
-                    in_order16=None, new_elements=False,
-                    meta=_loop_meta(loop),
-                )
-            )
-            continue
-        in_w = p in weyl
-        fixes_tri = centralizes = in16 = None
-        ok = in_w
-        if symmetric_like:
-            fixes_tri = all(p(x) == x for x in (25, 26, 27))
-            centralizes = all(p * g == g * p for g in s4_gens)
-            in16 = p in order16
-            ok = ok and fixes_tri and centralizes and in16
-        if not ok:
+        revalidated = p is not None and htrack.revalidate(loop.vertices, p, base_lines, cfg)
+        in_bound = (p in bound) if revalidated else None
+        if in_bound is False:
             violations += 1
-            records.append(
-                LoopRecord(
-                    index=i, kind=loop.kind, accepted=False,
-                    permutation=format_cycles(p),
-                    failure="structural invariant violation",
-                    revalidated=True, fixes_tritangent=fixes_tri,
-                    centralizes_s4=centralizes, in_weyl_group=in_w,
-                    in_order16=in16, new_elements=False,
-                    meta=_loop_meta(loop),
-                )
-            )
-            continue
-        grew = False
-        if p not in group:
+            failure = "permutation outside the upper bound"
+        grew = bool(in_bound) and p not in group
+        if grew:
             generators.append(p)
             group = perm.generate(generators)
-            grew = True
         records.append(
             LoopRecord(
-                index=i, kind=loop.kind, accepted=True,
-                permutation=format_cycles(p), failure=None,
-                revalidated=True, fixes_tritangent=fixes_tri,
-                centralizes_s4=centralizes, in_weyl_group=in_w,
-                in_order16=in16, new_elements=grew,
-                meta=_loop_meta(loop),
+                index=i, kind=loop.kind, accepted=bool(in_bound),
+                permutation=format_cycles(p) if p is not None else None,
+                failure=None if in_bound else failure,
+                revalidated=revalidated, in_bound=in_bound,
+                new_elements=grew, meta=_loop_meta(loop),
             )
         )
+        if not in_bound:
+            continue
         stall = 0 if grew else stall + 1
         if stall >= stall_threshold:
             stabilized_after = i + 1
@@ -511,13 +488,14 @@ def compute_monodromy(
         strategy=strategy,
         budget=budget,
         stall_threshold=stall_threshold,
-        scale=scale,
+        scale=_DEFAULT_SCALES[spec.kind],
         config=asdict(cfg),
         loops=records,
         group=group.to_record(),
         group_elements=sorted(format_cycles(p) for p in group),
         components=components,
-        conclusive=stabilized_after is not None,
+        bound_order=bound.order,
+        conclusive=stabilized_after is not None and group.order == bound.order,
         stabilized_after=stabilized_after,
         invariant_violations=violations,
     )
@@ -892,50 +870,37 @@ def _claim_exact_identities() -> Claim:
     return Claim("exact-identities", "three-cusp equivalence, four nodes, tritangent vanishing and the normalizer determinant hold exactly", all(r.passed for r in results), details)
 
 
-def _claim_symmetric_monodromy(seed: int, budget: int) -> tuple[Claim, MonodromyReport]:
-    report = compute_monodromy(symmetric_family(), budget=budget, seed=seed)
-    expected = expected_symmetric_monodromy()
+_MONODROMY_CLAIMS = {
+    FamilyKind.SYMMETRIC: ("symmetric-monodromy", "symmetric-family monodromy meets its exact upper bound C_W(S4), the Klein 4-group, with every accepted loop revalidated inside the bound"),
+    FamilyKind.FULL: ("full-monodromy", "full-family monodromy meets its exact upper bound W(E6) (order 51840) with every accepted loop revalidated inside the bound"),
+}
+
+
+def _claim_monodromy(spec: FamilySpec, seed: int, budget: int) -> Claim:
+    report = compute_monodromy(spec, budget=budget, seed=seed)
     accepted = [r for r in report.loops if r.accepted]
     details = {
         "conclusive": report.conclusive,
         "group_order": report.group["order"],
-        "group_elements": report.group_elements,
-        "expected_elements": sorted(expected),
+        "bound_order": report.bound_order,
         "accepted_loops": len(accepted),
-        "all_accepted_fix_tritangent": all(r.fixes_tritangent for r in accepted),
-        "all_accepted_centralize_s4": all(r.centralizes_s4 for r in accepted),
-        "all_accepted_in_order16": all(r.in_order16 for r in accepted),
         "all_accepted_revalidated": all(r.revalidated for r in accepted),
+        "all_accepted_in_bound": all(r.in_bound for r in accepted),
         "invariant_violations": report.invariant_violations,
     }
     ok = (
         report.conclusive
-        and set(report.group_elements) == expected
-        and details["all_accepted_fix_tritangent"]
-        and details["all_accepted_centralize_s4"]
-        and details["all_accepted_in_order16"]
         and details["all_accepted_revalidated"]
+        and details["all_accepted_in_bound"]
         and report.invariant_violations == 0
     )
-    return Claim("symmetric-monodromy", "symmetric-family monodromy stabilizes to the Klein 4-group with every accepted loop revalidated inside the order-16 bound", ok, details), report
-
-
-def _claim_full_monodromy(seed: int, budget: int) -> tuple[Claim, MonodromyReport]:
-    report = compute_monodromy(full_family(), budget=budget, seed=seed)
-    accepted = [r for r in report.loops if r.accepted]
-    details = {
-        "conclusive": report.conclusive,
-        "group_order": report.group["order"],
-        "accepted_loops": len(accepted),
-        "all_accepted_graph_automorphisms": all(r.in_weyl_group for r in accepted),
-        "invariant_violations": report.invariant_violations,
-    }
-    ok = (
-        report.group["order"] == 51840
-        and details["all_accepted_graph_automorphisms"]
-        and report.invariant_violations == 0
-    )
-    return Claim("full-monodromy", "full-family monodromy reaches the Weyl group (order 51840) within budget with every permutation an incidence automorphism", ok, details), report
+    if spec.kind is FamilyKind.SYMMETRIC:
+        expected = expected_symmetric_monodromy()
+        details["group_elements"] = report.group_elements
+        details["expected_elements"] = sorted(expected)
+        ok = ok and set(report.group_elements) == expected
+    claim_id, description = _MONODROMY_CLAIMS[spec.kind]
+    return Claim(claim_id, description, ok, details)
 
 
 def _claim_component_structure() -> Claim:
@@ -1034,9 +999,7 @@ def verify_claims(
         _claim_component_structure(),
     ]
     if include_monodromy:
-        sym_claim, _ = _claim_symmetric_monodromy(seed, sym_budget)
-        full_claim, _ = _claim_full_monodromy(seed, full_budget)
-        claims.append(sym_claim)
-        claims.append(full_claim)
+        claims.append(_claim_monodromy(symmetric_family(), seed, sym_budget))
+        claims.append(_claim_monodromy(full_family(), seed, full_budget))
         claims.append(_claim_numeric_hygiene(seed))
     return ClaimsReport(seed=seed, claims=claims)

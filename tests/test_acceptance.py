@@ -110,15 +110,14 @@ def test_criterion_09_symmetric_monodromy(symmetric_report):
     assert set(rep.group_elements) == monodromy.expected_symmetric_monodromy()
     accepted = [r for r in rep.loops if r.accepted]
     assert accepted
-    assert all(r.fixes_tritangent for r in accepted)
-    assert all(r.centralizes_s4 for r in accepted)
-    assert all(r.in_order16 for r in accepted)
+    assert rep.bound_order == 4
+    assert all(r.in_bound for r in accepted)
     assert all(r.revalidated for r in accepted)
     assert rep.invariant_violations == 0
     report(
         9,
         f"stabilized after {rep.stabilized_after} loops to the reference Klein group; "
-        f"{len(accepted)} accepted loops all revalidated inside the order-16 bound",
+        f"{len(accepted)} accepted loops all revalidated inside the bound C_W(S4) of order 4",
     )
 
 
@@ -126,8 +125,10 @@ def test_criterion_10_full_monodromy(full_report):
     rep = full_report
     assert rep.budget <= 300
     assert rep.group["order"] == 51840
+    assert rep.bound_order == 51840
+    assert rep.conclusive
     accepted = [r for r in rep.loops if r.accepted]
-    assert all(r.in_weyl_group for r in accepted)
+    assert all(r.in_bound for r in accepted)
     assert rep.invariant_violations == 0
     report(10, f"full family reached order 51840 after {len(rep.loops)} loops")
 

@@ -54,7 +54,7 @@ class TestMonodromyCommand:
             capsys, "monodromy", "--family", "symmetric", "--loops", "0"
         )
         assert code == 1
-        assert "INCONCLUSIVE" in out
+        assert "INCONCLUSIVE: budget exhausted" in out
 
     def test_structured_deterministic(self, capsys):
         args = (

@@ -1,16 +1,19 @@
-from itertools import permutations
+from itertools import cycle, permutations
 
 import numpy as np
 import pytest
 
-from cubic27 import fermat_data, lattice, lines
+from cubic27 import fermat_data, htrack, lattice, lines, monodromy
+from cubic27.cli import main
 from cubic27.htrack import CubicForm, MONOMIAL_EXPONENTS
 from cubic27.monodromy import (
     FamilyKind,
     FamilySpec,
     Loop,
     SingularBasepoint,
+    _claim_monodromy,
     _claim_non_reflection,
+    _order16_group,
     basepoint_fiber,
     cayley_form,
     circle_loop,
@@ -23,6 +26,7 @@ from cubic27.monodromy import (
     probe_discriminant,
     random_loop,
     symmetric_family,
+    upper_bound,
 )
 from cubic27.htrack import line_distance, residual
 from cubic27.perm import (
@@ -176,10 +180,8 @@ class TestComputeMonodromy:
         assert report.invariant_violations == 0
         accepted = [r for r in report.loops if r.accepted]
         assert accepted and all(r.revalidated for r in accepted)
-        assert all(r.fixes_tritangent for r in accepted)
-        assert all(r.centralizes_s4 for r in accepted)
-        assert all(r.in_order16 for r in accepted)
-        assert all(r.in_weyl_group for r in accepted)
+        assert all(r.in_bound for r in accepted)
+        assert report.bound_order == 4
 
     def test_first_loops_pinned_at_seed_1(self, symmetric_report):
         # a tracker change that moves a discriminant probe or flips a loop
@@ -205,8 +207,10 @@ class TestComputeMonodromy:
 
     def test_full_family_reaches_weyl_group(self, full_report):
         assert full_report.group["order"] == 51840
+        assert full_report.bound_order == 51840
+        assert full_report.conclusive
         accepted = [r for r in full_report.loops if r.accepted]
-        assert all(r.in_weyl_group for r in accepted)
+        assert all(r.in_bound for r in accepted)
         assert full_report.invariant_violations == 0
 
     def test_deterministic_reports(self):
@@ -225,7 +229,9 @@ class TestComputeMonodromy:
             kind=FamilyKind.SLICE,
             directions=(embed_symmetric(0, 1, 0), embed_symmetric(0, 0, 1)),
         )
-        report = compute_monodromy(spec, budget=6, seed=2, stall_threshold=3, scale=0.9)
+        report = compute_monodromy(spec, budget=6, seed=2, stall_threshold=3)
+        assert report.scale == 0.9
+        assert report.bound_order == 4
         assert report.invariant_violations == 0
         assert set(report.group_elements) <= expected_symmetric_monodromy()
 
@@ -236,6 +242,67 @@ class TestComputeMonodromy:
         assert expected_symmetric_monodromy() == {
             format_cycles(p) for p in klein.elements
         }
+        # membership in the bound implies the order-16 and tritangent checks
+        # that used to be made on each loop separately
+        assert upper_bound(FamilyKind.SYMMETRIC) == klein
+        assert klein <= _order16_group()
+        assert all(p(x) == x for p in klein for x in (25, 26, 27))
+
+
+class TestUpperBoundVerdict:
+    """The acceptance rule and the verdict, with the tracker stubbed out: the
+    symmetric family's basepoint fiber is the catalog and ``random`` builds
+    triangles without tracking, so the stub decides every permutation."""
+
+    TAU = "(13,23)(14,19)(15,18)(16,22)(17,24)(20,21)"
+
+    def run(self, monkeypatch, cycles, budget=40):
+        perms = cycle([parse_cycles(c) for c in cycles])
+        monkeypatch.setattr(htrack, "track_loop", lambda *a, **k: next(perms))
+        monkeypatch.setattr(htrack, "revalidate", lambda *a, **k: True)
+        return compute_monodromy(symmetric_family(), strategy="random", budget=budget)
+
+    def claim(self, monkeypatch, report):
+        monkeypatch.setattr(monodromy, "compute_monodromy", lambda spec, **kw: report)
+        return _claim_monodromy(symmetric_family(), seed=1, budget=report.budget)
+
+    def test_stall_below_the_bound_is_inconclusive(self, monkeypatch, capsys):
+        report = self.run(monkeypatch, [self.TAU])
+        assert report.group["order"] == 2
+        assert report.stabilized_after == 11
+        assert not report.conclusive
+        assert main(["monodromy", "--family", "symmetric", "--strategy", "random"]) == 1
+        assert "INCONCLUSIVE: stalled at order 2 below the bound 4" in capsys.readouterr().out
+        assert not self.claim(monkeypatch, report).passed
+
+    def test_identity_only_is_inconclusive(self, monkeypatch):
+        report = self.run(monkeypatch, ["()"])
+        assert report.group["order"] == 1
+        assert report.stabilized_after == 10
+        assert not report.conclusive
+
+    def test_klein_elements_meet_the_bound(self, monkeypatch):
+        nontrivial = sorted(expected_symmetric_monodromy() - {"()"})
+        report = self.run(monkeypatch, nontrivial)
+        assert report.conclusive
+        assert report.bound_order == 4
+        assert set(report.group_elements) == expected_symmetric_monodromy()
+        assert all(r.accepted and r.in_bound for r in report.loops)
+        claim = self.claim(monkeypatch, report)
+        assert claim.passed and claim.claim_id == "symmetric-monodromy"
+        assert claim.details["bound_order"] == 4
+        assert claim.details["all_accepted_in_bound"]
+
+    def test_weyl_element_outside_the_bound_is_rejected(self, monkeypatch):
+        outside = lines.s4_generators()[0]
+        assert outside in lines.weyl_group()
+        report = self.run(monkeypatch, [format_cycles(outside), self.TAU], budget=2)
+        first, second = report.loops
+        assert (first.revalidated, first.in_bound, first.accepted) == (True, False, False)
+        assert first.failure == "permutation outside the upper bound"
+        assert second.accepted and second.in_bound
+        assert report.invariant_violations == 1
+        assert report.group["order"] == 2
 
 
 class TestComponentStructure:
