@@ -83,8 +83,8 @@ def cmd_group(args) -> int:
 def cmd_iso(args) -> int:
     claim = monodromy._claim_exceptional_isomorphism()
     red = lattice.mod3_reduction()
-    marking = lattice.marking_vectors(fermat_data.PRESENTATION_SIX)
-    images = lattice.images_in_po(red, marking)
+    v = lattice.marking_vectors(fermat_data.PRESENTATION_SIX)
+    images = lattice.images_in_po(red, v)
     doc = {
         "command": "iso",
         "claim": claim.to_dict(),

@@ -5,14 +5,14 @@ the group with a projective orthogonal group over F3.
 
 Intersection form: Q(h,h) = 1, Q(ei,ej) = -delta_ij, Q(h,ei) = 0.  The
 canonical class is 3h - e1 - ... - e6 and every line class L has
-Q(L,L) = -1, Q(L,K) = 1.
+Q(L,L) = -1, Q(L,K) = 1.  A marking is one integer class matrix V whose
+row k - 1 is the class of line k; every consumer reads the lattice from it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 from typing import Sequence
 
 import numpy as np
@@ -34,61 +34,26 @@ Vec7 = tuple[int, int, int, int, int, int, int]
 
 CANONICAL_CLASS: Vec7 = (3, -1, -1, -1, -1, -1, -1)
 
-H: Vec7 = (1, 0, 0, 0, 0, 0, 0)
+_Q = np.diag([1, -1, -1, -1, -1, -1, -1])
 
-
-def e(i: int) -> Vec7:
-    v = [0] * 7
-    v[i] = 1
-    return tuple(v)  # type: ignore[return-value]
+# The classes h - e1 - e2, e1, ..., e6 form a lattice basis, and _UNBASIS is
+# the inverse of their matrix: if g holds the images of those classes as rows,
+# then _UNBASIS @ g holds the images of h, e1, ..., e6.
+_BASIS = np.vstack([[1, -1, -1, 0, 0, 0, 0], np.eye(7, dtype=np.int64)[1:]])
+_UNBASIS = np.eye(7, dtype=np.int64)
+_UNBASIS[0, :3] = 1
 
 
 def q_form(x: Sequence[int], y: Sequence[int]) -> int:
     return x[0] * y[0] - sum(x[i] * y[i] for i in range(1, 7))
 
 
-def vec_add(x: Sequence[int], y: Sequence[int]) -> Vec7:
-    return tuple(a + b for a, b in zip(x, y))  # type: ignore[return-value]
-
-
-def vec_scale(k: int, x: Sequence[int]) -> Vec7:
-    return tuple(k * a for a in x)  # type: ignore[return-value]
-
-
 def reflect(x: Sequence[int], root: Sequence[int]) -> Vec7:
     """x + Q(x, v) v for a root v (Q(v,v) must be -2)."""
     if q_form(root, root) != -2:
         raise ValueError("reflection vector must have self-intersection -2")
-    return vec_add(x, vec_scale(q_form(x, root), root))
-
-
-def class_vector(tag: tuple) -> Vec7:
-    """Divisor class of a tag: ('e', i) -> e_i, ('c', i, j) -> h - e_i - e_j,
-    ('b', i) -> 2h - sum(e) + e_i."""
-    if tag[0] == "e":
-        return e(tag[1])
-    if tag[0] == "c":
-        v = [1, 0, 0, 0, 0, 0, 0]
-        v[tag[1]] = -1
-        v[tag[2]] = -1
-        return tuple(v)  # type: ignore[return-value]
-    if tag[0] == "b":
-        v = [2, -1, -1, -1, -1, -1, -1]
-        v[tag[1]] += 1
-        return tuple(v)  # type: ignore[return-value]
-    raise ValueError(f"unknown tag {tag}")
-
-
-def line_classes() -> list[tuple[tuple, Vec7]]:
-    """All 27 (tag, vector) line classes: 6 e's, 15 c's, 6 b's."""
-    out: list[tuple[tuple, Vec7]] = []
-    for i in range(1, 7):
-        out.append((("e", i), class_vector(("e", i))))
-    for i, j in combinations(range(1, 7), 2):
-        out.append((("c", i, j), class_vector(("c", i, j))))
-    for i in range(1, 7):
-        out.append((("b", i), class_vector(("b", i))))
-    return out
+    k = q_form(x, root)
+    return tuple(a + k * b for a, b in zip(x, root))  # type: ignore[return-value]
 
 
 def simple_roots() -> list[Vec7]:
@@ -118,57 +83,75 @@ def coxeter_exponents() -> IntMatrix:
     ]
 
 
-def marking_vectors(six: Sequence[int]) -> dict[int, Vec7]:
-    tags = lines_mod.marking_from_six(six)
-    return {label: class_vector(tag) for label, tag in tags.items()}
+@lru_cache(maxsize=1)
+def _adjacency() -> np.ndarray:
+    a = np.array(lines_mod.incidence_graph().matrix(), dtype=np.int64)
+    a.setflags(write=False)
+    return a
 
 
-def reflection_permutation(marking: dict[int, Vec7], root: Sequence[int]) -> Permutation:
+def marking_vectors(six: Sequence[int]) -> np.ndarray:
+    """The read-only (27, 7) class matrix V of the marking by an ordered skew
+    six: row k - 1 is the class of line k in the basis (h, e1..e6).
+
+    The i-th member of the six gets e_i, a line meeting members i and j gets
+    h - e_i - e_j, and a line meeting every member but the i-th gets
+    2h - e1 - ... - e6 + e_i.  One identity, V Q V^T = A - I with A the
+    adjacency matrix, checks that the six is skew and that the 27 classes
+    are distinct and meet exactly as the lines do.
+    """
+    if len(six) != 6 or len(set(six)) != 6:
+        raise ValueError("need six distinct line labels")
+    adj = _adjacency()
+    members = np.asarray(six) - 1
+    meets = adj[:, members]
+    v = np.column_stack([np.where(meets.sum(axis=1) == 2, 1, 2), -meets])
+    v[members] = np.eye(7, dtype=np.int64)[1:]
+    if not np.array_equal(v @ _Q @ v.T, adj - np.eye(lines_mod.N_LINES, dtype=np.int64)):
+        raise ValueError(f"lines {tuple(six)} are not a skew six: V Q V^T != A - I")
+    v.setflags(write=False)
+    return v
+
+
+def _basis_rows(v: np.ndarray) -> np.ndarray:
+    """The rows of a class matrix holding h - e1 - e2, e1, ..., e6."""
+    return (v[None, :, :] == _BASIS[:, None, :]).all(axis=2).argmax(axis=1)
+
+
+def reflection_permutation(v: np.ndarray, root: Sequence[int]) -> Permutation:
     """The permutation of line labels induced by the reflection in a root,
-    read through a marking (label -> class vector)."""
-    by_vec = {v: label for label, v in marking.items()}
-    return Permutation(
-        [by_vec[reflect(marking[label], root)] for label in range(1, lines_mod.N_LINES + 1)]
-    )
+    read through a class matrix.  All 27 rows are reflected in one product;
+    two line classes pair to -1 only when they are equal, so each image is
+    the row whose Q-pairing with it is -1."""
+    if q_form(root, root) != -2:
+        raise ValueError("reflection vector must have self-intersection -2")
+    r = np.asarray(root, dtype=np.int64)
+    images = v + np.outer(v @ _Q @ r, r)
+    target = (images @ _Q @ v.T == -1).argmax(axis=1)
+    if not np.array_equal(v[target], images):
+        raise ValueError("the reflection does not permute the line classes")
+    return Permutation((target + 1).tolist())
 
 
 def weyl_presentation_from_six(six: Sequence[int]) -> list[Permutation]:
     """The six reflection permutations s0..s5 induced on line labels by the
     marking of an ordered skew six."""
-    vecs = marking_vectors(six)
-    return [reflection_permutation(vecs, root) for root in simple_roots()]
+    v = marking_vectors(six)
+    return [reflection_permutation(v, root) for root in simple_roots()]
 
 
-def extend_to_lattice_automorphism(
-    p: Permutation, marking: dict[int, Vec7]
-) -> IntMatrix:
+def extend_to_lattice_automorphism(p: Permutation, v: np.ndarray) -> IntMatrix:
     """The unique 7x7 integer matrix sending class(l_i) to class(l_{p(i)}) for
     all i and fixing the canonical class; raises if no such matrix exists."""
-    by_vec = {v: label for label, v in marking.items()}
-    six = [by_vec[e(i)] for i in range(1, 7)]
-    cols = [marking[p(label)] for label in six]
-    c12_line = by_vec[class_vector(("c", 1, 2))]
-    h_img = vec_add(vec_add(cols[0], cols[1]), marking[p(c12_line)])
-    m = [[h_img[r]] + [cols[i][r] for i in range(6)] for r in range(7)]
-
-    def apply(v: Sequence[int]) -> Vec7:
-        return tuple(sum(m[r][k] * v[k] for k in range(7)) for r in range(7))  # type: ignore[return-value]
-
-    for label, v in marking.items():
-        if apply(v) != marking[p(label)]:
-            raise ValueError("permutation does not preserve the incidence structure")
-    if apply(CANONICAL_CLASS) != CANONICAL_CLASS:
+    rows = np.array(p.images) - 1
+    m = (_UNBASIS @ v[rows[_basis_rows(v)]]).T
+    if not np.array_equal(v @ m.T, v[rows]):
+        raise ValueError("permutation does not preserve the incidence structure")
+    if not np.array_equal(m @ CANONICAL_CLASS, CANONICAL_CLASS):
         raise ValueError("extension does not fix the canonical class")
-    gram = [[q_form(_unit7(i), _unit7(j)) for j in range(7)] for i in range(7)]
-    if mat_mul(mat_transpose(m), mat_mul(gram, m)) != gram:
+    if not np.array_equal(m.T @ _Q @ m, _Q):
         raise ValueError("extension does not preserve the intersection form")
-    return m
-
-
-def _unit7(i: int) -> Vec7:
-    v = [0] * 7
-    v[i] = 1
-    return tuple(v)  # type: ignore[return-value]
+    return m.tolist()
 
 
 @dataclass(frozen=True)
@@ -178,7 +161,9 @@ class ReductionMap:
     root_matrix columns express the simple roots in the (h, e) basis;
     u/u_inv come from the Smith normal form of adj(Cartan) (= 3 * Cartan^-1),
     whose elementary divisors are (1, 3, 3, 3, 3, 3); the reduced symmetric
-    form q5 lives on the five divisor-3 coordinates.
+    form q5 lives on the five divisor-3 coordinates.  _projector is
+    -adj(Cartan) R^T Q, so a lattice automorphism M7 acts on root
+    coordinates by W6 = _projector M7 R / 3.
     """
 
     cartan: tuple[tuple[int, ...], ...]
@@ -187,9 +172,7 @@ class ReductionMap:
     u_inv: tuple[tuple[int, ...], ...]
     divisors: tuple[int, ...]
     q5: tuple[tuple[int, ...], ...]
-    _row_subset: tuple[int, ...]
-    _sub_adjugate: tuple[tuple[int, ...], ...]
-    _sub_det: int
+    _projector: tuple[tuple[int, ...], ...]  # 6x7
 
 
 @lru_cache(maxsize=1)
@@ -205,7 +188,8 @@ def mod3_reduction() -> ReductionMap:
 
     roots = simple_roots()
     r = [[roots[j][i] for j in range(6)] for i in range(7)]
-    subset, sub_adj, sub_det = _invertible_row_subset(r)
+    # M7 R = R W6 times R^T Q gives R^T Q M7 R = -C W6, since R^T Q R = -C
+    projector = mat_mul([[-x for x in row] for row in adj], mat_mul(mat_transpose(r), _Q.tolist()))
 
     gram6 = [[q_form(a, b) for b in roots] for a in roots]  # = -Cartan
     w = mat_mul(mat_transpose(u_inv), mat_mul(gram6, u_inv))
@@ -224,42 +208,19 @@ def mod3_reduction() -> ReductionMap:
         u_inv=tuple(tuple(row) for row in u_inv),
         divisors=(1, 3, 3, 3, 3, 3),
         q5=q5,
-        _row_subset=subset,
-        _sub_adjugate=tuple(tuple(row) for row in sub_adj),
-        _sub_det=sub_det,
+        _projector=tuple(tuple(row) for row in projector),
     )
 
 
-def _invertible_row_subset(r: IntMatrix) -> tuple[tuple[int, ...], IntMatrix, int]:
-    """Pick 6 rows of the 7x6 root matrix forming an invertible 6x6 block."""
-    best = None
-    for drop in range(7):
-        rows = [r[i] for i in range(7) if i != drop]
-        det = mat_det(rows)
-        if det != 0 and (best is None or abs(det) < abs(best[2])):
-            best = (tuple(i for i in range(7) if i != drop), rows, det)
-    if best is None:
-        raise AssertionError("root matrix has rank < 6")
-    subset, rows, det = best
-    return subset, mat_adjugate(rows), det
-
-
 def restrict_to_root_coords(red: ReductionMap, m7: IntMatrix) -> IntMatrix:
-    """Solve M7 . R = R . W for the integer 6x6 action on root coordinates."""
+    """Solve M7 . R = R . W for the integer 6x6 action on root coordinates,
+    in closed form: W = -adj(Cartan) R^T Q M7 R / 3."""
     r = [list(row) for row in red.root_matrix]
     mr = mat_mul(m7, r)
-    sub = [mr[i] for i in red._row_subset]
-    adj = [list(row) for row in red._sub_adjugate]
-    num = mat_mul(adj, sub)
-    w = []
-    for row in num:
-        out_row = []
-        for x in row:
-            if x % red._sub_det:
-                raise ValueError("matrix does not preserve the root lattice")
-            out_row.append(x // red._sub_det)
-        w.append(out_row)
-    if mat_mul(m7, r) != mat_mul(r, w):
+    num = mat_mul([list(row) for row in red._projector], mr)
+    # R has full column rank, so an integer solution, if any, is num / 3 exactly
+    w = [[x // 3 for x in row] for row in num]
+    if mr != mat_mul(r, w):
         raise ValueError("matrix does not restrict to the root span")
     return w
 
@@ -274,11 +235,11 @@ def _canonical_sign(mat5: IntMatrix) -> tuple[tuple[int, ...], ...]:
 
 
 def po_image(
-    red: ReductionMap, p: Permutation, marking: dict[int, Vec7]
+    red: ReductionMap, p: Permutation, v: np.ndarray
 ) -> tuple[tuple[int, ...], ...]:
     """Projective mod-3 image of a line permutation: extend to the lattice,
     restrict to root coordinates, push through the quotient, projectivize."""
-    m7 = extend_to_lattice_automorphism(p, marking)
+    m7 = extend_to_lattice_automorphism(p, v)
     w6 = restrict_to_root_coords(red, m7)
     conj = mat_mul([list(r) for r in red.u], mat_mul(w6, [list(r) for r in red.u_inv]))
     for i in range(1, 6):
@@ -297,46 +258,31 @@ def preserves_q5(red: ReductionMap, mat5: Sequence[Sequence[int]]) -> bool:
 
 def build_po_group(
     red: ReductionMap,
-    marking: dict[int, Vec7],
+    v: np.ndarray,
     group: FiniteGroup,
 ) -> tuple[np.ndarray, int]:
     """Images of every group element; returns (projective image set, order of
     the matrix set before projectivization).
 
-    Vectorized: the 7x7 extensions are built from the marking in one numpy
-    pass over the group's element table, then restricted and reduced mod 3
-    in bulk.  Each 5x5 block is encoded as a base-3 integer (first entry most
-    significant), so the projective image set is the sorted array of codes of
-    the representatives ``_canonical_sign`` picks, the smaller code of M and -M.
+    Vectorized: each element's 7x7 extension M7 is read off the images of the
+    basis classes h - e1 - e2, e1..e6 in one gather over the group's element
+    table, and the closed-form restriction -adj(Cartan) R^T Q M7 R / 3 and
+    the Smith conjugation u . u_inv are applied in the same products.  Each
+    5x5 block mod 3 is encoded as a base-3 integer (first entry most
+    significant), so the projective image set is the sorted array of codes
+    of the representatives ``_canonical_sign`` picks, the smaller code of M
+    and -M.
     """
-    labels = list(range(1, lines_mod.N_LINES + 1))
-    class_mat = np.array([marking[l] for l in labels], dtype=np.int64)  # 27 x 7
-    by_vec = {tuple(v): l for l, v in marking.items()}
-    six = [by_vec[tuple(e(i))] for i in range(1, 7)]
-    c12 = by_vec[class_vector(("c", 1, 2))]
+    gram = v @ _Q @ v.T
+    for g in group.generators:
+        rows = np.array(g.images) - 1
+        if not np.array_equal(gram[np.ix_(rows, rows)], gram):
+            raise ValueError("some generator does not preserve the incidence structure")
 
-    pmat = group.table.astype(np.int64)  # n x 27
-
-    six_idx = np.array([l - 1 for l in six])
-    col_classes = class_mat[pmat[:, six_idx]]  # n x 6 x 7
-    h_img = (
-        col_classes[:, 0, :]
-        + col_classes[:, 1, :]
-        + class_mat[pmat[:, c12 - 1]]
-    )  # n x 7
-    m7 = np.concatenate([h_img[:, :, None], col_classes.transpose(0, 2, 1)], axis=2)
-
-    r = np.array(red.root_matrix, dtype=np.int64)  # 7 x 6
-    mr = m7 @ r  # n x 7 x 6
-    sub = mr[:, list(red._row_subset), :]  # n x 6 x 6
-    adj = np.array(red._sub_adjugate, dtype=np.int64)
-    num = adj @ sub
-    if np.any(num % red._sub_det):
-        raise ValueError("some element does not preserve the root lattice")
-    w6 = num // red._sub_det
-    u = np.array(red.u, dtype=np.int64)
-    u_inv = np.array(red.u_inv, dtype=np.int64)
-    conj = u @ w6 @ u_inv
+    basis_images = v[group.table[:, _basis_rows(v)]]  # n x 7 x 7, rows = images
+    left = np.array(red.u) @ np.array(red._projector)  # 6 x 7
+    right = _UNBASIS.T @ np.array(red.root_matrix) @ np.array(red.u_inv)  # 7 x 6
+    conj = (left @ basis_images.transpose(0, 2, 1) @ right) // 3  # exact on W
     if np.any(conj[:, 1:, 0] % 3):
         raise ValueError("some element does not descend to the quotient")
     blocks = conj[:, 1:, 1:].reshape(-1, 25) % 3
@@ -348,7 +294,7 @@ def build_po_group(
 
 
 def images_in_po(
-    red: ReductionMap, marking: dict[int, Vec7]
+    red: ReductionMap, v: np.ndarray
 ) -> dict[str, tuple[tuple[int, ...], ...]]:
     """Explicit projective mod-3 matrices for the coordinate-action generators
     and the monodromy Klein group."""
@@ -357,7 +303,7 @@ def images_in_po(
         ("coordinate_transposition", lines_mod.s4_generators()[0]),
         ("coordinate_four_cycle", lines_mod.s4_generators()[1]),
     ):
-        out[name] = po_image(red, p, marking)
+        out[name] = po_image(red, p, v)
     for name, p in lines_mod.monodromy_klein_elements().items():
-        out[f"monodromy_{name}"] = po_image(red, p, marking)
+        out[f"monodromy_{name}"] = po_image(red, p, v)
     return out

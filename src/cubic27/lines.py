@@ -1,6 +1,6 @@
 """Exact geometry of the 27 lines on the Fermat cubic: the catalog itself,
 the incidence (Schlaefli) graph, its automorphism group, the coordinate-
-permutation action, skew sixes, double sixes, and combinatorial markings.
+permutation action, skew sixes and double sixes.
 """
 
 from __future__ import annotations
@@ -318,7 +318,7 @@ def monodromy_klein_group() -> FiniteGroup:
 
 
 # ---------------------------------------------------------------------------
-# Skew sixes, double sixes, markings
+# Skew sixes and double sixes
 # ---------------------------------------------------------------------------
 
 
@@ -344,79 +344,21 @@ def skew_sixes() -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(out))
 
 
-def marking_from_six(six: Sequence[int]) -> dict[int, tuple]:
-    """Total map from line labels to divisor-class tags, from an ordered skew
-    six assigned the tags ('e', 1) .. ('e', 6).
-
-    A remaining line meeting exactly the i-th and j-th lines of the six gets
-    ('c', i, j); a line meeting all but the i-th gets ('b', i).  Consistency
-    of the tags' intersection numbers with graph adjacency is enforced.
-    """
-    six = tuple(six)
-    if len(six) != 6 or len(set(six)) != 6:
-        raise ValueError("need six distinct line labels")
-    g = incidence_graph()
-    for a in range(6):
-        for b in range(a + 1, 6):
-            if g.adjacent(six[a], six[b]):
-                raise ValueError(f"lines {six[a]} and {six[b]} meet; not a skew six")
-    tags: dict[int, tuple] = {}
-    for i, label in enumerate(six, start=1):
-        tags[label] = ("e", i)
-    for label in range(1, N_LINES + 1):
-        if label in tags:
-            continue
-        met = [i for i, s in enumerate(six, start=1) if g.adjacent(label, s)]
-        if len(met) == 2:
-            tags[label] = ("c", met[0], met[1])
-        elif len(met) == 5:
-            missing = ({1, 2, 3, 4, 5, 6} - set(met)).pop()
-            tags[label] = ("b", missing)
-        else:
-            raise ValueError(
-                f"line {label} meets {len(met)} of the six; incidence graph is broken"
-            )
-    if len(set(tags.values())) != N_LINES:
-        raise ValueError("marking is not a bijection onto the 27 classes")
-    for i in range(1, N_LINES + 1):
-        for j in range(i + 1, N_LINES + 1):
-            expected = tag_intersection(tags[i], tags[j]) == 1
-            if expected != g.adjacent(i, j):
-                raise ValueError("marking inconsistent with incidence graph")
-    return tags
-
-
-def tag_intersection(t1: tuple, t2: tuple) -> int:
-    """Combinatorial intersection number of two distinct divisor-class tags
-    (1 = the lines meet, 0 = skew)."""
-    if t1 == t2:
-        return -1
-    kind = (t1[0], t2[0])
-    if kind == ("e", "e"):
-        return 0
-    if kind in (("e", "c"), ("c", "e")):
-        e, c = (t1, t2) if t1[0] == "e" else (t2, t1)
-        return 1 if e[1] in c[1:] else 0
-    if kind in (("e", "b"), ("b", "e")):
-        e, b = (t1, t2) if t1[0] == "e" else (t2, t1)
-        return 0 if e[1] == b[1] else 1
-    if kind == ("c", "c"):
-        return 1 if not (set(t1[1:]) & set(t2[1:])) else 0
-    if kind in (("c", "b"), ("b", "c")):
-        c, b = (t1, t2) if t1[0] == "c" else (t2, t1)
-        return 1 if b[1] in c[1:] else 0
-    if kind == ("b", "b"):
-        return 0
-    raise ValueError(f"unknown tags {t1}, {t2}")
-
-
 def partner_six(six: Sequence[int]) -> tuple[int, ...]:
-    """The complementary six of a double six: the i-th output line is the one
-    whose class is ('b', i), i.e. the unique line meeting all of the input six
-    except its i-th member."""
-    tags = marking_from_six(tuple(six))
-    by_tag = {t: label for label, t in tags.items()}
-    return tuple(by_tag[("b", i)] for i in range(1, 7))
+    """The complementary six of a double six: the i-th output line is the
+    unique line meeting every member of the input six except its i-th."""
+    masks = incidence_graph().masks
+    bits = [1 << (label - 1) for label in six]
+    every = sum(bits)
+    if len(six) != 6 or len(set(six)) != 6 or any(masks[label - 1] & every for label in six):
+        raise ValueError(f"lines {tuple(six)} are not a skew six")
+    partner = []
+    for bit in bits:
+        found = [k + 1 for k in range(N_LINES) if masks[k] & every == every - bit]
+        if len(found) != 1:
+            raise ValueError("incidence graph is broken: no unique partner line")
+        partner.append(found[0])
+    return tuple(partner)
 
 
 def double_sixes() -> list[frozenset[tuple[int, ...]]]:

@@ -540,9 +540,9 @@ def find_other_s6() -> FiniteGroup:
     Hence w -> w c^(length of w) maps W(A5) isomorphically onto a second
     S6, which moves the lines in orbits 12 + 15 instead of 6 + 6 + 15.
     """
-    marking = lattice.marking_vectors(fermat_data.PRESENTATION_SIX)
+    v = lattice.marking_vectors(fermat_data.PRESENTATION_SIX)
     s = lattice.weyl_presentation_from_six(fermat_data.PRESENTATION_SIX)[1:]
-    c = lattice.reflection_permutation(marking, (2, -1, -1, -1, -1, -1, -1))
+    c = lattice.reflection_permutation(v, (2, -1, -1, -1, -1, -1, -1))
     return perm.generate([g * c for g in s])
 
 
@@ -687,14 +687,14 @@ def _claim_subgroup_ladder() -> Claim:
 
 def _claim_exceptional_isomorphism() -> Claim:
     red = lattice.mod3_reduction()
-    marking = lattice.marking_vectors(fermat_data.PRESENTATION_SIX)
+    v = lattice.marking_vectors(fermat_data.PRESENTATION_SIX)
     w = lines_mod.weyl_group()
-    projective, signed = lattice.build_po_group(red, marking, w)
+    projective, signed = lattice.build_po_group(red, v, w)
     rng = _random.Random(90)
     homo = all(
-        lattice.po_image(red, perm.compose(p, q), marking)
+        lattice.po_image(red, perm.compose(p, q), v)
         == lattice._canonical_sign(
-            mat_mul(lattice.po_image(red, p, marking), lattice.po_image(red, q, marking))
+            mat_mul(lattice.po_image(red, p, v), lattice.po_image(red, q, v))
         )
         for p, q in [(rng.choice(w), rng.choice(w)) for _ in range(25)]
     )
@@ -733,17 +733,24 @@ def _claim_presentation_and_double_sixes() -> Claim:
     sampled_ok = all(coxeter_ok(lattice.weyl_presentation_from_six(s)) for s in sampled)
     w_a5 = perm.generate(gens[1:])
     full = perm.generate(gens)
+    # W(A5) of a six permutes its members, so it does not depend on their
+    # order: close it once per sorted six
+    closures: dict[tuple[int, ...], FiniteGroup] = {}
+
+    def six_w_a5(six: Sequence[int]) -> FiniteGroup:
+        key = tuple(sorted(six))
+        if key not in closures:
+            closures[key] = perm.generate(lattice.weyl_presentation_from_six(key)[1:])
+        return closures[key]
+
     pairing_ok = True
-    subgroups: set[FiniteGroup] = set()
     for s in sixes:
         partner = lines_mod.partner_six(s)
         if tuple(sorted(lines_mod.partner_six(partner))) != tuple(s):
             pairing_ok = False
-        ga = perm.generate(lattice.weyl_presentation_from_six(s)[1:])
-        gb = perm.generate(lattice.weyl_presentation_from_six(partner)[1:])
-        if ga != gb:
+        if six_w_a5(s) != six_w_a5(partner):
             pairing_ok = False
-        subgroups.add(ga)
+    subgroups = set(closures.values())
     details = {
         "reference_six_reproduces_printed_generators": gens == printed,
         "coxeter_relations_reference": coxeter_ok(gens),

@@ -8,16 +8,14 @@ from cubic27.lattice import (
     CANONICAL_CLASS,
     build_po_group,
     cartan_matrix,
-    class_vector,
     coxeter_exponents,
-    e,
     extend_to_lattice_automorphism,
     images_in_po,
-    line_classes,
     po_image,
     preserves_q5,
     q_form,
     reflect,
+    reflection_permutation,
     restrict_to_root_coords,
     simple_roots,
     weyl_presentation_from_six,
@@ -38,50 +36,53 @@ E6_CARTAN = [
 
 class TestForm:
     def test_basic_values(self):
-        h = (1, 0, 0, 0, 0, 0, 0)
+        h = _unit(0)
         assert q_form(h, h) == 1
-        assert q_form(e(1), e(1)) == -1
-        assert q_form(h, e(1)) == 0
+        assert q_form(_unit(1), _unit(1)) == -1
+        assert q_form(h, _unit(1)) == 0
 
-    def test_reflection_is_involution(self):
+    def test_reflection_is_involution(self, marking):
         rng = random.Random(9)
         for root in simple_roots():
             for _ in range(10):
                 x = tuple(rng.randint(-4, 4) for _ in range(7))
                 assert reflect(reflect(x, root), root) == x
+            p = reflection_permutation(marking, root)
+            assert p.order() == 2
 
     def test_reflection_moves_basis_vector(self):
-        root = tuple(a - b for a, b in zip(e(1), e(2)))
-        assert reflect(e(1), root) == e(2)
+        root = tuple(a - b for a, b in zip(_unit(1), _unit(2)))
+        assert reflect(_unit(1), root) == _unit(2)
 
-    def test_non_root_rejected(self):
+    def test_non_root_rejected(self, marking):
         with pytest.raises(ValueError):
-            reflect(e(1), e(1))
+            reflect(_unit(1), _unit(1))
+        with pytest.raises(ValueError):
+            reflection_permutation(marking, _unit(1))
 
 
 class TestLineClasses:
-    def test_count_and_self_intersection(self):
-        classes = line_classes()
-        assert len(classes) == 27
-        for _, v in classes:
-            assert q_form(v, v) == -1
-            assert q_form(v, CANONICAL_CLASS) == 1
+    def test_count_and_self_intersection(self, marking):
+        assert marking.shape == (27, 7)
+        for row in marking.tolist():
+            assert q_form(row, row) == -1
+            assert q_form(row, CANONICAL_CLASS) == 1
 
-    def test_b_against_e(self):
-        for i in range(1, 7):
+    def test_b_against_e(self, marking):
+        partner = lines.partner_six(fermat_data.PRESENTATION_SIX)
+        for i, label in enumerate(partner, start=1):
+            b = marking[label - 1].tolist()
+            assert b[0] == 2
             for j in range(1, 7):
-                b = class_vector(("b", i))
-                assert q_form(b, e(j)) == (0 if i == j else 1)
+                assert q_form(b, _unit(j)) == (0 if i == j else 1)
 
-    def test_pairwise_values_in_01(self):
-        classes = line_classes()
-        for (_, u), (_, v) in combinations(classes, 2):
+    def test_pairwise_values_in_01(self, marking):
+        for u, v in combinations(marking.tolist(), 2):
             assert q_form(u, v) in (0, 1)
 
-    def test_tags_match_vector_form(self):
-        classes = line_classes()
-        for (t1, v1), (t2, v2) in combinations(classes, 2):
-            assert lines.tag_intersection(t1, t2) == q_form(v1, v2)
+    def test_class_matrix_is_read_only(self, marking):
+        with pytest.raises(ValueError):
+            marking[0, 0] = 5
 
 
 class TestCartan:
@@ -222,6 +223,19 @@ class TestMod3Reduction:
             flat = [x for row in img for x in row]
             first = next(x for x in flat if x)
             assert first == 1
+
+    def test_restriction_rejects_a_matrix_off_the_root_span(self, reduction):
+        # diag(2, 1, ..., 1) sends v0 = h - e1 - e2 - e3 to 2h - e1 - e2 - e3
+        m7 = [[(2 if i == 0 else 1) if i == j else 0 for j in range(7)] for i in range(7)]
+        with pytest.raises(ValueError):
+            restrict_to_root_coords(reduction, m7)
+
+    # (1,2) moves the line marked e1; (2,4) moves only lines outside the
+    # basis classes h - e1 - e2, e1..e6, so its extension would be the identity
+    @pytest.mark.parametrize("cycles", ["(1,2)", "(2,4)"])
+    def test_po_group_rejects_a_group_outside_w(self, reduction, marking, cycles):
+        with pytest.raises(ValueError, match="incidence"):
+            build_po_group(reduction, marking, generate([parse_cycles(cycles)]))
 
     def test_restriction_consistency(self, reduction, marking):
         m7 = extend_to_lattice_automorphism(

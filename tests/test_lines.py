@@ -1,10 +1,12 @@
 import random
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from cubic27 import fermat_data
 from cubic27.exact import ZETA, symmetric_basis
+from cubic27.lattice import marking_vectors
 from cubic27.lines import (
     IncidenceGraph,
     ProjectiveLine,
@@ -16,11 +18,9 @@ from cubic27.lines import (
     graph_automorphisms,
     incidence_graph,
     line_restrictions_vanish,
-    marking_from_six,
     monodromy_klein_elements,
     partner_six,
     skew_sixes,
-    tag_intersection,
     tritangent_span_rank,
     weyl_generators,
     catalog_records,
@@ -223,38 +223,44 @@ class TestSkewSixes:
                 assert not g.adjacent(a, b)
 
 
+_Q = np.diag([1, -1, -1, -1, -1, -1, -1])
+
+
 class TestMarking:
     def test_reference_six_assignment(self):
         six = fermat_data.PRESENTATION_SIX
-        tags = marking_from_six(six)
+        v = marking_vectors(six)
         for i, label in enumerate(six, start=1):
-            assert tags[label] == ("e", i)
+            assert v[label - 1].tolist() == [1 if k == i else 0 for k in range(7)]
 
     def test_c_classes_meet_exactly_two(self):
         six = fermat_data.PRESENTATION_SIX
-        tags = marking_from_six(six)
+        v = marking_vectors(six)
         g = incidence_graph()
-        for label, tag in tags.items():
-            if tag[0] == "c":
-                met = [s for s in six if g.adjacent(label, s)]
-                assert len(met) == 2
+        for label in range(1, 28):
+            row = v[label - 1].tolist()
+            if row[0] == 1:
+                minus = [i for i in range(1, 7) if row[i] == -1]
+                assert len(minus) == 2 and sum(row[1:]) == -2
+                met = [i for i, s in enumerate(six, start=1) if g.adjacent(label, s)]
+                assert met == minus
 
     def test_marking_is_bijection_for_all_sixes(self):
         for six in skew_sixes():
-            tags = marking_from_six(six)
-            assert len(set(tags.values())) == 27
+            v = marking_vectors(six)
+            assert len({tuple(row) for row in v.tolist()}) == 27
 
     def test_q_matrix_reproduces_adjacency(self):
-        g = incidence_graph()
+        adjacency = np.array(incidence_graph().matrix())
         for six in skew_sixes():
-            tags = marking_from_six(six)
-            for i in range(1, 28):
-                for j in range(i + 1, 28):
-                    assert (tag_intersection(tags[i], tags[j]) == 1) == g.adjacent(i, j)
+            v = marking_vectors(six)
+            assert np.array_equal(v @ _Q @ v.T, adjacency - np.eye(27, dtype=int))
 
     def test_non_skew_input_rejected(self):
         with pytest.raises(ValueError):
-            marking_from_six((25, 26, 27, 1, 2, 3))
+            marking_vectors((25, 26, 27, 1, 2, 3))
+        with pytest.raises(ValueError):
+            partner_six((25, 26, 27, 1, 2, 3))
 
 
 class TestExactIdentitiesOnLines:
