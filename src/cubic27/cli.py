@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import fermat_data, lattice, lines as lines_mod, monodromy, perm, symverify
@@ -102,16 +101,11 @@ def cmd_monodromy(args) -> int:
         if args.family == "symmetric"
         else monodromy.full_family()
     )
-    report = monodromy.compute_monodromy(
-        spec,
-        strategy=args.strategy,
-        budget=args.loops,
-        seed=args.seed,
-    )
+    report = monodromy.compute_monodromy(spec, budget=args.loops, seed=args.seed)
     if args.format == "structured":
         _emit({"command": "monodromy", **report.to_dict()}, args.format)
     else:
-        print(f"family: {report.family}  seed: {report.seed}  strategy: {report.strategy}")
+        print(f"family: {report.family}  seed: {report.seed}")
         print(f"budget: {report.budget}  scale: {report.scale}")
         print(report.convention_note)
         for r in report.loops:
@@ -166,8 +160,8 @@ def cmd_verify_all(args) -> int:
     return 0 if report.all_passed() else 1
 
 
-def _loop_budget(text: str) -> int:
-    """A loop budget: a non-negative integer."""
+def _non_negative_int(text: str) -> int:
+    """A seed or a loop budget: a non-negative integer."""
     try:
         value = int(text)
     except ValueError:
@@ -182,12 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="cubic27",
         description="27 lines on cubic surfaces: exact group certification and numerical monodromy",
     )
-    parser.add_argument(
-        "--seed",
-        type=int,
-        default=int(os.environ.get("CUBIC27_SEED", "1")),
-        help="random seed (env CUBIC27_SEED)",
-    )
+    parser.add_argument("--seed", type=_non_negative_int, default=1, help="random seed")
     parser.add_argument(
         "--format",
         choices=("text", "structured"),
@@ -202,14 +191,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     mon = sub.add_parser("monodromy", help="run a monodromy computation")
     mon.add_argument("--family", choices=("symmetric", "full"), required=True)
-    mon.add_argument("--loops", type=_loop_budget, default=40, help="loop budget")
-    mon.add_argument("--strategy", choices=("mixed", "random"), default="mixed")
+    mon.add_argument("--loops", type=_non_negative_int, default=40, help="loop budget")
 
     sub.add_parser("symcheck", help="run the exact polynomial identities")
 
     ver = sub.add_parser("verify-all", help="run every claim; nonzero exit on failure")
-    ver.add_argument("--sym-loops", type=_loop_budget, default=40)
-    ver.add_argument("--full-loops", type=_loop_budget, default=300)
+    ver.add_argument("--sym-loops", type=_non_negative_int, default=40)
+    ver.add_argument("--full-loops", type=_non_negative_int, default=300)
     ver.add_argument("--skip-monodromy", action="store_true", help="exact claims only")
 
     return parser

@@ -74,7 +74,7 @@ class NewtonFailure(TrackFailure):
 
 
 class StepUnderflow(TrackFailure):
-    """Step size fell below step_min; the path runs too near the discriminant."""
+    """Step size fell below the floor; the path runs too near the discriminant."""
 
 
 class SeparationLoss(TrackFailure):
@@ -85,33 +85,42 @@ class AmbiguousMatch(TrackFailure):
     """End-of-loop matching could not be certified at the required margin."""
 
 
+# Fixed tracker settings.  Steps below the floor mean the path runs too near
+# the discriminant; steps double after _GROW_AFTER accepted steps in a row.
+_STEP_MIN = 1e-7
+_STEP_GROW = 2.0
+_GROW_AFTER = 3
+# accepted steps keep every pair of lines this many last Newton corrections apart
+_SEPARATION_FACTOR = 10.0
+# Gauge minors are re-selected once their orthonormal-frame condition
+# exceeds this; large values let chart entries (and hence roundoff in the
+# residual) grow past what newton_tol can absorb.
+_RECHART_COND = 20.0
+# a Newton correction must stay below factor * previous**2 + floor
+_QUAD_TAIL_FACTOR = 10.0
+_QUAD_TAIL_FLOOR = 1e-12
+# best-effort residual target for the end-of-segment polish
+_POLISH_TOL = 1e-13
+
+
 @dataclass(frozen=True)
 class TrackerConfig:
+    """The settings that revalidation tightens and the end-of-segment polish
+    replaces; everything else about the tracker is fixed above."""
+
     newton_tol: float = 1e-10
     max_newton_iters: int = 8
     step_init: float = 0.05
-    step_min: float = 1e-7
-    step_grow: float = 2.0
-    grow_after: int = 3
     step_max: float = 0.25
-    separation_factor: float = 10.0
     match_margin: float = 10.0
-    # Gauge minors are re-selected once their orthonormal-frame condition
-    # exceeds this; large values let chart entries (and hence roundoff in the
-    # residual) grow past what newton_tol can absorb.
-    rechart_cond: float = 20.0
-    quad_tail_factor: float = 10.0
-    quad_tail_floor: float = 1e-12
-    # best-effort residual target for the end-of-segment polish
-    polish_tol: float = 1e-13
 
     def __post_init__(self):
-        if min(self.newton_tol, self.step_init, self.step_min, self.step_max) <= 0:
+        if min(self.newton_tol, self.step_init, self.step_max) <= 0:
             raise ValueError("tolerances and steps must be positive")
-        if self.step_min >= self.step_init:
-            raise ValueError("step_min must be below step_init")
-        if self.step_grow <= 1 or self.separation_factor <= 1 or self.match_margin <= 1:
-            raise ValueError("growth and margin factors must exceed 1")
+        if _STEP_MIN >= self.step_init:
+            raise ValueError(f"step_init must exceed the step floor {_STEP_MIN}")
+        if self.match_margin <= 1:
+            raise ValueError("match_margin must exceed 1")
 
     def tightened(self) -> "TrackerConfig":
         """Revalidation settings: tighter Newton, smaller steps, wider margin."""
@@ -403,7 +412,7 @@ def _newton_batch(
         norms = np.linalg.norm(res, axis=1)
         prev_step, last_step = last_step, step_norms
         if iters >= 1:
-            bound = cfg.quad_tail_factor * prev_step**2 + cfg.quad_tail_floor
+            bound = _QUAD_TAIL_FACTOR * prev_step**2 + _QUAD_TAIL_FLOOR
             if (last_step > bound).any():
                 raise NewtonFailure("quadratic convergence tail lost")
         iters += 1
@@ -486,14 +495,14 @@ def track_segment(
 
     Per accepted step: Euler prediction from the Davidenko system, lockstep
     Newton correction, then the separation barrier (pairwise line distance at
-    least separation_factor times the largest last Newton correction).  Steps
+    least _SEPARATION_FACTOR times the largest last Newton correction).  Steps
     halve on any failure and grow after a run of accepted steps.  The
     predictor contracts the homotopy's tensor and its t-derivative in one
     call.
     """
     cfg = cfg or TrackerConfig()
     batch = _Batch(lines)
-    batch.rechart(cfg.rechart_cond)
+    batch.rechart(_RECHART_COND)
     t0, t1 = _polar(f0.coeffs), _polar(f1.coeffs)
     # the start lines must be Newton-correctable on f0
     mats, norms, _, it0 = _newton_batch(t0, batch.mats, batch.chart, cfg)
@@ -522,7 +531,7 @@ def track_segment(
                 (1 - t_new) * t0 + t_new * t1, predicted, batch.chart, cfg
             )
             sep = _min_pairwise_distance(corrected)
-            if sep < cfg.separation_factor * float(last_corr.max()):
+            if sep < _SEPARATION_FACTOR * float(last_corr.max()):
                 raise SeparationLoss(
                     f"separation {sep:.3e} below barrier at t={t_new:.6f}"
                 )
@@ -530,7 +539,7 @@ def track_segment(
             last_failure = exc if isinstance(exc, TrackFailure) else NewtonFailure(str(exc))
             h /= 2
             streak = 0
-            if h < cfg.step_min:
+            if h < _STEP_MIN:
                 if isinstance(exc, SeparationLoss):
                     raise SeparationLoss(
                         f"separation kept failing down to step_min at t={t:.6f}"
@@ -547,15 +556,15 @@ def track_segment(
         newton_iters += iters
         max_resid = max(max_resid, float(norms.max()))
         min_sep = min(min_sep, sep)
-        if streak >= cfg.grow_after:
-            h = min(h * cfg.step_grow, cfg.step_max)
+        if streak >= _GROW_AFTER:
+            h = min(h * _STEP_GROW, cfg.step_max)
             streak = 0
-        batch.rechart(cfg.rechart_cond)
+        batch.rechart(_RECHART_COND)
 
     # polish the end fiber toward machine precision; failure keeps the
     # (already in-tolerance) corrected lines
     try:
-        polish_cfg = replace(cfg, newton_tol=cfg.polish_tol, max_newton_iters=3)
+        polish_cfg = replace(cfg, newton_tol=_POLISH_TOL, max_newton_iters=3)
         mats, _, _, extra = _newton_batch(t1, batch.mats, batch.chart, polish_cfg)
         batch.mats = mats
         newton_iters += extra

@@ -256,6 +256,11 @@ def preserves_q5(red: ReductionMap, mat5: Sequence[Sequence[int]]) -> bool:
     return all(prod[i][j] % 3 == q[i][j] % 3 for i in range(5) for j in range(5))
 
 
+# build_po_group reads the element table in blocks of this many rows, so
+# that its int64 (rows, 7, 7) intermediates stay a few MiB
+_PO_BLOCK_ROWS = 4096
+
+
 def build_po_group(
     red: ReductionMap,
     v: np.ndarray,
@@ -265,9 +270,10 @@ def build_po_group(
     the matrix set before projectivization).
 
     Vectorized: each element's 7x7 extension M7 is read off the images of the
-    basis classes h - e1 - e2, e1..e6 in one gather over the group's element
-    table, and the closed-form restriction -adj(Cartan) R^T Q M7 R / 3 and
-    the Smith conjugation u . u_inv are applied in the same products.  Each
+    basis classes h - e1 - e2, e1..e6, gathered from the group's element
+    table one block of rows at a time, and the closed-form restriction
+    -adj(Cartan) R^T Q M7 R / 3 and the Smith conjugation u . u_inv are
+    applied in the same products.  Each
     5x5 block mod 3 is encoded as a base-3 integer (first entry most
     significant), so the projective image set is the sorted array of codes
     of the representatives ``_canonical_sign`` picks, the smaller code of M
@@ -279,16 +285,20 @@ def build_po_group(
         if not np.array_equal(gram[np.ix_(rows, rows)], gram):
             raise ValueError("some generator does not preserve the incidence structure")
 
-    basis_images = v[group.table[:, _basis_rows(v)]]  # n x 7 x 7, rows = images
     left = np.array(red.u) @ np.array(red._projector)  # 6 x 7
     right = _UNBASIS.T @ np.array(red.root_matrix) @ np.array(red.u_inv)  # 7 x 6
-    conj = (left @ basis_images.transpose(0, 2, 1) @ right) // 3  # exact on W
-    if np.any(conj[:, 1:, 0] % 3):
-        raise ValueError("some element does not descend to the quotient")
-    blocks = conj[:, 1:, 1:].reshape(-1, 25) % 3
-
     place = 3 ** np.arange(24, -1, -1, dtype=np.int64)
-    codes, neg_codes = blocks @ place, ((3 - blocks) % 3) @ place
+    basis = _basis_rows(v)
+    codes, neg_codes = [], []
+    for start in range(0, group.order, _PO_BLOCK_ROWS):
+        basis_images = v[group.table[start : start + _PO_BLOCK_ROWS, basis]]  # rows = images
+        conj = (left @ basis_images.transpose(0, 2, 1) @ right) // 3  # exact on W
+        if np.any(conj[:, 1:, 0] % 3):
+            raise ValueError("some element does not descend to the quotient")
+        blocks = conj[:, 1:, 1:].reshape(-1, 25) % 3
+        codes.append(blocks @ place)
+        neg_codes.append(((3 - blocks) % 3) @ place)
+    codes, neg_codes = np.concatenate(codes), np.concatenate(neg_codes)
     signed = np.unique(np.concatenate([codes, neg_codes]))
     return np.unique(np.minimum(codes, neg_codes)), len(signed)
 

@@ -135,9 +135,7 @@ def _catalog_lines(conjugate_embedding: bool = False) -> tuple[ChartedLine, ...]
     )
 
 
-def basepoint_fiber(
-    spec: FamilySpec, cfg: TrackerConfig | None = None
-) -> list[ChartedLine]:
+def basepoint_fiber(spec: FamilySpec) -> list[ChartedLine]:
     """The 27 labeled numeric lines over the family's basepoint.
 
     Labels come from the exact catalog: for the Fermat basepoint this is the
@@ -145,7 +143,7 @@ def basepoint_fiber(
     Newton refinements of the catalog, each still uniquely nearest its own
     catalog label.
     """
-    cfg = cfg or TrackerConfig()
+    cfg = TrackerConfig()
     cat = list(_catalog_lines())
     base = spec.basepoint_form()
     if base == fermat_form():
@@ -187,7 +185,7 @@ class Loop:
             raise ValueError("loop must be closed (first vertex = last vertex)")
 
 
-def random_loop(spec: FamilySpec, rng: np.random.Generator, scale: float = 0.3) -> Loop:
+def random_loop(spec: FamilySpec, rng: np.random.Generator, scale: float) -> Loop:
     """Random triangle basepoint -> p1 -> p2 -> basepoint; the p_i are the
     basepoint plus complex Gaussian parameter offsets of root-mean-square
     norm ``scale`` times the basepoint parameter norm."""
@@ -207,12 +205,10 @@ def random_loop(spec: FamilySpec, rng: np.random.Generator, scale: float = 0.3) 
     )
 
 
-def circle_loop(
-    spec: FamilySpec,
-    center: Sequence[complex],
-    radius: float = 0.05,
-    segments: int = 16,
-) -> Loop:
+_CIRCLE_SEGMENTS = 16
+
+
+def circle_loop(spec: FamilySpec, center: Sequence[complex], radius: float) -> Loop:
     """Polygonal circle around a parameter point, inside the complex line
     through the basepoint, entered and left along the straight segment from
     the basepoint."""
@@ -223,7 +219,8 @@ def circle_loop(
     if nd == 0:
         raise ValueError("circle center must differ from the basepoint")
     d = d / nd
-    ring = [c + radius * np.exp(2j * np.pi * k / segments) * d for k in range(segments)]
+    n = _CIRCLE_SEGMENTS
+    ring = [c + radius * np.exp(2j * np.pi * k / n) * d for k in range(n)]
     verts = [spec.form_at(base)]
     verts += [spec.form_at(p) for p in ring]
     verts.append(spec.form_at(ring[0]))
@@ -231,40 +228,38 @@ def circle_loop(
     return Loop(
         kind="circle",
         vertices=tuple(verts),
-        meta={"radius": radius, "segments": segments, "center": [complex(x) for x in c]},
+        meta={"radius": radius, "segments": n, "center": [complex(x) for x in c]},
     )
 
 
-def probe_discriminant(
-    spec: FamilySpec,
-    direction: Sequence[complex],
-    cfg: TrackerConfig | None = None,
-    t_max: float = 3.0,
-    coarse_steps: int = 24,
-    bisections: int = 6,
-) -> float | None:
+# probe range 0 < t <= _PROBE_T_MAX, in coarse steps, then bisections
+_PROBE_T_MAX = 3.0
+_PROBE_STEPS = 24
+_PROBE_BISECTIONS = 6
+
+
+def probe_discriminant(spec: FamilySpec, direction: Sequence[complex]) -> float | None:
     """March the fiber along basepoint + t*direction and return the t where
     tracking first fails (Newton-failure clustering localizes the
     discriminant); None if the whole probe range tracks cleanly."""
-    cfg = cfg or TrackerConfig()
     base = spec.basepoint_params()
     d = np.asarray(direction, dtype=complex)
-    cur = basepoint_fiber(spec, cfg)
+    cur = basepoint_fiber(spec)
     t_prev = 0.0
-    for k in range(1, coarse_steps + 1):
-        t = t_max * k / coarse_steps
+    for k in range(1, _PROBE_STEPS + 1):
+        t = _PROBE_T_MAX * k / _PROBE_STEPS
         try:
             res = htrack.track_segment(
-                spec.form_at(base + t_prev * d), spec.form_at(base + t * d), cur, cfg
+                spec.form_at(base + t_prev * d), spec.form_at(base + t * d), cur
             )
             cur, t_prev = res.lines, t
         except TrackFailure:
             lo, hi = t_prev, t
-            for _ in range(bisections):
+            for _ in range(_PROBE_BISECTIONS):
                 mid = (lo + hi) / 2
                 try:
                     res = htrack.track_segment(
-                        spec.form_at(base + lo * d), spec.form_at(base + mid * d), cur, cfg
+                        spec.form_at(base + lo * d), spec.form_at(base + mid * d), cur
                     )
                     cur, lo = res.lines, mid
                 except TrackFailure:
@@ -274,16 +269,12 @@ def probe_discriminant(
 
 
 def _meridian_loop(
-    spec: FamilySpec,
-    rng: np.random.Generator,
-    cfg: TrackerConfig,
-    radius_factor: float = 0.1,
-    scale: float = 0.3,
-    angle_hint: float | None = None,
+    spec: FamilySpec, rng: np.random.Generator, scale: float, angle_hint: float
 ) -> Loop:
     """Probe a real parameter ray for its first discriminant crossing and
-    wind a circle there; the opposite ray is probed before giving up, and a
-    random triangle is the fallback when both directions are clean.
+    wind a circle there, of radius a tenth of the crossing parameter (at
+    least 0.03); the opposite ray is probed before giving up, and a random
+    triangle is the fallback when both directions are clean.
 
     For the symmetric family the ray lives in the affine (b, c) chart;
     ``angle_hint`` lets the caller stratify ray angles across loops so that
@@ -292,8 +283,7 @@ def _meridian_loop(
     n = spec.parameter_dim()
     base = spec.basepoint_params()
     if spec.kind is FamilyKind.SYMMETRIC:
-        theta = (angle_hint if angle_hint is not None else rng.uniform(0, 2 * np.pi))
-        theta += rng.uniform(-0.2, 0.2)
+        theta = angle_hint + rng.uniform(-0.2, 0.2)
         direction = np.array([0.0, np.cos(theta), np.sin(theta)])
     else:
         v = rng.standard_normal(n)
@@ -302,11 +292,11 @@ def _meridian_loop(
             return random_loop(spec, rng, scale)
         direction = v / norm
     for candidate in (direction, -direction):
-        t_star = probe_discriminant(spec, candidate, cfg)
+        t_star = probe_discriminant(spec, candidate)
         if t_star is None:
             continue
         center = base + t_star * candidate
-        radius = radius_factor * max(t_star, 0.3)
+        radius = 0.1 * max(t_star, 0.3)
         loop = circle_loop(spec, center, radius=radius)
         loop.meta["probe_direction"] = [complex(x) for x in candidate]
         loop.meta["probe_t"] = t_star
@@ -339,7 +329,6 @@ class LoopRecord:
 class MonodromyReport:
     family: str
     seed: int
-    strategy: str
     budget: int
     stall_threshold: int
     scale: float
@@ -367,23 +356,15 @@ _DEFAULT_SCALES = {FamilyKind.SYMMETRIC: 0.9, FamilyKind.FULL: 1.8, FamilyKind.S
 _GOLDEN_ANGLE = 2 * np.pi * 0.6180339887498949
 
 
-def _build_loop(
-    spec: FamilySpec,
-    strategy: str,
-    index: int,
-    seed: int,
-    cfg: TrackerConfig,
-) -> Loop:
+def _build_loop(spec: FamilySpec, index: int, seed: int) -> Loop:
+    """Loop ``index`` of a run: a probed meridian on odd indices, a random
+    triangle of jittered scale on even ones."""
     rng = np.random.default_rng((seed, index))
-    hint = (index * _GOLDEN_ANGLE) % (2 * np.pi)
     scale = _DEFAULT_SCALES[spec.kind]
-    if strategy == "random":
-        return random_loop(spec, rng, scale)
-    if strategy == "mixed":
-        if index % 2 == 1:
-            return _meridian_loop(spec, rng, cfg, scale=scale, angle_hint=hint)
-        return random_loop(spec, rng, scale * rng.uniform(0.6, 1.4))
-    raise ValueError(f"unknown strategy {strategy!r}")
+    if index % 2 == 1:
+        hint = (index * _GOLDEN_ANGLE) % (2 * np.pi)
+        return _meridian_loop(spec, rng, scale, hint)
+    return random_loop(spec, rng, scale * rng.uniform(0.6, 1.4))
 
 
 def _loop_meta(loop: Loop) -> dict:
@@ -398,7 +379,12 @@ def _loop_meta(loop: Loop) -> dict:
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
+def _s4_centralizer() -> FiniteGroup:
+    """C_W(S4), the Klein 4-group of the symmetric monodromy."""
+    return perm.centralizer(lines_mod.weyl_group(), lines_mod.s4_group())
+
+
 def upper_bound(kind: FamilyKind) -> FiniteGroup:
     """The family's exact upper bound for its monodromy group.
 
@@ -408,21 +394,17 @@ def upper_bound(kind: FamilyKind) -> FiniteGroup:
     monodromy commuting with the coordinate action, so it lies in the
     centralizer C_W(S4).
     """
-    weyl = lines_mod.weyl_group()
     if kind is FamilyKind.FULL:
-        return weyl
-    return perm.centralizer(weyl, lines_mod.s4_group())
+        return lines_mod.weyl_group()
+    return _s4_centralizer()
 
 
-def compute_monodromy(
-    spec: FamilySpec,
-    strategy: str = "mixed",
-    budget: int = 40,
-    cfg: TrackerConfig | None = None,
-    seed: int = 1,
-    stall_threshold: int = 10,
-) -> MonodromyReport:
-    """Accumulate loop permutations until ``stall_threshold`` consecutive
+# a run stops once this many accepted loops in a row add no new element
+_STALL_THRESHOLD = 10
+
+
+def compute_monodromy(spec: FamilySpec, budget: int = 40, seed: int = 1) -> MonodromyReport:
+    """Accumulate loop permutations until ``_STALL_THRESHOLD`` consecutive
     accepted loops add no new group elements, or the budget runs out.
 
     A loop is accepted iff its permutation revalidates at tightened
@@ -431,8 +413,7 @@ def compute_monodromy(
     rejected.  The run is conclusive only when the stall fired and the group
     found equals the bound, so the lower bound meets the upper one.
     """
-    cfg = cfg or TrackerConfig()
-    base_lines = basepoint_fiber(spec, cfg)
+    base_lines = basepoint_fiber(spec)
     bound = upper_bound(spec.kind)
 
     records: list[LoopRecord] = []
@@ -443,13 +424,13 @@ def compute_monodromy(
     stabilized_after = None
 
     for i in range(budget):
-        loop = _build_loop(spec, strategy, i, seed, cfg)
+        loop = _build_loop(spec, i, seed)
         p, failure = None, "revalidation mismatch"
         try:
-            p = htrack.track_loop(loop.vertices, base_lines, cfg)
+            p = htrack.track_loop(loop.vertices, base_lines)
         except TrackFailure as exc:
             failure = f"{type(exc).__name__}: {exc}"
-        revalidated = p is not None and htrack.revalidate(loop.vertices, p, base_lines, cfg)
+        revalidated = p is not None and htrack.revalidate(loop.vertices, p, base_lines)
         in_bound = (p in bound) if revalidated else None
         if in_bound is False:
             violations += 1
@@ -470,7 +451,7 @@ def compute_monodromy(
         if not in_bound:
             continue
         stall = 0 if grew else stall + 1
-        if stall >= stall_threshold:
+        if stall >= _STALL_THRESHOLD:
             stabilized_after = i + 1
             break
 
@@ -485,11 +466,10 @@ def compute_monodromy(
     return MonodromyReport(
         family=spec.kind.value,
         seed=seed,
-        strategy=strategy,
         budget=budget,
-        stall_threshold=stall_threshold,
+        stall_threshold=_STALL_THRESHOLD,
         scale=_DEFAULT_SCALES[spec.kind],
-        config=asdict(cfg),
+        config=asdict(TrackerConfig()),
         loops=records,
         group=group.to_record(),
         group_elements=sorted(format_cycles(p) for p in group),
@@ -547,10 +527,9 @@ def find_other_s6() -> FiniteGroup:
 
 
 @lru_cache(maxsize=1)
-def _s6_fingerprint() -> perm.GroupFingerprint:
-    six = fermat_data.PRESENTATION_SIX
-    w_a5 = perm.generate(lattice.weyl_presentation_from_six(six)[1:])
-    return perm.fingerprint(w_a5)
+def _presentation_w_a5() -> FiniteGroup:
+    """W(A5) of the reference skew six, the reflection S6."""
+    return perm.generate(lattice.weyl_presentation_from_six(fermat_data.PRESENTATION_SIX)[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -650,7 +629,7 @@ def _claim_s4_action() -> Claim:
 def _claim_subgroup_ladder() -> Claim:
     w = lines_mod.weyl_group()
     s4 = lines_mod.s4_group()
-    cent = perm.centralizer(w, s4)
+    cent = _s4_centralizer()
     norm = perm.normalizer(w, s4)
     tri = perm.pointwise_stabilizer(w, [25, 26, 27])
     inter = perm.intersect(tri, norm)
@@ -731,11 +710,11 @@ def _claim_presentation_and_double_sixes() -> Claim:
     rng = _random.Random(11)
     sampled = rng.sample(sixes, 10)
     sampled_ok = all(coxeter_ok(lattice.weyl_presentation_from_six(s)) for s in sampled)
-    w_a5 = perm.generate(gens[1:])
+    w_a5 = _presentation_w_a5()
     full = perm.generate(gens)
     # W(A5) of a six permutes its members, so it does not depend on their
     # order: close it once per sorted six
-    closures: dict[tuple[int, ...], FiniteGroup] = {}
+    closures: dict[tuple[int, ...], FiniteGroup] = {tuple(sorted(six)): w_a5}
 
     def six_w_a5(six: Sequence[int]) -> FiniteGroup:
         key = tuple(sorted(six))
@@ -781,9 +760,7 @@ def _claim_presentation_and_double_sixes() -> Claim:
 def _claim_non_reflection() -> Claim:
     w = lines_mod.weyl_group()
     s4 = lines_mod.s4_group()
-    w_a5 = perm.generate(
-        lattice.weyl_presentation_from_six(fermat_data.PRESENTATION_SIX)[1:]
-    )
+    w_a5 = _presentation_w_a5()
     sub_a5, _ = perm.is_subconjugate(w, s4, w_a5)
     klein = lines_mod.monodromy_klein_group()
     six_transposition_count = sum(
@@ -796,7 +773,7 @@ def _claim_non_reflection() -> Claim:
         "klein_six_transposition_elements": six_transposition_count,
         "other_s6_order": other.order,
         "other_s6_orbit_sizes": sorted(len(o) for o in perm.orbits(other)),
-        "other_s6_fingerprint_is_s6": perm.fingerprint(other) == _s6_fingerprint(),
+        "other_s6_fingerprint_is_s6": perm.fingerprint(other) == perm.fingerprint(w_a5),
         "s4_subconjugate_to_other_s6": sub_other,
         "witness": format_cycles(witness) if witness else None,
     }
@@ -851,7 +828,7 @@ def _claim_preferred_double_six() -> Claim:
     if ok:
         maximal = perm.generate(list(w_a5.generators) + list(cent_a5.generators))
         contains_s4 = s4 <= maximal
-        cent_in_max = perm.intersect(maximal, perm.centralizer(w, s4))
+        cent_in_max = perm.intersect(maximal, _s4_centralizer())
         klein = lines_mod.monodromy_klein_group()
         details.update(
             {
@@ -959,8 +936,9 @@ def _claim_numeric_hygiene(seed: int) -> Claim:
         tested += 1
         if fwd.inverse() != bwd:
             reversal_ok = False
-    rep1 = compute_monodromy(spec, strategy="random", budget=4, seed=seed, stall_threshold=2)
-    rep2 = compute_monodromy(spec, strategy="random", budget=4, seed=seed, stall_threshold=2)
+    # one triangle and one meridian, the schedule every report uses
+    rep1 = compute_monodromy(spec, budget=2, seed=seed)
+    rep2 = compute_monodromy(spec, budget=2, seed=seed)
     deterministic = rep1.to_dict() == rep2.to_dict()
     details = {
         "worst_jacobian_fd_error": worst,

@@ -69,10 +69,10 @@ class TestMonodromyCommand:
         assert "INCONCLUSIVE: budget exhausted" in out
 
     def test_structured_deterministic(self, capsys):
+        # one loop: a random triangle, the cheapest part of the schedule
         args = (
             "--format", "structured", "--seed", "3",
-            "monodromy", "--family", "symmetric", "--loops", "2",
-            "--strategy", "random",
+            "monodromy", "--family", "symmetric", "--loops", "1",
         )
         code1, out1 = run_cli(capsys, *args)
         code2, out2 = run_cli(capsys, *args)
@@ -81,17 +81,24 @@ class TestMonodromyCommand:
         assert doc["schema"] == 1
         assert doc["family"] == "symmetric"
         assert doc["seed"] == 3
+        assert "strategy" not in doc
+        assert sorted(doc["config"]) == [
+            "match_margin", "max_newton_iters", "newton_tol", "step_init", "step_max",
+        ]
 
 
-class TestEnvironmentOverrides:
-    def test_seed_env_var(self, capsys, monkeypatch):
-        monkeypatch.setenv("CUBIC27_SEED", "777")
+class TestEnvironment:
+    def test_seed_env_var_is_ignored(self, capsys, monkeypatch):
+        # the seed comes from --seed alone; a stray variable breaks nothing
+        monkeypatch.setenv("CUBIC27_SEED", "abc")
+        code, out = run_cli(capsys, "--format", "structured", "lines")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == STRUCTURED_DIGESTS["lines"]
         code, out = run_cli(
-            capsys, "--format", "structured",
-            "monodromy", "--family", "symmetric", "--loops", "1", "--strategy", "random",
+            capsys, "--format", "structured", "monodromy", "--family", "symmetric", "--loops", "0"
         )
-        doc = json.loads(out)
-        assert doc["seed"] == 777
+        assert code == 1
+        assert json.loads(out)["seed"] == 1
 
 
 class TestBadFlags:
@@ -120,7 +127,17 @@ class TestBadFlags:
             main(argv)
         assert exc.value.code == 2
 
-    @pytest.mark.parametrize("strategy", ["auto", "circles"])
+    @pytest.mark.parametrize("command", [
+        ["lines"],
+        ["monodromy", "--family", "symmetric", "--loops", "1"],
+    ])
+    def test_negative_seed_exits_2(self, command):
+        with pytest.raises(SystemExit) as exc:
+            main(["--seed", "-1", *command])
+        assert exc.value.code == 2
+
+    # one loop schedule is left, so --strategy is gone
+    @pytest.mark.parametrize("strategy", ["auto", "circles", "mixed", "random"])
     def test_removed_strategies_exit_2(self, strategy):
         with pytest.raises(SystemExit) as exc:
             main(["monodromy", "--family", "symmetric", "--strategy", strategy])

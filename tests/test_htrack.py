@@ -323,9 +323,10 @@ class TestTrackLoop:
         assert revalidate(loop, perm, catalog)
 
     def test_under_resolved_loop_rejected(self, catalog):
-        # a step floor too coarse to resolve the meridian gets refused
-        # outright instead of producing an uncertified permutation
-        cfg = TrackerConfig(step_init=0.25, step_min=0.2, step_max=0.25)
+        # a Newton tolerance below the residual's rounding floor can never be
+        # met, so the meridian is refused outright instead of producing an
+        # uncertified permutation
+        cfg = TrackerConfig(newton_tol=1e-17)
         base = np.array([1, 0, 0], dtype=complex)
         center = np.array([1, 0, -1], dtype=complex)
         d = (base - center) / np.linalg.norm(base - center)
@@ -364,7 +365,7 @@ class TestRevalidate:
 class TestConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
-            TrackerConfig(step_min=0.1, step_init=0.05)
+            TrackerConfig(step_init=1e-8)  # below the step floor
         with pytest.raises(ValueError):
             TrackerConfig(newton_tol=-1)
         with pytest.raises(ValueError):

@@ -137,9 +137,9 @@ class TestLoops:
 
     def test_circle_loop_shape(self):
         spec = symmetric_family()
-        loop = circle_loop(spec, (1, 0, -1), radius=0.1, segments=8)
+        loop = circle_loop(spec, (1, 0, -1), radius=0.1)
         assert loop.kind == "circle"
-        assert len(loop.vertices) == 11  # base + 8 ring + ring[0] + base
+        assert len(loop.vertices) == 19  # base + 16 ring + ring[0] + base
         assert np.array_equal(loop.vertices[0].coeffs, loop.vertices[-1].coeffs)
 
     def test_open_loop_rejected(self):
@@ -147,9 +147,10 @@ class TestLoops:
             Loop(kind="bad", vertices=(fermat_form(), cayley_form()))
 
     def test_probe_locates_crossing_on_cayley_segment(self):
-        # the Fermat-to-Cayley segment meets the discriminant at t = 3/4
+        # the Fermat-to-Cayley segment meets the discriminant at t = 3/4, the
+        # first crossing on that ray within the probe range t <= 3
         spec = symmetric_family()
-        t_star = probe_discriminant(spec, (-1, 0, 1), t_max=1.0)
+        t_star = probe_discriminant(spec, (-1, 0, 1))
         assert t_star is not None
         assert abs(t_star - 0.75) < 0.05
 
@@ -157,7 +158,7 @@ class TestLoops:
         from cubic27.htrack import revalidate, track_loop
 
         spec = symmetric_family()
-        t_star = probe_discriminant(spec, (-1, 0, 1), t_max=1.0)
+        t_star = probe_discriminant(spec, (-1, 0, 1))
         center = np.array([1, 0, 0], dtype=complex) + t_star * np.array([-1, 0, 1])
         loop = circle_loop(spec, center, radius=0.05)
         fiber = basepoint_fiber(spec)
@@ -214,12 +215,13 @@ class TestComputeMonodromy:
         assert full_report.invariant_violations == 0
 
     def test_deterministic_reports(self):
-        a = compute_monodromy(symmetric_family(), strategy="random", budget=3, seed=9, stall_threshold=2)
-        b = compute_monodromy(symmetric_family(), strategy="random", budget=3, seed=9, stall_threshold=2)
+        # one loop: a random triangle
+        a = compute_monodromy(symmetric_family(), budget=1, seed=9)
+        b = compute_monodromy(symmetric_family(), budget=1, seed=9)
         assert a.to_dict() == b.to_dict()
 
     def test_group_contained_in_expected_klein(self):
-        report = compute_monodromy(symmetric_family(), budget=6, seed=4, stall_threshold=3)
+        report = compute_monodromy(symmetric_family(), budget=5, seed=4)
         assert set(report.group_elements) <= expected_symmetric_monodromy()
 
     def test_slice_family_stays_in_klein_group(self):
@@ -229,7 +231,7 @@ class TestComputeMonodromy:
             kind=FamilyKind.SLICE,
             directions=(embed_symmetric(0, 1, 0), embed_symmetric(0, 0, 1)),
         )
-        report = compute_monodromy(spec, budget=6, seed=2, stall_threshold=3)
+        report = compute_monodromy(spec, budget=5, seed=2)
         assert report.scale == 0.9
         assert report.bound_order == 4
         assert report.invariant_violations == 0
@@ -251,8 +253,9 @@ class TestComputeMonodromy:
 
 class TestUpperBoundVerdict:
     """The acceptance rule and the verdict, with the tracker stubbed out: the
-    symmetric family's basepoint fiber is the catalog and ``random`` builds
-    triangles without tracking, so the stub decides every permutation."""
+    symmetric family's basepoint fiber is the catalog, and with every probe
+    finding nothing each loop is a triangle built without tracking, so the
+    stub decides every permutation."""
 
     TAU = "(13,23)(14,19)(15,18)(16,22)(17,24)(20,21)"
 
@@ -260,7 +263,8 @@ class TestUpperBoundVerdict:
         perms = cycle([parse_cycles(c) for c in cycles])
         monkeypatch.setattr(htrack, "track_loop", lambda *a, **k: next(perms))
         monkeypatch.setattr(htrack, "revalidate", lambda *a, **k: True)
-        return compute_monodromy(symmetric_family(), strategy="random", budget=budget)
+        monkeypatch.setattr(monodromy, "probe_discriminant", lambda *a, **k: None)
+        return compute_monodromy(symmetric_family(), budget=budget)
 
     def claim(self, monkeypatch, report):
         monkeypatch.setattr(monodromy, "compute_monodromy", lambda spec, **kw: report)
@@ -271,7 +275,7 @@ class TestUpperBoundVerdict:
         assert report.group["order"] == 2
         assert report.stabilized_after == 11
         assert not report.conclusive
-        assert main(["monodromy", "--family", "symmetric", "--strategy", "random"]) == 1
+        assert main(["monodromy", "--family", "symmetric"]) == 1
         assert "INCONCLUSIVE: stalled at order 2 below the bound 4" in capsys.readouterr().out
         assert not self.claim(monkeypatch, report).passed
 
