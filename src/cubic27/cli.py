@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import fermat_data, lattice, lines as lines_mod, monodromy, perm, symverify
@@ -215,7 +216,15 @@ _HANDLERS = {
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return _HANDLERS[args.command](args)
+    try:
+        code = _HANDLERS[args.command](args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed early, as in `cubic27 lines | head -2`; point
+        # stdout at devnull so the flush at interpreter exit stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":

@@ -1,6 +1,7 @@
 """Monodromy orchestration: families of cubic forms, loop construction
-(random triangles and meridian circles around empirically located
-discriminant points), group accumulation inside each family's exact
+(random triangles, and meridian circles around discriminant points: roots
+of the exact nodal components for the symmetric family, located by tracking
+failures for the others), group accumulation inside each family's exact
 upper-bound group, component structure of the line cover, and the full
 claim-verification suite.
 """
@@ -232,18 +233,70 @@ def circle_loop(spec: FamilySpec, center: Sequence[complex], radius: float) -> L
     )
 
 
-# probe range 0 < t <= _PROBE_T_MAX, in coarse steps, then bisections
+# probe range 0 < t <= _PROBE_T_MAX; the march takes coarse steps, then bisects
 _PROBE_T_MAX = 3.0
 _PROBE_STEPS = 24
 _PROBE_BISECTIONS = 6
+# a root t of a restricted component counts as real when |Im t| is below
+# this multiple of max(1, |t|)
+_REAL_ROOT_RTOL = 1e-9
+
+# The nodal components of the symmetric family's discriminant, as forms in
+# the parameters (a, b, c) of a*m3 + b*m21 + c*m111, each given as
+# {(i, j, k): coefficient of a^i b^j c^k}.  The fourth component, the
+# reducible cubics L3: 3a - 3b + c = 0, is left out.  Its local monodromy is
+# the identity, so a circle around it adds nothing to the group, and the
+# tracking march (``_march_crossing``) steps across it on the rays the loop
+# schedule draws, so both probes stop at the same crossings and a run winds
+# the same loops.
+_SYMMETRIC_NODAL_COMPONENTS: dict[str, dict[tuple[int, int, int], int]] = {
+    # a node at (1, 1, 1, 1)
+    "L1": {(1, 0, 0): 1, (0, 1, 0): 3, (0, 0, 1): 1},
+    # the three nodes of the S4-orbit of (1, 1, -1, -1)
+    "L2": {(1, 0, 0): 3, (0, 1, 0): 1, (0, 0, 1): -1},
+    # four nodes on the orbit of (s, 1, 1, 1); Cayley's cubic is a = b = 0
+    "C": {
+        (3, 0, 0): 9, (2, 1, 0): 9, (2, 0, 1): -3, (1, 2, 0): -9,
+        (1, 1, 1): -6, (1, 0, 2): 4, (0, 3, 0): 7, (0, 2, 1): -3,
+    },
+}
 
 
-def probe_discriminant(spec: FamilySpec, direction: Sequence[complex]) -> float | None:
-    """March the fiber along basepoint + t*direction and return the t where
+def _restrict_to_line(
+    form: dict[tuple[int, int, int], int], base: np.ndarray, direction: np.ndarray
+) -> np.ndarray:
+    """Coefficients of form(base + t*direction), highest power of t first."""
+    deg = sum(next(iter(form)))
+    powers = []
+    for p, q in zip(base, direction):
+        seq = [np.ones(1, dtype=complex)]
+        for _ in range(deg):
+            seq.append(np.convolve(seq[-1], [q, p]))
+        powers.append(seq)
+    out = np.zeros(deg + 1, dtype=complex)
+    for (i, j, k), coeff in form.items():
+        out += coeff * np.convolve(np.convolve(powers[0][i], powers[1][j]), powers[2][k])
+    return out
+
+
+def _symmetric_crossing(base: np.ndarray, direction: np.ndarray) -> float | None:
+    """Smallest real t in (0, _PROBE_T_MAX] where base + t*direction lies on
+    a nodal component: the least such root of the components restricted to
+    the line."""
+    real_roots = [
+        float(root.real)
+        for form in _SYMMETRIC_NODAL_COMPONENTS.values()
+        for root in np.roots(_restrict_to_line(form, base, direction))
+        if abs(root.imag) <= _REAL_ROOT_RTOL * max(1.0, abs(root))
+    ]
+    return min((t for t in real_roots if 0 < t <= _PROBE_T_MAX), default=None)
+
+
+def _march_crossing(spec: FamilySpec, d: np.ndarray) -> float | None:
+    """March the fiber along basepoint + t*d and return the t where
     tracking first fails (Newton-failure clustering localizes the
     discriminant); None if the whole probe range tracks cleanly."""
     base = spec.basepoint_params()
-    d = np.asarray(direction, dtype=complex)
     cur = basepoint_fiber(spec)
     t_prev = 0.0
     for k in range(1, _PROBE_STEPS + 1):
@@ -268,13 +321,29 @@ def probe_discriminant(spec: FamilySpec, direction: Sequence[complex]) -> float 
     return None
 
 
+def probe_discriminant(spec: FamilySpec, direction: Sequence[complex]) -> float | None:
+    """The first t in (0, _PROBE_T_MAX] where basepoint + t*direction meets
+    the discriminant, or None.
+
+    For the symmetric family this is exact: the smallest real root of the
+    nodal components restricted to the line.  Other families march the
+    fiber and bisect where tracking first fails.
+    """
+    d = np.asarray(direction, dtype=complex)
+    if spec.kind is FamilyKind.SYMMETRIC:
+        return _symmetric_crossing(spec.basepoint_params(), d)
+    return _march_crossing(spec, d)
+
+
 def _meridian_loop(
     spec: FamilySpec, rng: np.random.Generator, scale: float, angle_hint: float
 ) -> Loop:
     """Probe a real parameter ray for its first discriminant crossing and
     wind a circle there, of radius a tenth of the crossing parameter (at
     least 0.03); the opposite ray is probed before giving up, and a random
-    triangle is the fallback when both directions are clean.
+    triangle is the fallback when both directions are clean.  For the
+    symmetric family the crossing is an exact point of L1, L2 or C (see
+    ``_SYMMETRIC_NODAL_COMPONENTS``); other families locate it by marching.
 
     For the symmetric family the ray lives in the affine (b, c) chart;
     ``angle_hint`` lets the caller stratify ray angles across loops so that

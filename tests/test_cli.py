@@ -1,8 +1,13 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cubic27
 from cubic27 import monodromy
 from cubic27.cli import main
 from cubic27.perm import format_cycles, parse_cycles
@@ -99,6 +104,29 @@ class TestEnvironment:
         )
         assert code == 1
         assert json.loads(out)["seed"] == 1
+
+
+class TestClosedReader:
+    # the reader's end of the pipe is closed before the command starts, so
+    # the first write fails; "lines" overflows the stdout buffer while it
+    # prints, the monodromy report fits in it and is flushed at the end
+    @pytest.mark.parametrize("command", [
+        ["lines"],
+        ["monodromy", "--family", "symmetric", "--loops", "0"],
+    ])
+    def test_no_traceback(self, command):
+        env = {**os.environ, "PYTHONPATH": str(Path(cubic27.__file__).resolve().parents[1])}
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "cubic27.cli", *command],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.stderr == b""  # no traceback, no "Exception ignored"
+        assert proc.returncode == 1
 
 
 class TestBadFlags:

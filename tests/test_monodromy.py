@@ -1,10 +1,13 @@
-from itertools import cycle, permutations
+from fractions import Fraction
+from itertools import combinations, cycle, permutations
 
 import numpy as np
 import pytest
+import sympy
 
 from cubic27 import fermat_data, htrack, lattice, lines, monodromy
 from cubic27.cli import main
+from cubic27.exact import symmetric_basis
 from cubic27.htrack import CubicForm, MONOMIAL_EXPONENTS
 from cubic27.monodromy import (
     FamilyKind,
@@ -152,7 +155,7 @@ class TestLoops:
         spec = symmetric_family()
         t_star = probe_discriminant(spec, (-1, 0, 1))
         assert t_star is not None
-        assert abs(t_star - 0.75) < 0.05
+        assert abs(t_star - 0.75) < 1e-12
 
     def test_probe_circle_yields_nontrivial_permutation(self):
         from cubic27.htrack import revalidate, track_loop
@@ -166,6 +169,132 @@ class TestLoops:
         assert not perm.is_identity()
         assert format_cycles(perm) in expected_symmetric_monodromy()
         assert revalidate(loop.vertices, perm, fiber)
+
+
+COMPONENTS = monodromy._SYMMETRIC_NODAL_COMPONENTS
+
+
+def _value(form, a, b, c):
+    """A component of the symmetric discriminant at (a, b, c), exactly."""
+    return sum(
+        coeff * Fraction(a) ** i * Fraction(b) ** j * Fraction(c) ** k
+        for (i, j, k), coeff in form.items()
+    )
+
+
+def _symmetric_cubic(a, b, c):
+    m3, m21, m111 = symmetric_basis()
+    return m3.scale(a) + m21.scale(b) + m111.scale(c)
+
+
+def _singular_at(form, point) -> bool:
+    return all(g.evaluate(point).is_zero() for g in form.gradient())
+
+
+class TestSymmetricDiscriminant:
+    """The nodal components L1, L2 and C, checked in exact arithmetic."""
+
+    def on_line(self, name, a, b):
+        # the point (a, b, c) of a linear component, solved for c
+        form = COMPONENTS[name]
+        c = -_value(form, a, b, 0) / form[(0, 0, 1)]
+        assert _value(form, a, b, c) == 0
+        return a, b, c
+
+    @pytest.mark.parametrize("a, b", [(1, 0), (1, 1), (Fraction(-2, 3), 5), (0, 1)])
+    def test_l1_node_at_the_all_ones_point(self, a, b):
+        f = _symmetric_cubic(*self.on_line("L1", a, b))
+        assert _singular_at(f, (1, 1, 1, 1))
+        assert not _singular_at(f, (1, 1, -1, -1))
+
+    @pytest.mark.parametrize("a, b", [(1, 0), (1, 1), (Fraction(-2, 3), 5), (0, 1)])
+    def test_l2_nodes_on_the_orbit_of_1_1_m1_m1(self, a, b):
+        f = _symmetric_cubic(*self.on_line("L2", a, b))
+        for point in [(1, 1, -1, -1), (1, -1, 1, -1), (1, -1, -1, 1)]:
+            assert _singular_at(f, point)
+        assert not _singular_at(f, (1, 1, 1, 1))
+
+    @pytest.mark.parametrize(
+        "point",
+        [(s, 1, 1, 1) for s in (0, 2, -3, Fraction(1, 2), Fraction(-2, 3), 5)] + [(1, 0, 0, 0)],
+    )
+    def test_node_on_the_orbit_of_s_1_1_1_lies_on_c(self, point):
+        # the gradient at (s, 1, 1, 1) is linear in (a, b, c), and by symmetry
+        # its last three entries agree: (a : b : c) is the cross product of
+        # the first two rows.  (1, 0, 0, 0) is the limit s -> infinity.
+        rows = [[g.gradient()[i].evaluate(point) for g in symmetric_basis()] for i in (0, 1)]
+        assert all(x.is_rational() for row in rows for x in row)
+        (u0, u1, u2), (v0, v1, v2) = [[x.a for x in row] for row in rows]
+        abc = (u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0)
+        assert any(abc)
+        assert _singular_at(_symmetric_cubic(*abc), point)
+        assert _value(COMPONENTS["C"], *abc) == 0
+        if point == (1, 0, 0, 0):
+            assert abc[0] == abc[1] == 0  # Cayley's cubic
+
+    def test_c_against_sympy_elimination(self):
+        # eliminating s from the first two gradient entries at (s, 1, 1, 1)
+        # leaves L1 (s = 1, the node at (1, 1, 1, 1)) and the curve C
+        a, b, c, s = sympy.symbols("a b c s")
+        x = sympy.symbols("x0:4")
+        f = (
+            a * sum(xi**3 for xi in x)
+            + b * sum(x[i] ** 2 * x[j] for i in range(4) for j in range(4) if i != j)
+            + c * sum(x[i] * x[j] * x[k] for i, j, k in combinations(range(4), 3))
+        )
+        at = {x[0]: s, x[1]: 1, x[2]: 1, x[3]: 1}
+        res = sympy.resultant(*(sympy.diff(f, x[i]).subs(at) for i in (0, 1)), s)
+        _, factors = sympy.factor_list(res)
+
+        def expr(form):
+            return sum(coeff * a**i * b**j * c**k for (i, j, k), coeff in form.items())
+
+        assert {q for q, _ in factors} == {expr(COMPONENTS["L1"]), expr(COMPONENTS["C"])}
+
+
+class TestProbe:
+    @pytest.mark.parametrize("direction, t_exact", [
+        ((-1, 0, 1), 0.75),  # L2; C follows at t = 1
+        ((0, -1, -1), 0.25),  # L1
+        ((0, -1, 1), 0.5),  # L1; C follows at t = 0.6
+        ((1, -1, 0), 0.5),  # L1
+        ((0, 2, -1), None),  # only L3, at t = 3/7
+    ])
+    def test_march_agrees_with_the_exact_crossing(self, direction, t_exact):
+        # the exact first crossing on a real ray from Fermat, and the march
+        # within its bisection resolution
+        spec = symmetric_family()
+        t_star = probe_discriminant(spec, direction)
+        t_march = monodromy._march_crossing(spec, np.asarray(direction, dtype=complex))
+        if t_exact is None:
+            assert t_star is None and t_march is None
+        else:
+            assert t_star == pytest.approx(t_exact, rel=1e-12)
+            assert abs(t_march - t_exact) < 3 / 24 / 2**6
+
+    def test_complex_line_through_a_point_of_c(self):
+        # (33 : -51 : 123) puts a node at (2, 1, 1, 1); on this complex line
+        # the crossing t = 1/2 is a root with a rounding-level imaginary part
+        assert _value(COMPONENTS["C"], 33, -51, 123) == 0
+        direction = (0, 1 + 2j, 0)
+        base = embed_symmetric(33, -51 - 0.5 * direction[1], 123)
+        spec = FamilySpec(kind=FamilyKind.SYMMETRIC, basepoint=base)
+        assert probe_discriminant(spec, direction) == pytest.approx(0.5, rel=1e-12)
+
+    def test_ray_crossing_l3_first(self):
+        # L3 (3a - 3b + c) is met first, at t = 6/5; the probe skips it and
+        # returns the L1 crossing at t = 2 (the march stops near L3 on this
+        # ray, at t = 1.249)
+        direction = (0, Fraction(1, 3), Fraction(-3, 2))
+        l3 = {(1, 0, 0): 3, (0, 1, 0): -3, (0, 0, 1): 1}
+
+        def on_ray(t):
+            return 1, t * direction[1], t * direction[2]
+
+        assert _value(l3, *on_ray(Fraction(6, 5))) == 0
+        assert _value(COMPONENTS["L1"], *on_ray(2)) == 0
+        t_star = probe_discriminant(symmetric_family(), [float(x) for x in direction])
+        assert t_star == pytest.approx(2, rel=1e-12)
 
 
 class TestComputeMonodromy:
@@ -187,24 +316,25 @@ class TestComputeMonodromy:
     def test_first_loops_pinned_at_seed_1(self, symmetric_report):
         # a tracker change that moves a discriminant probe or flips a loop
         # permutation shows up here, at no cost beyond the shared fixture
+        # probe_t is the exact crossing: on L1 for loops 1 and 5, on L2 for
+        # loops 3 and 7 (roots computed to 50 digits)
         tau = "(13,23)(14,19)(15,18)(16,22)(17,24)(20,21)"
         sigma = "(1,2)(3,4)(5,6)(7,8)(9,10)(11,12)(13,16)(14,15)(17,20)(18,19)(21,24)(22,23)"
         expected = [
             ("triangle", "()", None),
-            ("circle", tau, 0.3369140625),
+            ("circle", tau, 0.3369615512091526),
             ("triangle", "()", None),
-            ("circle", "()", 2.2392578125),
+            ("circle", "()", 2.239017020256561),
             ("triangle", "()", None),
-            ("circle", tau, 0.3232421875),
+            ("circle", tau, 0.3225881168722842),
             ("triangle", "()", None),
-            ("circle", sigma, 2.2685546875),
+            ("circle", sigma, 2.2687687563524666),
         ]
-        got = [
-            (r.kind, r.permutation, r.meta.get("probe_t"))
-            for r in symmetric_report.loops[:8]
-        ]
-        assert got == expected
-        assert all(r.accepted for r in symmetric_report.loops[:8])
+        loops = symmetric_report.loops[:8]
+        assert [(r.kind, r.permutation) for r in loops] == [e[:2] for e in expected]
+        for r, (_, _, t) in zip(loops, expected):
+            assert r.meta.get("probe_t") == (None if t is None else pytest.approx(t, rel=1e-12))
+        assert all(r.accepted for r in loops)
 
     def test_full_family_reaches_weyl_group(self, full_report):
         assert full_report.group["order"] == 51840
