@@ -11,6 +11,12 @@ vanishes exactly when the line lies on Z(f).
 Forms are held as their symmetric polarization tensor T, f(x) = T(x, x, x):
 one batched contraction over the rows of every line gives the residual and
 the chart Jacobian together, one per Newton iteration.
+
+A loop runs one step-size controller through its whole polygon: each
+segment starts from the step the previous one ended with, rescaled by the
+ratio of the two segments' lengths so that the step keeps its size in the
+space of forms.  Restarting at step_init at every vertex would cost the
+controller's ramp-up on every segment, however short.
 """
 
 from __future__ import annotations
@@ -441,7 +447,10 @@ class TrackResult:
     The 27 paths advance in lockstep, so ``accepted_steps`` is shared;
     ``newton_iterations`` records the per-line corrector work.  ``max_residual``
     is the true maximum over every accepted correction and ``min_separation``
-    the smallest pairwise line distance seen at any accepted step.
+    the smallest pairwise line distance seen at any accepted step.  ``step``
+    is the step the controller would try next, in the segment's own
+    parameter t; it lies in [_STEP_MIN, step_max], and track_loop carries it
+    into the next segment.
     """
 
     lines: list[ChartedLine]
@@ -449,6 +458,7 @@ class TrackResult:
     newton_iterations: list[int]
     max_residual: float
     min_separation: float
+    step: float
 
 
 class _Batch:
@@ -472,10 +482,12 @@ class _Batch:
         self.chart = _Chart(_free_indices(self.gauges))
 
     def to_lines(self) -> list[ChartedLine]:
-        """The batch as ChartedLines, with one batched rank check instead of
-        a construction (rank check and normalization) per line."""
-        if np.any(np.linalg.matrix_rank(self.mats, tol=1e-12) != 2):
-            raise ValueError("span matrix must have rank 2")
+        """The batch as ChartedLines, with one exact check that every gauge
+        minor is the identity (so every span has rank 2) instead of a
+        construction (rank check and normalization) per line."""
+        minors = np.take_along_axis(self.mats, self.gauges[:, None, :], axis=2)
+        if not (minors == np.eye(2)).all():
+            raise ValueError("span matrix must have rank 2 with an identity gauge minor")
         out = []
         for m, gauge in zip(self.mats.copy(), self.gauges.tolist()):
             line = ChartedLine.__new__(ChartedLine)
@@ -577,6 +589,7 @@ def track_segment(
         newton_iterations=[int(x) for x in newton_iters],
         max_residual=max_resid,
         min_separation=min_sep,
+        step=h,
     )
 
 
@@ -588,6 +601,13 @@ def track_loop(
     """Track the labeled base fiber around a closed polygon of cubic forms and
     return the induced label permutation (start label -> end label).
 
+    One step controller runs through the polygon.  The first segment starts
+    at cfg.step_init; each later one starts at the previous segment's
+    ``TrackResult.step`` times the ratio of the two segments' lengths
+    (||f_to - f_from|| over the coefficients), so that the step keeps the
+    size it had in the space of forms, whatever the length of the segment.
+    The carried step never goes below cfg.step_init or above cfg.step_max.
+
     The final lines are matched back against the *base* lines; a match is
     accepted only when every nearest/second-nearest distance ratio clears
     match_margin and the assignment is a bijection.
@@ -597,11 +617,26 @@ def track_loop(
         raise ValueError("loop must start and end at the same form")
     if len(base_lines) != N_POINTS:
         raise ValueError(f"expected {N_POINTS} base lines")
-    current = list(base_lines)
-    for f_from, f_to in zip(vertices, vertices[1:]):
-        result = track_segment(f_from, f_to, current, cfg)
+    segments = list(zip(vertices, vertices[1:]))
+    lengths = [float(np.linalg.norm(f_to.coeffs - f_from.coeffs)) for f_from, f_to in segments]
+    current, seg_cfg = list(base_lines), cfg
+    for k, (f_from, f_to) in enumerate(segments):
+        if k:
+            step = _carried_step(cfg, result.step, lengths[k - 1], lengths[k])
+            seg_cfg = replace(cfg, step_init=step)
+        result = track_segment(f_from, f_to, current, seg_cfg)
         current = result.lines
     return match_to_base(current, base_lines, cfg)
+
+
+def _carried_step(cfg: TrackerConfig, step: float, length: float, next_length: float) -> float:
+    """The start step of a loop's next segment: the previous segment's final
+    ``step`` over its ``length``, rescaled to ``next_length``, kept within
+    [cfg.step_init, cfg.step_max].  A zero-length next segment starts at
+    step_max."""
+    if not next_length:
+        return cfg.step_max
+    return min(cfg.step_max, max(cfg.step_init, step * length / next_length))
 
 
 def match_to_base(

@@ -300,7 +300,9 @@ def orbits(group: FiniteGroup | Sequence[Permutation]) -> list[list[int]]:
     for _ in range(5):  # paths of every length up to 2**5 > 27
         reach = np.minimum(reach @ reach, 1)
     smallest = reach.argmax(axis=1)  # each point's orbit, by its smallest point
-    return [(np.flatnonzero(smallest == m) + 1).tolist() for m in np.unique(smallest)]
+    # bincount, not np.unique: np.unique imports numpy.ma on first use
+    leaders = np.flatnonzero(np.bincount(smallest))
+    return [(np.flatnonzero(smallest == m) + 1).tolist() for m in leaders]
 
 
 def pointwise_stabilizer(group: FiniteGroup, points: Iterable[int]) -> FiniteGroup:

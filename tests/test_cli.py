@@ -22,6 +22,14 @@ STRUCTURED_DIGESTS = {
     "symcheck": "558b85fba97dff1594be8aea2edc6942e0d9f5fa7581acc20cbc7be6dba99e2d",
 }
 
+# sha256 and exit code of --seed S --format structured monodromy --family
+# symmetric --loops 8: tracker changes must keep these reports byte-identical
+SYMMETRIC_LOOPS_8 = {
+    1: ("ede765ddef469326ad12d60b545fd4f48ef8a2d8fa06622823708107faaed479", 1),
+    100004: ("058fb797c771dfccec85d524a899ca0b04b49622d00e32ed16c6271b0f072ef9", 1),
+    200007: ("a81375a7daa9a6d3edd517b80d68580495aab809366e212fa1fd404e07407860", 1),
+}
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -90,6 +98,14 @@ class TestMonodromyCommand:
         assert sorted(doc["config"]) == [
             "match_margin", "max_newton_iters", "newton_tol", "step_init", "step_max",
         ]
+
+    @pytest.mark.parametrize("seed", list(SYMMETRIC_LOOPS_8))
+    def test_symmetric_eight_loops_bytes(self, capsys, seed):
+        code, out = run_cli(
+            capsys, "--seed", str(seed), "--format", "structured",
+            "monodromy", "--family", "symmetric", "--loops", "8",
+        )
+        assert (hashlib.sha256(out.encode()).hexdigest(), code) == SYMMETRIC_LOOPS_8[seed]
 
 
 class TestEnvironment:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cubic27 import lines
+from cubic27 import htrack, lines
 from cubic27.exact import symmetric_basis
 from cubic27.htrack import (
     ChartedLine,
@@ -11,12 +11,14 @@ from cubic27.htrack import (
     TrackerConfig,
     jacobian,
     line_distance,
+    match_to_base,
     newton_correct,
     residual,
     revalidate,
     track_loop,
     track_segment,
     _PLUCKER_PAIRS,
+    _STEP_MIN,
     _Batch,
     _best_gauges,
     _free_indices,
@@ -275,6 +277,84 @@ def triangle(scale, seed):
     ]
 
 
+def meridian(center, radius=0.2, n=16):
+    """Fermat, then a circle of n vertices around ``center`` (symmetric
+    coordinates) entered along the straight segment from Fermat, then back."""
+    base = np.array([1, 0, 0], dtype=complex)
+    center = np.asarray(center, dtype=complex)
+    d = (base - center) / np.linalg.norm(base - center)
+    ring = [center + radius * np.exp(2j * np.pi * k / n) * d for k in range(n)]
+    return (
+        [embed_symmetric(*base)]
+        + [embed_symmetric(*p) for p in ring]
+        + [embed_symmetric(*ring[0]), embed_symmetric(*base)]
+    )
+
+
+# exact discriminant points on the line a = 1, b = 0 of the symmetric family:
+# L1 (a + 3b + c = 0), L2 (3a + b - c = 0) and the plane cubic C, which
+# restricts to 4c^2 - 3c + 9 = 0 there
+L1_POINT = (1, 0, -1)
+L2_POINT = (1, 0, 3)
+C_POINT = (1, 0, (3 + 1j * np.sqrt(135)) / 8)
+
+
+class TestBatch:
+    def test_to_lines_rejects_a_perturbed_gauge_column(self, catalog):
+        batch = _Batch(catalog)
+        batch.mats[3, :, batch.gauges[3, 1]] += 1e-12
+        with pytest.raises(ValueError):
+            batch.to_lines()
+
+
+class TestCarriedStep:
+    def test_step_carries_across_vertices(self, catalog, monkeypatch):
+        calls = []
+        original = htrack.track_segment
+
+        def spy(f0, f1, start, cfg=None):
+            result = original(f0, f1, start, cfg)
+            calls.append((f0, f1, cfg, result))
+            return result
+
+        monkeypatch.setattr(htrack, "track_segment", spy)
+        loop = meridian(L1_POINT)
+        cfg = TrackerConfig()
+        assert track_loop(loop, catalog, cfg) == lines.monodromy_klein_elements()["tau1"]
+        assert len(calls) == len(loop) - 1
+        lengths = [np.linalg.norm(f1.coeffs - f0.coeffs) for f0, f1, _, _ in calls]
+        # a long entry segment followed by short arcs
+        assert lengths[0] > 5 * max(lengths[1:-1])
+        assert calls[0][2].step_init == cfg.step_init
+        for k in range(1, len(calls)):
+            prev_step = calls[k - 1][3].step
+            want = min(cfg.step_max, max(cfg.step_init, prev_step * lengths[k - 1] / lengths[k]))
+            assert calls[k][2] == TrackerConfig(step_init=want)
+        # the arcs start above the parent's restart value
+        assert all(c[2].step_init > cfg.step_init for c in calls[1:-1])
+
+    @pytest.mark.parametrize("cfg", [TrackerConfig(), TrackerConfig().tightened()])
+    def test_result_step_within_bounds(self, forms, catalog, cfg):
+        for target in (forms[0], embed_symmetric(1, 0.2 + 0.1j, -0.15)):
+            step = track_segment(forms[0], target, catalog, cfg).step
+            assert _STEP_MIN <= step <= cfg.step_max
+
+    def test_zero_length_segment(self, catalog):
+        loop = triangle(0.9, seed=12)
+        repeated = loop[:2] + [loop[1]] + loop[2:]
+        assert track_loop(repeated, catalog) == track_loop(loop, catalog)
+
+    @pytest.mark.parametrize("center", [L1_POINT, L2_POINT, C_POINT], ids=["L1", "L2", "C"])
+    def test_same_permutation_as_restarting_at_every_vertex(self, catalog, center):
+        loop = meridian(center)
+        current = catalog
+        for f0, f1 in zip(loop, loop[1:]):
+            current = track_segment(f0, f1, current).lines
+        restarted = match_to_base(current, catalog, TrackerConfig())
+        assert not restarted.is_identity()
+        assert track_loop(loop, catalog) == restarted
+
+
 class TestTrackLoop:
     def test_constant_loop_is_identity(self, forms, catalog):
         p = track_loop([forms[0], forms[0]], catalog)
@@ -309,15 +389,7 @@ class TestTrackLoop:
 
     def test_meridian_gives_reference_involution(self, forms, catalog):
         # circle around the one-node discriminant point on the c axis
-        base = np.array([1, 0, 0], dtype=complex)
-        center = np.array([1, 0, -1], dtype=complex)
-        d = (base - center) / np.linalg.norm(base - center)
-        ring = [center + 0.2 * np.exp(2j * np.pi * k / 16) * d for k in range(16)]
-        loop = (
-            [embed_symmetric(*base)]
-            + [embed_symmetric(*p) for p in ring]
-            + [embed_symmetric(*ring[0]), embed_symmetric(*base)]
-        )
+        loop = meridian(L1_POINT)
         perm = track_loop(loop, catalog)
         assert perm == lines.monodromy_klein_elements()["tau1"]
         assert revalidate(loop, perm, catalog)
@@ -327,15 +399,7 @@ class TestTrackLoop:
         # met, so the meridian is refused outright instead of producing an
         # uncertified permutation
         cfg = TrackerConfig(newton_tol=1e-17)
-        base = np.array([1, 0, 0], dtype=complex)
-        center = np.array([1, 0, -1], dtype=complex)
-        d = (base - center) / np.linalg.norm(base - center)
-        ring = [center + 0.1 * np.exp(2j * np.pi * k / 4) * d for k in range(4)]
-        loop = (
-            [embed_symmetric(*base)]
-            + [embed_symmetric(*p) for p in ring]
-            + [embed_symmetric(*ring[0]), embed_symmetric(*base)]
-        )
+        loop = meridian(L1_POINT, radius=0.1, n=4)
         with pytest.raises(TrackFailure):
             track_loop(loop, catalog, cfg)
 
