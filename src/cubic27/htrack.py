@@ -17,6 +17,12 @@ segment starts from the step the previous one ended with, rescaled by the
 ratio of the two segments' lengths so that the step keeps its size in the
 space of forms.  Restarting at step_init at every vertex would cost the
 controller's ramp-up on every segment, however short.
+
+Steps are measured in each segment's own parameter t in [0, 1], so the cap
+step_max is per segment, not a length in the space of forms.  Its default
+of 1.0 lets one step cover a whole segment: a short polygon edge then costs
+one accepted step whenever Newton, the quadratic tail and the separation
+barrier accept it, and accuracy, not the cap, sets the step count.
 """
 
 from __future__ import annotations
@@ -112,12 +118,19 @@ _POLISH_TOL = 1e-13
 @dataclass(frozen=True)
 class TrackerConfig:
     """The settings that revalidation tightens and the end-of-segment polish
-    replaces; everything else about the tracker is fixed above."""
+    replaces; everything else about the tracker is fixed above.
+
+    step_init and step_max are fractions of the current segment's parameter
+    interval.  step_max = 1.0 allows one step per segment; tightened()
+    halves it, so revalidation takes at least two steps on every edge: an
+    edge the first track crossed in one step is re-tracked along a different
+    step sequence, which keeps revalidation an independent check.
+    """
 
     newton_tol: float = 1e-10
     max_newton_iters: int = 8
     step_init: float = 0.05
-    step_max: float = 0.25
+    step_max: float = 1.0
     match_margin: float = 10.0
 
     def __post_init__(self):

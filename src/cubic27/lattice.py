@@ -299,8 +299,15 @@ def build_po_group(
         codes.append(blocks @ place)
         neg_codes.append(((3 - blocks) % 3) @ place)
     codes, neg_codes = np.concatenate(codes), np.concatenate(neg_codes)
-    signed = np.unique(np.concatenate([codes, neg_codes]))
-    return np.unique(np.minimum(codes, neg_codes)), len(signed)
+    signed = _distinct(np.concatenate([codes, neg_codes]))
+    return _distinct(np.minimum(codes, neg_codes)), len(signed)
+
+
+def _distinct(codes: np.ndarray) -> np.ndarray:
+    """The sorted distinct entries of codes.  Sort and nonzero-diff, not
+    np.unique: np.unique imports numpy.ma on first use."""
+    codes = np.sort(codes)
+    return codes[np.concatenate(([True], np.diff(codes) != 0))]
 
 
 def images_in_po(

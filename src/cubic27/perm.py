@@ -391,10 +391,12 @@ def _element_orders(table: np.ndarray) -> np.ndarray:
 
 
 def fingerprint(group: FiniteGroup) -> GroupFingerprint:
-    values, counts = np.unique(_element_orders(group.table), return_counts=True)
+    # bincount, not np.unique: np.unique imports numpy.ma on first use
+    counts = np.bincount(_element_orders(group.table))
+    values = np.flatnonzero(counts)
     # Generator commutation decides abelianness for the whole group.
     abelian = all(a * b == b * a for a in group.generators for b in group.generators)
-    orders = tuple(zip(values.tolist(), counts.tolist()))
+    orders = tuple(zip(values.tolist(), counts[values].tolist()))
     return GroupFingerprint(order=group.order, element_orders=orders, abelian=abelian)
 
 

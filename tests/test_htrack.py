@@ -333,6 +333,26 @@ class TestCarriedStep:
         # the arcs start above the parent's restart value
         assert all(c[2].step_init > cfg.step_init for c in calls[1:-1])
 
+    @pytest.mark.parametrize(
+        "cfg, arc_steps", [(TrackerConfig(), 1), (TrackerConfig().tightened(), 2)],
+        ids=["default", "tightened"],
+    )
+    def test_one_step_covers_a_short_arc(self, catalog, monkeypatch, cfg, arc_steps):
+        # step_max is per segment: the 16 short arcs of a meridian are one
+        # step each, and revalidation's halved cap re-tracks them in two
+        steps = []
+        original = htrack.track_segment
+
+        def spy(f0, f1, start, seg_cfg=None):
+            result = original(f0, f1, start, seg_cfg)
+            steps.append(result.accepted_steps)
+            return result
+
+        monkeypatch.setattr(htrack, "track_segment", spy)
+        loop = meridian(L1_POINT)
+        assert track_loop(loop, catalog, cfg) == lines.monodromy_klein_elements()["tau1"]
+        assert steps[1:-1] == [arc_steps] * 16
+
     @pytest.mark.parametrize("cfg", [TrackerConfig(), TrackerConfig().tightened()])
     def test_result_step_within_bounds(self, forms, catalog, cfg):
         for target in (forms[0], embed_symmetric(1, 0.2 + 0.1j, -0.15)):

@@ -1,3 +1,5 @@
+import hashlib
+import json
 from fractions import Fraction
 from itertools import combinations, cycle, permutations
 
@@ -343,6 +345,13 @@ class TestComputeMonodromy:
         accepted = [r for r in full_report.loops if r.accepted]
         assert all(r.in_bound for r in accepted)
         assert full_report.invariant_violations == 0
+
+    def test_full_family_loops_pinned_at_seed_1(self, full_report):
+        # sha256 of the JSON list of [kind, permutation, accepted] per loop
+        # (19 loops, all accepted): tracker changes must keep every loop
+        records = [[r.kind, r.permutation, r.accepted] for r in full_report.loops]
+        digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
+        assert digest == "05002ec8a77f718236af82b5174f36c7f4723c4a2484d6e0e5686a2dcf11886e"
 
     def test_deterministic_reports(self):
         # one loop: a random triangle
