@@ -342,13 +342,15 @@ def _conjugating_mask(ambient: FiniteGroup, sub: FiniteGroup, target: FiniteGrou
 
 def centralizer(group: FiniteGroup, sub: FiniteGroup) -> FiniteGroup:
     """Elements of ``group`` commuting with every element of ``sub``; commuting
-    with the generators suffices, since they generate ``sub``."""
+    with the generators suffices, since they generate ``sub``.  When every
+    element commutes (for example, when ``sub`` is trivial) this is ``group``
+    itself, not a rebuilt copy."""
     _require_subgroup(group, sub, "centralizer")
     t = group.table
     mask = np.ones(len(t), dtype=bool)
     for g in map(_row, sub.generators):
         mask &= np.all(t[:, g] == g[t], axis=1)
-    return FiniteGroup.from_table(t[mask])
+    return group if mask.all() else FiniteGroup.from_table(t[mask])
 
 
 def normalizer(group: FiniteGroup, sub: FiniteGroup) -> FiniteGroup:

@@ -208,13 +208,13 @@ class TestVerifyAll:
             pass
 
         def spy(spec, **kwargs):
-            budgets.append((spec.kind, kwargs["budget"]))
+            budgets.append((spec.name, kwargs["budget"]))
             raise Stop
 
         monkeypatch.setattr(monodromy, "compute_monodromy", spy)
         with pytest.raises(Stop):
             main(["verify-all", "--sym-loops", "10"])
-        assert budgets == [(monodromy.FamilyKind.SYMMETRIC, 10)]
+        assert budgets == [("symmetric", 10)]
 
     def test_exact_claims_only(self, capsys):
         code, out = run_cli(

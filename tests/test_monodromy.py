@@ -1,5 +1,6 @@
 import hashlib
 import json
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, cycle, permutations
 
@@ -12,8 +13,6 @@ from cubic27.cli import main
 from cubic27.exact import symmetric_basis
 from cubic27.htrack import CubicForm, MONOMIAL_EXPONENTS
 from cubic27.monodromy import (
-    FamilyKind,
-    FamilySpec,
     Loop,
     SingularBasepoint,
     _claim_monodromy,
@@ -68,32 +67,20 @@ class TestEmbedding:
 class TestFamilySpec:
     def test_symmetric_parameters(self):
         spec = symmetric_family()
-        assert spec.parameter_dim() == 3
-        assert np.array_equal(spec.basepoint_params(), np.array([1, 0, 0], dtype=complex))
+        assert spec.basis.shape == (3, 20)
+        assert np.array_equal(spec.base, np.array([1, 0, 0], dtype=complex))
+        assert spec.form_at(spec.base) == fermat_form()
 
     def test_full_parameters(self):
         spec = full_family()
-        assert spec.parameter_dim() == 20
-        assert np.array_equal(spec.basepoint_params(), fermat_form().coeffs)
+        assert spec.basis.shape == (20, 20)
+        assert np.array_equal(spec.base, fermat_form().coeffs)
+        assert spec.form_at(spec.base) == fermat_form()
 
     def test_symmetric_custom_basepoint_roundtrip(self):
-        spec = FamilySpec(kind=FamilyKind.SYMMETRIC, basepoint=embed_symmetric(1, 0.5j, -2))
-        assert np.allclose(spec.basepoint_params(), [1, 0.5j, -2])
-
-    def test_asymmetric_basepoint_rejected_for_symmetric_family(self):
-        coeffs = fermat_form().coeffs.copy()
-        coeffs[MONOMIAL_EXPONENTS.index((2, 1, 0, 0))] = 1.0  # break the symmetry
-        with pytest.raises(ValueError):
-            FamilySpec(kind=FamilyKind.SYMMETRIC, basepoint=CubicForm(coeffs)).basepoint_params()
-
-    def test_slice_family(self):
-        spec = FamilySpec(
-            kind=FamilyKind.SLICE,
-            directions=(cayley_form(),),
-        )
-        assert spec.parameter_dim() == 1
-        f = spec.form_at([0.25])
-        assert np.allclose(f.coeffs, fermat_form().coeffs + 0.25 * cayley_form().coeffs)
+        spec = replace(symmetric_family(), base=(1, 0.5j, -2))
+        assert spec.form_at(spec.base) == embed_symmetric(1, 0.5j, -2)
+        assert np.array_equal(symmetric_family().base, [1, 0, 0])
 
 
 class TestBasepointFiber:
@@ -105,7 +92,7 @@ class TestBasepointFiber:
             assert line_distance(numeric, np.array(embedded)) < 1e-12
 
     def test_perturbed_basepoint_keeps_labels(self):
-        spec = FamilySpec(kind=FamilyKind.FULL, basepoint=embed_symmetric(1, 0.02, -0.01j))
+        spec = replace(full_family(), base=embed_symmetric(1, 0.02, -0.01j).coeffs)
         fiber = basepoint_fiber(spec)
         assert len(fiber) == 27
 
@@ -115,13 +102,13 @@ class TestBasepointFiber:
         coeffs = fermat_form().coeffs.copy()
         coeffs[MONOMIAL_EXPONENTS.index((3, 0, 0, 0))] *= 1 + 1e-7
         base = CubicForm(coeffs)
-        fiber = basepoint_fiber(FamilySpec(kind=FamilyKind.FULL, basepoint=base))
+        fiber = basepoint_fiber(replace(full_family(), base=coeffs))
         raw = [np.abs(residual(base, line)).max() for line in basepoint_fiber(full_family())]
         assert max(raw) > 1e-9
         assert max(np.abs(residual(base, line)).max() for line in fiber) < 1e-10
 
     def test_cayley_basepoint_rejected(self):
-        spec = FamilySpec(kind=FamilyKind.FULL, basepoint=cayley_form())
+        spec = replace(full_family(), base=cayley_form().coeffs)
         with pytest.raises(SingularBasepoint):
             basepoint_fiber(spec)
 
@@ -263,30 +250,21 @@ class TestProbe:
         ((0, 2, -1), None),  # only L3, at t = 3/7
     ])
     def test_march_agrees_with_the_exact_crossing(self, direction, t_exact):
-        # the exact first crossing on a real ray from Fermat, and the march
-        # within its bisection resolution
-        spec = symmetric_family()
-        t_star = probe_discriminant(spec, direction)
-        t_march = monodromy._march_crossing(spec, np.asarray(direction, dtype=complex))
-        if t_exact is None:
-            assert t_star is None and t_march is None
-        else:
-            assert t_star == pytest.approx(t_exact, rel=1e-12)
-            assert abs(t_march - t_exact) < 3 / 24 / 2**6
+        # the exact first crossing on a real ray from Fermat
+        t_star = probe_discriminant(symmetric_family(), direction)
+        assert t_star == (None if t_exact is None else pytest.approx(t_exact, rel=1e-12))
 
     def test_complex_line_through_a_point_of_c(self):
         # (33 : -51 : 123) puts a node at (2, 1, 1, 1); on this complex line
         # the crossing t = 1/2 is a root with a rounding-level imaginary part
         assert _value(COMPONENTS["C"], 33, -51, 123) == 0
         direction = (0, 1 + 2j, 0)
-        base = embed_symmetric(33, -51 - 0.5 * direction[1], 123)
-        spec = FamilySpec(kind=FamilyKind.SYMMETRIC, basepoint=base)
+        spec = replace(symmetric_family(), base=(33, -51 - 0.5 * direction[1], 123))
         assert probe_discriminant(spec, direction) == pytest.approx(0.5, rel=1e-12)
 
     def test_ray_crossing_l3_first(self):
         # L3 (3a - 3b + c) is met first, at t = 6/5; the probe skips it and
-        # returns the L1 crossing at t = 2 (the march stops near L3 on this
-        # ray, at t = 1.249)
+        # returns the L1 crossing at t = 2
         direction = (0, Fraction(1, 3), Fraction(-3, 2))
         l3 = {(1, 0, 0): 3, (0, 1, 0): -3, (0, 0, 1): 1}
 
@@ -346,12 +324,28 @@ class TestComputeMonodromy:
         assert all(r.in_bound for r in accepted)
         assert full_report.invariant_violations == 0
 
+    def test_upper_bound_centralizes_the_family_symmetry(self, weyl, klein):
+        # C_W(H): W(E6) itself for the full family (H trivial), the paper's
+        # Klein group for the symmetric family (H the coordinate S4)
+        assert upper_bound(full_family()) is weyl
+        assert upper_bound(symmetric_family()) == klein
+
+    def test_full_family_runs_on_triangles_alone(self, monkeypatch):
+        # the full family has no nodal components, so no loop probes the
+        # discriminant
+        def no_probe(*args, **kwargs):
+            raise AssertionError("the full family probed the discriminant")
+
+        monkeypatch.setattr(monodromy, "probe_discriminant", no_probe)
+        report = compute_monodromy(full_family(), budget=4, seed=1)
+        assert [r.kind for r in report.loops] == ["triangle"] * 4
+
     def test_full_family_loops_pinned_at_seed_1(self, full_report):
         # sha256 of the JSON list of [kind, permutation, accepted] per loop
-        # (19 loops, all accepted): tracker changes must keep every loop
+        # (23 triangles, all accepted): tracker changes must keep every loop
         records = [[r.kind, r.permutation, r.accepted] for r in full_report.loops]
         digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
-        assert digest == "05002ec8a77f718236af82b5174f36c7f4723c4a2484d6e0e5686a2dcf11886e"
+        assert digest == "666239b676f2b1c27dabd43fbfe65256f42cc66050a46cd277d7ea1075efa8e8"
 
     def test_deterministic_reports(self):
         # one loop: a random triangle
@@ -363,19 +357,6 @@ class TestComputeMonodromy:
         report = compute_monodromy(symmetric_family(), budget=5, seed=4)
         assert set(report.group_elements) <= expected_symmetric_monodromy()
 
-    def test_slice_family_stays_in_klein_group(self):
-        # a two-direction slice through the symmetric plane behaves like the
-        # symmetric family and passes the same structural gates
-        spec = FamilySpec(
-            kind=FamilyKind.SLICE,
-            directions=(embed_symmetric(0, 1, 0), embed_symmetric(0, 0, 1)),
-        )
-        report = compute_monodromy(spec, budget=5, seed=2)
-        assert report.scale == 0.9
-        assert report.bound_order == 4
-        assert report.invariant_violations == 0
-        assert set(report.group_elements) <= expected_symmetric_monodromy()
-
     def test_expected_group_is_the_s4_centralizer(self, weyl, s4, klein):
         from cubic27.perm import centralizer
 
@@ -385,7 +366,6 @@ class TestComputeMonodromy:
         }
         # membership in the bound implies the order-16 and tritangent checks
         # that used to be made on each loop separately
-        assert upper_bound(FamilyKind.SYMMETRIC) == klein
         assert klein <= _order16_group()
         assert all(p(x) == x for p in klein for x in (25, 26, 27))
 

@@ -10,6 +10,7 @@ from cubic27.perm import (
     GroupGenerationError,
     IDENTITY,
     NotASubgroupError,
+    TRIVIAL_GROUP,
     centralizer,
     compose,
     conjugate_subgroup,
@@ -203,6 +204,11 @@ class TestSubgroupOperators:
         assert cent.order == 4
         fp = fingerprint(cent)
         assert identify(fp) == "K4"
+
+    def test_centralizer_of_a_central_subgroup_is_the_group_itself(self, weyl, klein):
+        # nothing to filter: the group comes back as it is, not rebuilt
+        assert centralizer(weyl, TRIVIAL_GROUP) is weyl
+        assert centralizer(klein, klein) is klein
 
     def test_normalizer_of_s4(self, weyl, s4):
         assert normalizer(weyl, s4).order == 96
