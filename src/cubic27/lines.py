@@ -13,7 +13,7 @@ import numpy as np
 
 from . import fermat_data
 from .exact import Cyc, ONE, ZERO, ZETA, ZETA5, Poly4, _gauss_jordan
-from .perm import FiniteGroup, Permutation, generate, parse_cycles
+from .perm import Closure, FiniteGroup, Permutation, generate, parse_cycles
 
 N_LINES = 27
 
@@ -150,14 +150,23 @@ def weyl_group() -> FiniteGroup:
 
 
 def graph_automorphisms(graph: IncidenceGraph | None = None) -> FiniteGroup:
-    """Enumerate all adjacency-preserving bijections of the 27 lines.
+    """The automorphism group of a graph on the 27 lines, by orbit search.
 
     An automorphism is fixed by the image of a reference ordered skew six
     (the lexicographically first one): every other vertex must go to the
-    vertex with the same neighborhood signature against the image six.  All
-    ordered skew sixes are built column by column, every forced extension is
-    read off in one pass, and each candidate is then checked for bijectivity
-    and edge-for-edge with uint32 adjacency masks.
+    vertex with the same neighborhood signature against the image six.  The
+    reference six must therefore give the other 21 vertices distinct
+    signatures; ValueError otherwise.
+
+    The ordered skew sixes are walked in lexicographic order, and the first
+    one not yet covered gives one candidate map.  An automorphism joins the
+    group H found so far (one incremental closure), and every image of the
+    reference six under the grown H is covered.  A map that is not an
+    automorphism covers the whole orbit ``H six``: no six in it is the image
+    of the reference under an automorphism.  Once every six is covered, the
+    images of the reference under H are all the sixes it has under the
+    automorphism group, so H is that group.  The graph alone decides the
+    result; no known group is consulted.
     """
     g = graph or incidence_graph()
     masks = np.array(g.masks, dtype=np.uint32)
@@ -172,32 +181,60 @@ def graph_automorphisms(graph: IncidenceGraph | None = None) -> FiniteGroup:
         free = free[prefix] & ~masks[v] & ~bit[v]
     if not len(sixes):
         raise ValueError("graph has no skew six")
+    # base-27 codes, ascending because the sixes come out in lexicographic order
+    place = N_LINES ** np.arange(5, -1, -1)
+    codes = sixes @ place
 
-    # signature of each vertex: which members of the six it meets; the six
-    # themselves get the out-of-range code 64
-    n, rows = len(sixes), np.arange(len(sixes))[:, None]
-    sig = np.zeros((n, N_LINES), dtype=np.uint8)
-    for i in range(6):
-        sig |= adjacent[sixes[:, i]].view(np.uint8) << i
-    sig[rows, sixes] = 64
-    ref, ref_sig = sixes[0], sig[0]
-    others = np.flatnonzero(ref_sig < 64)
-    vertices = np.arange(N_LINES, dtype=np.uint8)
-    by_sig = np.full((n, 65), N_LINES, dtype=np.uint8)
-    by_sig[rows, sig] = vertices
-    # a signature shared by two vertices outside the six fails the round trip
-    ok = np.all((np.take_along_axis(by_sig, sig, axis=1) == vertices) | (sig == 64), axis=1)
-    perm = np.empty((n, N_LINES), dtype=np.uint8)
-    perm[:, ref] = sixes
-    perm[:, others] = by_sig[:, ref_sig[others]]
-    ok &= np.all(perm < N_LINES, axis=1)  # every signature of the reference is matched
-    perm = perm[ok]
-    images = bit[perm]
-    keep = np.bitwise_or.reduce(images, axis=1) == bit.sum()  # a bijection
-    for x in range(N_LINES):
-        neighbors = np.bitwise_or.reduce(images[:, adjacent[x]], axis=1)
-        keep &= neighbors == masks[perm[:, x]]
-    return FiniteGroup.from_table(perm[keep])
+    def outside(six: np.ndarray) -> np.ndarray:
+        mask = np.ones(N_LINES, dtype=bool)
+        mask[six] = False
+        return np.flatnonzero(mask)
+
+    ref, others = sixes[0], outside(sixes[0])
+    weight = 1 << np.arange(6)
+
+    def signatures(six: np.ndarray) -> np.ndarray:
+        """Which members of the six each vertex meets, as a 6-bit code."""
+        return adjacent[:, six] @ weight
+
+    ref_sig = signatures(ref)[others]
+    if len(set(ref_sig.tolist())) < len(others):
+        raise ValueError("reference skew six leaves two vertices with the same signature")
+
+    def automorphism(six: np.ndarray) -> np.ndarray | None:
+        """The candidate sending the reference six to ``six``, if it is an automorphism."""
+        by_sig = np.full(64, N_LINES, dtype=np.intp)
+        rest = outside(six)
+        by_sig[signatures(six)[rest]] = rest
+        images = np.empty(N_LINES, dtype=np.intp)
+        images[ref] = six
+        images[others] = by_sig[ref_sig]
+        if not np.bincount(images, minlength=N_LINES + 1)[:N_LINES].all():  # not a bijection
+            return None
+        if not np.array_equal(adjacent[np.ix_(images, images)], adjacent):
+            return None
+        return images.astype(np.uint8)
+
+    covered = np.zeros(len(sixes), dtype=bool)
+
+    def cover(images: np.ndarray) -> None:
+        covered[np.searchsorted(codes, images @ place)] = True
+
+    closure = Closure()
+    covered[0] = True  # the identity; it is no generator
+    i = 0
+    while True:
+        i += int(np.argmin(covered[i:]))  # the first six not yet covered
+        if covered[i]:
+            break
+        images = automorphism(sixes[i])
+        if images is None:
+            cover(closure.table[:, sixes[i]])
+        else:
+            grown = len(closure.table)
+            closure.add(images)
+            cover(closure.table[grown:, ref])
+    return closure.group()
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,12 @@
 Permutations act on line labels 1..27.  A group is stored as one element table,
 an ``(order, 27)`` uint8 array of 0-based image rows in lexicographic order
 (the largest group in scope, the full Weyl group, has order 51840).  Closure is
-Dimino's algorithm; normalizers, centralizers, stabilizers, subconjugacy tests
-and element orders are exhaustive boolean masks over the table.
+Dimino's algorithm, grown one generator at a time (``Closure``), so a caller
+that finds generators one by one never re-closes from scratch.  Centralizers,
+normalizers and subconjugacy tests scan the table one generator of the
+subgroup at a time, testing each later generator only on the rows that passed
+the earlier ones; stabilizers and element orders are boolean masks over the
+table.
 
 Composition convention, fixed repo-wide: ``compose(p, q)`` applies ``q`` first,
 then ``p`` (so ``compose(p, q)(x) == p(q(x))``); on table rows it is ``p[q]``.
@@ -15,7 +19,7 @@ from __future__ import annotations
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
@@ -180,16 +184,20 @@ class GroupFingerprint:
 class FiniteGroup:
     """A subgroup of Sym({1..27}) stored as its element table.  The constructor
     sorts the rows, so row 0 is the identity, iteration and indexing follow
-    ``sorted`` order, and equal groups have equal tables."""
+    ``sorted`` order, and equal groups have equal tables.  ``keys``, the
+    bytes of the rows, may be handed over by a caller that already has them."""
 
     generators: tuple[Permutation, ...]
     table: np.ndarray = field(repr=False)
+    keys: InitVar[frozenset[bytes] | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, keys: frozenset[bytes] | None):
         table = np.asarray(self.table, dtype=np.uint8)
         table = table[np.lexsort(table.T[::-1])]
         table.setflags(write=False)
         object.__setattr__(self, "table", table)
+        if keys is not None:
+            self.__dict__["_keys"] = keys
         if not len(table) or not np.array_equal(table[0], _IDENTITY_ROW):
             raise ValueError("group must contain the identity")
         if not all(g in self for g in self.generators):
@@ -255,39 +263,67 @@ class FiniteGroup:
 TRIVIAL_GROUP = FiniteGroup(generators=(), table=_IDENTITY_ROW[None, :])
 
 
-def generate(gens: Sequence[Permutation], cap: int = 200_000) -> FiniteGroup:
-    """Dimino closure of the generated subgroup: with each new generator the
-    group is grown as a union of left cosets ``c H`` of the previous group H,
-    adding one whenever a generator times a representative falls outside.
+class Closure:
+    """Dimino closure grown one generator row at a time.
 
-    Raises GroupGenerationError exactly when the order exceeds ``cap``, which
-    signals a wrong generator set (nothing in scope is larger than 51840).
+    ``table`` holds the group generated so far and ``keys`` the bytes of its
+    rows.  Each generator that falls outside grows the group as a union of
+    left cosets ``c H`` of the previous group H, adding one whenever a
+    generator times a representative falls outside.  Raises
+    GroupGenerationError exactly when the order exceeds ``cap``, which signals
+    a wrong generator set (nothing in scope is larger than 51840).
     """
-    if not gens:
-        raise ValueError("generate requires at least one generator")
-    table = _IDENTITY_ROW[None, :]
-    seen = set(_row_keys(table))
-    active: list[np.ndarray] = []
-    for s in map(_row, gens):
-        if s.tobytes() in seen:
-            continue
-        active.append(s)
-        prev = table
+
+    def __init__(self, cap: int = 200_000):
+        self.cap = cap
+        self.table = _IDENTITY_ROW[None, :]
+        self.keys = {_IDENTITY_ROW.tobytes()}
+        self.rows: list[np.ndarray] = []  # the generator rows that grew the group
+
+    def add(self, row: np.ndarray) -> bool:
+        """Close over one more generator row; False if it is already inside."""
+        if row.tobytes() in self.keys:
+            return False
+        self.rows.append(row)
+        prev = self.table
         blocks = [prev]
         reps = [_IDENTITY_ROW]
         for rep in reps:  # grows while it is walked
-            for t in active:
+            for t in self.rows:
                 c = t[rep]
-                if c.tobytes() in seen:
+                if c.tobytes() in self.keys:
                     continue
                 coset = c[prev]
-                seen.update(_row_keys(coset))
-                if len(seen) > cap:
-                    raise GroupGenerationError(f"closure exceeded cap of {cap} elements")
+                self.keys.update(_row_keys(coset))
+                if len(self.keys) > self.cap:
+                    raise GroupGenerationError(f"closure exceeded cap of {self.cap} elements")
                 reps.append(c)
                 blocks.append(coset)
-        table = np.concatenate(blocks)
-    return FiniteGroup(generators=tuple(gens), table=table)
+        self.table = np.concatenate(blocks)
+        return True
+
+    @property
+    def generators(self) -> tuple[Permutation, ...]:
+        return tuple(_from_row(r.tolist()) for r in self.rows)
+
+    def group(self, generators: Sequence[Permutation] | None = None) -> FiniteGroup:
+        """The closure as a group, generated by ``generators`` or by default by
+        the rows that grew it."""
+        gens = self.generators if generators is None else tuple(generators)
+        return FiniteGroup(generators=gens, table=self.table, keys=frozenset(self.keys))
+
+
+def generate(gens: Sequence[Permutation], cap: int = 200_000) -> FiniteGroup:
+    """Dimino closure (see Closure) of the subgroup the generators generate.
+
+    Raises GroupGenerationError exactly when the order exceeds ``cap``.
+    """
+    if not gens:
+        raise ValueError("generate requires at least one generator")
+    closure = Closure(cap)
+    for row in map(_row, gens):
+        closure.add(row)
+    return closure.group(gens)
 
 
 def orbits(group: FiniteGroup | Sequence[Permutation]) -> list[list[int]]:
@@ -326,18 +362,30 @@ def _member_mask(rows: np.ndarray, group: FiniteGroup) -> np.ndarray:
     return np.fromiter(map(group._keys.__contains__, _row_keys(rows)), dtype=bool, count=len(rows))
 
 
-def _conjugating_mask(ambient: FiniteGroup, sub: FiniteGroup, target: FiniteGroup) -> np.ndarray:
-    """Rows ``p`` of the ambient table with ``p g p^-1`` in ``target`` for every
-    generator ``g`` of ``sub``, so that ``p`` conjugates ``sub`` into ``target``."""
-    t = ambient.table
-    inv = np.empty_like(t)
-    inv[np.arange(len(t))[:, None], t] = _IDENTITY_ROW
-    mask = np.ones(len(t), dtype=bool)
-    for g in map(_row, sub.generators):
-        idx = np.flatnonzero(mask)
-        conj = np.take_along_axis(t[idx], g[inv[idx]], axis=1)
-        mask[idx] = _member_mask(conj, target)
-    return mask
+def _survivors(table: np.ndarray, gens: Sequence[Permutation], test) -> tuple[np.ndarray, np.ndarray]:
+    """Indices (ascending) and rows of the table that pass ``test(rows, g)``
+    for every generator row ``g``; each generator is tested only on the rows
+    that passed the ones before."""
+    idx, rows = np.arange(len(table)), table
+    for g in map(_row, gens):
+        keep = test(rows, g)
+        idx, rows = idx[keep], rows[keep]
+    return idx, rows
+
+
+def _conjugating_rows(
+    ambient: FiniteGroup, sub: FiniteGroup, target: FiniteGroup
+) -> tuple[np.ndarray, np.ndarray]:
+    """Indices and rows of the ambient rows ``p`` with ``p g p^-1`` in ``target`` for
+    every generator ``g`` of ``sub``, so that ``p`` conjugates ``sub`` into
+    ``target``.  The conjugate is one scatter: ``(p g p^-1)[p] = p[g]``."""
+
+    def conjugates_inside(rows: np.ndarray, g: np.ndarray) -> np.ndarray:
+        conj = np.empty_like(rows)
+        conj[np.arange(len(rows))[:, None], rows] = rows[:, g]
+        return _member_mask(conj, target)
+
+    return _survivors(ambient.table, sub.generators, conjugates_inside)
 
 
 def centralizer(group: FiniteGroup, sub: FiniteGroup) -> FiniteGroup:
@@ -346,18 +394,17 @@ def centralizer(group: FiniteGroup, sub: FiniteGroup) -> FiniteGroup:
     element commutes (for example, when ``sub`` is trivial) this is ``group``
     itself, not a rebuilt copy."""
     _require_subgroup(group, sub, "centralizer")
-    t = group.table
-    mask = np.ones(len(t), dtype=bool)
-    for g in map(_row, sub.generators):
-        mask &= np.all(t[:, g] == g[t], axis=1)
-    return group if mask.all() else FiniteGroup.from_table(t[mask])
+    _, rows = _survivors(
+        group.table, sub.generators, lambda rows, g: np.all(rows[:, g] == g[rows], axis=1)
+    )
+    return group if len(rows) == group.order else FiniteGroup.from_table(rows)
 
 
 def normalizer(group: FiniteGroup, sub: FiniteGroup) -> FiniteGroup:
     """Elements ``g`` with ``g sub g^-1 == sub``: conjugates of the generators
     inside ``sub`` force containment, and finiteness upgrades it to equality."""
     _require_subgroup(group, sub, "normalizer")
-    return FiniteGroup.from_table(group.table[_conjugating_mask(group, sub, sub)])
+    return FiniteGroup.from_table(_conjugating_rows(group, sub, sub)[1])
 
 
 def intersect(g1: FiniteGroup, g2: FiniteGroup) -> FiniteGroup:
@@ -376,7 +423,7 @@ def is_subconjugate(
 ) -> tuple[bool, Permutation | None]:
     """Whether some ambient element conjugates ``sub`` into ``target``, by an
     exhaustive scan; returns the lexicographically smallest witness when true."""
-    hits = np.flatnonzero(_conjugating_mask(ambient, sub, target))
+    hits = _conjugating_rows(ambient, sub, target)[0]
     if not len(hits):
         return False, None
     return True, ambient[int(hits[0])]
@@ -440,20 +487,20 @@ def direct_product_check(group: FiniteGroup, a: FiniteGroup, b: FiniteGroup) -> 
 def small_generating_set(table: np.ndarray) -> tuple[Permutation, ...]:
     """Greedy small generating set for the distinct rows of an element table:
     walk the elements in sorted order and keep each one the closure so far
-    misses.  Rejects row sets that are not a group: the closure overshoots
-    the input, or the input is empty or repeats a row."""
+    misses, growing one closure.  Rejects row sets that are not a group: the
+    closure overshoots the input or misses one of its rows, or the input is
+    empty or repeats a row."""
     rows = np.asarray(table, dtype=np.uint8)
     keys = _row_keys(rows)
-    gens: list[Permutation] = []
-    known = TRIVIAL_GROUP
-    for i in np.lexsort(rows.T[::-1]).tolist():
-        if known.order == len(rows) or keys[i] in known._keys:
-            continue
-        gens.append(_from_row(rows[i].tolist()))
-        try:
-            known = generate(gens, cap=len(rows))
-        except GroupGenerationError:
-            raise ValueError("element set is not closed under composition") from None
-    if known.order != len(rows):
+    closure = Closure(cap=len(rows))
+    try:
+        for i in np.lexsort(rows.T[::-1]).tolist():
+            if len(closure.keys) == len(rows):
+                break
+            if keys[i] not in closure.keys:
+                closure.add(rows[i])
+    except GroupGenerationError:
+        raise ValueError("element set is not closed under composition") from None
+    if len(closure.keys) != len(rows) or closure.keys != set(keys):
         raise ValueError("element set is not closed under composition")
-    return tuple(gens)
+    return closure.generators

@@ -31,6 +31,11 @@ SYMMETRIC_LOOPS_8 = {
 }
 
 
+# sha256 of --seed 1 --format structured verify-all --skip-monodromy: the
+# nine exact claims must stay byte-identical
+VERIFY_ALL_EXACT_SEED_1 = "1b2d309a576082bf1d013765b938e84350e73492a13aad3d18ffb959437bfb49"
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
@@ -227,6 +232,13 @@ class TestVerifyAll:
         assert "weyl-reconstruction" in ids
         assert "exceptional-isomorphism" in ids
         assert "symmetric-monodromy" not in ids  # skipped
+
+    def test_exact_claims_bytes(self, capsys):
+        code, out = run_cli(
+            capsys, "--seed", "1", "--format", "structured", "verify-all", "--skip-monodromy"
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL_EXACT_SEED_1
 
     def test_exact_claims_do_not_depend_on_the_seed(self, capsys):
         docs = []

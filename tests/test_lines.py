@@ -26,7 +26,7 @@ from cubic27.lines import (
     catalog_records,
     double_sixes,
 )
-from cubic27.perm import IDENTITY, orbits, parse_cycles, setwise_stabilizer
+from cubic27.perm import IDENTITY, conjugate_subgroup, orbits, parse_cycles, setwise_stabilizer
 
 
 class TestCatalog:
@@ -126,6 +126,28 @@ class TestAutomorphisms:
         for p in autos:
             for x in range(1, 28):
                 assert {p(y) for y in toggled.neighbors(x)} == set(toggled.neighbors(p(x)))
+
+
+    def test_non_separating_reference_six_raises(self):
+        # give line 27 the signature of line 26 against the reference six
+        # (1, 3, 10, 11, 16, 22): the candidate map is then not unique
+        g = incidence_graph()
+        masks = list(g.masks)
+        for b in (1, 3, 10, 11, 16, 22):
+            if g.adjacent(27, b) != g.adjacent(26, b):
+                masks[26] ^= 1 << (b - 1)
+                masks[b - 1] ^= 1 << 26
+        with pytest.raises(ValueError):
+            graph_automorphisms(IncidenceGraph(masks))
+
+    def test_relabelled_graph_gives_the_conjugate_group(self, weyl):
+        pi = parse_cycles("(1,27,5,14)(2,9)(3,20,11)(6,25,17,22,8)")
+        g = incidence_graph()
+        masks = [0] * 27
+        for i in range(1, 28):
+            for j in g.neighbors(i):
+                masks[pi(i) - 1] |= 1 << (pi(j) - 1)
+        assert graph_automorphisms(IncidenceGraph(masks)) == conjugate_subgroup(weyl, pi)
 
 
 class TestCoordinateAction:

@@ -3,6 +3,7 @@ import random
 from collections import Counter
 from itertools import permutations
 
+import numpy as np
 import pytest
 
 from cubic27 import fermat_data, lines
@@ -357,6 +358,23 @@ class TestFromElements:
         sigma1 = parse_cycles(fermat_data.SIGMA1_CYCLES)
         with pytest.raises(ValueError):
             FiniteGroup.from_elements([IDENTITY, tau1, sigma1])
+
+    def test_closed_subset_of_matching_size_rejected(self):
+        # the closure of (4,5,6) alone already has the input's order 3, but
+        # (1,2,3) lies outside it
+        from cubic27.perm import FiniteGroup
+
+        rows = [IDENTITY, parse_cycles("(1,2,3)"), parse_cycles("(4,5,6)")]
+        with pytest.raises(ValueError):
+            FiniteGroup.from_elements(rows)
+
+    def test_repeated_row_rejected(self):
+        from cubic27.perm import FiniteGroup
+
+        c3 = parse_cycles("(1,2,3)")
+        table = np.array([[x - 1 for x in p.images] for p in (IDENTITY, c3, c3)], dtype=np.uint8)
+        with pytest.raises(ValueError):
+            FiniteGroup.from_table(table)
 
     def test_empty_generator_list_rejected(self):
         with pytest.raises(ValueError):
