@@ -88,7 +88,7 @@ def cmd_iso(args) -> int:
     doc = {
         "command": "iso",
         "claim": claim.to_dict(),
-        "reduced_form": [list(r) for r in red.q5],
+        "reduced_form": red.q5.tolist(),
         "images": {name: [list(r) for r in m] for name, m in images.items()},
         "all_passed": claim.passed,
     }
@@ -144,12 +144,7 @@ def cmd_symcheck(args) -> int:
 
 
 def cmd_verify_all(args) -> int:
-    report = monodromy.verify_claims(
-        seed=args.seed,
-        sym_budget=args.sym_loops,
-        full_budget=args.full_loops,
-        include_monodromy=not args.skip_monodromy,
-    )
+    report = monodromy.verify_claims(seed=args.seed, include_monodromy=not args.skip_monodromy)
     if args.format == "structured":
         _emit({"command": "verify-all", **report.to_dict()}, args.format)
     else:
@@ -197,8 +192,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("symcheck", help="run the exact polynomial identities")
 
     ver = sub.add_parser("verify-all", help="run every claim; nonzero exit on failure")
-    ver.add_argument("--sym-loops", type=_non_negative_int, default=40)
-    ver.add_argument("--full-loops", type=_non_negative_int, default=300)
     ver.add_argument("--skip-monodromy", action="store_true", help="exact claims only")
 
     return parser

@@ -1,6 +1,5 @@
 """Exact arithmetic: Q(zeta) with zeta^2 = zeta - 1, sparse polynomials in
-four variables, Gauss-Jordan elimination over Q and Q(zeta), and integer
-matrices with Smith normal form.
+four variables, and Gauss-Jordan elimination over Q and Q(zeta).
 
 zeta is a primitive 6th root of unity (zeta^3 = -1, zeta^6 = 1); the numeric
 embedding pins zeta = exp(i*pi/3).
@@ -12,9 +11,6 @@ import cmath
 import math
 from fractions import Fraction
 from typing import Mapping, Sequence
-
-IntMatrix = list[list[int]]
-
 
 class Cyc:
     """a + b*zeta with rational a, b; multiplication uses zeta^2 = zeta - 1."""
@@ -335,153 +331,3 @@ def _gauss_jordan(rows: Sequence[Sequence]) -> tuple[list[list], list[int], obje
     if len(pivots) < len(m):
         return m, pivots, 0 * m[0][0]  # zero, in the entries' field
     return m, pivots, math.prod(values, start=sign)
-
-
-def mat_identity(n: int) -> IntMatrix:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    """Matrix product; entries may be of any ring (int, Fraction, Cyc)."""
-    rows, inner, cols = len(a), len(b), len(b[0])
-    assert len(a[0]) == inner
-    return [
-        [sum(a[i][k] * b[k][j] for k in range(inner)) for j in range(cols)]
-        for i in range(rows)
-    ]
-
-
-def mat_transpose(a: IntMatrix) -> IntMatrix:
-    return [list(col) for col in zip(*a)]
-
-
-def mat_det(a: IntMatrix) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
-    n = len(a)
-    m = [row[:] for row in a]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[-1][-1]
-
-
-def mat_adjugate(a: IntMatrix) -> IntMatrix:
-    """Adjugate via cofactors; adj(A) . A = det(A) . I."""
-    n = len(a)
-    out = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = [
-                [a[r][c] for c in range(n) if c != j] for r in range(n) if r != i
-            ]
-            out[j][i] = (-1) ** (i + j) * (mat_det(minor) if minor else 1)
-    return out
-
-
-def mat_inverse_unimodular(a: IntMatrix) -> IntMatrix:
-    d = mat_det(a)
-    if d not in (1, -1):
-        raise ValueError(f"matrix is not unimodular (det {d})")
-    adj = mat_adjugate(a)
-    if d == -1:
-        adj = [[-x for x in row] for row in adj]
-    return adj
-
-
-def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
-    """Return unimodular U, V and diagonal D with U.A.V = D, d_i | d_{i+1}.
-
-    Row/column reduction pivoting on a smallest nonzero entry; fine for the
-    tiny (at most 7x7) matrices this project needs.
-    """
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    m = [row[:] for row in a]
-    u = mat_identity(rows)
-    v = mat_identity(cols)
-
-    def swap_rows(i, j):
-        m[i], m[j] = m[j], m[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in m:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(src, dst, k):  # row_dst += k * row_src
-        m[dst] = [x + k * y for x, y in zip(m[dst], m[src])]
-        u[dst] = [x + k * y for x, y in zip(u[dst], u[src])]
-
-    def add_col(src, dst, k):
-        for row in m:
-            row[dst] += k * row[src]
-        for row in v:
-            row[dst] += k * row[src]
-
-    n = min(rows, cols)
-
-    def reduce_from(t):
-        """Clear row and column t beyond the diagonal, pivoting on a smallest
-        |nonzero| entry of the trailing block, for t, t + 1, ..."""
-        while t < n:
-            pivot = None
-            for i in range(t, rows):
-                for j in range(t, cols):
-                    if m[i][j] != 0 and (pivot is None or abs(m[i][j]) < abs(m[pivot[0]][pivot[1]])):
-                        pivot = (i, j)
-            if pivot is None:
-                break
-            swap_rows(t, pivot[0])
-            swap_cols(t, pivot[1])
-            dirty = False
-            for i in range(t + 1, rows):
-                if m[i][t] != 0:
-                    add_row(t, i, -(m[i][t] // m[t][t]))
-                    dirty = dirty or m[i][t] != 0
-            for j in range(t + 1, cols):
-                if m[t][j] != 0:
-                    add_col(t, j, -(m[t][j] // m[t][t]))
-                    dirty = dirty or m[t][j] != 0
-            if not dirty:  # otherwise remainders are left; re-pick a smaller pivot
-                t += 1
-
-    def normalize_signs():
-        for i in range(n):
-            if m[i][i] < 0:
-                m[i] = [-x for x in m[i]]
-                u[i] = [-x for x in u[i]]
-
-    reduce_from(0)
-    normalize_signs()
-    # enforce the divisibility chain
-    i = 0
-    while i < n - 1:
-        a_i, a_next = m[i][i], m[i + 1][i + 1]
-        if a_i != 0 and a_next % a_i != 0:
-            # classic fix-up: fold the offending entry into column i, re-reduce
-            add_col(i + 1, i, 1)
-            reduce_from(i)
-            normalize_signs()
-            i = 0
-            continue
-        i += 1
-
-    return u, m, v
-
-
-def diagonal_of(d: IntMatrix) -> list[int]:
-    return [d[i][i] for i in range(min(len(d), len(d[0])))]

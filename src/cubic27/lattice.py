@@ -1,7 +1,8 @@
 """The Picard lattice of a cubic surface in the basis (h, e1..e6), the
 reflection (geometric) representation of the line-permutation group, Coxeter
 presentations built from skew sixes, and the mod-3 quotient that identifies
-the group with a projective orthogonal group over F3.
+the group with a projective orthogonal group over F3.  Matrices are numpy
+int64 arrays; projective images are tuples of tuples, so that they hash.
 
 Intersection form: Q(h,h) = 1, Q(ei,ej) = -delta_ij, Q(h,ei) = 0.  The
 canonical class is 3h - e1 - ... - e6 and every line class L has
@@ -11,6 +12,7 @@ row k - 1 is the class of line k; every consumer reads the lattice from it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -18,16 +20,6 @@ from typing import Sequence
 import numpy as np
 
 from . import lines as lines_mod
-from .exact import (
-    IntMatrix,
-    diagonal_of,
-    mat_adjugate,
-    mat_det,
-    mat_inverse_unimodular,
-    mat_mul,
-    mat_transpose,
-    smith_normal_form,
-)
 from .perm import FiniteGroup, Permutation
 
 Vec7 = tuple[int, int, int, int, int, int, int]
@@ -67,20 +59,22 @@ def simple_roots() -> list[Vec7]:
     return roots  # type: ignore[return-value]
 
 
-def cartan_matrix() -> IntMatrix:
-    """Positive-definite Gram -Q of the simple roots; the bond structure is
-    computed, not assumed."""
-    roots = simple_roots()
-    return [[-q_form(a, b) for b in roots] for a in roots]
+def _root_matrix() -> np.ndarray:
+    """The 7x6 matrix R whose columns are the simple roots."""
+    return np.array(simple_roots(), dtype=np.int64).T
 
 
-def coxeter_exponents() -> IntMatrix:
+def cartan_matrix() -> np.ndarray:
+    """Positive-definite Gram -R^T Q R of the simple roots; the bond
+    structure is computed, not assumed."""
+    r = _root_matrix()
+    return -(r.T @ _Q @ r)
+
+
+def coxeter_exponents() -> np.ndarray:
+    """m_ij = 1 on the diagonal, 3 for bonded and 2 for unbonded roots."""
     c = cartan_matrix()
-    n = len(c)
-    return [
-        [1 if i == j else (3 if c[i][j] != 0 else 2) for j in range(n)]
-        for i in range(n)
-    ]
+    return np.where(np.eye(len(c), dtype=bool), 1, np.where(c != 0, 3, 2))
 
 
 @lru_cache(maxsize=1)
@@ -140,7 +134,7 @@ def weyl_presentation_from_six(six: Sequence[int]) -> list[Permutation]:
     return [reflection_permutation(v, root) for root in simple_roots()]
 
 
-def extend_to_lattice_automorphism(p: Permutation, v: np.ndarray) -> IntMatrix:
+def extend_to_lattice_automorphism(p: Permutation, v: np.ndarray) -> np.ndarray:
     """The unique 7x7 integer matrix sending class(l_i) to class(l_{p(i)}) for
     all i and fixing the canonical class; raises if no such matrix exists."""
     rows = np.array(p.images) - 1
@@ -151,87 +145,103 @@ def extend_to_lattice_automorphism(p: Permutation, v: np.ndarray) -> IntMatrix:
         raise ValueError("extension does not fix the canonical class")
     if not np.array_equal(m.T @ _Q @ m, _Q):
         raise ValueError("extension does not preserve the intersection form")
-    return m.tolist()
+    return m
 
 
-@dataclass(frozen=True)
+def _f3_kernel(m: np.ndarray) -> tuple[np.ndarray, int]:
+    """The vectors x of F3^n with m x = 0 mod 3, as rows in lexicographic
+    order (so row 1 is the one whose first nonzero entry is 1 when the
+    kernel is a line), and the kernel's dimension; by enumerating F3^n,
+    fine for n <= 6."""
+    n = m.shape[1]
+    points = np.indices((3,) * n).reshape(n, -1).T
+    kernel = points[~(points @ m.T % 3).any(axis=1)]
+    return kernel, round(math.log(len(kernel), 3))
+
+
+@dataclass(frozen=True, eq=False)
 class ReductionMap:
-    """Mod-3 quotient of the root lattice by three times the weight lattice.
+    """Mod-3 quotient Q/3P of the root lattice Q by three times the weight
+    lattice P, in simple-root coordinates.
 
-    root_matrix columns express the simple roots in the (h, e) basis;
-    u/u_inv come from the Smith normal form of adj(Cartan) (= 3 * Cartan^-1),
-    whose elementary divisors are (1, 3, 3, 3, 3, 3); the reduced symmetric
-    form q5 lives on the five divisor-3 coordinates.  _projector is
-    -adj(Cartan) R^T Q, so a lattice automorphism M7 acts on root
-    coordinates by W6 = _projector M7 R / 3.
+    There 3P is spanned by the columns of A = 3 C^-1 (C the Cartan matrix),
+    and C A = 3I puts 3Q inside 3P, so Q/3P = F3^6 / (A mod 3).  The radical
+    of C mod 3 is one line <r> and contains every column of A mod 3; A mod 3
+    has rank 1, so it spans <r> and Q/3P = F3^6 / <r>.  As A has the inverse
+    C / 3, every elementary divisor of A divides 3, and exactly rank(A mod 3)
+    of them are prime to 3.
+
+    quot (5x6) is a map of F3^6 onto F3^5 with kernel <r>, and lift (6x5) a
+    section of it.  An element acting by W6 on root coordinates descends to
+    the quotient iff quot W6 r = 0, and then acts by quot W6 lift.  The
+    reduced form q5 = lift^T (-C) lift is -C read on the quotient, well
+    defined because r is in the radical.  _projector is -A R^T Q, so a
+    lattice automorphism M7 acts on root coordinates by
+    W6 = _projector M7 R / 3.  All arrays are read-only int64.
     """
 
-    cartan: tuple[tuple[int, ...], ...]
-    root_matrix: tuple[tuple[int, ...], ...]  # 7x6
-    u: tuple[tuple[int, ...], ...]
-    u_inv: tuple[tuple[int, ...], ...]
+    root_matrix: np.ndarray  # 7x6
+    radical: np.ndarray  # r, with first nonzero entry 1
+    quot: np.ndarray  # 5x6
+    lift: np.ndarray  # 6x5
     divisors: tuple[int, ...]
-    q5: tuple[tuple[int, ...], ...]
-    _projector: tuple[tuple[int, ...], ...]  # 6x7
+    q5: np.ndarray  # 5x5, entries in 0..2
+    _projector: np.ndarray  # 6x7
 
 
 @lru_cache(maxsize=1)
 def mod3_reduction() -> ReductionMap:
+    r_mat = _root_matrix()
     c = cartan_matrix()
-    adj = mat_adjugate(c)
-    if mat_mul(c, adj) != [[3 if i == j else 0 for j in range(6)] for i in range(6)]:
-        raise AssertionError("Cartan adjugate is not 3 * inverse; wrong lattice")
-    u, d, v = smith_normal_form(adj)
-    if diagonal_of(d) != [1, 3, 3, 3, 3, 3]:
-        raise AssertionError(f"unexpected elementary divisors {diagonal_of(d)}")
-    u_inv = mat_inverse_unimodular(u)
+    a = np.rint(3 * np.linalg.inv(c)).astype(np.int64)
+    if not np.array_equal(c @ a, 3 * np.eye(6, dtype=np.int64)):
+        raise AssertionError("3 * Cartan^-1 is not integral; wrong lattice")
+    radical, radical_dim = _f3_kernel(c)
+    rank = 6 - _f3_kernel(a)[1]
+    if radical_dim != 1 or rank != 1:
+        raise AssertionError(
+            f"radical of C mod 3 has dimension {radical_dim} and A mod 3 rank {rank}, not 1 and 1"
+        )
+    divisors = (1,) * rank + (3,) * (6 - rank)
 
-    roots = simple_roots()
-    r = [[roots[j][i] for j in range(6)] for i in range(7)]
-    # M7 R = R W6 times R^T Q gives R^T Q M7 R = -C W6, since R^T Q R = -C
-    projector = mat_mul([[-x for x in row] for row in adj], mat_mul(mat_transpose(r), _Q.tolist()))
+    # quot: x -> x - x_k r without coordinate k, where r_k = 1 is the first
+    # nonzero entry of r; lift puts back a zero at coordinate k
+    r = radical[1]
+    k = int(np.flatnonzero(r)[0])
+    eye = np.eye(6, dtype=np.int64)
+    quot = np.delete(eye - np.outer(r, eye[k]), k, axis=0) % 3
+    lift = np.delete(eye, k, axis=1)
 
-    gram6 = [[q_form(a, b) for b in roots] for a in roots]  # = -Cartan
-    w = mat_mul(mat_transpose(u_inv), mat_mul(gram6, u_inv))
-    for k in range(6):
-        if w[0][k] % 3 or w[k][0] % 3:
-            raise AssertionError("reduced form not well-defined on the quotient")
-    q5 = tuple(tuple(w[i][j] % 3 for j in range(1, 6)) for i in range(1, 6))
-    det5 = mat_det([list(row) for row in q5]) % 3
-    if det5 == 0:
+    q5 = lift.T @ -c @ lift % 3
+    if _f3_kernel(q5)[1]:
         raise AssertionError("reduced form is degenerate")
+    # M7 R = R W6 times R^T Q gives R^T Q M7 R = -C W6, since R^T Q R = -C
+    projector = -a @ r_mat.T @ _Q
 
-    return ReductionMap(
-        cartan=tuple(tuple(row) for row in c),
-        root_matrix=tuple(tuple(row) for row in r),
-        u=tuple(tuple(row) for row in u),
-        u_inv=tuple(tuple(row) for row in u_inv),
-        divisors=(1, 3, 3, 3, 3, 3),
-        q5=q5,
-        _projector=tuple(tuple(row) for row in projector),
-    )
+    arrays = dict(root_matrix=r_mat, radical=r, quot=quot, lift=lift, q5=q5, _projector=projector)
+    for m in arrays.values():
+        m.setflags(write=False)
+    return ReductionMap(divisors=divisors, **arrays)
 
 
-def restrict_to_root_coords(red: ReductionMap, m7: IntMatrix) -> IntMatrix:
+def restrict_to_root_coords(red: ReductionMap, m7: np.ndarray) -> np.ndarray:
     """Solve M7 . R = R . W for the integer 6x6 action on root coordinates,
-    in closed form: W = -adj(Cartan) R^T Q M7 R / 3."""
-    r = [list(row) for row in red.root_matrix]
-    mr = mat_mul(m7, r)
-    num = mat_mul([list(row) for row in red._projector], mr)
-    # R has full column rank, so an integer solution, if any, is num / 3 exactly
-    w = [[x // 3 for x in row] for row in num]
-    if mr != mat_mul(r, w):
+    in closed form: W = -A R^T Q M7 R / 3."""
+    mr = np.asarray(m7) @ red.root_matrix
+    # R has full column rank, so an integer solution, if any, is this exactly
+    w = red._projector @ mr // 3
+    if not np.array_equal(mr, red.root_matrix @ w):
         raise ValueError("matrix does not restrict to the root span")
     return w
 
 
-def _canonical_sign(mat5: IntMatrix) -> tuple[tuple[int, ...], ...]:
+def _canonical_sign(mat5: np.ndarray) -> tuple[tuple[int, ...], ...]:
     """Scale a nonzero F3 matrix so its first nonzero entry in reading order
     is 1; this picks one representative of {M, -M}."""
-    flat = [x % 3 for row in mat5 for x in row]
-    first = next((x for x in flat if x), 1)
-    factor = 1 if first == 1 else 2
-    return tuple(tuple((x * factor) % 3 for x in row) for row in mat5)
+    m = np.asarray(mat5) % 3
+    if m[m != 0][:1].tolist() == [2]:
+        m = 2 * m % 3
+    return tuple(map(tuple, m.tolist()))
 
 
 def po_image(
@@ -239,21 +249,15 @@ def po_image(
 ) -> tuple[tuple[int, ...], ...]:
     """Projective mod-3 image of a line permutation: extend to the lattice,
     restrict to root coordinates, push through the quotient, projectivize."""
-    m7 = extend_to_lattice_automorphism(p, v)
-    w6 = restrict_to_root_coords(red, m7)
-    conj = mat_mul([list(r) for r in red.u], mat_mul(w6, [list(r) for r in red.u_inv]))
-    for i in range(1, 6):
-        if conj[i][0] % 3:
-            raise ValueError("action does not descend to the quotient")
-    block = [[conj[i][j] % 3 for j in range(1, 6)] for i in range(1, 6)]
-    return _canonical_sign(block)
+    w6 = restrict_to_root_coords(red, extend_to_lattice_automorphism(p, v))
+    if np.any(red.quot @ w6 @ red.radical % 3):
+        raise ValueError("action does not descend to the quotient")
+    return _canonical_sign(red.quot @ w6 @ red.lift)
 
 
 def preserves_q5(red: ReductionMap, mat5: Sequence[Sequence[int]]) -> bool:
-    q = [list(row) for row in red.q5]
-    m = [list(row) for row in mat5]
-    prod = mat_mul(mat_transpose(m), mat_mul(q, m))
-    return all(prod[i][j] % 3 == q[i][j] % 3 for i in range(5) for j in range(5))
+    m = np.asarray(mat5)
+    return not np.any((m.T @ red.q5 @ m - red.q5) % 3)
 
 
 # build_po_group reads the element table in blocks of this many rows, so
@@ -272,9 +276,8 @@ def build_po_group(
     Vectorized: each element's 7x7 extension M7 is read off the images of the
     basis classes h - e1 - e2, e1..e6, gathered from the group's element
     table one block of rows at a time, and the closed-form restriction
-    -adj(Cartan) R^T Q M7 R / 3 and the Smith conjugation u . u_inv are
-    applied in the same products.  Each
-    5x5 block mod 3 is encoded as a base-3 integer (first entry most
+    W6 = -A R^T Q M7 R / 3 and the quotient quot W6 [lift | r] are applied in
+    the same products.  Each 5x5 block mod 3 is encoded as a base-3 integer (first entry most
     significant), so the projective image set is the sorted array of codes
     of the representatives ``_canonical_sign`` picks, the smaller code of M
     and -M.
@@ -285,17 +288,18 @@ def build_po_group(
         if not np.array_equal(gram[np.ix_(rows, rows)], gram):
             raise ValueError("some generator does not preserve the incidence structure")
 
-    left = np.array(red.u) @ np.array(red._projector)  # 6 x 7
-    right = _UNBASIS.T @ np.array(red.root_matrix) @ np.array(red.u_inv)  # 7 x 6
+    left = red.quot @ red._projector  # 5 x 7
+    right = _UNBASIS.T @ red.root_matrix @ np.column_stack([red.lift, red.radical])  # 7 x 6
     place = 3 ** np.arange(24, -1, -1, dtype=np.int64)
     basis = _basis_rows(v)
     codes, neg_codes = [], []
     for start in range(0, group.order, _PO_BLOCK_ROWS):
         basis_images = v[group.table[start : start + _PO_BLOCK_ROWS, basis]]  # rows = images
-        conj = (left @ basis_images.transpose(0, 2, 1) @ right) // 3  # exact on W
-        if np.any(conj[:, 1:, 0] % 3):
+        # exact on W: the entries of -A R^T Q M7 R are multiples of 3
+        conj = (left @ basis_images.transpose(0, 2, 1) @ right) // 3
+        if np.any(conj[:, :, 5] % 3):
             raise ValueError("some element does not descend to the quotient")
-        blocks = conj[:, 1:, 1:].reshape(-1, 25) % 3
+        blocks = conj[:, :, :5].reshape(-1, 25) % 3
         codes.append(blocks @ place)
         neg_codes.append(((3 - blocks) % 3) @ place)
     codes, neg_codes = np.concatenate(codes), np.concatenate(neg_codes)

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations
 
-from .exact import Cyc, Poly4, _gauss_jordan, mat_mul, symmetric_basis
+from .exact import Cyc, Poly4, _gauss_jordan, symmetric_basis
 from . import lines as lines_mod
 
 
@@ -146,18 +146,21 @@ def check_normalizer_family() -> CheckResult:
     all 24 permutation matrices, and their determinant is the quartic
     (lambda - 1)^3 (lambda + 3), singular exactly at lambda in {1, -3}.
 
+    A matrix c commutes with the permutation matrix of sigma exactly when
+    c[sigma(i)][sigma(j)] = c[i][j] for all i, j, which is checked entrywise.
     Degree-4 agreement at five sample values pins the determinant polynomial.
     """
     samples = [Fraction(x) for x in (0, 2, 3, -1, 5)]
-    perm_mats = [
-        [[Fraction(1 if sigma[i] == j else 0) for j in range(4)] for i in range(4)]
-        for sigma in permutations(range(4))
-    ]
     dets_match = commutes = True
     for lam in samples:
         c = _normalizer_matrix(lam)
         dets_match = dets_match and _gauss_jordan(c)[2] == (lam - 1) ** 3 * (lam + 3)
-        commutes = commutes and all(mat_mul(c, p) == mat_mul(p, c) for p in perm_mats)
+        commutes = commutes and all(
+            c[s[i]][s[j]] == c[i][j]
+            for s in permutations(range(4))
+            for i in range(4)
+            for j in range(4)
+        )
     details = {
         "samples": [str(s) for s in samples],
         "determinant_matches_(lam-1)^3(lam+3)": dets_match,

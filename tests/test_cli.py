@@ -18,7 +18,7 @@ from cubic27.perm import format_cycles, parse_cycles
 STRUCTURED_DIGESTS = {
     "lines": "04cb33b91b802ade44a8112a0c6dabb6237d157e7b3855645c235016c4f4cbc7",
     "group": "d678586a57fe8a99e0cbcedc72bcf17a75cca5eb6cef1958f1377e2fa19b6bee",
-    "iso": "5ba5594d12adf5ff261d03cf654cf38a17abe0bb1cd7e3dd7968624acbbba558",
+    "iso": "59f3bffe98e0feb6469a10c25a6e972bf08842bda5d6599b75dacb410ed2ac60",
     "symcheck": "558b85fba97dff1594be8aea2edc6942e0d9f5fa7581acc20cbc7be6dba99e2d",
 }
 
@@ -168,8 +168,6 @@ class TestBadFlags:
 
     @pytest.mark.parametrize("argv", [
         ["monodromy", "--family", "symmetric", "--loops", "-1"],
-        ["verify-all", "--sym-loops", "-1"],
-        ["verify-all", "--full-loops", "-1"],
     ])
     def test_negative_loop_budget_exits_2(self, argv):
         with pytest.raises(SystemExit) as exc:
@@ -183,6 +181,13 @@ class TestBadFlags:
     def test_negative_seed_exits_2(self, command):
         with pytest.raises(SystemExit) as exc:
             main(["--seed", "-1", *command])
+        assert exc.value.code == 2
+
+    # verify-all runs the monodromy claims at fixed budgets of 40 and 300 loops
+    @pytest.mark.parametrize("flag", ["--sym-loops", "--full-loops"])
+    def test_removed_verify_all_budgets_exit_2(self, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify-all", flag, "10"])
         assert exc.value.code == 2
 
     # one loop schedule is left, so --strategy is gone
@@ -206,21 +211,6 @@ class TestGroup:
 
 
 class TestVerifyAll:
-    def test_sym_loops_budget_is_honored(self, monkeypatch):
-        budgets = []
-
-        class Stop(Exception):
-            pass
-
-        def spy(spec, **kwargs):
-            budgets.append((spec.name, kwargs["budget"]))
-            raise Stop
-
-        monkeypatch.setattr(monodromy, "compute_monodromy", spy)
-        with pytest.raises(Stop):
-            main(["verify-all", "--sym-loops", "10"])
-        assert budgets == [("symmetric", 10)]
-
     def test_exact_claims_only(self, capsys):
         code, out = run_cli(
             capsys, "--format", "structured", "verify-all", "--skip-monodromy"

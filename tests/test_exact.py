@@ -3,8 +3,6 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 import pytest
-import sympy
-from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from cubic27.exact import (
     _gauss_jordan,
@@ -14,12 +12,6 @@ from cubic27.exact import (
     ZERO,
     ZETA,
     ZETA5,
-    diagonal_of,
-    mat_adjugate,
-    mat_det,
-    mat_identity,
-    mat_mul,
-    smith_normal_form,
     symmetric_basis,
 )
 from cubic27.lines import ProjectiveLine, fermat_catalog
@@ -163,67 +155,6 @@ class TestPolyOps:
         records = m3.serialize()
         assert len(records) == 4
         assert records[0] == {"exponents": [3, 0, 0, 0], "coeff": {"a": "1", "b": "0"}}
-
-
-def e6_cartan():
-    return [
-        [2, 0, 0, -1, 0, 0],
-        [0, 2, -1, 0, 0, 0],
-        [0, -1, 2, -1, 0, 0],
-        [-1, 0, -1, 2, -1, 0],
-        [0, 0, 0, -1, 2, -1],
-        [0, 0, 0, 0, -1, 2],
-    ]
-
-
-def assert_valid_snf(m):
-    u, d, v = smith_normal_form(m)
-    assert mat_mul(mat_mul(u, m), v) == d
-    assert mat_det(u) in (1, -1)
-    assert mat_det(v) in (1, -1)
-    diag = diagonal_of(d)
-    for i in range(len(diag) - 1):
-        if diag[i + 1] != 0:
-            assert diag[i] != 0 and diag[i + 1] % diag[i] == 0
-    for i in range(len(d)):
-        for j in range(len(d[0])):
-            if i != j:
-                assert d[i][j] == 0
-    return diag
-
-
-class TestSmithNormalForm:
-    def test_identity(self):
-        u, d, v = smith_normal_form(mat_identity(6))
-        assert d == mat_identity(6)
-        assert mat_mul(mat_mul(u, mat_identity(6)), v) == d
-
-    def test_diag_2_4(self):
-        diag = assert_valid_snf([[2, 0], [0, 4]])
-        assert diag == [2, 4]
-
-    def test_e6_adjugate_divisors(self):
-        adj = mat_adjugate(e6_cartan())
-        diag = assert_valid_snf(adj)
-        assert diag == [1, 3, 3, 3, 3, 3]
-
-    def test_random_against_sympy(self):
-        rng = random.Random(4)
-        for _ in range(40):
-            rows = rng.randint(1, 5)
-            cols = rng.randint(1, 5)
-            m = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
-            diag = assert_valid_snf(m)
-            sym = sympy_snf(sympy.Matrix(m))
-            expect = [abs(sym[i, i]) for i in range(min(rows, cols))]
-            assert [abs(x) for x in diag] == expect
-
-    def test_cartan_adjugate_is_three_times_inverse(self):
-        c = e6_cartan()
-        adj = mat_adjugate(c)
-        assert mat_det(c) == 3
-        three_i = [[3 if i == j else 0 for j in range(6)] for i in range(6)]
-        assert mat_mul(c, adj) == three_i
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,12 @@
 import random
-from itertools import combinations
+from itertools import combinations, product
 
+import numpy as np
 import pytest
+import sympy
+from sympy.matrices.normalforms import smith_normal_form
 
-from cubic27 import fermat_data, lines
+from cubic27 import fermat_data, lattice, lines
 from cubic27.lattice import (
     CANONICAL_CLASS,
     build_po_group,
@@ -21,7 +24,6 @@ from cubic27.lattice import (
     weyl_presentation_from_six,
     _canonical_sign,
 )
-from cubic27.exact import mat_mul, mat_transpose
 from cubic27.perm import Permutation, compose, generate, orbits, parse_cycles
 
 E6_CARTAN = [
@@ -87,7 +89,7 @@ class TestLineClasses:
 
 class TestCartan:
     def test_matches_e6(self):
-        assert cartan_matrix() == E6_CARTAN
+        assert cartan_matrix().tolist() == E6_CARTAN
 
     def test_coxeter_exponents(self):
         exps = coxeter_exponents()
@@ -130,30 +132,33 @@ class TestPresentation:
         other = generate(weyl_presentation_from_six(partner)[1:])
         assert other.elements == w_a5.elements
 
+    def test_partner_six_has_the_same_a5_reflections(self):
+        # b_i - b_j = e_i - e_j for the partner in partner_six's order
+        for six in lines.skew_sixes():
+            partner = lines.partner_six(six)
+            assert weyl_presentation_from_six(partner)[1:] == weyl_presentation_from_six(six)[1:]
+
 
 class TestExtension:
     def test_identity_extends_to_identity(self, marking):
         m = extend_to_lattice_automorphism(Permutation.identity(), marking)
-        assert m == [[1 if i == j else 0 for j in range(7)] for i in range(7)]
+        assert m.tolist() == [[1 if i == j else 0 for j in range(7)] for i in range(7)]
 
     def test_extensions_preserve_form(self, weyl, marking):
-        gram = [
-            [q_form(_unit(i), _unit(j)) for j in range(7)] for i in range(7)
-        ]
+        gram = sympy.Matrix(7, 7, lambda i, j: q_form(_unit(i), _unit(j)))
         rng = random.Random(17)
         pool = sorted(weyl.elements)
         for _ in range(50):
             p = rng.choice(pool)
-            m = extend_to_lattice_automorphism(p, marking)
-            assert mat_mul(mat_transpose(m), mat_mul(gram, m)) == gram
+            m = sympy.Matrix(extend_to_lattice_automorphism(p, marking).tolist())
+            assert m.T * gram * m == gram
 
     def test_reflection_generators_extend_to_reflection_matrices(self, marking):
         gens = weyl_presentation_from_six(fermat_data.PRESENTATION_SIX)
         for root, g in zip(simple_roots(), gens):
             m = extend_to_lattice_automorphism(g, marking)
             for i in range(7):
-                col = tuple(m[r][i] for r in range(7))
-                assert col == reflect(_unit(i), root)
+                assert tuple(m[:, i].tolist()) == reflect(_unit(i), root)
 
     def test_non_automorphism_rejected(self, marking):
         with pytest.raises(ValueError):
@@ -170,11 +175,39 @@ class TestMod3Reduction:
     def test_divisors(self, reduction):
         assert list(reduction.divisors) == [1, 3, 3, 3, 3, 3]
 
+    def test_cartan_three_times_inverse_is_integral(self):
+        # the adjugate of C, against sympy: det C = 3, so A = adj C = 3 C^-1
+        c = sympy.Matrix(E6_CARTAN)
+        assert c.det() == 3
+        assert c * c.adjugate() == 3 * sympy.eye(6)
+
+    def test_divisors_against_sympy_smith_normal_form(self, reduction):
+        a = sympy.Matrix(E6_CARTAN).adjugate()
+        snf = smith_normal_form(a, domain=sympy.ZZ)
+        assert [abs(snf[i, i]) for i in range(6)] == list(reduction.divisors)
+
+    def test_quotient_kills_exactly_the_radical(self, reduction):
+        r = reduction.radical
+        assert r.tolist() == [0, 1, 2, 0, 1, 2]
+        killed = [x for x in product(range(3), repeat=6) if not np.any(reduction.quot @ x % 3)]
+        assert killed == sorted(tuple((k * r % 3).tolist()) for k in range(3))
+        # r spans the radical of C mod 3
+        assert not np.any(np.array(E6_CARTAN) @ r % 3)
+        assert np.array_equal(reduction.quot @ reduction.lift % 3, np.eye(5))
+
     def test_q5_symmetric_nondegenerate(self, reduction):
-        q5 = reduction.q5
-        for i in range(5):
-            for j in range(5):
-                assert q5[i][j] == q5[j][i]
+        q5 = sympy.Matrix(reduction.q5.tolist())
+        assert q5 == q5.T
+        assert q5.det() % 3 != 0
+
+    # C[0][0] = 3 keeps 3 C^-1 integral but widens the radical mod 3
+    @pytest.mark.parametrize("entry, reason", [((0, 0), "radical"), ((3, 4), "integral")])
+    def test_mutated_cartan_entry_raises(self, monkeypatch, entry, reason):
+        c = np.array(E6_CARTAN)
+        c[entry] += 1
+        monkeypatch.setattr(lattice, "cartan_matrix", lambda: c)
+        with pytest.raises(AssertionError, match=reason):
+            lattice.mod3_reduction.__wrapped__()
 
     def test_po_identity(self, reduction, marking):
         img = po_image(reduction, Permutation.identity(), marking)
@@ -215,6 +248,12 @@ class TestMod3Reduction:
         assert len(projective) == 51840
         assert signed == 103680
 
+    def test_every_image_preserves_q5(self, reduction, marking, weyl):
+        projective, _ = build_po_group(reduction, marking, weyl)
+        digits = projective[:, None] // 3 ** np.arange(24, -1, -1) % 3
+        m = digits.reshape(-1, 5, 5)
+        assert not np.any((m.transpose(0, 2, 1) @ reduction.q5 @ m - reduction.q5) % 3)
+
     def test_canonical_sign_normalization(self, reduction, marking, weyl):
         rng = random.Random(31)
         pool = sorted(weyl.elements)
@@ -242,8 +281,8 @@ class TestMod3Reduction:
             parse_cycles(fermat_data.TAU1_CYCLES), marking
         )
         w6 = restrict_to_root_coords(reduction, m7)
-        r = [list(row) for row in reduction.root_matrix]
-        assert mat_mul(m7, r) == mat_mul(r, w6)
+        r = sympy.Matrix(reduction.root_matrix.tolist())
+        assert sympy.Matrix(m7.tolist()) * r == r * sympy.Matrix(w6.tolist())
 
 
 class TestImagesInPO:

@@ -221,6 +221,30 @@ class TestSymmetricDiscriminant:
         if point == (1, 0, 0, 0):
             assert abc[0] == abc[1] == 0  # Cayley's cubic
 
+    def test_l3_forms_are_divisible_by_e1(self):
+        # the fourth component L3: 3a - 3b + c = 0 holds exactly when
+        # a*m3 + b*m21 + c*m111 has the factor e1 = z0 + z1 + z2 + z3
+        a, b = sympy.symbols("a b")
+        x = sympy.symbols("x0:4")
+
+        def to_sympy(poly):
+            assert all(coeff.b == 0 for coeff in poly.terms.values())
+            return sum(
+                sympy.Rational(coeff.a.numerator, coeff.a.denominator)
+                * sympy.Mul(*(xi**e for xi, e in zip(x, expo)))
+                for expo, coeff in poly.terms.items()
+            )
+
+        m3, m21, m111 = map(to_sympy, symmetric_basis())
+        e1 = sum(x)
+        # a and b are free symbols, so this covers every rational point of L3
+        _, rem = sympy.div(a * m3 + b * m21 + (3 * b - 3 * a) * m111, e1, *x)
+        assert rem == 0
+        for p, q in [(1, 1), (Fraction(-2, 3), 5), (0, 1)]:
+            f = to_sympy(_symmetric_cubic(p, q, 3 * q - 3 * p))
+            assert sympy.div(f, e1, *x)[1] == 0
+        assert sympy.div(m3, e1, *x)[1] != 0  # Fermat is off L3
+
     def test_c_against_sympy_elimination(self):
         # eliminating s from the first two gradient entries at (s, 1, 1, 1)
         # leaves L1 (s = 1, the node at (1, 1, 1, 1)) and the curve C

@@ -1,5 +1,7 @@
 from fractions import Fraction
 
+import sympy
+
 from cubic27.exact import symmetric_basis
 from cubic27.symverify import (
     CUSP_CHANGE_OF_BASIS,
@@ -101,14 +103,11 @@ class TestNormalizerFamily:
         assert not result.passed
 
     def test_commutes_with_a_transposition_at_lambda_2(self):
-        from cubic27.exact import mat_mul
         from cubic27.symverify import _normalizer_matrix
 
-        c = _normalizer_matrix(Fraction(2))
-        swap01 = [
-            [Fraction(int(i == (1, 0, 2, 3)[j])) for j in range(4)] for i in range(4)
-        ]
-        assert mat_mul(c, swap01) == mat_mul(swap01, c)
+        c = sympy.Matrix(_normalizer_matrix(Fraction(2)))
+        swap01 = sympy.Matrix(4, 4, lambda i, j: int(i == (1, 0, 2, 3)[j]))
+        assert c * swap01 == swap01 * c
 
 
 def test_run_all_checks_pass_and_have_details():
