@@ -49,8 +49,8 @@ def cmd_lines(args) -> int:
     doc = {
         "command": "lines",
         "catalog": lines_mod.catalog_records(),
-        "incidence_matrix": graph.matrix(),
-        "strongly_regular": list(graph.strongly_regular_parameters()),
+        "incidence_matrix": graph.tolist(),
+        "strongly_regular": list(lines_mod.strongly_regular_parameters(graph)),
         "s4_orbits": perm.orbits(s4),
         "coordinate_action": {
             "".join(map(str, sigma)): perm.format_cycles(p) for sigma, p in sorted(table.items())

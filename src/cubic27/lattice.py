@@ -7,7 +7,9 @@ int64 arrays; projective images are tuples of tuples, so that they hash.
 Intersection form: Q(h,h) = 1, Q(ei,ej) = -delta_ij, Q(h,ei) = 0.  The
 canonical class is 3h - e1 - ... - e6 and every line class L has
 Q(L,L) = -1, Q(L,K) = 1.  A marking is one integer class matrix V whose
-row k - 1 is the class of line k; every consumer reads the lattice from it.
+row k - 1 is the class of line k, built from the incidence graph's adjacency
+array; every consumer reads the lattice from it.  Reflections in a stack of
+roots permute the 27 classes in one product over all of them.
 """
 
 from __future__ import annotations
@@ -77,13 +79,6 @@ def coxeter_exponents() -> np.ndarray:
     return np.where(np.eye(len(c), dtype=bool), 1, np.where(c != 0, 3, 2))
 
 
-@lru_cache(maxsize=1)
-def _adjacency() -> np.ndarray:
-    a = np.array(lines_mod.incidence_graph().matrix(), dtype=np.int64)
-    a.setflags(write=False)
-    return a
-
-
 def marking_vectors(six: Sequence[int]) -> np.ndarray:
     """The read-only (27, 7) class matrix V of the marking by an ordered skew
     six: row k - 1 is the class of line k in the basis (h, e1..e6).
@@ -94,10 +89,8 @@ def marking_vectors(six: Sequence[int]) -> np.ndarray:
     adjacency matrix, checks that the six is skew and that the 27 classes
     are distinct and meet exactly as the lines do.
     """
-    if len(six) != 6 or len(set(six)) != 6:
-        raise ValueError("need six distinct line labels")
-    adj = _adjacency()
-    members = np.asarray(six) - 1
+    members = lines_mod._member_rows(six)
+    adj = lines_mod.incidence_graph()
     meets = adj[:, members]
     v = np.column_stack([np.where(meets.sum(axis=1) == 2, 1, 2), -meets])
     v[members] = np.eye(7, dtype=np.int64)[1:]
@@ -112,26 +105,26 @@ def _basis_rows(v: np.ndarray) -> np.ndarray:
     return (v[None, :, :] == _BASIS[:, None, :]).all(axis=2).argmax(axis=1)
 
 
-def reflection_permutation(v: np.ndarray, root: Sequence[int]) -> Permutation:
-    """The permutation of line labels induced by the reflection in a root,
-    read through a class matrix.  All 27 rows are reflected in one product;
-    two line classes pair to -1 only when they are equal, so each image is
-    the row whose Q-pairing with it is -1."""
-    if q_form(root, root) != -2:
+def reflection_permutations(v: np.ndarray, roots: Sequence[Sequence[int]]) -> list[Permutation]:
+    """The permutations of line labels induced by the reflections in a stack
+    of k roots, read through a class matrix.  All 27 rows are reflected in
+    every root in one (k, 27, 7) product; two line classes pair to -1 only
+    when they are equal, so each image is the row whose Q-pairing with it is
+    -1."""
+    r = np.asarray(roots, dtype=np.int64).reshape(-1, 7)
+    if np.any((r @ _Q * r).sum(axis=1) != -2):
         raise ValueError("reflection vector must have self-intersection -2")
-    r = np.asarray(root, dtype=np.int64)
-    images = v + np.outer(v @ _Q @ r, r)
-    target = (images @ _Q @ v.T == -1).argmax(axis=1)
+    images = v + (r @ _Q @ v.T)[:, :, None] * r[:, None, :]
+    target = (images @ _Q @ v.T == -1).argmax(axis=2)
     if not np.array_equal(v[target], images):
         raise ValueError("the reflection does not permute the line classes")
-    return Permutation((target + 1).tolist())
+    return [Permutation(row) for row in (target + 1).tolist()]
 
 
 def weyl_presentation_from_six(six: Sequence[int]) -> list[Permutation]:
     """The six reflection permutations s0..s5 induced on line labels by the
     marking of an ordered skew six."""
-    v = marking_vectors(six)
-    return [reflection_permutation(v, root) for root in simple_roots()]
+    return reflection_permutations(marking_vectors(six), simple_roots())
 
 
 def extend_to_lattice_automorphism(p: Permutation, v: np.ndarray) -> np.ndarray:

@@ -1,12 +1,16 @@
 """Exact geometry of the 27 lines on the Fermat cubic: the catalog itself,
 the incidence (Schlaefli) graph, its automorphism group, the coordinate-
 permutation action, skew sixes and double sixes.
+
+The graph is one read-only (27, 27) 0/1 integer adjacency array A, and every
+consumer reads A directly.  Skew sixes are enumerated once, on A, and paired
+into double sixes once.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import permutations
+from itertools import combinations, permutations
 from typing import Sequence
 
 import numpy as np
@@ -33,9 +37,6 @@ class ProjectiveLine:
             raise ValueError("span matrix does not have rank 2")
         self.span = (tuple(rows[0]), tuple(rows[1]))
         self._plucker = None
-
-    def rows(self) -> tuple[tuple[Cyc, ...], tuple[Cyc, ...]]:
-        return self.span
 
     def __eq__(self, other) -> bool:
         return isinstance(other, ProjectiveLine) and self.span == other.span
@@ -87,55 +88,32 @@ def catalog_line(label: int) -> ProjectiveLine:
     return fermat_catalog()[label - 1]
 
 
-class IncidenceGraph:
-    """27-vertex graph with an edge where two catalog lines intersect."""
-
-    __slots__ = ("masks",)
-
-    def __init__(self, masks: Sequence[int]):
-        self.masks = tuple(masks)
-
-    def adjacent(self, i: int, j: int) -> bool:
-        return bool(self.masks[i - 1] >> (j - 1) & 1)
-
-    def neighbors(self, i: int) -> list[int]:
-        return [j + 1 for j in range(N_LINES) if self.masks[i - 1] >> j & 1]
-
-    def degree(self, i: int) -> int:
-        return bin(self.masks[i - 1]).count("1")
-
-    def matrix(self) -> list[list[int]]:
-        return [
-            [1 if self.adjacent(i, j) else 0 for j in range(1, N_LINES + 1)]
-            for i in range(1, N_LINES + 1)
-        ]
-
-    def strongly_regular_parameters(self) -> tuple[int, int, int, int]:
-        """(n, k, lambda, mu); raises if the graph is not strongly regular."""
-        degs = {self.degree(i) for i in range(1, N_LINES + 1)}
-        if len(degs) != 1:
-            raise ValueError("graph is not regular")
-        k = degs.pop()
-        lam, mu = set(), set()
-        for i in range(1, N_LINES + 1):
-            for j in range(i + 1, N_LINES + 1):
-                common = bin(self.masks[i - 1] & self.masks[j - 1]).count("1")
-                (lam if self.adjacent(i, j) else mu).add(common)
-        if len(lam) != 1 or len(mu) != 1:
-            raise ValueError("graph is not strongly regular")
-        return (N_LINES, k, lam.pop(), mu.pop())
-
-
 @lru_cache(maxsize=1)
-def incidence_graph() -> IncidenceGraph:
+def incidence_graph() -> np.ndarray:
+    """The read-only (27, 27) 0/1 adjacency array A: A[i - 1, j - 1] = 1
+    where catalog lines i and j meet."""
     cat = fermat_catalog()
-    masks = [0] * N_LINES
-    for i in range(N_LINES):
-        for j in range(i + 1, N_LINES):
-            if cat[i].meets(cat[j]):
-                masks[i] |= 1 << j
-                masks[j] |= 1 << i
-    return IncidenceGraph(masks)
+    adj = np.zeros((N_LINES, N_LINES), dtype=np.int64)
+    for i, j in combinations(range(N_LINES), 2):
+        adj[i, j] = adj[j, i] = cat[i].meets(cat[j])
+    adj.setflags(write=False)
+    return adj
+
+
+def strongly_regular_parameters(adj: np.ndarray) -> tuple[int, int, int, int]:
+    """(n, k, lambda, mu) of a graph, read from A and A^2: the degrees, and
+    the common-neighbor counts of adjacent and of distinct non-adjacent
+    pairs; raises ValueError if the graph is not strongly regular."""
+    n = len(adj)
+    common = adj @ adj
+    distinct = ~np.eye(n, dtype=bool)
+    k, lam, mu = (
+        set(x.tolist())
+        for x in (adj.sum(axis=1), common[(adj == 1) & distinct], common[(adj == 0) & distinct])
+    )
+    if len(k) != 1 or len(lam) != 1 or len(mu) != 1:
+        raise ValueError("graph is not strongly regular")
+    return (n, k.pop(), lam.pop(), mu.pop())
 
 
 def weyl_generators() -> list[Permutation]:
@@ -149,8 +127,9 @@ def weyl_group() -> FiniteGroup:
     return generate(weyl_generators())
 
 
-def graph_automorphisms(graph: IncidenceGraph | None = None) -> FiniteGroup:
-    """The automorphism group of a graph on the 27 lines, by orbit search.
+def graph_automorphisms(graph: np.ndarray | None = None) -> FiniteGroup:
+    """The automorphism group of a graph on the 27 lines (an adjacency array,
+    the catalog's by default), by orbit search.
 
     An automorphism is fixed by the image of a reference ordered skew six
     (the lexicographically first one): every other vertex must go to the
@@ -158,31 +137,24 @@ def graph_automorphisms(graph: IncidenceGraph | None = None) -> FiniteGroup:
     reference six must therefore give the other 21 vertices distinct
     signatures; ValueError otherwise.
 
-    The ordered skew sixes are walked in lexicographic order, and the first
-    one not yet covered gives one candidate map.  An automorphism joins the
-    group H found so far (one incremental closure), and every image of the
-    reference six under the grown H is covered.  A map that is not an
-    automorphism covers the whole orbit ``H six``: no six in it is the image
-    of the reference under an automorphism.  Once every six is covered, the
-    images of the reference under H are all the sixes it has under the
-    automorphism group, so H is that group.  The graph alone decides the
-    result; no known group is consulted.
+    The ordered skew sixes, each skew six in its 720 slot orders, are walked
+    in lexicographic order, and the first one not yet covered gives one
+    candidate map.  An automorphism joins the group H found so far (one
+    incremental closure), and every image of the reference six under the
+    grown H is covered.  A map that is not an automorphism covers the whole
+    orbit ``H six``: no six in it is the image of the reference under an
+    automorphism.  Once every six is covered, the images of the reference
+    under H are all the sixes it has under the automorphism group, so H is
+    that group.  The graph alone decides the result; no known group is
+    consulted.
     """
-    g = graph or incidence_graph()
-    masks = np.array(g.masks, dtype=np.uint32)
-    bit = np.uint32(1) << np.arange(N_LINES, dtype=np.uint32)
-    adjacent = (masks[:, None] & bit) != 0
-
-    sixes = np.zeros((1, 0), dtype=np.intp)
-    free = np.array([bit.sum()], dtype=np.uint32)  # vertices skew to the prefix
-    for _ in range(6):
-        prefix, v = np.nonzero(free[:, None] & bit)
-        sixes = np.column_stack([sixes[prefix], v])
-        free = free[prefix] & ~masks[v] & ~bit[v]
-    if not len(sixes):
+    adj = incidence_graph() if graph is None else np.asarray(graph)
+    rows = _skew_sixes(adj) - 1
+    if not len(rows):
         raise ValueError("graph has no skew six")
-    # base-27 codes, ascending because the sixes come out in lexicographic order
-    place = N_LINES ** np.arange(5, -1, -1)
+    place = N_LINES ** np.arange(5, -1, -1)  # base-27 codes order ordered sixes lexicographically
+    sixes = rows[:, list(permutations(range(6)))].reshape(-1, 6)
+    sixes = sixes[np.argsort(sixes @ place)]
     codes = sixes @ place
 
     def outside(six: np.ndarray) -> np.ndarray:
@@ -195,7 +167,7 @@ def graph_automorphisms(graph: IncidenceGraph | None = None) -> FiniteGroup:
 
     def signatures(six: np.ndarray) -> np.ndarray:
         """Which members of the six each vertex meets, as a 6-bit code."""
-        return adjacent[:, six] @ weight
+        return adj[:, six] @ weight
 
     ref_sig = signatures(ref)[others]
     if len(set(ref_sig.tolist())) < len(others):
@@ -211,7 +183,7 @@ def graph_automorphisms(graph: IncidenceGraph | None = None) -> FiniteGroup:
         images[others] = by_sig[ref_sig]
         if not np.bincount(images, minlength=N_LINES + 1)[:N_LINES].all():  # not a bijection
             return None
-        if not np.array_equal(adjacent[np.ix_(images, images)], adjacent):
+        if not np.array_equal(adj[np.ix_(images, images)], adj):
             return None
         return images.astype(np.uint8)
 
@@ -359,53 +331,59 @@ def monodromy_klein_group() -> FiniteGroup:
 # ---------------------------------------------------------------------------
 
 
+def _skew_sixes(adj: np.ndarray) -> np.ndarray:
+    """The skew sixes of a graph as increasing label rows, in lexicographic
+    order: a frontier of increasing skew prefixes, each extended by every
+    larger vertex adjacent to none of its members."""
+    n = len(adj)
+    later = np.arange(n) > np.arange(n)[:, None]  # later[v] marks the vertices after v
+    skew_after = (adj == 0) & later
+    sixes = np.zeros((1, 0), dtype=np.intp)
+    free = np.ones((1, n), dtype=bool)  # the vertices that may extend each prefix
+    for _ in range(6):
+        prefix, v = np.nonzero(free)
+        sixes = np.column_stack([sixes[prefix], v])
+        free = free[prefix] & skew_after[v]
+    return sixes + 1
+
+
 @lru_cache(maxsize=1)
 def skew_sixes() -> tuple[tuple[int, ...], ...]:
-    """All unordered sextuples of pairwise non-meeting lines (labels sorted)."""
-    masks = incidence_graph().masks
-    all_mask = (1 << N_LINES) - 1
-    nonadj = [all_mask & ~masks[v] & ~(1 << v) for v in range(N_LINES)]
-    out: list[tuple[int, ...]] = []
+    """All unordered sextuples of pairwise non-meeting lines (labels sorted),
+    in lexicographic order."""
+    return tuple(map(tuple, _skew_sixes(incidence_graph()).tolist()))
 
-    def grow(chosen: list[int], cand: int):
-        if len(chosen) == 6:
-            out.append(tuple(x + 1 for x in chosen))
-            return
-        c = cand
-        while c:
-            v = (c & -c).bit_length() - 1
-            c &= c - 1
-            grow(chosen + [v], cand & nonadj[v] & ~((1 << (v + 1)) - 1))
 
-    grow([], all_mask)
-    return tuple(sorted(out))
+def _member_rows(six: Sequence[int]) -> np.ndarray:
+    """The rows of A that hold six line labels; ValueError unless they are
+    six distinct labels in 1..27."""
+    rows = np.asarray(six, dtype=np.intp) - 1
+    if rows.shape != (6,) or len(set(rows.tolist())) != 6 or rows.min() < 0 or rows.max() >= N_LINES:
+        raise ValueError(f"need six distinct line labels in 1..{N_LINES}, got {tuple(six)}")
+    return rows
 
 
 def partner_six(six: Sequence[int]) -> tuple[int, ...]:
     """The complementary six of a double six: the i-th output line is the
     unique line meeting every member of the input six except its i-th."""
-    masks = incidence_graph().masks
-    bits = [1 << (label - 1) for label in six]
-    every = sum(bits)
-    if len(six) != 6 or len(set(six)) != 6 or any(masks[label - 1] & every for label in six):
+    rows = _member_rows(six)
+    meets = incidence_graph()[:, rows]
+    if meets[rows].any():
         raise ValueError(f"lines {tuple(six)} are not a skew six")
-    partner = []
-    for bit in bits:
-        found = [k + 1 for k in range(N_LINES) if masks[k] & every == every - bit]
-        if len(found) != 1:
-            raise ValueError("incidence graph is broken: no unique partner line")
-        partner.append(found[0])
-    return tuple(partner)
+    # found[i, k]: line k + 1 meets every member but the i-th
+    found = (meets == 1 - np.eye(6, dtype=np.int64)[:, None, :]).all(axis=2)
+    if not np.array_equal(found.sum(axis=1), np.ones(6)):
+        raise ValueError("incidence graph is broken: no unique partner line")
+    return tuple((found.argmax(axis=1) + 1).tolist())
 
 
-def double_sixes() -> list[frozenset[tuple[int, ...]]]:
-    """Unordered pairs {six, partner six} (36 of them on a cubic surface)."""
-    seen: dict[frozenset, frozenset] = {}
-    for six in skew_sixes():
-        partner = tuple(sorted(partner_six(six)))
-        key = frozenset([six, partner])
-        seen[frozenset(six) | frozenset(partner)] = key
-    return sorted(seen.values(), key=lambda fs: sorted(fs))
+@lru_cache(maxsize=1)
+def double_sixes() -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """The 36 double sixes as (six, partner) pairs, in the order of six: six
+    is the smaller sorted half and partner the other half in partner_six's
+    order, so its i-th line meets every member of six but the i-th."""
+    pairs = ((six, partner_six(six)) for six in skew_sixes())
+    return tuple((six, partner) for six, partner in pairs if six < tuple(sorted(partner)))
 
 
 # ---------------------------------------------------------------------------

@@ -507,7 +507,7 @@ def find_other_s6() -> FiniteGroup:
     """
     v = lattice.marking_vectors(fermat_data.PRESENTATION_SIX)
     s = lattice.weyl_presentation_from_six(fermat_data.PRESENTATION_SIX)[1:]
-    c = lattice.reflection_permutation(v, (2, -1, -1, -1, -1, -1, -1))
+    (c,) = lattice.reflection_permutations(v, [(2, -1, -1, -1, -1, -1, -1)])
     return perm.generate([g * c for g in s])
 
 
@@ -684,12 +684,8 @@ def _claim_presentation_and_double_sixes() -> Claim:
     printed = [perm.parse_cycles(s) for s in fermat_data.PRESENTATION_GENERATOR_CYCLES]
     exps = lattice.coxeter_exponents()
 
-    def coxeter_ok(generators) -> bool:
-        for i in range(6):
-            for j in range(6):
-                if (generators[i] * generators[j]).order() != exps[i][j]:
-                    return False
-        return True
+    def coxeter_ok(g) -> bool:
+        return all((g[i] * g[j]).order() == exps[i][j] for i in range(6) for j in range(6))
 
     sixes = lines_mod.skew_sixes()
     rng = _random.Random(11)
@@ -700,11 +696,12 @@ def _claim_presentation_and_double_sixes() -> Claim:
     # A six s and its partner b, in partner_six's order, have the same
     # reflections s1..s5 (b_i - b_j = e_i - e_j), so the same W(A5) with no
     # closure; the orbits {s, b, the other 15} tell the groups apart
-    pairing_ok = True
+    pairs = lines_mod.double_sixes()
+    halves = sorted(half for s, partner in pairs for half in (s, tuple(sorted(partner))))
+    pairing_ok = halves == list(sixes)
     subgroups = set()
-    for s in sixes:
-        partner = lines_mod.partner_six(s)
-        if tuple(sorted(lines_mod.partner_six(partner))) != tuple(s):
+    for s, partner in pairs:
+        if tuple(sorted(lines_mod.partner_six(partner))) != s:
             pairing_ok = False
         a5_gens = lattice.weyl_presentation_from_six(s)[1:]
         if lattice.weyl_presentation_from_six(partner)[1:] != a5_gens:
@@ -715,7 +712,7 @@ def _claim_presentation_and_double_sixes() -> Claim:
         "coxeter_relations_reference": coxeter_ok(gens),
         "coxeter_relations_10_random_sixes": sampled_ok,
         "skew_six_count": len(sixes),
-        "double_six_count": len(lines_mod.double_sixes()),
+        "double_six_count": len(pairs),
         "partner_pairing_consistent": pairing_ok,
         "distinct_w_a5_subgroups": len(subgroups),
         "w_a5_order": w_a5.order,
@@ -771,26 +768,15 @@ def _claim_non_reflection() -> Claim:
 def _claim_preferred_double_six() -> Claim:
     w = lines_mod.weyl_group()
     s4 = lines_mod.s4_group()
-    orbits_by_label = {}
-    for orbit in perm.orbits(s4):
-        for label in orbit:
-            orbits_by_label[label] = tuple(orbit)
-    sixes = lines_mod.skew_sixes()
-    single_orbit_sixes = [
-        s for s in sixes if len({orbits_by_label[l] for l in s}) == 1
-    ]
+    orbit_of = {label: k for k, orbit in enumerate(perm.orbits(s4)) for label in orbit}
+
+    def single_orbit(six) -> bool:
+        return len({orbit_of[label] for label in six}) == 1
+
     pair_counts = {"one_half": 0, "both_halves": 0}
     preferred = None
-    seen = set()
-    for s in sixes:
-        partner = tuple(sorted(lines_mod.partner_six(s)))
-        key = frozenset([s, partner])
-        if key in seen:
-            continue
-        seen.add(key)
-        in_single = [
-            len({orbits_by_label[l] for l in half}) == 1 for half in (s, partner)
-        ]
+    for s, partner in lines_mod.double_sixes():
+        in_single = [single_orbit(s), single_orbit(partner)]
         if any(in_single):
             pair_counts["one_half"] += 1
         if all(in_single):
@@ -798,7 +784,7 @@ def _claim_preferred_double_six() -> Claim:
             preferred = s
     w_a5 = perm.generate(lattice.weyl_presentation_from_six(preferred)[1:]) if preferred else None
     details: dict = {
-        "single_orbit_six_count": len(single_orbit_sixes),
+        "single_orbit_six_count": sum(map(single_orbit, lines_mod.skew_sixes())),
         "double_sixes_with_a_single_orbit_half": pair_counts["one_half"],
         "double_sixes_with_both_halves_single_orbit": pair_counts["both_halves"],
         "preferred_six": list(preferred) if preferred else None,

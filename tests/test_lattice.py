@@ -18,7 +18,7 @@ from cubic27.lattice import (
     preserves_q5,
     q_form,
     reflect,
-    reflection_permutation,
+    reflection_permutations,
     restrict_to_root_coords,
     simple_roots,
     weyl_presentation_from_six,
@@ -49,8 +49,20 @@ class TestForm:
             for _ in range(10):
                 x = tuple(rng.randint(-4, 4) for _ in range(7))
                 assert reflect(reflect(x, root), root) == x
-            p = reflection_permutation(marking, root)
+        for p in reflection_permutations(marking, simple_roots()):
             assert p.order() == 2
+
+    def test_stacked_reflections_match_one_root_at_a_time(self, marking):
+        # oracle: reflect each line class with the scalar reflect and look
+        # its image up among the rows
+        roots = simple_roots() + [(2, -1, -1, -1, -1, -1, -1)]
+        index = {tuple(row): k for k, row in enumerate(marking.tolist(), start=1)}
+        stacked = reflection_permutations(marking, roots)
+        assert len(stacked) == len(roots)
+        for root, p in zip(roots, stacked):
+            images = [index[reflect(row, root)] for row in marking.tolist()]
+            assert p == Permutation(images)
+            assert reflection_permutations(marking, [root]) == [p]
 
     def test_reflection_moves_basis_vector(self):
         root = tuple(a - b for a, b in zip(_unit(1), _unit(2)))
@@ -60,7 +72,9 @@ class TestForm:
         with pytest.raises(ValueError):
             reflect(_unit(1), _unit(1))
         with pytest.raises(ValueError):
-            reflection_permutation(marking, _unit(1))
+            reflection_permutations(marking, [_unit(1)])
+        with pytest.raises(ValueError):  # one bad root in the stack
+            reflection_permutations(marking, simple_roots() + [_unit(1)])
 
 
 class TestLineClasses:

@@ -8,7 +8,6 @@ from cubic27 import fermat_data
 from cubic27.exact import ZETA, symmetric_basis
 from cubic27.lattice import marking_vectors
 from cubic27.lines import (
-    IncidenceGraph,
     ProjectiveLine,
     catalog_line,
     coordinate_action_table,
@@ -21,6 +20,7 @@ from cubic27.lines import (
     monodromy_klein_elements,
     partner_six,
     skew_sixes,
+    strongly_regular_parameters,
     tritangent_span_rank,
     weyl_generators,
     catalog_records,
@@ -82,18 +82,38 @@ class TestMeet:
 
 class TestIncidenceGraph:
     def test_degrees(self):
-        g = incidence_graph()
-        assert all(g.degree(i) == 10 for i in range(1, 28))
+        assert incidence_graph().sum(axis=1).tolist() == [10] * 27
 
     def test_strongly_regular_parameters(self):
-        assert incidence_graph().strongly_regular_parameters() == (27, 10, 1, 5)
+        assert strongly_regular_parameters(incidence_graph()) == (27, 10, 1, 5)
+
+    @pytest.mark.parametrize("edge", [(1, 2), (1, 27)])
+    def test_toggled_edge_is_not_strongly_regular(self, edge):
+        with pytest.raises(ValueError):
+            strongly_regular_parameters(_toggled(*edge))
 
     def test_matrix_is_symmetric_no_loops(self):
-        m = incidence_graph().matrix()
-        for i in range(27):
-            assert m[i][i] == 0
-            for j in range(27):
-                assert m[i][j] == m[j][i]
+        m = incidence_graph()
+        assert m.shape == (27, 27)
+        assert set(m.ravel().tolist()) == {0, 1}
+        assert not m.diagonal().any()
+        assert np.array_equal(m, m.T)
+
+    def test_adjacency_matches_plucker_meets(self):
+        m, cat = incidence_graph(), fermat_catalog()
+        for i, j in combinations(range(27), 2):
+            assert m[i, j] == cat[i].meets(cat[j])
+
+    def test_array_is_read_only(self):
+        with pytest.raises(ValueError):
+            incidence_graph()[0, 1] = 0
+
+
+def _toggled(i: int, j: int) -> np.ndarray:
+    """A copy of the incidence graph with the adjacency of lines i and j flipped."""
+    a = incidence_graph().copy()
+    a[i - 1, j - 1] = a[j - 1, i - 1] = 1 - a[i - 1, j - 1]
+    return a
 
 
 class TestAutomorphisms:
@@ -103,11 +123,10 @@ class TestAutomorphisms:
         assert autos.elements == weyl.elements
 
     def test_generators_preserve_adjacency(self):
-        g = incidence_graph()
+        a = incidence_graph()
         for p in weyl_generators():
-            for i in range(1, 28):
-                for j in g.neighbors(i):
-                    assert g.adjacent(p(i), p(j))
+            rows = np.array(p.images) - 1
+            assert np.array_equal(a[np.ix_(rows, rows)], a)
 
     def test_identity_is_automorphism(self, weyl):
         assert IDENTITY in weyl.elements
@@ -116,38 +135,30 @@ class TestAutomorphisms:
     def test_toggled_edge_shrinks_the_group(self, weyl, edge):
         # toggling one adjacency leaves only maps that fix the pair setwise
         i, j = edge
-        masks = list(incidence_graph().masks)
-        masks[i - 1] ^= 1 << (j - 1)
-        masks[j - 1] ^= 1 << (i - 1)
-        toggled = IncidenceGraph(masks)
+        toggled = _toggled(i, j)
         autos = graph_automorphisms(toggled)
         assert 1 < autos.order < 51840
         assert setwise_stabilizer(weyl, [i, j]) <= autos
         for p in autos:
-            for x in range(1, 28):
-                assert {p(y) for y in toggled.neighbors(x)} == set(toggled.neighbors(p(x)))
-
+            rows = np.array(p.images) - 1
+            assert np.array_equal(toggled[np.ix_(rows, rows)], toggled)
 
     def test_non_separating_reference_six_raises(self):
         # give line 27 the signature of line 26 against the reference six
         # (1, 3, 10, 11, 16, 22): the candidate map is then not unique
-        g = incidence_graph()
-        masks = list(g.masks)
-        for b in (1, 3, 10, 11, 16, 22):
-            if g.adjacent(27, b) != g.adjacent(26, b):
-                masks[26] ^= 1 << (b - 1)
-                masks[b - 1] ^= 1 << 26
+        a = incidence_graph().copy()
+        six = np.array([1, 3, 10, 11, 16, 22]) - 1
+        a[26, six] = a[six, 26] = a[25, six]
         with pytest.raises(ValueError):
-            graph_automorphisms(IncidenceGraph(masks))
+            graph_automorphisms(a)
 
     def test_relabelled_graph_gives_the_conjugate_group(self, weyl):
+        # the relabelled graph has an edge pi(i) pi(j) for each edge i j,
+        # so its array is A[pi^-1, pi^-1]
         pi = parse_cycles("(1,27,5,14)(2,9)(3,20,11)(6,25,17,22,8)")
-        g = incidence_graph()
-        masks = [0] * 27
-        for i in range(1, 28):
-            for j in g.neighbors(i):
-                masks[pi(i) - 1] |= 1 << (pi(j) - 1)
-        assert graph_automorphisms(IncidenceGraph(masks)) == conjugate_subgroup(weyl, pi)
+        inverse = np.array(pi.inverse().images) - 1
+        relabelled = incidence_graph()[np.ix_(inverse, inverse)]
+        assert graph_automorphisms(relabelled) == conjugate_subgroup(weyl, pi)
 
 
 class TestCoordinateAction:
@@ -223,11 +234,25 @@ class TestSkewSixes:
     def test_72_sixes(self):
         assert len(skew_sixes()) == 72
 
+    def test_sorted_and_lexicographic(self):
+        sixes = skew_sixes()
+        assert all(list(six) == sorted(six) for six in sixes)
+        assert list(sixes) == sorted(set(sixes))
+
     def test_all_pairwise_skew(self):
         g = incidence_graph()
         for six in skew_sixes():
             for a, b in combinations(six, 2):
-                assert not g.adjacent(a, b)
+                assert not g[a - 1, b - 1]
+
+    def test_every_skew_six_found(self):
+        # oracle: every 6-subset of the 27 lines, tested pair by pair
+        g = incidence_graph()
+        skew = [
+            six for six in combinations(range(1, 28), 6)
+            if not any(g[a - 1, b - 1] for a, b in combinations(six, 2))
+        ]
+        assert tuple(skew) == skew_sixes()
 
     def test_partner_involution(self):
         for six in skew_sixes():
@@ -237,12 +262,28 @@ class TestSkewSixes:
     def test_36_double_sixes(self):
         assert len(double_sixes()) == 36
 
+    def test_double_sixes_cover_every_six_once(self):
+        halves = [half for six, partner in double_sixes() for half in (six, tuple(sorted(partner)))]
+        assert sorted(halves) == list(skew_sixes())
+
+    def test_double_six_halves_are_ordered(self):
+        for six, partner in double_sixes():
+            assert six < tuple(sorted(partner))
+            assert partner == partner_six(six)
+            assert tuple(sorted(partner_six(partner))) == six
+
+    def test_partner_meets_all_but_its_own_member(self):
+        g = incidence_graph()
+        for six, partner in double_sixes():
+            for i, b in enumerate(partner):
+                assert [g[b - 1, a - 1] for a in six] == [int(k != i) for k in range(6)]
+
     def test_partner_pairwise_skew(self):
         g = incidence_graph()
         for six in list(skew_sixes())[:10]:
             partner = partner_six(six)
             for a, b in combinations(partner, 2):
-                assert not g.adjacent(a, b)
+                assert not g[a - 1, b - 1]
 
 
 _Q = np.diag([1, -1, -1, -1, -1, -1, -1])
@@ -264,7 +305,7 @@ class TestMarking:
             if row[0] == 1:
                 minus = [i for i in range(1, 7) if row[i] == -1]
                 assert len(minus) == 2 and sum(row[1:]) == -2
-                met = [i for i, s in enumerate(six, start=1) if g.adjacent(label, s)]
+                met = [i for i, s in enumerate(six, start=1) if g[label - 1, s - 1]]
                 assert met == minus
 
     def test_marking_is_bijection_for_all_sixes(self):
@@ -273,7 +314,7 @@ class TestMarking:
             assert len({tuple(row) for row in v.tolist()}) == 27
 
     def test_q_matrix_reproduces_adjacency(self):
-        adjacency = np.array(incidence_graph().matrix())
+        adjacency = incidence_graph()
         for six in skew_sixes():
             v = marking_vectors(six)
             assert np.array_equal(v @ _Q @ v.T, adjacency - np.eye(27, dtype=int))
@@ -283,6 +324,15 @@ class TestMarking:
             marking_vectors((25, 26, 27, 1, 2, 3))
         with pytest.raises(ValueError):
             partner_six((25, 26, 27, 1, 2, 3))
+
+    @pytest.mark.parametrize("label", [0, 28])
+    def test_label_outside_1_to_27_rejected(self, label):
+        # (1, 3, 16, 21, 24, 27) is a skew six; label 0 must not wrap to 27
+        six = (1, 3, 16, 21, 24, label)
+        with pytest.raises(ValueError, match="1..27"):
+            marking_vectors(six)
+        with pytest.raises(ValueError, match="1..27"):
+            partner_six(six)
 
 
 class TestExactIdentitiesOnLines:

@@ -501,8 +501,8 @@ class TestOtherS6:
         # not in <s_i c>, so s_i -> s_i c extends to an isomorphism
         six = fermat_data.PRESENTATION_SIX
         s = lattice.weyl_presentation_from_six(six)[1:]
-        c = lattice.reflection_permutation(
-            lattice.marking_vectors(six), (2, -1, -1, -1, -1, -1, -1)
+        (c,) = lattice.reflection_permutations(
+            lattice.marking_vectors(six), [(2, -1, -1, -1, -1, -1, -1)]
         )
         assert not c.is_identity() and c.order() == 2
         assert all(g * c == c * g for g in s)
