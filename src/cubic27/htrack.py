@@ -12,6 +12,19 @@ Forms are held as their symmetric polarization tensor T, f(x) = T(x, x, x):
 one batched contraction over the rows of every line gives the residual and
 the chart Jacobian together, one per Newton iteration.
 
+A loop carries one array Fiber (the span matrices, the gauges and the chart
+of all 27 lines) from the basepoint to the match.  Each segment takes the
+previous one's end fiber as it is: its charts are fresh, since every
+accepted step re-charts the lines that went stale, and it is within
+newton_tol, so it is neither converted to ChartedLines, re-charted nor
+polished at a vertex.  Only a fiber that is matched is polished, once.
+
+A loop whose last k edges retrace its first k in reverse (a meridian: a
+stem, a circle and the stem back) is read as a lasso gamma*c*gamma^-1.
+Transport back along the stem is the inverse of transport along it, so the
+return leg is not tracked: the fiber that closes the circle is matched
+against the fiber saved where the circle starts.
+
 A loop runs one step-size controller through its whole polygon: each
 segment starts from the step the previous one ended with, rescaled by the
 ratio of the two segments' lengths so that the step keeps its size in the
@@ -111,13 +124,13 @@ _RECHART_COND = 20.0
 # a Newton correction must stay below factor * previous**2 + floor
 _QUAD_TAIL_FACTOR = 10.0
 _QUAD_TAIL_FLOOR = 1e-12
-# best-effort residual target for the end-of-segment polish
+# best-effort residual target for the polish of a fiber before it is matched
 _POLISH_TOL = 1e-13
 
 
 @dataclass(frozen=True)
 class TrackerConfig:
-    """The settings that revalidation tightens and the end-of-segment polish
+    """The settings that revalidation tightens and the polish before a match
     replaces; everything else about the tracker is fixed above.
 
     step_init and step_max are fractions of the current segment's parameter
@@ -457,16 +470,19 @@ def newton_correct(f: CubicForm, line: ChartedLine, cfg: TrackerConfig) -> Chart
 class TrackResult:
     """End state of a tracked segment.
 
-    The 27 paths advance in lockstep, so ``accepted_steps`` is shared;
-    ``newton_iterations`` records the per-line corrector work.  ``max_residual``
-    is the true maximum over every accepted correction and ``min_separation``
-    the smallest pairwise line distance seen at any accepted step.  ``step``
-    is the step the controller would try next, in the segment's own
-    parameter t; it lies in [_STEP_MIN, step_max], and track_loop carries it
-    into the next segment.
+    ``fiber`` is the tracked lines at t = 1, each within newton_tol of the
+    target form and with fresh charts; it is not polished, so that a loop
+    carries it straight into its next segment.  The 27 paths advance in
+    lockstep, so ``accepted_steps`` is shared and every entry of
+    ``newton_iterations`` holds the batch's corrector work, the Newton check
+    on f0 included.  ``max_residual`` is the true maximum over every accepted
+    correction and ``min_separation`` the smallest pairwise line distance
+    seen at any accepted step.  ``step`` is the step the controller would try
+    next, in the segment's own parameter t; it lies in [_STEP_MIN, step_max],
+    and track_loop carries it into the next segment.
     """
 
-    lines: list[ChartedLine]
+    fiber: Fiber
     accepted_steps: int
     newton_iterations: list[int]
     max_residual: float
@@ -474,28 +490,44 @@ class TrackResult:
     step: float
 
 
-class _Batch:
-    """Mutable lockstep state of the 27 tracked lines."""
+class Fiber:
+    """The lockstep state of the tracked lines: their (n, 2, 4) span
+    matrices, the gauge column pair of each line and the chart built from
+    the gauges.  Track_segment takes one and returns a new one; a fiber is
+    never changed in place."""
 
-    def __init__(self, lines: Sequence[ChartedLine]):
-        self.mats = np.stack([l.matrix for l in lines]).astype(complex)
-        self.gauges = np.array([l.gauge for l in lines], dtype=np.int64)
-        self.chart = _Chart(_free_indices(self.gauges))
+    __slots__ = ("mats", "gauges", "chart")
 
-    def rechart(self, cond_limit: float) -> None:
-        """Re-select the gauge of every line whose current gauge condition
-        exceeds cond_limit; only those lines pay for the six-minor SVD."""
+    def __init__(self, mats: np.ndarray, gauges: np.ndarray, chart: _Chart | None = None):
+        self.mats = mats
+        self.gauges = gauges
+        self.chart = _Chart(_free_indices(gauges)) if chart is None else chart
+
+    @classmethod
+    def from_lines(cls, lines: Sequence[ChartedLine]) -> "Fiber":
+        """The fiber of the given lines, with every stale chart re-selected."""
+        mats = np.stack([l.matrix for l in lines]).astype(complex)
+        return cls(mats, np.array([l.gauge for l in lines], dtype=np.int64)).recharted()
+
+    def moved(self, mats: np.ndarray) -> "Fiber":
+        """The same charts carrying new span matrices."""
+        return Fiber(mats, self.gauges, self.chart)
+
+    def recharted(self, cond_limit: float = _RECHART_COND) -> "Fiber":
+        """The fiber with the gauge of every line whose gauge condition
+        exceeds cond_limit re-selected; only those lines pay for the
+        six-minor SVD, and a fiber with none is returned as it is."""
         unknowns = self.mats.reshape(-1)[self.chart.unknowns]
         stale = _gauge_conds(unknowns) > cond_limit
         if not stale.any():
-            return
-        best = _best_gauges(self.mats[stale])
-        self.mats[stale] = _normalize_batch(self.mats[stale], best)
-        self.gauges[stale] = best
-        self.chart = _Chart(_free_indices(self.gauges))
+            return self
+        mats, gauges = self.mats.copy(), self.gauges.copy()
+        gauges[stale] = _best_gauges(mats[stale])
+        mats[stale] = _normalize_batch(mats[stale], gauges[stale])
+        return Fiber(mats, gauges)
 
     def to_lines(self) -> list[ChartedLine]:
-        """The batch as ChartedLines, with one exact check that every gauge
+        """The fiber as ChartedLines, with one exact check that every gauge
         minor is the identity (so every span has rank 2) instead of a
         construction (rank check and normalization) per line."""
         minors = np.take_along_axis(self.mats, self.gauges[:, None, :], axis=2)
@@ -512,35 +544,33 @@ class _Batch:
 def track_segment(
     f0: CubicForm,
     f1: CubicForm,
-    lines: Sequence[ChartedLine],
+    start: Fiber,
     cfg: TrackerConfig | None = None,
 ) -> TrackResult:
-    """Track the given start lines on Z(f0) along the linear homotopy
-    (1-t) f0 + t f1 to t = 1.
+    """Track the start fiber on Z(f0) along the linear homotopy
+    (1-t) f0 + t f1 to t = 1, leaving the start fiber as it is.
 
-    Per accepted step: Euler prediction from the Davidenko system, lockstep
-    Newton correction, then the separation barrier (pairwise line distance at
-    least _SEPARATION_FACTOR times the largest last Newton correction).  Steps
-    halve on any failure and grow after a run of accepted steps.  The
-    predictor contracts the homotopy's tensor and its t-derivative in one
-    call.
+    The start lines must pass a Newton check on f0.  Per accepted step:
+    Euler prediction from the Davidenko system, lockstep Newton correction,
+    then the separation barrier (pairwise line distance at least
+    _SEPARATION_FACTOR times the largest last Newton correction) and a
+    re-chart of the lines whose gauge went stale.  Steps halve on any failure
+    and grow after a run of accepted steps.  The predictor contracts the
+    homotopy's tensor and its t-derivative in one call.
     """
     cfg = cfg or TrackerConfig()
-    batch = _Batch(lines)
-    batch.rechart(_RECHART_COND)
     t0, t1 = _polar(f0.coeffs), _polar(f1.coeffs)
     # the start lines must be Newton-correctable on f0
-    mats, norms, _, it0 = _newton_batch(t0, batch.mats, batch.chart, cfg)
-    batch.mats = mats
+    mats, norms, _, newton_iters = _newton_batch(t0, start.mats, start.chart, cfg)
+    fiber = start.moved(mats)
     pair = np.stack((t0, _polar(f1.coeffs - f0.coeffs)))  # (T at t, dT/dt)
-    newton_iters = np.full(len(lines), it0, dtype=np.int64)
 
     t = 0.0
     h = min(cfg.step_init, cfg.step_max)
     streak = 0
     accepted = 0
     max_resid = float(norms.max())
-    min_sep = _min_pairwise_distance(batch.mats)
+    min_sep = float("inf")
     last_failure: TrackFailure | None = None
 
     while t < 1.0 - 1e-14:
@@ -548,12 +578,12 @@ def track_segment(
         t_new = t + h_eff
         pair[0] = (1 - t) * t0 + t * t1
         try:
-            g_t, g_dt = _contract(pair, batch.mats)
-            rhs = -_residual(g_dt, batch.mats)
-            velocity = np.linalg.solve(batch.chart.jacobian(g_t), rhs[..., None])[..., 0]
-            predicted = batch.chart.update(batch.mats, h_eff * velocity)
+            g_t, g_dt = _contract(pair, fiber.mats)
+            rhs = -_residual(g_dt, fiber.mats)
+            velocity = np.linalg.solve(fiber.chart.jacobian(g_t), rhs[..., None])[..., 0]
+            predicted = fiber.chart.update(fiber.mats, h_eff * velocity)
             corrected, norms, last_corr, iters = _newton_batch(
-                (1 - t_new) * t0 + t_new * t1, predicted, batch.chart, cfg
+                (1 - t_new) * t0 + t_new * t1, predicted, fiber.chart, cfg
             )
             sep = _min_pairwise_distance(corrected)
             if sep < _SEPARATION_FACTOR * float(last_corr.max()):
@@ -574,7 +604,7 @@ def track_segment(
                 ) from last_failure
             continue
 
-        batch.mats = corrected
+        fiber = fiber.moved(corrected).recharted()
         t = t_new
         accepted += 1
         streak += 1
@@ -584,26 +614,37 @@ def track_segment(
         if streak >= _GROW_AFTER:
             h = min(h * _STEP_GROW, cfg.step_max)
             streak = 0
-        batch.rechart(_RECHART_COND)
-
-    # polish the end fiber toward machine precision; failure keeps the
-    # (already in-tolerance) corrected lines
-    try:
-        polish_cfg = replace(cfg, newton_tol=_POLISH_TOL, max_newton_iters=3)
-        mats, _, _, extra = _newton_batch(t1, batch.mats, batch.chart, polish_cfg)
-        batch.mats = mats
-        newton_iters += extra
-    except NewtonFailure:
-        pass
 
     return TrackResult(
-        lines=batch.to_lines(),
+        fiber=fiber,
         accepted_steps=accepted,
-        newton_iterations=[int(x) for x in newton_iters],
+        newton_iterations=[newton_iters] * len(fiber.mats),
         max_residual=max_resid,
         min_separation=min_sep,
         step=h,
     )
+
+
+def _polish(f: CubicForm, fiber: Fiber, cfg: TrackerConfig) -> Fiber:
+    """Newton-polish a fiber on Z(f) toward machine precision before it is
+    matched; a polish that fails keeps the (already in-tolerance) fiber."""
+    try:
+        polish_cfg = replace(cfg, newton_tol=_POLISH_TOL, max_newton_iters=3)
+        mats, _, _, _ = _newton_batch(_polar(f.coeffs), fiber.mats, fiber.chart, polish_cfg)
+    except NewtonFailure:
+        return fiber
+    return fiber.moved(mats)
+
+
+def _retraced_edges(vertices: Sequence[CubicForm]) -> int:
+    """The largest k <= n/2 for which the last k of the polygon's n edges
+    retrace its first k in reverse: vertex n - j equals vertex j exactly for
+    every j <= k."""
+    n = len(vertices) - 1
+    k = 0
+    while k < n // 2 and vertices[n - k - 1] == vertices[k + 1]:
+        k += 1
+    return k
 
 
 def track_loop(
@@ -614,32 +655,48 @@ def track_loop(
     """Track the labeled base fiber around a closed polygon of cubic forms and
     return the induced label permutation (start label -> end label).
 
-    One step controller runs through the polygon.  The first segment starts
-    at cfg.step_init; each later one starts at the previous segment's
-    ``TrackResult.step`` times the ratio of the two segments' lengths
-    (||f_to - f_from|| over the coefficients), so that the step keeps the
-    size it had in the space of forms, whatever the length of the segment.
-    The carried step never goes below cfg.step_init or above cfg.step_max.
+    One Fiber is carried from vertex to vertex: each segment starts from
+    the previous one's unpolished end fiber, whose charts are fresh, and no
+    ChartedLine is built until the end.  One step controller runs through
+    the polygon.  The first segment starts at cfg.step_init; each later one
+    starts at the previous segment's ``TrackResult.step`` times the ratio of
+    the two segments' lengths (||f_to - f_from|| over the coefficients), so
+    that the step keeps the size it had in the space of forms, whatever the
+    length of the segment.  The carried step never goes below cfg.step_init
+    or above cfg.step_max.
 
-    The final lines are matched back against the *base* lines; a match is
-    accepted only when every nearest/second-nearest distance ratio clears
-    match_margin and the assignment is a bijection.
+    Lasso reading: when the last k edges retrace the first k in reverse (a
+    meridian's stem, k = 1 for circle_loop), the loop is the stem, a cycle
+    and the stem backwards.  Transport back along the stem is the inverse of
+    transport along it, so only the first n - k edges are tracked and the
+    final fiber is matched against the fiber at the end of edge k.  A
+    polygon with k = 0, such as a triangle, is matched against the base
+    lines.  Each fiber that is matched is Newton-polished once first, so a
+    loop polishes at most twice.
+
+    A match is accepted only when every nearest/second-nearest distance
+    ratio clears match_margin and the assignment is a bijection.
     """
     cfg = cfg or TrackerConfig()
     if len(vertices) < 2 or not vertices[0].allclose(vertices[-1], tol=0.0):
         raise ValueError("loop must start and end at the same form")
     if len(base_lines) != N_POINTS:
         raise ValueError(f"expected {N_POINTS} base lines")
-    segments = list(zip(vertices, vertices[1:]))
+    k = _retraced_edges(vertices)
+    segments = list(zip(vertices, vertices[1 : len(vertices) - k]))
     lengths = [float(np.linalg.norm(f_to.coeffs - f_from.coeffs)) for f_from, f_to in segments]
-    current, seg_cfg = list(base_lines), cfg
-    for k, (f_from, f_to) in enumerate(segments):
-        if k:
-            step = _carried_step(cfg, result.step, lengths[k - 1], lengths[k])
+    fiber, seg_cfg = Fiber.from_lines(base_lines), cfg
+    for i, (f_from, f_to) in enumerate(segments):
+        if i:
+            step = _carried_step(cfg, result.step, lengths[i - 1], lengths[i])
             seg_cfg = replace(cfg, step_init=step)
-        result = track_segment(f_from, f_to, current, seg_cfg)
-        current = result.lines
-    return match_to_base(current, base_lines, cfg)
+        result = track_segment(f_from, f_to, fiber, seg_cfg)
+        fiber = result.fiber
+        if i + 1 == k:
+            stem_end = fiber
+    end = _polish(vertices[k], fiber, cfg).to_lines()
+    reference = _polish(vertices[k], stem_end, cfg).to_lines() if k else base_lines
+    return match_to_base(end, reference, cfg)
 
 
 def _carried_step(cfg: TrackerConfig, step: float, length: float, next_length: float) -> float:

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import fermat_data, htrack, lattice, lines as lines_mod, perm, symverify
 from .htrack import ChartedLine, CubicForm, TrackerConfig, TrackFailure
-from .perm import FiniteGroup, Permutation, format_cycles
+from .perm import FiniteGroup, format_cycles
 
 
 class SingularBasepoint(ValueError):
@@ -402,8 +402,7 @@ def compute_monodromy(spec: FamilySpec, budget: int = 40, seed: int = 1) -> Mono
     bound = upper_bound(spec)
 
     records: list[LoopRecord] = []
-    group = perm.TRIVIAL_GROUP
-    generators: list[Permutation] = []
+    closure = perm.Closure()
     stall = 0
     violations = 0
     stabilized_after = None
@@ -420,10 +419,7 @@ def compute_monodromy(spec: FamilySpec, budget: int = 40, seed: int = 1) -> Mono
         if in_bound is False:
             violations += 1
             failure = "permutation outside the upper bound"
-        grew = bool(in_bound) and p not in group
-        if grew:
-            generators.append(p)
-            group = perm.generate(generators)
+        grew = bool(in_bound) and closure.add_permutation(p)
         records.append(
             LoopRecord(
                 index=i, kind=loop.kind, accepted=bool(in_bound),
@@ -440,6 +436,7 @@ def compute_monodromy(spec: FamilySpec, budget: int = 40, seed: int = 1) -> Mono
             stabilized_after = i + 1
             break
 
+    group = closure.group()
     components = [
         {
             "orbit": orbit,

@@ -302,6 +302,10 @@ class Closure:
         self.table = np.concatenate(blocks)
         return True
 
+    def add_permutation(self, p: Permutation) -> bool:
+        """add() for a Permutation."""
+        return self.add(_row(p))
+
     @property
     def generators(self) -> tuple[Permutation, ...]:
         return tuple(_from_row(r.tolist()) for r in self.rows)
@@ -321,8 +325,8 @@ def generate(gens: Sequence[Permutation], cap: int = 200_000) -> FiniteGroup:
     if not gens:
         raise ValueError("generate requires at least one generator")
     closure = Closure(cap)
-    for row in map(_row, gens):
-        closure.add(row)
+    for g in gens:
+        closure.add_permutation(g)
     return closure.group(gens)
 
 

@@ -6,6 +6,7 @@ from cubic27.exact import symmetric_basis
 from cubic27.htrack import (
     ChartedLine,
     CubicForm,
+    Fiber,
     MONOMIAL_EXPONENTS,
     TrackFailure,
     TrackerConfig,
@@ -19,7 +20,6 @@ from cubic27.htrack import (
     track_segment,
     _PLUCKER_PAIRS,
     _STEP_MIN,
-    _Batch,
     _best_gauges,
     _free_indices,
     _gauge_conds,
@@ -135,8 +135,9 @@ class TestRechart:
         assert 0 < stale.sum() < n
         want = np.array([l.gauge for l in lines_], dtype=np.int64)
         want[stale] = _best_gauges(mats[stale])
-        batch = _Batch(lines_)
-        batch.rechart(limit)
+        given = Fiber(mats, np.array([l.gauge for l in lines_], dtype=np.int64))
+        batch = given.recharted(limit)
+        assert np.array_equal(given.mats, mats)
         assert np.array_equal(batch.gauges, want)
         assert np.array_equal(batch.mats[~stale], mats[~stale])
         assert np.array_equal(batch.mats[stale], _normalize_batch(mats[stale], want[stale]))
@@ -197,7 +198,7 @@ class TestNewton:
         # the straight segment toward the three-node parameter point
         target = embed_symmetric(0.25, 0, 0.75)
         with pytest.raises(TrackFailure):
-            track_segment(forms[0], target, catalog)
+            track_segment(forms[0], target, Fiber.from_lines(catalog))
 
 
 class TestLineDistance:
@@ -230,38 +231,45 @@ class TestLineDistance:
 
 class TestTrackSegment:
     def test_identity_motion(self, forms, catalog):
-        res = track_segment(forms[0], forms[0], catalog)
+        res = track_segment(forms[0], forms[0], Fiber.from_lines(catalog))
         assert res.max_residual < 1e-12
-        for a, b in zip(res.lines, catalog):
+        for a, b in zip(res.fiber.to_lines(), catalog):
             assert line_distance(a, b) < 1e-12
 
     def test_round_trip(self, forms, catalog):
         target = embed_symmetric(1, 0.2 + 0.1j, -0.15)
-        out = track_segment(forms[0], target, catalog)
-        back = track_segment(target, forms[0], out.lines)
-        for a, b in zip(back.lines, catalog):
+        out = track_segment(forms[0], target, Fiber.from_lines(catalog))
+        back = track_segment(target, forms[0], out.fiber)
+        for a, b in zip(back.fiber.to_lines(), catalog):
             assert line_distance(a, b) < 1e-8
 
     def test_generic_smooth_target(self, forms, catalog):
         cfg = TrackerConfig()
         target = embed_symmetric(1, 0.1, 0.1)
-        res = track_segment(forms[0], target, catalog, cfg)
+        res = track_segment(forms[0], target, Fiber.from_lines(catalog), cfg)
         assert res.max_residual <= cfg.newton_tol
-        mats = np.stack([l.matrix for l in res.lines])
-        assert _min_pairwise_distance(mats) > 0.1
+        assert _min_pairwise_distance(res.fiber.mats) > 0.1
 
     def test_fermat_to_cayley_fails(self, forms, catalog):
         with pytest.raises(TrackFailure):
-            track_segment(forms[0], forms[2], catalog)
+            track_segment(forms[0], forms[2], Fiber.from_lines(catalog))
 
     def test_bitwise_deterministic(self, forms, catalog):
         target = embed_symmetric(1, 0.2 + 0.1j, -0.15)
-        r1 = track_segment(forms[0], target, catalog)
-        r2 = track_segment(forms[0], target, catalog)
+        start = Fiber.from_lines(catalog)
+        r1 = track_segment(forms[0], target, start)
+        r2 = track_segment(forms[0], target, start)
         assert r1.accepted_steps == r2.accepted_steps
         assert r1.max_residual == r2.max_residual
-        for a, b in zip(r1.lines, r2.lines):
-            assert np.array_equal(a.matrix, b.matrix)
+        assert np.array_equal(r1.fiber.mats, r2.fiber.mats)
+        assert np.array_equal(r1.fiber.gauges, r2.fiber.gauges)
+
+    def test_start_fiber_left_unchanged(self, forms, catalog):
+        start = Fiber.from_lines(catalog)
+        mats, gauges = start.mats.copy(), start.gauges.copy()
+        track_segment(forms[0], embed_symmetric(1, 0.2 + 0.1j, -0.15), start)
+        assert np.array_equal(start.mats, mats)
+        assert np.array_equal(start.gauges, gauges)
 
 
 def triangle(scale, seed):
@@ -299,9 +307,31 @@ L2_POINT = (1, 0, 3)
 C_POINT = (1, 0, (3 + 1j * np.sqrt(135)) / 8)
 
 
+def retracked(loop, catalog):
+    """The lasso's oracle: every edge tracked, the return leg included, from
+    a fresh fiber built from ChartedLines at each vertex, and the end lines
+    matched against the catalog."""
+    current = catalog
+    for f0, f1 in zip(loop, loop[1:]):
+        current = track_segment(f0, f1, Fiber.from_lines(current)).fiber.to_lines()
+    return match_to_base(current, catalog, TrackerConfig())
+
+
+def full_family_lasso(seed, stem_edges=1):
+    """Fermat, a stem of one or two edges to a form q near it, a random
+    triangle of the full family based at q, and the stem back.  At seed 7
+    the loop permutation has order 4, so it differs from its inverse."""
+    rng = np.random.default_rng(seed)
+    g = (rng.standard_normal((4, 20)) + 1j * rng.standard_normal((4, 20))) / np.sqrt(40)
+    fermat = embed_symmetric(1, 0, 0)
+    q, p1, p2, s = (CubicForm(fermat.coeffs + r * d) for r, d in zip((0.5, 3.6, 3.6, 0.3), g))
+    stem = [fermat, s, q] if stem_edges == 2 else [fermat, q]
+    return stem + [p1, p2] + stem[::-1]
+
+
 class TestBatch:
     def test_to_lines_rejects_a_perturbed_gauge_column(self, catalog):
-        batch = _Batch(catalog)
+        batch = Fiber.from_lines(catalog)
         batch.mats[3, :, batch.gauges[3, 1]] += 1e-12
         with pytest.raises(ValueError):
             batch.to_lines()
@@ -321,17 +351,18 @@ class TestCarriedStep:
         loop = meridian(L1_POINT)
         cfg = TrackerConfig()
         assert track_loop(loop, catalog, cfg) == lines.monodromy_klein_elements()["tau1"]
-        assert len(calls) == len(loop) - 1
+        # the return leg retraces the entry segment and is not tracked
+        assert len(calls) == len(loop) - 2
         lengths = [np.linalg.norm(f1.coeffs - f0.coeffs) for f0, f1, _, _ in calls]
         # a long entry segment followed by short arcs
-        assert lengths[0] > 5 * max(lengths[1:-1])
+        assert lengths[0] > 5 * max(lengths[1:])
         assert calls[0][2].step_init == cfg.step_init
         for k in range(1, len(calls)):
             prev_step = calls[k - 1][3].step
             want = min(cfg.step_max, max(cfg.step_init, prev_step * lengths[k - 1] / lengths[k]))
             assert calls[k][2] == TrackerConfig(step_init=want)
         # the arcs start above the parent's restart value
-        assert all(c[2].step_init > cfg.step_init for c in calls[1:-1])
+        assert all(c[2].step_init > cfg.step_init for c in calls[1:])
 
     @pytest.mark.parametrize(
         "cfg, arc_steps", [(TrackerConfig(), 1), (TrackerConfig().tightened(), 2)],
@@ -351,12 +382,12 @@ class TestCarriedStep:
         monkeypatch.setattr(htrack, "track_segment", spy)
         loop = meridian(L1_POINT)
         assert track_loop(loop, catalog, cfg) == lines.monodromy_klein_elements()["tau1"]
-        assert steps[1:-1] == [arc_steps] * 16
+        assert steps[1:] == [arc_steps] * 16
 
     @pytest.mark.parametrize("cfg", [TrackerConfig(), TrackerConfig().tightened()])
     def test_result_step_within_bounds(self, forms, catalog, cfg):
         for target in (forms[0], embed_symmetric(1, 0.2 + 0.1j, -0.15)):
-            step = track_segment(forms[0], target, catalog, cfg).step
+            step = track_segment(forms[0], target, Fiber.from_lines(catalog), cfg).step
             assert _STEP_MIN <= step <= cfg.step_max
 
     def test_zero_length_segment(self, catalog):
@@ -367,12 +398,81 @@ class TestCarriedStep:
     @pytest.mark.parametrize("center", [L1_POINT, L2_POINT, C_POINT], ids=["L1", "L2", "C"])
     def test_same_permutation_as_restarting_at_every_vertex(self, catalog, center):
         loop = meridian(center)
-        current = catalog
-        for f0, f1 in zip(loop, loop[1:]):
-            current = track_segment(f0, f1, current).lines
-        restarted = match_to_base(current, catalog, TrackerConfig())
+        restarted = retracked(loop, catalog)
         assert not restarted.is_identity()
         assert track_loop(loop, catalog) == restarted
+
+
+class TestLasso:
+    def test_retraced_edges(self, forms):
+        v = embed_symmetric(1, 0.2 + 0.1j, -0.15)
+        assert htrack._retraced_edges(meridian(L1_POINT)) == 1
+        assert htrack._retraced_edges(triangle(0.9, seed=12)) == 0
+        assert htrack._retraced_edges([forms[0], v, forms[0]]) == 1
+        assert htrack._retraced_edges(full_family_lasso(7, stem_edges=2)) == 2
+        # equal up to rounding is not a retrace
+        near = CubicForm(v.coeffs * (1 + 1e-15))
+        assert htrack._retraced_edges([forms[0], v, forms[1], near, forms[0]]) == 0
+
+    def test_reversed_meridian_gives_inverse(self, catalog):
+        loop = meridian(C_POINT)
+        fwd = track_loop(loop, catalog)
+        assert not fwd.is_identity()
+        assert track_loop(list(reversed(loop)), catalog) == fwd.inverse()
+
+    def test_reversed_lasso_gives_inverse(self, catalog):
+        # an order-4 permutation tells the lasso's reading from its inverse
+        loop = full_family_lasso(7)
+        fwd = track_loop(loop, catalog)
+        assert fwd.order() == 4
+        assert track_loop(list(reversed(loop)), catalog) == fwd.inverse()
+
+    def test_two_edge_stem_equals_full_retrack(self, catalog):
+        loop = full_family_lasso(7, stem_edges=2)
+        p = track_loop(loop, catalog)
+        assert p.order() == 4
+        assert p == retracked(loop, catalog)
+
+    def test_pure_retrace_is_identity(self, forms, catalog, monkeypatch):
+        calls = []
+        original = htrack.track_segment
+
+        def spy(f0, f1, start, cfg=None):
+            calls.append((f0, f1))
+            return original(f0, f1, start, cfg)
+
+        monkeypatch.setattr(htrack, "track_segment", spy)
+        v = embed_symmetric(1, 0.2 + 0.1j, -0.15)
+        assert track_loop([forms[0], v, forms[0]], catalog).is_identity()
+        assert calls == [(forms[0], v)]
+
+    @pytest.mark.parametrize(
+        "loop, polishes",
+        [(meridian(L1_POINT), 2), (triangle(0.9, seed=12), 1)],
+        ids=["meridian", "triangle"],
+    )
+    def test_one_polish_per_matched_fiber_and_no_lines_between_vertices(
+        self, catalog, monkeypatch, loop, polishes
+    ):
+        events = []
+
+        def log(name, fn):
+            def spy(*args, **kwargs):
+                events.append(name)
+                return fn(*args, **kwargs)
+
+            return spy
+
+        monkeypatch.setattr(htrack, "track_segment", log("segment", htrack.track_segment))
+        monkeypatch.setattr(htrack, "_polish", log("polish", htrack._polish))
+        monkeypatch.setattr(Fiber, "to_lines", log("lines", Fiber.to_lines))
+        monkeypatch.setattr(ChartedLine, "__init__", log("lines", ChartedLine.__init__))
+        track_loop(loop, catalog)
+        last_segment = len(events) - events[::-1].index("segment")
+        assert events.count("segment") == len(loop) - 1 - htrack._retraced_edges(loop)
+        assert "lines" not in events[:last_segment]
+        assert "polish" not in events[:last_segment]
+        assert events.count("polish") == polishes <= 2
 
 
 class TestTrackLoop:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import sympy
 
-from cubic27 import fermat_data, htrack, lattice, lines, monodromy
+from cubic27 import fermat_data, htrack, lattice, lines, monodromy, perm
 from cubic27.cli import main
 from cubic27.exact import symmetric_basis
 from cubic27.htrack import CubicForm, MONOMIAL_EXPONENTS
@@ -340,6 +340,21 @@ class TestComputeMonodromy:
             assert r.meta.get("probe_t") == (None if t is None else pytest.approx(t, rel=1e-12))
         assert all(r.accepted for r in loops)
 
+    def test_symmetric_eight_loops_track_160_segments(self, monkeypatch):
+        # 4 triangles of 3 edges and 4 meridians of 17 (the return leg of
+        # the 18 is read off the stem), each tracked and revalidated
+        calls = []
+        original = htrack.track_segment
+
+        def spy(*args, **kwargs):
+            calls.append(None)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(htrack, "track_segment", spy)
+        report = compute_monodromy(symmetric_family(), 8, seed=1)
+        assert [r.kind for r in report.loops] == ["triangle", "circle"] * 4
+        assert len(calls) == 160
+
     def test_full_family_reaches_weyl_group(self, full_report):
         assert full_report.group["order"] == 51840
         assert full_report.bound_order == 51840
@@ -439,6 +454,19 @@ class TestUpperBoundVerdict:
         assert claim.passed and claim.claim_id == "symmetric-monodromy"
         assert claim.details["bound_order"] == 4
         assert claim.details["all_accepted_in_bound"]
+
+    def test_one_closure_grows_the_group(self, monkeypatch):
+        upper_bound(symmetric_family())  # the cached set-up may close groups
+
+        def no_generate(*args, **kwargs):
+            raise AssertionError("the run re-closed its group from scratch")
+
+        monkeypatch.setattr(perm, "generate", no_generate)
+        nontrivial = sorted(expected_symmetric_monodromy() - {"()"})
+        report = self.run(monkeypatch, nontrivial)
+        assert report.group["order"] == 4
+        assert report.group["generators"] == nontrivial[:2]
+        assert [r.new_elements for r in report.loops[:3]] == [True, True, False]
 
     def test_weyl_element_outside_the_bound_is_rejected(self, monkeypatch):
         outside = lines.s4_generators()[0]
