@@ -12,6 +12,7 @@ import math
 from fractions import Fraction
 from typing import Mapping, Sequence
 
+
 class Cyc:
     """a + b*zeta with rational a, b; multiplication uses zeta^2 = zeta - 1."""
 
@@ -295,7 +296,7 @@ def symmetric_basis() -> tuple[Poly4, Poly4, Poly4]:
 
 
 # ---------------------------------------------------------------------------
-# Matrices: field elimination, integer matrices and Smith normal form
+# Matrices: Gauss-Jordan elimination over an exact field
 # ---------------------------------------------------------------------------
 
 

@@ -12,12 +12,14 @@ Forms are held as their symmetric polarization tensor T, f(x) = T(x, x, x):
 one batched contraction over the rows of every line gives the residual and
 the chart Jacobian together, one per Newton iteration.
 
-A loop carries one array Fiber (the span matrices, the gauges and the chart
-of all 27 lines) from the basepoint to the match.  Each segment takes the
+A set of lines is one array Fiber: the (n, 2, 4) span matrices, the gauges
+and the chart of all n lines.  Fiber.from_mats builds one from span
+matrices, every tracker entry point takes and returns one, and a loop
+carries one from the basepoint to the match.  Each segment takes the
 previous one's end fiber as it is: its charts are fresh, since every
 accepted step re-charts the lines that went stale, and it is within
-newton_tol, so it is neither converted to ChartedLines, re-charted nor
-polished at a vertex.  Only a fiber that is matched is polished, once.
+newton_tol, so it is neither re-charted nor polished at a vertex.  Only a
+fiber that is matched is polished, once.
 
 A loop whose last k edges retrace its first k in reverse (a meridian: a
 stem, a circle and the stem back) is read as a lasso gamma*c*gamma^-1.
@@ -180,10 +182,10 @@ class CubicForm:
         self.coeffs = arr
 
     @classmethod
-    def from_exact(cls, poly: Poly4, conjugate_embedding: bool = False) -> "CubicForm":
+    def from_exact(cls, poly: Poly4) -> "CubicForm":
         coeffs = [0j] * N_MONOMIALS
         for e_, c in poly.terms.items():
-            coeffs[MONOMIAL_EXPONENTS.index(e_)] = c.to_complex(conjugate_embedding)
+            coeffs[MONOMIAL_EXPONENTS.index(e_)] = c.to_complex()
         return cls(coeffs)
 
     def __add__(self, other: "CubicForm") -> "CubicForm":
@@ -206,7 +208,7 @@ class CubicForm:
 
 
 # ---------------------------------------------------------------------------
-# Charted lines
+# Gauges, charts and line distances
 # ---------------------------------------------------------------------------
 
 # gauge pair (j1, j2) -> flat positions of the 4 chart unknowns
@@ -265,36 +267,12 @@ def _best_gauges(mats: np.ndarray) -> np.ndarray:
     return np.array(_PLUCKER_PAIRS, dtype=np.int64)[best]
 
 
-class ChartedLine:
-    """A numeric line with its gauge: columns (j1, j2) carry the identity."""
-
-    __slots__ = ("matrix", "gauge")
-
-    def __init__(self, matrix: Sequence[Sequence[complex]], gauge: tuple[int, int] | None = None):
-        m = np.array(matrix, dtype=complex)
-        if m.shape != (2, 4):
-            raise ValueError("a line is a 2x4 matrix")
-        if np.linalg.matrix_rank(m, tol=1e-12) != 2:
-            raise ValueError("span matrix must have rank 2")
-        batch = m[None, :, :]
-        g = np.array([sorted(gauge)], dtype=np.int64) if gauge else _best_gauges(batch)
-        self.matrix = _normalize_batch(batch, g)[0]
-        self.gauge = (int(g[0, 0]), int(g[0, 1]))
-
-    @classmethod
-    def from_exact(cls, line, conjugate_embedding: bool = False) -> "ChartedLine":
-        return cls(line.to_complex(conjugate_embedding))
-
-    def __repr__(self) -> str:
-        return f"ChartedLine(gauge={self.gauge}, matrix={self.matrix!r})"
-
-
 def plucker(matrix: np.ndarray) -> np.ndarray:
     """Unit Plucker 6-vector of a 2x4 span matrix."""
     return _plucker_batch(np.asarray(matrix)[None])[0]
 
 
-def line_distance(l1, l2) -> float:
+def line_distance(m1: np.ndarray, m2: np.ndarray) -> float:
     """Chordal distance sqrt(1 - |<u, v>|^2) between unit Plucker vectors;
     zero iff equal lines, invariant under row operations on either span.
 
@@ -302,8 +280,7 @@ def line_distance(l1, l2) -> float:
     accurate for nearly equal lines (the naive formula bottoms out near
     sqrt(machine epsilon)).
     """
-    m1 = l1.matrix if isinstance(l1, ChartedLine) else np.asarray(l1, dtype=complex)
-    m2 = l2.matrix if isinstance(l2, ChartedLine) else np.asarray(l2, dtype=complex)
+    m1, m2 = np.asarray(m1, dtype=complex), np.asarray(m2, dtype=complex)
     return float(_chordal(plucker(m1), plucker(m2)))
 
 
@@ -383,33 +360,27 @@ class _Chart:
         return out
 
 
-def _residual_batch(coeffs: np.ndarray, mats: np.ndarray) -> np.ndarray:
-    """Binary-cubic coefficients of f(s*p + t*q) for each line; (n, 4)."""
-    return _residual(_contract(_polar(coeffs), mats), mats)
-
-
-def _jacobian_batch(coeffs: np.ndarray, mats: np.ndarray, free_idx: np.ndarray) -> np.ndarray:
-    """Analytic Jacobian of the residual in the 4 chart unknowns; (n, 4, 4).
-
-    free_idx[i] lists the flat unknown positions (p_k -> k, q_k -> 4 + k).
-    """
-    return _Chart(free_idx).jacobian(_contract(_polar(coeffs), mats))
-
-
 def _free_indices(gauges: np.ndarray) -> np.ndarray:
     """Flat positions of the 4 chart unknowns for each line; (n, 4)."""
     return _FREE_TABLE[gauges[:, 0], gauges[:, 1]]
 
 
-def residual(f: CubicForm, line) -> np.ndarray:
-    """The four binary-cubic coefficients of f restricted to the line."""
-    m = line.matrix if isinstance(line, ChartedLine) else np.asarray(line, dtype=complex)
-    return _residual_batch(f.coeffs, m[None, :, :])[0]
+def residual(f: CubicForm, mats: np.ndarray) -> np.ndarray:
+    """The binary-cubic coefficients of f restricted to each line: (4,) for
+    one 2x4 span matrix, (n, 4) for an (n, 2, 4) stack."""
+    m = np.asarray(mats, dtype=complex)
+    batch = m.reshape(-1, 2, 4)
+    return _residual(_contract(_polar(f.coeffs), batch), batch).reshape(m.shape[:-2] + (4,))
 
 
-def jacobian(f: CubicForm, line: ChartedLine) -> np.ndarray:
-    free = _free_indices(np.array([line.gauge], dtype=np.int64))
-    return _jacobian_batch(f.coeffs, line.matrix[None, :, :], free)[0]
+def jacobian(f: CubicForm, mats: np.ndarray, gauges: np.ndarray) -> np.ndarray:
+    """Analytic Jacobian of the residual in the 4 chart unknowns of each line
+    with the given gauge column pair: (4, 4) for one 2x4 span matrix and its
+    pair, (n, 4, 4) for an (n, 2, 4) stack and (n, 2) pairs."""
+    m = np.asarray(mats, dtype=complex)
+    batch = m.reshape(-1, 2, 4)
+    chart = _Chart(_free_indices(np.asarray(gauges, dtype=np.int64).reshape(-1, 2)))
+    return chart.jacobian(_contract(_polar(f.coeffs), batch)).reshape(m.shape[:-2] + (4, 4))
 
 
 def _newton_batch(
@@ -451,16 +422,6 @@ def _newton_batch(
     return cur, norms, last_step, iters
 
 
-def newton_correct(f: CubicForm, line: ChartedLine, cfg: TrackerConfig) -> ChartedLine:
-    """Refine one line onto Z(f); raises NewtonFailure on divergence.
-    An input already satisfying the tolerance is returned unchanged."""
-    chart = _Chart(_free_indices(np.array([line.gauge], dtype=np.int64)))
-    mats, _, _, iters = _newton_batch(_polar(f.coeffs), line.matrix[None, :, :], chart, cfg)
-    if iters == 0:
-        return line
-    return ChartedLine(mats[0], gauge=line.gauge)
-
-
 # ---------------------------------------------------------------------------
 # Segment and loop tracking
 # ---------------------------------------------------------------------------
@@ -491,10 +452,11 @@ class TrackResult:
 
 
 class Fiber:
-    """The lockstep state of the tracked lines: their (n, 2, 4) span
-    matrices, the gauge column pair of each line and the chart built from
-    the gauges.  Track_segment takes one and returns a new one; a fiber is
-    never changed in place."""
+    """A set of numeric lines: their (n, 2, 4) span matrices, the gauge
+    column pair of each line, where its span matrix holds the identity, and
+    the chart built from the gauges.  It is the tracker's only line type:
+    every entry point takes and returns fibers, and a fiber is never changed
+    in place."""
 
     __slots__ = ("mats", "gauges", "chart")
 
@@ -504,10 +466,16 @@ class Fiber:
         self.chart = _Chart(_free_indices(gauges)) if chart is None else chart
 
     @classmethod
-    def from_lines(cls, lines: Sequence[ChartedLine]) -> "Fiber":
-        """The fiber of the given lines, with every stale chart re-selected."""
-        mats = np.stack([l.matrix for l in lines]).astype(complex)
-        return cls(mats, np.array([l.gauge for l in lines], dtype=np.int64)).recharted()
+    def from_mats(cls, mats: np.ndarray) -> "Fiber":
+        """The fiber of the given (n, 2, 4) span matrices, each line in its
+        best gauge and normalized so that its gauge minor is the identity."""
+        mats = np.asarray(mats, dtype=complex)
+        if mats.ndim != 3 or mats.shape[1:] != (2, 4):
+            raise ValueError("expected (n, 2, 4) span matrices")
+        if (np.linalg.matrix_rank(mats, tol=1e-12) != 2).any():
+            raise ValueError("span matrix must have rank 2")
+        gauges = _best_gauges(mats)
+        return cls(_normalize_batch(mats, gauges), gauges)
 
     def moved(self, mats: np.ndarray) -> "Fiber":
         """The same charts carrying new span matrices."""
@@ -525,20 +493,6 @@ class Fiber:
         gauges[stale] = _best_gauges(mats[stale])
         mats[stale] = _normalize_batch(mats[stale], gauges[stale])
         return Fiber(mats, gauges)
-
-    def to_lines(self) -> list[ChartedLine]:
-        """The fiber as ChartedLines, with one exact check that every gauge
-        minor is the identity (so every span has rank 2) instead of a
-        construction (rank check and normalization) per line."""
-        minors = np.take_along_axis(self.mats, self.gauges[:, None, :], axis=2)
-        if not (minors == np.eye(2)).all():
-            raise ValueError("span matrix must have rank 2 with an identity gauge minor")
-        out = []
-        for m, gauge in zip(self.mats.copy(), self.gauges.tolist()):
-            line = ChartedLine.__new__(ChartedLine)
-            line.matrix, line.gauge = m, tuple(gauge)
-            out.append(line)
-        return out
 
 
 def track_segment(
@@ -649,15 +603,15 @@ def _retraced_edges(vertices: Sequence[CubicForm]) -> int:
 
 def track_loop(
     vertices: Sequence[CubicForm],
-    base_lines: Sequence[ChartedLine],
+    base: Fiber,
     cfg: TrackerConfig | None = None,
 ) -> Permutation:
     """Track the labeled base fiber around a closed polygon of cubic forms and
     return the induced label permutation (start label -> end label).
 
     One Fiber is carried from vertex to vertex: each segment starts from
-    the previous one's unpolished end fiber, whose charts are fresh, and no
-    ChartedLine is built until the end.  One step controller runs through
+    the previous one's unpolished end fiber, whose charts are fresh, and
+    nothing is converted on the way.  One step controller runs through
     the polygon.  The first segment starts at cfg.step_init; each later one
     starts at the previous segment's ``TrackResult.step`` times the ratio of
     the two segments' lengths (||f_to - f_from|| over the coefficients), so
@@ -671,7 +625,7 @@ def track_loop(
     transport along it, so only the first n - k edges are tracked and the
     final fiber is matched against the fiber at the end of edge k.  A
     polygon with k = 0, such as a triangle, is matched against the base
-    lines.  Each fiber that is matched is Newton-polished once first, so a
+    fiber.  Each fiber that is matched is Newton-polished once first, so a
     loop polishes at most twice.
 
     A match is accepted only when every nearest/second-nearest distance
@@ -680,12 +634,12 @@ def track_loop(
     cfg = cfg or TrackerConfig()
     if len(vertices) < 2 or not vertices[0].allclose(vertices[-1], tol=0.0):
         raise ValueError("loop must start and end at the same form")
-    if len(base_lines) != N_POINTS:
+    if len(base.mats) != N_POINTS:
         raise ValueError(f"expected {N_POINTS} base lines")
     k = _retraced_edges(vertices)
     segments = list(zip(vertices, vertices[1 : len(vertices) - k]))
     lengths = [float(np.linalg.norm(f_to.coeffs - f_from.coeffs)) for f_from, f_to in segments]
-    fiber, seg_cfg = Fiber.from_lines(base_lines), cfg
+    fiber, seg_cfg = base, cfg
     for i, (f_from, f_to) in enumerate(segments):
         if i:
             step = _carried_step(cfg, result.step, lengths[i - 1], lengths[i])
@@ -694,8 +648,8 @@ def track_loop(
         fiber = result.fiber
         if i + 1 == k:
             stem_end = fiber
-    end = _polish(vertices[k], fiber, cfg).to_lines()
-    reference = _polish(vertices[k], stem_end, cfg).to_lines() if k else base_lines
+    end = _polish(vertices[k], fiber, cfg)
+    reference = _polish(vertices[k], stem_end, cfg) if k else base
     return match_to_base(end, reference, cfg)
 
 
@@ -709,24 +663,24 @@ def _carried_step(cfg: TrackerConfig, step: float, length: float, next_length: f
     return min(cfg.step_max, max(cfg.step_init, step * length / next_length))
 
 
-def match_to_base(
-    tracked: Sequence[ChartedLine],
-    base_lines: Sequence[ChartedLine],
-    cfg: TrackerConfig,
-) -> Permutation:
-    tracked_u = _plucker_batch(np.stack([l.matrix for l in tracked]))
-    base_u = _plucker_batch(np.stack([l.matrix for l in base_lines]))
+def match_to_base(tracked: Fiber, base: Fiber, cfg: TrackerConfig) -> Permutation:
+    """The label permutation taking each tracked line to the base line
+    nearest it.  Raises AmbiguousMatch at the first line whose nearest base
+    line is not match_margin times nearer than the second nearest, or when
+    two lines share their nearest base line."""
+    tracked_u = _plucker_batch(tracked.mats)
+    base_u = _plucker_batch(base.mats)
     dist = _chordal(tracked_u[:, None, :], base_u[None, :, :])  # [tracked, base]
-    images = []
-    for i in range(len(tracked)):
-        order = np.argsort(dist[i])
-        nearest, second = dist[i, order[0]], dist[i, order[1]]
-        if nearest * cfg.match_margin > second:
-            raise AmbiguousMatch(
-                f"line {i + 1}: nearest {nearest:.3e} vs second {second:.3e} "
-                f"fails margin {cfg.match_margin}"
-            )
-        images.append(int(order[0]) + 1)
+    order = np.argsort(dist, axis=1)[:, :2]
+    nearest, second = np.take_along_axis(dist, order, axis=1).T
+    ambiguous = np.flatnonzero(nearest * cfg.match_margin > second)
+    if ambiguous.size:
+        i = ambiguous[0]
+        raise AmbiguousMatch(
+            f"line {i + 1}: nearest {nearest[i]:.3e} vs second {second[i]:.3e} "
+            f"fails margin {cfg.match_margin}"
+        )
+    images = (order[:, 0] + 1).tolist()
     if len(set(images)) != len(images):
         raise AmbiguousMatch("matching is not a bijection")
     return Permutation(images)
@@ -735,14 +689,14 @@ def match_to_base(
 def revalidate(
     vertices: Sequence[CubicForm],
     perm: Permutation,
-    base_lines: Sequence[ChartedLine],
+    base: Fiber,
     cfg: TrackerConfig | None = None,
 ) -> bool:
     """Re-track the loop at tightened tolerances (newton_tol/10, step_init/2,
     match_margin*2) and confirm the identical permutation."""
     cfg = cfg or TrackerConfig()
     try:
-        again = track_loop(vertices, base_lines, cfg.tightened())
+        again = track_loop(vertices, base, cfg.tightened())
     except TrackFailure:
         return False
     return again == perm

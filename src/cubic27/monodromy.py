@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from . import fermat_data, htrack, lattice, lines as lines_mod, perm, symverify
-from .htrack import ChartedLine, CubicForm, TrackerConfig, TrackFailure
+from .htrack import CubicForm, Fiber, TrackerConfig, TrackFailure
 from .perm import FiniteGroup, format_cycles
 
 
@@ -109,42 +109,42 @@ def full_family() -> FamilySpec:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=2)
-def _catalog_lines(conjugate_embedding: bool = False) -> tuple[ChartedLine, ...]:
-    return tuple(
-        ChartedLine.from_exact(l, conjugate_embedding)
-        for l in lines_mod.fermat_catalog()
-    )
+@lru_cache(maxsize=1)
+def _catalog_fiber() -> Fiber:
+    fiber = Fiber.from_mats([l.to_complex() for l in lines_mod.fermat_catalog()])
+    # the cached fiber is shared by every caller: keep it read-only
+    fiber.mats.setflags(write=False)
+    fiber.gauges.setflags(write=False)
+    return fiber
 
 
-def basepoint_fiber(spec: FamilySpec) -> list[ChartedLine]:
+def basepoint_fiber(spec: FamilySpec) -> Fiber:
     """The 27 labeled numeric lines over the family's basepoint.
 
     Labels come from the exact catalog: for the Fermat basepoint this is the
-    direct numeric embedding; any other basepoint must admit 27 separable
-    Newton refinements of the catalog, each still uniquely nearest its own
-    catalog label.
+    direct numeric embedding; any other basepoint must admit one Newton
+    refinement of the whole catalog fiber whose 27 lines are separable and
+    each still uniquely nearest its own catalog label.
     """
-    cfg = TrackerConfig()
-    cat = list(_catalog_lines())
+    cat = _catalog_fiber()
     base = spec.form_at(spec.base)
     if base == fermat_form():
         return cat
-    refined = []
-    for i, line in enumerate(cat):
-        try:
-            refined.append(htrack.newton_correct(base, line, cfg))
-        except TrackFailure as exc:
-            raise SingularBasepoint(
-                f"line {i + 1} does not Newton-refine on the basepoint"
-            ) from exc
-    mats = np.stack([l.matrix for l in refined])
+    cfg = TrackerConfig()
+    try:
+        mats, _, _, _ = htrack._newton_batch(htrack._polar(base.coeffs), cat.mats, cat.chart, cfg)
+    except TrackFailure as exc:
+        raise SingularBasepoint("catalog lines do not Newton-refine on the basepoint") from exc
+    refined = cat.moved(mats)
     if htrack._min_pairwise_distance(mats) < 1e-6:
         raise SingularBasepoint("refined basepoint lines are not separable")
-    matched = htrack.match_to_base(refined, cat, cfg)
-    if not matched.is_identity():
+    try:
+        preserved = htrack.match_to_base(refined, cat, cfg).is_identity()
+    except TrackFailure:
+        preserved = False
+    if not preserved:
         raise SingularBasepoint("refined lines do not preserve catalog labels")
-    return refined
+    return refined.recharted()
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +398,7 @@ def compute_monodromy(spec: FamilySpec, budget: int = 40, seed: int = 1) -> Mono
     rejected.  The run is conclusive only when the stall fired and the group
     found equals the bound, so the lower bound meets the upper one.
     """
-    base_lines = basepoint_fiber(spec)
+    base = basepoint_fiber(spec)
     bound = upper_bound(spec)
 
     records: list[LoopRecord] = []
@@ -411,10 +411,10 @@ def compute_monodromy(spec: FamilySpec, budget: int = 40, seed: int = 1) -> Mono
         loop = _build_loop(spec, i, seed)
         p, failure = None, "revalidation mismatch"
         try:
-            p = htrack.track_loop(loop.vertices, base_lines)
+            p = htrack.track_loop(loop.vertices, base)
         except TrackFailure as exc:
             failure = f"{type(exc).__name__}: {exc}"
-        revalidated = p is not None and htrack.revalidate(loop.vertices, p, base_lines)
+        revalidated = p is not None and htrack.revalidate(loop.vertices, p, base)
         in_bound = (p in bound) if revalidated else None
         if in_bound is False:
             violations += 1
@@ -864,18 +864,17 @@ def _claim_component_structure() -> Claim:
 
 def _claim_numeric_hygiene(seed: int) -> Claim:
     rng = np.random.default_rng(seed)
-    cat = _catalog_lines()
+    cat = _catalog_fiber()
     worst = 0.0
     for _ in range(100):
         coeffs = (rng.standard_normal(20) + 1j * rng.standard_normal(20)) / np.sqrt(2)
         f = CubicForm(coeffs)
-        line = cat[int(rng.integers(0, 27))]
-        jac = htrack.jacobian(f, line)
-        fd = _finite_difference_jacobian(f, line)
+        i = int(rng.integers(0, 27))
+        jac = htrack.jacobian(f, cat.mats[i], cat.gauges[i])
+        fd = _finite_difference_jacobian(f, cat.mats[i], cat.gauges[i])
         err = np.linalg.norm(jac - fd) / max(np.linalg.norm(jac), 1e-30)
         worst = max(worst, float(err))
     spec = symmetric_family()
-    base_lines = list(cat)
     reversal_ok = True
     tested = 0
     i = 0
@@ -885,8 +884,8 @@ def _claim_numeric_hygiene(seed: int) -> Claim:
         loop = random_loop(spec, loop_rng, spec.scale)
         reverse = Loop(kind="triangle", vertices=tuple(reversed(loop.vertices)))
         try:
-            fwd = htrack.track_loop(loop.vertices, base_lines)
-            bwd = htrack.track_loop(reverse.vertices, base_lines)
+            fwd = htrack.track_loop(loop.vertices, cat)
+            bwd = htrack.track_loop(reverse.vertices, cat)
         except TrackFailure:
             continue
         tested += 1
@@ -906,10 +905,12 @@ def _claim_numeric_hygiene(seed: int) -> Claim:
     return Claim("numeric-hygiene", "analytic Jacobian matches finite differences, loop reversal inverts permutations, fixed seeds reproduce reports", ok, details)
 
 
-def _finite_difference_jacobian(f: CubicForm, line: ChartedLine, h: float = 1e-7) -> np.ndarray:
-    free = htrack._free_indices(np.array([line.gauge], dtype=np.int64))[0]
+def _finite_difference_jacobian(
+    f: CubicForm, mat: np.ndarray, gauge: np.ndarray, h: float = 1e-7
+) -> np.ndarray:
+    free = htrack._free_indices(gauge[None])[0]
     out = np.zeros((4, 4), dtype=complex)
-    flat = line.matrix.reshape(8)
+    flat = mat.reshape(8)
     for k, pos in enumerate(free):
         plus, minus = flat.copy(), flat.copy()
         plus[pos] += h

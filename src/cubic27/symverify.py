@@ -50,14 +50,20 @@ def check_tricuspidal() -> CheckResult:
     target = (m21 + m111).scale(4)
     g = three_cusp_form()
     m = [[Fraction(x) for x in row] for row in CUSP_CHANGE_OF_BASIS]
-    m_inv = [[x / 4 for x in row] for row in m]  # M^2 = 4I
+    squares_to_4i = all(
+        sum(m[i][k] * m[k][j] for k in range(4)) == (4 if i == j else 0)
+        for i in range(4)
+        for j in range(4)
+    )
+    m_inv = [[x / 4 for x in row] for row in m]  # the inverse when M^2 = 4I
     forward = g.substitute(m)
     backward = g.substitute(m_inv)
     lam_fwd = forward.rational_multiple_of(target)
     lam_bwd = backward.rational_multiple_of(target)
     exact_dirs = [lam for lam in (lam_fwd, lam_bwd) if lam == 1]
     passed = (
-        lam_fwd is not None
+        squares_to_4i
+        and lam_fwd is not None
         and lam_bwd is not None
         and len(exact_dirs) == 1
         and lam_fwd == 1
@@ -71,7 +77,7 @@ def check_tricuspidal() -> CheckResult:
             "scalar_forward": str(lam_fwd),
             "scalar_backward": str(lam_bwd),
             "exact_direction": "f(M z)",
-            "matrix_squares_to_4I": True,
+            "matrix_squares_to_4I": squares_to_4i,
             "identity_substitution_matches": identity_sub is not None,
         },
     )

@@ -4,7 +4,6 @@ import pytest
 from cubic27 import htrack, lines
 from cubic27.exact import symmetric_basis
 from cubic27.htrack import (
-    ChartedLine,
     CubicForm,
     Fiber,
     MONOMIAL_EXPONENTS,
@@ -13,21 +12,22 @@ from cubic27.htrack import (
     jacobian,
     line_distance,
     match_to_base,
-    newton_correct,
     residual,
     revalidate,
     track_loop,
     track_segment,
     _PLUCKER_PAIRS,
     _STEP_MIN,
+    _Chart,
     _best_gauges,
+    _contract,
     _free_indices,
     _gauge_conds,
-    _jacobian_batch,
     _min_pairwise_distance,
     _minor_conds,
+    _newton_batch,
     _normalize_batch,
-    _residual_batch,
+    _polar,
 )
 from cubic27.monodromy import embed_symmetric
 
@@ -44,7 +44,7 @@ def forms():
 
 @pytest.fixture(scope="module")
 def catalog():
-    return [ChartedLine.from_exact(l) for l in lines.fermat_catalog()]
+    return Fiber.from_mats([l.to_complex() for l in lines.fermat_catalog()])
 
 
 class TestMonomialOrder:
@@ -69,20 +69,20 @@ class TestMonomialOrder:
 
 class TestResidual:
     def test_catalog_on_fermat(self, forms, catalog):
-        for line in catalog:
+        for line in catalog.mats:
             assert np.linalg.norm(residual(forms[0], line)) < 1e-14
 
     def test_tritangent_on_elementary(self, forms, catalog):
         for label in (25, 26, 27):
-            assert np.linalg.norm(residual(forms[2], catalog[label - 1])) == 0.0
+            assert np.linalg.norm(residual(forms[2], catalog.mats[label - 1])) == 0.0
 
     def test_linearity_in_form(self, forms, catalog):
         f = forms[1]
-        line = catalog[4]
+        line = catalog.mats[4]
         assert np.allclose(residual(2 * f, line), 2 * residual(f, line))
 
     def test_nonvanishing_off_surface(self, forms, catalog):
-        assert np.linalg.norm(residual(forms[1], catalog[0])) > 0.1
+        assert np.linalg.norm(residual(forms[1], catalog.mats[0])) > 0.1
 
 
 def _random_mats(rng, n):
@@ -105,10 +105,10 @@ class TestKernelOracle:
         rng = np.random.default_rng(2024)
         for _ in range(50):
             coeffs = rng.standard_normal(20) + 1j * rng.standard_normal(20)
-            lines_ = [ChartedLine(m) for m in _random_mats(rng, 3)]
-            got = _residual_batch(coeffs, np.stack([l.matrix for l in lines_]))
-            for line, res in zip(lines_, got):
-                want = self.restriction_by_interpolation(coeffs, line.matrix)
+            fiber = Fiber.from_mats(_random_mats(rng, 3))
+            got = residual(CubicForm(coeffs), fiber.mats)
+            for line, res in zip(fiber.mats, got):
+                want = self.restriction_by_interpolation(coeffs, line)
                 assert np.linalg.norm(res - want) <= 1e-12 * np.linalg.norm(want)
 
 
@@ -127,15 +127,13 @@ class TestRechart:
         rng = np.random.default_rng(78)
         n, limit = 60, 2.0
         slots = rng.integers(0, 6, n)
-        lines_ = [
-            ChartedLine(m, gauge=_PLUCKER_PAIRS[k]) for m, k in zip(_random_mats(rng, n), slots)
-        ]
-        mats = np.stack([l.matrix for l in lines_])
+        gauges = np.array(_PLUCKER_PAIRS, dtype=np.int64)[slots]
+        mats = _normalize_batch(_random_mats(rng, n), gauges)
         stale = _minor_conds(mats)[np.arange(n), slots] > limit
         assert 0 < stale.sum() < n
-        want = np.array([l.gauge for l in lines_], dtype=np.int64)
+        want = gauges.copy()
         want[stale] = _best_gauges(mats[stale])
-        given = Fiber(mats, np.array([l.gauge for l in lines_], dtype=np.int64))
+        given = Fiber(mats, gauges)
         batch = given.recharted(limit)
         assert np.array_equal(given.mats, mats)
         assert np.array_equal(batch.gauges, want)
@@ -149,73 +147,62 @@ class TestJacobian:
         rng = np.random.default_rng(101)
         for _ in range(25):
             f = CubicForm((rng.standard_normal(20) + 1j * rng.standard_normal(20)))
-            line = catalog[int(rng.integers(0, 27))]
-            jac = jacobian(f, line)
-            free = _free_indices(np.array([line.gauge], dtype=np.int64))[0]
+            i = int(rng.integers(0, 27))
+            jac = jacobian(f, catalog.mats[i], catalog.gauges[i])
+            free = _free_indices(catalog.gauges[i : i + 1])[0]
             fd = np.zeros((4, 4), dtype=complex)
             h = 1e-7
-            flat = line.matrix.reshape(8)
+            flat = catalog.mats[i].reshape(8)
             for k, pos in enumerate(free):
                 plus, minus = flat.copy(), flat.copy()
                 plus[pos] += h
                 minus[pos] -= h
                 fd[:, k] = (
-                    _residual_batch(f.coeffs, plus.reshape(1, 2, 4))[0]
-                    - _residual_batch(f.coeffs, minus.reshape(1, 2, 4))[0]
+                    residual(f, plus.reshape(2, 4)) - residual(f, minus.reshape(2, 4))
                 ) / (2 * h)
             assert np.linalg.norm(jac - fd) / np.linalg.norm(jac) < 1e-6
 
     def test_nonsingular_at_catalog_lines(self, forms, catalog):
-        for line in catalog:
-            jac = jacobian(forms[0], line)
+        for jac in jacobian(forms[0], catalog.mats, catalog.gauges):
             assert np.linalg.cond(jac) < 1e4
 
     def test_zero_form_gives_zero_matrix(self, catalog):
-        line = catalog[0]
-        free = _free_indices(np.array([line.gauge], dtype=np.int64))
-        jac = _jacobian_batch(np.zeros(20, dtype=complex), line.matrix[None], free)[0]
+        # CubicForm refuses the zero form, so build its kernel Jacobian directly
+        chart = _Chart(_free_indices(catalog.gauges[:1]))
+        jac = chart.jacobian(_contract(_polar(np.zeros(20, dtype=complex)), catalog.mats[:1]))[0]
         assert np.array_equal(jac, np.zeros((4, 4)))
 
 
 class TestNewton:
-    def test_exact_solution_unchanged(self, forms, catalog):
-        cfg = TrackerConfig()
-        out = newton_correct(forms[0], catalog[0], cfg)
-        assert out is catalog[0]
-
     def test_perturbed_line_reconverges(self, forms, catalog):
+        # every line of the catalog fiber moved by about 1e-4, back in its gauge
         rng = np.random.default_rng(5)
-        cfg = TrackerConfig()
-        for idx in (0, 7, 20):
-            line = catalog[idx]
-            noisy = line.matrix + 1e-4 * (
-                rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
-            )
-            fixed = newton_correct(forms[0], ChartedLine(noisy, gauge=line.gauge), cfg)
-            assert line_distance(fixed, line) < 1e-8
+        noisy = _normalize_batch(catalog.mats + 1e-4 * _random_mats(rng, 27), catalog.gauges)
+        fixed, _, _, _ = _newton_batch(_polar(forms[0].coeffs), noisy, catalog.chart, TrackerConfig())
+        for line, want in zip(fixed, catalog.mats):
+            assert line_distance(line, want) < 1e-8
 
     def test_failure_on_singular_target(self, forms, catalog):
         # the straight segment toward the three-node parameter point
         target = embed_symmetric(0.25, 0, 0.75)
         with pytest.raises(TrackFailure):
-            track_segment(forms[0], target, Fiber.from_lines(catalog))
+            track_segment(forms[0], target, catalog)
 
 
 class TestLineDistance:
     def test_zero_on_self(self, catalog):
-        for line in catalog[:5]:
+        for line in catalog.mats[:5]:
             assert line_distance(line, line) < 1e-12
 
     def test_catalog_minimum_separation(self, catalog):
-        mats = np.stack([l.matrix for l in catalog])
-        dmin = _min_pairwise_distance(mats)
+        dmin = _min_pairwise_distance(catalog.mats)
         assert dmin > 0.1
         assert abs(dmin - 0.8660254) < 1e-6
 
     def test_min_pairwise_resolves_nearly_coincident_lines(self, catalog):
         # 1 - |<u, v>|^2 cannot see a distance of 1e-10; the separation
         # barrier needs it to tell a path jump from two distinct lines
-        mats = np.stack([l.matrix for l in catalog])
+        mats = catalog.mats.copy()
         mats[1] = mats[0]
         mats[1, 1, 3] += 1e-10
         want = line_distance(mats[0], mats[1])
@@ -224,39 +211,39 @@ class TestLineDistance:
 
     def test_invariance_under_row_operations(self, catalog):
         rng = np.random.default_rng(8)
-        m = catalog[3].matrix
+        m = catalog.mats[3]
         mix = np.array([[1.5, 0.25 + 1j], [0, 2.0 - 0.5j]])
         assert line_distance(m, mix @ m) < 1e-12
 
 
 class TestTrackSegment:
     def test_identity_motion(self, forms, catalog):
-        res = track_segment(forms[0], forms[0], Fiber.from_lines(catalog))
+        res = track_segment(forms[0], forms[0], catalog)
         assert res.max_residual < 1e-12
-        for a, b in zip(res.fiber.to_lines(), catalog):
+        for a, b in zip(res.fiber.mats, catalog.mats):
             assert line_distance(a, b) < 1e-12
 
     def test_round_trip(self, forms, catalog):
         target = embed_symmetric(1, 0.2 + 0.1j, -0.15)
-        out = track_segment(forms[0], target, Fiber.from_lines(catalog))
+        out = track_segment(forms[0], target, catalog)
         back = track_segment(target, forms[0], out.fiber)
-        for a, b in zip(back.fiber.to_lines(), catalog):
+        for a, b in zip(back.fiber.mats, catalog.mats):
             assert line_distance(a, b) < 1e-8
 
     def test_generic_smooth_target(self, forms, catalog):
         cfg = TrackerConfig()
         target = embed_symmetric(1, 0.1, 0.1)
-        res = track_segment(forms[0], target, Fiber.from_lines(catalog), cfg)
+        res = track_segment(forms[0], target, catalog, cfg)
         assert res.max_residual <= cfg.newton_tol
         assert _min_pairwise_distance(res.fiber.mats) > 0.1
 
     def test_fermat_to_cayley_fails(self, forms, catalog):
         with pytest.raises(TrackFailure):
-            track_segment(forms[0], forms[2], Fiber.from_lines(catalog))
+            track_segment(forms[0], forms[2], catalog)
 
     def test_bitwise_deterministic(self, forms, catalog):
         target = embed_symmetric(1, 0.2 + 0.1j, -0.15)
-        start = Fiber.from_lines(catalog)
+        start = catalog
         r1 = track_segment(forms[0], target, start)
         r2 = track_segment(forms[0], target, start)
         assert r1.accepted_steps == r2.accepted_steps
@@ -265,7 +252,7 @@ class TestTrackSegment:
         assert np.array_equal(r1.fiber.gauges, r2.fiber.gauges)
 
     def test_start_fiber_left_unchanged(self, forms, catalog):
-        start = Fiber.from_lines(catalog)
+        start = catalog
         mats, gauges = start.mats.copy(), start.gauges.copy()
         track_segment(forms[0], embed_symmetric(1, 0.2 + 0.1j, -0.15), start)
         assert np.array_equal(start.mats, mats)
@@ -309,11 +296,11 @@ C_POINT = (1, 0, (3 + 1j * np.sqrt(135)) / 8)
 
 def retracked(loop, catalog):
     """The lasso's oracle: every edge tracked, the return leg included, from
-    a fresh fiber built from ChartedLines at each vertex, and the end lines
-    matched against the catalog."""
+    a fiber rebuilt in fresh best gauges at each vertex and at step_init, and
+    the end fiber matched against the catalog."""
     current = catalog
     for f0, f1 in zip(loop, loop[1:]):
-        current = track_segment(f0, f1, Fiber.from_lines(current)).fiber.to_lines()
+        current = Fiber.from_mats(track_segment(f0, f1, current).fiber.mats)
     return match_to_base(current, catalog, TrackerConfig())
 
 
@@ -329,12 +316,30 @@ def full_family_lasso(seed, stem_edges=1):
     return stem + [p1, p2] + stem[::-1]
 
 
-class TestBatch:
-    def test_to_lines_rejects_a_perturbed_gauge_column(self, catalog):
-        batch = Fiber.from_lines(catalog)
-        batch.mats[3, :, batch.gauges[3, 1]] += 1e-12
-        with pytest.raises(ValueError):
-            batch.to_lines()
+class TestFromMats:
+    def test_catalog_in_best_gauges_with_identity_minors(self, catalog):
+        assert catalog.mats.shape == (27, 2, 4)
+        # each gauge is a best one: ties between pairs make argmin itself unstable
+        unknowns = catalog.mats.reshape(-1)[catalog.chart.unknowns]
+        assert np.all(_gauge_conds(unknowns) <= _minor_conds(catalog.mats).min(axis=1) * (1 + 1e-12))
+        minors = np.take_along_axis(catalog.mats, catalog.gauges[:, None, :], axis=2)
+        assert (minors == np.eye(2)).all()
+
+    def test_batch_equals_one_line_at_a_time(self):
+        mats = _random_mats(np.random.default_rng(9), 12)
+        fiber = Fiber.from_mats(mats)
+        for i, m in enumerate(mats):
+            alone = Fiber.from_mats(m[None])
+            assert np.array_equal(alone.mats[0], fiber.mats[i])
+            assert np.array_equal(alone.gauges[0], fiber.gauges[i])
+
+    def test_rejects_rank_one_and_misshapen_spans(self, catalog):
+        mats = catalog.mats.copy()
+        mats[5, 1] = 2 * mats[5, 0]
+        with pytest.raises(ValueError, match="rank 2"):
+            Fiber.from_mats(mats)
+        with pytest.raises(ValueError, match=r"\(n, 2, 4\)"):
+            Fiber.from_mats(catalog.mats[0])
 
 
 class TestCarriedStep:
@@ -387,7 +392,7 @@ class TestCarriedStep:
     @pytest.mark.parametrize("cfg", [TrackerConfig(), TrackerConfig().tightened()])
     def test_result_step_within_bounds(self, forms, catalog, cfg):
         for target in (forms[0], embed_symmetric(1, 0.2 + 0.1j, -0.15)):
-            step = track_segment(forms[0], target, Fiber.from_lines(catalog), cfg).step
+            step = track_segment(forms[0], target, catalog, cfg).step
             assert _STEP_MIN <= step <= cfg.step_max
 
     def test_zero_length_segment(self, catalog):
@@ -465,12 +470,11 @@ class TestLasso:
 
         monkeypatch.setattr(htrack, "track_segment", log("segment", htrack.track_segment))
         monkeypatch.setattr(htrack, "_polish", log("polish", htrack._polish))
-        monkeypatch.setattr(Fiber, "to_lines", log("lines", Fiber.to_lines))
-        monkeypatch.setattr(ChartedLine, "__init__", log("lines", ChartedLine.__init__))
+        monkeypatch.setattr(Fiber, "from_mats", classmethod(log("lines", Fiber.from_mats.__func__)))
         track_loop(loop, catalog)
         last_segment = len(events) - events[::-1].index("segment")
         assert events.count("segment") == len(loop) - 1 - htrack._retraced_edges(loop)
-        assert "lines" not in events[:last_segment]
+        assert "lines" not in events
         assert "polish" not in events[:last_segment]
         assert events.count("polish") == polishes <= 2
 

@@ -32,7 +32,7 @@ from cubic27.monodromy import (
     symmetric_family,
     upper_bound,
 )
-from cubic27.htrack import line_distance, residual
+from cubic27.htrack import TrackerConfig, line_distance, match_to_base, residual
 from cubic27.perm import (
     fingerprint,
     format_cycles,
@@ -87,14 +87,16 @@ class TestBasepointFiber:
     def test_fermat_matches_catalog_exactly(self):
         fiber = basepoint_fiber(symmetric_family())
         cat = lines.fermat_catalog()
-        for numeric, exact in zip(fiber, cat):
+        for numeric, exact in zip(fiber.mats, cat):
             embedded = [[x.to_complex() for x in row] for row in exact.span]
             assert line_distance(numeric, np.array(embedded)) < 1e-12
 
     def test_perturbed_basepoint_keeps_labels(self):
         spec = replace(full_family(), base=embed_symmetric(1, 0.02, -0.01j).coeffs)
         fiber = basepoint_fiber(spec)
-        assert len(fiber) == 27
+        assert fiber.mats.shape == (27, 2, 4)
+        fermat = basepoint_fiber(full_family())
+        assert match_to_base(fiber, fermat, TrackerConfig()).is_identity()
 
     def test_near_fermat_basepoint_is_refined(self):
         # a basepoint within 1e-5 relative of Fermat is not Fermat: its lines
@@ -103,13 +105,53 @@ class TestBasepointFiber:
         coeffs[MONOMIAL_EXPONENTS.index((3, 0, 0, 0))] *= 1 + 1e-7
         base = CubicForm(coeffs)
         fiber = basepoint_fiber(replace(full_family(), base=coeffs))
-        raw = [np.abs(residual(base, line)).max() for line in basepoint_fiber(full_family())]
-        assert max(raw) > 1e-9
-        assert max(np.abs(residual(base, line)).max() for line in fiber) < 1e-10
+        raw = np.abs(residual(base, basepoint_fiber(full_family()).mats)).max()
+        assert raw > 1e-9
+        assert np.abs(residual(base, fiber.mats)).max() < 1e-10
 
     def test_cayley_basepoint_rejected(self):
+        # the four-node surface carries 9 lines, so refined lines coincide
         spec = replace(full_family(), base=cayley_form().coeffs)
-        with pytest.raises(SingularBasepoint):
+        with pytest.raises(SingularBasepoint, match="not separable"):
+            basepoint_fiber(spec)
+
+    def test_far_basepoint_fails_newton(self):
+        # the catalog is too far from the lines of m21 for Newton to converge
+        spec = replace(symmetric_family(), base=(0, 1, 0))
+        with pytest.raises(SingularBasepoint, match="Newton-refine") as info:
+            basepoint_fiber(spec)
+        assert isinstance(info.value.__cause__, htrack.NewtonFailure)
+
+    def test_fermat_fiber_is_shared_and_read_only(self):
+        fiber = basepoint_fiber(symmetric_family())
+        assert basepoint_fiber(full_family()) is fiber
+        with pytest.raises(ValueError):
+            fiber.mats[0, 0, 0] = 0
+
+    @pytest.mark.parametrize(
+        "move, reason",
+        [
+            (lambda mats: mats[[0, 0] + list(range(2, 27))], "not separable"),
+            (lambda mats: mats[[1, 0] + list(range(2, 27))], "do not preserve catalog labels"),
+            (
+                lambda mats: np.concatenate((mats[1:2] + [[0.05], [0]], mats[1:])),
+                "do not preserve catalog labels",
+            ),
+        ],
+        ids=["coincident", "swapped", "near_another"],
+    )
+    def test_refinement_failures_are_singular_basepoints(self, monkeypatch, move, reason):
+        # a refinement that lands two lines on one, swaps two labels, or
+        # leaves two lines nearest one catalog line (an ambiguous match)
+        newton = htrack._newton_batch
+
+        def stub(*args):
+            mats, norms, last, iters = newton(*args)
+            return move(mats), norms, last, iters
+
+        monkeypatch.setattr(htrack, "_newton_batch", stub)
+        spec = replace(full_family(), base=embed_symmetric(1, 0.02, -0.01j).coeffs)
+        with pytest.raises(SingularBasepoint, match=reason):
             basepoint_fiber(spec)
 
 

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import sympy
 
+from cubic27 import symverify
 from cubic27.exact import symmetric_basis
 from cubic27.symverify import (
     CUSP_CHANGE_OF_BASIS,
@@ -21,6 +22,15 @@ class TestTricuspidal:
         assert result.details["scalar_forward"] == "1"
         assert result.details["scalar_backward"] == "1/64"
         assert result.details["exact_direction"] == "f(M z)"
+        assert result.details["matrix_squares_to_4I"] is True
+
+    def test_square_is_computed(self, monkeypatch):
+        # a matrix that squares to 2I is refused by the computed identity
+        swap = ((0, 1, 0, 0), (2, 0, 0, 0), (0, 0, 0, 1), (0, 0, 2, 0))
+        monkeypatch.setattr(symverify, "CUSP_CHANGE_OF_BASIS", swap)
+        result = check_tricuspidal()
+        assert result.details["matrix_squares_to_4I"] is False
+        assert not result.passed
 
     def test_direct_identity(self):
         _, m21, m111 = symmetric_basis()
