@@ -12,6 +12,8 @@ import math
 from fractions import Fraction
 from typing import Mapping, Sequence
 
+ZETA_COMPLEX = cmath.exp(1j * cmath.pi / 3)  # the numeric embedding of zeta
+
 
 class Cyc:
     """a + b*zeta with rational a, b; multiplication uses zeta^2 = zeta - 1."""
@@ -92,9 +94,8 @@ class Cyc:
     def is_rational(self) -> bool:
         return self.b == 0
 
-    def to_complex(self, conjugate_embedding: bool = False) -> complex:
-        z = cmath.exp(-1j * cmath.pi / 3) if conjugate_embedding else cmath.exp(1j * cmath.pi / 3)
-        return float(self.a) + float(self.b) * z
+    def to_complex(self) -> complex:
+        return float(self.a) + float(self.b) * ZETA_COMPLEX
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -102,7 +103,8 @@ class Cyc:
         return isinstance(other, Cyc) and self.a == other.a and self.b == other.b
 
     def __hash__(self) -> int:
-        return hash((self.a, self.b))
+        # a rational element hashes as the equal int or Fraction does
+        return hash(self.a) if self.b == 0 else hash((self.a, self.b))
 
     def __repr__(self) -> str:
         if self.b == 0:
@@ -258,13 +260,6 @@ class Poly4:
             if self.terms[e] != c * ratio:
                 return None
         return ratio
-
-    def serialize(self) -> list[dict]:
-        out = []
-        for e in sorted(self.terms, reverse=True):
-            c = self.terms[e]
-            out.append({"exponents": list(e), "coeff": {"a": str(c.a), "b": str(c.b)}})
-        return out
 
     def __repr__(self) -> str:
         return f"Poly4({self.terms!r})"

@@ -2,6 +2,13 @@
 the incidence (Schlaefli) graph, its automorphism group, the coordinate-
 permutation action, skew sixes and double sixes.
 
+Every catalog entry is an Eisenstein integer a + b*zeta, so the catalog is
+one read-only (27, 2, 4, 2) int64 array of (a, b) pairs, and its Plucker
+vectors one (27, 6, 2) array; the only arithmetic on them is the Eisenstein
+product.  The incidence graph is one pairing product over all pairs, and
+each coordinate permutation's line permutation one exact proportionality
+test of the pushed-forward Plucker vectors against the catalog's.
+
 The graph is one read-only (27, 27) 0/1 integer adjacency array A, and every
 consumer reads A directly.  Skew sixes are enumerated once, on A, and paired
 into double sixes once.
@@ -10,92 +17,78 @@ into double sixes once.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import permutations
 from typing import Sequence
 
 import numpy as np
 
 from . import fermat_data
-from .exact import Cyc, ONE, ZERO, ZETA, ZETA5, Poly4, _gauss_jordan
+from .exact import Cyc, Poly4, _gauss_jordan
 from .perm import Closure, FiniteGroup, Permutation, generate, parse_cycles
 
 N_LINES = 27
 
-_SYMBOLS = {"0": ZERO, "1": ONE, "-1": -ONE, "z": ZETA, "Z": ZETA5}
+# catalog entries as (a, b) for a + b*zeta; "Z" is zeta^5 = 1 - zeta
+_ENTRIES = {"0": (0, 0), "1": (1, 0), "-1": (-1, 0), "z": (0, 1), "Z": (1, -1)}
 _PLUCKER_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+_PAIRING_SIGNS = np.array([1, -1, 1, 1, -1, 1])
 
 
-class ProjectiveLine:
-    """Row span of a 2x4 matrix over Q(zeta), stored in reduced row echelon
-    form so that equal lines compare (and hash) equal."""
+def _times(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The Eisenstein product on the last axis of (a, b) pairs:
+    (a + b z)(c + d z) = (ac - bd) + (ad + bc + bd) z, since z^2 = z - 1."""
+    a, b, c, d = x[..., 0], x[..., 1], y[..., 0], y[..., 1]
+    return np.stack([a * c - b * d, a * d + b * c + b * d], axis=-1)
 
-    __slots__ = ("span", "_plucker")
 
-    def __init__(self, row0: Sequence, row1: Sequence):
-        rows, pivots, _ = _gauss_jordan([[Cyc.coerce(x) for x in row] for row in (row0, row1)])
-        if len(pivots) != 2:
-            raise ValueError("span matrix does not have rank 2")
-        self.span = (tuple(rows[0]), tuple(rows[1]))
-        self._plucker = None
+def _plucker(spans: np.ndarray) -> np.ndarray:
+    """The (..., 6, 2) Plucker coordinates p_ij = r0_i r1_j - r0_j r1_i,
+    ij = 01, 02, 03, 12, 13, 23, of (..., 2, 4, 2) spans over Z[zeta];
+    ValueError for a span of rank below 2, whose vector is zero."""
+    i, j = np.array(_PLUCKER_PAIRS).T
+    r0, r1 = spans[..., 0, :, :], spans[..., 1, :, :]
+    p = _times(r0[..., i, :], r1[..., j, :]) - _times(r0[..., j, :], r1[..., i, :])
+    if not p.any(axis=(-2, -1)).all():
+        raise ValueError("span matrix does not have rank 2")
+    return p
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, ProjectiveLine) and self.span == other.span
 
-    def __hash__(self) -> int:
-        return hash(self.span)
-
-    def plucker(self) -> tuple[Cyc, ...]:
-        """Plucker coordinates p_ij = r0_i r1_j - r0_j r1_i of the reduced
-        span, for ij = 01, 02, 03, 12, 13, 23; computed once per line."""
-        if self._plucker is None:
-            r0, r1 = self.span
-            self._plucker = tuple(r0[i] * r1[j] - r0[j] * r1[i] for i, j in _PLUCKER_PAIRS)
-        return self._plucker
-
-    def pairing(self, other: "ProjectiveLine") -> Cyc:
-        """The Plucker pairing p01 q23 - p02 q13 + p03 q12 + p12 q03 - p13 q02
-        + p23 q01: the Laplace expansion along its first two rows of the 4x4
-        determinant stacking both reduced spans."""
-        p, q = self.plucker(), other.plucker()
-        return (p[0] * q[5] - p[1] * q[4] + p[2] * q[3]
-                + p[3] * q[2] - p[4] * q[1] + p[5] * q[0])
-
-    def meets(self, other: "ProjectiveLine") -> bool:
-        """Two distinct lines in P^3 meet iff their Plucker pairing vanishes."""
-        if self == other:
-            raise ValueError("meet is only defined for distinct lines")
-        return not self.pairing(other)
-
-    def to_complex(self, conjugate_embedding: bool = False):
-        return [
-            [x.to_complex(conjugate_embedding) for x in row] for row in self.span
-        ]
-
-    def __repr__(self) -> str:
-        return f"ProjectiveLine({self.span[0]!r}, {self.span[1]!r})"
+def _pairing(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """The Plucker pairing p01 q23 - p02 q13 + p03 q12 + p12 q03 - p13 q02
+    + p23 q01, broadcast over leading axes: the Laplace expansion along its
+    first two rows of the 4x4 determinant stacking both spans."""
+    return (_PAIRING_SIGNS[:, None] * _times(p, q[..., ::-1, :])).sum(axis=-2)
 
 
 @lru_cache(maxsize=1)
-def fermat_catalog() -> tuple[ProjectiveLine, ...]:
-    """The 27 exact lines, indexed 1..27 (index 0 of the tuple is line 1)."""
-    lines = []
-    for p, q in fermat_data.FERMAT_LINE_BASIS:
-        lines.append(ProjectiveLine([_SYMBOLS[s] for s in p], [_SYMBOLS[s] for s in q]))
-    return tuple(lines)
+def fermat_catalog() -> np.ndarray:
+    """The 27 exact lines as one read-only (27, 2, 4, 2) int64 array: line
+    (label - 1), basis row, coordinate, and (a, b) for the entry a + b*zeta.
+    Each span is the reference data's, already in reduced row echelon form."""
+    cat = np.array(
+        [[[_ENTRIES[s] for s in row] for row in line] for line in fermat_data.FERMAT_LINE_BASIS],
+        dtype=np.int64,
+    )
+    cat.setflags(write=False)
+    return cat
 
 
-def catalog_line(label: int) -> ProjectiveLine:
-    return fermat_catalog()[label - 1]
+@lru_cache(maxsize=1)
+def _catalog_plucker() -> np.ndarray:
+    """The read-only (27, 6, 2) Plucker vectors of the catalog."""
+    p = _plucker(fermat_catalog())
+    p.setflags(write=False)
+    return p
 
 
 @lru_cache(maxsize=1)
 def incidence_graph() -> np.ndarray:
     """The read-only (27, 27) 0/1 adjacency array A: A[i - 1, j - 1] = 1
-    where catalog lines i and j meet."""
-    cat = fermat_catalog()
-    adj = np.zeros((N_LINES, N_LINES), dtype=np.int64)
-    for i, j in combinations(range(N_LINES), 2):
-        adj[i, j] = adj[j, i] = cat[i].meets(cat[j])
+    where distinct catalog lines i and j meet, i.e. their Plucker pairing
+    vanishes."""
+    p = _catalog_plucker()
+    adj = (~_pairing(p[:, None], p[None, :]).any(axis=-1)).astype(np.int64)
+    np.fill_diagonal(adj, 0)
     adj.setflags(write=False)
     return adj
 
@@ -214,51 +207,42 @@ def graph_automorphisms(graph: np.ndarray | None = None) -> FiniteGroup:
 # ---------------------------------------------------------------------------
 
 
-def _scaled_to_leading_one(p: Sequence[Cyc]) -> tuple[Cyc, ...]:
-    """A nonzero Plucker vector scaled so its first nonzero coordinate is 1:
-    one representative per line."""
-    lead = next(x for x in p if x)
-    if lead == ONE:
-        return tuple(p)
-    inv = 1 / lead
-    return tuple(x * inv if x else x for x in p)
-
-
-def coordinate_permutation_action(sigma: Sequence[int]) -> Permutation:
-    """Line permutation induced by pushing coordinates forward along sigma
-    (a permutation of (0,1,2,3); coordinate i of a point moves to slot
-    sigma[i]).
+def _pushforward_labels(plucker: np.ndarray, sigma: Sequence[int]) -> np.ndarray:
+    """The labels of the lines of a Plucker table that pushing coordinates
+    forward along sigma (coordinate i of a point moves to slot sigma[i])
+    sends lines 1..n to.
 
     The pushforward permutes Plucker coordinates with signs:
-    p'_{sigma(i) sigma(j)} = p_ij, negated when sigma(i) > sigma(j).  Each
-    image is found exactly among the catalog's Plucker vectors up to scale.
+    p'_{sigma(i) sigma(j)} = p_ij, negated when sigma(i) > sigma(j).  The
+    nonzero p' is proportional to the table's q exactly when
+    p'_k q_l = q_k p'_l for every k, l being q's leading coordinate.
+    ValueError unless each image is exactly one line of the table.
     """
-    if sorted(sigma) != [0, 1, 2, 3]:
-        raise ValueError("sigma must be a permutation of (0,1,2,3)")
     slot = {pair: k for k, pair in enumerate(_PLUCKER_PAIRS)}
-    moves = [
-        (slot[min(sigma[i], sigma[j]), max(sigma[i], sigma[j])], sigma[i] > sigma[j])
-        for i, j in _PLUCKER_PAIRS
-    ]
-    cat = fermat_catalog()
-    labels = {_scaled_to_leading_one(line.plucker()): i for i, line in enumerate(cat, start=1)}
-    images = []
-    for line in cat:
-        moved = [ZERO] * 6
-        for x, (k, negate) in zip(line.plucker(), moves):
-            moved[k] = -x if negate else x
-        label = labels.get(_scaled_to_leading_one(moved))
-        if label is None:
-            raise ValueError("coordinate image not in catalog; embedding mismatch")
-        images.append(label)
-    return Permutation(images)
+    dest = [slot[min(sigma[i], sigma[j]), max(sigma[i], sigma[j])] for i, j in _PLUCKER_PAIRS]
+    sign = np.array([1 if sigma[i] < sigma[j] else -1 for i, j in _PLUCKER_PAIRS])
+    moved = np.empty_like(plucker)
+    moved[:, dest] = sign[:, None] * plucker
+    lead = plucker.any(axis=-1).argmax(axis=-1)
+    q_lead = plucker[np.arange(len(plucker)), lead]
+    # match[a, b]: the image of line a + 1 is proportional to line b + 1
+    match = (
+        _times(moved[:, None], q_lead[None, :, None]) == _times(plucker[None], moved[:, lead, None])
+    ).all(axis=(-2, -1))
+    found = match.sum(axis=1)
+    if (found == 0).any():
+        raise ValueError("coordinate image not in catalog; embedding mismatch")
+    if (found > 1).any():
+        raise ValueError("coordinate image is proportional to several catalog lines")
+    return match.argmax(axis=1) + 1
 
 
 @lru_cache(maxsize=1)
 def coordinate_action_table() -> dict[tuple[int, int, int, int], Permutation]:
     """All 24 coordinate permutations and their induced line permutations."""
+    plucker = _catalog_plucker()
     return {
-        sigma: coordinate_permutation_action(sigma)
+        sigma: Permutation(_pushforward_labels(plucker, sigma).tolist())
         for sigma in permutations(range(4))
     }
 
@@ -391,45 +375,32 @@ def double_sixes() -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
 # ---------------------------------------------------------------------------
 
 
+def _cyc_span(label: int) -> list[list[Cyc]]:
+    """The two basis rows of a catalog line as Q(zeta) elements."""
+    return [[Cyc(a, b) for a, b in row] for row in fermat_catalog()[label - 1].tolist()]
+
+
 def line_restrictions_vanish(poly: Poly4, label: int) -> bool:
     """Whether the polynomial restricts to the zero binary form on a line."""
-    line = catalog_line(label)
-    return all(c.is_zero() for c in poly.restrict_to_line(line.span[0], line.span[1]))
+    return all(c.is_zero() for c in poly.restrict_to_line(*_cyc_span(label)))
 
 
 def tritangent_span_rank() -> int:
     """Rank of the 6x4 matrix stacking the tritangent lines' spans."""
-    rows = []
-    for label in fermat_data.ORBIT_TRITANGENT:
-        rows.extend(catalog_line(label).span)
+    rows = [row for label in fermat_data.ORBIT_TRITANGENT for row in _cyc_span(label)]
     return len(_gauss_jordan(rows)[1])
 
 
 def catalog_records() -> list[dict]:
-    """Serializable catalog dump: basis points as {a, b} rational pairs."""
-    def enc(row):
-        return [{"a": str(x.a), "b": str(x.b)} for x in row]
-
-    cat = fermat_catalog()
+    """Serializable catalog dump: basis points as {a, b} integer pairs for
+    the entries a + b*zeta."""
     out = []
-    for i, line in enumerate(cat, start=1):
+    for i, line in enumerate(fermat_catalog().tolist(), start=1):
         orbit = (
             "first" if i in fermat_data.ORBIT_FIRST
             else "second" if i in fermat_data.ORBIT_SECOND
             else "tritangent"
         )
-        out.append(
-            {"index": i, "basis_points": [enc(line.span[0]), enc(line.span[1])], "s4_orbit": orbit}
-        )
+        points = [[{"a": str(a), "b": str(b)} for a, b in row] for row in line]
+        out.append({"index": i, "basis_points": points, "s4_orbit": orbit})
     return out
-
-
-def line_from_record(record: dict) -> ProjectiveLine:
-    """Rebuild an exact line from a catalog_records entry."""
-    from fractions import Fraction
-
-    rows = [
-        [Cyc(Fraction(entry["a"]), Fraction(entry["b"])) for entry in point]
-        for point in record["basis_points"]
-    ]
-    return ProjectiveLine(rows[0], rows[1])

@@ -16,6 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from . import fermat_data, htrack, lattice, lines as lines_mod, perm, symverify
+from .exact import ZETA_COMPLEX
 from .htrack import CubicForm, Fiber, TrackerConfig, TrackFailure
 from .perm import FiniteGroup, format_cycles
 
@@ -111,7 +112,8 @@ def full_family() -> FamilySpec:
 
 @lru_cache(maxsize=1)
 def _catalog_fiber() -> Fiber:
-    fiber = Fiber.from_mats([l.to_complex() for l in lines_mod.fermat_catalog()])
+    cat = lines_mod.fermat_catalog()
+    fiber = Fiber.from_mats(cat[..., 0] + cat[..., 1] * ZETA_COMPLEX)
     # the cached fiber is shared by every caller: keep it read-only
     fiber.mats.setflags(write=False)
     fiber.gauges.setflags(write=False)

@@ -176,9 +176,6 @@ class GroupFingerprint:
     element_orders: tuple[tuple[int, int], ...]  # sorted (order, count) pairs
     abelian: bool
 
-    def orders_dict(self) -> dict[int, int]:
-        return dict(self.element_orders)
-
 
 @dataclass(frozen=True, eq=False)
 class FiniteGroup:
@@ -249,10 +246,6 @@ class FiniteGroup:
                 "name": identify(fp),
             },
         }
-
-    @classmethod
-    def from_elements(cls, elements: Iterable[Permutation]) -> "FiniteGroup":
-        return cls.from_table(np.array([_row(p) for p in set(elements)]).reshape(-1, N_POINTS))
 
     @classmethod
     def from_table(cls, table: np.ndarray) -> "FiniteGroup":

@@ -2,8 +2,10 @@ import random
 from fractions import Fraction
 from itertools import combinations, permutations
 
+import numpy as np
 import pytest
 
+from cubic27 import lines
 from cubic27.exact import (
     _gauss_jordan,
     Cyc,
@@ -12,9 +14,10 @@ from cubic27.exact import (
     ZERO,
     ZETA,
     ZETA5,
+    ZETA_COMPLEX,
     symmetric_basis,
 )
-from cubic27.lines import ProjectiveLine, fermat_catalog
+from cubic27.lines import fermat_catalog
 
 
 def rand_cyc(rng, small=False):
@@ -60,10 +63,20 @@ class TestCyclotomic:
 
     def test_numeric_embedding(self):
         z = ZETA.to_complex()
+        assert z == ZETA_COMPLEX
         assert abs(z**2 - z + 1) < 1e-15
         assert z.imag > 0
-        zc = ZETA.to_complex(conjugate_embedding=True)
-        assert abs(zc - z.conjugate()) < 1e-15
+        # conj(a + b zeta) = (a + b) - b zeta embeds as the complex conjugate
+        cat = fermat_catalog()
+        a, b = cat[..., 0], cat[..., 1]
+        embedded = a + b * ZETA_COMPLEX
+        assert np.abs((a + b) - b * ZETA_COMPLEX - embedded.conj()).max() < 1e-15
+
+    def test_hash_agrees_with_equal_rationals(self):
+        assert Cyc(1) in {1}
+        assert {Fraction(2, 3): "x"}[Cyc(Fraction(2, 3))] == "x"
+        assert hash(Cyc(-4)) == hash(-4) and hash(Cyc(0, 0)) == hash(0)
+        assert len({Cyc(1), Cyc(1, 1), Cyc(0, 1), ONE}) == 3
 
     def test_norm_positive(self):
         rng = random.Random(2)
@@ -152,9 +165,10 @@ class TestPolyOps:
 
     def test_serialize(self):
         m3, _, _ = symmetric_basis()
-        records = m3.serialize()
-        assert len(records) == 4
-        assert records[0] == {"exponents": [3, 0, 0, 0], "coeff": {"a": "1", "b": "0"}}
+        terms = sorted(m3.terms.items(), reverse=True)
+        assert len(terms) == 4
+        expo, coeff = terms[0]
+        assert expo == (3, 0, 0, 0) and (str(coeff.a), str(coeff.b)) == ("1", "0")
 
 
 # ---------------------------------------------------------------------------
@@ -233,29 +247,46 @@ class TestGaussJordan:
         assert reduced == [[ONE, ZETA, ZERO], [ZERO, ZERO, ONE]]
 
 
+def cyc_span(span) -> list[list[Cyc]]:
+    """A (2, 4, 2) Eisenstein-integer span as rows of Q(zeta) elements."""
+    return [[Cyc(a, b) for a, b in row] for row in np.asarray(span).tolist()]
+
+
+def eisenstein_span(rng, through=None):
+    """A random rank-2 (2, 4, 2) span with entries a + b zeta, |a|, |b| <= 2;
+    its second row on the line ``through`` if one is given."""
+    while True:
+        span = [[[rng.randint(-2, 2), rng.randint(-2, 2)] for _ in range(4)] for _ in range(2)]
+        if through is not None:
+            s, t = (Cyc(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(2))
+            r0, r1 = cyc_span(through)
+            span[1] = [[int(x.a), int(x.b)] for x in (s * p + t * q for p, q in zip(r0, r1))]
+        if len(_gauss_jordan(cyc_span(span))[1]) == 2:
+            return np.array(span, dtype=np.int64)
+
+
+def pairing_cyc(a, b) -> Cyc:
+    return Cyc(*lines._pairing(lines._plucker(a), lines._plucker(b)).tolist())
+
+
 class TestPluckerPairing:
     def test_catalog_pairs_match_the_stacked_determinant(self):
         cat = fermat_catalog()
         meeting = 0
-        for a, b in combinations(cat, 2):
-            value = a.pairing(b)
-            assert value == leibniz_det([*a.span, *b.span])
-            assert a.meets(b) == value.is_zero()
-            meeting += a.meets(b)
+        for i, j in combinations(range(27), 2):
+            value = pairing_cyc(cat[i], cat[j])
+            assert value == leibniz_det(cyc_span(cat[i]) + cyc_span(cat[j]))
+            assert lines.incidence_graph()[i, j] == value.is_zero()
+            meeting += value.is_zero()
         assert meeting == 27 * 10 // 2
 
     def test_random_spans_match_the_stacked_determinant(self):
         rng = random.Random(5)
         for trial in range(60):
-            rows = [[rand_cyc(rng, small=True) for _ in range(4)] for _ in range(3)]
-            if trial % 2:  # the second line passes through a point of the first
-                s, t = rand_cyc(rng, small=True), rand_cyc(rng, small=True)
-                rows.append([s * x + t * y for x, y in zip(rows[0], rows[1])])
-            else:
-                rows.append([rand_cyc(rng, small=True) for _ in range(4)])
-            a, b = ProjectiveLine(rows[0], rows[1]), ProjectiveLine(rows[2], rows[3])
-            value = a.pairing(b)
-            assert value == leibniz_det([*a.span, *b.span])
-            assert value == b.pairing(a)
+            a = eisenstein_span(rng)
+            b = eisenstein_span(rng, through=a if trial % 2 else None)  # odd: b meets a
+            value = pairing_cyc(a, b)
+            assert value == leibniz_det(cyc_span(a) + cyc_span(b))
+            assert value == pairing_cyc(b, a)
             if trial % 2:
                 assert value.is_zero()

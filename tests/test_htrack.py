@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cubic27 import htrack, lines
-from cubic27.exact import symmetric_basis
+from cubic27.exact import Cyc, symmetric_basis
 from cubic27.htrack import (
     CubicForm,
     Fiber,
@@ -44,7 +44,8 @@ def forms():
 
 @pytest.fixture(scope="module")
 def catalog():
-    return Fiber.from_mats([l.to_complex() for l in lines.fermat_catalog()])
+    spans = lines.fermat_catalog().tolist()
+    return Fiber.from_mats([[[Cyc(a, b).to_complex() for a, b in row] for row in line] for line in spans])
 
 
 class TestMonomialOrder:

@@ -4,14 +4,11 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from cubic27 import fermat_data
-from cubic27.exact import ZETA, symmetric_basis
+from cubic27 import fermat_data, lines
+from cubic27.exact import Cyc, _gauss_jordan, symmetric_basis
 from cubic27.lattice import marking_vectors
 from cubic27.lines import (
-    ProjectiveLine,
-    catalog_line,
     coordinate_action_table,
-    coordinate_permutation_action,
     coordinate_preimages,
     fermat_catalog,
     graph_automorphisms,
@@ -29,15 +26,37 @@ from cubic27.lines import (
 from cubic27.perm import IDENTITY, conjugate_subgroup, orbits, parse_cycles, setwise_stabilizer
 
 
+def cyc_span(line: np.ndarray) -> list[list[Cyc]]:
+    """The rows of one (2, 4, 2) catalog span as Q(zeta) elements."""
+    return [[Cyc(a, b) for a, b in row] for row in line.tolist()]
+
+
+def eisenstein(span) -> list[list[list[int]]]:
+    """Rows of Q(zeta) elements back as [a, b] integer pairs."""
+    assert all(x.a.denominator == x.b.denominator == 1 for row in span for x in row)
+    return [[[int(x.a), int(x.b)] for x in row] for row in span]
+
+
+def meets(i: int, j: int) -> bool:
+    """Whether catalog lines i and j meet: their stacked spans have rank 3."""
+    cat = fermat_catalog()
+    return len(_gauss_jordan(cyc_span(cat[i - 1]) + cyc_span(cat[j - 1]))[1]) == 3
+
+
 class TestCatalog:
     def test_27_distinct_lines(self):
+        # each span is its own reduced row echelon form, the canonical
+        # representative of its line, so distinct spans are distinct lines
         cat = fermat_catalog()
-        assert len(cat) == 27
-        assert len(set(cat)) == 27
+        assert cat.shape == (27, 2, 4, 2) and cat.dtype == np.int64
+        for line in cat:
+            reduced, pivots, _ = _gauss_jordan(cyc_span(line))
+            assert len(pivots) == 2 and eisenstein(reduced) == line.tolist()
+        assert len({line.tobytes() for line in cat}) == 27
 
     def test_line25_span(self):
-        expected = ProjectiveLine([1, -1, 0, 0], [0, 0, 1, -1])
-        assert catalog_line(25) == expected
+        expected = [[1, -1, 0, 0], [0, 0, 1, -1]]
+        assert fermat_catalog()[24].tolist() == [[[x, 0] for x in row] for row in expected]
 
     def test_all_lines_on_fermat(self):
         m3, _, _ = symmetric_basis()
@@ -45,13 +64,19 @@ class TestCatalog:
             assert line_restrictions_vanish(m3, label)
 
     def test_rank_two_enforced(self):
-        with pytest.raises(ValueError):
-            ProjectiveLine([1, 0, 0, 0], [2, 0, 0, 0])
+        with pytest.raises(ValueError, match="rank 2"):
+            lines._plucker(np.array([[[1, 0], [0, 0], [0, 0], [0, 0]],
+                                     [[0, 1], [0, 0], [0, 0], [0, 0]]]))
+        spans = fermat_catalog().copy()
+        spans[3, 1] = spans[3, 0] * -1
+        with pytest.raises(ValueError, match="rank 2"):
+            lines._plucker(spans)
 
-    def test_span_representation_independent(self):
-        a = ProjectiveLine([1, -1, 0, 0], [0, 0, 1, ZETA])
-        b = ProjectiveLine([0, 0, 1, ZETA], [2, -2, 1, ZETA])  # row ops
-        assert a == b and hash(a) == hash(b)
+    def test_catalog_is_read_only(self):
+        with pytest.raises(ValueError):
+            fermat_catalog()[0, 0, 0, 0] = 2
+        with pytest.raises(ValueError):
+            lines._catalog_plucker()[0, 0, 0] = 2
 
     def test_records_shape(self):
         recs = catalog_records()
@@ -61,23 +86,28 @@ class TestCatalog:
         assert recs[0]["basis_points"][0][0] == {"a": "1", "b": "0"}
 
     def test_records_round_trip(self):
-        from cubic27.lines import line_from_record
-
         for rec, line in zip(catalog_records(), fermat_catalog()):
-            assert line_from_record(rec) == line
+            rows = [[[int(e["a"]), int(e["b"])] for e in point] for point in rec["basis_points"]]
+            assert rows == line.tolist()
+
+
+class TestEisensteinProduct:
+    def test_matches_cyc_multiplication(self):
+        rng = random.Random(3)
+        pairs = np.array([[[rng.randint(-9, 9) for _ in range(2)] for _ in range(2)] for _ in range(200)])
+        products = lines._times(pairs[:, 0], pairs[:, 1])
+        for (x, y), xy in zip(pairs.tolist(), products.tolist()):
+            product = Cyc(*x) * Cyc(*y)
+            assert xy == [product.a, product.b]
 
 
 class TestMeet:
     def test_tritangent_lines_meet(self):
-        assert catalog_line(25).meets(catalog_line(26))
-        assert catalog_line(25).meets(catalog_line(27))
+        assert meets(25, 26) and incidence_graph()[24, 25]
+        assert meets(25, 27) and incidence_graph()[24, 26]
 
     def test_skew_pair(self):
-        assert not catalog_line(1).meets(catalog_line(3))
-
-    def test_self_meet_rejected(self):
-        with pytest.raises(ValueError):
-            catalog_line(1).meets(catalog_line(1))
+        assert not meets(1, 3) and not incidence_graph()[0, 2]
 
 
 class TestIncidenceGraph:
@@ -100,9 +130,10 @@ class TestIncidenceGraph:
         assert np.array_equal(m, m.T)
 
     def test_adjacency_matches_plucker_meets(self):
-        m, cat = incidence_graph(), fermat_catalog()
-        for i, j in combinations(range(27), 2):
-            assert m[i, j] == cat[i].meets(cat[j])
+        # oracle: two distinct lines meet iff their stacked spans have rank 3
+        m = incidence_graph()
+        for i, j in combinations(range(1, 28), 2):
+            assert m[i - 1, j - 1] == meets(i, j)
 
     def test_array_is_read_only(self):
         with pytest.raises(ValueError):
@@ -178,7 +209,7 @@ class TestCoordinateAction:
         assert sum(1 for i in range(4) if sigma[i] != i) == 4
 
     def test_identity_coordinate_permutation(self):
-        assert coordinate_permutation_action((0, 1, 2, 3)) == IDENTITY
+        assert coordinate_action_table()[0, 1, 2, 3] == IDENTITY
 
     def test_action_is_faithful_order_24(self, s4):
         table = coordinate_action_table()
@@ -199,35 +230,40 @@ class TestCoordinateAction:
             assert table[st] == table[s] * table[t]
 
     def test_table_matches_pushed_forward_spans(self):
-        # oracle: move column i of each span to slot sigma[i], re-reduce, and
-        # compare with the catalog line the table names as the image
+        # oracle: move column i of each span to slot sigma[i]; the moved span
+        # stacked with the span of the catalog line the table names as the
+        # image still has rank 2
         cat = fermat_catalog()
         for sigma, p in coordinate_action_table().items():
             for label, line in enumerate(cat, start=1):
-                rows = []
-                for row in line.span:
-                    moved = [None] * 4
-                    for i in range(4):
-                        moved[sigma[i]] = row[i]
-                    rows.append(moved)
-                assert ProjectiveLine(*rows) == catalog_line(p(label))
+                moved = np.empty_like(line)
+                moved[:, list(sigma)] = line
+                stacked = cyc_span(moved) + cyc_span(cat[p(label) - 1])
+                assert len(_gauss_jordan(stacked)[1]) == 2
 
-    def test_invalid_sigma_rejected(self):
-        with pytest.raises(ValueError):
-            coordinate_permutation_action((0, 0, 1, 2))
+    def test_missing_or_ambiguous_image_rejected(self):
+        plucker = lines._catalog_plucker().copy()
+        plucker[0] = plucker[1] * -1  # line 2's vector twice
+        with pytest.raises(ValueError, match="several"):
+            lines._pushforward_labels(plucker, (0, 1, 2, 3))
+        # the coordinate line through e0 and e1 is on no cubic of the family;
+        # swapping coordinates 0 and 2 sends it to the line through e2 and e1
+        plucker[0] = lines._plucker(np.array([[[1, 0], [0, 0], [0, 0], [0, 0]],
+                                              [[0, 0], [1, 0], [0, 0], [0, 0]]]))
+        with pytest.raises(ValueError, match="not in catalog"):
+            lines._pushforward_labels(plucker, (2, 1, 0, 3))
 
     def test_conjugate_embedding_relabels_by_monodromy_element(self):
-        # complex conjugation of the catalog is itself the sigma1*tau2
-        # monodromy element, so the zeta embedding choice is harmless
+        # complex conjugation of the catalog, conj(a + b zeta) = (a + b) - b zeta,
+        # is itself the sigma1*tau2 monodromy element, so the zeta embedding
+        # choice is harmless
         cat = fermat_catalog()
-        index = {line: i + 1 for i, line in enumerate(cat)}
+        index = {line.tobytes(): i for i, line in enumerate(cat, start=1)}
         swap = monodromy_klein_elements()["sigma1*tau2"]
-        for i, line in enumerate(cat, start=1):
-            conj = ProjectiveLine(
-                [x.conjugate() for x in line.span[0]],
-                [x.conjugate() for x in line.span[1]],
-            )
-            assert index[conj] == swap(i)
+        conj = np.stack([cat[..., 0] + cat[..., 1], -cat[..., 1]], axis=-1)
+        for i, line in enumerate(conj, start=1):
+            reduced = np.array(eisenstein(_gauss_jordan(cyc_span(line))[0]), dtype=np.int64)
+            assert index[reduced.tobytes()] == swap(i)
 
 
 class TestSkewSixes:

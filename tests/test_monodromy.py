@@ -10,7 +10,7 @@ import sympy
 
 from cubic27 import fermat_data, htrack, lattice, lines, monodromy, perm
 from cubic27.cli import main
-from cubic27.exact import symmetric_basis
+from cubic27.exact import Cyc, symmetric_basis
 from cubic27.htrack import CubicForm, MONOMIAL_EXPONENTS
 from cubic27.monodromy import (
     Loop,
@@ -87,8 +87,8 @@ class TestBasepointFiber:
     def test_fermat_matches_catalog_exactly(self):
         fiber = basepoint_fiber(symmetric_family())
         cat = lines.fermat_catalog()
-        for numeric, exact in zip(fiber.mats, cat):
-            embedded = [[x.to_complex() for x in row] for row in exact.span]
+        for numeric, exact in zip(fiber.mats, cat.tolist()):
+            embedded = [[Cyc(a, b).to_complex() for a, b in row] for row in exact]
             assert line_distance(numeric, np.array(embedded)) < 1e-12
 
     def test_perturbed_basepoint_keeps_labels(self):

@@ -273,7 +273,7 @@ class TestFingerprints:
     def test_klein_group_identified(self, klein):
         fp = fingerprint(klein)
         assert fp.order == 4
-        assert fp.orders_dict() == {1: 1, 2: 3}
+        assert dict(fp.element_orders) == {1: 1, 2: 3}
         assert fp.abelian
         assert identify(fp) == "K4"
 
@@ -283,7 +283,7 @@ class TestFingerprints:
     def test_s4_fingerprint_against_abstract_tally(self, s4):
         fp = fingerprint(s4)
         assert fp.element_orders == _abstract_order_multiset(4)
-        assert fp.orders_dict() == {1: 1, 2: 9, 3: 8, 4: 6}
+        assert dict(fp.element_orders) == {1: 1, 2: 9, 3: 8, 4: 6}
         assert not fp.abelian
         assert identify(fp) == "S4"
 
@@ -350,14 +350,20 @@ class TestDirectProduct:
         assert not direct_product_check(s4, stab, rest)
 
 
+def _table(elements) -> np.ndarray:
+    return np.array([[x - 1 for x in p.images] for p in elements], dtype=np.uint8)
+
+
 class TestFromElements:
+    """FiniteGroup.from_table rejects element tables that are not groups."""
+
     def test_non_closed_set_rejected(self):
         from cubic27.perm import FiniteGroup
 
         tau1 = parse_cycles(fermat_data.TAU1_CYCLES)
         sigma1 = parse_cycles(fermat_data.SIGMA1_CYCLES)
         with pytest.raises(ValueError):
-            FiniteGroup.from_elements([IDENTITY, tau1, sigma1])
+            FiniteGroup.from_table(_table([IDENTITY, tau1, sigma1]))
 
     def test_closed_subset_of_matching_size_rejected(self):
         # the closure of (4,5,6) alone already has the input's order 3, but
@@ -366,15 +372,14 @@ class TestFromElements:
 
         rows = [IDENTITY, parse_cycles("(1,2,3)"), parse_cycles("(4,5,6)")]
         with pytest.raises(ValueError):
-            FiniteGroup.from_elements(rows)
+            FiniteGroup.from_table(_table(rows))
 
     def test_repeated_row_rejected(self):
         from cubic27.perm import FiniteGroup
 
         c3 = parse_cycles("(1,2,3)")
-        table = np.array([[x - 1 for x in p.images] for p in (IDENTITY, c3, c3)], dtype=np.uint8)
         with pytest.raises(ValueError):
-            FiniteGroup.from_table(table)
+            FiniteGroup.from_table(_table([IDENTITY, c3, c3]))
 
     def test_empty_generator_list_rejected(self):
         with pytest.raises(ValueError):
