@@ -1,5 +1,11 @@
-"""Exact arithmetic: Q(zeta) with zeta^2 = zeta - 1, sparse polynomials in
-four variables, and Gauss-Jordan elimination over Q and Q(zeta).
+"""Exact arithmetic: Q(zeta) with zeta^2 = zeta - 1, the Eisenstein product
+on Z[zeta] as (a, b) integer pairs, integer cubic forms, and Gauss-Jordan
+elimination over Q and Q(zeta).
+
+An integer cubic form is an int64 vector of its coefficients over
+MONOMIAL_EXPONENTS, the monomial order the tracker also uses; one table of
+each monomial's variable orderings turns it into its polarization tensor
+6T, from which substitution, restriction to a line and derivatives are read.
 
 zeta is a primitive 6th root of unity (zeta^3 = -1, zeta^6 = 1); the numeric
 embedding pins zeta = exp(i*pi/3).
@@ -10,7 +16,11 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
-from typing import Mapping, Sequence
+from functools import lru_cache
+from itertools import permutations
+from typing import Sequence
+
+import numpy as np
 
 ZETA_COMPLEX = cmath.exp(1j * cmath.pi / 3)  # the numeric embedding of zeta
 
@@ -117,177 +127,91 @@ ONE = Cyc(1)
 ZETA = Cyc(0, 1)
 ZETA5 = ZETA.conjugate()  # 1 - zeta
 
-Expo = tuple[int, int, int, int]
+# ---------------------------------------------------------------------------
+# Cubic forms: integer vectors over the 20 degree-3 monomials
+# ---------------------------------------------------------------------------
+
+# Degree-3 exponent tuples in descending lexicographic order, d0 first.
+MONOMIAL_EXPONENTS: tuple[tuple[int, int, int, int], ...] = tuple(
+    sorted(
+        (
+            (d0, d1, d2, 3 - d0 - d1 - d2)
+            for d0 in range(4)
+            for d1 in range(4 - d0)
+            for d2 in range(4 - d0 - d1)
+        ),
+        reverse=True,
+    )
+)
+N_MONOMIALS = len(MONOMIAL_EXPONENTS)  # 20
+
+# _ORDERINGS[m, i*16 + j*4 + k] = 1 where (i, j, k) is an ordering of the
+# variables of monomial m: 1, 3 or 6 orderings per monomial.  Spreading each
+# coefficient evenly over its orderings gives the symmetric polarization
+# tensor T, f(x) = T(x, x, x), and summing T over them reads it back.
+_ORDERINGS = np.zeros((N_MONOMIALS, 4, 4, 4), dtype=np.int64)
+for _m, _e in enumerate(MONOMIAL_EXPONENTS):
+    for _ijk in permutations([i for i in range(4) for _ in range(_e[i])]):
+        _ORDERINGS[(_m, *_ijk)] = 1
+_ORDERINGS = _ORDERINGS.reshape(N_MONOMIALS, 64)
+# form @ _POLAR6 = 6T, an integer tensor for an integer form
+_POLAR6 = _ORDERINGS * (6 // _ORDERINGS.sum(axis=1, keepdims=True))
 
 
-class Poly4:
-    """Sparse polynomial in z0..z3 over Q(zeta); no zero coefficients stored."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Mapping[Expo, Cyc] | None = None):
-        clean: dict[Expo, Cyc] = {}
-        if terms:
-            for expo, coeff in terms.items():
-                c = Cyc.coerce(coeff)
-                if not c.is_zero():
-                    clean[tuple(expo)] = c  # type: ignore[index]
-        self.terms = clean
-
-    @staticmethod
-    def monomial(expo: Expo, coeff=1) -> "Poly4":
-        return Poly4({tuple(expo): Cyc.coerce(coeff)})
-
-    @staticmethod
-    def variable(i: int) -> "Poly4":
-        e = [0, 0, 0, 0]
-        e[i] = 1
-        return Poly4.monomial(tuple(e))
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
-
-    def __add__(self, other: "Poly4") -> "Poly4":
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, ZERO) + c
-        return Poly4(out)
-
-    def __neg__(self) -> "Poly4":
-        return Poly4({e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other: "Poly4") -> "Poly4":
-        return self + (-other)
-
-    def __mul__(self, other: "Poly4") -> "Poly4":
-        out: dict[Expo, Cyc] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2], e1[3] + e2[3])
-                out[e] = out.get(e, ZERO) + c1 * c2
-        return Poly4(out)
-
-    def scale(self, s) -> "Poly4":
-        c = Cyc.coerce(s)
-        return Poly4({e: coeff * c for e, coeff in self.terms.items()})
-
-    def gradient(self) -> tuple["Poly4", "Poly4", "Poly4", "Poly4"]:
-        parts = []
-        for i in range(4):
-            out: dict[Expo, Cyc] = {}
-            for e, c in self.terms.items():
-                if e[i] == 0:
-                    continue
-                d = list(e)
-                d[i] -= 1
-                out[tuple(d)] = out.get(tuple(d), ZERO) + c * e[i]
-            parts.append(Poly4(out))
-        return tuple(parts)  # type: ignore[return-value]
-
-    def evaluate(self, point: Sequence) -> Cyc:
-        pt = [Cyc.coerce(x) for x in point]
-        total = ZERO
-        for e, c in self.terms.items():
-            val = c
-            for i in range(4):
-                for _ in range(e[i]):
-                    val = val * pt[i]
-            total = total + val
-        return total
-
-    def substitute(self, matrix: Sequence[Sequence]) -> "Poly4":
-        """Exact substitution z -> M.z, returning f(M z) (the f o M direction)."""
-        if len(matrix) != 4 or any(len(row) != 4 for row in matrix):
-            raise ValueError("substitution wants a 4x4 matrix")
-        linear = [
-            Poly4({(1 if j == 0 else 0, 1 if j == 1 else 0, 1 if j == 2 else 0, 1 if j == 3 else 0): Cyc.coerce(matrix[i][j])
-                   for j in range(4) if not Cyc.coerce(matrix[i][j]).is_zero()})
-            for i in range(4)
-        ]
-        out = Poly4()
-        for e, c in self.terms.items():
-            term = Poly4({(0, 0, 0, 0): c})
-            for i in range(4):
-                for _ in range(e[i]):
-                    term = term * linear[i]
-            out = out + term
-        return out
-
-    def restrict_to_line(self, p: Sequence, q: Sequence) -> tuple[Cyc, ...]:
-        """Coefficients of f(s*p + t*q) as a binary form, s-degree descending.
-
-        For a cubic this is the 4-tuple (s^3, s^2 t, s t^2, t^3)."""
-        pv = [Cyc.coerce(x) for x in p]
-        qv = [Cyc.coerce(x) for x in q]
-        deg = self.total_degree()
-        acc = [ZERO] * (deg + 1)
-        for e, c in self.terms.items():
-            binary = [c]  # coefficients in t, degree ascending
-            for i in range(4):
-                for _ in range(e[i]):
-                    nxt = [ZERO] * (len(binary) + 1)
-                    for k, b in enumerate(binary):
-                        nxt[k] = nxt[k] + b * pv[i]
-                        nxt[k + 1] = nxt[k + 1] + b * qv[i]
-                    binary = nxt
-            for k, b in enumerate(binary):
-                acc[k] = acc[k] + b
-        return tuple(acc)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Poly4) and self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self.terms.items()))
-
-    def rational_multiple_of(self, other: "Poly4") -> Fraction | None:
-        """The rational scalar s with self == s*other, if one exists."""
-        if other.is_zero():
-            return Fraction(0) if self.is_zero() else None
-        if self.is_zero():
-            return Fraction(0)
-        if set(self.terms) != set(other.terms):
-            return None
-        expo = next(iter(other.terms))
-        num, den = self.terms[expo], other.terms[expo]
-        if not (num.is_rational() and den.is_rational()):
-            return None
-        ratio = num.a / den.a
-        for e, c in other.terms.items():
-            if self.terms[e] != c * ratio:
-                return None
-        return ratio
-
-    def __repr__(self) -> str:
-        return f"Poly4({self.terms!r})"
+@lru_cache(maxsize=1)
+def symmetric_basis() -> np.ndarray:
+    """The degree-3 symmetric basis as a read-only (3, 20) int64 array, rows
+    m3 (power sum), m21 (mixed) and m111 (elementary): 4, 12 and 4
+    monomials respectively."""
+    patterns = ((3, 0, 0, 0), (2, 1, 0, 0), (1, 1, 1, 0))
+    basis = np.array(
+        [[sorted(e, reverse=True) == list(p) for e in MONOMIAL_EXPONENTS] for p in patterns],
+        dtype=np.int64,
+    )
+    basis.setflags(write=False)
+    return basis
 
 
-def symmetric_basis() -> tuple[Poly4, Poly4, Poly4]:
-    """The degree-3 symmetric basis: power sum, mixed, and elementary parts
-    (4, 12 and 4 monomials respectively)."""
-    cube = Poly4()
-    for i in range(4):
-        e = [0] * 4
-        e[i] = 3
-        cube = cube + Poly4.monomial(tuple(e))
-    mixed = Poly4()
-    for i in range(4):
-        for j in range(4):
-            if i == j:
-                continue
-            e = [0] * 4
-            e[i] = 2
-            e[j] = 1
-            mixed = mixed + Poly4.monomial(tuple(e))
-    triple = Poly4()
-    for i in range(4):
-        e = [1] * 4
-        e[i] = 0
-        triple = triple + Poly4.monomial(tuple(e))
-    return cube, mixed, triple
+def _times(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The Eisenstein product on the last axis of (a, b) pairs:
+    (a + b z)(c + d z) = (ac - bd) + (ad + bc + bd) z, since z^2 = z - 1."""
+    a, b, c, d = x[..., 0], x[..., 1], y[..., 0], y[..., 1]
+    return np.stack([a * c - b * d, a * d + b * c + b * d], axis=-1)
+
+
+def _polar6(form: np.ndarray) -> np.ndarray:
+    """6T of an integer form as a (4, 4, 4) integer tensor."""
+    return (np.asarray(form) @ _POLAR6).reshape(4, 4, 4)
+
+
+def _substitute(form: np.ndarray, matrix) -> np.ndarray:
+    """The integer form f(M z) for an integer 4x4 matrix M: 6T pulled back
+    along M, each monomial's coefficient read back as the sum of 6T over its
+    orderings, divided exactly by 6."""
+    m = np.asarray(matrix, dtype=np.int64)
+    if m.shape != (4, 4):
+        raise ValueError("substitution wants a 4x4 matrix")
+    pulled = np.einsum("ijk,ia,jb,kc->abc", _polar6(form), m, m, m)
+    return _ORDERINGS @ pulled.reshape(64) // 6
+
+
+def _restrict(form: np.ndarray, span: np.ndarray) -> np.ndarray:
+    """The binary cubic f(s p + t q) on a (2, 4, 2) span (p, q) over Z[zeta]:
+    (4, 2) coefficients (a, b) of s^3, s^2 t, s t^2, t^3, which are T(p,p,p),
+    3T(p,p,q), 3T(p,q,q) and T(q,q,q)."""
+    p, q = np.asarray(span)
+    x, y, z = (np.stack(rows) for rows in ((p, p, p, q), (p, p, q, q), (p, q, q, q)))
+    cubes = _times(_times(x[:, :, None, None], y[:, None, :, None]), z[:, None, None, :])
+    six_t = np.einsum("m,tmc->tc", _polar6(form).reshape(64), cubes.reshape(4, 64, 2))
+    return six_t * np.array([1, 3, 3, 1])[:, None] // 6
+
+
+def _derivatives(form: np.ndarray, point) -> tuple[np.ndarray, np.ndarray]:
+    """The integer gradient and Hessian of f at an integer point x: the
+    Hessian is 6T(x, ., .) and the gradient 6T(x, x, .)/2, exactly."""
+    x = np.asarray(point, dtype=np.int64)
+    hessian = _polar6(form) @ x
+    return hessian @ x // 2, hessian
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,12 @@ complex unknowns.  The residual of (f, line) is the binary cubic
 f(s*p + t*q) written in the coefficients of s^3, s^2 t, s t^2, t^3; it
 vanishes exactly when the line lies on Z(f).
 
-Forms are held as their symmetric polarization tensor T, f(x) = T(x, x, x):
-one batched contraction over the rows of every line gives the residual and
-the chart Jacobian together, one per Newton iteration.
+A CubicForm holds 20 complex coefficients in exact.MONOMIAL_EXPONENTS
+order, the order of the exact integer forms, so an exact form embeds as it
+is.  Forms are tracked as their symmetric polarization tensor T,
+f(x) = T(x, x, x), read through exact's table of monomial orderings: one
+batched contraction over the rows of every line gives the residual and the
+chart Jacobian together, one per Newton iteration.
 
 A set of lines is one array Fiber: the (n, 2, 4) span matrices, the gauges
 and the chart of all n lines.  Fiber.from_mats builds one from span
@@ -43,38 +46,19 @@ barrier accept it, and accuracy, not the cap, sets the step count.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import combinations, permutations
+from itertools import combinations
 from typing import Sequence
 
 import numpy as np
 
-from .exact import Poly4
+# the monomial order lives in exact; MONOMIAL_EXPONENTS is re-exported here
+from .exact import MONOMIAL_EXPONENTS, N_MONOMIALS, _ORDERINGS  # noqa: F401
 from .perm import N_POINTS, Permutation
-
-# Degree-3 exponent tuples in descending lexicographic order, d0 first.
-MONOMIAL_EXPONENTS: tuple[tuple[int, int, int, int], ...] = tuple(
-    sorted(
-        (
-            (d0, d1, d2, 3 - d0 - d1 - d2)
-            for d0 in range(4)
-            for d1 in range(4 - d0)
-            for d2 in range(4 - d0 - d1)
-        ),
-        reverse=True,
-    )
-)
-N_MONOMIALS = len(MONOMIAL_EXPONENTS)  # 20
-
 
 # coeffs @ _POLAR_SCATTER = the symmetric polarization tensor T[i, j, k] of
 # the cubic, f(x) = T(x, x, x): each monomial's coefficient is spread evenly
 # over the orderings of its variables.
-_POLAR_SCATTER = np.zeros((N_MONOMIALS, 4, 4, 4))
-for _m, _e in enumerate(MONOMIAL_EXPONENTS):
-    _orderings = set(permutations([i for i in range(4) for _ in range(_e[i])]))
-    for _ijk in _orderings:
-        _POLAR_SCATTER[(_m, *_ijk)] = 1 / len(_orderings)
-_POLAR_SCATTER = _POLAR_SCATTER.reshape(N_MONOMIALS, 64)
+_POLAR_SCATTER = _ORDERINGS / _ORDERINGS.sum(axis=1, keepdims=True)
 
 # The contraction returns G[n, ab, i] = T(e_i, m_a, m_b) for the row pairs
 # ab = (pp, pq, qp, qq) of a line (p, q); flat index ab * 4 + i.
@@ -168,8 +152,8 @@ class TrackerConfig:
 
 
 class CubicForm:
-    """20 complex coefficients over the degree-3 monomials, descending-lex
-    exponent order (d0 most significant)."""
+    """20 complex coefficients over the degree-3 monomials, in
+    MONOMIAL_EXPONENTS order (descending lex, d0 most significant)."""
 
     __slots__ = ("coeffs",)
 
@@ -181,27 +165,8 @@ class CubicForm:
             raise ValueError("cubic form must be nonzero")
         self.coeffs = arr
 
-    @classmethod
-    def from_exact(cls, poly: Poly4) -> "CubicForm":
-        coeffs = [0j] * N_MONOMIALS
-        for e_, c in poly.terms.items():
-            coeffs[MONOMIAL_EXPONENTS.index(e_)] = c.to_complex()
-        return cls(coeffs)
-
-    def __add__(self, other: "CubicForm") -> "CubicForm":
-        return CubicForm(self.coeffs + other.coeffs)
-
-    def __sub__(self, other: "CubicForm") -> "CubicForm":
-        return CubicForm(self.coeffs - other.coeffs)
-
-    def __rmul__(self, scalar: complex) -> "CubicForm":
-        return CubicForm(scalar * self.coeffs)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, CubicForm) and np.array_equal(self.coeffs, other.coeffs)
-
-    def allclose(self, other: "CubicForm", tol: float = 0.0) -> bool:
-        return bool(np.all(np.abs(self.coeffs - other.coeffs) <= tol))
 
     def __repr__(self) -> str:
         return f"CubicForm({self.coeffs!r})"
@@ -632,7 +597,7 @@ def track_loop(
     ratio clears match_margin and the assignment is a bijection.
     """
     cfg = cfg or TrackerConfig()
-    if len(vertices) < 2 or not vertices[0].allclose(vertices[-1], tol=0.0):
+    if len(vertices) < 2 or vertices[0] != vertices[-1]:
         raise ValueError("loop must start and end at the same form")
     if len(base.mats) != N_POINTS:
         raise ValueError(f"expected {N_POINTS} base lines")

@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from . import fermat_data
-from .exact import Cyc, Poly4, _gauss_jordan
+from .exact import Cyc, _gauss_jordan, _restrict, _times
 from .perm import Closure, FiniteGroup, Permutation, generate, parse_cycles
 
 N_LINES = 27
@@ -32,13 +32,6 @@ N_LINES = 27
 _ENTRIES = {"0": (0, 0), "1": (1, 0), "-1": (-1, 0), "z": (0, 1), "Z": (1, -1)}
 _PLUCKER_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 _PAIRING_SIGNS = np.array([1, -1, 1, 1, -1, 1])
-
-
-def _times(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """The Eisenstein product on the last axis of (a, b) pairs:
-    (a + b z)(c + d z) = (ac - bd) + (ad + bc + bd) z, since z^2 = z - 1."""
-    a, b, c, d = x[..., 0], x[..., 1], y[..., 0], y[..., 1]
-    return np.stack([a * c - b * d, a * d + b * c + b * d], axis=-1)
 
 
 def _plucker(spans: np.ndarray) -> np.ndarray:
@@ -380,9 +373,10 @@ def _cyc_span(label: int) -> list[list[Cyc]]:
     return [[Cyc(a, b) for a, b in row] for row in fermat_catalog()[label - 1].tolist()]
 
 
-def line_restrictions_vanish(poly: Poly4, label: int) -> bool:
-    """Whether the polynomial restricts to the zero binary form on a line."""
-    return all(c.is_zero() for c in poly.restrict_to_line(*_cyc_span(label)))
+def line_restrictions_vanish(form: np.ndarray, label: int) -> bool:
+    """Whether the integer cubic form restricts to the zero binary cubic on
+    a catalog line."""
+    return not _restrict(form, fermat_catalog()[label - 1]).any()
 
 
 def tritangent_span_rank() -> int:

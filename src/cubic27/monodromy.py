@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from . import fermat_data, htrack, lattice, lines as lines_mod, perm, symverify
-from .exact import ZETA_COMPLEX
+from .exact import ZETA_COMPLEX, symmetric_basis
 from .htrack import CubicForm, Fiber, TrackerConfig, TrackFailure
 from .perm import FiniteGroup, format_cycles
 
@@ -25,24 +25,17 @@ class SingularBasepoint(ValueError):
     """Basepoint form does not carry 27 separable Newton-stable lines."""
 
 
-@lru_cache(maxsize=1)
-def _symmetric_basis_forms() -> tuple[CubicForm, CubicForm, CubicForm]:
-    from .exact import symmetric_basis
-
-    return tuple(CubicForm.from_exact(p) for p in symmetric_basis())  # type: ignore[return-value]
-
-
 def embed_symmetric(a: complex, b: complex, c: complex) -> CubicForm:
     """The symmetric family's form a*m3 + b*m21 + c*m111."""
     return symmetric_family().form_at((a, b, c))
 
 
 def fermat_form() -> CubicForm:
-    return _symmetric_basis_forms()[0]
+    return CubicForm(symmetric_basis()[0])
 
 
 def cayley_form() -> CubicForm:
-    return _symmetric_basis_forms()[2]
+    return CubicForm(symmetric_basis()[2])
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,7 +78,7 @@ def symmetric_family() -> FamilySpec:
     (a, b, c) = (1, 0, 0) and kept by the coordinate S4."""
     return FamilySpec(
         name="symmetric",
-        basis=np.stack([f.coeffs for f in _symmetric_basis_forms()]),
+        basis=symmetric_basis(),
         symmetry=lines_mod.s4_group(),
         base=np.array([1, 0, 0]),
         scale=0.9,

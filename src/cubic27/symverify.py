@@ -1,7 +1,9 @@
 """Exact polynomial-identity checks for the symmetric cubic geometry: the
 three-cusp normal form, the four-node (Cayley) surface, tritangent
 vanishing, and the diagonal-plus-ones normalizer matrix family.  All checks
-are exact over Q(zeta); a failure pinpoints the violated identity.
+are exact: cubic forms are integer vectors read through exact's integer
+kernels, and lines are spans over Z[zeta]; a failure pinpoints the violated
+identity.
 """
 
 from __future__ import annotations
@@ -10,7 +12,16 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations
 
-from .exact import Cyc, Poly4, _gauss_jordan, symmetric_basis
+import numpy as np
+
+from .exact import (
+    MONOMIAL_EXPONENTS,
+    N_MONOMIALS,
+    _derivatives,
+    _gauss_jordan,
+    _substitute,
+    symmetric_basis,
+)
 from . import lines as lines_mod
 
 
@@ -24,9 +35,12 @@ class CheckResult:
         return {"name": self.name, "pass": self.passed, "details": self.details}
 
 
-def three_cusp_form() -> Poly4:
-    """z0^3 - z1 z2 z3, the unique three-cusp normal form."""
-    return Poly4.monomial((3, 0, 0, 0)) - Poly4.monomial((0, 1, 1, 1))
+def three_cusp_form() -> np.ndarray:
+    """z0^3 - z1 z2 z3, the unique three-cusp normal form, as an integer form."""
+    form = np.zeros(N_MONOMIALS, dtype=np.int64)
+    form[MONOMIAL_EXPONENTS.index((3, 0, 0, 0))] = 1
+    form[MONOMIAL_EXPONENTS.index((0, 1, 1, 1))] = -1
+    return form
 
 
 CUSP_CHANGE_OF_BASIS = (
@@ -37,29 +51,31 @@ CUSP_CHANGE_OF_BASIS = (
 )
 
 
+def _ratio(form: np.ndarray, target: np.ndarray) -> Fraction | None:
+    """The rational s with form == s * target (target nonzero), if one
+    exists: cross-multiplied on target's leading coefficient."""
+    lead = np.flatnonzero(target)[0]
+    if (form * target[lead] != target * form[lead]).any():
+        return None
+    return Fraction(int(form[lead]), int(target[lead]))
+
+
 def check_tricuspidal() -> CheckResult:
     """The three-cusp form is projectively equivalent to 4*m21 + 4*m111 via
     the +-1 change of basis; both substitution directions are evaluated and
     their scalars recorded.
 
-    The matrix squares to 4I, so its inverse is proportional to itself: both
-    directions give a rational multiple, but only one reproduces the target
-    with scalar exactly 1.
+    The matrix squares to 4I, so its inverse is M/4, and by homogeneity the
+    backward direction f(M z/4) is f(M z)/64: both directions give a rational
+    multiple, but only one reproduces the target with scalar exactly 1.
     """
     _, m21, m111 = symmetric_basis()
-    target = (m21 + m111).scale(4)
+    target = 4 * (m21 + m111)
     g = three_cusp_form()
-    m = [[Fraction(x) for x in row] for row in CUSP_CHANGE_OF_BASIS]
-    squares_to_4i = all(
-        sum(m[i][k] * m[k][j] for k in range(4)) == (4 if i == j else 0)
-        for i in range(4)
-        for j in range(4)
-    )
-    m_inv = [[x / 4 for x in row] for row in m]  # the inverse when M^2 = 4I
-    forward = g.substitute(m)
-    backward = g.substitute(m_inv)
-    lam_fwd = forward.rational_multiple_of(target)
-    lam_bwd = backward.rational_multiple_of(target)
+    m = np.array(CUSP_CHANGE_OF_BASIS, dtype=np.int64)
+    squares_to_4i = bool((m @ m == 4 * np.eye(4, dtype=np.int64)).all())
+    lam_fwd = _ratio(_substitute(g, m), target)
+    lam_bwd = None if lam_fwd is None else lam_fwd / 64
     exact_dirs = [lam for lam in (lam_fwd, lam_bwd) if lam == 1]
     passed = (
         squares_to_4i
@@ -69,7 +85,7 @@ def check_tricuspidal() -> CheckResult:
         and lam_fwd == 1
     )
     # negative control: without the change of basis the form is asymmetric
-    identity_sub = g.rational_multiple_of(target)
+    identity_sub = _ratio(g, target)
     return CheckResult(
         name="tricuspidal_equivalence",
         passed=passed and identity_sub is None,
@@ -84,41 +100,27 @@ def check_tricuspidal() -> CheckResult:
 
 
 def check_cayley_nodes() -> CheckResult:
-    """The elementary symmetric cubic has exactly four singular points at the
-    coordinate vertices, each an ordinary node (nondegenerate local Hessian).
+    """The elementary symmetric cubic is singular at each of the four
+    coordinate vertices, each an ordinary node (nondegenerate affine Hessian
+    in the chart z_k = 1), and smooth at the control point (1, 1, 1, 1).
+    That these are its only singular points is not checked here.
     """
     _, _, m111 = symmetric_basis()
-    grads = m111.gradient()
     details: dict = {"nodes": [], "hessian_dets": []}
     passed = True
     for k in range(4):
-        point = [Cyc(1 if i == k else 0) for i in range(4)]
-        grad_vals = [g.evaluate(point) for g in grads]
-        is_node = all(v.is_zero() for v in grad_vals)
+        grad, hess = _derivatives(m111, np.eye(4, dtype=np.int64)[k])
+        is_node = not grad.any()
         details["nodes"].append(is_node)
-        passed = passed and is_node
-        hess = _affine_hessian(m111, chart=k)
-        det = _gauss_jordan(hess)[2]
-        details["hessian_dets"].append(str(det.a))
-        passed = passed and not det.is_zero()
+        others = [i for i in range(4) if i != k]
+        h = hess[np.ix_(others, others)]
+        det = int(h[0] @ np.cross(h[1], h[2]))
+        details["hessian_dets"].append(str(det))
+        passed = passed and is_node and det != 0
     # smooth-point control away from the vertices
-    smooth_grad = [g.evaluate([Cyc(1)] * 4) for g in grads]
-    control = not all(v.is_zero() for v in smooth_grad)
+    control = bool(_derivatives(m111, [1, 1, 1, 1])[0].any())
     details["smooth_control_point_nonsingular"] = control
     return CheckResult("cayley_four_nodes", passed and control, details)
-
-
-def _affine_hessian(poly: Poly4, chart: int) -> list[list[Cyc]]:
-    """3x3 Hessian of poly in the affine chart z_chart = 1, at the origin."""
-    others = [i for i in range(4) if i != chart]
-    grads = poly.gradient()
-    second = [[None] * 3 for _ in range(3)]
-    point = [Cyc(1 if i == chart else 0) for i in range(4)]
-    for a in range(3):
-        row_grad = grads[others[a]].gradient()
-        for b in range(3):
-            second[a][b] = row_grad[others[b]].evaluate(point)
-    return second  # type: ignore[return-value]
 
 
 def check_tritangent_vanishing() -> CheckResult:
@@ -128,8 +130,8 @@ def check_tritangent_vanishing() -> CheckResult:
     m3, m21, m111 = symmetric_basis()
     details: dict = {}
     passed = True
-    for name, poly in (("m3", m3), ("m21", m21), ("m111", m111)):
-        vanishing = [lines_mod.line_restrictions_vanish(poly, l) for l in (25, 26, 27)]
+    for name, form in (("m3", m3), ("m21", m21), ("m111", m111)):
+        vanishing = [lines_mod.line_restrictions_vanish(form, l) for l in (25, 26, 27)]
         details[f"{name}_vanishes_on_tritangent"] = vanishing
         passed = passed and all(vanishing)
     # line 1 lies on the Fermat but not on every symmetric cubic

@@ -1,16 +1,21 @@
+import math
 import random
 from fractions import Fraction
 from itertools import combinations, permutations
 
 import numpy as np
 import pytest
+import sympy
 
 from cubic27 import lines
 from cubic27.exact import (
+    MONOMIAL_EXPONENTS,
+    _derivatives,
     _gauss_jordan,
+    _restrict,
+    _substitute,
     Cyc,
     ONE,
-    Poly4,
     ZERO,
     ZETA,
     ZETA5,
@@ -94,81 +99,132 @@ def permutation_matrix(sigma):
     return [[1 if sigma[i] == j else 0 for j in range(4)] for i in range(4)]
 
 
+def evaluate(form, point):
+    """f(x) summed monomial by monomial, in the ring of the point's entries
+    (integers, Cyc or sympy polynomials)."""
+    return sum(int(c) * math.prod(x**e for x, e in zip(point, expo)) for c, expo in zip(form, MONOMIAL_EXPONENTS))
+
+
+def random_form(rng, bound=3):
+    return np.array([rng.randint(-bound, bound) for _ in range(20)], dtype=np.int64)
+
+
+X = sympy.symbols("x0:4")
+
+
+def to_sympy(form) -> sympy.Poly:
+    return evaluate(form, [sympy.Poly(x, *X) for x in X])
+
+
 class TestSymmetricBasis:
     def test_monomial_counts(self):
         m3, m21, m111 = symmetric_basis()
-        assert len(m3.terms) == 4
-        assert len(m21.terms) == 12
-        assert len(m111.terms) == 4
+        assert np.count_nonzero(m3) == 4
+        assert np.count_nonzero(m21) == 12
+        assert np.count_nonzero(m111) == 4
+
+    def test_read_only_integer_rows(self):
+        basis = symmetric_basis()
+        assert basis.shape == (3, 20) and basis.dtype == np.int64
+        with pytest.raises(ValueError):
+            basis[0, 0] = 2
 
     def test_invariance_under_all_coordinate_permutations(self):
-        for poly in symmetric_basis():
+        for form in symmetric_basis():
             for sigma in permutations(range(4)):
-                assert poly.substitute(permutation_matrix(sigma)) == poly
+                assert np.array_equal(_substitute(form, permutation_matrix(sigma)), form)
 
     def test_m3_vanishes_on_difference_point(self):
         m3, _, _ = symmetric_basis()
-        assert m3.evaluate([1, -1, 0, 0]).is_zero()
+        assert evaluate(m3, [1, -1, 0, 0]) == 0
 
     def test_elementary_gradient_vanishes_at_vertex(self):
         _, _, m111 = symmetric_basis()
-        for g in m111.gradient():
-            assert g.evaluate([1, 0, 0, 0]).is_zero()
+        assert not _derivatives(m111, [1, 0, 0, 0])[0].any()
 
 
 class TestPolyOps:
     def test_substitute_evaluate_compatibility(self):
         rng = random.Random(3)
         for _ in range(20):
-            poly = Poly4(
-                {
-                    tuple(rng.randint(0, 2) for _ in range(4)): rand_cyc(rng, small=True)
-                    for _ in range(4)
-                }
-            )
-            m = [[Fraction(rng.randint(-3, 3)) for _ in range(4)] for _ in range(4)]
-            v = [rand_cyc(rng, small=True) for _ in range(4)]
-            mv = [sum((Cyc(m[i][j]) * v[j] for j in range(4)), ZERO) for i in range(4)]
-            assert poly.substitute(m).evaluate(v) == poly.evaluate(mv)
+            form = random_form(rng)
+            m = [[rng.randint(-3, 3) for _ in range(4)] for _ in range(4)]
+            v = [Cyc(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(4)]
+            mv = [sum((m[i][j] * v[j] for j in range(4)), ZERO) for i in range(4)]
+            assert evaluate(_substitute(form, m), v) == evaluate(form, mv)
+
+    def test_substitute_matches_sympy(self):
+        rng = random.Random(4)
+        for _ in range(20):
+            form = random_form(rng)
+            m = [[rng.randint(-2, 2) for _ in range(4)] for _ in range(4)]
+            expanded = evaluate(form, [sympy.Poly(sum(m[i][j] * X[j] for j in range(4)), *X) for i in range(4)])
+            expect = [int(expanded.coeff_monomial(expo)) for expo in MONOMIAL_EXPONENTS]
+            assert _substitute(form, m).tolist() == expect
 
     def test_three_cusp_normal_form_identity(self):
         from cubic27.symverify import CUSP_CHANGE_OF_BASIS, three_cusp_form
 
         _, m21, m111 = symmetric_basis()
-        result = three_cusp_form().substitute(CUSP_CHANGE_OF_BASIS)
-        assert result == (m21 + m111).scale(4)
+        result = _substitute(three_cusp_form(), CUSP_CHANGE_OF_BASIS)
+        assert np.array_equal(result, 4 * (m21 + m111))
 
     def test_restrict_to_line_binary_cubic(self):
         m3, _, _ = symmetric_basis()
-        coeffs = m3.restrict_to_line([1, -1, 0, 0], [0, 0, 1, ZETA])
-        assert len(coeffs) == 4
-        assert all(c.is_zero() for c in coeffs)
+        span = np.array([[[1, 0], [-1, 0], [0, 0], [0, 0]], [[0, 0], [0, 0], [1, 0], [0, 1]]])
+        coeffs = _restrict(m3, span)
+        assert coeffs.shape == (4, 2)
+        assert not coeffs.any()
 
     def test_restriction_is_linear(self):
         m3, m21, _ = symmetric_basis()
-        p, q = [1, 2, ZETA, 0], [0, 1, -1, ZETA5]
-        both = (m3 + m21).restrict_to_line(p, q)
-        separate = [
-            a + b
-            for a, b in zip(m3.restrict_to_line(p, q), m21.restrict_to_line(p, q))
-        ]
-        assert list(both) == separate
+        # p = (1, 2, zeta, 0), q = (0, 1, -1, zeta^5 = 1 - zeta)
+        span = np.array([[[1, 0], [2, 0], [0, 1], [0, 0]], [[0, 0], [1, 0], [-1, 0], [1, -1]]])
+        assert np.array_equal(_restrict(m3 + m21, span), _restrict(m3, span) + _restrict(m21, span))
+
+    def test_restriction_matches_sympy(self):
+        # zeta is the symbol z, reduced modulo z^2 - z + 1 by division in z,
+        # the polynomials' main variable
+        rng = random.Random(6)
+        z, s, t = sympy.symbols("z s t")
+        for _ in range(20):
+            form = random_form(rng)
+            span = np.array([[[rng.randint(-2, 2) for _ in range(2)] for _ in range(4)] for _ in range(2)])
+            p, q = ([a + b * z for a, b in row] for row in span.tolist())
+            restricted = evaluate(form, [sympy.Poly(s * u + t * v, z, s, t) for u, v in zip(p, q)])
+            reduced = restricted.rem(sympy.Poly(z**2 - z + 1, z, s, t))
+            expect = [
+                [int(reduced.coeff_monomial(s ** (3 - k) * t**k * z**b)) for b in (0, 1)] for k in range(4)
+            ]
+            assert _restrict(form, span).tolist() == expect
 
     def test_gradient_of_product_rule_spot(self):
-        x = Poly4.variable(0)
-        y = Poly4.variable(1)
-        p = x * x * y
-        gx, gy, gz, gw = p.gradient()
-        assert gx == Poly4.monomial((1, 1, 0, 0), 2)
-        assert gy == Poly4.monomial((2, 0, 0, 0))
-        assert gz.is_zero() and gw.is_zero()
+        # f = x^2 y: df/dx = 2 x y, df/dy = x^2, df/dz = df/dw = 0
+        form = np.zeros(20, dtype=np.int64)
+        form[MONOMIAL_EXPONENTS.index((2, 1, 0, 0))] = 1
+        rng = random.Random(7)
+        for _ in range(10):
+            x, y, z, w = (rng.randint(-5, 5) for _ in range(4))
+            grad, hessian = _derivatives(form, [x, y, z, w])
+            assert grad.tolist() == [2 * x * y, x * x, 0, 0]
+            assert hessian.tolist() == [[2 * y, 2 * x, 0, 0], [2 * x, 0, 0, 0], [0] * 4, [0] * 4]
+
+    def test_derivatives_match_sympy(self):
+        rng = random.Random(8)
+        for _ in range(10):
+            form = random_form(rng)
+            point = [rng.randint(-3, 3) for _ in range(4)]
+            f, at = to_sympy(form), dict(zip(X, point))
+            grad, hessian = _derivatives(form, point)
+            assert grad.tolist() == [int(f.diff(x).eval(at)) for x in X]
+            assert hessian.tolist() == [[int(f.diff(x).diff(y).eval(at)) for y in X] for x in X]
 
     def test_serialize(self):
         m3, _, _ = symmetric_basis()
-        terms = sorted(m3.terms.items(), reverse=True)
+        terms = [(MONOMIAL_EXPONENTS[i], int(m3[i])) for i in np.flatnonzero(m3)]
         assert len(terms) == 4
         expo, coeff = terms[0]
-        assert expo == (3, 0, 0, 0) and (str(coeff.a), str(coeff.b)) == ("1", "0")
+        assert expo == (3, 0, 0, 0) and coeff == 1
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+from itertools import permutations
+
 import numpy as np
 import pytest
 
@@ -34,12 +36,7 @@ from cubic27.monodromy import embed_symmetric
 
 @pytest.fixture(scope="module")
 def forms():
-    m3, m21, m111 = symmetric_basis()
-    return (
-        CubicForm.from_exact(m3),
-        CubicForm.from_exact(m21),
-        CubicForm.from_exact(m111),
-    )
+    return tuple(CubicForm(row) for row in symmetric_basis())
 
 
 @pytest.fixture(scope="module")
@@ -63,6 +60,17 @@ class TestMonomialOrder:
             expect[MONOMIAL_EXPONENTS.index(mono)] = 1
         assert np.array_equal(fermat.coeffs, expect)
 
+    def test_polar_scatter_is_one_over_orderings(self):
+        # each monomial's coefficient spread evenly over its variable orderings
+        expect = np.zeros((20, 4, 4, 4))
+        for m, expo in enumerate(MONOMIAL_EXPONENTS):
+            orderings = set(permutations([i for i in range(4) for _ in range(expo[i])]))
+            for ijk in orderings:
+                expect[(m, *ijk)] = 1 / len(orderings)
+        scatter = htrack._POLAR_SCATTER
+        assert scatter.shape == (20, 64) and scatter.dtype == np.float64
+        assert np.array_equal(scatter.view(np.int64), expect.reshape(20, 64).view(np.int64))
+
     def test_zero_form_rejected(self):
         with pytest.raises(ValueError):
             CubicForm(np.zeros(20))
@@ -80,7 +88,7 @@ class TestResidual:
     def test_linearity_in_form(self, forms, catalog):
         f = forms[1]
         line = catalog.mats[4]
-        assert np.allclose(residual(2 * f, line), 2 * residual(f, line))
+        assert np.allclose(residual(CubicForm(2 * f.coeffs), line), 2 * residual(f, line))
 
     def test_nonvanishing_off_surface(self, forms, catalog):
         assert np.linalg.norm(residual(forms[1], catalog.mats[0])) > 0.1

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, cycle, permutations
@@ -10,7 +11,7 @@ import sympy
 
 from cubic27 import fermat_data, htrack, lattice, lines, monodromy, perm
 from cubic27.cli import main
-from cubic27.exact import Cyc, symmetric_basis
+from cubic27.exact import Cyc, _derivatives, symmetric_basis
 from cubic27.htrack import CubicForm, MONOMIAL_EXPONENTS
 from cubic27.monodromy import (
     Loop,
@@ -213,13 +214,22 @@ def _value(form, a, b, c):
     )
 
 
+def _cleared(values) -> list[int]:
+    """Rational values times the lcm of their denominators.  Scaling moves
+    no singular point of a form and no root of a homogeneous component, so
+    the checks below may run on the cleared integers."""
+    values = [Fraction(x) for x in values]
+    scale = math.lcm(*(x.denominator for x in values))
+    return [int(x * scale) for x in values]
+
+
 def _symmetric_cubic(a, b, c):
-    m3, m21, m111 = symmetric_basis()
-    return m3.scale(a) + m21.scale(b) + m111.scale(c)
+    """a*m3 + b*m21 + c*m111 as an integer form, up to a positive scalar."""
+    return np.array(_cleared((a, b, c))) @ symmetric_basis()
 
 
 def _singular_at(form, point) -> bool:
-    return all(g.evaluate(point).is_zero() for g in form.gradient())
+    return not _derivatives(form, _cleared(point))[0].any()
 
 
 class TestSymmetricDiscriminant:
@@ -253,9 +263,9 @@ class TestSymmetricDiscriminant:
         # the gradient at (s, 1, 1, 1) is linear in (a, b, c), and by symmetry
         # its last three entries agree: (a : b : c) is the cross product of
         # the first two rows.  (1, 0, 0, 0) is the limit s -> infinity.
-        rows = [[g.gradient()[i].evaluate(point) for g in symmetric_basis()] for i in (0, 1)]
-        assert all(x.is_rational() for row in rows for x in row)
-        (u0, u1, u2), (v0, v1, v2) = [[x.a for x in row] for row in rows]
+        grads = np.array([_derivatives(g, _cleared(point))[0] for g in symmetric_basis()])
+        assert grads.dtype == np.int64
+        (u0, u1, u2), (v0, v1, v2) = grads[:, :2].T.tolist()
         abc = (u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0)
         assert any(abc)
         assert _singular_at(_symmetric_cubic(*abc), point)
@@ -269,12 +279,11 @@ class TestSymmetricDiscriminant:
         a, b = sympy.symbols("a b")
         x = sympy.symbols("x0:4")
 
-        def to_sympy(poly):
-            assert all(coeff.b == 0 for coeff in poly.terms.values())
+        def to_sympy(form):
+            assert form.dtype == np.int64
             return sum(
-                sympy.Rational(coeff.a.numerator, coeff.a.denominator)
-                * sympy.Mul(*(xi**e for xi, e in zip(x, expo)))
-                for expo, coeff in poly.terms.items()
+                int(coeff) * sympy.Mul(*(xi**e for xi, e in zip(x, expo)))
+                for expo, coeff in zip(MONOMIAL_EXPONENTS, form)
             )
 
         m3, m21, m111 = map(to_sympy, symmetric_basis())

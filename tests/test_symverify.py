@@ -1,9 +1,10 @@
 from fractions import Fraction
 
+import numpy as np
 import sympy
 
 from cubic27 import symverify
-from cubic27.exact import symmetric_basis
+from cubic27.exact import MONOMIAL_EXPONENTS, _substitute, symmetric_basis
 from cubic27.symverify import (
     CUSP_CHANGE_OF_BASIS,
     check_cayley_nodes,
@@ -32,23 +33,41 @@ class TestTricuspidal:
         assert result.details["matrix_squares_to_4I"] is False
         assert not result.passed
 
+    def test_scaled_matrix_scales_the_scalars(self, monkeypatch):
+        # f(2M z) = 8 f(M z): the scalars are read, not assumed to be 1
+        doubled = tuple(tuple(2 * x for x in row) for row in CUSP_CHANGE_OF_BASIS)
+        monkeypatch.setattr(symverify, "CUSP_CHANGE_OF_BASIS", doubled)
+        result = check_tricuspidal()
+        assert result.details["scalar_forward"] == "8"
+        assert result.details["scalar_backward"] == "1/8"
+        assert not result.passed
+
+    def test_ratio(self):
+        _, m21, m111 = symmetric_basis()
+        target = m21 + m111
+        assert symverify._ratio(-3 * target, target) == -3
+        assert symverify._ratio(target, 2 * target) == Fraction(1, 2)
+        assert symverify._ratio(0 * target, target) == 0
+        assert symverify._ratio(m21 + 2 * m111, target) is None
+        assert symverify._ratio(three_cusp_form(), target) is None
+
     def test_direct_identity(self):
         _, m21, m111 = symmetric_basis()
-        transformed = three_cusp_form().substitute(CUSP_CHANGE_OF_BASIS)
-        assert transformed == (m21 + m111).scale(4)
+        transformed = _substitute(three_cusp_form(), CUSP_CHANGE_OF_BASIS)
+        assert np.array_equal(transformed, 4 * (m21 + m111))
 
     def test_result_is_coordinate_symmetric(self):
         from itertools import permutations
 
-        transformed = three_cusp_form().substitute(CUSP_CHANGE_OF_BASIS)
+        transformed = _substitute(three_cusp_form(), CUSP_CHANGE_OF_BASIS)
         for sigma in permutations(range(4)):
             mat = [[1 if sigma[i] == j else 0 for j in range(4)] for i in range(4)]
-            assert transformed.substitute(mat) == transformed
+            assert np.array_equal(_substitute(transformed, mat), transformed)
 
     def test_untransformed_form_is_not_symmetric(self):
         g = three_cusp_form()
         swap01 = [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
-        assert g.substitute(swap01) != g
+        assert not np.array_equal(_substitute(g, swap01), g)
 
     def test_matrix_squares_to_four_times_identity(self):
         m = CUSP_CHANGE_OF_BASIS
@@ -66,6 +85,23 @@ class TestCayleyNodes:
         assert result.details["nodes"] == [True, True, True, True]
         assert all(d != "0" for d in result.details["hessian_dets"])
         assert result.details["smooth_control_point_nonsingular"]
+
+    def test_the_vertices_are_the_only_singular_points(self):
+        # every point of P^3 lies in some chart z_k = 1; solve grad m111 = 0
+        # there, and identify the solutions of all charts projectively
+        z = sympy.symbols("z0:4")
+        _, _, m111 = symmetric_basis()
+        f = sum(int(c) * sympy.prod(x**e for x, e in zip(z, expo)) for c, expo in zip(m111, MONOMIAL_EXPONENTS))
+        singular = set()
+        for k in range(4):
+            chart = {z[k]: 1}
+            others = [x for x in z if x != z[k]]
+            for sol in sympy.solve([sympy.diff(f, x).subs(chart) for x in z], others, dict=True):
+                point = [sympy.sympify(x).subs(chart).subs(sol) for x in z]
+                assert all(x.is_number for x in point)  # isolated, not a curve of solutions
+                lead = next(x for x in point if x != 0)
+                singular.add(tuple(sympy.nsimplify(x / lead) for x in point))
+        assert singular == {tuple(int(i == k) for i in range(4)) for k in range(4)}
 
 
 class TestTritangentVanishing:
