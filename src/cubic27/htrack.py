@@ -17,12 +17,25 @@ chart Jacobian together, one per Newton iteration.
 
 A set of lines is one array Fiber: the (n, 2, 4) span matrices, the gauges
 and the chart of all n lines.  Fiber.from_mats builds one from span
-matrices, every tracker entry point takes and returns one, and a loop
+matrices, every tracker entry point takes and returns fibers, and a loop
 carries one from the basepoint to the match.  Each segment takes the
 previous one's end fiber as it is: its charts are fresh, since every
 accepted step re-charts the lines that went stale, and it is within
 newton_tol, so it is neither re-charted nor polished at a vertex.  Only a
 fiber that is matched is polished, once.
+
+The tracker works on batches.  A batch has k members, each one fiber of n
+lines on its own segment with its own config, and every kernel call takes
+all of them: one (4n, 16) @ (16, 4) contraction, one n-fold 4x4 solve and
+one n x n Plucker overlap per member, stacked along a leading member axis.
+Each member keeps its own t, step, streak of accepted steps, Newton
+convergence and failure, so a member's arithmetic is the same in any batch
+and a batch of one is the single-fiber tracker.  A member that fails does
+not stop the others: track_segment, track_loop and revalidate return each
+member's TrackFailure beside the others' results instead of raising it.
+track_loop takes a batch of loops and advances it segment index by segment
+index, one track_segment call for the members that have an edge at that
+index.
 
 A loop whose last k edges retrace its first k in reverse (a meridian: a
 stem, a circle and the stem back) is read as a lasso gamma*c*gamma^-1.
@@ -184,6 +197,14 @@ for _a, _b in _PLUCKER_PAIRS:
 
 _PLUCKER_A, _PLUCKER_B = np.array(_PLUCKER_PAIRS).T
 
+# gauge pair -> its slot in _PLUCKER_PAIRS, and per slot the flat positions
+# of the chart unknowns and the Jacobian gather and weights of _JAC_INDEX
+_SLOT = np.zeros((4, 4), dtype=np.int64)
+_SLOT[_PLUCKER_A, _PLUCKER_B] = _SLOT[_PLUCKER_B, _PLUCKER_A] = np.arange(len(_PLUCKER_PAIRS))
+_SLOT_FREE = _FREE_TABLE[_PLUCKER_A, _PLUCKER_B]
+_SLOT_JAC_INDEX = _JAC_INDEX[_SLOT_FREE].transpose(0, 2, 1).copy()
+_SLOT_JAC_WEIGHT = _JAC_WEIGHT[_SLOT_FREE].transpose(0, 2, 1).copy()
+
 
 def _minor_conds(mats: np.ndarray) -> np.ndarray:
     """Chart quality of all six column pairs, measured on the orthonormalized
@@ -261,20 +282,25 @@ def _plucker_batch(mats: np.ndarray) -> np.ndarray:
     return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
-def _min_pairwise_distance(mats: np.ndarray) -> float:
-    if mats.shape[0] < 2:
-        return float("inf")
-    u = _plucker_batch(mats)
-    overlap = np.abs(u @ u.conj().T) ** 2
-    np.fill_diagonal(overlap, 0.0)
-    near = overlap > 1 - 1e-8
-    if not near.any():
-        # largest off-diagonal overlap = closest pair
-        return float(np.sqrt(max(0.0, 1.0 - overlap.max())))
+def _min_pairwise_distance(mats: np.ndarray) -> np.ndarray:
+    """The smallest pairwise line distance within each fiber of a stack:
+    (..., n, 2, 4) span matrices give shape (...), and inf where n < 2."""
+    lead, n = mats.shape[:-3], mats.shape[-3]
+    if n < 2:
+        return np.full(lead, np.inf)
+    u = _plucker_batch(mats.reshape(-1, 2, 4)).reshape(-1, n, 6)
+    overlap = np.abs(u @ u.conj().transpose(0, 2, 1)) ** 2
+    diagonal = np.arange(n)
+    overlap[:, diagonal, diagonal] = 0.0
+    # largest off-diagonal overlap = closest pair
+    out = np.sqrt(np.fmax(0.0, 1.0 - overlap.max(axis=(1, 2))))
     # 1 - overlap rounds distances below ~1e-4 (two coincident lines read
     # anywhere up to 1.5e-8); measure those pairs as line_distance does
-    i, j = np.nonzero(near)
-    return float(_chordal(u[i], u[j]).min())
+    near = overlap > 1 - 1e-8
+    for m in np.flatnonzero(near.any(axis=(1, 2))):
+        i, j = np.nonzero(near[m])
+        out[m] = _chordal(u[m, i], u[m, j]).min()
+    return out.reshape(lead)
 
 
 # ---------------------------------------------------------------------------
@@ -283,38 +309,55 @@ def _min_pairwise_distance(mats: np.ndarray) -> float:
 
 
 def _polar(coeffs: np.ndarray) -> np.ndarray:
-    """T of the form as a (16, 4) matrix, rows (j, k) and columns i."""
-    return (coeffs @ _POLAR_SCATTER).reshape(16, 4)
+    """T of each form as a (16, 4) matrix, rows (j, k) and columns i:
+    (..., 20) coefficients give (..., 16, 4)."""
+    return (coeffs @ _POLAR_SCATTER).reshape(coeffs.shape[:-1] + (16, 4))
 
 
 def _contract(tensor: np.ndarray, mats: np.ndarray) -> np.ndarray:
-    """G[..., n, ab, i] = T(e_i, m_a, m_b) over the row pairs ab = (pp, pq,
-    qp, qq) of every line; (n, 4, 4), or (k, n, 4, 4) for a stack of k
-    tensors."""
-    n = mats.shape[0]
-    outer = (mats[:, :, None, :, None] * mats[:, None, :, None, :]).reshape(4 * n, 16)
+    """G[m, ..., l, ab, i] = T(e_i, m_a, m_b) over the row pairs ab = (pp,
+    pq, qp, qq) of line l of member m, for each tensor T of member m:
+    tensor (k, ..., 16, 4) and mats (k, n, 2, 4) give (k, ..., n, 4, 4).
+    Each member is one (4n, 16) @ (16, 4) product per tensor."""
+    k, n = mats.shape[:2]
+    lines = mats.reshape(-1, 2, 4)
+    outer = lines[:, :, None, :, None] * lines[:, None, :, None, :]
+    outer = outer.reshape((k,) + (1,) * (tensor.ndim - 3) + (4 * n, 16))
     return (outer @ tensor).reshape(tensor.shape[:-2] + (n, 4, 4))
 
 
 def _residual(g: np.ndarray, mats: np.ndarray) -> np.ndarray:
     """(p.G[pp], 3q.G[pp], 3p.G[qq], q.G[qq]): the coefficients of
-    T(sp + tq, sp + tq, sp + tq) = f(s*p + t*q); (n, 4)."""
-    return np.einsum("nci,ndi->ndc", mats, g[:, ::3]).reshape(-1, 4) * _RESIDUAL_WEIGHT
+    T(sp + tq, sp + tq, sp + tq) = f(s*p + t*q) for every line of g
+    (..., 4, 4) and mats (..., 2, 4); (..., 4)."""
+    flat = np.einsum("nci,ndi->ndc", mats.reshape(-1, 2, 4), g.reshape(-1, 4, 4)[:, ::3])
+    return flat.reshape(mats.shape[:-2] + (4,)) * _RESIDUAL_WEIGHT
+
+
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(x, axis=-1), the same arithmetic without its checks."""
+    return np.sqrt(np.add.reduce((x.conj() * x).real, axis=-1))
 
 
 class _Chart:
-    """Index arrays of a batch's chart unknowns (free_idx as returned by
-    _free_indices): their flat positions in the (n, 2, 4) batch, and the
-    gather and weights that assemble the (n, 4, 4) Jacobian from the
+    """Index arrays of the chart unknowns of a batch of lines with the given
+    (N, 2) gauges: their flat positions in the (N, 2, 4) span matrices, and
+    the gather and weights that assemble the (N, 4, 4) Jacobian from the
     contraction."""
 
-    __slots__ = ("unknowns", "jac_index", "jac_weight")
+    __slots__ = ("gauges", "unknowns", "jac_index", "jac_weight")
 
-    def __init__(self, free_idx: np.ndarray):
-        lines = np.arange(len(free_idx))
-        self.unknowns = free_idx + 8 * lines[:, None]
-        self.jac_index = _JAC_INDEX[free_idx].transpose(0, 2, 1) + 16 * lines[:, None, None]
-        self.jac_weight = _JAC_WEIGHT[free_idx].transpose(0, 2, 1)
+    def __init__(self, gauges: np.ndarray):
+        slots = _SLOT[gauges[:, 0], gauges[:, 1]]
+        lines = np.arange(len(slots))
+        self.gauges = gauges
+        self.unknowns = _SLOT_FREE[slots] + 8 * lines[:, None]
+        self.jac_index = _SLOT_JAC_INDEX[slots] + 16 * lines[:, None, None]
+        self.jac_weight = _SLOT_JAC_WEIGHT[slots]
+
+    def members(self, idx: Sequence[int], n: int) -> "_Chart":
+        """The chart of the lines of members idx of a batch of n-line members."""
+        return _Chart(self.gauges.reshape(-1, n, 2)[idx].reshape(-1, 2))
 
     def jacobian(self, g: np.ndarray) -> np.ndarray:
         return g.reshape(-1)[self.jac_index] * self.jac_weight
@@ -334,8 +377,9 @@ def residual(f: CubicForm, mats: np.ndarray) -> np.ndarray:
     """The binary-cubic coefficients of f restricted to each line: (4,) for
     one 2x4 span matrix, (n, 4) for an (n, 2, 4) stack."""
     m = np.asarray(mats, dtype=complex)
-    batch = m.reshape(-1, 2, 4)
-    return _residual(_contract(_polar(f.coeffs), batch), batch).reshape(m.shape[:-2] + (4,))
+    batch = m.reshape(1, -1, 2, 4)
+    g = _contract(_polar(f.coeffs)[None], batch)[0]
+    return _residual(g, batch[0]).reshape(m.shape[:-2] + (4,))
 
 
 def jacobian(f: CubicForm, mats: np.ndarray, gauges: np.ndarray) -> np.ndarray:
@@ -343,48 +387,104 @@ def jacobian(f: CubicForm, mats: np.ndarray, gauges: np.ndarray) -> np.ndarray:
     with the given gauge column pair: (4, 4) for one 2x4 span matrix and its
     pair, (n, 4, 4) for an (n, 2, 4) stack and (n, 2) pairs."""
     m = np.asarray(mats, dtype=complex)
-    batch = m.reshape(-1, 2, 4)
-    chart = _Chart(_free_indices(np.asarray(gauges, dtype=np.int64).reshape(-1, 2)))
-    return chart.jacobian(_contract(_polar(f.coeffs), batch)).reshape(m.shape[:-2] + (4, 4))
+    batch = m.reshape(1, -1, 2, 4)
+    chart = _Chart(np.asarray(gauges, dtype=np.int64).reshape(-1, 2))
+    g = _contract(_polar(f.coeffs)[None], batch)
+    return chart.jacobian(g).reshape(m.shape[:-2] + (4, 4))
+
+
+def _solve(jac: np.ndarray, rhs: np.ndarray, n: int) -> tuple[np.ndarray, list]:
+    """Solve the 4x4 systems jac (N, 4, 4) for rhs (N, 4), n systems per
+    member.  Returns the solutions and an empty list, or, when some member's
+    systems are singular, per member None or the LinAlgError that solving
+    the member alone raises; a singular member's rows are zero."""
+    try:
+        return np.linalg.solve(jac, rhs[..., None])[..., 0], []
+    except np.linalg.LinAlgError:
+        pass
+    out, errors = np.zeros_like(rhs), []
+    for rows in (slice(m, m + n) for m in range(0, len(rhs), n)):
+        try:
+            out[rows] = np.linalg.solve(jac[rows], rhs[rows, :, None])[..., 0]
+            errors.append(None)
+        except np.linalg.LinAlgError as exc:
+            errors.append(exc)
+    return out, errors
 
 
 def _newton_batch(
-    tensor: np.ndarray, mats: np.ndarray, chart: _Chart, cfg: TrackerConfig
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """Newton-correct every line against the form with polarization tensor
-    ``tensor``; returns (mats, final residual norms, max last-correction
-    norms, iterations used).  Each iteration does one contraction: the one
-    that measures the residual also gives the next Jacobian.
+    tensors: np.ndarray, mats: np.ndarray, chart: _Chart, cfgs: Sequence[TrackerConfig]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[int], list[NewtonFailure | None]]:
+    """Newton-correct every member's lines against its own form: member m
+    has the polarization tensor tensors[m], the n lines mats[m] and the
+    config cfgs[m], and ``chart`` covers all k * n lines.  Returns, with a
+    leading member axis, the corrected mats, final residual norms and last
+    correction norms, and per member the iterations used and the
+    NewtonFailure that stopped it or None.  A member fails when some line
+    misses newton_tol within max_newton_iters or loses the quadratic
+    convergence tail; a failed member's mats are its input and its norms 0.
+    A member's singular Jacobian fails it with a zero correction.
 
-    Raises NewtonFailure when some line fails to reach newton_tol within
-    max_newton_iters or loses the quadratic convergence tail.
+    Each iteration does one contraction over the members still correcting:
+    the one that measures the residual also gives the next Jacobian.  A
+    member leaves the batch at the start of the iteration after it converges
+    or fails, so every member still in it has done the same number of
+    iterations.
     """
-    cur = mats
-    g = _contract(tensor, cur)
+    k, n = mats.shape[:2]
+    out, out_norms, out_last = mats.copy(), np.zeros((k, n)), np.zeros((k, n))
+    counts: list[int] = [0] * k
+    failures: list[NewtonFailure | None] = [None] * k
+    live = list(range(k))
+    tol = np.array([c.newton_tol for c in cfgs])
+    limits = [c.max_newton_iters for c in cfgs]
+    cur, last = mats, np.zeros((k, n))
+    g = _contract(tensors, cur)
     res = _residual(g, cur)
-    norms = np.linalg.norm(res, axis=1)
-    last_step = np.zeros(len(mats))
-    prev_step = np.full(len(mats), np.inf)
+    norms = _row_norms(res)
     iters = 0
-    while norms.max() > cfg.newton_tol:
-        if iters >= cfg.max_newton_iters:
-            raise NewtonFailure(f"no convergence in {cfg.max_newton_iters} iterations")
-        try:
-            deltas = np.linalg.solve(chart.jacobian(g), -res[..., None])[..., 0]
-        except np.linalg.LinAlgError as exc:
-            raise NewtonFailure("singular Jacobian") from exc
-        step_norms = np.linalg.norm(deltas, axis=1)
+    while True:
+        going = (norms.max(axis=1) > tol).tolist()
+        stopped = {
+            i for i, m in enumerate(live)
+            if failures[m] is not None or not going[i] or limits[m] <= iters
+        }
+        if stopped:
+            for i in stopped:
+                m = live[i]
+                counts[m] = iters
+                if failures[m] is not None:
+                    continue
+                if going[i]:
+                    failures[m] = NewtonFailure(f"no convergence in {limits[m]} iterations")
+                else:
+                    out[m], out_norms[m], out_last[m] = cur[i], norms[i], last[i]
+            keep = [i for i in range(len(live)) if i not in stopped]
+            if not keep:
+                break
+            live = [live[i] for i in keep]
+            tol, tensors, cur, g, res, last = (x[keep] for x in (tol, tensors, cur, g, res, last))
+            chart = chart.members(keep, n)
+
+        deltas, errors = _solve(chart.jacobian(g), -res.reshape(-1, 4), n)
+        for i, exc in enumerate(errors):
+            if exc is not None:
+                failures[live[i]] = NewtonFailure("singular Jacobian")
+                failures[live[i]].__cause__ = exc
+        step_norms = _row_norms(deltas).reshape(-1, n)
         cur = chart.update(cur, deltas)
-        g = _contract(tensor, cur)
+        g = _contract(tensors, cur)
         res = _residual(g, cur)
-        norms = np.linalg.norm(res, axis=1)
-        prev_step, last_step = last_step, step_norms
-        if iters >= 1:
-            bound = _QUAD_TAIL_FACTOR * prev_step**2 + _QUAD_TAIL_FLOOR
-            if (last_step > bound).any():
-                raise NewtonFailure("quadratic convergence tail lost")
+        norms = _row_norms(res)
+        prev_step, last = last, step_norms
+        if iters:
+            lost = last > _QUAD_TAIL_FACTOR * prev_step**2 + _QUAD_TAIL_FLOOR
+            if lost.any():
+                for i in np.flatnonzero(lost.any(axis=1)):
+                    if failures[live[i]] is None:
+                        failures[live[i]] = NewtonFailure("quadratic convergence tail lost")
         iters += 1
-    return cur, norms, last_step, iters
+    return out, out_norms, out_last, counts, failures
 
 
 # ---------------------------------------------------------------------------
@@ -394,26 +494,28 @@ def _newton_batch(
 
 @dataclass
 class TrackResult:
-    """End state of a tracked segment.
+    """End state of a batch of tracked segments.
 
-    ``fiber`` is the tracked lines at t = 1, each within newton_tol of the
-    target form and with fresh charts; it is not polished, so that a loop
-    carries it straight into its next segment.  The 27 paths advance in
-    lockstep, so ``accepted_steps`` is shared and every entry of
-    ``newton_iterations`` holds the batch's corrector work, the Newton check
-    on f0 included.  ``max_residual`` is the true maximum over every accepted
+    ``ends[m]`` is member m's lines at t = 1, each within newton_tol of its
+    target form and with a fresh chart, or the TrackFailure that stopped
+    the member.  An end fiber is not polished, so that a loop carries it
+    straight into its next segment.  ``steps[m]`` is the step member m's
+    controller would try next, in its segment's own parameter t; it lies in
+    [_STEP_MIN, step_max], and track_loop carries it into the member's next
+    segment.  A member's lines advance in lockstep, so ``newton_iterations``
+    holds one count per member: its corrector work on accepted steps, the
+    Newton check on f0 included.  ``accepted_steps`` is the sum over the
+    members, ``max_residual`` the true maximum over every accepted
     correction and ``min_separation`` the smallest pairwise line distance
-    seen at any accepted step.  ``step`` is the step the controller would try
-    next, in the segment's own parameter t; it lies in [_STEP_MIN, step_max],
-    and track_loop carries it into the next segment.
+    seen at any accepted step; a failed member counts up to its failure.
     """
 
-    fiber: Fiber
+    ends: list[Fiber | TrackFailure]
+    steps: list[float]
     accepted_steps: int
     newton_iterations: list[int]
     max_residual: float
     min_separation: float
-    step: float
 
 
 class Fiber:
@@ -423,12 +525,18 @@ class Fiber:
     every entry point takes and returns fibers, and a fiber is never changed
     in place."""
 
-    __slots__ = ("mats", "gauges", "chart")
+    __slots__ = ("mats", "gauges", "_chart")
 
     def __init__(self, mats: np.ndarray, gauges: np.ndarray, chart: _Chart | None = None):
         self.mats = mats
         self.gauges = gauges
-        self.chart = _Chart(_free_indices(gauges)) if chart is None else chart
+        self._chart = chart
+
+    @property
+    def chart(self) -> _Chart:
+        if self._chart is None:
+            self._chart = _Chart(self.gauges)
+        return self._chart
 
     @classmethod
     def from_mats(cls, mats: np.ndarray) -> "Fiber":
@@ -444,7 +552,7 @@ class Fiber:
 
     def moved(self, mats: np.ndarray) -> "Fiber":
         """The same charts carrying new span matrices."""
-        return Fiber(mats, self.gauges, self.chart)
+        return Fiber(mats, self.gauges, self._chart)
 
     def recharted(self, cond_limit: float = _RECHART_COND) -> "Fiber":
         """The fiber with the gauge of every line whose gauge condition
@@ -460,99 +568,164 @@ class Fiber:
         return Fiber(mats, gauges)
 
 
+def _stack(fibers: Sequence[Fiber]) -> tuple[np.ndarray, np.ndarray, _Chart]:
+    """The (k, n, 2, 4) span matrices and (k, n, 2) gauges of k fibers of n
+    lines each, and the chart of all k * n lines."""
+    mats = np.stack([f.mats for f in fibers])
+    gauges = np.stack([f.gauges for f in fibers])
+    return mats, gauges, _Chart(gauges.reshape(-1, 2))
+
+
+def _homotopy(t0: np.ndarray, t1: np.ndarray, t: Sequence[float]) -> np.ndarray:
+    """(1 - t) T0 + t T1 per member: k values of t, (k, 16, 4) tensors."""
+    t = np.array(t)[:, None, None]
+    return (1 - t) * t0 + t * t1
+
+
 def track_segment(
-    f0: CubicForm,
-    f1: CubicForm,
-    start: Fiber,
-    cfg: TrackerConfig | None = None,
+    segments: Sequence[tuple[CubicForm, CubicForm]],
+    starts: Sequence[Fiber],
+    cfgs: Sequence[TrackerConfig] | None = None,
 ) -> TrackResult:
-    """Track the start fiber on Z(f0) along the linear homotopy
-    (1-t) f0 + t f1 to t = 1, leaving the start fiber as it is.
+    """Track a batch of fibers, each along its own linear homotopy: member m
+    carries starts[m] from Z(f0) along (1-t) f0 + t f1 to t = 1, for
+    (f0, f1) = segments[m], under cfgs[m] (the default config if cfgs is
+    None).  The start fibers all have the same number of lines and are left
+    as they are.
 
-    The start lines must pass a Newton check on f0.  Per accepted step:
-    Euler prediction from the Davidenko system, lockstep Newton correction,
-    then the separation barrier (pairwise line distance at least
-    _SEPARATION_FACTOR times the largest last Newton correction) and a
-    re-chart of the lines whose gauge went stale.  Steps halve on any failure
-    and grow after a run of accepted steps.  The predictor contracts the
-    homotopy's tensor and its t-derivative in one call.
+    A member's start lines must pass a Newton check on its f0.  Each round
+    then takes one step of every member still tracking: Euler prediction
+    from the Davidenko system, lockstep Newton correction, then the
+    separation barrier (pairwise line distance at least _SEPARATION_FACTOR
+    times the largest last Newton correction) and a re-chart of the lines
+    whose gauge went stale.  A member's step halves on any failure and grows
+    after a run of accepted steps; a member whose step falls below the
+    floor ends in a StepUnderflow or SeparationLoss, returned in
+    ``TrackResult.ends`` like a failed Newton check, while the others go on.
+    The predictor contracts each member's homotopy tensor and its
+    t-derivative in one call.
     """
-    cfg = cfg or TrackerConfig()
-    t0, t1 = _polar(f0.coeffs), _polar(f1.coeffs)
+    k = len(segments)
+    cfgs = [TrackerConfig()] * k if cfgs is None else list(cfgs)
+    if len(starts) != k or len(cfgs) != k:
+        raise ValueError("expected one start fiber and one config per segment")
+    c0 = np.stack([f0.coeffs for f0, _ in segments])
+    c1 = np.stack([f1.coeffs for _, f1 in segments])
+    t0, t1, dt = _polar(c0), _polar(c1), _polar(c1 - c0)
+    mats, gauges, chart = _stack(starts)
+    n = mats.shape[1]
     # the start lines must be Newton-correctable on f0
-    mats, norms, _, newton_iters = _newton_batch(t0, start.mats, start.chart, cfg)
-    fiber = start.moved(mats)
-    pair = np.stack((t0, _polar(f1.coeffs - f0.coeffs)))  # (T at t, dT/dt)
+    mats, norms, _, newton, ends = _newton_batch(t0, mats, chart, cfgs)
+    newton = [count if end is None else 0 for count, end in zip(newton, ends)]
 
-    t = 0.0
-    h = min(cfg.step_init, cfg.step_max)
-    streak = 0
-    accepted = 0
-    max_resid = float(norms.max())
-    min_sep = float("inf")
-    last_failure: TrackFailure | None = None
+    t = [0.0] * k
+    h = [min(c.step_init, c.step_max) for c in cfgs]
+    streak = [0] * k
+    accepted = [0] * k
+    max_resid = norms.max(axis=1).tolist()
+    min_sep = [float("inf")] * k
 
-    while t < 1.0 - 1e-14:
-        h_eff = min(h, 1.0 - t)
-        t_new = t + h_eff
-        pair[0] = (1 - t) * t0 + t * t1
-        try:
-            g_t, g_dt = _contract(pair, fiber.mats)
-            rhs = -_residual(g_dt, fiber.mats)
-            velocity = np.linalg.solve(fiber.chart.jacobian(g_t), rhs[..., None])[..., 0]
-            predicted = fiber.chart.update(fiber.mats, h_eff * velocity)
-            corrected, norms, last_corr, iters = _newton_batch(
-                (1 - t_new) * t0 + t_new * t1, predicted, fiber.chart, cfg
-            )
-            sep = _min_pairwise_distance(corrected)
-            if sep < _SEPARATION_FACTOR * float(last_corr.max()):
-                raise SeparationLoss(
-                    f"separation {sep:.3e} below barrier at t={t_new:.6f}"
+    live = list(range(k))
+    t0_live, t1_live = t0, t1
+    # (T at t, dT/dt) of each member
+    pair = np.stack((t0, dt), axis=1)
+    finished = [end is not None for end in ends]
+    while True:
+        if any(finished):
+            for i, m in enumerate(live):
+                if finished[i] and ends[m] is None:
+                    ends[m] = Fiber(mats[i].copy(), gauges[i].copy())
+            keep = [i for i, done in enumerate(finished) if not done]
+            if not keep:
+                break
+            live = [live[i] for i in keep]
+            mats, gauges = mats[keep], gauges[keep]
+            chart = chart.members(keep, n)
+            t0_live, t1_live, pair = t0[live], t1[live], pair[keep]
+
+        h_eff = [min(h[m], 1.0 - t[m]) for m in live]
+        t_new = [t[m] + step for m, step in zip(live, h_eff)]
+        pair[:, 0] = _homotopy(t0_live, t1_live, [t[m] for m in live])
+        g = _contract(pair, mats)
+        rhs = -_residual(g[:, 1], mats).reshape(-1, 4)
+        velocity, errors = _solve(chart.jacobian(g[:, 0]), rhs, n)
+        moves = np.array(h_eff)[:, None, None] * velocity.reshape(-1, n, 4)
+        predicted = chart.update(mats, moves.reshape(-1, 4))
+        corrected, norms, last_corr, iters, failures = _newton_batch(
+            _homotopy(t0_live, t1_live, t_new), predicted, chart, [cfgs[m] for m in live]
+        )
+        sep = _min_pairwise_distance(corrected).tolist()
+        worst_corr = last_corr.max(axis=1).tolist()
+        worst_norm = norms.max(axis=1).tolist()
+
+        accept = [False] * len(live)
+        for i, m in enumerate(live):
+            failure = failures[i]
+            if errors and errors[i] is not None:
+                failure = NewtonFailure(str(errors[i]))
+            elif failure is None and sep[i] < _SEPARATION_FACTOR * worst_corr[i]:
+                failure = SeparationLoss(
+                    f"separation {sep[i]:.3e} below barrier at t={t_new[i]:.6f}"
                 )
-        except (NewtonFailure, SeparationLoss, np.linalg.LinAlgError) as exc:
-            last_failure = exc if isinstance(exc, TrackFailure) else NewtonFailure(str(exc))
-            h /= 2
-            streak = 0
-            if h < _STEP_MIN:
-                if isinstance(exc, SeparationLoss):
-                    raise SeparationLoss(
-                        f"separation kept failing down to step_min at t={t:.6f}"
-                    ) from exc
-                raise StepUnderflow(
-                    f"step underflow at t={t:.6f}: {last_failure}"
-                ) from last_failure
-            continue
+            if failure is None:
+                accept[i] = True
+                t[m] = t_new[i]
+                accepted[m] += 1
+                streak[m] += 1
+                newton[m] += iters[i]
+                max_resid[m] = max(max_resid[m], worst_norm[i])
+                min_sep[m] = min(min_sep[m], sep[i])
+                if streak[m] >= _GROW_AFTER:
+                    h[m] = min(h[m] * _STEP_GROW, cfgs[m].step_max)
+                    streak[m] = 0
+                continue
+            h[m] /= 2
+            streak[m] = 0
+            if h[m] < _STEP_MIN:
+                if isinstance(failure, SeparationLoss):
+                    ends[m] = SeparationLoss(
+                        f"separation kept failing down to step_min at t={t[m]:.6f}"
+                    )
+                else:
+                    ends[m] = StepUnderflow(f"step underflow at t={t[m]:.6f}: {failure}")
+                ends[m].__cause__ = failure
 
-        fiber = fiber.moved(corrected).recharted()
-        t = t_new
-        accepted += 1
-        streak += 1
-        newton_iters += iters
-        max_resid = max(max_resid, float(norms.max()))
-        min_sep = min(min_sep, sep)
-        if streak >= _GROW_AFTER:
-            h = min(h * _STEP_GROW, cfg.step_max)
-            streak = 0
+        if any(accept):
+            if all(accept):
+                mats = corrected
+            else:
+                mats[accept] = corrected[accept]
+            # re-chart the accepted lines whose gauge went stale
+            stale = (_gauge_conds(mats.reshape(-1)[chart.unknowns]) > _RECHART_COND).reshape(-1, n)
+            if not all(accept):
+                stale[np.logical_not(accept)] = False
+            if stale.any():
+                gauges[stale] = _best_gauges(mats[stale])
+                mats[stale] = _normalize_batch(mats[stale], gauges[stale])
+                chart = _Chart(gauges.reshape(-1, 2))
+        finished = [t[m] >= 1.0 - 1e-14 or ends[m] is not None for m in live]
 
     return TrackResult(
-        fiber=fiber,
-        accepted_steps=accepted,
-        newton_iterations=[newton_iters] * len(fiber.mats),
-        max_residual=max_resid,
-        min_separation=min_sep,
-        step=h,
+        ends=ends,
+        steps=h,
+        accepted_steps=sum(accepted),
+        newton_iterations=newton,
+        max_residual=max(max_resid),
+        min_separation=min(min_sep),
     )
 
 
-def _polish(f: CubicForm, fiber: Fiber, cfg: TrackerConfig) -> Fiber:
-    """Newton-polish a fiber on Z(f) toward machine precision before it is
-    matched; a polish that fails keeps the (already in-tolerance) fiber."""
-    try:
-        polish_cfg = replace(cfg, newton_tol=_POLISH_TOL, max_newton_iters=3)
-        mats, _, _, _ = _newton_batch(_polar(f.coeffs), fiber.mats, fiber.chart, polish_cfg)
-    except NewtonFailure:
-        return fiber
-    return fiber.moved(mats)
+def _polish(forms: Sequence[CubicForm], fibers: Sequence[Fiber], cfg: TrackerConfig) -> list[Fiber]:
+    """Newton-polish each fiber on Z(form) toward machine precision before
+    it is matched, all in one batch; a fiber whose polish fails is kept as it
+    is (already in tolerance)."""
+    if not fibers:
+        return []
+    mats, _, chart = _stack(fibers)
+    coeffs = np.stack([f.coeffs for f in forms])
+    polish_cfg = replace(cfg, newton_tol=_POLISH_TOL, max_newton_iters=3)
+    out, _, _, _, failures = _newton_batch(_polar(coeffs), mats, chart, [polish_cfg] * len(fibers))
+    return [f.moved(m) if failure is None else f for f, m, failure in zip(fibers, out, failures)]
 
 
 def _retraced_edges(vertices: Sequence[CubicForm]) -> int:
@@ -567,20 +740,24 @@ def _retraced_edges(vertices: Sequence[CubicForm]) -> int:
 
 
 def track_loop(
-    vertices: Sequence[CubicForm],
+    loops: Sequence[Sequence[CubicForm]],
     base: Fiber,
     cfg: TrackerConfig | None = None,
-) -> Permutation:
-    """Track the labeled base fiber around a closed polygon of cubic forms and
-    return the induced label permutation (start label -> end label).
+) -> list[Permutation | TrackFailure]:
+    """Track the labeled base fiber around each closed polygon of cubic
+    forms in ``loops`` and return, per loop, the induced label permutation
+    (start label -> end label) or the TrackFailure that stopped it.
 
-    One Fiber is carried from vertex to vertex: each segment starts from
-    the previous one's unpolished end fiber, whose charts are fresh, and
-    nothing is converted on the way.  One step controller runs through
-    the polygon.  The first segment starts at cfg.step_init; each later one
-    starts at the previous segment's ``TrackResult.step`` times the ratio of
-    the two segments' lengths (||f_to - f_from|| over the coefficients), so
-    that the step keeps the size it had in the space of forms, whatever the
+    The loops are one batch, driven segment index by segment index: the
+    i-th track_segment call advances every loop that has an i-th tracked
+    edge and has not failed.  Each loop carries its own Fiber from vertex
+    to vertex: each segment starts from the previous one's unpolished end
+    fiber, whose charts are fresh, and nothing is converted on the way.
+    One step controller runs through each polygon.  The first segment
+    starts at cfg.step_init; each later one starts at the previous
+    segment's step (``TrackResult.steps``) times the ratio of the two
+    segments' lengths (||f_to - f_from|| over the coefficients), so that
+    the step keeps the size it had in the space of forms, whatever the
     length of the segment.  The carried step never goes below cfg.step_init
     or above cfg.step_max.
 
@@ -590,32 +767,56 @@ def track_loop(
     transport along it, so only the first n - k edges are tracked and the
     final fiber is matched against the fiber at the end of edge k.  A
     polygon with k = 0, such as a triangle, is matched against the base
-    fiber.  Each fiber that is matched is Newton-polished once first, so a
-    loop polishes at most twice.
+    fiber.  Each fiber that is matched is Newton-polished once first, in
+    one batch for all loops, so a loop polishes at most twice.
 
     A match is accepted only when every nearest/second-nearest distance
     ratio clears match_margin and the assignment is a bijection.
     """
     cfg = cfg or TrackerConfig()
-    if len(vertices) < 2 or vertices[0] != vertices[-1]:
+    if any(len(v) < 2 or v[0] != v[-1] for v in loops):
         raise ValueError("loop must start and end at the same form")
     if len(base.mats) != N_POINTS:
         raise ValueError(f"expected {N_POINTS} base lines")
-    k = _retraced_edges(vertices)
-    segments = list(zip(vertices, vertices[1 : len(vertices) - k]))
-    lengths = [float(np.linalg.norm(f_to.coeffs - f_from.coeffs)) for f_from, f_to in segments]
-    fiber, seg_cfg = base, cfg
-    for i, (f_from, f_to) in enumerate(segments):
-        if i:
-            step = _carried_step(cfg, result.step, lengths[i - 1], lengths[i])
-            seg_cfg = replace(cfg, step_init=step)
-        result = track_segment(f_from, f_to, fiber, seg_cfg)
-        fiber = result.fiber
-        if i + 1 == k:
-            stem_end = fiber
-    end = _polish(vertices[k], fiber, cfg)
-    reference = _polish(vertices[k], stem_end, cfg) if k else base
-    return match_to_base(end, reference, cfg)
+    stems = [_retraced_edges(v) for v in loops]
+    edges = [list(zip(v, v[1 : len(v) - k])) for v, k in zip(loops, stems)]
+    lengths = [[float(np.linalg.norm(b.coeffs - a.coeffs)) for a, b in e] for e in edges]
+    outcomes: list[Permutation | TrackFailure | None] = [None] * len(loops)
+    fibers = [base] * len(loops)
+    stem_ends = [base] * len(loops)
+    steps = [cfg.step_init] * len(loops)
+    for i in range(max(map(len, edges), default=0)):
+        members = [m for m, e in enumerate(edges) if i < len(e) and outcomes[m] is None]
+        if not members:
+            break
+        cfgs = [
+            replace(cfg, step_init=_carried_step(cfg, steps[m], *lengths[m][i - 1 : i + 1]))
+            if i
+            else cfg
+            for m in members
+        ]
+        result = track_segment([edges[m][i] for m in members], [fibers[m] for m in members], cfgs)
+        for m, end, step in zip(members, result.ends, result.steps):
+            if isinstance(end, TrackFailure):
+                outcomes[m] = end
+                continue
+            fibers[m], steps[m] = end, step
+            if i + 1 == stems[m]:
+                stem_ends[m] = end
+    live = [m for m, outcome in enumerate(outcomes) if outcome is None]
+    lassos = [m for m in live if stems[m]]
+    polished = _polish(
+        [loops[m][stems[m]] for m in live + lassos],
+        [fibers[m] for m in live] + [stem_ends[m] for m in lassos],
+        cfg,
+    )
+    references = dict(zip(lassos, polished[len(live) :]))
+    for m, end in zip(live, polished):
+        try:
+            outcomes[m] = match_to_base(end, references.get(m, base), cfg)
+        except AmbiguousMatch as exc:
+            outcomes[m] = exc
+    return outcomes
 
 
 def _carried_step(cfg: TrackerConfig, step: float, length: float, next_length: float) -> float:
@@ -652,16 +853,17 @@ def match_to_base(tracked: Fiber, base: Fiber, cfg: TrackerConfig) -> Permutatio
 
 
 def revalidate(
-    vertices: Sequence[CubicForm],
-    perm: Permutation,
+    loops: Sequence[Sequence[CubicForm]],
+    perms: Sequence[Permutation],
     base: Fiber,
     cfg: TrackerConfig | None = None,
-) -> bool:
-    """Re-track the loop at tightened tolerances (newton_tol/10, step_init/2,
-    match_margin*2) and confirm the identical permutation."""
+) -> list[bool]:
+    """Re-track the loops as one batch at tightened tolerances
+    (newton_tol/10, step_init/2, step_max/2, match_margin*2) and confirm,
+    per loop, the identical permutation; a loop that fails to re-track is
+    not confirmed."""
     cfg = cfg or TrackerConfig()
-    try:
-        again = track_loop(vertices, base, cfg.tightened())
-    except TrackFailure:
-        return False
-    return again == perm
+    if len(perms) != len(loops):
+        raise ValueError("expected one permutation per loop")
+    again = track_loop(loops, base, cfg.tightened())
+    return [a == p for a, p in zip(again, perms)]

@@ -368,15 +368,22 @@ def double_sixes() -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
 # ---------------------------------------------------------------------------
 
 
+def _catalog_line(label: int) -> np.ndarray:
+    """The catalog span of a line label; ValueError unless it is in 1..27."""
+    if not 1 <= label <= N_LINES:
+        raise ValueError(f"need a line label in 1..{N_LINES}, got {label}")
+    return fermat_catalog()[label - 1]
+
+
 def _cyc_span(label: int) -> list[list[Cyc]]:
     """The two basis rows of a catalog line as Q(zeta) elements."""
-    return [[Cyc(a, b) for a, b in row] for row in fermat_catalog()[label - 1].tolist()]
+    return [[Cyc(a, b) for a, b in row] for row in _catalog_line(label).tolist()]
 
 
 def line_restrictions_vanish(form: np.ndarray, label: int) -> bool:
     """Whether the integer cubic form restricts to the zero binary cubic on
     a catalog line."""
-    return not _restrict(form, fermat_catalog()[label - 1]).any()
+    return not _restrict(form, _catalog_line(label)).any()
 
 
 def tritangent_span_rank() -> int:

@@ -126,12 +126,13 @@ def basepoint_fiber(spec: FamilySpec) -> Fiber:
     if base == fermat_form():
         return cat
     cfg = TrackerConfig()
-    try:
-        mats, _, _, _ = htrack._newton_batch(htrack._polar(base.coeffs), cat.mats, cat.chart, cfg)
-    except TrackFailure as exc:
-        raise SingularBasepoint("catalog lines do not Newton-refine on the basepoint") from exc
-    refined = cat.moved(mats)
-    if htrack._min_pairwise_distance(mats) < 1e-6:
+    mats, _, _, _, [failure] = htrack._newton_batch(
+        htrack._polar(base.coeffs)[None], cat.mats[None], cat.chart, [cfg]
+    )
+    if failure is not None:
+        raise SingularBasepoint("catalog lines do not Newton-refine on the basepoint") from failure
+    refined = cat.moved(mats[0])
+    if htrack._min_pairwise_distance(mats[0]) < 1e-6:
         raise SingularBasepoint("refined basepoint lines are not separable")
     try:
         preserved = htrack.match_to_base(refined, cat, cfg).is_identity()
@@ -402,34 +403,43 @@ def compute_monodromy(spec: FamilySpec, budget: int = 40, seed: int = 1) -> Mono
     violations = 0
     stabilized_after = None
 
-    for i in range(budget):
-        loop = _build_loop(spec, i, seed)
-        p, failure = None, "revalidation mismatch"
-        try:
-            p = htrack.track_loop(loop.vertices, base)
-        except TrackFailure as exc:
-            failure = f"{type(exc).__name__}: {exc}"
-        revalidated = p is not None and htrack.revalidate(loop.vertices, p, base)
-        in_bound = (p in bound) if revalidated else None
-        if in_bound is False:
-            violations += 1
-            failure = "permutation outside the upper bound"
-        grew = bool(in_bound) and closure.add_permutation(p)
-        records.append(
-            LoopRecord(
-                index=i, kind=loop.kind, accepted=bool(in_bound),
-                permutation=format_cycles(p) if p is not None else None,
-                failure=None if in_bound else failure,
-                revalidated=revalidated, in_bound=in_bound,
-                new_elements=grew, meta=_loop_meta(loop),
+    # Loops are tracked in chunks of the fewest loops after which the stall
+    # counter could fire, so no loop is tracked past the point where the run
+    # stops; each chunk is one batch of first tracks and one batch that
+    # revalidates the tracks that succeeded.
+    i = 0
+    while i < budget and stabilized_after is None:
+        size = min(budget - i, _STALL_THRESHOLD - stall)
+        chunk = [_build_loop(spec, j, seed) for j in range(i, i + size)]
+        tracked = htrack.track_loop([loop.vertices for loop in chunk], base)
+        ok = [j for j, p in enumerate(tracked) if not isinstance(p, TrackFailure)]
+        again = htrack.revalidate([chunk[j].vertices for j in ok], [tracked[j] for j in ok], base)
+        confirmed = dict(zip(ok, again))
+        for j, (loop, p) in enumerate(zip(chunk, tracked)):
+            failure = "revalidation mismatch"
+            if isinstance(p, TrackFailure):
+                p, failure = None, f"{type(p).__name__}: {p}"
+            revalidated = confirmed.get(j, False)
+            in_bound = (p in bound) if revalidated else None
+            if in_bound is False:
+                violations += 1
+                failure = "permutation outside the upper bound"
+            grew = bool(in_bound) and closure.add_permutation(p)
+            records.append(
+                LoopRecord(
+                    index=i + j, kind=loop.kind, accepted=bool(in_bound),
+                    permutation=format_cycles(p) if p is not None else None,
+                    failure=None if in_bound else failure,
+                    revalidated=revalidated, in_bound=in_bound,
+                    new_elements=grew, meta=_loop_meta(loop),
+                )
             )
-        )
-        if not in_bound:
-            continue
-        stall = 0 if grew else stall + 1
-        if stall >= _STALL_THRESHOLD:
-            stabilized_after = i + 1
-            break
+            if not in_bound:
+                continue
+            stall = 0 if grew else stall + 1
+            if stall >= _STALL_THRESHOLD:
+                stabilized_after = i + j + 1
+        i += len(chunk)
 
     group = closure.group()
     components = [
@@ -873,19 +883,22 @@ def _claim_numeric_hygiene(seed: int) -> Claim:
     reversal_ok = True
     tested = 0
     i = 0
+    # forward and reverse of each triangle in one batch, in chunks that stop
+    # where tracking one pair at a time would: at 20 pairs or 200 triangles
     while tested < 20 and i < 200:
-        loop_rng = np.random.default_rng((seed, 7000 + i))
-        i += 1
-        loop = random_loop(spec, loop_rng, spec.scale)
-        reverse = Loop(kind="triangle", vertices=tuple(reversed(loop.vertices)))
-        try:
-            fwd = htrack.track_loop(loop.vertices, cat)
-            bwd = htrack.track_loop(reverse.vertices, cat)
-        except TrackFailure:
-            continue
-        tested += 1
-        if fwd.inverse() != bwd:
-            reversal_ok = False
+        count = min(20 - tested, 200 - i)
+        triangles = [
+            random_loop(spec, np.random.default_rng((seed, 7000 + j)), spec.scale).vertices
+            for j in range(i, i + count)
+        ]
+        i += count
+        results = htrack.track_loop([v for loop in triangles for v in (loop, loop[::-1])], cat)
+        for fwd, bwd in zip(results[::2], results[1::2]):
+            if isinstance(fwd, TrackFailure) or isinstance(bwd, TrackFailure):
+                continue
+            tested += 1
+            if fwd.inverse() != bwd:
+                reversal_ok = False
     # one triangle and one meridian, the schedule every report uses
     rep1 = compute_monodromy(spec, budget=2, seed=seed)
     rep2 = compute_monodromy(spec, budget=2, seed=seed)

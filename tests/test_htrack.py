@@ -30,13 +30,31 @@ from cubic27.htrack import (
     _newton_batch,
     _normalize_batch,
     _polar,
+    _solve,
 )
 from cubic27.monodromy import embed_symmetric
+from cubic27.perm import Permutation
 
 
 @pytest.fixture(scope="module")
 def forms():
     return tuple(CubicForm(row) for row in symmetric_basis())
+
+
+def segment(f0, f1, start, cfg=None):
+    """track_segment on a batch of one; the member's failure is raised."""
+    result = track_segment([(f0, f1)], [start], None if cfg is None else [cfg])
+    if isinstance(result.ends[0], TrackFailure):
+        raise result.ends[0]
+    return result
+
+
+def loop_perm(loop, base, cfg=None):
+    """track_loop on a batch of one; the loop's failure is raised."""
+    [perm] = track_loop([loop], base, cfg)
+    if isinstance(perm, TrackFailure):
+        raise perm
+    return perm
 
 
 @pytest.fixture(scope="module")
@@ -177,8 +195,8 @@ class TestJacobian:
 
     def test_zero_form_gives_zero_matrix(self, catalog):
         # CubicForm refuses the zero form, so build its kernel Jacobian directly
-        chart = _Chart(_free_indices(catalog.gauges[:1]))
-        jac = chart.jacobian(_contract(_polar(np.zeros(20, dtype=complex)), catalog.mats[:1]))[0]
+        chart = _Chart(catalog.gauges[:1])
+        jac = chart.jacobian(_contract(_polar(np.zeros((1, 20), dtype=complex)), catalog.mats[None, :1]))[0]
         assert np.array_equal(jac, np.zeros((4, 4)))
 
 
@@ -187,15 +205,62 @@ class TestNewton:
         # every line of the catalog fiber moved by about 1e-4, back in its gauge
         rng = np.random.default_rng(5)
         noisy = _normalize_batch(catalog.mats + 1e-4 * _random_mats(rng, 27), catalog.gauges)
-        fixed, _, _, _ = _newton_batch(_polar(forms[0].coeffs), noisy, catalog.chart, TrackerConfig())
-        for line, want in zip(fixed, catalog.mats):
+        fixed, _, _, _, [failure] = _newton_batch(
+            _polar(forms[0].coeffs)[None], noisy[None], catalog.chart, [TrackerConfig()]
+        )
+        assert failure is None
+        for line, want in zip(fixed[0], catalog.mats):
             assert line_distance(line, want) < 1e-8
+
+    def test_members_converge_and_fail_as_alone(self, forms, catalog):
+        # five members, each giving what it gives in a batch of one: a
+        # catalog moved by 1e-4 converges on Fermat in a few iterations but
+        # not in one; the catalog is far from Z(forms[1]); a move of 0.3
+        # loses the quadratic tail; and lines in gauge (0, 1) have a zero
+        # Jacobian on x0^3, which does not vanish on them
+        rng = np.random.default_rng(6)
+        noisy = _normalize_batch(catalog.mats + 1e-4 * _random_mats(rng, 27), catalog.gauges)
+        far = _normalize_batch(catalog.mats + 0.3 * _random_mats(np.random.default_rng(0), 27), catalog.gauges)
+        gauge01 = np.tile([0, 1], (27, 1))
+        cube = np.zeros(20)
+        cube[MONOMIAL_EXPONENTS.index((3, 0, 0, 0))] = 1
+        coeffs = [forms[0].coeffs, forms[1].coeffs, forms[0].coeffs, forms[0].coeffs, cube]
+        mats = [noisy, catalog.mats, noisy, far, _normalize_batch(_random_mats(rng, 27), gauge01)]
+        gauges = [catalog.gauges] * 4 + [gauge01]
+        cfgs = [TrackerConfig()] * 2 + [TrackerConfig(max_newton_iters=1)] + [TrackerConfig()] * 2
+        tensors, mats = _polar(np.stack(coeffs)), np.stack(mats)
+        batch = _newton_batch(tensors, mats, _Chart(np.concatenate(gauges)), cfgs)
+        assert [None if f is None else str(f) for f in batch[4]] == [
+            None,
+            "no convergence in 8 iterations",
+            "no convergence in 1 iterations",
+            "quadratic convergence tail lost",
+            "singular Jacobian",
+        ]
+        for m in range(5):
+            alone = _newton_batch(tensors[m : m + 1], mats[m : m + 1], _Chart(gauges[m]), cfgs[m : m + 1])
+            for got, want in zip(batch[:3], alone[:3]):
+                assert np.array_equal(got[m], want[0])
+            assert batch[3][m] == alone[3][0]
+            assert type(batch[4][m]) is type(alone[4][0]) and str(batch[4][m]) == str(alone[4][0])
+
+    def test_a_singular_member_does_not_stop_the_solve(self):
+        rng = np.random.default_rng(4)
+        jac = rng.standard_normal((6, 4, 4)) + 1j * rng.standard_normal((6, 4, 4))
+        rhs = rng.standard_normal((6, 4)) + 0j
+        jac[3] = 0  # the second member of three, two systems each
+        out, errors = _solve(jac, rhs, 2)
+        assert [e is None for e in errors] == [True, False, True]
+        assert isinstance(errors[1], np.linalg.LinAlgError)
+        for rows in (slice(0, 2), slice(4, 6)):
+            assert np.array_equal(out[rows], _solve(jac[rows], rhs[rows], 2)[0])
+        assert _solve(jac[:2], rhs[:2], 2)[1] == []
 
     def test_failure_on_singular_target(self, forms, catalog):
         # the straight segment toward the three-node parameter point
         target = embed_symmetric(0.25, 0, 0.75)
         with pytest.raises(TrackFailure):
-            track_segment(forms[0], target, catalog)
+            segment(forms[0], target, catalog)
 
 
 class TestLineDistance:
@@ -227,43 +292,43 @@ class TestLineDistance:
 
 class TestTrackSegment:
     def test_identity_motion(self, forms, catalog):
-        res = track_segment(forms[0], forms[0], catalog)
+        res = segment(forms[0], forms[0], catalog)
         assert res.max_residual < 1e-12
-        for a, b in zip(res.fiber.mats, catalog.mats):
+        for a, b in zip(res.ends[0].mats, catalog.mats):
             assert line_distance(a, b) < 1e-12
 
     def test_round_trip(self, forms, catalog):
         target = embed_symmetric(1, 0.2 + 0.1j, -0.15)
-        out = track_segment(forms[0], target, catalog)
-        back = track_segment(target, forms[0], out.fiber)
-        for a, b in zip(back.fiber.mats, catalog.mats):
+        out = segment(forms[0], target, catalog)
+        back = segment(target, forms[0], out.ends[0])
+        for a, b in zip(back.ends[0].mats, catalog.mats):
             assert line_distance(a, b) < 1e-8
 
     def test_generic_smooth_target(self, forms, catalog):
         cfg = TrackerConfig()
         target = embed_symmetric(1, 0.1, 0.1)
-        res = track_segment(forms[0], target, catalog, cfg)
+        res = segment(forms[0], target, catalog, cfg)
         assert res.max_residual <= cfg.newton_tol
-        assert _min_pairwise_distance(res.fiber.mats) > 0.1
+        assert _min_pairwise_distance(res.ends[0].mats) > 0.1
 
     def test_fermat_to_cayley_fails(self, forms, catalog):
         with pytest.raises(TrackFailure):
-            track_segment(forms[0], forms[2], catalog)
+            segment(forms[0], forms[2], catalog)
 
     def test_bitwise_deterministic(self, forms, catalog):
         target = embed_symmetric(1, 0.2 + 0.1j, -0.15)
         start = catalog
-        r1 = track_segment(forms[0], target, start)
-        r2 = track_segment(forms[0], target, start)
+        r1 = segment(forms[0], target, start)
+        r2 = segment(forms[0], target, start)
         assert r1.accepted_steps == r2.accepted_steps
         assert r1.max_residual == r2.max_residual
-        assert np.array_equal(r1.fiber.mats, r2.fiber.mats)
-        assert np.array_equal(r1.fiber.gauges, r2.fiber.gauges)
+        assert np.array_equal(r1.ends[0].mats, r2.ends[0].mats)
+        assert np.array_equal(r1.ends[0].gauges, r2.ends[0].gauges)
 
     def test_start_fiber_left_unchanged(self, forms, catalog):
         start = catalog
         mats, gauges = start.mats.copy(), start.gauges.copy()
-        track_segment(forms[0], embed_symmetric(1, 0.2 + 0.1j, -0.15), start)
+        segment(forms[0], embed_symmetric(1, 0.2 + 0.1j, -0.15), start)
         assert np.array_equal(start.mats, mats)
         assert np.array_equal(start.gauges, gauges)
 
@@ -309,7 +374,7 @@ def retracked(loop, catalog):
     the end fiber matched against the catalog."""
     current = catalog
     for f0, f1 in zip(loop, loop[1:]):
-        current = Fiber.from_mats(track_segment(f0, f1, current).fiber.mats)
+        current = Fiber.from_mats(segment(f0, f1, current).ends[0].mats)
     return match_to_base(current, catalog, TrackerConfig())
 
 
@@ -356,15 +421,16 @@ class TestCarriedStep:
         calls = []
         original = htrack.track_segment
 
-        def spy(f0, f1, start, cfg=None):
-            result = original(f0, f1, start, cfg)
+        def spy(segments, starts, cfgs=None):
+            result = original(segments, starts, cfgs)
+            [(f0, f1)], [cfg] = segments, cfgs
             calls.append((f0, f1, cfg, result))
             return result
 
         monkeypatch.setattr(htrack, "track_segment", spy)
         loop = meridian(L1_POINT)
         cfg = TrackerConfig()
-        assert track_loop(loop, catalog, cfg) == lines.monodromy_klein_elements()["tau1"]
+        assert loop_perm(loop, catalog, cfg) == lines.monodromy_klein_elements()["tau1"]
         # the return leg retraces the entry segment and is not tracked
         assert len(calls) == len(loop) - 2
         lengths = [np.linalg.norm(f1.coeffs - f0.coeffs) for f0, f1, _, _ in calls]
@@ -372,7 +438,7 @@ class TestCarriedStep:
         assert lengths[0] > 5 * max(lengths[1:])
         assert calls[0][2].step_init == cfg.step_init
         for k in range(1, len(calls)):
-            prev_step = calls[k - 1][3].step
+            [prev_step] = calls[k - 1][3].steps
             want = min(cfg.step_max, max(cfg.step_init, prev_step * lengths[k - 1] / lengths[k]))
             assert calls[k][2] == TrackerConfig(step_init=want)
         # the arcs start above the parent's restart value
@@ -388,33 +454,33 @@ class TestCarriedStep:
         steps = []
         original = htrack.track_segment
 
-        def spy(f0, f1, start, seg_cfg=None):
-            result = original(f0, f1, start, seg_cfg)
+        def spy(segments, starts, cfgs=None):
+            result = original(segments, starts, cfgs)
             steps.append(result.accepted_steps)
             return result
 
         monkeypatch.setattr(htrack, "track_segment", spy)
         loop = meridian(L1_POINT)
-        assert track_loop(loop, catalog, cfg) == lines.monodromy_klein_elements()["tau1"]
+        assert loop_perm(loop, catalog, cfg) == lines.monodromy_klein_elements()["tau1"]
         assert steps[1:] == [arc_steps] * 16
 
     @pytest.mark.parametrize("cfg", [TrackerConfig(), TrackerConfig().tightened()])
     def test_result_step_within_bounds(self, forms, catalog, cfg):
         for target in (forms[0], embed_symmetric(1, 0.2 + 0.1j, -0.15)):
-            step = track_segment(forms[0], target, catalog, cfg).step
+            [step] = segment(forms[0], target, catalog, cfg).steps
             assert _STEP_MIN <= step <= cfg.step_max
 
     def test_zero_length_segment(self, catalog):
         loop = triangle(0.9, seed=12)
         repeated = loop[:2] + [loop[1]] + loop[2:]
-        assert track_loop(repeated, catalog) == track_loop(loop, catalog)
+        assert loop_perm(repeated, catalog) == loop_perm(loop, catalog)
 
     @pytest.mark.parametrize("center", [L1_POINT, L2_POINT, C_POINT], ids=["L1", "L2", "C"])
     def test_same_permutation_as_restarting_at_every_vertex(self, catalog, center):
         loop = meridian(center)
         restarted = retracked(loop, catalog)
         assert not restarted.is_identity()
-        assert track_loop(loop, catalog) == restarted
+        assert loop_perm(loop, catalog) == restarted
 
 
 class TestLasso:
@@ -430,20 +496,20 @@ class TestLasso:
 
     def test_reversed_meridian_gives_inverse(self, catalog):
         loop = meridian(C_POINT)
-        fwd = track_loop(loop, catalog)
+        fwd = loop_perm(loop, catalog)
         assert not fwd.is_identity()
-        assert track_loop(list(reversed(loop)), catalog) == fwd.inverse()
+        assert loop_perm(list(reversed(loop)), catalog) == fwd.inverse()
 
     def test_reversed_lasso_gives_inverse(self, catalog):
         # an order-4 permutation tells the lasso's reading from its inverse
         loop = full_family_lasso(7)
-        fwd = track_loop(loop, catalog)
+        fwd = loop_perm(loop, catalog)
         assert fwd.order() == 4
-        assert track_loop(list(reversed(loop)), catalog) == fwd.inverse()
+        assert loop_perm(list(reversed(loop)), catalog) == fwd.inverse()
 
     def test_two_edge_stem_equals_full_retrack(self, catalog):
         loop = full_family_lasso(7, stem_edges=2)
-        p = track_loop(loop, catalog)
+        p = loop_perm(loop, catalog)
         assert p.order() == 4
         assert p == retracked(loop, catalog)
 
@@ -451,13 +517,13 @@ class TestLasso:
         calls = []
         original = htrack.track_segment
 
-        def spy(f0, f1, start, cfg=None):
-            calls.append((f0, f1))
-            return original(f0, f1, start, cfg)
+        def spy(segments, starts, cfgs=None):
+            calls.extend(segments)
+            return original(segments, starts, cfgs)
 
         monkeypatch.setattr(htrack, "track_segment", spy)
         v = embed_symmetric(1, 0.2 + 0.1j, -0.15)
-        assert track_loop([forms[0], v, forms[0]], catalog).is_identity()
+        assert loop_perm([forms[0], v, forms[0]], catalog).is_identity()
         assert calls == [(forms[0], v)]
 
     @pytest.mark.parametrize(
@@ -477,10 +543,17 @@ class TestLasso:
 
             return spy
 
+        polish = htrack._polish
+
+        def polish_spy(forms, fibers, cfg):
+            # one event per polished fiber: a batch polishes all of them at once
+            events.extend(["polish"] * len(fibers))
+            return polish(forms, fibers, cfg)
+
         monkeypatch.setattr(htrack, "track_segment", log("segment", htrack.track_segment))
-        monkeypatch.setattr(htrack, "_polish", log("polish", htrack._polish))
+        monkeypatch.setattr(htrack, "_polish", polish_spy)
         monkeypatch.setattr(Fiber, "from_mats", classmethod(log("lines", Fiber.from_mats.__func__)))
-        track_loop(loop, catalog)
+        loop_perm(loop, catalog)
         last_segment = len(events) - events[::-1].index("segment")
         assert events.count("segment") == len(loop) - 1 - htrack._retraced_edges(loop)
         assert "lines" not in events
@@ -488,25 +561,115 @@ class TestLasso:
         assert events.count("polish") == polishes <= 2
 
 
+class TestBatch:
+    """A batch tracks each member with the arithmetic of a batch of one."""
+
+    @staticmethod
+    def tracked(loops, base, cfg, monkeypatch):
+        """track_loop's results and the span matrices of the (polished end,
+        reference) fiber pair of every match it made, in loop order."""
+        seen = []
+        original = htrack.match_to_base
+
+        def spy(tracked, reference, match_cfg):
+            seen.append((tracked.mats, reference.mats))
+            return original(tracked, reference, match_cfg)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(htrack, "match_to_base", spy)
+            results = track_loop(loops, base, cfg)
+        return results, seen
+
+    @pytest.mark.parametrize(
+        "cfg", [TrackerConfig(), TrackerConfig().tightened()], ids=["default", "tightened"]
+    )
+    def test_batch_equals_batch_of_one(self, catalog, monkeypatch, cfg):
+        tri = triangle(0.9, seed=12)
+        loops = [
+            tri,
+            meridian(L1_POINT),
+            meridian(L2_POINT),
+            meridian(C_POINT),
+            full_family_lasso(7, stem_edges=2),
+            tri[:2] + [tri[1]] + tri[2:],  # a zero-length segment
+        ]
+        perms, matches = self.tracked(loops, catalog, cfg, monkeypatch)
+        assert len(matches) == len(loops)
+        for loop, perm, (end, reference) in zip(loops, perms, matches):
+            [alone], [(alone_end, alone_reference)] = self.tracked([loop], catalog, cfg, monkeypatch)
+            assert isinstance(alone, Permutation) and perm == alone
+            assert np.array_equal(end, alone_end)
+            assert np.array_equal(reference, alone_reference)
+
+    def test_segment_members_equal_their_batches_of_one(self, forms, catalog):
+        # identity motions, whose residuals are the smallest, first and
+        # third: from a step of 0.3 their steps grow to their own caps
+        identity = (forms[0], forms[0])
+        segments = [
+            identity,
+            (forms[0], embed_symmetric(1, 0.2 + 0.1j, -0.15)),
+            identity,
+            (forms[0], forms[2]),  # fails
+        ]
+        cfgs = [
+            TrackerConfig(step_init=0.3, step_max=0.4),
+            TrackerConfig(),
+            TrackerConfig(step_init=0.3),
+            TrackerConfig().tightened(),
+        ]
+        batch = track_segment(segments, [catalog] * 4, cfgs)
+        alone = [track_segment([seg], [catalog], [cfg]) for seg, cfg in zip(segments, cfgs)]
+        for end, step, solo in zip(batch.ends, batch.steps, alone):
+            if isinstance(end, TrackFailure):
+                assert type(end) is type(solo.ends[0]) and str(end) == str(solo.ends[0])
+            else:
+                assert np.array_equal(end.mats, solo.ends[0].mats)
+                assert np.array_equal(end.gauges, solo.ends[0].gauges)
+                assert step == solo.steps[0]
+        assert batch.steps[0] == 0.4 and batch.steps[2] == 0.6
+        assert batch.accepted_steps == sum(r.accepted_steps for r in alone)
+        assert batch.newton_iterations == [r.newton_iterations[0] for r in alone]
+        assert batch.max_residual == max(r.max_residual for r in alone)
+        assert batch.min_separation == min(r.min_separation for r in alone)
+
+    def test_failing_member_is_isolated(self, forms, catalog, monkeypatch):
+        # the Fermat -> Cayley edge of test_fermat_to_cayley_fails, closed
+        # into a loop, fails beside two good loops as it fails alone
+        failing = [forms[0], forms[2], forms[0]]
+        good = [triangle(0.9, seed=12), meridian(L1_POINT)]
+        [alone] = track_loop([failing], catalog)
+        assert isinstance(alone, TrackFailure)
+        batch, matches = self.tracked([good[0], failing, good[1]], catalog, None, monkeypatch)
+        assert type(batch[1]) is type(alone) and str(batch[1]) == str(alone)
+        for loop, perm, (end, _) in zip(good, batch[::2], matches):
+            [solo], [(solo_end, _)] = self.tracked([loop], catalog, None, monkeypatch)
+            assert perm == solo
+            assert np.array_equal(end, solo_end)
+
+    def test_empty_batch(self, catalog):
+        assert track_loop([], catalog) == []
+        assert revalidate([], [], catalog) == []
+
+
 class TestTrackLoop:
     def test_constant_loop_is_identity(self, forms, catalog):
-        p = track_loop([forms[0], forms[0]], catalog)
+        p = loop_perm([forms[0], forms[0]], catalog)
         assert p.is_identity()
 
     def test_open_polygon_rejected(self, forms, catalog):
         with pytest.raises(ValueError):
-            track_loop([forms[0], forms[1]], catalog)
+            track_loop([[forms[0], forms[1]]], catalog)
 
     def test_reversal_gives_inverse(self, catalog):
         loop = triangle(0.9, seed=12)
-        fwd = track_loop(loop, catalog)
-        bwd = track_loop(list(reversed(loop)), catalog)
+        fwd = loop_perm(loop, catalog)
+        bwd = loop_perm(list(reversed(loop)), catalog)
         assert fwd.inverse() == bwd
 
     def test_determinism(self, catalog):
         loop = triangle(0.9, seed=12)
-        p1 = track_loop(loop, catalog)
-        p2 = track_loop(loop, catalog)
+        p1 = loop_perm(loop, catalog)
+        p2 = loop_perm(loop, catalog)
         assert p1 == p2
 
     def test_concatenation_maps_to_composition(self, catalog):
@@ -515,17 +678,17 @@ class TestTrackLoop:
         first = triangle(0.9, seed=12)
         second = triangle(0.9, seed=31)
         joined = first + second[1:]
-        p_first = track_loop(first, catalog)
-        p_second = track_loop(second, catalog)
-        p_joined = track_loop(joined, catalog)
+        p_first = loop_perm(first, catalog)
+        p_second = loop_perm(second, catalog)
+        p_joined = loop_perm(joined, catalog)
         assert p_joined == compose(p_second, p_first)
 
     def test_meridian_gives_reference_involution(self, forms, catalog):
         # circle around the one-node discriminant point on the c axis
         loop = meridian(L1_POINT)
-        perm = track_loop(loop, catalog)
+        perm = loop_perm(loop, catalog)
         assert perm == lines.monodromy_klein_elements()["tau1"]
-        assert revalidate(loop, perm, catalog)
+        assert revalidate([loop], [perm], catalog) == [True]
 
     def test_under_resolved_loop_rejected(self, catalog):
         # a Newton tolerance below the residual's rounding floor can never be
@@ -534,7 +697,7 @@ class TestTrackLoop:
         cfg = TrackerConfig(newton_tol=1e-17)
         loop = meridian(L1_POINT, radius=0.1, n=4)
         with pytest.raises(TrackFailure):
-            track_loop(loop, catalog, cfg)
+            loop_perm(loop, catalog, cfg)
 
 
 class TestMatching:
@@ -545,18 +708,18 @@ class TestMatching:
 
         cfg = TrackerConfig(match_margin=1e18)
         with pytest.raises(AmbiguousMatch):
-            track_loop(triangle(0.9, seed=12), catalog, cfg)
+            loop_perm(triangle(0.9, seed=12), catalog, cfg)
 
 
 class TestRevalidate:
     def test_constant_loop_revalidates(self, forms, catalog):
-        p = track_loop([forms[0], forms[0]], catalog)
-        assert revalidate([forms[0], forms[0]], p, catalog)
+        p = loop_perm([forms[0], forms[0]], catalog)
+        assert revalidate([[forms[0], forms[0]]], [p], catalog) == [True]
 
     def test_wrong_permutation_fails_revalidation(self, forms, catalog):
-        p = track_loop([forms[0], forms[0]], catalog)
+        p = loop_perm([forms[0], forms[0]], catalog)
         wrong = lines.monodromy_klein_elements()["tau1"]
-        assert not revalidate([forms[0], forms[0]], wrong, catalog)
+        assert revalidate([[forms[0], forms[0]]], [wrong], catalog) == [False]
 
 
 class TestConfig:

@@ -383,3 +383,12 @@ class TestExactIdentitiesOnLines:
     def test_first_orbit_line_not_on_all_symmetric_cubics(self):
         _, m21, _ = symmetric_basis()
         assert not line_restrictions_vanish(m21, 1)
+
+    @pytest.mark.parametrize("label", [0, -1, 28])
+    def test_labels_outside_1_to_27_are_rejected(self, label):
+        # label 0 used to read line 27 and 28 to raise a bare IndexError
+        _, m21, _ = symmetric_basis()
+        with pytest.raises(ValueError, match="1..27"):
+            line_restrictions_vanish(m21, label)
+        with pytest.raises(ValueError, match="1..27"):
+            lines._cyc_span(label)

@@ -147,8 +147,8 @@ class TestBasepointFiber:
         newton = htrack._newton_batch
 
         def stub(*args):
-            mats, norms, last, iters = newton(*args)
-            return move(mats), norms, last, iters
+            mats, norms, last, iters, failures = newton(*args)
+            return move(mats[0])[None], norms, last, iters, failures
 
         monkeypatch.setattr(htrack, "_newton_batch", stub)
         spec = replace(full_family(), base=embed_symmetric(1, 0.02, -0.01j).coeffs)
@@ -197,10 +197,10 @@ class TestLoops:
         center = np.array([1, 0, 0], dtype=complex) + t_star * np.array([-1, 0, 1])
         loop = circle_loop(spec, center, radius=0.05)
         fiber = basepoint_fiber(spec)
-        perm = track_loop(loop.vertices, fiber)
+        [perm] = track_loop([loop.vertices], fiber)
         assert not perm.is_identity()
         assert format_cycles(perm) in expected_symmetric_monodromy()
-        assert revalidate(loop.vertices, perm, fiber)
+        assert revalidate([loop.vertices], [perm], fiber) == [True]
 
 
 COMPONENTS = monodromy._SYMMETRIC_NODAL_COMPONENTS
@@ -393,18 +393,41 @@ class TestComputeMonodromy:
 
     def test_symmetric_eight_loops_track_160_segments(self, monkeypatch):
         # 4 triangles of 3 edges and 4 meridians of 17 (the return leg of
-        # the 18 is read off the stem), each tracked and revalidated
+        # the 18 is read off the stem), each tracked and revalidated: 160
+        # member-segments in 2 batches of 17 calls, one per segment index
         calls = []
         original = htrack.track_segment
 
-        def spy(*args, **kwargs):
-            calls.append(None)
-            return original(*args, **kwargs)
+        def spy(segments, *args, **kwargs):
+            calls.append(len(segments))
+            return original(segments, *args, **kwargs)
 
         monkeypatch.setattr(htrack, "track_segment", spy)
         report = compute_monodromy(symmetric_family(), 8, seed=1)
         assert [r.kind for r in report.loops] == ["triangle", "circle"] * 4
-        assert len(calls) == 160
+        assert sum(calls) == 160
+        assert calls == 2 * ([8] * 3 + [4] * 14)
+
+    @pytest.mark.parametrize(
+        "budget, chunks", [(40, [10, 8]), (8, [8]), (0, [])], ids=["stall", "fixed", "none"]
+    )
+    def test_chunks_never_track_past_the_stop(self, monkeypatch, budget, chunks):
+        # the symmetric run at seed 1 stops at 18 loops (10 and 8): a chunk
+        # is the fewest loops after which the stall counter could fire
+        first = []
+        original = htrack.track_loop
+
+        def spy(loops, base, cfg=None):
+            if cfg is None:
+                first.append(len(loops))
+            return original(loops, base, cfg)
+
+        monkeypatch.setattr(htrack, "track_loop", spy)
+        report = compute_monodromy(symmetric_family(), budget, seed=1)
+        assert first == chunks
+        assert len(report.loops) == sum(chunks)
+        if budget == 40:
+            assert report.stabilized_after == 18
 
     def test_full_family_reaches_weyl_group(self, full_report):
         assert full_report.group["order"] == 51840
@@ -460,6 +483,24 @@ class TestComputeMonodromy:
         assert all(p(x) == x for p in klein for x in (25, 26, 27))
 
 
+class TestNumericHygiene:
+    def test_reversal_pairs_are_one_batch_at_seed_1(self, monkeypatch):
+        # 20 triangles and their reverses, none failing, so one batch of 40
+        # stops where tracking one pair at a time stopped
+        batches = []
+        original = htrack.track_loop
+
+        def spy(loops, base, cfg=None):
+            batches.append(len(loops))
+            return original(loops, base, cfg)
+
+        monkeypatch.setattr(htrack, "track_loop", spy)
+        claim = monodromy._claim_numeric_hygiene(seed=1)
+        assert claim.passed
+        assert claim.details["reversal_pairs_tested"] == 20
+        assert batches[0] == 40
+
+
 class TestUpperBoundVerdict:
     """The acceptance rule and the verdict, with the tracker stubbed out: the
     symmetric family's basepoint fiber is the catalog, and with every probe
@@ -470,8 +511,8 @@ class TestUpperBoundVerdict:
 
     def run(self, monkeypatch, cycles, budget=40):
         perms = cycle([parse_cycles(c) for c in cycles])
-        monkeypatch.setattr(htrack, "track_loop", lambda *a, **k: next(perms))
-        monkeypatch.setattr(htrack, "revalidate", lambda *a, **k: True)
+        monkeypatch.setattr(htrack, "track_loop", lambda loops, *a, **k: [next(perms) for _ in loops])
+        monkeypatch.setattr(htrack, "revalidate", lambda loops, *a, **k: [True] * len(loops))
         monkeypatch.setattr(monodromy, "probe_discriminant", lambda *a, **k: None)
         return compute_monodromy(symmetric_family(), budget=budget)
 
@@ -518,6 +559,28 @@ class TestUpperBoundVerdict:
         assert report.group["order"] == 4
         assert report.group["generators"] == nontrivial[:2]
         assert [r.new_elements for r in report.loops[:3]] == [True, True, False]
+
+    def test_failed_track_is_recorded_and_not_revalidated(self, monkeypatch):
+        tau = parse_cycles(self.TAU)
+        failure = htrack.NewtonFailure("no convergence in 8 iterations")
+        revalidated = []
+
+        def revalidate(loops, perms, *args, **kwargs):
+            revalidated.append(list(perms))
+            return [True] * len(loops)
+
+        monkeypatch.setattr(htrack, "track_loop", lambda loops, *a, **k: [failure] + [tau] * (len(loops) - 1))
+        monkeypatch.setattr(htrack, "revalidate", revalidate)
+        monkeypatch.setattr(monodromy, "probe_discriminant", lambda *a, **k: None)
+        report = compute_monodromy(symmetric_family(), budget=3)
+        first = report.loops[0]
+        assert (first.accepted, first.permutation, first.revalidated, first.in_bound) == (
+            False, None, False, None
+        )
+        assert first.failure == "NewtonFailure: no convergence in 8 iterations"
+        assert revalidated == [[tau, tau]]
+        assert [r.accepted for r in report.loops] == [False, True, True]
+        assert report.invariant_violations == 0
 
     def test_weyl_element_outside_the_bound_is_rejected(self, monkeypatch):
         outside = lines.s4_generators()[0]
