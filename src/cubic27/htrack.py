@@ -25,9 +25,10 @@ newton_tol, so it is neither re-charted nor polished at a vertex.  Only a
 fiber that is matched is polished, once.
 
 The tracker works on batches.  A batch has k members, each one fiber of n
-lines on its own segment with its own config, and every kernel call takes
-all of them: one (4n, 16) @ (16, 4) contraction, one n-fold 4x4 solve and
-one n x n Plucker overlap per member, stacked along a leading member axis.
+tracked lines on its own segment with its own config, and every kernel call
+takes all of them: one (4n, 16) @ (16, 4) contraction and one n-fold 4x4
+solve per member, and one Plucker overlap of all the lines the frame reads
+off them, stacked along a leading member axis.
 Each member keeps its own t, step, streak of accepted steps, Newton
 convergence and failure, so a member's arithmetic is the same in any batch
 and a batch of one is the single-fiber tracker.  A member that fails does
@@ -36,6 +37,17 @@ member's TrackFailure beside the others' results instead of raising it.
 track_loop takes a batch of loops and advances it segment index by segment
 index, one track_segment call for the members that have an edge at that
 index.
+
+A family whose forms all keep a group H of coordinate permutations tracks
+only some of its lines: moving lines along a loop of its forms commutes
+with H, so the path of sigma.l is sigma applied to the path of l.  A Frame
+names the tracked lines and the coordinate permutation that reads each
+other line off one of them.  Every step measures the separation barrier on
+all the lines, the tracked ones and their images, and rejects a step that
+takes a tracked line off its stabilizer images; an end fiber is expanded to
+all the lines by exact column permutations before it is matched.  The
+trivial frame, every line tracked, is what a loop outside any such family
+uses.
 
 A loop whose last k edges retrace its first k in reverse (a meridian: a
 stem, a circle and the stem back) is read as a lasso gamma*c*gamma^-1.
@@ -59,14 +71,15 @@ barrier accept it, and accuracy, not the cap, sets the step count.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from itertools import combinations
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 # the monomial order lives in exact; MONOMIAL_EXPONENTS is re-exported here
 from .exact import MONOMIAL_EXPONENTS, N_MONOMIALS, _ORDERINGS  # noqa: F401
-from .perm import N_POINTS, Permutation
+from .perm import N_POINTS, FiniteGroup, Permutation, orbits
 
 # coeffs @ _POLAR_SCATTER = the symmetric polarization tensor T[i, j, k] of
 # the cubic, f(x) = T(x, x, x): each monomial's coefficient is spread evenly
@@ -102,7 +115,8 @@ class StepUnderflow(TrackFailure):
 
 
 class SeparationLoss(TrackFailure):
-    """Two tracked lines approached each other at the minimal step size."""
+    """Two lines approached each other, or a tracked line left its
+    stabilizer images, at the minimal step size."""
 
 
 class AmbiguousMatch(TrackFailure):
@@ -114,7 +128,9 @@ class AmbiguousMatch(TrackFailure):
 _STEP_MIN = 1e-7
 _STEP_GROW = 2.0
 _GROW_AFTER = 3
-# accepted steps keep every pair of lines this many last Newton corrections apart
+# accepted steps keep every pair of lines this many last Newton corrections
+# apart, and each tracked line this many times nearer its stabilizer images
+# than the nearest pair of lines
 _SEPARATION_FACTOR = 10.0
 # Gauge minors are re-selected once their orthonormal-frame condition
 # exceeds this; large values let chart entries (and hence roundoff in the
@@ -507,7 +523,8 @@ class TrackResult:
     Newton check on f0 included.  ``accepted_steps`` is the sum over the
     members, ``max_residual`` the true maximum over every accepted
     correction and ``min_separation`` the smallest pairwise line distance
-    seen at any accepted step; a failed member counts up to its failure.
+    seen at any accepted step, over all the lines the frame reads off the
+    tracked ones; a failed member counts up to its failure.
     """
 
     ends: list[Fiber | TrackFailure]
@@ -568,6 +585,124 @@ class Fiber:
         return Fiber(mats, gauges)
 
 
+def _moved_positions(positions: Sequence[int], sigmas: Sequence[Sequence[int]]) -> np.ndarray:
+    """Flat positions, in a stack of (2, 4) span matrices, that fill each
+    entry of the moved matrices: entry (r, sigma[j]) of moved matrix l is
+    entry (r, j) of the matrix at positions[l]."""
+    inverse = np.argsort(np.asarray(sigmas, dtype=np.int64).reshape(-1, 4), axis=1)
+    starts = 8 * np.asarray(positions, dtype=np.int64)[:, None, None] + 4 * np.arange(2)[:, None]
+    return (starts + inverse[:, None, :]).reshape(-1)
+
+
+class Frame:
+    """The lines of a fiber that the tracker moves, and how every other line
+    is read off them.
+
+    Every form of a family keeps its group H of coordinate permutations, so
+    moving lines along a path of forms commutes with H: the path of sigma.l
+    is sigma applied to the path of l.  In each H-orbit of lines the frame
+    tracks the lines whose H-stabilizer equals the stabilizer of the orbit's
+    smallest line, and reads every other line of the orbit off that smallest
+    one through one coordinate permutation.  A tracked line that jumps onto
+    the path of a line with the same stabilizer meets that line, which is
+    tracked too, so the separation barrier sees the jump; a jump onto a line
+    with another stabilizer takes the line off its own stabilizer images,
+    which the stabilizer check sees.
+
+    ``tracked`` holds the indices of the tracked lines in increasing order.
+    Line i of the full fiber is tracked line ``source[i]`` (a position in
+    ``tracked``) moved by the coordinate permutation ``sigma[i]``: column j
+    of its span matrix goes to column sigma[i][j], as coordinate j of a
+    point moves to slot sigma[i][j].  ``stabilizers`` holds one (position in
+    ``tracked``, sigma) pair for every nontrivial coordinate permutation
+    that keeps a tracked line.  The trivial frame tracks every line, each
+    its own source, and has no stabilizer maps.
+    """
+
+    __slots__ = ("tracked", "source", "sigma", "stabilizers", "_gather", "_owners", "_images")
+
+    def __init__(
+        self,
+        tracked: Sequence[int],
+        source: Sequence[int],
+        sigma: Sequence[Sequence[int]],
+        stabilizers: Sequence[tuple[int, Sequence[int]]] = (),
+    ):
+        self.tracked = tuple(tracked)
+        self.source = tuple(source)
+        self.sigma = tuple(map(tuple, sigma))
+        self.stabilizers = tuple((owner, tuple(s)) for owner, s in stabilizers)
+        self._gather = _moved_positions(self.source, self.sigma)
+        self._owners = np.array([owner for owner, _ in self.stabilizers], dtype=np.int64)
+        self._images = _moved_positions(self._owners, [s for _, s in self.stabilizers])
+
+    @classmethod
+    def of(
+        cls, symmetry: FiniteGroup, action: Mapping[tuple[int, ...], Permutation]
+    ) -> "Frame":
+        """The frame of the 27 lines under a group of line permutations that
+        ``action`` (coordinate permutation -> line permutation) induces.
+        ValueError if some element of the group is induced by no
+        coordinate permutation."""
+        coordinates = {p: sigma for sigma, p in action.items()}
+        if any(g not in coordinates for g in symmetry):
+            raise ValueError("every symmetry must be induced by a coordinate permutation")
+        sigmas = [coordinates[g] for g in symmetry]  # in table order: sigmas[0] is the identity
+        table = symmetry.table
+        keeps = table == np.arange(N_POINTS)  # keeps[g, i]: element g maps line i to itself
+        smallest = {label - 1: orbit[0] - 1 for orbit in orbits(symmetry) for label in orbit}
+        tracked = [i for i, m in smallest.items() if np.array_equal(keeps[:, i], keeps[:, m])]
+        tracked.sort()
+        position = {line: k for k, line in enumerate(tracked)}
+        source, sigma = [], []
+        for i in range(N_POINTS):
+            if i in position:
+                source.append(position[i])
+                sigma.append(sigmas[0])
+            else:
+                # the first element, in table order, that takes the orbit's smallest line to i
+                source.append(position[smallest[i]])
+                sigma.append(sigmas[int(np.argmax(table[:, smallest[i]] == i))])
+        stabilizers = [
+            (position[i], sigmas[g]) for i in tracked for g in np.flatnonzero(keeps[:, i])[1:]
+        ]
+        return cls(tracked, source, sigma, stabilizers)
+
+    def restrict(self, fiber: Fiber) -> Fiber:
+        """The tracked lines of a full fiber."""
+        return Fiber(fiber.mats[list(self.tracked)], fiber.gauges[list(self.tracked)])
+
+    def expand_mats(self, mats: np.ndarray) -> np.ndarray:
+        """The full fibers' span matrices read off a (k, t, 2, 4) stack of
+        tracked lines by one gather: (k, n, 2, 4)."""
+        return mats.reshape(len(mats), -1)[:, self._gather].reshape(len(mats), -1, 2, 4)
+
+    def expand(self, fiber: Fiber) -> Fiber:
+        """The full fiber of a fiber of tracked lines; each moved line keeps
+        its source's chart, its gauge columns moved by sigma."""
+        sources = fiber.gauges[list(self.source)]
+        gauges = np.take_along_axis(np.array(self.sigma, dtype=np.int64), sources, axis=1)
+        return Fiber(self.expand_mats(fiber.mats[None])[0], gauges)
+
+    def stabilizer_gaps(self, mats: np.ndarray) -> np.ndarray:
+        """The largest distance between a tracked line and one of its
+        stabilizer images in each fiber of a (k, t, 2, 4) stack: (k,), 0
+        without stabilizer maps."""
+        k = len(mats)
+        if not len(self._owners):
+            return np.zeros(k)
+        images = mats.reshape(k, -1)[:, self._images].reshape(-1, 2, 4)
+        owners = mats[:, self._owners].reshape(-1, 2, 4)
+        gaps = _chordal(_plucker_batch(owners), _plucker_batch(images))
+        return gaps.reshape(k, -1).max(axis=1)
+
+
+@lru_cache(maxsize=4)
+def _trivial_frame(n: int) -> Frame:
+    """The frame that tracks every one of n lines."""
+    return Frame(range(n), range(n), [(0, 1, 2, 3)] * n)
+
+
 def _stack(fibers: Sequence[Fiber]) -> tuple[np.ndarray, np.ndarray, _Chart]:
     """The (k, n, 2, 4) span matrices and (k, n, 2) gauges of k fibers of n
     lines each, and the chart of all k * n lines."""
@@ -586,24 +721,28 @@ def track_segment(
     segments: Sequence[tuple[CubicForm, CubicForm]],
     starts: Sequence[Fiber],
     cfgs: Sequence[TrackerConfig] | None = None,
+    frame: Frame | None = None,
 ) -> TrackResult:
     """Track a batch of fibers, each along its own linear homotopy: member m
     carries starts[m] from Z(f0) along (1-t) f0 + t f1 to t = 1, for
     (f0, f1) = segments[m], under cfgs[m] (the default config if cfgs is
-    None).  The start fibers all have the same number of lines and are left
-    as they are.
+    None).  The start fibers all hold the tracked lines of ``frame`` (every
+    line when it is None) and are left as they are; every form on the
+    segments must keep the frame's symmetries.
 
     A member's start lines must pass a Newton check on its f0.  Each round
     then takes one step of every member still tracking: Euler prediction
     from the Davidenko system, lockstep Newton correction, then the
-    separation barrier (pairwise line distance at least _SEPARATION_FACTOR
-    times the largest last Newton correction) and a re-chart of the lines
-    whose gauge went stale.  A member's step halves on any failure and grows
-    after a run of accepted steps; a member whose step falls below the
-    floor ends in a StepUnderflow or SeparationLoss, returned in
-    ``TrackResult.ends`` like a failed Newton check, while the others go on.
-    The predictor contracts each member's homotopy tensor and its
-    t-derivative in one call.
+    separation barrier (pairwise distance of all the lines the frame reads
+    off the tracked ones at least _SEPARATION_FACTOR times the largest last
+    Newton correction), the stabilizer check (each tracked line at most
+    1/_SEPARATION_FACTOR of that pairwise distance from its stabilizer
+    images) and a re-chart of the lines whose gauge went stale.  A member's
+    step halves on any failure and grows after a run of accepted steps; a
+    member whose step falls below the floor ends in a StepUnderflow or
+    SeparationLoss, returned in ``TrackResult.ends`` like a failed Newton
+    check, while the others go on.  The predictor contracts each member's
+    homotopy tensor and its t-derivative in one call.
     """
     k = len(segments)
     cfgs = [TrackerConfig()] * k if cfgs is None else list(cfgs)
@@ -614,6 +753,9 @@ def track_segment(
     t0, t1, dt = _polar(c0), _polar(c1), _polar(c1 - c0)
     mats, gauges, chart = _stack(starts)
     n = mats.shape[1]
+    frame = frame or _trivial_frame(n)
+    if len(frame.tracked) != n:
+        raise ValueError("the start fibers must hold the frame's tracked lines")
     # the start lines must be Newton-correctable on f0
     mats, norms, _, newton, ends = _newton_batch(t0, mats, chart, cfgs)
     newton = [count if end is None else 0 for count, end in zip(newton, ends)]
@@ -654,7 +796,8 @@ def track_segment(
         corrected, norms, last_corr, iters, failures = _newton_batch(
             _homotopy(t0_live, t1_live, t_new), predicted, chart, [cfgs[m] for m in live]
         )
-        sep = _min_pairwise_distance(corrected).tolist()
+        sep = _min_pairwise_distance(frame.expand_mats(corrected)).tolist()
+        gap = frame.stabilizer_gaps(corrected).tolist()
         worst_corr = last_corr.max(axis=1).tolist()
         worst_norm = norms.max(axis=1).tolist()
 
@@ -666,6 +809,10 @@ def track_segment(
             elif failure is None and sep[i] < _SEPARATION_FACTOR * worst_corr[i]:
                 failure = SeparationLoss(
                     f"separation {sep[i]:.3e} below barrier at t={t_new[i]:.6f}"
+                )
+            elif failure is None and _SEPARATION_FACTOR * gap[i] > sep[i]:
+                failure = SeparationLoss(
+                    f"a line is {gap[i]:.3e} from its stabilizer image at t={t_new[i]:.6f}"
                 )
             if failure is None:
                 accept[i] = True
@@ -743,6 +890,7 @@ def track_loop(
     loops: Sequence[Sequence[CubicForm]],
     base: Fiber,
     cfg: TrackerConfig | None = None,
+    frame: Frame | None = None,
 ) -> list[Permutation | TrackFailure]:
     """Track the labeled base fiber around each closed polygon of cubic
     forms in ``loops`` and return, per loop, the induced label permutation
@@ -770,6 +918,11 @@ def track_loop(
     fiber.  Each fiber that is matched is Newton-polished once first, in
     one batch for all loops, so a loop polishes at most twice.
 
+    Only the tracked lines of ``frame`` are carried round, and polished;
+    every fiber that is matched is first expanded to all 27 lines by the
+    frame's column permutations.  The frame must be one whose symmetries
+    every form of every loop keeps; None tracks every line.
+
     A match is accepted only when every nearest/second-nearest distance
     ratio clears match_margin and the assignment is a bijection.
     """
@@ -778,12 +931,14 @@ def track_loop(
         raise ValueError("loop must start and end at the same form")
     if len(base.mats) != N_POINTS:
         raise ValueError(f"expected {N_POINTS} base lines")
+    frame = frame or _trivial_frame(N_POINTS)
+    start = frame.restrict(base)
     stems = [_retraced_edges(v) for v in loops]
     edges = [list(zip(v, v[1 : len(v) - k])) for v, k in zip(loops, stems)]
     lengths = [[float(np.linalg.norm(b.coeffs - a.coeffs)) for a, b in e] for e in edges]
     outcomes: list[Permutation | TrackFailure | None] = [None] * len(loops)
-    fibers = [base] * len(loops)
-    stem_ends = [base] * len(loops)
+    fibers = [start] * len(loops)
+    stem_ends = [start] * len(loops)
     steps = [cfg.step_init] * len(loops)
     for i in range(max(map(len, edges), default=0)):
         members = [m for m, e in enumerate(edges) if i < len(e) and outcomes[m] is None]
@@ -795,7 +950,9 @@ def track_loop(
             else cfg
             for m in members
         ]
-        result = track_segment([edges[m][i] for m in members], [fibers[m] for m in members], cfgs)
+        result = track_segment(
+            [edges[m][i] for m in members], [fibers[m] for m in members], cfgs, frame
+        )
         for m, end, step in zip(members, result.ends, result.steps):
             if isinstance(end, TrackFailure):
                 outcomes[m] = end
@@ -810,10 +967,10 @@ def track_loop(
         [fibers[m] for m in live] + [stem_ends[m] for m in lassos],
         cfg,
     )
-    references = dict(zip(lassos, polished[len(live) :]))
+    references = {m: frame.expand(f) for m, f in zip(lassos, polished[len(live) :])}
     for m, end in zip(live, polished):
         try:
-            outcomes[m] = match_to_base(end, references.get(m, base), cfg)
+            outcomes[m] = match_to_base(frame.expand(end), references.get(m, base), cfg)
         except AmbiguousMatch as exc:
             outcomes[m] = exc
     return outcomes
@@ -857,13 +1014,14 @@ def revalidate(
     perms: Sequence[Permutation],
     base: Fiber,
     cfg: TrackerConfig | None = None,
+    frame: Frame | None = None,
 ) -> list[bool]:
-    """Re-track the loops as one batch at tightened tolerances
-    (newton_tol/10, step_init/2, step_max/2, match_margin*2) and confirm,
-    per loop, the identical permutation; a loop that fails to re-track is
-    not confirmed."""
+    """Re-track the loops as one batch in the same frame at tightened
+    tolerances (newton_tol/10, step_init/2, step_max/2, match_margin*2) and
+    confirm, per loop, the identical permutation; a loop that fails to
+    re-track is not confirmed."""
     cfg = cfg or TrackerConfig()
     if len(perms) != len(loops):
         raise ValueError("expected one permutation per loop")
-    again = track_loop(loops, base, cfg.tightened())
+    again = track_loop(loops, base, cfg.tightened(), frame)
     return [a == p for a, p in zip(again, perms)]

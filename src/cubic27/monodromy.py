@@ -1,6 +1,6 @@
 """Monodromy orchestration: linear families of cubic forms, loop construction
 (random triangles, and meridian circles around the roots of a family's exact
-nodal discriminant components), group accumulation inside each family's exact
+discriminant components), group accumulation inside each family's exact
 upper-bound group C_W(H), component structure of the line cover, and the full
 claim-verification suite.
 """
@@ -45,12 +45,14 @@ class FamilySpec:
 
     ``basis`` is a k x 20 complex array and ``base`` the parameters of the
     smooth basepoint.  ``symmetry`` is the group H of coordinate symmetries
-    that every form of the family keeps, as permutations of the 27 lines.
-    ``scale`` is the root-mean-square size of a random triangle's parameter
-    offsets relative to |base|.  ``components`` are the exact nodal components
-    of the family's discriminant, as forms in three parameters
-    {(i, j, k): coefficient of p0^i p1^j p2^k}; a family without them is
-    explored by random triangles alone.
+    that every form of the family keeps, as permutations of the 27 lines;
+    a run tracks the lines of the frame it gives (htrack.Frame) and reads
+    the others off them.  ``scale`` is the root-mean-square size of a
+    random triangle's parameter offsets relative to |base|.  ``components``
+    are the exact components of the family's discriminant that meridians
+    circle, as forms in three parameters {(i, j, k): coefficient of
+    p0^i p1^j p2^k}; a family without them is explored by random triangles
+    alone.
     """
 
     name: str
@@ -217,15 +219,17 @@ _PROBE_T_MAX = 3.0
 _REAL_ROOT_RTOL = 1e-9
 
 
-# The nodal components of the symmetric family's discriminant, as forms in
-# the parameters (a, b, c) of a*m3 + b*m21 + c*m111, each given as
-# {(i, j, k): coefficient of a^i b^j c^k}.  The fourth component, the
-# reducible cubics L3: 3a - 3b + c = 0, is left out: its local monodromy is
-# the identity, so a circle around it adds nothing to the group.
+# The components of the symmetric family's discriminant that meridians
+# circle, as forms in the parameters (a, b, c) of a*m3 + b*m21 + c*m111,
+# each given as {(i, j, k): coefficient of a^i b^j c^k}.  A generic surface
+# on L1 or C is nodal and one on L2 cuspidal (the 3A2 cubic).  The fourth
+# component, the reducible cubics L3: 3a - 3b + c = 0, is left out: its
+# local monodromy is the identity, so a circle around it adds nothing to
+# the group.
 _SYMMETRIC_NODAL_COMPONENTS: dict[str, dict[tuple[int, int, int], int]] = {
-    # a node at (1, 1, 1, 1)
+    # a node (A1) at (1, 1, 1, 1)
     "L1": {(1, 0, 0): 1, (0, 1, 0): 3, (0, 0, 1): 1},
-    # the three nodes of the S4-orbit of (1, 1, -1, -1)
+    # three cusps (A2): the S4-orbit of (1, 1, -1, -1)
     "L2": {(1, 0, 0): 3, (0, 1, 0): 1, (0, 0, 1): -1},
     # four nodes on the orbit of (s, 1, 1, 1); Cayley's cubic is a = b = 0
     "C": {
@@ -254,8 +258,8 @@ def _restrict_to_line(
 
 def probe_discriminant(spec: FamilySpec, direction: Sequence[complex]) -> float | None:
     """The first t in (0, _PROBE_T_MAX] where basepoint + t*direction meets
-    one of the family's nodal components, or None: the least real root of
-    the components restricted to the line, found exactly."""
+    one of the family's discriminant components, or None: the least real
+    root of the components restricted to the line, found exactly."""
     d = np.asarray(direction, dtype=complex)
     real_roots = [
         float(root.real)
@@ -267,7 +271,7 @@ def probe_discriminant(spec: FamilySpec, direction: Sequence[complex]) -> float 
 
 
 def _meridian_loop(spec: FamilySpec, rng: np.random.Generator, angle_hint: float) -> Loop:
-    """Probe a real parameter ray for its first crossing of a nodal
+    """Probe a real parameter ray for its first crossing of a discriminant
     component and wind a circle there, of radius a tenth of the crossing
     parameter (at least 0.03); the opposite ray is probed before giving up,
     and a random triangle is the fallback when both directions are clean.
@@ -342,8 +346,8 @@ _GOLDEN_ANGLE = 2 * np.pi * 0.6180339887498949
 
 def _build_loop(spec: FamilySpec, index: int, seed: int) -> Loop:
     """Loop ``index`` of a run: a probed meridian on odd indices when the
-    family has nodal components, otherwise a random triangle of jittered
-    scale."""
+    family has discriminant components, otherwise a random triangle of
+    jittered scale."""
     rng = np.random.default_rng((seed, index))
     if index % 2 == 1 and spec.components:
         hint = (index * _GOLDEN_ANGLE) % (2 * np.pi)
@@ -380,6 +384,13 @@ def upper_bound(spec: FamilySpec) -> FiniteGroup:
     return _weyl_centralizer(spec.symmetry)
 
 
+@lru_cache(maxsize=2)
+def _frame(symmetry: FiniteGroup) -> htrack.Frame:
+    """The tracker's frame for a family's symmetry group: its lines tracked
+    and the coordinate permutations that give the others."""
+    return htrack.Frame.of(symmetry, lines_mod.coordinate_action_table())
+
+
 # a run stops once this many accepted loops in a row add no new element
 _STALL_THRESHOLD = 10
 
@@ -392,10 +403,13 @@ def compute_monodromy(spec: FamilySpec, budget: int = 40, seed: int = 1) -> Mono
     tolerances and lies in the family's ``upper_bound``; a revalidated
     permutation outside the bound is counted as an invariant violation and
     rejected.  The run is conclusive only when the stall fired and the group
-    found equals the bound, so the lower bound meets the upper one.
+    found equals the bound, so the lower bound meets the upper one.  Loops
+    are tracked and revalidated in the frame of the family's symmetry group,
+    built on the first run of that group.
     """
     base = basepoint_fiber(spec)
     bound = upper_bound(spec)
+    frame = _frame(spec.symmetry)
 
     records: list[LoopRecord] = []
     closure = perm.Closure()
@@ -411,9 +425,11 @@ def compute_monodromy(spec: FamilySpec, budget: int = 40, seed: int = 1) -> Mono
     while i < budget and stabilized_after is None:
         size = min(budget - i, _STALL_THRESHOLD - stall)
         chunk = [_build_loop(spec, j, seed) for j in range(i, i + size)]
-        tracked = htrack.track_loop([loop.vertices for loop in chunk], base)
+        tracked = htrack.track_loop([loop.vertices for loop in chunk], base, frame=frame)
         ok = [j for j, p in enumerate(tracked) if not isinstance(p, TrackFailure)]
-        again = htrack.revalidate([chunk[j].vertices for j in ok], [tracked[j] for j in ok], base)
+        again = htrack.revalidate(
+            [chunk[j].vertices for j in ok], [tracked[j] for j in ok], base, frame=frame
+        )
         confirmed = dict(zip(ok, again))
         for j, (loop, p) in enumerate(zip(chunk, tracked)):
             failure = "revalidation mismatch"

@@ -3,12 +3,14 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from cubic27 import htrack, lines
+from cubic27 import htrack, lines, perm
 from cubic27.exact import Cyc, symmetric_basis
 from cubic27.htrack import (
     CubicForm,
     Fiber,
+    Frame,
     MONOMIAL_EXPONENTS,
+    SeparationLoss,
     TrackFailure,
     TrackerConfig,
     jacobian,
@@ -19,6 +21,7 @@ from cubic27.htrack import (
     track_loop,
     track_segment,
     _PLUCKER_PAIRS,
+    _SEPARATION_FACTOR,
     _STEP_MIN,
     _Chart,
     _best_gauges,
@@ -421,8 +424,8 @@ class TestCarriedStep:
         calls = []
         original = htrack.track_segment
 
-        def spy(segments, starts, cfgs=None):
-            result = original(segments, starts, cfgs)
+        def spy(segments, starts, cfgs=None, frame=None):
+            result = original(segments, starts, cfgs, frame)
             [(f0, f1)], [cfg] = segments, cfgs
             calls.append((f0, f1, cfg, result))
             return result
@@ -454,8 +457,8 @@ class TestCarriedStep:
         steps = []
         original = htrack.track_segment
 
-        def spy(segments, starts, cfgs=None):
-            result = original(segments, starts, cfgs)
+        def spy(segments, starts, cfgs=None, frame=None):
+            result = original(segments, starts, cfgs, frame)
             steps.append(result.accepted_steps)
             return result
 
@@ -517,9 +520,9 @@ class TestLasso:
         calls = []
         original = htrack.track_segment
 
-        def spy(segments, starts, cfgs=None):
+        def spy(segments, starts, cfgs=None, frame=None):
             calls.extend(segments)
-            return original(segments, starts, cfgs)
+            return original(segments, starts, cfgs, frame)
 
         monkeypatch.setattr(htrack, "track_segment", spy)
         v = embed_symmetric(1, 0.2 + 0.1j, -0.15)
@@ -649,6 +652,76 @@ class TestBatch:
     def test_empty_batch(self, catalog):
         assert track_loop([], catalog) == []
         assert revalidate([], [], catalog) == []
+
+
+@pytest.fixture(scope="module")
+def s4_frame():
+    return Frame.of(lines.s4_group(), lines.coordinate_action_table())
+
+
+class TestFrame:
+    """The equivariant frame of the coordinate S4 and of the trivial group."""
+
+    def test_s4_tracks_the_lines_with_their_orbit_leaders_stabilizer(self, s4_frame):
+        assert [i + 1 for i in s4_frame.tracked] == [1, 2, 13, 16, 22, 23, 25]
+
+    def test_every_label_is_its_source_moved_by_its_coordinate_permutation(self, s4_frame):
+        action = lines.coordinate_action_table()
+        for i, (k, sigma) in enumerate(zip(s4_frame.source, s4_frame.sigma)):
+            assert action[sigma](s4_frame.tracked[k] + 1) == i + 1
+        for k, sigma in s4_frame.stabilizers:
+            assert sigma != (0, 1, 2, 3)
+            assert action[sigma](s4_frame.tracked[k] + 1) == s4_frame.tracked[k] + 1
+        # S4's line stabilizers have orders 2, 2 and 8
+        assert len(s4_frame.stabilizers) == 1 + 1 + 4 * 1 + 7
+
+    def test_expanding_the_tracked_catalog_lines_gives_the_catalog(self, s4_frame, catalog):
+        tracked = s4_frame.restrict(catalog)
+        assert len(tracked.mats) == 7
+        full = s4_frame.expand(tracked)
+        for label, (mat, expected) in enumerate(zip(full.mats, catalog.mats), start=1):
+            assert line_distance(mat, expected) < 1e-12, label
+        # each moved line keeps its source's chart: its gauge minor is the identity
+        minors = np.take_along_axis(full.mats, full.gauges[:, None, :], axis=2)
+        assert (minors == np.eye(2)).all()
+
+    def test_trivial_group_tracks_every_line_with_identity_maps(self, catalog):
+        frame = Frame.of(perm.TRIVIAL_GROUP, lines.coordinate_action_table())
+        assert frame.tracked == tuple(range(27)) and frame.source == tuple(range(27))
+        assert frame.sigma == ((0, 1, 2, 3),) * 27 and frame.stabilizers == ()
+        full = frame.expand(frame.restrict(catalog))
+        assert np.array_equal(full.mats, catalog.mats)
+        assert np.array_equal(full.gauges, catalog.gauges)
+
+    def test_line_26_where_line_25_belongs_fails_the_stabilizer_check(self, s4_frame, catalog):
+        mats = s4_frame.restrict(catalog).mats.copy()
+        assert s4_frame.stabilizer_gaps(mats[None])[0] < 1e-14
+        mats[s4_frame.tracked.index(24)] = catalog.mats[25]
+        gap = s4_frame.stabilizer_gaps(mats[None])[0]
+        assert _SEPARATION_FACTOR * gap > _min_pairwise_distance(catalog.mats)
+
+    def test_lines_off_their_stabilizers_are_refused(self, s4_frame, forms, catalog):
+        # Lines 14, 15, 21 and 24 where 13, 16, 22 and 23 belong: true lines,
+        # and their images are 27 distinct lines, so only the stabilizer
+        # check sees that they are the wrong ones.
+        mats = s4_frame.restrict(catalog).mats.copy()
+        for label, wrong in zip((13, 16, 22, 23), (14, 15, 21, 24)):
+            mats[s4_frame.tracked.index(label - 1)] = catalog.mats[wrong - 1]
+        start = Fiber.from_mats(mats)
+        assert _min_pairwise_distance(s4_frame.expand_mats(mats[None]))[0] > 0.1
+        target = embed_symmetric(1, 0.2 + 0.1j, -0.15)
+        [end] = track_segment([(forms[0], target)], [start], frame=s4_frame).ends
+        assert isinstance(end, SeparationLoss)
+        assert "stabilizer image" in str(end.__cause__)
+        [end] = track_segment([(forms[0], target)], [s4_frame.restrict(catalog)], frame=s4_frame).ends
+        assert isinstance(end, Fiber)
+
+    def test_symmetric_loops_give_the_permutations_of_all_27_lines(self, s4_frame, catalog):
+        loops = [triangle(0.9, seed=12), meridian(L1_POINT), meridian(L2_POINT), meridian(C_POINT)]
+        perms = track_loop(loops, catalog)
+        assert all(isinstance(p, Permutation) for p in perms)
+        assert track_loop(loops, catalog, frame=s4_frame) == perms
+        assert revalidate(loops, perms, catalog, frame=s4_frame) == [True] * 4
 
 
 class TestTrackLoop:

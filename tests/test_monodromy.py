@@ -11,7 +11,7 @@ import sympy
 
 from cubic27 import fermat_data, htrack, lattice, lines, monodromy, perm
 from cubic27.cli import main
-from cubic27.exact import Cyc, _derivatives, symmetric_basis
+from cubic27.exact import Cyc, _derivatives, _gauss_jordan, symmetric_basis
 from cubic27.htrack import CubicForm, MONOMIAL_EXPONENTS
 from cubic27.monodromy import (
     Loop,
@@ -233,7 +233,9 @@ def _singular_at(form, point) -> bool:
 
 
 class TestSymmetricDiscriminant:
-    """The nodal components L1, L2 and C, checked in exact arithmetic."""
+    """The components L1, L2 and C, checked in exact arithmetic: a generic
+    surface on L1 or C has nodes (A1), one on L2 three cusps (A2, the 3A2
+    cubic)."""
 
     def on_line(self, name, a, b):
         # the point (a, b, c) of a linear component, solved for c
@@ -249,11 +251,49 @@ class TestSymmetricDiscriminant:
         assert not _singular_at(f, (1, 1, -1, -1))
 
     @pytest.mark.parametrize("a, b", [(1, 0), (1, 1), (Fraction(-2, 3), 5), (0, 1)])
-    def test_l2_nodes_on_the_orbit_of_1_1_m1_m1(self, a, b):
+    def test_l2_cusps_on_the_orbit_of_1_1_m1_m1(self, a, b):
         f = _symmetric_cubic(*self.on_line("L2", a, b))
         for point in [(1, 1, -1, -1), (1, -1, 1, -1), (1, -1, -1, 1)]:
             assert _singular_at(f, point)
         assert not _singular_at(f, (1, 1, 1, 1))
+
+    @pytest.mark.parametrize(
+        "abc, point, rank, kind",
+        [((0, 1, 1), (1, 1, -1, -1), 2, "A2"), ((-4, 1, 1), (1, 1, 1, 1), 3, "A1")],
+        ids=["L2", "L1"],
+    )
+    def test_singularity_type(self, abc, point, rank, kind):
+        # At a singular point x the Hessian H kills x (Euler), and its rank
+        # is that of the affine Hessian: 3 makes x an A1 node.  At rank 2
+        # the kernel is spanned by x and one more v, f(x + t v) = t^3 f(v)
+        # there, and f(v) != 0 makes x an A2 cusp.
+        f = np.array(abc) @ symmetric_basis()
+        grad, hessian = _derivatives(f, point)
+        assert not grad.any()
+        rows, pivots, _ = _gauss_jordan([[Fraction(int(h)) for h in row] for row in hessian])
+        assert len(pivots) == rank
+        assert not (hessian @ point).any()
+        if kind == "A1":
+            # m3 is 4 at the node (1, 1, 1, 1), not 0
+            m3_grad, _ = _derivatives(symmetric_basis()[0], point)
+            assert m3_grad @ point == 3 * 4
+            return
+        # the kernel vectors of the reduced rows, one per free column
+        free = [j for j in range(4) if j not in pivots]
+        kernel = []
+        for j in free:
+            v = [Fraction(0)] * 4
+            v[j] = Fraction(1)
+            for row, p in zip(rows, pivots):
+                v[p] = -row[j]
+            kernel.append(_cleared(v))
+        # a kernel vector off the point: some 2x2 minor of (v, x) is nonzero
+        pairs = list(combinations(range(4), 2))
+        v = next(k for k in kernel if any(k[i] * point[j] != k[j] * point[i] for i, j in pairs))
+        assert not (hessian @ v).any()
+        v_grad, _ = _derivatives(f, v)
+        # Euler: 3 f(v) = grad f(v) . v
+        assert v_grad @ v != 0
 
     @pytest.mark.parametrize(
         "point",
@@ -417,10 +457,10 @@ class TestComputeMonodromy:
         first = []
         original = htrack.track_loop
 
-        def spy(loops, base, cfg=None):
+        def spy(loops, base, cfg=None, frame=None):
             if cfg is None:
                 first.append(len(loops))
-            return original(loops, base, cfg)
+            return original(loops, base, cfg, frame)
 
         monkeypatch.setattr(htrack, "track_loop", spy)
         report = compute_monodromy(symmetric_family(), budget, seed=1)
@@ -483,6 +523,27 @@ class TestComputeMonodromy:
         assert all(p(x) == x for p in klein for x in (25, 26, 27))
 
 
+class TestEquivariantFrame:
+    def test_frames_of_the_families(self):
+        assert [i + 1 for i in monodromy._frame(symmetric_family().symmetry).tracked] == [
+            1, 2, 13, 16, 22, 23, 25
+        ]
+        assert monodromy._frame(full_family().symmetry).tracked == tuple(range(27))
+
+    def test_a_jump_between_lines_of_one_stabilizer_is_caught(self):
+        # Loop 2 at seed 100004 carries line 13 onto the path of line 16,
+        # which has the same stabilizer: a frame that tracked one line per
+        # orbit read the wrong permutation (13,16)(14,15)(17,20)(18,19)
+        # (21,24)(22,23) off it.  Line 16 is tracked too, so the jump meets
+        # it at the separation barrier.
+        spec = symmetric_family()
+        loop = monodromy._build_loop(spec, 2, 100004).vertices
+        base = basepoint_fiber(spec)
+        expected = parse_cycles("(13,23)(14,19)(15,18)(16,22)(17,24)(20,21)")
+        for frame in (monodromy._frame(spec.symmetry), monodromy._frame(perm.TRIVIAL_GROUP)):
+            assert htrack.track_loop([loop], base, frame=frame) == [expected]
+
+
 class TestNumericHygiene:
     def test_reversal_pairs_are_one_batch_at_seed_1(self, monkeypatch):
         # 20 triangles and their reverses, none failing, so one batch of 40
@@ -490,9 +551,9 @@ class TestNumericHygiene:
         batches = []
         original = htrack.track_loop
 
-        def spy(loops, base, cfg=None):
+        def spy(loops, base, cfg=None, frame=None):
             batches.append(len(loops))
-            return original(loops, base, cfg)
+            return original(loops, base, cfg, frame)
 
         monkeypatch.setattr(htrack, "track_loop", spy)
         claim = monodromy._claim_numeric_hygiene(seed=1)
