@@ -24,19 +24,21 @@ accepted step re-charts the lines that went stale, and it is within
 newton_tol, so it is neither re-charted nor polished at a vertex.  Only a
 fiber that is matched is polished, once.
 
-The tracker works on batches.  A batch has k members, each one fiber of n
-tracked lines on its own segment with its own config, and every kernel call
-takes all of them: one (4n, 16) @ (16, 4) contraction and one n-fold 4x4
-solve per member, and one Plucker overlap of all the lines the frame reads
-off them, stacked along a leading member axis.
-Each member keeps its own t, step, streak of accepted steps, Newton
-convergence and failure, so a member's arithmetic is the same in any batch
-and a batch of one is the single-fiber tracker.  A member that fails does
+The tracker works on ragged batches.  A batch has k members, each one
+fiber of n tracked lines on its own path with its own config, and every
+kernel call takes all of them: one (4n, 16) @ (16, 4) contraction and one
+n-fold 4x4 solve per member, and one Plucker overlap of all the lines the
+frame reads off them, stacked along a leading member axis.  Each member
+keeps its own edge, t, step, streak of accepted steps, Newton convergence
+and failure, so a member's arithmetic is the same in any batch and a batch
+of one is the single-fiber tracker.  A member that reaches a vertex starts
+its next edge in the next round, while the others go on along theirs: a
+batch takes as many rounds as its longest member.  A member that fails does
 not stop the others: track_segment, track_loop and revalidate return each
 member's TrackFailure beside the others' results instead of raising it.
-track_loop takes a batch of loops and advances it segment index by segment
-index, one track_segment call for the members that have an edge at that
-index.
+track_loop tracks a batch of loops, each under its own config, as one
+track_segment call, and revalidate runs each loop's first track and its
+tightened re-track as members of that one batch, then compares them.
 
 A family whose forms all keep a group H of coordinate permutations tracks
 only some of its lines: moving lines along a loop of its forms commutes
@@ -73,7 +75,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import combinations
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -512,19 +514,20 @@ def _newton_batch(
 class TrackResult:
     """End state of a batch of tracked segments.
 
-    ``ends[m]`` is member m's lines at t = 1, each within newton_tol of its
-    target form and with a fresh chart, or the TrackFailure that stopped
-    the member.  An end fiber is not polished, so that a loop carries it
-    straight into its next segment.  ``steps[m]`` is the step member m's
-    controller would try next, in its segment's own parameter t; it lies in
-    [_STEP_MIN, step_max], and track_loop carries it into the member's next
-    segment.  A member's lines advance in lockstep, so ``newton_iterations``
-    holds one count per member: its corrector work on accepted steps, the
-    Newton check on f0 included.  ``accepted_steps`` is the sum over the
-    members, ``max_residual`` the true maximum over every accepted
-    correction and ``min_separation`` the smallest pairwise line distance
-    seen at any accepted step, over all the lines the frame reads off the
-    tracked ones; a failed member counts up to its failure.
+    ``ends[m]`` is member m's lines at t = 1 of its last segment, each
+    within newton_tol of its target form and with a fresh chart, or the
+    TrackFailure that stopped the member.  An end fiber is not polished, so
+    that a loop carries it straight into its next segment.  ``steps[m]`` is
+    the step member m's controller would try next, in its last segment's own
+    parameter t; it lies in [_STEP_MIN, step_max], and it is the step that
+    ``onward`` receives.  A member's lines advance in lockstep, so
+    ``newton_iterations`` holds one count per member: its corrector work on
+    accepted steps, the Newton check on each segment's f0 included, summed
+    over its segments.  ``accepted_steps`` is the sum over the members,
+    ``max_residual`` the true maximum over every accepted correction and
+    ``min_separation`` the smallest pairwise line distance seen at any
+    accepted step, over all the lines the frame reads off the tracked ones;
+    a failed member counts up to its failure.
     """
 
     ends: list[Fiber | TrackFailure]
@@ -711,10 +714,22 @@ def _stack(fibers: Sequence[Fiber]) -> tuple[np.ndarray, np.ndarray, _Chart]:
     return mats, gauges, _Chart(gauges.reshape(-1, 2))
 
 
+def _segment_tensors(segments: Sequence[tuple[CubicForm, CubicForm]]) -> np.ndarray:
+    """(T0, T1, dT/dt) of each segment's homotopy (1 - t) f0 + t f1:
+    (k, 3, 16, 4)."""
+    c0 = np.stack([f0.coeffs for f0, _ in segments])
+    c1 = np.stack([f1.coeffs for _, f1 in segments])
+    return np.stack((_polar(c0), _polar(c1), _polar(c1 - c0)), axis=1)
+
+
 def _homotopy(t0: np.ndarray, t1: np.ndarray, t: Sequence[float]) -> np.ndarray:
     """(1 - t) T0 + t T1 per member: k values of t, (k, 16, 4) tensors."""
     t = np.array(t)[:, None, None]
     return (1 - t) * t0 + t * t1
+
+
+# called as onward(m, end, step) when member m of a batch reaches t = 1
+Onward = Callable[[int, Fiber, float], "tuple[tuple[CubicForm, CubicForm], TrackerConfig] | None"]
 
 
 def track_segment(
@@ -722,6 +737,7 @@ def track_segment(
     starts: Sequence[Fiber],
     cfgs: Sequence[TrackerConfig] | None = None,
     frame: Frame | None = None,
+    onward: Onward | None = None,
 ) -> TrackResult:
     """Track a batch of fibers, each along its own linear homotopy: member m
     carries starts[m] from Z(f0) along (1-t) f0 + t f1 to t = 1, for
@@ -730,12 +746,20 @@ def track_segment(
     line when it is None) and are left as they are; every form on the
     segments must keep the frame's symmetries.
 
-    A member's start lines must pass a Newton check on its f0.  Each round
-    then takes one step of every member still tracking: Euler prediction
-    from the Davidenko system, lockstep Newton correction, then the
-    separation barrier (pairwise distance of all the lines the frame reads
-    off the tracked ones at least _SEPARATION_FACTOR times the largest last
-    Newton correction), the stabilizer check (each tracked line at most
+    The batch is ragged.  When member m reaches t = 1, onward(m, end, step)
+    gets its end fiber and the step its controller would try next, and
+    returns the (segment, config) the member tracks next, from that fiber,
+    or None to end it there; without ``onward`` every member ends there.  A
+    member on a new segment starts it in the next round, so each member
+    walks its own path and none waits for another at a vertex.
+
+    A member's lines must pass a Newton check on the f0 of each of its
+    segments, in the round that starts the segment.  Each round then takes
+    one step of every member still tracking: Euler prediction from the
+    Davidenko system, lockstep Newton correction, then the separation
+    barrier (pairwise distance of all the lines the frame reads off the
+    tracked ones at least _SEPARATION_FACTOR times the largest last Newton
+    correction), the stabilizer check (each tracked line at most
     1/_SEPARATION_FACTOR of that pairwise distance from its stabilizer
     images) and a re-chart of the lines whose gauge went stale.  A member's
     step halves on any failure and grows after a run of accepted steps; a
@@ -748,53 +772,59 @@ def track_segment(
     cfgs = [TrackerConfig()] * k if cfgs is None else list(cfgs)
     if len(starts) != k or len(cfgs) != k:
         raise ValueError("expected one start fiber and one config per segment")
-    c0 = np.stack([f0.coeffs for f0, _ in segments])
-    c1 = np.stack([f1.coeffs for _, f1 in segments])
-    t0, t1, dt = _polar(c0), _polar(c1), _polar(c1 - c0)
+    tensors = _segment_tensors(segments)
     mats, gauges, chart = _stack(starts)
     n = mats.shape[1]
     frame = frame or _trivial_frame(n)
     if len(frame.tracked) != n:
         raise ValueError("the start fibers must hold the frame's tracked lines")
-    # the start lines must be Newton-correctable on f0
-    mats, norms, _, newton, ends = _newton_batch(t0, mats, chart, cfgs)
-    newton = [count if end is None else 0 for count, end in zip(newton, ends)]
 
+    ends: list[Fiber | TrackFailure | None] = [None] * k
     t = [0.0] * k
     h = [min(c.step_init, c.step_max) for c in cfgs]
     streak = [0] * k
     accepted = [0] * k
-    max_resid = norms.max(axis=1).tolist()
+    newton = [0] * k
+    max_resid = [0.0] * k
     min_sep = [float("inf")] * k
+    # the members whose lines still owe the Newton check on their f0
+    starting = list(range(k))
 
     live = list(range(k))
-    t0_live, t1_live = t0, t1
-    # (T at t, dT/dt) of each member
-    pair = np.stack((t0, dt), axis=1)
-    finished = [end is not None for end in ends]
     while True:
-        if any(finished):
-            for i, m in enumerate(live):
-                if finished[i] and ends[m] is None:
-                    ends[m] = Fiber(mats[i].copy(), gauges[i].copy())
-            keep = [i for i, done in enumerate(finished) if not done]
+        if starting:
+            # the start lines must be Newton-correctable on f0
+            members = [live[i] for i in starting]
+            checked, norms, _, iters, failures = _newton_batch(
+                tensors[members, 0], mats[starting], chart.members(starting, n),
+                [cfgs[m] for m in members],
+            )
+            mats[starting] = checked
+            worst_norm = norms.max(axis=1).tolist()
+            for i, m in enumerate(members):
+                ends[m] = failures[i]
+                if failures[i] is None:
+                    newton[m] += iters[i]
+                    max_resid[m] = max(max_resid[m], worst_norm[i])
+        keep = [i for i, m in enumerate(live) if ends[m] is None]
+        if len(keep) < len(live):
             if not keep:
                 break
             live = [live[i] for i in keep]
             mats, gauges = mats[keep], gauges[keep]
             chart = chart.members(keep, n)
-            t0_live, t1_live, pair = t0[live], t1[live], pair[keep]
 
+        seg = tensors[live]
         h_eff = [min(h[m], 1.0 - t[m]) for m in live]
         t_new = [t[m] + step for m, step in zip(live, h_eff)]
-        pair[:, 0] = _homotopy(t0_live, t1_live, [t[m] for m in live])
+        pair = np.stack((_homotopy(seg[:, 0], seg[:, 1], [t[m] for m in live]), seg[:, 2]), axis=1)
         g = _contract(pair, mats)
         rhs = -_residual(g[:, 1], mats).reshape(-1, 4)
         velocity, errors = _solve(chart.jacobian(g[:, 0]), rhs, n)
         moves = np.array(h_eff)[:, None, None] * velocity.reshape(-1, n, 4)
         predicted = chart.update(mats, moves.reshape(-1, 4))
         corrected, norms, last_corr, iters, failures = _newton_batch(
-            _homotopy(t0_live, t1_live, t_new), predicted, chart, [cfgs[m] for m in live]
+            _homotopy(seg[:, 0], seg[:, 1], t_new), predicted, chart, [cfgs[m] for m in live]
         )
         sep = _min_pairwise_distance(frame.expand_mats(corrected)).tolist()
         gap = frame.stabilizer_gaps(corrected).tolist()
@@ -850,7 +880,24 @@ def track_segment(
                 gauges[stale] = _best_gauges(mats[stale])
                 mats[stale] = _normalize_batch(mats[stale], gauges[stale])
                 chart = _Chart(gauges.reshape(-1, 2))
-        finished = [t[m] >= 1.0 - 1e-14 or ends[m] is not None for m in live]
+
+        # members at a vertex move on to their next segment or end there
+        starting, moving, nexts = [], [], []
+        for i, m in enumerate(live):
+            if ends[m] is not None or t[m] < 1.0 - 1e-14:
+                continue
+            end = Fiber(mats[i].copy(), gauges[i].copy())
+            nxt = onward(m, end, h[m]) if onward else None
+            if nxt is None:
+                ends[m] = end
+                continue
+            segment, cfgs[m] = nxt
+            t[m], h[m], streak[m] = 0.0, min(cfgs[m].step_init, cfgs[m].step_max), 0
+            starting.append(i)
+            moving.append(m)
+            nexts.append(segment)
+        if moving:
+            tensors[moving] = _segment_tensors(nexts)
 
     return TrackResult(
         ends=ends,
@@ -862,15 +909,17 @@ def track_segment(
     )
 
 
-def _polish(forms: Sequence[CubicForm], fibers: Sequence[Fiber], cfg: TrackerConfig) -> list[Fiber]:
+def _polish(forms: Sequence[CubicForm], fibers: Sequence[Fiber]) -> list[Fiber]:
     """Newton-polish each fiber on Z(form) toward machine precision before
     it is matched, all in one batch; a fiber whose polish fails is kept as it
-    is (already in tolerance)."""
+    is (already in tolerance).  The polish replaces the tolerance and the
+    iteration cap, the only settings Newton reads, so it is the same under
+    every config."""
     if not fibers:
         return []
     mats, _, chart = _stack(fibers)
     coeffs = np.stack([f.coeffs for f in forms])
-    polish_cfg = replace(cfg, newton_tol=_POLISH_TOL, max_newton_iters=3)
+    polish_cfg = TrackerConfig(newton_tol=_POLISH_TOL, max_newton_iters=3)
     out, _, _, _, failures = _newton_batch(_polar(coeffs), mats, chart, [polish_cfg] * len(fibers))
     return [f.moved(m) if failure is None else f for f, m, failure in zip(fibers, out, failures)]
 
@@ -889,25 +938,26 @@ def _retraced_edges(vertices: Sequence[CubicForm]) -> int:
 def track_loop(
     loops: Sequence[Sequence[CubicForm]],
     base: Fiber,
-    cfg: TrackerConfig | None = None,
+    cfg: TrackerConfig | Sequence[TrackerConfig] | None = None,
     frame: Frame | None = None,
 ) -> list[Permutation | TrackFailure]:
     """Track the labeled base fiber around each closed polygon of cubic
     forms in ``loops`` and return, per loop, the induced label permutation
-    (start label -> end label) or the TrackFailure that stopped it.
+    (start label -> end label) or the TrackFailure that stopped it.  ``cfg``
+    is one config for every loop or one per loop, so a loop may appear
+    twice under two configs.
 
-    The loops are one batch, driven segment index by segment index: the
-    i-th track_segment call advances every loop that has an i-th tracked
-    edge and has not failed.  Each loop carries its own Fiber from vertex
-    to vertex: each segment starts from the previous one's unpolished end
-    fiber, whose charts are fresh, and nothing is converted on the way.
-    One step controller runs through each polygon.  The first segment
-    starts at cfg.step_init; each later one starts at the previous
-    segment's step (``TrackResult.steps``) times the ratio of the two
-    segments' lengths (||f_to - f_from|| over the coefficients), so that
-    the step keeps the size it had in the space of forms, whatever the
-    length of the segment.  The carried step never goes below cfg.step_init
-    or above cfg.step_max.
+    The loops are one ragged batch, one track_segment call: each member
+    walks its own polygon, and at a vertex it starts its next edge in the
+    next round, whatever edge the other members are on.  Each loop carries
+    its own Fiber from vertex to vertex: each edge starts from the previous
+    one's unpolished end fiber, whose charts are fresh, and nothing is
+    converted on the way.  One step controller runs through each polygon.
+    The first edge starts at the loop's step_init; each later one starts at
+    the previous edge's final step times the ratio of the two edges'
+    lengths (||f_to - f_from|| over the coefficients), so that the step
+    keeps the size it had in the space of forms, whatever the length of the
+    edge.  The carried step never goes below step_init or above step_max.
 
     Lasso reading: when the last k edges retrace the first k in reverse (a
     meridian's stem, k = 1 for circle_loop), the loop is the stem, a cycle
@@ -924,53 +974,51 @@ def track_loop(
     every form of every loop keeps; None tracks every line.
 
     A match is accepted only when every nearest/second-nearest distance
-    ratio clears match_margin and the assignment is a bijection.
+    ratio clears the loop's match_margin and the assignment is a bijection.
     """
-    cfg = cfg or TrackerConfig()
+    if cfg is None or isinstance(cfg, TrackerConfig):
+        cfgs = [cfg or TrackerConfig()] * len(loops)
+    else:
+        cfgs = list(cfg)
+    if len(cfgs) != len(loops):
+        raise ValueError("expected one config per loop")
     if any(len(v) < 2 or v[0] != v[-1] for v in loops):
         raise ValueError("loop must start and end at the same form")
     if len(base.mats) != N_POINTS:
         raise ValueError(f"expected {N_POINTS} base lines")
+    if not loops:
+        return []
     frame = frame or _trivial_frame(N_POINTS)
     start = frame.restrict(base)
     stems = [_retraced_edges(v) for v in loops]
     edges = [list(zip(v, v[1 : len(v) - k])) for v, k in zip(loops, stems)]
     lengths = [[float(np.linalg.norm(b.coeffs - a.coeffs)) for a, b in e] for e in edges]
-    outcomes: list[Permutation | TrackFailure | None] = [None] * len(loops)
-    fibers = [start] * len(loops)
     stem_ends = [start] * len(loops)
-    steps = [cfg.step_init] * len(loops)
-    for i in range(max(map(len, edges), default=0)):
-        members = [m for m, e in enumerate(edges) if i < len(e) and outcomes[m] is None]
-        if not members:
-            break
-        cfgs = [
-            replace(cfg, step_init=_carried_step(cfg, steps[m], *lengths[m][i - 1 : i + 1]))
-            if i
-            else cfg
-            for m in members
-        ]
-        result = track_segment(
-            [edges[m][i] for m in members], [fibers[m] for m in members], cfgs, frame
+    done = [0] * len(loops)  # edges each member has finished
+
+    def onward(m: int, end: Fiber, step: float):
+        done[m] += 1
+        i = done[m]
+        if i == stems[m]:
+            stem_ends[m] = end
+        if i == len(edges[m]):
+            return None
+        return edges[m][i], replace(
+            cfgs[m], step_init=_carried_step(cfgs[m], step, *lengths[m][i - 1 : i + 1])
         )
-        for m, end, step in zip(members, result.ends, result.steps):
-            if isinstance(end, TrackFailure):
-                outcomes[m] = end
-                continue
-            fibers[m], steps[m] = end, step
-            if i + 1 == stems[m]:
-                stem_ends[m] = end
-    live = [m for m, outcome in enumerate(outcomes) if outcome is None]
+
+    ends = track_segment([e[0] for e in edges], [start] * len(loops), cfgs, frame, onward).ends
+    outcomes: list[Permutation | TrackFailure] = list(ends)
+    live = [m for m, end in enumerate(ends) if not isinstance(end, TrackFailure)]
     lassos = [m for m in live if stems[m]]
     polished = _polish(
         [loops[m][stems[m]] for m in live + lassos],
-        [fibers[m] for m in live] + [stem_ends[m] for m in lassos],
-        cfg,
+        [ends[m] for m in live] + [stem_ends[m] for m in lassos],
     )
     references = {m: frame.expand(f) for m, f in zip(lassos, polished[len(live) :])}
     for m, end in zip(live, polished):
         try:
-            outcomes[m] = match_to_base(frame.expand(end), references.get(m, base), cfg)
+            outcomes[m] = match_to_base(frame.expand(end), references.get(m, base), cfgs[m])
         except AmbiguousMatch as exc:
             outcomes[m] = exc
     return outcomes
@@ -1011,17 +1059,20 @@ def match_to_base(tracked: Fiber, base: Fiber, cfg: TrackerConfig) -> Permutatio
 
 def revalidate(
     loops: Sequence[Sequence[CubicForm]],
-    perms: Sequence[Permutation],
     base: Fiber,
     cfg: TrackerConfig | None = None,
     frame: Frame | None = None,
-) -> list[bool]:
-    """Re-track the loops as one batch in the same frame at tightened
-    tolerances (newton_tol/10, step_init/2, step_max/2, match_margin*2) and
-    confirm, per loop, the identical permutation; a loop that fails to
-    re-track is not confirmed."""
+) -> tuple[list[Permutation | TrackFailure], list[bool]]:
+    """Track each loop under cfg and re-track it at tightened tolerances
+    (newton_tol/10, step_init/2, step_max/2, match_margin*2), all 2n tracks
+    one ragged batch of track_loop in the same frame.  Returns each loop's
+    first track (its permutation or TrackFailure) and whether the re-track
+    confirmed the identical permutation.  A loop whose first track failed
+    is not confirmed and its re-track is discarded; a loop whose re-track
+    fails is not confirmed."""
     cfg = cfg or TrackerConfig()
-    if len(perms) != len(loops):
-        raise ValueError("expected one permutation per loop")
-    again = track_loop(loops, base, cfg.tightened(), frame)
-    return [a == p for a, p in zip(again, perms)]
+    n = len(loops)
+    outcomes = track_loop(list(loops) * 2, base, [cfg] * n + [cfg.tightened()] * n, frame)
+    first, again = outcomes[:n], outcomes[n:]
+    confirmed = [not isinstance(p, TrackFailure) and a == p for p, a in zip(first, again)]
+    return first, confirmed

@@ -6,8 +6,9 @@ Every catalog entry is an Eisenstein integer a + b*zeta, so the catalog is
 one read-only (27, 2, 4, 2) int64 array of (a, b) pairs, and its Plucker
 vectors one (27, 6, 2) array; the only arithmetic on them is the Eisenstein
 product.  The incidence graph is one pairing product over all pairs, and
-each coordinate permutation's line permutation one exact proportionality
-test of the pushed-forward Plucker vectors against the catalog's.
+each coordinate permutation's line permutation is read off the nearest
+catalog lines in floating point and proven by one exact proportionality
+test of the pushed-forward Plucker vectors against those lines.
 
 The graph is one read-only (27, 27) 0/1 integer adjacency array A, and every
 consumer reads A directly.  Skew sixes are enumerated once, on A, and paired
@@ -23,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from . import fermat_data
-from .exact import Cyc, _gauss_jordan, _restrict, _times
+from .exact import ZETA_COMPLEX, Cyc, _gauss_jordan, _restrict, _times
 from .perm import Closure, FiniteGroup, Permutation, generate, parse_cycles
 
 N_LINES = 27
@@ -200,44 +201,64 @@ def graph_automorphisms(graph: np.ndarray | None = None) -> FiniteGroup:
 # ---------------------------------------------------------------------------
 
 
-def _pushforward_labels(plucker: np.ndarray, sigma: Sequence[int]) -> np.ndarray:
-    """The labels of the lines of a Plucker table that pushing coordinates
-    forward along sigma (coordinate i of a point moves to slot sigma[i])
-    sends lines 1..n to.
+def _pushforward_labels(plucker: np.ndarray, sigmas: Sequence[Sequence[int]]) -> np.ndarray:
+    """For each coordinate permutation sigma of ``sigmas``, the labels of the
+    lines of a Plucker table that pushing coordinates forward along sigma
+    (coordinate i of a point moves to slot sigma[i]) sends lines 1..n to:
+    (len(sigmas), n).
 
     The pushforward permutes Plucker coordinates with signs:
     p'_{sigma(i) sigma(j)} = p_ij, negated when sigma(i) > sigma(j).  The
-    nonzero p' is proportional to the table's q exactly when
+    candidates for an image are the table lines whose unit Plucker vectors
+    it overlaps up to rounding, one line for a table of distinct lines.
+    Only the candidates of all the images are then tested exactly, in one
+    product: the nonzero p' is proportional to the table's q exactly when
     p'_k q_l = q_k p'_l for every k, l being q's leading coordinate.
     ValueError unless each image is exactly one line of the table.
     """
     slot = {pair: k for k, pair in enumerate(_PLUCKER_PAIRS)}
-    dest = [slot[min(sigma[i], sigma[j]), max(sigma[i], sigma[j])] for i, j in _PLUCKER_PAIRS]
-    sign = np.array([1 if sigma[i] < sigma[j] else -1 for i, j in _PLUCKER_PAIRS])
-    moved = np.empty_like(plucker)
-    moved[:, dest] = sign[:, None] * plucker
-    lead = plucker.any(axis=-1).argmax(axis=-1)
-    q_lead = plucker[np.arange(len(plucker)), lead]
-    # match[a, b]: the image of line a + 1 is proportional to line b + 1
-    match = (
-        _times(moved[:, None], q_lead[None, :, None]) == _times(plucker[None], moved[:, lead, None])
+    dest = np.array(
+        [[slot[min(s[i], s[j]), max(s[i], s[j])] for i, j in _PLUCKER_PAIRS] for s in sigmas]
+    ).reshape(-1, 6)
+    sign = np.array(
+        [[1 if s[i] < s[j] else -1 for i, j in _PLUCKER_PAIRS] for s in sigmas]
+    ).reshape(-1, 6)
+    unit = plucker[..., 0] + plucker[..., 1] * ZETA_COMPLEX
+    unit /= np.linalg.norm(unit, axis=1, keepdims=True)
+    # (sigma, image, line) triples whose float overlap is 1 up to rounding
+    which, image, line = [], [], []
+    conj, columns = unit.conj(), unit.T
+    for s in range(len(sigmas)):
+        overlap = np.abs((conj * sign[s]) @ columns[dest[s]])
+        i, j = np.nonzero(overlap > 1 - 1e-9)
+        which.append(np.full(len(i), s))
+        image.append(i)
+        line.append(j)
+    which, image, line = (np.concatenate(x) for x in (which, image, line))
+    moved = np.empty((len(image), 6, 2), dtype=plucker.dtype)
+    moved[np.arange(len(image))[:, None], dest[which]] = plucker[image] * sign[which][..., None]
+    lead = plucker.any(axis=-1).argmax(axis=-1)[line]
+    q_lead = plucker[line, lead][:, None]
+    exact = (
+        _times(moved, q_lead) == _times(plucker[line], moved[np.arange(len(image)), lead][:, None])
     ).all(axis=(-2, -1))
-    found = match.sum(axis=1)
+    found = np.zeros((len(sigmas), len(plucker)), dtype=np.int64)
+    np.add.at(found, (which[exact], image[exact]), 1)
     if (found == 0).any():
         raise ValueError("coordinate image not in catalog; embedding mismatch")
     if (found > 1).any():
         raise ValueError("coordinate image is proportional to several catalog lines")
-    return match.argmax(axis=1) + 1
+    out = np.empty_like(found)
+    out[which[exact], image[exact]] = line[exact] + 1
+    return out
 
 
 @lru_cache(maxsize=1)
 def coordinate_action_table() -> dict[tuple[int, int, int, int], Permutation]:
     """All 24 coordinate permutations and their induced line permutations."""
-    plucker = _catalog_plucker()
-    return {
-        sigma: Permutation(_pushforward_labels(plucker, sigma).tolist())
-        for sigma in permutations(range(4))
-    }
+    sigmas = list(permutations(range(4)))
+    labels = _pushforward_labels(_catalog_plucker(), sigmas).tolist()
+    return {sigma: Permutation(row) for sigma, row in zip(sigmas, labels)}
 
 
 def s4_generators() -> list[Permutation]:

@@ -419,23 +419,17 @@ def compute_monodromy(spec: FamilySpec, budget: int = 40, seed: int = 1) -> Mono
 
     # Loops are tracked in chunks of the fewest loops after which the stall
     # counter could fire, so no loop is tracked past the point where the run
-    # stops; each chunk is one batch of first tracks and one batch that
-    # revalidates the tracks that succeeded.
+    # stops; each chunk is one ragged batch of its first tracks and their
+    # tightened re-tracks.
     i = 0
     while i < budget and stabilized_after is None:
         size = min(budget - i, _STALL_THRESHOLD - stall)
         chunk = [_build_loop(spec, j, seed) for j in range(i, i + size)]
-        tracked = htrack.track_loop([loop.vertices for loop in chunk], base, frame=frame)
-        ok = [j for j, p in enumerate(tracked) if not isinstance(p, TrackFailure)]
-        again = htrack.revalidate(
-            [chunk[j].vertices for j in ok], [tracked[j] for j in ok], base, frame=frame
-        )
-        confirmed = dict(zip(ok, again))
-        for j, (loop, p) in enumerate(zip(chunk, tracked)):
+        tracked, confirmed = htrack.revalidate([loop.vertices for loop in chunk], base, frame=frame)
+        for j, (loop, p, revalidated) in enumerate(zip(chunk, tracked, confirmed)):
             failure = "revalidation mismatch"
             if isinstance(p, TrackFailure):
                 p, failure = None, f"{type(p).__name__}: {p}"
-            revalidated = confirmed.get(j, False)
             in_bound = (p in bound) if revalidated else None
             if in_bound is False:
                 violations += 1

@@ -391,9 +391,17 @@ def centralizer(group: FiniteGroup, sub: FiniteGroup) -> FiniteGroup:
     element commutes (for example, when ``sub`` is trivial) this is ``group``
     itself, not a rebuilt copy."""
     _require_subgroup(group, sub, "centralizer")
-    _, rows = _survivors(
-        group.table, sub.generators, lambda rows, g: np.all(rows[:, g] == g[rows], axis=1)
-    )
+
+    def commutes(rows: np.ndarray, g: np.ndarray) -> np.ndarray:
+        # p commutes with g iff p[g] == g[p]; the column of one point g moves
+        # (any point for the identity) rules out most rows before the full test
+        x = int(np.argmax(g != np.arange(len(g))))
+        keep = rows[:, g[x]] == g[rows[:, x]]
+        candidates = rows[keep]
+        keep[keep] = np.all(candidates[:, g] == g[candidates], axis=1)
+        return keep
+
+    _, rows = _survivors(group.table, sub.generators, commutes)
     return group if len(rows) == group.order else FiniteGroup.from_table(rows)
 
 

@@ -1,4 +1,5 @@
 from itertools import permutations
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -58,6 +59,43 @@ def loop_perm(loop, base, cfg=None):
     if isinstance(perm, TrackFailure):
         raise perm
     return perm
+
+
+class MemberSegment(NamedTuple):
+    member: int
+    f0: CubicForm
+    f1: CubicForm
+    cfg: TrackerConfig
+    # the step the member's previous segment ended with; None on its first
+    carried: float | None
+
+
+class SegmentSpy:
+    """Logs every member-segment that htrack.track_segment tracks, in the
+    order the members start them, and the result of every call."""
+
+    def __init__(self, monkeypatch):
+        self.segments: list[MemberSegment] = []
+        self.results = []
+        original = htrack.track_segment
+
+        def spy(segments, starts, cfgs=None, frame=None, onward=None):
+            cfgs = [TrackerConfig()] * len(segments) if cfgs is None else cfgs
+            for m, ((f0, f1), cfg) in enumerate(zip(segments, cfgs)):
+                self.segments.append(MemberSegment(m, f0, f1, cfg, None))
+
+            def logged(m, end, step):
+                nxt = onward(m, end, step)
+                if nxt is not None:
+                    (f0, f1), cfg = nxt
+                    self.segments.append(MemberSegment(m, f0, f1, cfg, step))
+                return nxt
+
+            result = original(segments, starts, cfgs, frame, logged if onward else None)
+            self.results.append(result)
+            return result
+
+        monkeypatch.setattr(htrack, "track_segment", spy)
 
 
 @pytest.fixture(scope="module")
@@ -421,31 +459,24 @@ class TestFromMats:
 
 class TestCarriedStep:
     def test_step_carries_across_vertices(self, catalog, monkeypatch):
-        calls = []
-        original = htrack.track_segment
-
-        def spy(segments, starts, cfgs=None, frame=None):
-            result = original(segments, starts, cfgs, frame)
-            [(f0, f1)], [cfg] = segments, cfgs
-            calls.append((f0, f1, cfg, result))
-            return result
-
-        monkeypatch.setattr(htrack, "track_segment", spy)
+        spy = SegmentSpy(monkeypatch)
         loop = meridian(L1_POINT)
         cfg = TrackerConfig()
         assert loop_perm(loop, catalog, cfg) == lines.monodromy_klein_elements()["tau1"]
-        # the return leg retraces the entry segment and is not tracked
-        assert len(calls) == len(loop) - 2
-        lengths = [np.linalg.norm(f1.coeffs - f0.coeffs) for f0, f1, _, _ in calls]
+        # one member walks the polygon; the return leg retraces the entry
+        # segment and is not tracked
+        assert len(spy.results) == 1
+        assert [(s.f0, s.f1) for s in spy.segments] == list(zip(loop[:-2], loop[1:-1]))
+        lengths = [np.linalg.norm(s.f1.coeffs - s.f0.coeffs) for s in spy.segments]
         # a long entry segment followed by short arcs
         assert lengths[0] > 5 * max(lengths[1:])
-        assert calls[0][2].step_init == cfg.step_init
-        for k in range(1, len(calls)):
-            [prev_step] = calls[k - 1][3].steps
-            want = min(cfg.step_max, max(cfg.step_init, prev_step * lengths[k - 1] / lengths[k]))
-            assert calls[k][2] == TrackerConfig(step_init=want)
+        assert spy.segments[0].cfg == cfg and spy.segments[0].carried is None
+        for k in range(1, len(spy.segments)):
+            carried = spy.segments[k].carried
+            want = min(cfg.step_max, max(cfg.step_init, carried * lengths[k - 1] / lengths[k]))
+            assert spy.segments[k].cfg == TrackerConfig(step_init=want)
         # the arcs start above the parent's restart value
-        assert all(c[2].step_init > cfg.step_init for c in calls[1:])
+        assert all(s.cfg.step_init > cfg.step_init for s in spy.segments[1:])
 
     @pytest.mark.parametrize(
         "cfg, arc_steps", [(TrackerConfig(), 1), (TrackerConfig().tightened(), 2)],
@@ -454,18 +485,17 @@ class TestCarriedStep:
     def test_one_step_covers_a_short_arc(self, catalog, monkeypatch, cfg, arc_steps):
         # step_max is per segment: the 16 short arcs of a meridian are one
         # step each, and revalidation's halved cap re-tracks them in two
-        steps = []
-        original = htrack.track_segment
-
-        def spy(segments, starts, cfgs=None, frame=None):
-            result = original(segments, starts, cfgs, frame)
-            steps.append(result.accepted_steps)
-            return result
-
-        monkeypatch.setattr(htrack, "track_segment", spy)
+        spy = SegmentSpy(monkeypatch)
         loop = meridian(L1_POINT)
         assert loop_perm(loop, catalog, cfg) == lines.monodromy_klein_elements()["tau1"]
-        assert steps[1:] == [arc_steps] * 16
+        entry, *arcs = spy.segments
+        assert len(arcs) == 16
+        # the entry segment alone, from the same fiber under the same config
+        entry_steps = track_segment([(entry.f0, entry.f1)], [catalog], [cfg]).accepted_steps
+        # a segment takes at least 1 / step_max = arc_steps steps, so this
+        # sum holds only when every arc takes exactly arc_steps
+        [result] = spy.results
+        assert result.accepted_steps - entry_steps == 16 * arc_steps
 
     @pytest.mark.parametrize("cfg", [TrackerConfig(), TrackerConfig().tightened()])
     def test_result_step_within_bounds(self, forms, catalog, cfg):
@@ -517,17 +547,10 @@ class TestLasso:
         assert p == retracked(loop, catalog)
 
     def test_pure_retrace_is_identity(self, forms, catalog, monkeypatch):
-        calls = []
-        original = htrack.track_segment
-
-        def spy(segments, starts, cfgs=None, frame=None):
-            calls.extend(segments)
-            return original(segments, starts, cfgs, frame)
-
-        monkeypatch.setattr(htrack, "track_segment", spy)
+        spy = SegmentSpy(monkeypatch)
         v = embed_symmetric(1, 0.2 + 0.1j, -0.15)
         assert loop_perm([forms[0], v, forms[0]], catalog).is_identity()
-        assert calls == [(forms[0], v)]
+        assert [(s.f0, s.f1) for s in spy.segments] == [(forms[0], v)]
 
     @pytest.mark.parametrize(
         "loop, polishes",
@@ -537,31 +560,24 @@ class TestLasso:
     def test_one_polish_per_matched_fiber_and_no_lines_between_vertices(
         self, catalog, monkeypatch, loop, polishes
     ):
-        events = []
-
-        def log(name, fn):
-            def spy(*args, **kwargs):
-                events.append(name)
-                return fn(*args, **kwargs)
-
-            return spy
-
+        spy = SegmentSpy(monkeypatch)
+        polished = []  # per polished fiber, the track_segment calls done by then
         polish = htrack._polish
 
-        def polish_spy(forms, fibers, cfg):
-            # one event per polished fiber: a batch polishes all of them at once
-            events.extend(["polish"] * len(fibers))
-            return polish(forms, fibers, cfg)
+        def polish_spy(forms, fibers):
+            # a batch polishes all of them at once
+            polished.extend([len(spy.results)] * len(fibers))
+            return polish(forms, fibers)
 
-        monkeypatch.setattr(htrack, "track_segment", log("segment", htrack.track_segment))
+        def no_lines(*args, **kwargs):
+            raise AssertionError("a loop built lines between vertices")
+
         monkeypatch.setattr(htrack, "_polish", polish_spy)
-        monkeypatch.setattr(Fiber, "from_mats", classmethod(log("lines", Fiber.from_mats.__func__)))
+        monkeypatch.setattr(Fiber, "from_mats", classmethod(no_lines))
         loop_perm(loop, catalog)
-        last_segment = len(events) - events[::-1].index("segment")
-        assert events.count("segment") == len(loop) - 1 - htrack._retraced_edges(loop)
-        assert "lines" not in events
-        assert "polish" not in events[:last_segment]
-        assert events.count("polish") == polishes <= 2
+        assert len(spy.segments) == len(loop) - 1 - htrack._retraced_edges(loop)
+        # every polish comes after the one track_segment call has returned
+        assert polished == [1] * polishes and polishes <= 2
 
 
 class TestBatch:
@@ -604,6 +620,55 @@ class TestBatch:
             assert np.array_equal(end, alone_end)
             assert np.array_equal(reference, alone_reference)
 
+    def test_default_and_tightened_members_equal_their_batches_of_one(self, catalog, monkeypatch):
+        # revalidate's batch: each loop once at the default config and once
+        # tightened, side by side
+        loops = [triangle(0.9, seed=12), meridian(L2_POINT), full_family_lasso(7)]
+        cfgs = [TrackerConfig()] * 3 + [TrackerConfig().tightened()] * 3
+        perms, matches = self.tracked(loops * 2, catalog, cfgs, monkeypatch)
+        assert len(matches) == 6
+        for loop, cfg, perm, (end, reference) in zip(loops * 2, cfgs, perms, matches):
+            [alone], [(alone_end, alone_reference)] = self.tracked([loop], catalog, cfg, monkeypatch)
+            assert isinstance(alone, Permutation) and perm == alone
+            assert np.array_equal(end, alone_end)
+            assert np.array_equal(reference, alone_reference)
+
+    def test_members_walk_their_own_polygons(self, catalog, monkeypatch):
+        # the triangle's long edges take many steps and the meridians' arcs
+        # one each, so in one round the members sit on different edge
+        # indices; none waits at a vertex, and the batch takes as many
+        # rounds as its longest member alone
+        loops = [triangle(0.9, seed=12), meridian(L1_POINT), meridian(C_POINT)]
+
+        def rounds_and_log(batch):
+            calls = []
+            original = htrack._homotopy
+
+            def spy(t0, t1, t):
+                calls.append(len(t))
+                return original(t0, t1, t)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(htrack, "_homotopy", spy)
+                log = SegmentSpy(patch)
+                perms, matches = self.tracked(batch, catalog, None, monkeypatch)
+            # the predictor and the corrector each build one homotopy a round
+            return perms, matches, len(calls) // 2, log.segments
+
+        perms, matches, rounds, log = rounds_and_log(loops)
+        started = [0] * len(loops)
+        edge_index = []
+        for s in log:
+            edge_index.append(started[s.member])
+            started[s.member] += 1
+        assert edge_index != sorted(edge_index)
+        alone = [rounds_and_log([loop]) for loop in loops]
+        assert rounds == max(r for _, _, r, _ in alone)
+        for perm, (end, reference), (solo, [(solo_end, solo_reference)], _, _) in zip(perms, matches, alone):
+            assert perm == solo[0]
+            assert np.array_equal(end, solo_end)
+            assert np.array_equal(reference, solo_reference)
+
     def test_segment_members_equal_their_batches_of_one(self, forms, catalog):
         # identity motions, whose residuals are the smallest, first and
         # third: from a step of 0.3 their steps grow to their own caps
@@ -635,6 +700,36 @@ class TestBatch:
         assert batch.max_residual == max(r.max_residual for r in alone)
         assert batch.min_separation == min(r.min_separation for r in alone)
 
+    def test_a_segment_handed_onward_is_tracked_as_a_fresh_call_would(self, forms, catalog):
+        # The first segment ends one accepted step after its step grew, and
+        # the second starts on a form its lines do not lie on, so the Newton
+        # check on that f0 moves them.  The walk equals two track_segment
+        # calls, the second from the first's end fiber: the new segment gets
+        # a fresh t, step and streak and its own Newton check.
+        first_cfg = TrackerConfig(step_init=0.3, step_max=0.4)
+        second = (embed_symmetric(1, 0.01, 0), embed_symmetric(1, 0.2 + 0.1j, -0.15))
+        cfg = TrackerConfig(step_init=0.1)
+        handed = []
+
+        def onward(m, end, step):
+            handed.append((end, step))
+            return None if len(handed) > 1 else (second, cfg)
+
+        walk = track_segment([(forms[0], forms[0])], [catalog], [first_cfg], onward=onward)
+        first = segment(forms[0], forms[0], catalog, first_cfg)
+        [(middle, step), _] = handed
+        assert np.array_equal(middle.mats, first.ends[0].mats) and step == first.steps[0] == 0.4
+        _, _, _, [check], [failure] = _newton_batch(
+            _polar(second[0].coeffs)[None], middle.mats[None], middle.chart, [cfg]
+        )
+        assert failure is None and check > 0
+        alone = segment(*second, middle, cfg)
+        assert np.array_equal(walk.ends[0].mats, alone.ends[0].mats)
+        assert np.array_equal(walk.ends[0].gauges, alone.ends[0].gauges)
+        assert walk.steps == alone.steps
+        assert walk.accepted_steps == first.accepted_steps + alone.accepted_steps
+        assert walk.newton_iterations == [first.newton_iterations[0] + alone.newton_iterations[0]]
+
     def test_failing_member_is_isolated(self, forms, catalog, monkeypatch):
         # the Fermat -> Cayley edge of test_fermat_to_cayley_fails, closed
         # into a loop, fails beside two good loops as it fails alone
@@ -651,7 +746,7 @@ class TestBatch:
 
     def test_empty_batch(self, catalog):
         assert track_loop([], catalog) == []
-        assert revalidate([], [], catalog) == []
+        assert revalidate([], catalog) == ([], [])
 
 
 @pytest.fixture(scope="module")
@@ -721,7 +816,7 @@ class TestFrame:
         perms = track_loop(loops, catalog)
         assert all(isinstance(p, Permutation) for p in perms)
         assert track_loop(loops, catalog, frame=s4_frame) == perms
-        assert revalidate(loops, perms, catalog, frame=s4_frame) == [True] * 4
+        assert revalidate(loops, catalog, frame=s4_frame) == (perms, [True] * 4)
 
 
 class TestTrackLoop:
@@ -761,7 +856,7 @@ class TestTrackLoop:
         loop = meridian(L1_POINT)
         perm = loop_perm(loop, catalog)
         assert perm == lines.monodromy_klein_elements()["tau1"]
-        assert revalidate([loop], [perm], catalog) == [True]
+        assert revalidate([loop], catalog) == ([perm], [True])
 
     def test_under_resolved_loop_rejected(self, catalog):
         # a Newton tolerance below the residual's rounding floor can never be
@@ -785,14 +880,49 @@ class TestMatching:
 
 
 class TestRevalidate:
+    @staticmethod
+    def retracks_give(monkeypatch, outcome):
+        """Make every tightened re-track of revalidate's batch give outcome."""
+        original = htrack.track_loop
+
+        def spy(loops, base, cfg=None, frame=None):
+            out = original(loops, base, cfg, frame)
+            n = len(loops) // 2
+            assert cfg == [TrackerConfig()] * n + [TrackerConfig().tightened()] * n
+            return out[:n] + [outcome] * n
+
+        monkeypatch.setattr(htrack, "track_loop", spy)
+
     def test_constant_loop_revalidates(self, forms, catalog):
         p = loop_perm([forms[0], forms[0]], catalog)
-        assert revalidate([[forms[0], forms[0]]], [p], catalog) == [True]
+        assert revalidate([[forms[0], forms[0]]], catalog) == ([p], [True])
 
-    def test_wrong_permutation_fails_revalidation(self, forms, catalog):
+    def test_wrong_permutation_fails_revalidation(self, forms, catalog, monkeypatch):
         p = loop_perm([forms[0], forms[0]], catalog)
         wrong = lines.monodromy_klein_elements()["tau1"]
-        assert revalidate([[forms[0], forms[0]]], [wrong], catalog) == [False]
+        self.retracks_give(monkeypatch, wrong)
+        assert revalidate([[forms[0], forms[0]]], catalog) == ([p], [False])
+        self.retracks_give(monkeypatch, htrack.StepUnderflow("re-track failed"))
+        assert revalidate([[forms[0], forms[0]]], catalog) == ([p], [False])
+
+    def test_failed_first_track_discards_its_retrack(self, catalog, monkeypatch):
+        # the first track of loop 0 fails, while its re-track in the same
+        # batch gives a permutation: that permutation is never returned
+        failure = htrack.NewtonFailure("first track failed")
+        retracks = []
+        original = htrack.track_loop
+
+        def spy(loops, base, cfg=None, frame=None):
+            out = original(loops, base, cfg, frame)
+            retracks.extend(out[len(loops) // 2 :])
+            return [failure] + out[1:]
+
+        monkeypatch.setattr(htrack, "track_loop", spy)
+        loops = [triangle(0.9, seed=12), meridian(L1_POINT)]
+        first, confirmed = revalidate(loops, catalog)
+        assert isinstance(retracks[0], Permutation)
+        assert first == [failure, retracks[1]]
+        assert confirmed == [False, True]
 
 
 class TestConfig:

@@ -245,13 +245,13 @@ class TestCoordinateAction:
         plucker = lines._catalog_plucker().copy()
         plucker[0] = plucker[1] * -1  # line 2's vector twice
         with pytest.raises(ValueError, match="several"):
-            lines._pushforward_labels(plucker, (0, 1, 2, 3))
+            lines._pushforward_labels(plucker, [(0, 1, 2, 3)])
         # the coordinate line through e0 and e1 is on no cubic of the family;
         # swapping coordinates 0 and 2 sends it to the line through e2 and e1
         plucker[0] = lines._plucker(np.array([[[1, 0], [0, 0], [0, 0], [0, 0]],
                                               [[0, 0], [1, 0], [0, 0], [0, 0]]]))
         with pytest.raises(ValueError, match="not in catalog"):
-            lines._pushforward_labels(plucker, (2, 1, 0, 3))
+            lines._pushforward_labels(plucker, [(2, 1, 0, 3)])
 
     def test_conjugate_embedding_relabels_by_monodromy_element(self):
         # complex conjugation of the catalog, conj(a + b zeta) = (a + b) - b zeta,

@@ -200,7 +200,7 @@ class TestLoops:
         [perm] = track_loop([loop.vertices], fiber)
         assert not perm.is_identity()
         assert format_cycles(perm) in expected_symmetric_monodromy()
-        assert revalidate([loop.vertices], [perm], fiber) == [True]
+        assert revalidate([loop.vertices], fiber) == ([perm], [True])
 
 
 COMPONENTS = monodromy._SYMMETRIC_NODAL_COMPONENTS
@@ -434,19 +434,30 @@ class TestComputeMonodromy:
     def test_symmetric_eight_loops_track_160_segments(self, monkeypatch):
         # 4 triangles of 3 edges and 4 meridians of 17 (the return leg of
         # the 18 is read off the stem), each tracked and revalidated: 160
-        # member-segments in 2 batches of 17 calls, one per segment index
-        calls = []
+        # member-segments in one ragged batch of 16 members, the 8 first
+        # tracks and their 8 re-tracks, each walking its own polygon
+        calls, member_segments = [], []
         original = htrack.track_segment
 
-        def spy(segments, *args, **kwargs):
+        def spy(segments, starts, cfgs=None, frame=None, onward=None):
             calls.append(len(segments))
-            return original(segments, *args, **kwargs)
+            member_segments.extend(range(len(segments)))
+
+            def counted(m, end, step):
+                nxt = onward(m, end, step)
+                if nxt is not None:
+                    member_segments.append(m)
+                return nxt
+
+            return original(segments, starts, cfgs, frame, counted)
 
         monkeypatch.setattr(htrack, "track_segment", spy)
         report = compute_monodromy(symmetric_family(), 8, seed=1)
         assert [r.kind for r in report.loops] == ["triangle", "circle"] * 4
-        assert sum(calls) == 160
-        assert calls == 2 * ([8] * 3 + [4] * 14)
+        assert len(member_segments) == 160
+        assert calls == [16]
+        # members 0-7 track at the default config, 8-15 re-track the same loops
+        assert [member_segments.count(m) for m in range(16)] == 2 * [3, 17] * 4
 
     @pytest.mark.parametrize(
         "budget, chunks", [(40, [10, 8]), (8, [8]), (0, [])], ids=["stall", "fixed", "none"]
@@ -458,8 +469,10 @@ class TestComputeMonodromy:
         original = htrack.track_loop
 
         def spy(loops, base, cfg=None, frame=None):
-            if cfg is None:
-                first.append(len(loops))
+            # a chunk's first tracks and their tightened re-tracks, one batch
+            defaults = [c == TrackerConfig() for c in cfg]
+            assert defaults == [True] * (len(loops) // 2) + [False] * (len(loops) // 2)
+            first.append(sum(defaults))
             return original(loops, base, cfg, frame)
 
         monkeypatch.setattr(htrack, "track_loop", spy)
@@ -572,8 +585,9 @@ class TestUpperBoundVerdict:
 
     def run(self, monkeypatch, cycles, budget=40):
         perms = cycle([parse_cycles(c) for c in cycles])
-        monkeypatch.setattr(htrack, "track_loop", lambda loops, *a, **k: [next(perms) for _ in loops])
-        monkeypatch.setattr(htrack, "revalidate", lambda loops, *a, **k: [True] * len(loops))
+        monkeypatch.setattr(
+            htrack, "revalidate", lambda loops, *a, **k: ([next(perms) for _ in loops], [True] * len(loops))
+        )
         monkeypatch.setattr(monodromy, "probe_discriminant", lambda *a, **k: None)
         return compute_monodromy(symmetric_family(), budget=budget)
 
@@ -622,25 +636,27 @@ class TestUpperBoundVerdict:
         assert [r.new_elements for r in report.loops[:3]] == [True, True, False]
 
     def test_failed_track_is_recorded_and_not_revalidated(self, monkeypatch):
+        # the first track of loop 0 fails and its re-track, in the same
+        # batch, gives tau: that re-track is discarded, never recorded
         tau = parse_cycles(self.TAU)
         failure = htrack.NewtonFailure("no convergence in 8 iterations")
-        revalidated = []
+        batches = []
 
-        def revalidate(loops, perms, *args, **kwargs):
-            revalidated.append(list(perms))
-            return [True] * len(loops)
+        def track_loop(loops, base, cfg=None, frame=None):
+            batches.append(len(loops))
+            return [failure] + [tau] * (len(loops) - 1)
 
-        monkeypatch.setattr(htrack, "track_loop", lambda loops, *a, **k: [failure] + [tau] * (len(loops) - 1))
-        monkeypatch.setattr(htrack, "revalidate", revalidate)
+        monkeypatch.setattr(htrack, "track_loop", track_loop)
         monkeypatch.setattr(monodromy, "probe_discriminant", lambda *a, **k: None)
         report = compute_monodromy(symmetric_family(), budget=3)
+        assert batches == [6]
         first = report.loops[0]
         assert (first.accepted, first.permutation, first.revalidated, first.in_bound) == (
             False, None, False, None
         )
         assert first.failure == "NewtonFailure: no convergence in 8 iterations"
-        assert revalidated == [[tau, tau]]
         assert [r.accepted for r in report.loops] == [False, True, True]
+        assert [r.revalidated for r in report.loops] == [False, True, True]
         assert report.invariant_violations == 0
 
     def test_weyl_element_outside_the_bound_is_rejected(self, monkeypatch):
