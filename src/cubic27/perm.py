@@ -2,13 +2,29 @@
 
 Permutations act on line labels 1..27.  A group is stored as one element table,
 an ``(order, 27)`` uint8 array of 0-based image rows in lexicographic order
-(the largest group in scope, the full Weyl group, has order 51840).  Closure is
-Dimino's algorithm, grown one generator at a time (``Closure``), so a caller
-that finds generators one by one never re-closes from scratch.  Centralizers,
-normalizers and subconjugacy tests scan the table one generator of the
-subgroup at a time, testing each later generator only on the rows that passed
-the earlier ones; stabilizers and element orders are boolean masks over the
-table.
+(the largest group in scope, the full Weyl group, has order 51840).
+
+Membership reads the sorted table itself.  The columns where adjacent rows
+first differ form a base of the group (points whose images fix an element, as
+in Sims' stabilizer chain): rows are distinct on it, and their base-27 codes
+over it ascend with the rows, so one ``np.searchsorted`` finds the one row a
+query can equal, and an exact compare with that whole row decides.  The same
+adjacent-row test rejects a table that repeats a row.  27**13 is the largest
+power of 27 in an int64, so a longer base is folded: after each chunk of
+columns a key is replaced by its rank among the table's distinct keys, and
+the codes of the next columns are appended to the rank.  W(E6)'s base is the
+six points 1, 2, 3, 5, 6, 13, one chunk.
+
+Closure is Dimino's algorithm, grown one generator at a time (``Closure``), so
+a caller that finds generators one by one never re-closes from scratch.  The
+group grown from H is the union of left cosets ``r H``, and an element ``c``
+lies in it exactly when ``r^-1 c`` lies in H for one of the representatives
+``r``: a lookup in H's index, so the closure keeps no key per element.
+Greedy generating sets grow the same cosets inside a known table, marking its
+rows.  Centralizers, normalizers and subconjugacy tests scan the table one
+generator of the subgroup at a time, testing each later generator only on the
+rows that passed the earlier ones; stabilizers and element orders are boolean
+masks over the table.
 
 Composition convention, fixed repo-wide: ``compose(p, q)`` applies ``q`` first,
 then ``p`` (so ``compose(p, q)(x) == p(q(x))``); on table rows it is ``p[q]``.
@@ -16,11 +32,11 @@ then ``p`` (so ``compose(p, q)(x) == p(q(x))``); on table rows it is ``p[q]``.
 
 from __future__ import annotations
 
+import bisect
 import math
 import re
 from collections import Counter
-from dataclasses import InitVar, dataclass, field
-from functools import cached_property
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -164,10 +180,57 @@ def _from_row(row: Sequence[int]) -> Permutation:
     return Permutation([x + 1 for x in row])
 
 
-def _row_keys(table: np.ndarray) -> list[bytes]:
-    """The bytes of each row of a uint8 table, for membership tests."""
-    raw = table.tobytes()
-    return [raw[i : i + N_POINTS] for i in range(0, len(raw), N_POINTS)]
+_KEY_LIMIT = 2**63 - 1  # keys are int64
+_POWERS = [N_POINTS**k for k in range(N_POINTS)]
+
+
+class _BaseIndex:
+    """Membership index of a lexicographically sorted table of distinct rows.
+
+    ``levels`` holds, chunk by chunk of the base columns, the columns, their
+    base-27 place values and the ascending distinct keys of the table over
+    them.  A key is the rank of the row's key among the distinct keys of the
+    level before (0 at the first level) followed by the base-27 digits of its
+    chunk.  Each chunk is as wide as keeps every key, a query's too, below
+    2**63: 13 columns at the first level, 9 for a rank below 10**6.  The keys
+    of the last level are the table's rows, one each."""
+
+    def __init__(self, table: np.ndarray):
+        differs = table[1:] != table[:-1]
+        first = differs.argmax(axis=1)  # where each row first leaves the one before
+        if not differs[np.arange(len(first)), first].all():
+            raise ValueError("element table repeats a row")
+        base = np.flatnonzero(np.bincount(first, minlength=N_POINTS))
+        self.table = table
+        self.levels: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        rank, distinct, done = np.zeros(len(table), dtype=np.intp), 1, 0
+        while done < len(base):
+            # a query's rank runs up to ``distinct``, one past the last key's
+            width = bisect.bisect_right(_POWERS, _KEY_LIMIT // (distinct + 1)) - 1
+            cols = base[done : done + width]
+            places = np.array(_POWERS[len(cols) - 1 :: -1], dtype=np.int64)
+            code = rank * _POWERS[len(cols)] + table[:, cols].astype(np.int64) @ places
+            new = np.concatenate(([True], code[1:] != code[:-1]))
+            self.levels.append((cols, places, code[new]))
+            rank, distinct, done = np.cumsum(new) - 1, int(new.sum()), done + width
+
+    def find(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """For each row, the one table index its key can sit at and whether
+        the table row there is exactly that row.  The full-row compare alone
+        decides: it rejects a row whose key is missing at some level as well
+        as one that agrees with a member on every base column."""
+        pos = np.zeros(len(rows), dtype=np.intp)
+        for level, (cols, places, keys) in enumerate(self.levels):
+            code = rows[:, cols].astype(np.int64) @ places
+            if level:
+                code += pos * _POWERS[len(cols)]
+            pos = keys.searchsorted(code)
+        np.minimum(pos, len(self.table) - 1, out=pos)
+        return pos, (self.table.take(pos, axis=0) == rows).all(axis=1)
+
+
+def _member_mask(rows: np.ndarray, group: FiniteGroup) -> np.ndarray:
+    return group._index.find(rows)[1]
 
 
 @dataclass(frozen=True)
@@ -181,32 +244,29 @@ class GroupFingerprint:
 class FiniteGroup:
     """A subgroup of Sym({1..27}) stored as its element table.  The constructor
     sorts the rows, so row 0 is the identity, iteration and indexing follow
-    ``sorted`` order, and equal groups have equal tables.  ``keys``, the
-    bytes of the rows, may be handed over by a caller that already has them."""
+    ``sorted`` order, and equal groups have equal tables; it builds the
+    membership index over the sorted table (see the module docstring) and
+    rejects a table that misses the identity or repeats a row."""
 
     generators: tuple[Permutation, ...]
     table: np.ndarray = field(repr=False)
-    keys: InitVar[frozenset[bytes] | None] = None
+    _index: _BaseIndex = field(init=False, repr=False)
 
-    def __post_init__(self, keys: frozenset[bytes] | None):
+    def __post_init__(self):
         table = np.asarray(self.table, dtype=np.uint8)
         table = table[np.lexsort(table.T[::-1])]
         table.setflags(write=False)
         object.__setattr__(self, "table", table)
-        if keys is not None:
-            self.__dict__["_keys"] = keys
         if not len(table) or not np.array_equal(table[0], _IDENTITY_ROW):
             raise ValueError("group must contain the identity")
-        if not all(g in self for g in self.generators):
+        object.__setattr__(self, "_index", _BaseIndex(table))
+        gens = np.array([g.images for g in self.generators], dtype=np.uint8).reshape(-1, N_POINTS)
+        if not _member_mask(gens - 1, self).all():
             raise ValueError("generators must belong to the element set")
 
     @property
     def order(self) -> int:
         return len(self.table)
-
-    @cached_property
-    def _keys(self) -> frozenset[bytes]:
-        return frozenset(_row_keys(self.table))
 
     @property
     def elements(self) -> frozenset[Permutation]:
@@ -214,7 +274,7 @@ class FiniteGroup:
         return frozenset(self)
 
     def __contains__(self, p: Permutation) -> bool:
-        return _row(p).tobytes() in self._keys
+        return bool(_member_mask(_row(p)[None, :], self)[0])
 
     def __len__(self) -> int:
         return len(self.table)
@@ -226,7 +286,7 @@ class FiniteGroup:
         return map(_from_row, self.table.tolist())
 
     def __le__(self, other: "FiniteGroup") -> bool:
-        return self._keys <= other._keys
+        return self.order <= other.order and bool(_member_mask(self.table, other).all())
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, FiniteGroup) and np.array_equal(self.table, other.table)
@@ -249,8 +309,11 @@ class FiniteGroup:
 
     @classmethod
     def from_table(cls, table: np.ndarray) -> "FiniteGroup":
-        """Group on the distinct rows of a table that is closed under composition."""
-        return cls(generators=small_generating_set(table), table=table)
+        """Group on the rows of a table that is closed under composition,
+        generated by its ``small_generating_set``."""
+        group = cls(generators=(), table=table)
+        object.__setattr__(group, "generators", small_generating_set(group))
+        return group
 
 
 TRIVIAL_GROUP = FiniteGroup(generators=(), table=_IDENTITY_ROW[None, :])
@@ -259,41 +322,81 @@ TRIVIAL_GROUP = FiniteGroup(generators=(), table=_IDENTITY_ROW[None, :])
 class Closure:
     """Dimino closure grown one generator row at a time.
 
-    ``table`` holds the group generated so far and ``keys`` the bytes of its
-    rows.  Each generator that falls outside grows the group as a union of
-    left cosets ``c H`` of the previous group H, adding one whenever a
-    generator times a representative falls outside.  Raises
-    GroupGenerationError exactly when the order exceeds ``cap``, which signals
-    a wrong generator set (nothing in scope is larger than 51840).
+    ``table`` holds the group generated so far: the group H it was before its
+    last generator, followed by the left cosets ``c H`` that generator opened,
+    in the order their representatives ``c`` were found, each generator times
+    a representative that falls outside giving the next one.  An element
+    ``c`` lies in the table exactly when ``r^-1 c`` lies in H for a
+    representative ``r``, a lookup in H's index, so the closure keeps no key
+    per element.  Only the representatives whose coset has ``c``'s coset key
+    are tried: the H-orbit labels as ``c`` moves them, which ``c h`` moves
+    alike.  Raises GroupGenerationError exactly when the order exceeds
+    ``cap``, which signals a wrong generator set (nothing in scope is larger
+    than 51840).
     """
 
     def __init__(self, cap: int = 200_000):
         self.cap = cap
         self.table = _IDENTITY_ROW[None, :]
-        self.keys = {_IDENTITY_ROW.tobytes()}
         self.rows: list[np.ndarray] = []  # the generator rows that grew the group
+        self._cosets_of(self.table)
+
+    def _cosets_of(self, sub: np.ndarray) -> None:
+        """Start over with H the group of element table ``sub`` and the
+        identity as its only representative."""
+        self._sub = _BaseIndex(sub[np.lexsort(sub.T[::-1])])
+        self._orbit_min = sub.min(axis=0)  # each point's smallest H-orbit mate
+        self._inverses = [_IDENTITY_ROW]  # r^-1 of each representative r
+        self._cosets = {self._coset_keys(_IDENTITY_ROW[None, :])[0]: [0]}
+
+    def _coset_keys(self, rows: np.ndarray) -> list[bytes]:
+        """The coset key of each row: the H-orbit labels as it moves them."""
+        moved = np.empty_like(rows)
+        moved[np.arange(len(rows))[:, None], rows] = self._orbit_min
+        raw = moved.tobytes()
+        return [raw[i : i + N_POINTS] for i in range(0, len(raw), N_POINTS)]
+
+    def _in_cosets(self, rows: np.ndarray, keys: list[bytes], since: int = 0) -> np.ndarray:
+        """Which rows lie in the coset of a representative numbered ``since``
+        or later, tested in one lookup."""
+        pairs = [(i, r) for i, key in enumerate(keys) for r in self._cosets.get(key, ()) if r >= since]
+        inside = np.zeros(len(rows), dtype=bool)
+        if pairs:
+            i, r = np.array(pairs).T
+            inverses = np.array([self._inverses[k] for k in r.tolist()])
+            conj = inverses[np.arange(len(r))[:, None], rows[i]]  # r^-1 c
+            inside[i[self._sub.find(conj)[1]]] = True
+        return inside
 
     def add(self, row: np.ndarray) -> bool:
         """Close over one more generator row; False if it is already inside."""
-        if row.tobytes() in self.keys:
+        if self._in_cosets(row[None, :], self._coset_keys(row[None, :]))[0]:
             return False
-        self.rows.append(row)
         prev = self.table
-        blocks = [prev]
-        reps = [_IDENTITY_ROW]
+        self._cosets_of(prev)
+        self.rows.append(row)
+        gens = np.array(self.rows)
+        reps: list[np.ndarray] = []  # but the identity
+        self._open(row, self._coset_keys(row[None, :])[0], reps)
         for rep in reps:  # grows while it is walked
-            for t in self.rows:
-                c = t[rep]
-                if c.tobytes() in self.keys:
+            known = len(self._inverses)
+            cands = gens[:, rep]
+            keys = self._coset_keys(cands)
+            for j in np.flatnonzero(~self._in_cosets(cands, keys)).tolist():
+                # a coset opened since this representative's turn began
+                if len(self._inverses) > known and self._in_cosets(cands[j : j + 1], keys[j : j + 1], known)[0]:
                     continue
-                coset = c[prev]
-                self.keys.update(_row_keys(coset))
-                if len(self.keys) > self.cap:
-                    raise GroupGenerationError(f"closure exceeded cap of {self.cap} elements")
-                reps.append(c)
-                blocks.append(coset)
-        self.table = np.concatenate(blocks)
+                self._open(cands[j], keys[j], reps)
+        self.table = np.concatenate([prev] + [c[prev] for c in reps])
         return True
+
+    def _open(self, c: np.ndarray, key: bytes, reps: list[np.ndarray]) -> None:
+        """Append ``c`` to the representatives (``table`` is still H)."""
+        if (len(self._inverses) + 1) * len(self.table) > self.cap:
+            raise GroupGenerationError(f"closure exceeded cap of {self.cap} elements")
+        self._cosets.setdefault(key, []).append(len(self._inverses))
+        self._inverses.append(np.argsort(c).astype(np.uint8))
+        reps.append(c)
 
     def add_permutation(self, p: Permutation) -> bool:
         """add() for a Permutation."""
@@ -307,7 +410,7 @@ class Closure:
         """The closure as a group, generated by ``generators`` or by default by
         the rows that grew it."""
         gens = self.generators if generators is None else tuple(generators)
-        return FiniteGroup(generators=gens, table=self.table, keys=frozenset(self.keys))
+        return FiniteGroup(generators=gens, table=self.table)
 
 
 def generate(gens: Sequence[Permutation], cap: int = 200_000) -> FiniteGroup:
@@ -353,10 +456,6 @@ def setwise_stabilizer(group: FiniteGroup, points: Iterable[int]) -> FiniteGroup
 def _require_subgroup(group: FiniteGroup, sub: FiniteGroup, what: str) -> None:
     if not sub <= group:
         raise NotASubgroupError(f"{what}: second argument is not a subgroup of the first")
-
-
-def _member_mask(rows: np.ndarray, group: FiniteGroup) -> np.ndarray:
-    return np.fromiter(map(group._keys.__contains__, _row_keys(rows)), dtype=bool, count=len(rows))
 
 
 def _survivors(table: np.ndarray, gens: Sequence[Permutation], test) -> tuple[np.ndarray, np.ndarray]:
@@ -478,7 +577,7 @@ def direct_product_check(group: FiniteGroup, a: FiniteGroup, b: FiniteGroup) -> 
     """True iff ``group`` is the internal direct product of ``a`` and ``b``."""
     if not (a <= group and b <= group) or a.order * b.order != group.order:
         return False
-    if len(a._keys & b._keys) != 1:  # only the identity
+    if _member_mask(a.table, b).sum() != 1:  # only the identity
         return False
     for sub in (a, b):
         for g in group.generators:
@@ -489,23 +588,35 @@ def direct_product_check(group: FiniteGroup, a: FiniteGroup, b: FiniteGroup) -> 
     return True
 
 
-def small_generating_set(table: np.ndarray) -> tuple[Permutation, ...]:
-    """Greedy small generating set for the distinct rows of an element table:
-    walk the elements in sorted order and keep each one the closure so far
-    misses, growing one closure.  Rejects row sets that are not a group: the
-    closure overshoots the input or misses one of its rows, or the input is
-    empty or repeats a row."""
-    rows = np.asarray(table, dtype=np.uint8)
-    keys = _row_keys(rows)
-    closure = Closure(cap=len(rows))
-    try:
-        for i in np.lexsort(rows.T[::-1]).tolist():
-            if len(closure.keys) == len(rows):
-                break
-            if keys[i] not in closure.keys:
-                closure.add(rows[i])
-    except GroupGenerationError:
-        raise ValueError("element set is not closed under composition") from None
-    if len(closure.keys) != len(rows) or closure.keys != set(keys):
-        raise ValueError("element set is not closed under composition")
-    return closure.generators
+def small_generating_set(group: FiniteGroup) -> tuple[Permutation, ...]:
+    """Greedy small generating set for the element table of a group (its
+    generators are not read): walk the elements in sorted order and keep each
+    one the group generated so far misses.  That group grows as in Closure,
+    by left cosets ``c H`` of the group before, but inside the table: a mask
+    over the sorted rows marks its elements, the products of one
+    representative with every generator are looked up in the table's index at
+    once, and so is each new coset.  Rejects a table that is not closed under
+    composition."""
+    rows = group.table
+
+    def locate(found: np.ndarray) -> np.ndarray:
+        pos, hit = group._index.find(found)
+        if not hit.all():
+            raise ValueError("element set is not closed under composition")
+        return pos
+
+    inside = np.zeros(len(rows), dtype=bool)
+    inside[0] = True  # the identity
+    gens: list[np.ndarray] = []
+    while not inside.all():
+        gens.append(rows[int(np.argmin(inside))])  # the first row not yet inside
+        sub, stack = rows[inside], np.array(gens)
+        inside[locate(gens[-1][sub])] = True
+        reps = [gens[-1]]
+        for rep in reps:  # grows while it is walked
+            cands = stack[:, rep]
+            for c, p in zip(cands, locate(cands).tolist()):
+                if not inside[p]:
+                    inside[locate(c[sub])] = True
+                    reps.append(c)
+    return tuple(_from_row(g.tolist()) for g in gens)

@@ -8,10 +8,14 @@ import pytest
 
 from cubic27 import fermat_data, lines
 from cubic27.perm import (
+    Closure,
+    FiniteGroup,
     GroupGenerationError,
     IDENTITY,
     NotASubgroupError,
+    Permutation,
     TRIVIAL_GROUP,
+    _member_mask,
     centralizer,
     compose,
     conjugate_subgroup,
@@ -27,6 +31,7 @@ from cubic27.perm import (
     parse_cycles,
     pointwise_stabilizer,
     setwise_stabilizer,
+    small_generating_set,
 )
 
 
@@ -381,6 +386,12 @@ class TestFromElements:
         with pytest.raises(ValueError):
             FiniteGroup.from_table(_table([IDENTITY, c3, c3]))
 
+    def test_constructor_rejects_a_repeated_row(self):
+        # two identity rows would make a group of order 2 that is <= and >=
+        # the trivial group but not equal to it
+        with pytest.raises(ValueError, match="repeats a row"):
+            FiniteGroup(generators=(), table=_table([IDENTITY, IDENTITY]))
+
     def test_empty_generator_list_rejected(self):
         with pytest.raises(ValueError):
             generate([])
@@ -465,3 +476,108 @@ class TestTableAgainstBruteForce:
             found, witness = is_subconjugate(group, sub, target)
             witnesses = [p for p in group if _conjugates_into(p, sub, target)]
             assert found and witness == min(witnesses)
+
+
+@pytest.fixture(scope="module")
+def paired() -> FiniteGroup:
+    """<(1,2), (3,4), ..., (23,24)> x Sym{25,26,27}, order 24576: its base has
+    14 columns, one more than a single int64 key holds."""
+    pairs = [parse_cycles(f"({a},{a + 1})") for a in range(1, 24, 2)]
+    return generate(pairs + [parse_cycles("(25,26)"), parse_cycles("(25,26,27)")])
+
+
+def _base_columns(group: FiniteGroup) -> list[int]:
+    return np.concatenate([cols for cols, _, _ in group._index.levels] or [[]]).astype(int).tolist()
+
+
+class TestMembershipIndex:
+    def test_base_of_the_weyl_group(self, weyl):
+        assert [c + 1 for c in _base_columns(weyl)] == [1, 2, 3, 5, 6, 13]
+        assert len(weyl._index.levels) == 1
+
+    def test_a_base_past_13_columns_is_folded(self, paired):
+        assert paired.order == 2**12 * 6
+        assert [c + 1 for c in _base_columns(paired)] == list(range(1, 24, 2)) + [25, 26]
+        assert [len(cols) for cols, _, _ in paired._index.levels] == [13, 1]
+
+    @pytest.mark.parametrize("name", ["weyl", "s4", "klein", "trivial", "paired"])
+    def test_membership_matches_a_set_of_tuples(self, name, request):
+        group = TRIVIAL_GROUP if name == "trivial" else request.getfixturevalue(name)
+        members = set(map(tuple, group.table.tolist()))
+        rng = np.random.default_rng(23)
+        picks = group.table[rng.integers(0, group.order, 60)]
+        # non-members that agree with a member on every base column: swap
+        # two entries outside the base
+        outside = [c for c in range(27) if c not in _base_columns(group)]
+        swapped = picks.copy()
+        for row in swapped:
+            a, b = rng.choice(outside, 2, replace=False)
+            row[[a, b]] = row[[b, a]]
+        randoms = np.array([rng.permutation(27) for _ in range(60)], dtype=np.uint8)
+        queries = np.concatenate([group.table[:5], picks, swapped, randoms])
+        expected = [tuple(q) in members for q in queries.tolist()]
+        assert not any(tuple(q) in members for q in swapped.tolist())
+        assert _member_mask(queries, group).tolist() == expected
+        assert [Permutation([x + 1 for x in q]) in group for q in queries.tolist()] == expected
+
+
+class TestClosure:
+    def test_add_appends_the_new_cosets_in_representative_order(self, s4):
+        # reference Dimino over tuples: coset representatives and their order
+        closure = Closure()
+        gens = [tuple(int(x) for x in np.array(g.images) - 1) for g in s4.generators]
+        for k, g in enumerate(gens):
+            before = closure.table.copy()
+            assert closure.add(np.array(g, dtype=np.uint8))
+            assert np.array_equal(closure.table[: len(before)], before)
+            prev = [tuple(r) for r in before.tolist()]
+            elements, reps = set(prev), [tuple(range(27))]
+            for rep in reps:
+                for t in gens[: k + 1]:
+                    c = tuple(t[x] for x in rep)
+                    if c not in elements:
+                        elements.update(tuple(c[x] for x in h) for h in prev)
+                        reps.append(c)
+            expected = prev + [tuple(c[x] for x in h) for c in reps[1:] for h in prev]
+            assert [tuple(r) for r in closure.table.tolist()] == expected
+        assert not closure.add(closure.table[-1])
+        assert closure.group() == s4
+
+
+class TestSmallGeneratingSet:
+    """Cycle strings of the greedy generating sets, pinned; reports print
+    the generators of groups built from tables."""
+
+    PINNED = {
+        "weyl": [
+            "(13,23)(14,19)(15,18)(16,22)(17,24)(20,21)",
+            "(6,15)(8,14)(10,16)(12,13)(20,27)(24,26)",
+            "(5,8)(6,7)(9,12)(10,11)(17,20)(21,24)",
+            "(3,4)(5,10)(6,9)(7,12)(8,11)(13,15)(14,16)(17,24)(18,23)(19,22)(20,21)(26,27)",
+            "(3,17,24)(4,21,20)(7,23,13)(8,16,22)(9,18,15)(10,14,19)",
+            "(2,6,7)(4,8,5)(9,25,12)(10,26,11)(16,21,24)(17,22,20)",
+            "(1,2)(5,9)(6,10)(7,11)(8,12)(13,14)(15,16)(17,21)(18,22)(19,23)(20,24)(26,27)",
+        ],
+        "w_a5": [
+            "(13,23)(14,19)(15,18)(16,22)(17,24)(20,21)",
+            "(6,15)(8,14)(10,16)(12,13)(20,27)(24,26)",
+            "(5,8)(6,7)(9,12)(10,11)(17,20)(21,24)",
+            "(2,9)(3,11)(7,25)(8,27)(14,20)(19,21)",
+            "(1,3)(2,4)(5,6)(7,8)(9,12)(10,11)(14,15)(17,20)(18,19)(21,24)",
+        ],
+        "s4": [
+            "(3,4)(5,11)(6,12)(7,9)(8,10)(13,15)(14,16)(17,21)(18,23)(19,22)(20,24)(26,27)",
+            "(1,2)(5,9)(6,10)(7,11)(8,12)(13,14)(15,16)(17,21)(18,22)(19,23)(20,24)(26,27)",
+            "(1,3)(2,4)(5,6)(7,8)(9,12)(10,11)(14,15)(17,20)(18,19)(21,24)",
+            "(1,5,4,8)(2,6,3,7)(9,11,10,12)(13,17,16,20)(14,19)(15,18)(21,23,24,22)(25,26)",
+        ],
+        "klein": [
+            "(13,23)(14,19)(15,18)(16,22)(17,24)(20,21)",
+            "(1,2)(3,4)(5,6)(7,8)(9,10)(11,12)(13,16)(14,15)(17,20)(18,19)(21,24)(22,23)",
+        ],
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_pinned(self, name, request):
+        group = request.getfixturevalue(name)
+        assert [format_cycles(g) for g in small_generating_set(group)] == self.PINNED[name]
