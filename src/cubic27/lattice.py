@@ -10,6 +10,11 @@ Q(L,L) = -1, Q(L,K) = 1.  A marking is one integer class matrix V whose
 row k - 1 is the class of line k, built from the incidence graph's adjacency
 array; every consumer reads the lattice from it.  Reflections in a stack of
 roots permute the 27 classes in one product over all of them.
+
+The mod-3 image of a whole group is read off seven line lookups per element:
+an element's image is linear in the classes of the seven basis lines' images,
+so it is a sum of seven rows of tables built once per marking, indexed by the
+element table's basis columns, and no element's 7x7 matrix is formed.
 """
 
 from __future__ import annotations
@@ -254,8 +259,54 @@ def preserves_q5(red: ReductionMap, mat5: Sequence[Sequence[int]]) -> bool:
 
 
 # build_po_group reads the element table in blocks of this many rows, so
-# that its int64 (rows, 7, 7) intermediates stay a few MiB
+# that its (rows, 30) intermediates stay a few MiB
 _PO_BLOCK_ROWS = 4096
+
+# place values of the 25 base-3 digits of a 5x5 block, first entry most
+# significant; codes stay below 3**25 < 2**53, so a float64 dot is exact
+_PO_PLACES = 3.0 ** np.arange(24, -1, -1)
+_NEGATE = np.array([0, 2, 1], dtype=np.uint8)  # x -> -x on F3
+_NOT_DIVISIBLE = 3  # the digit table's mark for a sum that 3 does not divide
+
+
+def _line_tables(red: ReductionMap, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The line-lookup kernel of a marking: the rows of the basis lines, the
+    (7, 27, 30) int16 tables P and the uint8 digit table.
+
+    An element with 0-based line images t acts on the basis classes by the
+    7x7 matrix B whose row j is v[t(b_j)], and its image with the radical
+    column is left B^T right / 3 (left = quot -A R^T Q, right = U^T R
+    [lift | r]).  That is linear in the rows of B: left B^T right is the sum
+    over j of P[j, t(b_j)], where P[j, l] is the outer product of left v[l]
+    with right[j].  Its 30 entries are stored as the 5x5 block in reading
+    order, then the radical column.  Each table is offset by its largest
+    |entry|, so a sum of seven lookups indexes the digit table directly: at
+    a sum s (offset removed) it holds (s / 3) mod 3, or _NOT_DIVISIBLE when
+    3 does not divide s."""
+    left = red.quot @ red._projector  # 5 x 7
+    right = _UNBASIS.T @ red.root_matrix @ np.column_stack([red.lift, red.radical])  # 7 x 6
+    outer = (v @ left.T)[None, :, :, None] * right[:, None, None, :]  # (j, l, 5, 6)
+    tables = np.concatenate([outer[..., :5].reshape(7, -1, 25), outer[..., 5]], axis=2)
+    bound = int(np.abs(tables).max())
+    sums = np.arange(-7 * bound, 7 * bound + 1)
+    digits = np.where(sums % 3, _NOT_DIVISIBLE, sums // 3 % 3).astype(np.uint8)
+    return _basis_rows(v), (tables + bound).astype(np.int16), digits
+
+
+def _signed_codes(tables: np.ndarray, digits: np.ndarray, images: np.ndarray) -> np.ndarray:
+    """The base-3 codes of M and -M, as a (2, rows) float64 array, for the
+    elements whose images of the seven basis lines are the rows of images
+    (0-based); raises unless every image is integral and descends."""
+    total = tables[0].take(images[:, 0], axis=0)
+    for j in range(1, 7):
+        total += tables[j].take(images[:, j], axis=0)
+    entries = digits.take(total)
+    if np.any(entries == _NOT_DIVISIBLE):
+        raise ValueError("some element does not restrict to the root span")
+    if entries[:, 25:].any():
+        raise ValueError("some element does not descend to the quotient")
+    block = entries[:, :25]
+    return np.stack([block, _NEGATE.take(block)]).astype(np.float64) @ _PO_PLACES
 
 
 def build_po_group(
@@ -266,14 +317,17 @@ def build_po_group(
     """Images of every group element; returns (projective image set, order of
     the matrix set before projectivization).
 
-    Vectorized: each element's 7x7 extension M7 is read off the images of the
-    basis classes h - e1 - e2, e1..e6, gathered from the group's element
-    table one block of rows at a time, and the closed-form restriction
-    W6 = -A R^T Q M7 R / 3 and the quotient quot W6 [lift | r] are applied in
-    the same products.  Each 5x5 block mod 3 is encoded as a base-3 integer (first entry most
-    significant), so the projective image set is the sorted array of codes
-    of the representatives ``_canonical_sign`` picks, the smaller code of M
-    and -M.
+    No element's 7x7 extension is formed: its image quot W6 [lift | r], with
+    W6 = -A R^T Q M7 R / 3, is linear in the classes of the seven basis
+    lines' images, so it is a sum of seven lookups in tables built from the
+    marking (``_line_tables``), taken with the group's element table one
+    block of rows at a time.  Each entry goes through one digit table that
+    divides by 3 and reduces mod 3, and raises where 3 does not divide it;
+    a nonzero radical column raises too.  Each 5x5 block mod 3 is encoded as
+    a base-3 integer (first entry most significant), and the codes of M and
+    -M are one float64 dot, exact below 2**53.  The projective image set is
+    the sorted array of codes of the representatives ``_canonical_sign``
+    picks, the smaller code of M and -M.
     """
     gram = v @ _Q @ v.T
     for g in group.generators:
@@ -281,23 +335,15 @@ def build_po_group(
         if not np.array_equal(gram[np.ix_(rows, rows)], gram):
             raise ValueError("some generator does not preserve the incidence structure")
 
-    left = red.quot @ red._projector  # 5 x 7
-    right = _UNBASIS.T @ red.root_matrix @ np.column_stack([red.lift, red.radical])  # 7 x 6
-    place = 3 ** np.arange(24, -1, -1, dtype=np.int64)
-    basis = _basis_rows(v)
-    codes, neg_codes = [], []
-    for start in range(0, group.order, _PO_BLOCK_ROWS):
-        basis_images = v[group.table[start : start + _PO_BLOCK_ROWS, basis]]  # rows = images
-        # exact on W: the entries of -A R^T Q M7 R are multiples of 3
-        conj = (left @ basis_images.transpose(0, 2, 1) @ right) // 3
-        if np.any(conj[:, :, 5] % 3):
-            raise ValueError("some element does not descend to the quotient")
-        blocks = conj[:, :, :5].reshape(-1, 25) % 3
-        codes.append(blocks @ place)
-        neg_codes.append(((3 - blocks) % 3) @ place)
-    codes, neg_codes = np.concatenate(codes), np.concatenate(neg_codes)
-    signed = _distinct(np.concatenate([codes, neg_codes]))
-    return _distinct(np.minimum(codes, neg_codes)), len(signed)
+    basis, tables, digits = _line_tables(red, v)
+    codes = np.concatenate(
+        [
+            _signed_codes(tables, digits, group.table[start : start + _PO_BLOCK_ROWS, basis])
+            for start in range(0, group.order, _PO_BLOCK_ROWS)
+        ],
+        axis=1,
+    ).astype(np.int64)
+    return _distinct(codes.min(axis=0)), len(_distinct(codes.reshape(-1)))
 
 
 def _distinct(codes: np.ndarray) -> np.ndarray:

@@ -84,7 +84,7 @@ def symmetric_family() -> FamilySpec:
         symmetry=lines_mod.s4_group(),
         base=np.array([1, 0, 0]),
         scale=0.9,
-        components=_SYMMETRIC_NODAL_COMPONENTS,
+        components=_SYMMETRIC_COMPONENTS,
     )
 
 
@@ -226,7 +226,7 @@ _REAL_ROOT_RTOL = 1e-9
 # component, the reducible cubics L3: 3a - 3b + c = 0, is left out: its
 # local monodromy is the identity, so a circle around it adds nothing to
 # the group.
-_SYMMETRIC_NODAL_COMPONENTS: dict[str, dict[tuple[int, int, int], int]] = {
+_SYMMETRIC_COMPONENTS: dict[str, dict[tuple[int, int, int], int]] = {
     # a node (A1) at (1, 1, 1, 1)
     "L1": {(1, 0, 0): 1, (0, 1, 0): 3, (0, 0, 1): 1},
     # three cusps (A2): the S4-orbit of (1, 1, -1, -1)
@@ -694,10 +694,13 @@ def _claim_presentation_and_double_sixes() -> Claim:
     six = fermat_data.PRESENTATION_SIX
     gens = lattice.weyl_presentation_from_six(six)
     printed = [perm.parse_cycles(s) for s in fermat_data.PRESENTATION_GENERATOR_CYCLES]
-    exps = lattice.coxeter_exponents()
+    exps = lattice.coxeter_exponents().reshape(-1)
 
     def coxeter_ok(g) -> bool:
-        return all((g[i] * g[j]).order() == exps[i][j] for i in range(6) for j in range(6))
+        # the orders of the 36 products g[i] * g[j], one (36, 27) table
+        rows = np.array([p.images for p in g], dtype=np.uint8) - 1
+        products = rows[:, rows].reshape(36, -1)  # row 6i + j is g[i][g[j]]
+        return np.array_equal(perm._element_orders(products), exps)
 
     sixes = lines_mod.skew_sixes()
     rng = _random.Random(11)

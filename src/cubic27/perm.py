@@ -9,9 +9,10 @@ first differ form a base of the group (points whose images fix an element, as
 in Sims' stabilizer chain): rows are distinct on it, and their base-27 codes
 over it ascend with the rows, so one ``np.searchsorted`` finds the one row a
 query can equal, and an exact compare with that whole row decides.  The same
-adjacent-row test rejects a table that repeats a row.  27**13 is the largest
-power of 27 in an int64, so a longer base is folded: after each chunk of
-columns a key is replaced by its rank among the table's distinct keys, and
+adjacent-row test rejects a table that repeats a row, and shows when rows
+already ascend, so a table is sorted only when it is not.  27**13 is the
+largest power of 27 in an int64, so a longer base is folded: after each chunk
+of columns a key is replaced by its rank among the table's distinct keys, and
 the codes of the next columns are appended to the rank.  W(E6)'s base is the
 six points 1, 2, 3, 5, 6, 13, one chunk.
 
@@ -185,7 +186,7 @@ _POWERS = [N_POINTS**k for k in range(N_POINTS)]
 
 
 class _BaseIndex:
-    """Membership index of a lexicographically sorted table of distinct rows.
+    """Membership index of a table of distinct rows, in lexicographic order.
 
     ``levels`` holds, chunk by chunk of the base columns, the columns, their
     base-27 place values and the ascending distinct keys of the table over
@@ -193,13 +194,17 @@ class _BaseIndex:
     level before (0 at the first level) followed by the base-27 digits of its
     chunk.  Each chunk is as wide as keeps every key, a query's too, below
     2**63: 13 columns at the first level, 9 for a rank below 10**6.  The keys
-    of the last level are the table's rows, one each."""
+    of the last level are the table's rows, one each.  ``table`` is the input
+    sorted, or the input itself when its rows already ascend (a mask over a
+    sorted table does), which the adjacent-row test shows without a sort."""
 
     def __init__(self, table: np.ndarray):
-        differs = table[1:] != table[:-1]
-        first = differs.argmax(axis=1)  # where each row first leaves the one before
-        if not differs[np.arange(len(first)), first].all():
-            raise ValueError("element table repeats a row")
+        first = _first_differences(table)
+        if first is None:  # the rows do not ascend: sort them
+            table = table[np.lexsort(table.T[::-1])]
+            first = _first_differences(table)
+            if first is None:
+                raise ValueError("element table repeats a row")
         base = np.flatnonzero(np.bincount(first, minlength=N_POINTS))
         self.table = table
         self.levels: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
@@ -229,6 +234,17 @@ class _BaseIndex:
         return pos, (self.table.take(pos, axis=0) == rows).all(axis=1)
 
 
+def _first_differences(table: np.ndarray) -> np.ndarray | None:
+    """For each row after the first, the column where it first leaves the row
+    before; None unless every row is larger than the one before."""
+    if not (table[1:, 0] >= table[:-1, 0]).all():  # one column settles most unsorted tables
+        return None
+    differs = table[1:] != table[:-1]
+    first = differs.argmax(axis=1)
+    steps = np.arange(len(first))
+    return first if (table[1:][steps, first] > table[:-1][steps, first]).all() else None
+
+
 def _member_mask(rows: np.ndarray, group: FiniteGroup) -> np.ndarray:
     return group._index.find(rows)[1]
 
@@ -243,10 +259,11 @@ class GroupFingerprint:
 @dataclass(frozen=True, eq=False)
 class FiniteGroup:
     """A subgroup of Sym({1..27}) stored as its element table.  The constructor
-    sorts the rows, so row 0 is the identity, iteration and indexing follow
-    ``sorted`` order, and equal groups have equal tables; it builds the
-    membership index over the sorted table (see the module docstring) and
-    rejects a table that misses the identity or repeats a row."""
+    sorts the rows (unless they already ascend), so row 0 is the identity,
+    iteration and indexing follow ``sorted`` order, and equal groups have
+    equal tables; it builds the membership index over the sorted table (see
+    the module docstring) and rejects a table that misses the identity or
+    repeats a row."""
 
     generators: tuple[Permutation, ...]
     table: np.ndarray = field(repr=False)
@@ -254,12 +271,16 @@ class FiniteGroup:
 
     def __post_init__(self):
         table = np.asarray(self.table, dtype=np.uint8)
-        table = table[np.lexsort(table.T[::-1])]
-        table.setflags(write=False)
-        object.__setattr__(self, "table", table)
-        if not len(table) or not np.array_equal(table[0], _IDENTITY_ROW):
+        if not len(table):
             raise ValueError("group must contain the identity")
-        object.__setattr__(self, "_index", _BaseIndex(table))
+        index = _BaseIndex(table)
+        if index.table is table:  # the input already ascends: own a copy of it
+            index.table = index.table.copy()
+        index.table.setflags(write=False)
+        object.__setattr__(self, "table", index.table)
+        object.__setattr__(self, "_index", index)
+        if not np.array_equal(self.table[0], _IDENTITY_ROW):
+            raise ValueError("group must contain the identity")
         gens = np.array([g.images for g in self.generators], dtype=np.uint8).reshape(-1, N_POINTS)
         if not _member_mask(gens - 1, self).all():
             raise ValueError("generators must belong to the element set")
@@ -344,7 +365,7 @@ class Closure:
     def _cosets_of(self, sub: np.ndarray) -> None:
         """Start over with H the group of element table ``sub`` and the
         identity as its only representative."""
-        self._sub = _BaseIndex(sub[np.lexsort(sub.T[::-1])])
+        self._sub = _BaseIndex(sub)
         self._orbit_min = sub.min(axis=0)  # each point's smallest H-orbit mate
         self._inverses = [_IDENTITY_ROW]  # r^-1 of each representative r
         self._cosets = {self._coset_keys(_IDENTITY_ROW[None, :])[0]: [0]}

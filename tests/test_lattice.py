@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from itertools import combinations, product
 
@@ -250,10 +251,9 @@ class TestMod3Reduction:
 
     def test_projective_codes_are_the_po_images(self, reduction, marking, s4):
         projective, signed = build_po_group(reduction, marking, s4)
-        expected = set()
-        for p in s4:
-            flat = [x for row in po_image(reduction, p, marking) for x in row]
-            expected.add(sum(x * 3 ** (24 - k) for k, x in enumerate(flat)))
+        expected = {
+            _base3([x for row in po_image(reduction, p, marking) for x in row]) for p in s4
+        }
         assert set(projective.tolist()) == expected
         assert len(projective) == 24 and signed == 48
 
@@ -261,6 +261,32 @@ class TestMod3Reduction:
         projective, signed = build_po_group(reduction, marking, weyl)
         assert len(projective) == 51840
         assert signed == 103680
+
+    def test_line_lookups_match_po_image(self, reduction, marking, weyl):
+        # oracle: per element, the kernel's codes of M and -M against the
+        # matrix of an explicit 7x7 extension, and the smaller of them
+        # against the base-3 code of po_image
+        rows = np.random.default_rng(37).choice(weyl.order, 240, replace=False)
+        basis, tables, digits = lattice._line_tables(reduction, marking)
+        codes, neg_codes = lattice._signed_codes(tables, digits, weyl.table[rows][:, basis])
+        for k, code, neg_code in zip(rows.tolist(), codes.tolist(), neg_codes.tolist()):
+            w6 = restrict_to_root_coords(reduction, extend_to_lattice_automorphism(weyl[k], marking))
+            signed = (reduction.quot @ w6 @ reduction.lift % 3).reshape(-1).tolist()
+            assert code == _base3(signed) and neg_code == _base3([-x % 3 for x in signed])
+            flat = [x for row in po_image(reduction, weyl[k], marking) for x in row]
+            assert min(code, neg_code) == _base3(flat)
+
+    def test_partner_six_marking_gives_the_same_orders(self, reduction, weyl):
+        partner = lattice.marking_vectors(lines.partner_six(fermat_data.PRESENTATION_SIX))
+        projective, signed = build_po_group(reduction, partner, weyl)
+        assert len(projective) == 51840 and signed == 103680
+
+    def test_perturbed_projector_raises(self, reduction, marking, weyl):
+        projector = reduction._projector.copy()
+        projector[0, 0] += 1
+        perturbed = dataclasses.replace(reduction, _projector=projector)
+        with pytest.raises(ValueError, match="root span"):
+            build_po_group(perturbed, marking, weyl)
 
     def test_every_image_preserves_q5(self, reduction, marking, weyl):
         projective, _ = build_po_group(reduction, marking, weyl)
@@ -313,6 +339,10 @@ class TestImagesInPO:
         for a in s4_img:
             for b in klein_img:
                 assert _f3_mul(a, b) == _f3_mul(b, a)
+
+
+def _base3(digits):
+    return sum(x * 3 ** (24 - i) for i, x in enumerate(digits))
 
 
 def _f3_mul(a, b):

@@ -203,7 +203,7 @@ class TestLoops:
         assert revalidate([loop.vertices], fiber) == ([perm], [True])
 
 
-COMPONENTS = monodromy._SYMMETRIC_NODAL_COMPONENTS
+COMPONENTS = monodromy._SYMMETRIC_COMPONENTS
 
 
 def _value(form, a, b, c):

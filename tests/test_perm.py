@@ -486,6 +486,10 @@ def paired() -> FiniteGroup:
     return generate(pairs + [parse_cycles("(25,26)"), parse_cycles("(25,26,27)")])
 
 
+def _no_sort(keys):
+    raise AssertionError("a table was sorted")
+
+
 def _base_columns(group: FiniteGroup) -> list[int]:
     return np.concatenate([cols for cols, _, _ in group._index.levels] or [[]]).astype(int).tolist()
 
@@ -499,6 +503,36 @@ class TestMembershipIndex:
         assert paired.order == 2**12 * 6
         assert [c + 1 for c in _base_columns(paired)] == list(range(1, 24, 2)) + [25, 26]
         assert [len(cols) for cols, _, _ in paired._index.levels] == [13, 1]
+
+    @pytest.mark.parametrize("name", ["weyl", "s4", "klein", "paired"])
+    def test_sorted_and_shuffled_tables_give_equal_groups(self, name, request):
+        group = request.getfixturevalue(name)
+        shuffled = group.table[np.random.default_rng(5).permutation(group.order)]
+        assert not np.array_equal(shuffled, group.table)
+        for table in (group.table, shuffled, group.table[::-1]):
+            rebuilt = FiniteGroup(generators=group.generators, table=table)
+            assert np.array_equal(rebuilt.table, group.table)
+            assert rebuilt == group and not rebuilt.table.flags.writeable
+
+    def test_a_table_whose_rows_ascend_is_not_sorted(self, weyl, monkeypatch):
+        stabilizer = weyl.table[weyl.table[:, 0] == 0]  # a mask over a sorted table
+        monkeypatch.setattr(np, "lexsort", _no_sort)
+        group = FiniteGroup(generators=(), table=stabilizer)
+        assert np.array_equal(group.table, stabilizer)
+        # the group owns a read-only copy; the caller's array stays writeable
+        assert group.table is not stabilizer and stabilizer.flags.writeable
+        with pytest.raises(AssertionError, match="sorted"):
+            FiniteGroup(generators=(), table=stabilizer[::-1])
+
+    @pytest.mark.parametrize("order", ["sorted", "shuffled"])
+    def test_a_repeated_row_raises_in_any_order(self, s4, order):
+        rows = np.concatenate([s4.table, s4.table[7:8]])
+        if order == "sorted":
+            rows = rows[np.lexsort(rows.T[::-1])]
+        else:
+            rows = rows[np.random.default_rng(3).permutation(len(rows))]
+        with pytest.raises(ValueError, match="repeats a row"):
+            FiniteGroup(generators=s4.generators, table=rows)
 
     @pytest.mark.parametrize("name", ["weyl", "s4", "klein", "trivial", "paired"])
     def test_membership_matches_a_set_of_tuples(self, name, request):
