@@ -327,7 +327,9 @@ def build_po_group(
     a base-3 integer (first entry most significant), and the codes of M and
     -M are one float64 dot, exact below 2**53.  The projective image set is
     the sorted array of codes of the representatives ``_canonical_sign``
-    picks, the smaller code of M and -M.
+    picks, the smaller code of M and -M.  The signed matrices are counted
+    without a sort: each class {M, -M} holds two unless M = -M, which over
+    F3 means M = 0, so one compare of each element's two codes settles it.
     """
     gram = v @ _Q @ v.T
     for g in group.generators:
@@ -343,7 +345,9 @@ def build_po_group(
         ],
         axis=1,
     ).astype(np.int64)
-    return _distinct(codes.min(axis=0)), len(_distinct(codes.reshape(-1)))
+    projective = _distinct(codes.min(axis=0))
+    zero_class = bool((codes[0] == codes[1]).any())
+    return projective, 2 * len(projective) - zero_class
 
 
 def _distinct(codes: np.ndarray) -> np.ndarray:

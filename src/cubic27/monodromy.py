@@ -691,6 +691,22 @@ def _claim_exceptional_isomorphism() -> Claim:
 
 
 def _claim_presentation_and_double_sixes() -> Claim:
+    """The reference six's presentation, 10 random sixes' Coxeter relations
+    and the 72 sixes paired into 36 double sixes.
+
+    The six reference reflections generate W(E6) with no closure: they lie
+    in ``weyl_group()`` (membership), the orders of their products are the
+    E6 Coxeter matrix and two of them do not commute, so the group they
+    generate is a non-abelian quotient of the Coxeter group of type E6.  Two
+    premises are cited, not computed: that Coxeter group has order 51840
+    (Humphreys, Reflection Groups and Coxeter Groups, 1990, 2.11-2.12), and
+    its only normal subgroups are 1, the index-2 rotation subgroup W+, which
+    is simple (W+ = U4(2), ATLAS of Finite Groups, 1985), and the whole
+    group.  The only non-abelian quotient is then the group itself, so the
+    reflections generate a subgroup of order 51840 of ``weyl_group()``.
+    ``full_presentation_order`` is ``weyl_group().order``, which is that
+    subgroup's order when the weyl-reconstruction claim holds and fails this
+    claim otherwise, or 0 when a computed premise fails."""
     six = fermat_data.PRESENTATION_SIX
     gens = lattice.weyl_presentation_from_six(six)
     printed = [perm.parse_cycles(s) for s in fermat_data.PRESENTATION_GENERATOR_CYCLES]
@@ -707,7 +723,14 @@ def _claim_presentation_and_double_sixes() -> Claim:
     sampled = rng.sample(sixes, 10)
     sampled_ok = all(coxeter_ok(lattice.weyl_presentation_from_six(s)) for s in sampled)
     w_a5 = _presentation_w_a5()
-    full_order = perm.generate(gens).order
+    w = lines_mod.weyl_group()
+    coxeter_reference = coxeter_ok(gens)
+    generates_w = (
+        all(g in w for g in gens)
+        and coxeter_reference
+        and any(a * b != b * a for a in gens for b in gens)
+    )
+    full_order = w.order if generates_w else 0
     # A six s and its partner b, in partner_six's order, have the same
     # reflections s1..s5 (b_i - b_j = e_i - e_j), so the same W(A5) with no
     # closure; the orbits {s, b, the other 15} tell the groups apart
@@ -724,7 +747,7 @@ def _claim_presentation_and_double_sixes() -> Claim:
         subgroups.add(tuple(map(tuple, perm.orbits(a5_gens))))
     details = {
         "reference_six_reproduces_printed_generators": gens == printed,
-        "coxeter_relations_reference": coxeter_ok(gens),
+        "coxeter_relations_reference": coxeter_reference,
         "coxeter_relations_10_random_sixes": sampled_ok,
         "skew_six_count": len(sixes),
         "double_six_count": len(pairs),

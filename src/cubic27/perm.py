@@ -22,10 +22,15 @@ group grown from H is the union of left cosets ``r H``, and an element ``c``
 lies in it exactly when ``r^-1 c`` lies in H for one of the representatives
 ``r``: a lookup in H's index, so the closure keeps no key per element.
 Greedy generating sets grow the same cosets inside a known table, marking its
-rows.  Centralizers, normalizers and subconjugacy tests scan the table one
-generator of the subgroup at a time, testing each later generator only on the
-rows that passed the earlier ones; stabilizers and element orders are boolean
-masks over the table.
+rows.  Centralizers scan the table one generator of the subgroup at a time,
+testing each later generator only on the rows that passed the earlier ones.
+Normalizers and subconjugacy tests first prune by orbits, the first test of a
+permutation-group backtrack search (Seress, Permutation Group Algorithms,
+2003, ch. 9): an element conjugating a subgroup into a target maps each orbit
+of the subgroup into one orbit of the target, which one compare of target
+orbit labels per point tests, each on the rows that passed the points before;
+only the rows that pass are conjugated, one generator at a time.  Stabilizers and element orders are
+boolean masks over the table.
 
 Composition convention, fixed repo-wide: ``compose(p, q)`` applies ``q`` first,
 then ``p`` (so ``compose(p, q)(x) == p(q(x))``); on table rows it is ``p[q]``.
@@ -479,15 +484,37 @@ def _require_subgroup(group: FiniteGroup, sub: FiniteGroup, what: str) -> None:
         raise NotASubgroupError(f"{what}: second argument is not a subgroup of the first")
 
 
-def _survivors(table: np.ndarray, gens: Sequence[Permutation], test) -> tuple[np.ndarray, np.ndarray]:
-    """Indices (ascending) and rows of the table that pass ``test(rows, g)``
-    for every generator row ``g``; each generator is tested only on the rows
-    that passed the ones before."""
-    idx, rows = np.arange(len(table)), table
+def _survivors(
+    idx: np.ndarray, rows: np.ndarray, gens: Sequence[Permutation], test
+) -> tuple[np.ndarray, np.ndarray]:
+    """The indices ``idx`` (ascending) and rows ``rows`` of the table that
+    pass ``test(rows, g)`` for every generator row ``g``; each generator is
+    tested only on the rows that passed the ones before."""
     for g in map(_row, gens):
         keep = test(rows, g)
         idx, rows = idx[keep], rows[keep]
     return idx, rows
+
+
+def _orbit_survivors(
+    ambient: FiniteGroup, sub: FiniteGroup, target: FiniteGroup
+) -> tuple[np.ndarray, np.ndarray]:
+    """Indices (ascending) and rows of the ambient rows ``p`` that map each
+    orbit of ``sub`` into a single orbit of ``target``, which every ``p``
+    with ``p sub p^-1`` inside ``target`` does: ``p`` carries the orbit of
+    ``x`` under ``sub`` onto the orbit of ``p(x)`` under ``p sub p^-1``.
+    Each point is labelled by its target orbit: its smallest orbit mate, the
+    column minimum of the target's table.  For each point ``x`` whose
+    smallest mate ``m`` under ``sub`` is another point, the rows where
+    ``p(x)`` and ``p(m)`` have one label are kept, tested only on the rows
+    kept for the points before."""
+    label = target.table.min(axis=0)
+    mate = sub.table.min(axis=0)
+    table = ambient.table
+    idx = np.arange(len(table))
+    for x in np.flatnonzero(mate != _IDENTITY_ROW).tolist():
+        idx = idx[label.take(table[idx, x]) == label.take(table[idx, mate[x]])]
+    return idx, table[idx]
 
 
 def _conjugating_rows(
@@ -495,14 +522,17 @@ def _conjugating_rows(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Indices and rows of the ambient rows ``p`` with ``p g p^-1`` in ``target`` for
     every generator ``g`` of ``sub``, so that ``p`` conjugates ``sub`` into
-    ``target``.  The conjugate is one scatter: ``(p g p^-1)[p] = p[g]``."""
+    ``target``.  Only the rows that pass the orbit test (``_orbit_survivors``)
+    are tested, in table order.  The conjugate is one flat scatter:
+    ``(p g p^-1)[p] = p[g]``."""
 
     def conjugates_inside(rows: np.ndarray, g: np.ndarray) -> np.ndarray:
         conj = np.empty_like(rows)
-        conj[np.arange(len(rows))[:, None], rows] = rows[:, g]
+        offset = N_POINTS * np.arange(len(rows))[:, None]
+        conj.reshape(-1)[rows + offset] = rows[:, g]
         return _member_mask(conj, target)
 
-    return _survivors(ambient.table, sub.generators, conjugates_inside)
+    return _survivors(*_orbit_survivors(ambient, sub, target), sub.generators, conjugates_inside)
 
 
 def centralizer(group: FiniteGroup, sub: FiniteGroup) -> FiniteGroup:
@@ -521,7 +551,7 @@ def centralizer(group: FiniteGroup, sub: FiniteGroup) -> FiniteGroup:
         keep[keep] = np.all(candidates[:, g] == g[candidates], axis=1)
         return keep
 
-    _, rows = _survivors(group.table, sub.generators, commutes)
+    _, rows = _survivors(np.arange(group.order), group.table, sub.generators, commutes)
     return group if len(rows) == group.order else FiniteGroup.from_table(rows)
 
 
@@ -546,8 +576,10 @@ def conjugate_subgroup(sub: FiniteGroup, g: Permutation) -> FiniteGroup:
 def is_subconjugate(
     ambient: FiniteGroup, sub: FiniteGroup, target: FiniteGroup
 ) -> tuple[bool, Permutation | None]:
-    """Whether some ambient element conjugates ``sub`` into ``target``, by an
-    exhaustive scan; returns the lexicographically smallest witness when true."""
+    """Whether some ambient element conjugates ``sub`` into ``target``, by a
+    scan of the ambient rows that pass the orbit test; returns the
+    lexicographically smallest witness when true (the rows stay in table
+    order)."""
     hits = _conjugating_rows(ambient, sub, target)[0]
     if not len(hits):
         return False, None

@@ -18,6 +18,7 @@ from cubic27.monodromy import (
     SingularBasepoint,
     _claim_monodromy,
     _claim_non_reflection,
+    _claim_presentation_and_double_sixes,
     _order16_group,
     basepoint_fiber,
     cayley_form,
@@ -736,6 +737,68 @@ class TestOtherS6:
         assert claim.details["witness"] == (
             "(1,5,14)(2,6,18)(3,7,15)(4,8,19)(9,24,13)(10,20,22)(11,21,23)(12,17,16)(25,26,27)"
         )
+
+
+class TestPresentationOrder:
+    """``full_presentation_order`` comes from membership, the Coxeter
+    relations and a non-commuting pair, not from a closure."""
+
+    def claim_with(self, monkeypatch, gens):
+        """The claim with the reference six's presentation replaced."""
+        monodromy._presentation_w_a5()  # cached before the patch
+        real = lattice.weyl_presentation_from_six
+
+        def presentation(six):
+            return list(gens) if tuple(six) == fermat_data.PRESENTATION_SIX else real(six)
+
+        monkeypatch.setattr(lattice, "weyl_presentation_from_six", presentation)
+        return _claim_presentation_and_double_sixes()
+
+    def test_order_agrees_with_the_closure(self):
+        gens = lattice.weyl_presentation_from_six(fermat_data.PRESENTATION_SIX)
+        claim = _claim_presentation_and_double_sixes()
+        assert claim.passed
+        assert claim.details["full_presentation_order"] == generate(gens).order == 51840
+
+    def test_exact_claims_close_no_weyl_group(self, monkeypatch):
+        for setup in (lines.weyl_group, lines.s4_group, monodromy._presentation_w_a5):
+            setup()
+        real, closed = perm.generate, []
+
+        def spy(gens, cap=200_000):
+            group = real(gens, cap)
+            closed.append(group.order)
+            return group
+
+        monkeypatch.setattr(perm, "generate", spy)
+        assert monodromy.verify_claims(seed=1, include_monodromy=False).all_passed()
+        assert 720 in closed  # the other S6: the spy sees the claims' closures
+        assert 51840 not in closed
+
+    def test_a_non_member_breaks_the_claim(self, monkeypatch, weyl):
+        gens = lattice.weyl_presentation_from_six(fermat_data.PRESENTATION_SIX)
+        outside = parse_cycles("(1,2)")
+        assert outside not in weyl
+        claim = self.claim_with(monkeypatch, [outside] + gens[1:])
+        assert not claim.passed and claim.details["full_presentation_order"] == 0
+
+    def test_a_conjugate_outside_the_weyl_group_breaks_the_claim(self, monkeypatch, weyl):
+        # conjugating by (1,2) keeps the Coxeter relations and the
+        # non-commuting pairs; only membership fails
+        gens = lattice.weyl_presentation_from_six(fermat_data.PRESENTATION_SIX)
+        swap = parse_cycles("(1,2)")
+        moved = [swap * g * swap for g in gens]
+        assert not all(g in weyl for g in moved)
+        claim = self.claim_with(monkeypatch, moved)
+        assert claim.details["coxeter_relations_reference"]
+        assert not claim.passed and claim.details["full_presentation_order"] == 0
+
+    def test_commuting_involutions_break_the_claim(self, monkeypatch, weyl):
+        involutions = [p for p in _order16_group() if not p.is_identity()][:6]
+        assert all(p in weyl and p.order() == 2 for p in involutions)
+        assert all(a * b == b * a for a in involutions for b in involutions)
+        claim = self.claim_with(monkeypatch, involutions)
+        assert not claim.passed and claim.details["full_presentation_order"] == 0
 
 
 class TestFaultIsolation:

@@ -15,7 +15,9 @@ from cubic27.perm import (
     NotASubgroupError,
     Permutation,
     TRIVIAL_GROUP,
+    _conjugating_rows,
     _member_mask,
+    _orbit_survivors,
     centralizer,
     compose,
     conjugate_subgroup,
@@ -427,6 +429,21 @@ def _conjugates_into(p, sub, target):
     return all(compose(compose(p, h), pinv) in target.elements for h in sub.elements)
 
 
+def _brute_force_conjugators(ambient, sub, target) -> np.ndarray:
+    """Indices of every ambient row p with p g p^-1 in target for each
+    generator g of sub, with no orbit test: each conjugate is composed from
+    the inverse rows and looked up in a set of target row bytes."""
+    table = ambient.table
+    inverses = np.argsort(table, axis=1)
+    members = {row.tobytes() for row in target.table}
+    keep = np.ones(len(table), dtype=bool)
+    for g in sub.generators:
+        g_row = np.array(g.images, dtype=np.intp) - 1
+        conj = np.take_along_axis(table, g_row[inverses], axis=1)  # p[g[p^-1]]
+        keep &= np.array([row.tobytes() in members for row in conj])
+    return np.flatnonzero(keep)
+
+
 @pytest.fixture(scope="module")
 def random_subgroups(weyl):
     """Subgroups of W generated by random pairs, small enough to brute force."""
@@ -476,6 +493,38 @@ class TestTableAgainstBruteForce:
             found, witness = is_subconjugate(group, sub, target)
             witnesses = [p for p in group if _conjugates_into(p, sub, target)]
             assert found and witness == min(witnesses)
+
+    def _assert_scan_is_brute_force(self, ambient, sub, target) -> int:
+        """The pruned scan's rows and witness against the unpruned scan;
+        returns the number of conjugating rows."""
+        expected = _brute_force_conjugators(ambient, sub, target)
+        idx, rows = _conjugating_rows(ambient, sub, target)
+        assert np.array_equal(idx, expected)
+        assert np.array_equal(rows, ambient.table[expected])
+        found, witness = is_subconjugate(ambient, sub, target)
+        assert found == bool(len(expected))
+        assert witness == (ambient[int(expected[0])] if len(expected) else None)
+        return len(expected)
+
+    def test_pruned_scan_on_the_paper_subgroups(self, weyl, s4, w_a5, other_s6):
+        # N_W(S4), S4 into the reflection S6, S4 into the other S6
+        counts = [self._assert_scan_is_brute_force(weyl, s4, t) for t in (s4, w_a5, other_s6)]
+        assert counts == [96, 0, 1440]
+        assert np.array_equal(normalizer(weyl, s4).table, weyl.table[_brute_force_conjugators(weyl, s4, s4)])
+
+    def test_pruned_scan_on_random_subgroups(self, weyl, random_subgroups):
+        rng = random.Random(8)
+        for group in random_subgroups:
+            sub = generate([rng.choice(group)])
+            target = conjugate_subgroup(sub, rng.choice(group))
+            for ambient in (group, weyl):
+                assert self._assert_scan_is_brute_force(ambient, sub, target)
+
+    def test_orbit_survivors_that_do_not_conjugate_are_rejected(self, weyl, w_a5, other_s6):
+        # orbits 6 + 6 + 15 fit into 12 + 15, but the two S6 are not conjugate
+        assert len(_orbit_survivors(weyl, w_a5, other_s6)[0]) == 1440
+        assert self._assert_scan_is_brute_force(weyl, w_a5, other_s6) == 0
+        assert is_subconjugate(weyl, w_a5, other_s6) == (False, None)
 
 
 @pytest.fixture(scope="module")
