@@ -8,8 +8,10 @@ tritangent that lies on every coordinate-symmetric cubic surface.
 
 The permutation tables below are all written against this labeling:
 
-* WEYL_GENERATOR_CYCLES generate the full automorphism group of the line
-  incidence graph (order 51840).
+* WEYL_GENERATOR_CYCLES are the declared generators of the full automorphism
+  group of the line incidence graph (order 51840).  The group's table is
+  computed from the graph (``lines.graph_automorphisms``); the program only
+  checks that these lie in it, and a test closes them to the same table.
 * COORDINATE_TRANSPOSITION_CYCLES / COORDINATE_FOUR_CYCLE_CYCLES generate the
   order-24 group induced by permuting the four ambient coordinates.
 * SIGMA1/SIGMA2 generate the Klein group of double transpositions inside the

@@ -8,8 +8,9 @@ Intersection form: Q(h,h) = 1, Q(ei,ej) = -delta_ij, Q(h,ei) = 0.  The
 canonical class is 3h - e1 - ... - e6 and every line class L has
 Q(L,L) = -1, Q(L,K) = 1.  A marking is one integer class matrix V whose
 row k - 1 is the class of line k, built from the incidence graph's adjacency
-array; every consumer reads the lattice from it.  Reflections in a stack of
-roots permute the 27 classes in one product over all of them.
+array; every consumer reads the lattice from it.  The markings of many
+ordered sixes are one stacked array, and reflections in a stack of roots
+permute the 27 classes of every marking in one product over all of them.
 
 The mod-3 image of a whole group is read off seven line lookups per element:
 an element's image is linear in the classes of the seven basis lines' images,
@@ -84,25 +85,34 @@ def coxeter_exponents() -> np.ndarray:
     return np.where(np.eye(len(c), dtype=bool), 1, np.where(c != 0, 3, 2))
 
 
-def marking_vectors(six: Sequence[int]) -> np.ndarray:
-    """The read-only (27, 7) class matrix V of the marking by an ordered skew
-    six: row k - 1 is the class of line k in the basis (h, e1..e6).
+def markings(sixes: Sequence[Sequence[int]]) -> np.ndarray:
+    """The read-only (k, 27, 7) class matrices of the markings by k ordered
+    skew sixes, stacked: in each, row l - 1 is the class of line l in the
+    basis (h, e1..e6).
 
     The i-th member of the six gets e_i, a line meeting members i and j gets
     h - e_i - e_j, and a line meeting every member but the i-th gets
-    2h - e1 - ... - e6 + e_i.  One identity, V Q V^T = A - I with A the
-    adjacency matrix, checks that the six is skew and that the 27 classes
-    are distinct and meet exactly as the lines do.
+    2h - e1 - ... - e6 + e_i.  One identity per marking, V Q V^T = A - I with
+    A the adjacency matrix, checks that the six is skew and that the 27
+    classes are distinct and meet exactly as the lines do.
     """
-    members = lines_mod._member_rows(six)
+    members = np.array([lines_mod._member_rows(six) for six in sixes]).reshape(-1, 6)
     adj = lines_mod.incidence_graph()
-    meets = adj[:, members]
-    v = np.column_stack([np.where(meets.sum(axis=1) == 2, 1, 2), -meets])
-    v[members] = np.eye(7, dtype=np.int64)[1:]
-    if not np.array_equal(v @ _Q @ v.T, adj - np.eye(lines_mod.N_LINES, dtype=np.int64)):
-        raise ValueError(f"lines {tuple(six)} are not a skew six: V Q V^T != A - I")
+    meets = adj[members].transpose(0, 2, 1)  # (k, 27, 6): line l meets member i
+    v = np.concatenate([np.where(meets.sum(axis=2) == 2, 1, 2)[..., None], -meets], axis=2)
+    v[np.arange(len(v))[:, None], members] = np.eye(7, dtype=np.int64)[1:]
+    bad = ~(v @ _Q @ v.transpose(0, 2, 1) == adj - np.eye(lines_mod.N_LINES, dtype=np.int64)).all(axis=(1, 2))
+    if bad.any():
+        six = tuple((members[bad.argmax()] + 1).tolist())
+        raise ValueError(f"lines {six} are not a skew six: V Q V^T != A - I")
     v.setflags(write=False)
     return v
+
+
+def marking_vectors(six: Sequence[int]) -> np.ndarray:
+    """The read-only (27, 7) class matrix V of the marking by one ordered
+    skew six (see ``markings``)."""
+    return markings([six])[0]
 
 
 def _basis_rows(v: np.ndarray) -> np.ndarray:
@@ -110,26 +120,41 @@ def _basis_rows(v: np.ndarray) -> np.ndarray:
     return (v[None, :, :] == _BASIS[:, None, :]).all(axis=2).argmax(axis=1)
 
 
-def reflection_permutations(v: np.ndarray, roots: Sequence[Sequence[int]]) -> list[Permutation]:
-    """The permutations of line labels induced by the reflections in a stack
-    of k roots, read through a class matrix.  All 27 rows are reflected in
-    every root in one (k, 27, 7) product; two line classes pair to -1 only
-    when they are equal, so each image is the row whose Q-pairing with it is
-    -1."""
+def _reflection_rows(v: np.ndarray, roots: Sequence[Sequence[int]]) -> np.ndarray:
+    """The (k, n, 27) uint8 0-based line permutations induced by the
+    reflections in a stack of n roots, read through each of k class matrices
+    (k, 27, 7).  All rows are reflected in every root in one (k, n, 27, 7)
+    product; two line classes pair to -1 only when they are equal, so each
+    image is the row whose Q-pairing with it is -1 (float64 products of
+    small integers, exact), and then compared exactly."""
     r = np.asarray(roots, dtype=np.int64).reshape(-1, 7)
     if np.any((r @ _Q * r).sum(axis=1) != -2):
         raise ValueError("reflection vector must have self-intersection -2")
-    images = v + (r @ _Q @ v.T)[:, :, None] * r[:, None, :]
-    target = (images @ _Q @ v.T == -1).argmax(axis=2)
-    if not np.array_equal(v[target], images):
+    dual = (_Q @ v.transpose(0, 2, 1))[:, None]  # (k, 1, 7, 27)
+    images = v[:, None] + (r @ dual[:, 0])[..., None] * r[:, None, :]
+    target = (images.astype(float) @ dual == -1).argmax(axis=3)
+    if not np.array_equal(v[np.arange(len(v))[:, None, None], target], images):
         raise ValueError("the reflection does not permute the line classes")
-    return [Permutation(row) for row in (target + 1).tolist()]
+    return target.astype(np.uint8)
+
+
+def reflection_permutations(v: np.ndarray, roots: Sequence[Sequence[int]]) -> list[Permutation]:
+    """The permutations of line labels induced by the reflections in a stack
+    of roots, read through one class matrix (see ``_reflection_rows``)."""
+    return [Permutation(row) for row in (_reflection_rows(v[None], roots)[0] + 1).tolist()]
+
+
+def presentations(sixes: Sequence[Sequence[int]]) -> np.ndarray:
+    """The (k, 6, 27) uint8 0-based line permutations s0..s5 induced by the
+    simple-root reflections through the markings of k ordered skew sixes,
+    in one batched computation."""
+    return _reflection_rows(markings(sixes), simple_roots())
 
 
 def weyl_presentation_from_six(six: Sequence[int]) -> list[Permutation]:
     """The six reflection permutations s0..s5 induced on line labels by the
-    marking of an ordered skew six."""
-    return reflection_permutations(marking_vectors(six), simple_roots())
+    marking of an ordered skew six: one six of ``presentations``."""
+    return [Permutation(row) for row in (presentations([six])[0] + 1).tolist()]
 
 
 def extend_to_lattice_automorphism(p: Permutation, v: np.ndarray) -> np.ndarray:

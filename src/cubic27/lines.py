@@ -11,12 +11,16 @@ catalog lines in floating point and proven by one exact proportionality
 test of the pushed-forward Plucker vectors against those lines.
 
 The graph is one read-only (27, 27) 0/1 integer adjacency array A, and every
-consumer reads A directly.  Skew sixes are enumerated once, on A, and paired
-into double sixes once.
+consumer reads A directly.  Skew sixes are enumerated once, on A, and their
+partners are read off A for all 72 at once.  The automorphism group of A,
+W(E6), is read off the ordered skew sixes, on which it acts simply
+transitively (Dolgachev, Classical Algebraic Geometry, 2012, ch. 9): no
+closure and no search.
 """
 
 from __future__ import annotations
 
+import bisect
 from functools import lru_cache
 from itertools import permutations
 from typing import Sequence
@@ -25,7 +29,7 @@ import numpy as np
 
 from . import fermat_data
 from .exact import ZETA_COMPLEX, Cyc, _gauss_jordan, _restrict, _times
-from .perm import Closure, FiniteGroup, Permutation, generate, parse_cycles
+from .perm import FiniteGroup, Permutation, generate, parse_cycles
 
 N_LINES = 27
 
@@ -109,91 +113,93 @@ def weyl_generators() -> list[Permutation]:
 
 @lru_cache(maxsize=1)
 def weyl_group() -> FiniteGroup:
-    """The full incidence-preserving group, order 51840, generated from the
-    reference table."""
-    return generate(weyl_generators())
+    """W(E6), order 51840: the catalog graph's automorphisms, with the
+    declared generators ``weyl_generators()`` (members; a test closes them)."""
+    return graph_automorphisms(generators=weyl_generators())
 
 
-def graph_automorphisms(graph: np.ndarray | None = None) -> FiniteGroup:
+def graph_automorphisms(
+    graph: np.ndarray | None = None, generators: Sequence[Permutation] | None = None
+) -> FiniteGroup:
     """The automorphism group of a graph on the 27 lines (an adjacency array,
-    the catalog's by default), by orbit search.
+    the catalog's by default), by one orbit-stabilizer build over its ordered
+    skew sixes, generated by ``generators`` or else the table's
+    ``small_generating_set``.
 
-    An automorphism is fixed by the image of a reference ordered skew six
-    (the lexicographically first one): every other vertex must go to the
-    vertex with the same neighborhood signature against the image six.  The
-    reference six must therefore give the other 21 vertices distinct
-    signatures; ValueError otherwise.
+    An automorphism is fixed by its image of a reference ordered skew six
+    (the lexicographically first): every other vertex goes to the vertex with
+    its neighborhood signature against the image six, so the reference six
+    must give the other 21 vertices distinct signatures (ValueError
+    otherwise).  The candidate map pairs the other vertices in signature
+    order and is row-checked: it must carry every row of A onto a row.
 
-    The ordered skew sixes, each skew six in its 720 slot orders, are walked
-    in lexicographic order, and the first one not yet covered gives one
-    candidate map.  An automorphism joins the group H found so far (one
-    incremental closure), and every image of the reference six under the
-    grown H is covered.  A map that is not an automorphism covers the whole
-    orbit ``H six``: no six in it is the image of the reference under an
-    automorphism.  Once every six is covered, the images of the reference
-    under H are all the sixes it has under the automorphism group, so H is
-    that group.  The graph alone decides the result; no known group is
-    consulted.
+    The 720 orderings of the reference six give H, the automorphisms fixing
+    it setwise, and their slot action Sigma_H.  The automorphisms onto
+    another skew six s form a coset g_s H, whose images of the reference are
+    one coset pi Sigma_H of orderings of s, so one candidate per coset is
+    checked and the first that passes is g_s.  The table is the union of the
+    g_s H, sorted; the graph alone decides it.
     """
-    adj = incidence_graph() if graph is None else np.asarray(graph)
+    adj = (incidence_graph() if graph is None else np.asarray(graph)) != 0
     rows = _skew_sixes(adj) - 1
     if not len(rows):
         raise ValueError("graph has no skew six")
-    place = N_LINES ** np.arange(5, -1, -1)  # base-27 codes order ordered sixes lexicographically
-    sixes = rows[:, list(permutations(range(6)))].reshape(-1, 6)
-    sixes = sixes[np.argsort(sixes @ place)]
-    codes = sixes @ place
-
-    def outside(six: np.ndarray) -> np.ndarray:
-        mask = np.ones(N_LINES, dtype=bool)
-        mask[six] = False
-        return np.flatnonzero(mask)
-
-    ref, others = sixes[0], outside(sixes[0])
-    weight = 1 << np.arange(6)
-
-    def signatures(six: np.ndarray) -> np.ndarray:
-        """Which members of the six each vertex meets, as a 6-bit code."""
-        return adj[:, six] @ weight
-
-    ref_sig = signatures(ref)[others]
+    ref = rows[0]
+    others = np.flatnonzero(~np.isin(np.arange(N_LINES), ref))
+    weight = (1 << np.arange(6)).astype(np.uint8)
+    bits = 2.0 ** np.arange(N_LINES)
+    masks = adj @ bits
+    ref_sig = adj[np.ix_(others, ref)] @ weight
     if len(set(ref_sig.tolist())) < len(others):
         raise ValueError("reference skew six leaves two vertices with the same signature")
+    by_sig = others[np.argsort(ref_sig)]
 
-    def automorphism(six: np.ndarray) -> np.ndarray | None:
-        """The candidate sending the reference six to ``six``, if it is an automorphism."""
-        by_sig = np.full(64, N_LINES, dtype=np.intp)
-        rest = outside(six)
-        by_sig[signatures(six)[rest]] = rest
-        images = np.empty(N_LINES, dtype=np.intp)
-        images[ref] = six
-        images[others] = by_sig[ref_sig]
-        if not np.bincount(images, minlength=N_LINES + 1)[:N_LINES].all():  # not a bijection
-            return None
-        if not np.array_equal(adj[np.ix_(images, images)], adj):
-            return None
-        return images.astype(np.uint8)
+    def automorphisms(targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The candidate maps (uint8 image rows) sending the reference six to
+        each ordered six of ``targets`` (m, 6), and which are automorphisms."""
+        sig = (adj[targets] * weight[:, None]).sum(axis=1, dtype=np.uint8)  # (m, 27)
+        sig[np.arange(len(targets))[:, None], targets] = 64  # sorts the members last
+        images = np.empty((len(targets), N_LINES), dtype=np.uint8)
+        images[:, ref] = targets
+        images[:, by_sig] = np.argsort(sig, axis=1)[:, : len(others)]  # a bijection
+        # row x moved, sum_y A[x, y] 2**p(y), is row p(x) as a 27-bit mask
+        return images, (bits[images] @ adj.T == masks[images]).all(axis=1)
 
-    covered = np.zeros(len(sixes), dtype=bool)
+    orders = np.array(list(permutations(range(6))), dtype=np.intp)  # lexicographic
+    images, ok = automorphisms(ref[orders])
+    stabilizer, slots = images[ok], orders[ok]
+    # each coset pi Sigma_H by its first ordering; base-6 codes ascend with them
+    place = 6 ** np.arange(5, -1, -1)
+    codes = orders @ place
+    covered = np.zeros(len(orders), dtype=bool)
+    firsts = []
+    for i in range(len(orders)):
+        if not covered[i]:
+            firsts.append(i)
+            covered[codes.searchsorted(orders[i][slots] @ place)] = True
 
-    def cover(images: np.ndarray) -> None:
-        covered[np.searchsorted(codes, images @ place)] = True
-
-    closure = Closure()
-    covered[0] = True  # the identity; it is no generator
-    i = 0
-    while True:
-        i += int(np.argmin(covered[i:]))  # the first six not yet covered
-        if covered[i]:
+    found = [stabilizer[:1]]  # g_ref, the identity
+    pending = rows[1:]
+    for i in firsts:
+        if not len(pending):
             break
-        images = automorphism(sixes[i])
-        if images is None:
-            cover(closure.table[:, sixes[i]])
-        else:
-            grown = len(closure.table)
-            closure.add(images)
-            cover(closure.table[grown:, ref])
-    return closure.group()
+        images, ok = automorphisms(pending[:, orders[i]])
+        found.append(images[ok])
+        pending = pending[~ok]
+    table = np.concatenate(found)[:, stabilizer].reshape(-1, N_LINES)
+    table = table.take(np.argsort(_prefix_codes(table)), axis=0)
+    if generators is None:
+        return FiniteGroup.from_table(table)
+    return FiniteGroup(generators=tuple(generators), table=table)
+
+
+def _prefix_codes(table: np.ndarray) -> np.ndarray:
+    """The int64 base-27 codes of a table's first 13 columns (27**13 < 2**63),
+    one column at a time: no (rows, 13) int64 copy."""
+    code = np.zeros(len(table), dtype=np.int64)
+    for column in table[:, :13].T:
+        code = code * N_LINES + column
+    return code
 
 
 # ---------------------------------------------------------------------------
@@ -361,18 +367,32 @@ def _member_rows(six: Sequence[int]) -> np.ndarray:
     return rows
 
 
+@lru_cache(maxsize=1)
+def partner_table() -> np.ndarray:
+    """Row k, read-only, is the partner of ``skew_sixes()[k]``: its i-th line
+    is the unique line meeting every member but the i-th."""
+    meets = incidence_graph()[np.array(skew_sixes()) - 1].astype(bool)  # (72, 6, 27)
+    # found[k, i, l]: line l + 1 meets every member of six k but the i-th
+    found = (meets[:, None] != np.eye(6, dtype=bool)[None, :, :, None]).all(axis=2)
+    if not (found.sum(axis=2) == 1).all():
+        raise ValueError("incidence graph is broken: no unique partner line")
+    table = found.argmax(axis=2) + 1
+    table.setflags(write=False)
+    return table
+
+
 def partner_six(six: Sequence[int]) -> tuple[int, ...]:
     """The complementary six of a double six: the i-th output line is the
-    unique line meeting every member of the input six except its i-th."""
+    unique line meeting every member of the input six except its i-th, read
+    from ``partner_table`` and put in the input's order."""
     rows = _member_rows(six)
-    meets = incidence_graph()[:, rows]
-    if meets[rows].any():
+    if incidence_graph()[np.ix_(rows, rows)].any():
         raise ValueError(f"lines {tuple(six)} are not a skew six")
-    # found[i, k]: line k + 1 meets every member but the i-th
-    found = (meets == 1 - np.eye(6, dtype=np.int64)[:, None, :]).all(axis=2)
-    if not np.array_equal(found.sum(axis=1), np.ones(6)):
-        raise ValueError("incidence graph is broken: no unique partner line")
-    return tuple((found.argmax(axis=1) + 1).tolist())
+    order = np.argsort(rows)
+    k = bisect.bisect_left(skew_sixes(), tuple((rows[order] + 1).tolist()))
+    partner = np.empty(6, dtype=np.intp)
+    partner[order] = partner_table()[k]
+    return tuple(partner.tolist())
 
 
 @lru_cache(maxsize=1)
@@ -380,7 +400,7 @@ def double_sixes() -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
     """The 36 double sixes as (six, partner) pairs, in the order of six: six
     is the smaller sorted half and partner the other half in partner_six's
     order, so its i-th line meets every member of six but the i-th."""
-    pairs = ((six, partner_six(six)) for six in skew_sixes())
+    pairs = zip(skew_sixes(), map(tuple, partner_table().tolist()))
     return tuple((six, partner) for six, partner in pairs if six < tuple(sorted(partner)))
 
 

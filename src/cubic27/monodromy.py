@@ -566,13 +566,58 @@ class ClaimsReport:
         }
 
 
+# The order of the Coxeter group of type E6 (Humphreys, Reflection Groups and
+# Coxeter Groups, 1990, 2.11-2.12): cited, not computed.
+_E6_COXETER_ORDER = 51840
+
+
+def _coxeter_ok(rows: np.ndarray) -> bool:
+    """Whether the orders of the 36 products of six 0-based permutation rows
+    are the E6 Coxeter matrix, in one (36, 27) table."""
+    products = rows[:, rows].reshape(36, -1)  # row 6i + j is g[i][g[j]]
+    return np.array_equal(perm._element_orders(products), lattice.coxeter_exponents().reshape(-1))
+
+
+def _generates_weyl(gens: Sequence[perm.Permutation], w: FiniteGroup) -> bool:
+    """Whether six reflections generate all of ``w``, with no closure.
+
+    Computed: they lie in ``w``, their products have the E6 Coxeter orders
+    and two of them do not commute, so they generate a non-abelian quotient
+    of the Coxeter group of type E6.  Cited: that group has order
+    _E6_COXETER_ORDER, and its only normal subgroups are 1, the index-2
+    rotation subgroup W+, which is simple (W+ = U4(2), ATLAS of Finite
+    Groups, 1985), and the whole group.  Its only non-abelian quotient is
+    then itself, a subgroup of ``w`` of order 51840: all of ``w`` when ``w``
+    has that order."""
+    rows = np.array([g.images for g in gens], dtype=np.uint8) - 1
+    products = rows[:, rows]
+    return (
+        bool(perm._member_mask(rows, w).all())
+        and _coxeter_ok(rows)
+        and bool((products != products.transpose(1, 0, 2)).any())
+    )
+
+
 def _claim_weyl_reconstruction() -> Claim:
+    """W(E6) read two ways, with no closure and no search.
+
+    Computed: ``automorphism_count``, the order of ``weyl_group()``, the
+    incidence graph's automorphisms read off the ordered skew sixes (each is
+    fixed by its image of the reference ordered six, and each row is a
+    product of row-checked automorphisms); and that the reference
+    presentation's six reflections lie in that table, have the E6 Coxeter
+    orders and do not all commute (``_generates_weyl``).  Cited: the order
+    51840 of the Coxeter group E6 and its normal subgroups, by which those
+    reflections generate a group of order 51840, ``generated_order`` (0 when
+    a computed premise fails).  That group lies in the table, so
+    ``element_sets_equal`` holds exactly when the two orders agree."""
     w = lines_mod.weyl_group()
-    autos = lines_mod.graph_automorphisms()
+    gens = lattice.weyl_presentation_from_six(fermat_data.PRESENTATION_SIX)
+    generated = _E6_COXETER_ORDER if _generates_weyl(gens, w) else 0
     details = {
-        "generated_order": w.order,
-        "automorphism_count": autos.order,
-        "element_sets_equal": w == autos,
+        "generated_order": generated,
+        "automorphism_count": w.order,
+        "element_sets_equal": generated == w.order,
     }
     ok = w.order == 51840 and details["element_sets_equal"]
     return Claim("weyl-reconstruction", "incidence-graph automorphism group has order 51840 and equals the generated group", ok, details)
@@ -692,59 +737,38 @@ def _claim_exceptional_isomorphism() -> Claim:
 
 def _claim_presentation_and_double_sixes() -> Claim:
     """The reference six's presentation, 10 random sixes' Coxeter relations
-    and the 72 sixes paired into 36 double sixes.
-
-    The six reference reflections generate W(E6) with no closure: they lie
-    in ``weyl_group()`` (membership), the orders of their products are the
-    E6 Coxeter matrix and two of them do not commute, so the group they
-    generate is a non-abelian quotient of the Coxeter group of type E6.  Two
-    premises are cited, not computed: that Coxeter group has order 51840
-    (Humphreys, Reflection Groups and Coxeter Groups, 1990, 2.11-2.12), and
-    its only normal subgroups are 1, the index-2 rotation subgroup W+, which
-    is simple (W+ = U4(2), ATLAS of Finite Groups, 1985), and the whole
-    group.  The only non-abelian quotient is then the group itself, so the
-    reflections generate a subgroup of order 51840 of ``weyl_group()``.
-    ``full_presentation_order`` is ``weyl_group().order``, which is that
-    subgroup's order when the weyl-reconstruction claim holds and fails this
-    claim otherwise, or 0 when a computed premise fails."""
+    and the 72 sixes paired into 36 double sixes.  ``full_presentation_order``
+    is ``weyl_group().order`` when the six reference reflections generate it
+    (``_generates_weyl``, no closure), or 0 when a computed premise fails."""
     six = fermat_data.PRESENTATION_SIX
     gens = lattice.weyl_presentation_from_six(six)
     printed = [perm.parse_cycles(s) for s in fermat_data.PRESENTATION_GENERATOR_CYCLES]
-    exps = lattice.coxeter_exponents().reshape(-1)
-
-    def coxeter_ok(g) -> bool:
-        # the orders of the 36 products g[i] * g[j], one (36, 27) table
-        rows = np.array([p.images for p in g], dtype=np.uint8) - 1
-        products = rows[:, rows].reshape(36, -1)  # row 6i + j is g[i][g[j]]
-        return np.array_equal(perm._element_orders(products), exps)
-
     sixes = lines_mod.skew_sixes()
+    pairs = lines_mod.double_sixes()
+    by_six = {s: k for k, s in enumerate(sixes)}
+    # the reflections of all 72 sixes and of the 36 partners, in partner_six's
+    # order, from one batched marking
+    reflections = lattice.presentations(list(sixes) + [partner for _, partner in pairs])
     rng = _random.Random(11)
     sampled = rng.sample(sixes, 10)
-    sampled_ok = all(coxeter_ok(lattice.weyl_presentation_from_six(s)) for s in sampled)
+    sampled_ok = all(_coxeter_ok(reflections[by_six[s]]) for s in sampled)
     w_a5 = _presentation_w_a5()
     w = lines_mod.weyl_group()
-    coxeter_reference = coxeter_ok(gens)
-    generates_w = (
-        all(g in w for g in gens)
-        and coxeter_reference
-        and any(a * b != b * a for a in gens for b in gens)
-    )
-    full_order = w.order if generates_w else 0
+    coxeter_reference = _coxeter_ok(np.array([g.images for g in gens], dtype=np.uint8) - 1)
+    full_order = w.order if _generates_weyl(gens, w) else 0
     # A six s and its partner b, in partner_six's order, have the same
     # reflections s1..s5 (b_i - b_j = e_i - e_j), so the same W(A5) with no
     # closure; the orbits {s, b, the other 15} tell the groups apart
-    pairs = lines_mod.double_sixes()
     halves = sorted(half for s, partner in pairs for half in (s, tuple(sorted(partner))))
-    pairing_ok = halves == list(sixes)
-    subgroups = set()
-    for s, partner in pairs:
-        if tuple(sorted(lines_mod.partner_six(partner))) != s:
-            pairing_ok = False
-        a5_gens = lattice.weyl_presentation_from_six(s)[1:]
-        if lattice.weyl_presentation_from_six(partner)[1:] != a5_gens:
-            pairing_ok = False
-        subgroups.add(tuple(map(tuple, perm.orbits(a5_gens))))
+    firsts = np.array([by_six[s] for s, _ in pairs])
+    seconds = np.array([by_six[tuple(sorted(partner))] for _, partner in pairs])
+    a5_gens = reflections[firsts, 1:]
+    pairing_ok = (
+        halves == list(sixes)
+        and np.array_equal(np.sort(lines_mod.partner_table()[seconds], axis=1), np.array(sixes)[firsts])
+        and np.array_equal(reflections[len(sixes) :, 1:], a5_gens)
+    )
+    subgroups = set(map(tuple, perm.orbit_labels(a5_gens).tolist()))
     details = {
         "reference_six_reproduces_printed_generators": gens == printed,
         "coxeter_relations_reference": coxeter_reference,

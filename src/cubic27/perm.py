@@ -219,7 +219,9 @@ class _BaseIndex:
             width = bisect.bisect_right(_POWERS, _KEY_LIMIT // (distinct + 1)) - 1
             cols = base[done : done + width]
             places = np.array(_POWERS[len(cols) - 1 :: -1], dtype=np.int64)
-            code = rank * _POWERS[len(cols)] + table[:, cols].astype(np.int64) @ places
+            code = rank
+            for col in cols.tolist():  # one column at a time: no (rows, width) int64 copy
+                code = code * N_POINTS + table[:, col]
             new = np.concatenate(([True], code[1:] != code[:-1]))
             self.levels.append((cols, places, code[new]))
             rank, distinct, done = np.cumsum(new) - 1, int(new.sum()), done + width
@@ -456,15 +458,23 @@ def orbits(group: FiniteGroup | Sequence[Permutation]) -> list[list[int]]:
     """Orbits on the 27 points of a group, or of the group a generator list
     generates; each orbit sorted, orbit list sorted by smallest element."""
     gens = group.generators if isinstance(group, FiniteGroup) else group
-    reach = np.eye(N_POINTS)
-    for g in gens:
-        reach[_IDENTITY_ROW, _row(g)] = 1
-    for _ in range(5):  # paths of every length up to 2**5 > 27
-        reach = np.minimum(reach @ reach, 1)
-    smallest = reach.argmax(axis=1)  # each point's orbit, by its smallest point
+    smallest = orbit_labels(np.array([_row(g) for g in gens], dtype=np.uint8).reshape(-1, N_POINTS))
     # bincount, not np.unique: np.unique imports numpy.ma on first use
     leaders = np.flatnonzero(np.bincount(smallest))
     return [(np.flatnonzero(smallest == m) + 1).tolist() for m in leaders]
+
+
+def orbit_labels(gens: np.ndarray) -> np.ndarray:
+    """Each point's smallest orbit mate (0-based) under the group generated
+    by a stack of generator rows, (..., k, 27) -> (..., 27), for every
+    leading index at once: the reachability matrix of the generators,
+    squared until it covers paths of every length."""
+    reach = np.broadcast_to(np.eye(N_POINTS), gens.shape[:-2] + (N_POINTS, N_POINTS)).copy()
+    for k in range(gens.shape[-2]):
+        np.put_along_axis(reach, gens[..., k, :, None].astype(np.intp), 1.0, axis=-1)
+    for _ in range(5):  # paths of every length up to 2**5 > 27
+        reach = np.minimum(reach @ reach, 1)
+    return reach.argmax(axis=-1)
 
 
 def pointwise_stabilizer(group: FiniteGroup, points: Iterable[int]) -> FiniteGroup:

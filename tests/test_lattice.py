@@ -77,6 +77,14 @@ class TestForm:
         with pytest.raises(ValueError):  # one bad root in the stack
             reflection_permutations(marking, simple_roots() + [_unit(1)])
 
+    def test_root_moving_a_line_off_the_classes_rejected(self, marking):
+        # e1 + e2 is a root (Q = -2) but not orthogonal to K: its reflection
+        # sends e1 to -e2, no line class
+        root = (0, 1, 1, 0, 0, 0, 0)
+        assert q_form(root, root) == -2 and reflect(_unit(1), root) == (0, 0, -1, 0, 0, 0, 0)
+        with pytest.raises(ValueError, match="does not permute the line classes"):
+            reflection_permutations(marking, [root])
+
 
 class TestLineClasses:
     def test_count_and_self_intersection(self, marking):
@@ -152,6 +160,44 @@ class TestPresentation:
         for six in lines.skew_sixes():
             partner = lines.partner_six(six)
             assert weyl_presentation_from_six(partner)[1:] == weyl_presentation_from_six(six)[1:]
+
+
+class TestBatchedMarkings:
+    """``markings`` and ``presentations`` on the 72 sorted sixes and the 36
+    partners in partner_six's order, the batch the double-six claim reads."""
+
+    SIXES = list(lines.skew_sixes()) + [partner for _, partner in lines.double_sixes()]
+
+    def test_batch_reproduces_the_one_six_presentations(self):
+        batch = lattice.presentations(self.SIXES)
+        assert batch.shape == (108, 6, 27) and batch.dtype == np.uint8
+        for six, rows in zip(self.SIXES, batch.tolist()):
+            assert [Permutation([x + 1 for x in row]) for row in rows] == weyl_presentation_from_six(six)
+
+    def test_batch_matches_scalar_classes_and_reflections(self):
+        # oracle: each class written down from the marking rule, and each
+        # reflection image found with the scalar ``reflect``
+        g = lines.incidence_graph()
+        classes = lattice.markings(self.SIXES)
+        reflections = lattice.presentations(self.SIXES)
+        for six, v, rows in zip(self.SIXES, classes.tolist(), reflections.tolist()):
+            expected = []
+            for line in range(1, 28):
+                met = [i for i, a in enumerate(six) if g[line - 1, a - 1]]
+                c = [1 if len(met) == 2 else 2] + [-1 if i in met else 0 for i in range(6)]
+                if line in six:
+                    c = [0] * 7
+                    c[six.index(line) + 1] = 1
+                expected.append(c)
+            assert v == expected
+            for root, row in zip(simple_roots(), rows):
+                assert row == [expected.index(list(reflect(c, root))) for c in expected]
+
+    def test_a_non_skew_six_in_the_batch_is_named(self):
+        with pytest.raises(ValueError, match=r"\(25, 26, 27, 1, 2, 3\) are not a skew six"):
+            lattice.markings([fermat_data.PRESENTATION_SIX, (25, 26, 27, 1, 2, 3)])
+        with pytest.raises(ValueError, match="1..27"):
+            lattice.presentations([fermat_data.PRESENTATION_SIX, (1, 3, 16, 21, 24, 28)])
 
 
 class TestExtension:

@@ -1,5 +1,5 @@
 import random
-from itertools import combinations
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
@@ -20,10 +20,18 @@ from cubic27.lines import (
     strongly_regular_parameters,
     tritangent_span_rank,
     weyl_generators,
+    weyl_group,
     catalog_records,
     double_sixes,
 )
-from cubic27.perm import IDENTITY, conjugate_subgroup, orbits, parse_cycles, setwise_stabilizer
+from cubic27.perm import (
+    IDENTITY,
+    conjugate_subgroup,
+    generate,
+    orbits,
+    parse_cycles,
+    setwise_stabilizer,
+)
 
 
 def cyc_span(line: np.ndarray) -> list[list[Cyc]]:
@@ -162,7 +170,9 @@ class TestAutomorphisms:
     def test_identity_is_automorphism(self, weyl):
         assert IDENTITY in weyl.elements
 
-    @pytest.mark.parametrize("edge", [(1, 2), (1, 27)])
+    # (1, 2) and (1, 27) touch the reference six (1, 3, 10, 11, 16, 22), and
+    # (2, 4) lies off it, where the signatures do not see the toggled edge
+    @pytest.mark.parametrize("edge", [(1, 2), (1, 27), (2, 4)])
     def test_toggled_edge_shrinks_the_group(self, weyl, edge):
         # toggling one adjacency leaves only maps that fix the pair setwise
         i, j = edge
@@ -190,6 +200,42 @@ class TestAutomorphisms:
         inverse = np.array(pi.inverse().images) - 1
         relabelled = incidence_graph()[np.ix_(inverse, inverse)]
         assert graph_automorphisms(relabelled) == conjugate_subgroup(weyl, pi)
+
+    def test_declared_generators_close_to_the_automorphism_group(self):
+        # the closure of WEYL_GENERATOR_CYCLES, which set-up no longer runs
+        closed = generate(weyl_generators())
+        assert closed == weyl_group() == graph_automorphisms()
+        assert weyl_group().generators == tuple(weyl_generators())
+
+    @pytest.mark.parametrize("edge", [(1, 2), (1, 27), (2, 4)])
+    def test_toggled_edge_equals_brute_force(self, edge):
+        toggled = _toggled(*edge)
+        assert np.array_equal(graph_automorphisms(toggled).table, _brute_force_automorphisms(toggled))
+
+
+def _brute_force_automorphisms(adj: np.ndarray) -> np.ndarray:
+    """The automorphisms of a graph, sorted, by filtering the candidate map
+    of every ordered skew six: the map sending the first skew six, in its
+    own order, to it and every other vertex to the one vertex outside it
+    with the same neighbours in it, kept when it is a bijection preserving
+    every adjacency.  All 720 orders of one six are tried at once."""
+    sixes = lines._skew_sixes(adj) - 1
+    ref = sixes[0]
+    others = np.array([v for v in range(27) if v not in ref])
+    orders = np.array(list(permutations(range(6))))
+    found = []
+    for six in sixes:
+        targets = six[orders]  # (720, 6)
+        # same[o, v, u]: u lies outside the six and meets targets[o] as v meets ref
+        same = (adj[:, targets].transpose(1, 0, 2)[:, None] == adj[others][:, ref][None, :, None]).all(axis=3)
+        same[:, :, six] = False
+        rows = np.empty((len(orders), 27), dtype=np.intp)
+        rows[:, ref] = targets
+        rows[:, others] = same.argmax(axis=2)
+        for unique, row in zip((same.sum(axis=2) == 1).all(axis=1), rows):
+            if unique and sorted(row) == list(range(27)) and np.array_equal(adj[np.ix_(row, row)], adj):
+                found.append(row.tolist())
+    return np.array(sorted(found), dtype=np.uint8)
 
 
 class TestCoordinateAction:
@@ -311,6 +357,25 @@ class TestSkewSixes:
     def test_partner_meets_all_but_its_own_member(self):
         g = incidence_graph()
         for six, partner in double_sixes():
+            for i, b in enumerate(partner):
+                assert [g[b - 1, a - 1] for a in six] == [int(k != i) for k in range(6)]
+
+    def test_partner_follows_the_input_order(self):
+        g = incidence_graph()
+        rng = random.Random(3)
+        for six in rng.sample(skew_sixes(), 10):
+            shuffled = rng.sample(six, 6)
+            partner = partner_six(shuffled)
+            assert sorted(partner) == sorted(partner_six(six))
+            for i, b in enumerate(partner):
+                assert [g[b - 1, a - 1] for a in shuffled] == [int(k != i) for k in range(6)]
+
+    def test_partner_table_meets_all_but_its_own_member(self):
+        # all 72 rows, the halves double_sixes drops too
+        g = incidence_graph()
+        table = lines.partner_table()
+        assert table.shape == (72, 6) and not table.flags.writeable
+        for six, partner in zip(skew_sixes(), table.tolist()):
             for i, b in enumerate(partner):
                 assert [g[b - 1, a - 1] for a in six] == [int(k != i) for k in range(6)]
 

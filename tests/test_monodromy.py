@@ -3,6 +3,7 @@ import json
 import math
 from dataclasses import replace
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, cycle, permutations
 
 import numpy as np
@@ -19,6 +20,7 @@ from cubic27.monodromy import (
     _claim_monodromy,
     _claim_non_reflection,
     _claim_presentation_and_double_sixes,
+    _claim_weyl_reconstruction,
     _order16_group,
     basepoint_fiber,
     cayley_form,
@@ -799,6 +801,68 @@ class TestPresentationOrder:
         assert all(a * b == b * a for a in involutions for b in involutions)
         claim = self.claim_with(monkeypatch, involutions)
         assert not claim.passed and claim.details["full_presentation_order"] == 0
+
+
+class TestWeylReconstruction:
+    """weyl-reconstruction counts: the automorphism table's order against the
+    order the reference presentation generates, with no closure and no
+    search."""
+
+    def test_counts_agree_with_the_closures(self, weyl):
+        gens = lattice.weyl_presentation_from_six(fermat_data.PRESENTATION_SIX)
+        claim = _claim_weyl_reconstruction()
+        assert claim.passed
+        assert claim.details == {
+            "generated_order": generate(gens).order,
+            "automorphism_count": generate(lines.weyl_generators()).order,
+            "element_sets_equal": generate(gens) == weyl,
+        }
+        assert claim.details["generated_order"] == 51840
+
+    def test_a_non_member_breaks_the_claim(self, monkeypatch):
+        gens = lattice.weyl_presentation_from_six(fermat_data.PRESENTATION_SIX)
+        moved = [perm.parse_cycles("(1,2)")] + gens[1:]
+        real = lattice.weyl_presentation_from_six
+        monkeypatch.setattr(
+            lattice,
+            "weyl_presentation_from_six",
+            lambda six: moved if tuple(six) == fermat_data.PRESENTATION_SIX else real(six),
+        )
+        claim = _claim_weyl_reconstruction()
+        assert not claim.passed
+        assert claim.details == {"generated_order": 0, "automorphism_count": 51840, "element_sets_equal": False}
+
+    def test_set_up_and_exact_claims_close_no_weyl_group(self, monkeypatch):
+        # fresh caches for set-up, so that it runs under the spies; the
+        # session's cached groups come back when the patches are undone
+        for module, name in ((lines, "weyl_group"), (lines, "s4_group"), (monodromy, "_presentation_w_a5")):
+            monkeypatch.setattr(module, name, lru_cache(maxsize=1)(getattr(module, name).__wrapped__))
+        closures, generated = [], []
+
+        class Spy(perm.Closure):
+            def add(self, row):
+                grown = super().add(row)
+                closures.append(len(self.table))
+                return grown
+
+        real = perm.generate
+
+        def spy(gens, cap=200_000):
+            group = real(gens, cap)
+            generated.append(group.order)
+            return group
+
+        monkeypatch.setattr(perm, "Closure", Spy)
+        monkeypatch.setattr(perm, "generate", spy)
+        monkeypatch.setattr(lines, "generate", spy)
+        lines.fermat_catalog()
+        lines.incidence_graph()
+        assert lines.weyl_group().order == 51840
+        lines.s4_group()
+        assert monodromy.verify_claims(seed=1, include_monodromy=False).all_passed()
+        assert 24 in generated and 720 in generated  # S4 in set-up, the other S6 in the claims
+        assert 720 in closures
+        assert 51840 not in generated and 51840 not in closures
 
 
 class TestFaultIsolation:
