@@ -15,7 +15,10 @@ permute the 27 classes of every marking in one product over all of them.
 The mod-3 image of a whole group is read off seven line lookups per element:
 an element's image is linear in the classes of the seven basis lines' images,
 so it is a sum of seven rows of tables built once per marking, indexed by the
-element table's basis columns, and no element's 7x7 matrix is formed.
+element table's basis columns, and no element's 7x7 matrix is formed.  The
+exact pass images only W(A5) (720 rows) that way; injectivity on W(E6)
+follows from its normal subgroups.  The images of a few given permutations
+come from one batched computation over their stack of 7x7 extensions.
 """
 
 from __future__ import annotations
@@ -157,18 +160,26 @@ def weyl_presentation_from_six(six: Sequence[int]) -> list[Permutation]:
     return [Permutation(row) for row in (presentations([six])[0] + 1).tolist()]
 
 
-def extend_to_lattice_automorphism(p: Permutation, v: np.ndarray) -> np.ndarray:
-    """The unique 7x7 integer matrix sending class(l_i) to class(l_{p(i)}) for
-    all i and fixing the canonical class; raises if no such matrix exists."""
-    rows = np.array(p.images) - 1
-    m = (_UNBASIS @ v[rows[_basis_rows(v)]]).T
-    if not np.array_equal(v @ m.T, v[rows]):
+def _extensions(rows: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The (k, 7, 7) integer matrices of a stack of k 0-based line
+    permutation rows, each sending class(l_i) to class(l_{p(i)}) for all i
+    and fixing the canonical class, in one product; raises if some row has
+    no such matrix."""
+    m = (_UNBASIS @ v[rows[:, _basis_rows(v)]]).transpose(0, 2, 1)
+    if not np.array_equal(v @ m.transpose(0, 2, 1), v[rows]):
         raise ValueError("permutation does not preserve the incidence structure")
-    if not np.array_equal(m @ CANONICAL_CLASS, CANONICAL_CLASS):
+    if not (m @ CANONICAL_CLASS == CANONICAL_CLASS).all():
         raise ValueError("extension does not fix the canonical class")
-    if not np.array_equal(m.T @ _Q @ m, _Q):
+    if not (m.transpose(0, 2, 1) @ _Q @ m == _Q).all():
         raise ValueError("extension does not preserve the intersection form")
     return m
+
+
+def extend_to_lattice_automorphism(p: Permutation, v: np.ndarray) -> np.ndarray:
+    """The unique 7x7 integer matrix sending class(l_i) to class(l_{p(i)}) for
+    all i and fixing the canonical class; raises if no such matrix exists.
+    One permutation of ``_extensions``."""
+    return _extensions(np.array(p.images)[None] - 1, v)[0]
 
 
 def _f3_kernel(m: np.ndarray) -> tuple[np.ndarray, int]:
@@ -249,7 +260,7 @@ def mod3_reduction() -> ReductionMap:
 
 def restrict_to_root_coords(red: ReductionMap, m7: np.ndarray) -> np.ndarray:
     """Solve M7 . R = R . W for the integer 6x6 action on root coordinates,
-    in closed form: W = -A R^T Q M7 R / 3."""
+    in closed form: W = -A R^T Q M7 R / 3; for one 7x7 matrix or a stack."""
     mr = np.asarray(m7) @ red.root_matrix
     # R has full column rank, so an integer solution, if any, is this exactly
     w = red._projector @ mr // 3
@@ -258,21 +269,24 @@ def restrict_to_root_coords(red: ReductionMap, m7: np.ndarray) -> np.ndarray:
     return w
 
 
-def _canonical_sign(mat5: np.ndarray) -> tuple[tuple[int, ...], ...]:
-    """Scale a nonzero F3 matrix so its first nonzero entry in reading order
-    is 1; this picks one representative of {M, -M}."""
-    m = np.asarray(mat5) % 3
-    if m[m != 0][:1].tolist() == [2]:
-        m = 2 * m % 3
-    return tuple(map(tuple, m.tolist()))
+def _canonical_sign(mats: np.ndarray | Sequence) -> list[tuple[tuple[int, ...], ...]]:
+    """Scale each nonzero F3 matrix of a stack so its first nonzero entry in
+    reading order is 1; this picks one representative of {M, -M}."""
+    m = np.asarray(mats) % 3
+    flat = m.reshape(len(m), -1)
+    lead = flat[np.arange(len(flat)), (flat != 0).argmax(axis=1)]
+    m = np.where((lead == 2)[:, None, None], 2 * m % 3, m)
+    return [tuple(map(tuple, x)) for x in m.tolist()]
 
 
 def po_image(
-    red: ReductionMap, p: Permutation, v: np.ndarray
-) -> tuple[tuple[int, ...], ...]:
-    """Projective mod-3 image of a line permutation: extend to the lattice,
-    restrict to root coordinates, push through the quotient, projectivize."""
-    w6 = restrict_to_root_coords(red, extend_to_lattice_automorphism(p, v))
+    red: ReductionMap, perms: Sequence[Permutation], v: np.ndarray
+) -> list[tuple[tuple[int, ...], ...]]:
+    """Projective mod-3 images of a sequence of line permutations: extend to
+    the lattice, restrict to root coordinates, push through the quotient,
+    projectivize, each step once on the whole (k, 7, 7) stack."""
+    rows = np.array([p.images for p in perms], dtype=np.intp).reshape(-1, lines_mod.N_LINES) - 1
+    w6 = restrict_to_root_coords(red, _extensions(rows, v))
     if np.any(red.quot @ w6 @ red.radical % 3):
         raise ValueError("action does not descend to the quotient")
     return _canonical_sign(red.quot @ w6 @ red.lift)
@@ -386,13 +400,7 @@ def images_in_po(
     red: ReductionMap, v: np.ndarray
 ) -> dict[str, tuple[tuple[int, ...], ...]]:
     """Explicit projective mod-3 matrices for the coordinate-action generators
-    and the monodromy Klein group."""
-    out = {}
-    for name, p in (
-        ("coordinate_transposition", lines_mod.s4_generators()[0]),
-        ("coordinate_four_cycle", lines_mod.s4_generators()[1]),
-    ):
-        out[name] = po_image(red, p, v)
-    for name, p in lines_mod.monodromy_klein_elements().items():
-        out[f"monodromy_{name}"] = po_image(red, p, v)
-    return out
+    and the monodromy Klein group, from one ``po_image`` call."""
+    named = dict(zip(("coordinate_transposition", "coordinate_four_cycle"), lines_mod.s4_generators()))
+    named.update((f"monodromy_{name}", p) for name, p in lines_mod.monodromy_klein_elements().items())
+    return dict(zip(named, po_image(red, list(named.values()), v)))

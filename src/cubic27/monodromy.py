@@ -491,36 +491,50 @@ def _order16_group() -> FiniteGroup:
 
 def component_structure(group: FiniteGroup) -> list[tuple[list[int], int, str]]:
     """Orbits of the group on the 27 labels with point-stabilizer orders and
-    transitive-set labels [G/H]."""
+    transitive-set labels [G/H].  A stabilizer's order is the number of
+    rows that fix the orbit's first point, and one stabilizer is built for
+    each distinct set of such rows, not one per orbit."""
     g_name = perm.identify(perm.fingerprint(group))
     if g_name == "unrecognized":
         g_name = f"G{group.order}"
+    orbs = perm.orbits(group)
+    firsts = np.array([orbit[0] - 1 for orbit in orbs])
+    fixes = group.table[:, firsts] == firsts  # row r fixes the first point of orbit k
+    h_names: dict[bytes, str] = {}
     out = []
-    for orbit in perm.orbits(group):
-        stab = perm.pointwise_stabilizer(group, [orbit[0]])
-        h_name = perm.identify(perm.fingerprint(stab))
-        if h_name == "trivial":
-            h_name = "e"
-        elif h_name == "unrecognized":
-            h_name = f"H{stab.order}"
-        out.append((orbit, stab.order, f"[{g_name}/{h_name}]"))
+    for orbit, fixed in zip(orbs, fixes.T):
+        key, order = np.packbits(fixed).tobytes(), int(fixed.sum())
+        if key not in h_names:
+            h_name = perm.identify(perm.fingerprint(perm.pointwise_stabilizer(group, orbit[:1])))
+            h_names[key] = {"trivial": "e", "unrecognized": f"H{order}"}.get(h_name, h_name)
+        out.append((orbit, order, f"[{g_name}/{h_names[key]}]"))
     return out
 
 
 def find_other_s6() -> FiniteGroup:
-    """The non-reflection S6 of W(E6), written down as the twisted group
-    <s_i c>.
+    """The non-reflection S6 of W(E6), the twisted group <s_i c>, written
+    down from the table of W(A5).
 
     The s_i are the W(A5) reflections s1..s5 of the reference skew six and c
     is the reflection in the root 2h - e1 - ... - e6, which is orthogonal to
     every e_j - e_{j+1}, so c commutes with each s_i and lies outside W(A5).
     Hence w -> w c^(length of w) maps W(A5) isomorphically onto a second
-    S6, which moves the lines in orbits 12 + 15 instead of 6 + 6 + 15.
+    S6, which moves the lines in orbits 12 + 15 instead of 6 + 6 + 15.  The
+    length's parity is the sign of the permutation w makes of the six's
+    slots (each s_i swaps two), so the rows that permute the slots oddly
+    are composed with c and the others kept.
     """
+    six = np.array(fermat_data.PRESENTATION_SIX) - 1
     v = lattice.marking_vectors(fermat_data.PRESENTATION_SIX)
     s = lattice.weyl_presentation_from_six(fermat_data.PRESENTATION_SIX)[1:]
     (c,) = lattice.reflection_permutations(v, [(2, -1, -1, -1, -1, -1, -1)])
-    return perm.generate([g * c for g in s])
+    table = _presentation_w_a5().table
+    slot = np.empty(lines_mod.N_LINES, dtype=np.intp)
+    slot[six] = np.arange(6)
+    slots = slot[table[:, six]]  # (720, 6): the slot each slot goes to
+    odd = np.triu(slots[:, :, None] > slots[:, None, :]).sum(axis=(1, 2)) % 2 == 1
+    twisted = np.where(odd[:, None], table[:, np.array(c.images) - 1], table)
+    return FiniteGroup(generators=tuple(g * c for g in s), table=twisted)
 
 
 @lru_cache(maxsize=1)
@@ -707,31 +721,41 @@ def _claim_subgroup_ladder() -> Claim:
 
 
 def _claim_exceptional_isomorphism() -> Claim:
+    """The mod-3 map phi of W(E6) is injective, read off W(A5) alone.
+
+    phi is a homomorphism because each step of it is one: the extension of a
+    line permutation to the lattice, the restriction to the root lattice Q,
+    the quotient Q/3P and projectivization; ``homomorphism_spot_check``
+    tests it on 25 random pairs of W(E6), with one ``po_image`` call for all
+    75 elements.  Computed: the images of the 720 elements of the reference
+    six's W(A5) (``build_po_group``).  When they are 720 distinct projective
+    matrices, ker phi meets W(A5) trivially.  Cited: the normal subgroups of
+    W(E6) are 1, the index-2 W+ and W(E6) (ATLAS of Finite Groups, 1985).
+    Both W+ and W(E6) contain the even part A6 of W(A5), so ker phi = 1 and
+    ``projective_image_order`` is the order of ``weyl_group()``.  Over F3 a
+    nonzero M never equals -M, so ``pre_projectivization_order`` is twice
+    that.  Both are 0 when the W(A5) images are not distinct.
+    """
     red = lattice.mod3_reduction()
     v = lattice.marking_vectors(fermat_data.PRESENTATION_SIX)
     w = lines_mod.weyl_group()
-    projective, signed = lattice.build_po_group(red, v, w)
+    w_a5 = _presentation_w_a5()
+    projective, _ = lattice.build_po_group(red, v, w_a5)
+    image_order = w.order if len(projective) == w_a5.order else 0
     rng = _random.Random(90)
-    homo = all(
-        lattice.po_image(red, perm.compose(p, q), v)
-        == lattice._canonical_sign(
-            np.array(lattice.po_image(red, p, v)) @ lattice.po_image(red, q, v)
-        )
-        for p, q in [(rng.choice(w), rng.choice(w)) for _ in range(25)]
-    )
+    pairs = [(rng.choice(w), rng.choice(w)) for _ in range(25)]
+    firsts, seconds = zip(*pairs)
+    images = lattice.po_image(red, [perm.compose(p, q) for p, q in pairs] + [*firsts, *seconds], v)
+    left, right = np.array(images[25:50]), np.array(images[50:])
+    homo = lattice._canonical_sign(left @ right) == images[:25]
     details = {
-        "projective_image_order": len(projective),
-        "pre_projectivization_order": signed,
-        "injective": len(projective) == w.order,
+        "projective_image_order": image_order,
+        "pre_projectivization_order": 2 * image_order,
+        "injective": image_order == w.order,
         "homomorphism_spot_check": homo,
         "elementary_divisors": list(red.divisors),
     }
-    ok = (
-        len(projective) == 51840
-        and signed == 103680
-        and homo
-        and list(red.divisors) == [1, 3, 3, 3, 3, 3]
-    )
+    ok = image_order == 51840 and homo and list(red.divisors) == [1, 3, 3, 3, 3, 3]
     return Claim("exceptional-isomorphism", "mod-3 reduction is a bijection onto a projective orthogonal group of order 51840 (103680 before projectivization)", ok, details)
 
 
@@ -827,6 +851,28 @@ def _claim_non_reflection() -> Claim:
     return Claim("non-reflection", "S4 is not subconjugate to the reflection S6 but is subconjugate to the other S6 (orbits 12+15); the monodromy Klein group has one 2^6 element", ok, details)
 
 
+def _six_w_a5(w: FiniteGroup, six: Sequence[int]) -> FiniteGroup:
+    """W(A5) of an ordered skew six: the reference six's W(A5) conjugated by
+    g, the one row of ``w`` that sends the reference six, in order, onto
+    ``six``.  The marking by ``six`` is the reference marking moved by g, so
+    the conjugated generators g s_i g^-1 are ``six``'s presentation
+    reflections s1..s5."""
+    ref = np.array(fermat_data.PRESENTATION_SIX) - 1
+    (g,) = np.flatnonzero((w.table[:, ref] == np.array(six) - 1).all(axis=1))
+    return perm.conjugate_subgroup(_presentation_w_a5(), w[int(g)])
+
+
+def _times_centralizer(sub: FiniteGroup, cent: FiniteGroup) -> FiniteGroup:
+    """The group that a subgroup and its centralizer generate, written down
+    as the rows h z (h in ``sub``, z in ``cent``): the two commute, so these
+    products are closed, and they are distinct when the two meet only in
+    the identity (FiniteGroup rejects a repeated row)."""
+    return FiniteGroup(
+        generators=sub.generators + cent.generators,
+        table=np.concatenate([sub.table[:, z] for z in cent.table]),
+    )
+
+
 def _claim_preferred_double_six() -> Claim:
     w = lines_mod.weyl_group()
     s4 = lines_mod.s4_group()
@@ -844,7 +890,7 @@ def _claim_preferred_double_six() -> Claim:
         if all(in_single):
             pair_counts["both_halves"] += 1
             preferred = s
-    w_a5 = perm.generate(lattice.weyl_presentation_from_six(preferred)[1:]) if preferred else None
+    w_a5 = _six_w_a5(w, preferred) if preferred else None
     details: dict = {
         "single_orbit_six_count": sum(map(single_orbit, lines_mod.skew_sixes())),
         "double_sixes_with_a_single_orbit_half": pair_counts["one_half"],
@@ -854,7 +900,7 @@ def _claim_preferred_double_six() -> Claim:
     cent_a5 = perm.centralizer(w, w_a5) if w_a5 else None
     ok = w_a5 is not None and cent_a5 is not None
     if ok:
-        maximal = perm.generate(list(w_a5.generators) + list(cent_a5.generators))
+        maximal = _times_centralizer(w_a5, cent_a5)
         contains_s4 = s4 <= maximal
         cent_in_max = perm.intersect(maximal, _weyl_centralizer(s4))
         klein = lines_mod.monodromy_klein_group()

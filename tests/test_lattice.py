@@ -271,35 +271,28 @@ class TestMod3Reduction:
             lattice.mod3_reduction.__wrapped__()
 
     def test_po_identity(self, reduction, marking):
-        img = po_image(reduction, Permutation.identity(), marking)
+        (img,) = po_image(reduction, [Permutation.identity()], marking)
         assert img == tuple(tuple(1 if i == j else 0 for j in range(5)) for i in range(5))
 
     def test_images_preserve_reduced_form(self, reduction, marking, weyl):
         rng = random.Random(23)
-        pool = sorted(weyl.elements)
-        for _ in range(25):
-            img = po_image(reduction, rng.choice(pool), marking)
+        for img in po_image(reduction, [rng.choice(weyl) for _ in range(25)], marking):
             assert preserves_q5(reduction, img)
 
     def test_homomorphism(self, reduction, marking, weyl):
         rng = random.Random(29)
-        pool = sorted(weyl.elements)
         for _ in range(100):
-            p, q = rng.choice(pool), rng.choice(pool)
-            left = po_image(reduction, compose(p, q), marking)
-            a = po_image(reduction, p, marking)
-            b = po_image(reduction, q, marking)
+            p, q = rng.choice(weyl), rng.choice(weyl)
+            left, a, b = po_image(reduction, [compose(p, q), p, q], marking)
             prod = [
                 [sum(a[i][k] * b[k][j] for k in range(5)) % 3 for j in range(5)]
                 for i in range(5)
             ]
-            assert left == _canonical_sign(prod)
+            assert [left] == _canonical_sign([prod])
 
     def test_projective_codes_are_the_po_images(self, reduction, marking, s4):
         projective, signed = build_po_group(reduction, marking, s4)
-        expected = {
-            _base3([x for row in po_image(reduction, p, marking) for x in row]) for p in s4
-        }
+        expected = {_base3([x for row in img for x in row]) for img in po_image(reduction, list(s4), marking)}
         assert set(projective.tolist()) == expected
         assert len(projective) == 24 and signed == 48
 
@@ -315,12 +308,12 @@ class TestMod3Reduction:
         rows = np.random.default_rng(37).choice(weyl.order, 240, replace=False)
         basis, tables, digits = lattice._line_tables(reduction, marking)
         codes, neg_codes = lattice._signed_codes(tables, digits, weyl.table[rows][:, basis])
-        for k, code, neg_code in zip(rows.tolist(), codes.tolist(), neg_codes.tolist()):
+        images = po_image(reduction, [weyl[k] for k in rows.tolist()], marking)
+        for k, code, neg_code, img in zip(rows.tolist(), codes.tolist(), neg_codes.tolist(), images):
             w6 = restrict_to_root_coords(reduction, extend_to_lattice_automorphism(weyl[k], marking))
             signed = (reduction.quot @ w6 @ reduction.lift % 3).reshape(-1).tolist()
             assert code == _base3(signed) and neg_code == _base3([-x % 3 for x in signed])
-            flat = [x for row in po_image(reduction, weyl[k], marking) for x in row]
-            assert min(code, neg_code) == _base3(flat)
+            assert min(code, neg_code) == _base3([x for row in img for x in row])
 
     def test_partner_six_marking_gives_the_same_orders(self, reduction, weyl):
         partner = lattice.marking_vectors(lines.partner_six(fermat_data.PRESENTATION_SIX))
@@ -342,9 +335,7 @@ class TestMod3Reduction:
 
     def test_canonical_sign_normalization(self, reduction, marking, weyl):
         rng = random.Random(31)
-        pool = sorted(weyl.elements)
-        for _ in range(20):
-            img = po_image(reduction, rng.choice(pool), marking)
+        for img in po_image(reduction, [rng.choice(weyl) for _ in range(20)], marking):
             flat = [x for row in img for x in row]
             first = next(x for x in flat if x)
             assert first == 1
@@ -396,7 +387,7 @@ def _f3_mul(a, b):
         [sum(a[i][k] * b[k][j] for k in range(5)) % 3 for j in range(5)]
         for i in range(5)
     ]
-    return _canonical_sign(prod)
+    return _canonical_sign([prod])[0]
 
 
 def _matrix_group(gens):

@@ -687,6 +687,36 @@ class TestComponentStructure:
         for orbit, stab, _ in comps:
             assert len(orbit) * stab == klein.order
 
+    def test_one_stabilizer_per_distinct_row_set(self, klein, monkeypatch):
+        # the three fixed lines share K4, the six pairs one C2, and the
+        # three four-line orbits the trivial group: 3 stabilizers, not 12
+        real, built = perm.pointwise_stabilizer, []
+
+        def spy(group, points):
+            stab = real(group, points)
+            built.append(stab)
+            return stab
+
+        monkeypatch.setattr(perm, "pointwise_stabilizer", spy)
+        assert len(component_structure(klein)) == 12
+        assert len(built) == len(set(built)) == 3
+
+    # S4 x K4, the normalizer of S4, has two orbits whose stabilizers both
+    # have order 8 but are not isomorphic (D8 and an unrecognized H8)
+    @pytest.mark.parametrize("name", ["klein", "s4", "w_a5", "other_s6", "normalizer_of_s4"])
+    def test_matches_a_stabilizer_per_orbit(self, request, weyl, s4, name):
+        # oracle: each orbit's stabilizer built and named on its own
+        group = perm.normalizer(weyl, s4) if name == "normalizer_of_s4" else request.getfixturevalue(name)
+        g_name = perm.identify(fingerprint(group))
+        g_name = f"G{group.order}" if g_name == "unrecognized" else g_name
+        expected = []
+        for orbit in orbits(group):
+            stab = perm.pointwise_stabilizer(group, orbit[:1])
+            h_name = perm.identify(fingerprint(stab))
+            h_name = {"trivial": "e", "unrecognized": f"H{stab.order}"}.get(h_name, h_name)
+            expected.append((orbit, stab.order, f"[{g_name}/{h_name}]"))
+        assert component_structure(group) == expected
+
     def test_trivial_group_components(self):
         from cubic27.perm import IDENTITY
 
@@ -731,6 +761,15 @@ class TestOtherS6:
         assert c not in other_s6
         assert all(g * c in other_s6 for g in s)
 
+    def test_written_down_equals_the_closure(self, other_s6):
+        six = fermat_data.PRESENTATION_SIX
+        s = lattice.weyl_presentation_from_six(six)[1:]
+        (c,) = lattice.reflection_permutations(
+            lattice.marking_vectors(six), [(2, -1, -1, -1, -1, -1, -1)]
+        )
+        assert other_s6.generators == tuple(g * c for g in s)
+        assert other_s6 == generate([g * c for g in s])
+
     def test_non_reflection_witness_pinned(self):
         # the lexicographically smallest witness depends only on the group
         claim = _claim_non_reflection()
@@ -739,6 +778,64 @@ class TestOtherS6:
         assert claim.details["witness"] == (
             "(1,5,14)(2,6,18)(3,7,15)(4,8,19)(9,24,13)(10,20,22)(11,21,23)(12,17,16)(25,26,27)"
         )
+
+
+class TestExceptionalIsomorphism:
+    """exceptional-isomorphism images W(A5) only; the orders of W(E6)'s
+    image follow from the normal subgroups of W(E6)."""
+
+    def test_orders_agree_with_the_exhaustive_image(self, reduction, marking, weyl):
+        claim = monodromy._claim_exceptional_isomorphism()
+        projective, signed = lattice.build_po_group(reduction, marking, weyl)
+        assert claim.passed
+        assert claim.details["projective_image_order"] == len(projective) == 51840
+        assert claim.details["pre_projectivization_order"] == signed == 103680
+
+    def test_a_non_injective_w_a5_image_breaks_the_claim(self, monkeypatch):
+        real, seen = lattice.build_po_group, []
+
+        def one_code_lost(red, v, group):
+            projective, signed = real(red, v, group)
+            seen.append(len(projective) - 1)
+            return projective[:-1], signed - 2
+
+        monkeypatch.setattr(lattice, "build_po_group", one_code_lost)
+        claim = monodromy._claim_exceptional_isomorphism()
+        assert seen == [719]
+        assert not claim.passed
+        assert claim.details["projective_image_order"] == 0
+        assert claim.details["pre_projectivization_order"] == 0
+        assert claim.details["injective"] is False
+        assert claim.details["homomorphism_spot_check"] is True
+
+
+class TestPreferredDoubleSix:
+    """preferred-double-six writes its W(A5) and the order-1440 group down
+    from tables; the closures of their generators are the oracles."""
+
+    @pytest.fixture(scope="class")
+    def preferred(self):
+        claim = monodromy._claim_preferred_double_six()
+        assert claim.passed
+        return tuple(claim.details["preferred_six"])
+
+    def test_w_a5_equals_the_closure(self, weyl, preferred):
+        gens = lattice.weyl_presentation_from_six(preferred)[1:]
+        w_a5 = monodromy._six_w_a5(weyl, preferred)
+        assert list(w_a5.generators) == gens  # the six's presentation reflections
+        assert w_a5 == generate(gens)
+
+    def test_order_1440_group_equals_the_closure(self, weyl, preferred):
+        w_a5 = monodromy._six_w_a5(weyl, preferred)
+        cent = perm.centralizer(weyl, w_a5)
+        maximal = monodromy._times_centralizer(w_a5, cent)
+        assert cent.order == 2 and maximal.order == 1440
+        assert maximal == generate(list(w_a5.generators) + list(cent.generators))
+
+    def test_a_subgroup_inside_its_centralizer_is_rejected(self, weyl, klein):
+        # an abelian group lies in its own centralizer: the products repeat
+        with pytest.raises(ValueError, match="repeats a row"):
+            monodromy._times_centralizer(klein, perm.centralizer(weyl, klein))
 
 
 class TestPresentationOrder:
@@ -774,8 +871,9 @@ class TestPresentationOrder:
 
         monkeypatch.setattr(perm, "generate", spy)
         assert monodromy.verify_claims(seed=1, include_monodromy=False).all_passed()
-        assert 720 in closed  # the other S6: the spy sees the claims' closures
-        assert 51840 not in closed
+        # the claims close the order-16 group and its Klein factors; the S6s
+        # and the order-1440 group are written down from tables
+        assert closed and max(closed) <= 16
 
     def test_a_non_member_breaks_the_claim(self, monkeypatch, weyl):
         gens = lattice.weyl_presentation_from_six(fermat_data.PRESENTATION_SIX)

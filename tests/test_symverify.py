@@ -137,16 +137,19 @@ class TestNormalizerFamily:
 
         def triangular(lam):
             diag = (lam - 1, lam - 1, lam - 1, lam + 3)
-            return [
-                [diag[i] if i == j else Fraction(int(j > i)) for j in range(4)]
-                for i in range(4)
-            ]
+            return np.array([[diag[i] if i == j else int(j > i) for j in range(4)] for i in range(4)])
 
         monkeypatch.setattr(symverify, "_normalizer_matrix", triangular)
         result = check_normalizer_family()
         assert result.details["determinant_matches_(lam-1)^3(lam+3)"] is True
         assert result.details["commutes_with_permutation_matrices"] is False
         assert not result.passed
+
+    def test_integer_determinants_match_sympy(self):
+        from cubic27.symverify import _determinants
+
+        stack = np.random.default_rng(41).integers(-9, 10, size=(30, 4, 4))
+        assert _determinants(stack).tolist() == [int(sympy.Matrix(m.tolist()).det()) for m in stack]
 
     def test_commutes_with_a_transposition_at_lambda_2(self):
         from cubic27.symverify import _normalizer_matrix
