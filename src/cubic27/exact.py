@@ -1,11 +1,16 @@
-"""Exact arithmetic: Q(zeta) with zeta^2 = zeta - 1, the Eisenstein product
-on Z[zeta] as (a, b) integer pairs, integer cubic forms, and Gauss-Jordan
-elimination over Q and Q(zeta).
+"""Exact arithmetic over the Eisenstein integers Z[zeta], zeta^2 = zeta - 1,
+held as (a, b) integer pairs for a + b*zeta: their product, integer cubic
+forms, and determinants and ranks of matrices over Z[zeta].
 
 An integer cubic form is an int64 vector of its coefficients over
 MONOMIAL_EXPONENTS, the monomial order the tracker also uses; one table of
 each monomial's variable orderings turns it into its polarization tensor
 6T, from which substitution, restriction to a line and derivatives are read.
+
+A determinant is the Leibniz sum over one cached table of permutations and
+signs per size, its products taken with the Eisenstein product; a rank is
+the size of the largest nonzero minor.  Integer matrices are the matrices
+over Z[zeta] whose entries have b = 0.
 
 zeta is a primitive 6th root of unity (zeta^3 = -1, zeta^6 = 1); the numeric
 embedding pins zeta = exp(i*pi/3).
@@ -14,118 +19,13 @@ embedding pins zeta = exp(i*pi/3).
 from __future__ import annotations
 
 import cmath
-import math
-from fractions import Fraction
-from functools import lru_cache
-from itertools import permutations
-from typing import Sequence
+from functools import lru_cache, reduce
+from itertools import combinations, permutations
 
 import numpy as np
 
 ZETA_COMPLEX = cmath.exp(1j * cmath.pi / 3)  # the numeric embedding of zeta
 
-
-class Cyc:
-    """a + b*zeta with rational a, b; multiplication uses zeta^2 = zeta - 1."""
-
-    __slots__ = ("a", "b")
-
-    def __init__(self, a=0, b=0):
-        self.a = Fraction(a)
-        self.b = Fraction(b)
-
-    @staticmethod
-    def coerce(x) -> "Cyc":
-        if isinstance(x, Cyc):
-            return x
-        return Cyc(Fraction(x))
-
-    def __add__(self, other) -> "Cyc":
-        o = Cyc.coerce(other)
-        return Cyc(self.a + o.a, self.b + o.b)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "Cyc":
-        return Cyc(-self.a, -self.b)
-
-    def __sub__(self, other) -> "Cyc":
-        return self + (-Cyc.coerce(other))
-
-    def __rsub__(self, other) -> "Cyc":
-        return Cyc.coerce(other) + (-self)
-
-    def __mul__(self, other) -> "Cyc":
-        o = Cyc.coerce(other)
-        # (a + b z)(c + d z) = ac + (ad + bc) z + bd z^2,  z^2 = z - 1
-        return Cyc(self.a * o.a - self.b * o.b, self.a * o.b + self.b * o.a + self.b * o.b)
-
-    __rmul__ = __mul__
-
-    def conjugate(self) -> "Cyc":
-        """Complex conjugation, zeta -> zeta^5 = 1 - zeta."""
-        return Cyc(self.a + self.b, -self.b)
-
-    def norm(self) -> Fraction:
-        """x * conj(x) = a^2 + a b + b^2, a positive rational for x != 0."""
-        return self.a * self.a + self.a * self.b + self.b * self.b
-
-    def inverse(self) -> "Cyc":
-        n = self.norm()
-        if n == 0:
-            raise ZeroDivisionError("inverse of zero in Q(zeta)")
-        c = self.conjugate()
-        return Cyc(c.a / n, c.b / n)
-
-    def __truediv__(self, other) -> "Cyc":
-        return self * Cyc.coerce(other).inverse()
-
-    def __rtruediv__(self, other) -> "Cyc":
-        return Cyc.coerce(other) * self.inverse()
-
-    def __pow__(self, n: int) -> "Cyc":
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = ONE
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
-    def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
-
-    def __bool__(self) -> bool:
-        return bool(self.a or self.b)
-
-    def is_rational(self) -> bool:
-        return self.b == 0
-
-    def to_complex(self) -> complex:
-        return float(self.a) + float(self.b) * ZETA_COMPLEX
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = Cyc(other)
-        return isinstance(other, Cyc) and self.a == other.a and self.b == other.b
-
-    def __hash__(self) -> int:
-        # a rational element hashes as the equal int or Fraction does
-        return hash(self.a) if self.b == 0 else hash((self.a, self.b))
-
-    def __repr__(self) -> str:
-        if self.b == 0:
-            return f"Cyc({self.a})"
-        return f"Cyc({self.a}, {self.b})"
-
-
-ZERO = Cyc(0)
-ONE = Cyc(1)
-ZETA = Cyc(0, 1)
-ZETA5 = ZETA.conjugate()  # 1 - zeta
 
 # ---------------------------------------------------------------------------
 # Cubic forms: integer vectors over the 20 degree-3 monomials
@@ -215,39 +115,41 @@ def _derivatives(form: np.ndarray, point) -> tuple[np.ndarray, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# Matrices: Gauss-Jordan elimination over an exact field
+# Matrices over Z[zeta]: Leibniz determinants and ranks by minors
 # ---------------------------------------------------------------------------
 
 
-def _gauss_jordan(rows: Sequence[Sequence]) -> tuple[list[list], list[int], object]:
-    """Gauss-Jordan elimination over an exact field (Fraction or Cyc entries).
+@lru_cache(maxsize=None)
+def _leibniz_table(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The k! permutations of range(k) as read-only index rows, in
+    lexicographic order, and their signs."""
+    perms = np.array(list(permutations(range(k))), dtype=np.intp).reshape(-1, k)
+    signs = (-1) ** np.triu(perms[:, :, None] > perms[:, None, :]).sum(axis=(1, 2))
+    for table in (perms, signs):
+        table.setflags(write=False)
+    return perms, signs
 
-    Returns the reduced row echelon form, its pivot columns (their number is
-    the rank) and, for a square matrix, the determinant: the product of the
-    pivots, negated once per row swap (None if the matrix is not square).
-    """
-    m = [list(row) for row in rows]
-    pivots: list[int] = []
-    values = []
-    sign = 1
-    for col in range(len(m[0])):
-        r = len(pivots)
-        found = next((i for i in range(r, len(m)) if m[i][col]), None)
-        if found is None:
-            continue
-        if found != r:
-            m[r], m[found] = m[found], m[r]
-            sign = -sign
-        values.append(m[r][col])
-        inv = 1 / m[r][col]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][col]:
-                f = m[i][col]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(col)
-    if len(m) != len(m[0]):
-        return m, pivots, None
-    if len(pivots) < len(m):
-        return m, pivots, 0 * m[0][0]  # zero, in the entries' field
-    return m, pivots, math.prod(values, start=sign)
+
+def _det(m: np.ndarray) -> np.ndarray:
+    """Exact determinants of a stack of k x k matrices over Z[zeta],
+    (..., k, k, 2) -> (..., 2): the Leibniz sum of signed products of the
+    entries m[i, sigma(i)]."""
+    m = np.asarray(m)
+    k = m.shape[-2]
+    perms, signs = _leibniz_table(k)
+    entries = m[..., np.arange(k), perms, :]  # (..., k!, k, 2)
+    terms = reduce(_times, np.moveaxis(entries, -2, 0))
+    return (signs[:, None] * terms).sum(axis=-2)
+
+
+def _rank(m: np.ndarray) -> np.ndarray:
+    """The ranks of a stack of r x c matrices over Z[zeta], (..., r, c, 2) ->
+    (...): the size of each one's largest nonzero minor."""
+    m = np.asarray(m)
+    r, c = m.shape[-3:-1]
+    rank = np.zeros(m.shape[:-3], dtype=np.int64)
+    for k in range(1, min(r, c) + 1):
+        rows, cols = (np.array(list(combinations(range(n), k))) for n in (r, c))
+        minors = m[..., rows[:, None, :, None], cols[None, :, None, :], :]  # (..., R, C, k, k, 2)
+        rank[_det(minors).any(axis=(-3, -2, -1))] = k
+    return rank

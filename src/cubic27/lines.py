@@ -5,10 +5,12 @@ permutation action, skew sixes and double sixes.
 Every catalog entry is an Eisenstein integer a + b*zeta, so the catalog is
 one read-only (27, 2, 4, 2) int64 array of (a, b) pairs, and its Plucker
 vectors one (27, 6, 2) array; the only arithmetic on them is the Eisenstein
-product.  The incidence graph is one pairing product over all pairs, and
-each coordinate permutation's line permutation is read off the nearest
-catalog lines in floating point and proven by one exact proportionality
-test of the pushed-forward Plucker vectors against those lines.
+product, which also gives the rank of the tritangent lines' stacked spans
+through exact's Leibniz minors.  The incidence graph is one pairing product
+over all pairs, and each coordinate permutation's line permutation is read
+off the nearest catalog lines in floating point and proven by one exact
+proportionality test of the pushed-forward Plucker vectors against those
+lines.
 
 The graph is one read-only (27, 27) 0/1 integer adjacency array A, and every
 consumer reads A directly.  Skew sixes are enumerated once, on A, and their
@@ -28,7 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from . import fermat_data
-from .exact import ZETA_COMPLEX, Cyc, _gauss_jordan, _restrict, _times
+from .exact import ZETA_COMPLEX, _rank, _restrict, _times
 from .perm import FiniteGroup, Permutation, generate, parse_cycles
 
 N_LINES = 27
@@ -416,11 +418,6 @@ def _catalog_line(label: int) -> np.ndarray:
     return fermat_catalog()[label - 1]
 
 
-def _cyc_span(label: int) -> list[list[Cyc]]:
-    """The two basis rows of a catalog line as Q(zeta) elements."""
-    return [[Cyc(a, b) for a, b in row] for row in _catalog_line(label).tolist()]
-
-
 def line_restrictions_vanish(form: np.ndarray, label: int) -> bool:
     """Whether the integer cubic form restricts to the zero binary cubic on
     a catalog line."""
@@ -428,9 +425,10 @@ def line_restrictions_vanish(form: np.ndarray, label: int) -> bool:
 
 
 def tritangent_span_rank() -> int:
-    """Rank of the 6x4 matrix stacking the tritangent lines' spans."""
-    rows = [row for label in fermat_data.ORBIT_TRITANGENT for row in _cyc_span(label)]
-    return len(_gauss_jordan(rows)[1])
+    """The rank of the 6x4 matrix over Z[zeta] stacking the tritangent
+    lines' spans, read off its largest nonzero minor."""
+    rows = np.concatenate([_catalog_line(label) for label in fermat_data.ORBIT_TRITANGENT])
+    return int(_rank(rows))
 
 
 def catalog_records() -> list[dict]:

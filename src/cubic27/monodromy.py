@@ -973,68 +973,6 @@ def _claim_component_structure() -> Claim:
     })
 
 
-def _claim_numeric_hygiene(seed: int) -> Claim:
-    rng = np.random.default_rng(seed)
-    cat = _catalog_fiber()
-    worst = 0.0
-    for _ in range(100):
-        coeffs = (rng.standard_normal(20) + 1j * rng.standard_normal(20)) / np.sqrt(2)
-        f = CubicForm(coeffs)
-        i = int(rng.integers(0, 27))
-        jac = htrack.jacobian(f, cat.mats[i], cat.gauges[i])
-        fd = _finite_difference_jacobian(f, cat.mats[i], cat.gauges[i])
-        err = np.linalg.norm(jac - fd) / max(np.linalg.norm(jac), 1e-30)
-        worst = max(worst, float(err))
-    spec = symmetric_family()
-    reversal_ok = True
-    tested = 0
-    i = 0
-    # forward and reverse of each triangle in one batch, in chunks that stop
-    # where tracking one pair at a time would: at 20 pairs or 200 triangles
-    while tested < 20 and i < 200:
-        count = min(20 - tested, 200 - i)
-        triangles = [
-            random_loop(spec, np.random.default_rng((seed, 7000 + j)), spec.scale).vertices
-            for j in range(i, i + count)
-        ]
-        i += count
-        results = htrack.track_loop([v for loop in triangles for v in (loop, loop[::-1])], cat)
-        for fwd, bwd in zip(results[::2], results[1::2]):
-            if isinstance(fwd, TrackFailure) or isinstance(bwd, TrackFailure):
-                continue
-            tested += 1
-            if fwd.inverse() != bwd:
-                reversal_ok = False
-    # one triangle and one meridian, the schedule every report uses
-    rep1 = compute_monodromy(spec, budget=2, seed=seed)
-    rep2 = compute_monodromy(spec, budget=2, seed=seed)
-    deterministic = rep1.to_dict() == rep2.to_dict()
-    details = {
-        "worst_jacobian_fd_error": worst,
-        "reversal_pairs_tested": tested,
-        "reversal_inverse_ok": reversal_ok,
-        "deterministic_reports": deterministic,
-    }
-    ok = worst < 1e-6 and tested >= 20 and reversal_ok and deterministic
-    return Claim("numeric-hygiene", "analytic Jacobian matches finite differences, loop reversal inverts permutations, fixed seeds reproduce reports", ok, details)
-
-
-def _finite_difference_jacobian(
-    f: CubicForm, mat: np.ndarray, gauge: np.ndarray, h: float = 1e-7
-) -> np.ndarray:
-    free = htrack._free_indices(gauge[None])[0]
-    out = np.zeros((4, 4), dtype=complex)
-    flat = mat.reshape(8)
-    for k, pos in enumerate(free):
-        plus, minus = flat.copy(), flat.copy()
-        plus[pos] += h
-        minus[pos] -= h
-        rp = htrack.residual(f, plus.reshape(2, 4))
-        rm = htrack.residual(f, minus.reshape(2, 4))
-        out[:, k] = (rp - rm) / (2 * h)
-    return out
-
-
 def verify_claims(seed: int = 1, include_monodromy: bool = True) -> ClaimsReport:
     """Run the whole verification suite; monodromy claims can be skipped for
     a fast exact-only pass.  The symmetric run gets 40 loops, the full run
@@ -1053,5 +991,4 @@ def verify_claims(seed: int = 1, include_monodromy: bool = True) -> ClaimsReport
     if include_monodromy:
         claims.append(_claim_monodromy(symmetric_family(), seed, 40))
         claims.append(_claim_monodromy(full_family(), seed, 300))
-        claims.append(_claim_numeric_hygiene(seed))
     return ClaimsReport(seed=seed, claims=claims)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import permutations
 
 import numpy as np
 
@@ -18,6 +17,8 @@ from .exact import (
     MONOMIAL_EXPONENTS,
     N_MONOMIALS,
     _derivatives,
+    _det,
+    _leibniz_table,
     _substitute,
     symmetric_basis,
 )
@@ -112,8 +113,7 @@ def check_cayley_nodes() -> CheckResult:
         is_node = not grad.any()
         details["nodes"].append(is_node)
         others = [i for i in range(4) if i != k]
-        h = hess[np.ix_(others, others)]
-        det = int(h[0] @ np.cross(h[1], h[2]))
+        det = int(_determinants(hess[np.ix_(others, others)]))
         details["hessian_dets"].append(str(det))
         passed = passed and is_node and det != 0
     # smooth-point control away from the vertices
@@ -142,11 +142,6 @@ def check_tritangent_vanishing() -> CheckResult:
     return CheckResult("tritangent_vanishing", passed and rank == 3, details)
 
 
-# the 24 permutations of the four coordinates, as index rows, and their signs
-_PERMUTATIONS = np.array(list(permutations(range(4))))
-_SIGNS = (-1) ** np.triu(_PERMUTATIONS[:, :, None] > _PERMUTATIONS[:, None, :]).sum(axis=(1, 2))
-
-
 def _normalizer_matrix(lam: int) -> np.ndarray:
     """The int64 4x4 matrix with lam on the diagonal and 1 elsewhere."""
     c = np.ones((4, 4), dtype=np.int64)
@@ -155,9 +150,9 @@ def _normalizer_matrix(lam: int) -> np.ndarray:
 
 
 def _determinants(c: np.ndarray) -> np.ndarray:
-    """Exact determinants of a stack of integer 4x4 matrices, by the Leibniz
-    sum over the 24 permutations."""
-    return (_SIGNS * c[..., np.arange(4), _PERMUTATIONS].prod(axis=-1)).sum(axis=-1)
+    """Exact determinants of a stack of integer k x k matrices, read in
+    Z[zeta] by exact's Leibniz sum."""
+    return _det(np.stack([c, np.zeros_like(c)], axis=-1))[..., 0]
 
 
 def check_normalizer_family() -> CheckResult:
@@ -175,7 +170,8 @@ def check_normalizer_family() -> CheckResult:
     lam = np.array(samples)
     c = np.stack([_normalizer_matrix(x) for x in samples])
     dets_match = bool((_determinants(c) == (lam - 1) ** 3 * (lam + 3)).all())
-    commutes = bool((c[:, _PERMUTATIONS[:, :, None], _PERMUTATIONS[:, None, :]] == c[:, None]).all())
+    perms, _ = _leibniz_table(4)  # the 24 permutations of the coordinates
+    commutes = bool((c[:, perms[:, :, None], perms[:, None, :]] == c[:, None]).all())
     details = {
         "samples": [str(s) for s in samples],
         "determinant_matches_(lam-1)^3(lam+3)": dets_match,

@@ -1,6 +1,7 @@
+import numpy as np
 import pytest
 
-from cubic27 import fermat_data, lattice, lines, monodromy, perm
+from cubic27 import fermat_data, htrack, lattice, lines, monodromy, perm
 
 
 @pytest.fixture(scope="session")
@@ -47,3 +48,22 @@ def symmetric_report():
 @pytest.fixture(scope="session")
 def full_report():
     return monodromy.compute_monodromy(monodromy.full_family(), budget=300, seed=1)
+
+
+@pytest.fixture(scope="session")
+def reversal_pairs():
+    """A function that tracks ``count`` triangles of a family (the symmetric
+    one by default), the j-th drawn from default_rng((seed, 7000 + j)), and
+    their reverses over the catalog in one ``htrack.track_loop`` batch; it
+    returns the results, each triangle's followed by its reverse's."""
+
+    def track(spec=None, count=20, seed=1):
+        spec = spec or monodromy.symmetric_family()
+        triangles = [
+            monodromy.random_loop(spec, np.random.default_rng((seed, 7000 + j)), spec.scale).vertices
+            for j in range(count)
+        ]
+        loops = [v for loop in triangles for v in (loop, loop[::-1])]
+        return htrack.track_loop(loops, monodromy._catalog_fiber())
+
+    return track

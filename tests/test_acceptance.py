@@ -5,7 +5,9 @@ session-scoped monodromy reports (seed 1, budgets 40 and 300)."""
 import time
 from collections import Counter
 
-from cubic27 import lattice, lines, monodromy, perm, symverify
+import numpy as np
+
+from cubic27 import htrack, lattice, lines, monodromy, perm, symverify
 from cubic27.htrack import TrackerConfig
 
 
@@ -18,7 +20,7 @@ def test_criterion_01_weyl_reconstruction(weyl):
     assert weyl.order == 51840
     autos = lines.graph_automorphisms()
     assert autos.order == 51840
-    assert autos.elements == weyl.elements
+    assert autos == weyl
     report(1, f"generated order 51840 equals automorphism search ({time.time()-t0:.1f}s)")
 
 
@@ -146,14 +148,41 @@ def test_criterion_11_component_structure(klein):
     report(11, "12 components: 6 [K4/C2] + 3 [K4/e] + 3 [K4/K4]")
 
 
-def test_criterion_12_numeric_hygiene():
-    claim = monodromy._claim_numeric_hygiene(seed=1)
-    assert claim.passed, claim.details
-    assert claim.details["worst_jacobian_fd_error"] < 1e-6
-    assert claim.details["reversal_pairs_tested"] >= 20
-    assert claim.details["deterministic_reports"]
-    report(
-        12,
-        f"worst FD error {claim.details['worst_jacobian_fd_error']:.2e}; "
-        f"{claim.details['reversal_pairs_tested']} reversal pairs inverse; deterministic reports",
-    )
+def finite_difference_jacobian(f, mat, gauge, h=1e-7):
+    """The tracker's 4x4 Jacobian at one line, by central differences of the
+    residual in the line's four free entries."""
+    flat = mat.reshape(8)
+    out = np.zeros((4, 4), dtype=complex)
+    for k, pos in enumerate(htrack._free_indices(gauge[None])[0]):
+        step = np.zeros(8)
+        step[pos] = h
+        plus, minus = ((flat + d).reshape(2, 4) for d in (step, -step))
+        out[:, k] = (htrack.residual(f, plus) - htrack.residual(f, minus)) / (2 * h)
+    return out
+
+
+def test_criterion_12_numeric_hygiene(reversal_pairs):
+    # the analytic Jacobian against central differences on 100 random forms
+    rng = np.random.default_rng(1)
+    cat = monodromy._catalog_fiber()
+    worst = 0.0
+    for _ in range(100):
+        f = htrack.CubicForm((rng.standard_normal(20) + 1j * rng.standard_normal(20)) / np.sqrt(2))
+        i = int(rng.integers(0, 27))
+        jac = htrack.jacobian(f, cat.mats[i], cat.gauges[i])
+        err = np.linalg.norm(jac - finite_difference_jacobian(f, cat.mats[i], cat.gauges[i]))
+        worst = max(worst, float(err / max(np.linalg.norm(jac), 1e-30)))
+    assert worst < 1e-6
+    # loop reversal inverts the permutation, on 20 symmetric pairs none of
+    # which fails; the symmetric monodromy is all involutions, so 3 full-family
+    # pairs, one of order 3, show that a reverse is not tracked forward
+    for spec, count in ((None, 20), (monodromy.full_family(), 3)):
+        results = reversal_pairs(spec, count, seed=1)
+        assert not any(isinstance(r, htrack.TrackFailure) for r in results)
+        assert all(fwd.inverse() == bwd for fwd, bwd in zip(results[::2], results[1::2]))
+    assert any(fwd != fwd.inverse() for fwd in results[::2])
+    # a fixed seed reproduces the report: one triangle and one meridian
+    spec = monodromy.symmetric_family()
+    first, second = (monodromy.compute_monodromy(spec, budget=2, seed=1).to_dict() for _ in range(2))
+    assert first == second
+    report(12, f"worst FD error {worst:.2e}; 20 + 3 reversal pairs inverse; deterministic reports")

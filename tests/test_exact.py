@@ -1,98 +1,96 @@
 import math
 import random
-from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import permutations
 
 import numpy as np
 import pytest
 import sympy
+from sympy.combinatorics import Permutation
 
 from cubic27 import lines
 from cubic27.exact import (
     MONOMIAL_EXPONENTS,
     _derivatives,
-    _gauss_jordan,
+    _det,
+    _leibniz_table,
+    _rank,
     _restrict,
     _substitute,
-    Cyc,
-    ONE,
-    ZERO,
-    ZETA,
-    ZETA5,
+    _times,
     ZETA_COMPLEX,
     symmetric_basis,
 )
 from cubic27.lines import fermat_catalog
 
+ZETA = np.array([0, 1])
+ZETA5 = np.array([1, -1])  # zeta^5 = 1 - zeta
 
-def rand_cyc(rng, small=False):
-    bound = 3 if small else 20
-    return Cyc(
-        Fraction(rng.randint(-bound, bound), rng.randint(1, 5)),
-        Fraction(rng.randint(-bound, bound), rng.randint(1, 5)),
-    )
+
+def embed(x) -> np.ndarray:
+    """The complex values of (..., 2) Eisenstein pairs a + b zeta."""
+    x = np.asarray(x)
+    return x[..., 0] + x[..., 1] * ZETA_COMPLEX
+
+
+def conjugate(x) -> np.ndarray:
+    """conj(a + b zeta) = (a + b) - b zeta, on (..., 2) pairs."""
+    x = np.asarray(x)
+    return np.stack([x[..., 0] + x[..., 1], -x[..., 1]], axis=-1)
+
+
+def random_pairs(rng, *shape, bound=20):
+    return rng.integers(-bound, bound + 1, size=(*shape, 2))
 
 
 class TestCyclotomic:
     def test_zeta_times_zeta5_is_one(self):
-        assert ZETA * ZETA5 == ONE
+        assert _times(ZETA, ZETA5).tolist() == [1, 0]
+        assert abs(ZETA_COMPLEX * (1 - ZETA_COMPLEX) - 1) < 1e-15
 
     def test_zeta_cubed_is_minus_one(self):
-        assert ZETA**3 == Cyc(-1)
+        assert _times(_times(ZETA, ZETA), ZETA).tolist() == [-1, 0]
+        assert abs(ZETA_COMPLEX**3 + 1) < 1e-15
 
     def test_trace_of_zeta(self):
-        assert ZETA + ZETA.conjugate() == ONE
+        assert (ZETA + conjugate(ZETA)).tolist() == [1, 0]
+        assert abs(ZETA_COMPLEX + ZETA_COMPLEX.conjugate() - 1) < 1e-15
 
     def test_conjugation_formula(self):
-        x = Cyc(Fraction(2, 3), Fraction(-5, 7))
-        c = x.conjugate()
-        assert c.a == Fraction(2, 3) + Fraction(-5, 7) and c.b == Fraction(5, 7)
+        x = random_pairs(np.random.default_rng(0), 50)
+        assert np.abs(embed(conjugate(x)) - embed(x).conj()).max() < 1e-12
 
     def test_field_axioms_randomized(self):
-        rng = random.Random(1)
-        for _ in range(200):
-            x, y, z = (rand_cyc(rng) for _ in range(3))
-            assert x * (y + z) == x * y + x * z
-            assert (x + y) * z == x * z + y * z
-            assert x * y == y * x
-            if not x.is_zero():
-                assert x * x.inverse() == ONE
-
-    def test_truth_value_is_nonzero(self):
-        assert not ZERO and not Cyc(0, 0)
-        assert ONE and ZETA and Cyc(0, Fraction(-1, 3))
-
-    def test_inverse_of_zero_raises(self):
-        with pytest.raises(ZeroDivisionError):
-            ZERO.inverse()
+        # the ring axioms of the Eisenstein product, the embedding is a ring
+        # homomorphism, and x conj(x) is the positive integer norm, so every
+        # nonzero x is invertible in Q(zeta)
+        x, y, z = random_pairs(np.random.default_rng(1), 3, 200)
+        assert np.array_equal(_times(x, y + z), _times(x, y) + _times(x, z))
+        assert np.array_equal(_times(x, y), _times(y, x))
+        assert np.array_equal(_times(_times(x, y), z), _times(x, _times(y, z)))
+        assert np.abs(embed(_times(x, y)) - embed(x) * embed(y)).max() < 1e-9
+        norm = _times(x, conjugate(x))
+        assert not norm[:, 1].any()
+        assert (norm[x.any(axis=1), 0] > 0).all()
 
     def test_numeric_embedding(self):
-        z = ZETA.to_complex()
+        z = embed(ZETA)
         assert z == ZETA_COMPLEX
         assert abs(z**2 - z + 1) < 1e-15
         assert z.imag > 0
         # conj(a + b zeta) = (a + b) - b zeta embeds as the complex conjugate
         cat = fermat_catalog()
-        a, b = cat[..., 0], cat[..., 1]
-        embedded = a + b * ZETA_COMPLEX
-        assert np.abs((a + b) - b * ZETA_COMPLEX - embedded.conj()).max() < 1e-15
-
-    def test_hash_agrees_with_equal_rationals(self):
-        assert Cyc(1) in {1}
-        assert {Fraction(2, 3): "x"}[Cyc(Fraction(2, 3))] == "x"
-        assert hash(Cyc(-4)) == hash(-4) and hash(Cyc(0, 0)) == hash(0)
-        assert len({Cyc(1), Cyc(1, 1), Cyc(0, 1), ONE}) == 3
+        assert np.abs(embed(conjugate(cat)) - embed(cat).conj()).max() < 1e-15
 
     def test_norm_positive(self):
-        rng = random.Random(2)
-        for _ in range(50):
-            x = rand_cyc(rng)
-            if not x.is_zero():
-                assert x.norm() > 0
+        x = random_pairs(np.random.default_rng(2), 50)
+        a, b = x[:, 0], x[:, 1]
+        norm = a * a + a * b + b * b
+        assert np.abs(np.abs(embed(x)) ** 2 - norm).max() < 1e-9
+        assert (norm[x.any(axis=1)] > 0).all()
 
     def test_negative_power(self):
-        assert ZETA**-1 == ZETA5
-        assert ZETA**-6 == ONE
+        assert abs(ZETA_COMPLEX**-1 - embed(ZETA5)) < 1e-15
+        assert abs(ZETA_COMPLEX**-6 - 1) < 1e-15
 
 
 def permutation_matrix(sigma):
@@ -101,7 +99,7 @@ def permutation_matrix(sigma):
 
 def evaluate(form, point):
     """f(x) summed monomial by monomial, in the ring of the point's entries
-    (integers, Cyc or sympy polynomials)."""
+    (integers or sympy polynomials)."""
     return sum(int(c) * math.prod(x**e for x, e in zip(point, expo)) for c, expo in zip(form, MONOMIAL_EXPONENTS))
 
 
@@ -148,10 +146,10 @@ class TestPolyOps:
         rng = random.Random(3)
         for _ in range(20):
             form = random_form(rng)
-            m = [[rng.randint(-3, 3) for _ in range(4)] for _ in range(4)]
-            v = [Cyc(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(4)]
-            mv = [sum((m[i][j] * v[j] for j in range(4)), ZERO) for i in range(4)]
-            assert evaluate(_substitute(form, m), v) == evaluate(form, mv)
+            m = np.array([[rng.randint(-3, 3) for _ in range(4)] for _ in range(4)])
+            for _ in range(5):
+                v = [rng.randint(-3, 3) for _ in range(4)]
+                assert evaluate(_substitute(form, m), v) == evaluate(form, (m @ v).tolist())
 
     def test_substitute_matches_sympy(self):
         rng = random.Random(4)
@@ -228,121 +226,112 @@ class TestPolyOps:
 
 
 # ---------------------------------------------------------------------------
-# Field elimination and the Plucker pairing against a Leibniz oracle
+# Leibniz determinants and ranks, and the Plucker pairing against them
 # ---------------------------------------------------------------------------
 
-
-def leibniz_det(m):
-    """Sum over permutations of signed products (24 terms for a 4x4)."""
-    n = len(m)
-    total = 0
-    for sigma in permutations(range(n)):
-        inversions = sum(sigma[i] > sigma[j] for i in range(n) for j in range(i + 1, n))
-        term = -1 if inversions % 2 else 1
-        for i in range(n):
-            term = term * m[i][sigma[i]]
-        total = total + term
-    return total
+Z = sympy.symbols("z")
 
 
-def leibniz_rank(m):
-    """Largest k with a nonzero k x k minor."""
-    for k in range(min(len(m), len(m[0])), 0, -1):
-        for rows in combinations(range(len(m)), k):
-            for cols in combinations(range(len(m[0])), k):
-                if leibniz_det([[m[r][c] for c in cols] for r in rows]) != 0:
-                    return k
-    return 0
+def sympy_det(m) -> list[int]:
+    """The determinant of a square matrix of (a, b) pairs, as a polynomial in
+    z reduced modulo z^2 - z + 1: [a, b] for a + b zeta."""
+    dm = sympy.Matrix([[a + b * Z for a, b in row] for row in np.asarray(m).tolist()]).to_DM()
+    det = dm.domain.to_sympy(dm.det())
+    reduced = sympy.Poly(det, Z).rem(sympy.Poly(Z**2 - Z + 1, Z))
+    return [int(reduced.coeff_monomial(Z**k)) for k in (0, 1)]
 
 
-def rand_fraction(rng):
-    return Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+def random_matrix(rng, n, rank, eisenstein):
+    """An n x n matrix over Z[zeta] of rank at most ``rank``: (n x rank)
+    times (rank x n), a quarter of the factors' entries zero; integer
+    entries unless ``eisenstein``."""
+    b, c = (rng.integers(-3, 4, size=shape + (2,)) for shape in ((n, rank), (rank, n)))
+    for f in (b, c):
+        f[rng.random(f.shape[:2]) < 0.25] = 0
+        if not eisenstein:
+            f[..., 1] = 0
+    return _times(b[:, :, None], c[None, :, :]).sum(axis=1)
 
 
-def random_matrix(rng, n, rank, entry):
-    """n x n matrix of rank at most ``rank``: (n x rank) times (rank x n).
+class TestLeibniz:
+    @pytest.mark.parametrize("eisenstein", [False, True], ids=["integer", "eisenstein"])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_against_sympy(self, eisenstein, n):
+        rng = np.random.default_rng(10 * n + eisenstein)
+        matrices = np.stack([random_matrix(rng, n, trial % (n + 1), eisenstein) for trial in range(30)])
+        ranks = [np.linalg.matrix_rank(embed(m)) for m in matrices]  # oracle: the complex embedding
+        assert set(ranks) == set(range(n + 1))  # every rank occurs
+        assert _det(matrices).tolist() == [sympy_det(m) for m in matrices]
+        assert _rank(matrices).tolist() == ranks
 
-    Half the factors' entries are zero, so that zero pivots force row swaps."""
-    zero = entry(rng) * 0
-    b = [[entry(rng) if rng.random() < 0.5 else zero for _ in range(rank)] for _ in range(n)]
-    c = [[entry(rng) if rng.random() < 0.5 else zero for _ in range(n)] for _ in range(rank)]
-    return [[sum((b[i][k] * c[k][j] for k in range(rank)), zero) for j in range(n)] for i in range(n)]
+    def test_determinant_is_an_integer_pair(self):
+        one, zero = [1, 0], [0, 0]
+        swap = np.array([[zero, one], [one, zero]])
+        assert _det(swap).tolist() == [-1, 0]
+        assert _det(np.array([[zero, one], [zero, ZETA]])).tolist() == [0, 0]
+        dets = _det(np.stack([swap, np.zeros_like(swap), swap[::-1]]))
+        assert dets.dtype == np.int64 and dets.tolist() == [[-1, 0], [0, 0], [1, 0]]
+        assert _det(np.array([[ZETA]])).tolist() == [0, 1]
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_permutation_table(self, k):
+        perms, signs = _leibniz_table(k)
+        assert _leibniz_table(k)[0] is perms  # one table per size
+        assert perms.tolist() == [list(p) for p in permutations(range(k))]
+        assert signs.tolist() == [Permutation(list(p)).signature() for p in perms.tolist()]
 
-class TestGaussJordan:
-    @pytest.mark.parametrize("entry", [rand_fraction, lambda rng: rand_cyc(rng, small=True)],
-                             ids=["fraction", "cyc"])
-    @pytest.mark.parametrize("n", [3, 4])
-    def test_against_leibniz(self, entry, n):
-        rng = random.Random(10 * n + (entry is rand_fraction))
-        for trial in range(30):
-            rank = trial % (n + 1)  # singular for all but every (n+1)-th trial
-            m = random_matrix(rng, n, rank, entry)
-            reduced, pivots, det = _gauss_jordan(m)
-            assert det == leibniz_det(m)
-            assert len(pivots) == leibniz_rank(m)
-            assert pivots == sorted(set(pivots))
-            for k, col in enumerate(pivots):
-                assert all(x == 0 for x in reduced[k][:col]) and reduced[k][col] == 1
-                assert all(reduced[i][col] == 0 for i in range(n) if i != k)
-            assert all(x == 0 for row in reduced[len(pivots):] for x in row)
-            # every input row is the combination of reduced rows read off at the pivots
-            for row in m:
-                combo = [sum((row[col] * reduced[k][j] for k, col in enumerate(pivots)), 0 * row[0])
-                         for j in range(n)]
-                assert combo == row
+    def test_rank_of_a_stack(self):
+        rng = np.random.default_rng(12)
+        stack = rng.integers(-2, 3, size=(2, 3, 3, 5, 2))
+        stack[0, 1] = 0
+        stack[1, 2, 1] = stack[1, 2, 0]  # two equal rows
+        ranks = _rank(stack)
+        assert ranks.shape == (2, 3)
+        assert ranks.tolist() == [[int(_rank(m)) for m in row] for row in stack]
+        assert ranks[0, 1] == 0 and ranks[1, 2] <= 2
 
-    def test_determinant_stays_in_the_field(self):
-        assert isinstance(_gauss_jordan([[Cyc(0), ONE], [ONE, Cyc(0)]])[2], Cyc)
-        assert _gauss_jordan([[Cyc(0), ONE], [Cyc(0), ZETA]])[2] == Cyc(0)
-        assert _gauss_jordan([[Fraction(0)] * 2] * 2)[2] == 0
-
-    def test_non_square_has_no_determinant(self):
-        reduced, pivots, det = _gauss_jordan([[ONE, ZETA, ZERO], [ZETA, ZETA * ZETA, ONE]])
-        assert det is None and pivots == [0, 2]
-        assert reduced == [[ONE, ZETA, ZERO], [ZERO, ZERO, ONE]]
-
-
-def cyc_span(span) -> list[list[Cyc]]:
-    """A (2, 4, 2) Eisenstein-integer span as rows of Q(zeta) elements."""
-    return [[Cyc(a, b) for a, b in row] for row in np.asarray(span).tolist()]
+    def test_rank_of_a_non_square_matrix(self):
+        one, zero = np.array([1, 0]), np.array([0, 0])
+        zeta2 = _times(ZETA, ZETA)
+        assert _rank(np.array([[one, ZETA, zero], [ZETA, zeta2, one]])) == 2
+        assert _rank(np.array([[one, ZETA, zero], [ZETA, zeta2, zero]])) == 1
+        assert _rank(np.array([[one, ZETA, zero], [ZETA, zeta2, zero]]).transpose(1, 0, 2)) == 1
+        assert _rank(np.zeros((2, 3, 2), dtype=np.int64)) == 0
 
 
 def eisenstein_span(rng, through=None):
     """A random rank-2 (2, 4, 2) span with entries a + b zeta, |a|, |b| <= 2;
     its second row on the line ``through`` if one is given."""
     while True:
-        span = [[[rng.randint(-2, 2), rng.randint(-2, 2)] for _ in range(4)] for _ in range(2)]
+        span = rng.integers(-2, 3, size=(2, 4, 2))
         if through is not None:
-            s, t = (Cyc(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(2))
-            r0, r1 = cyc_span(through)
-            span[1] = [[int(x.a), int(x.b)] for x in (s * p + t * q for p, q in zip(r0, r1))]
-        if len(_gauss_jordan(cyc_span(span))[1]) == 2:
-            return np.array(span, dtype=np.int64)
+            s, t = rng.integers(-2, 3, size=(2, 2))
+            span[1] = _times(s, through[0]) + _times(t, through[1])
+        if _rank(span) == 2:
+            return span
 
 
-def pairing_cyc(a, b) -> Cyc:
-    return Cyc(*lines._pairing(lines._plucker(a), lines._plucker(b)).tolist())
+def pairing(a, b) -> np.ndarray:
+    return lines._pairing(lines._plucker(a), lines._plucker(b))
 
 
 class TestPluckerPairing:
     def test_catalog_pairs_match_the_stacked_determinant(self):
         cat = fermat_catalog()
-        meeting = 0
-        for i, j in combinations(range(27), 2):
-            value = pairing_cyc(cat[i], cat[j])
-            assert value == leibniz_det(cyc_span(cat[i]) + cyc_span(cat[j]))
-            assert lines.incidence_graph()[i, j] == value.is_zero()
-            meeting += value.is_zero()
-        assert meeting == 27 * 10 // 2
+        i, j = np.triu_indices(27, 1)
+        values = pairing(cat[i], cat[j])
+        assert np.array_equal(values, _det(np.concatenate([cat[i], cat[j]], axis=1)))
+        meeting = ~values.any(axis=1)
+        assert np.array_equal(lines.incidence_graph()[i, j], meeting)
+        assert meeting.sum() == 27 * 10 // 2
 
     def test_random_spans_match_the_stacked_determinant(self):
-        rng = random.Random(5)
+        rng = np.random.default_rng(5)
         for trial in range(60):
             a = eisenstein_span(rng)
             b = eisenstein_span(rng, through=a if trial % 2 else None)  # odd: b meets a
-            value = pairing_cyc(a, b)
-            assert value == leibniz_det(cyc_span(a) + cyc_span(b))
-            assert value == pairing_cyc(b, a)
+            value = pairing(a, b)
+            assert np.array_equal(value, _det(np.concatenate([a, b])))
+            assert np.array_equal(value, pairing(b, a))
             if trial % 2:
-                assert value.is_zero()
+                assert not value.any()

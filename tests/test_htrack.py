@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from cubic27 import htrack, lines, perm
-from cubic27.exact import Cyc, symmetric_basis
+from cubic27.exact import ZETA_COMPLEX, symmetric_basis
 from cubic27.htrack import (
     CubicForm,
     Fiber,
@@ -100,8 +100,8 @@ class SegmentSpy:
 
 @pytest.fixture(scope="module")
 def catalog():
-    spans = lines.fermat_catalog().tolist()
-    return Fiber.from_mats([[[Cyc(a, b).to_complex() for a, b in row] for row in line] for line in spans])
+    cat = lines.fermat_catalog()
+    return Fiber.from_mats(cat[..., 0] + cat[..., 1] * ZETA_COMPLEX)
 
 
 class TestMonomialOrder:

@@ -3,9 +3,10 @@ from itertools import combinations, permutations
 
 import numpy as np
 import pytest
+import sympy
 
 from cubic27 import fermat_data, lines
-from cubic27.exact import Cyc, _gauss_jordan, _times, symmetric_basis
+from cubic27.exact import _rank, _times, symmetric_basis
 from cubic27.lattice import marking_vectors
 from cubic27.lines import (
     coordinate_action_table,
@@ -34,32 +35,25 @@ from cubic27.perm import (
 )
 
 
-def cyc_span(line: np.ndarray) -> list[list[Cyc]]:
-    """The rows of one (2, 4, 2) catalog span as Q(zeta) elements."""
-    return [[Cyc(a, b) for a, b in row] for row in line.tolist()]
-
-
-def eisenstein(span) -> list[list[list[int]]]:
-    """Rows of Q(zeta) elements back as [a, b] integer pairs."""
-    assert all(x.a.denominator == x.b.denominator == 1 for row in span for x in row)
-    return [[[int(x.a), int(x.b)] for x in row] for row in span]
-
-
 def meets(i: int, j: int) -> bool:
     """Whether catalog lines i and j meet: their stacked spans have rank 3."""
     cat = fermat_catalog()
-    return len(_gauss_jordan(cyc_span(cat[i - 1]) + cyc_span(cat[j - 1]))[1]) == 3
+    return _rank(np.concatenate([cat[i - 1], cat[j - 1]])) == 3
 
 
 class TestCatalog:
     def test_27_distinct_lines(self):
-        # each span is its own reduced row echelon form, the canonical
+        # each span is in reduced row echelon form, the canonical
         # representative of its line, so distinct spans are distinct lines
         cat = fermat_catalog()
         assert cat.shape == (27, 2, 4, 2) and cat.dtype == np.int64
         for line in cat:
-            reduced, pivots, _ = _gauss_jordan(cyc_span(line))
-            assert len(pivots) == 2 and eisenstein(reduced) == line.tolist()
+            nonzero = line.any(axis=-1)
+            assert nonzero.any(axis=1).all()
+            pivots = nonzero.argmax(axis=1)  # entries before a row's pivot are 0
+            assert pivots[0] < pivots[1]
+            assert line[[0, 1], pivots].tolist() == [[1, 0], [1, 0]]  # pivot entries are 1
+            assert not line[[1, 0], pivots].any()  # pivot columns are otherwise 0
         assert len({line.tobytes() for line in cat}) == 27
 
     def test_line25_span(self):
@@ -104,9 +98,11 @@ class TestEisensteinProduct:
         rng = random.Random(3)
         pairs = np.array([[[rng.randint(-9, 9) for _ in range(2)] for _ in range(2)] for _ in range(200)])
         products = _times(pairs[:, 0], pairs[:, 1])
-        for (x, y), xy in zip(pairs.tolist(), products.tolist()):
-            product = Cyc(*x) * Cyc(*y)
-            assert xy == [product.a, product.b]
+        # oracle: the product of a + b z and c + d z reduced mod z^2 - z + 1
+        z = sympy.symbols("z")
+        for ((a, b), (c, d)), xy in zip(pairs.tolist(), products.tolist()):
+            product = sympy.Poly((a + b * z) * (c + d * z), z).rem(sympy.Poly(z**2 - z + 1, z))
+            assert xy == [int(product.coeff_monomial(z**k)) for k in (0, 1)]
 
 
 class TestMeet:
@@ -280,12 +276,13 @@ class TestCoordinateAction:
         # stacked with the span of the catalog line the table names as the
         # image still has rank 2
         cat = fermat_catalog()
-        for sigma, p in coordinate_action_table().items():
-            for label, line in enumerate(cat, start=1):
-                moved = np.empty_like(line)
-                moved[:, list(sigma)] = line
-                stacked = cyc_span(moved) + cyc_span(cat[p(label) - 1])
-                assert len(_gauss_jordan(stacked)[1]) == 2
+        table = coordinate_action_table()
+        moved = np.empty((len(table),) + cat.shape, dtype=cat.dtype)
+        images = np.empty_like(moved)
+        for k, (sigma, p) in enumerate(table.items()):
+            moved[k][:, :, list(sigma)] = cat
+            images[k] = cat[np.array(p.images) - 1]
+        assert (_rank(np.concatenate([moved, images], axis=2)) == 2).all()
 
     def test_missing_or_ambiguous_image_rejected(self):
         plucker = lines._catalog_plucker().copy()
@@ -303,13 +300,12 @@ class TestCoordinateAction:
         # complex conjugation of the catalog, conj(a + b zeta) = (a + b) - b zeta,
         # is itself the sigma1*tau2 monodromy element, so the zeta embedding
         # choice is harmless
+        # oracle: conjugate line i stacked with catalog line swap(i) has rank 2
         cat = fermat_catalog()
-        index = {line.tobytes(): i for i, line in enumerate(cat, start=1)}
         swap = monodromy_klein_elements()["sigma1*tau2"]
         conj = np.stack([cat[..., 0] + cat[..., 1], -cat[..., 1]], axis=-1)
-        for i, line in enumerate(conj, start=1):
-            reduced = np.array(eisenstein(_gauss_jordan(cyc_span(line))[0]), dtype=np.int64)
-            assert index[reduced.tobytes()] == swap(i)
+        images = cat[[swap(i) - 1 for i in range(1, 28)]]
+        assert (_rank(np.concatenate([conj, images], axis=1)) == 2).all()
 
 
 class TestSkewSixes:
@@ -456,4 +452,4 @@ class TestExactIdentitiesOnLines:
         with pytest.raises(ValueError, match="1..27"):
             line_restrictions_vanish(m21, label)
         with pytest.raises(ValueError, match="1..27"):
-            lines._cyc_span(label)
+            lines._catalog_line(label)

@@ -12,7 +12,7 @@ import sympy
 
 from cubic27 import fermat_data, htrack, lattice, lines, monodromy, perm
 from cubic27.cli import main
-from cubic27.exact import Cyc, _derivatives, _gauss_jordan, symmetric_basis
+from cubic27.exact import ZETA_COMPLEX, _derivatives, symmetric_basis
 from cubic27.htrack import CubicForm, MONOMIAL_EXPONENTS
 from cubic27.monodromy import (
     Loop,
@@ -91,9 +91,8 @@ class TestBasepointFiber:
     def test_fermat_matches_catalog_exactly(self):
         fiber = basepoint_fiber(symmetric_family())
         cat = lines.fermat_catalog()
-        for numeric, exact in zip(fiber.mats, cat.tolist()):
-            embedded = [[Cyc(a, b).to_complex() for a, b in row] for row in exact]
-            assert line_distance(numeric, np.array(embedded)) < 1e-12
+        for numeric, exact in zip(fiber.mats, cat):
+            assert line_distance(numeric, exact[..., 0] + exact[..., 1] * ZETA_COMPLEX) < 1e-12
 
     def test_perturbed_basepoint_keeps_labels(self):
         spec = replace(full_family(), base=embed_symmetric(1, 0.02, -0.01j).coeffs)
@@ -273,23 +272,15 @@ class TestSymmetricDiscriminant:
         f = np.array(abc) @ symmetric_basis()
         grad, hessian = _derivatives(f, point)
         assert not grad.any()
-        rows, pivots, _ = _gauss_jordan([[Fraction(int(h)) for h in row] for row in hessian])
-        assert len(pivots) == rank
+        h = sympy.Matrix(hessian.tolist())
+        assert h.rank() == rank
         assert not (hessian @ point).any()
         if kind == "A1":
             # m3 is 4 at the node (1, 1, 1, 1), not 0
             m3_grad, _ = _derivatives(symmetric_basis()[0], point)
             assert m3_grad @ point == 3 * 4
             return
-        # the kernel vectors of the reduced rows, one per free column
-        free = [j for j in range(4) if j not in pivots]
-        kernel = []
-        for j in free:
-            v = [Fraction(0)] * 4
-            v[j] = Fraction(1)
-            for row, p in zip(rows, pivots):
-                v[p] = -row[j]
-            kernel.append(_cleared(v))
+        kernel = [_cleared(v) for v in h.nullspace()]
         # a kernel vector off the point: some 2x2 minor of (v, x) is nonzero
         pairs = list(combinations(range(4), 2))
         v = next(k for k in kernel if any(k[i] * point[j] != k[j] * point[i] for i, j in pairs))
@@ -561,9 +552,8 @@ class TestEquivariantFrame:
 
 
 class TestNumericHygiene:
-    def test_reversal_pairs_are_one_batch_at_seed_1(self, monkeypatch):
-        # 20 triangles and their reverses, none failing, so one batch of 40
-        # stops where tracking one pair at a time stopped
+    def test_reversal_pairs_are_one_batch_at_seed_1(self, monkeypatch, reversal_pairs):
+        # 20 triangles and their reverses, none failing, in one batch of 40
         batches = []
         original = htrack.track_loop
 
@@ -572,10 +562,10 @@ class TestNumericHygiene:
             return original(loops, base, cfg, frame)
 
         monkeypatch.setattr(htrack, "track_loop", spy)
-        claim = monodromy._claim_numeric_hygiene(seed=1)
-        assert claim.passed
-        assert claim.details["reversal_pairs_tested"] == 20
-        assert batches[0] == 40
+        results = reversal_pairs(seed=1)
+        assert batches == [40]
+        assert not any(isinstance(r, htrack.TrackFailure) for r in results)
+        assert all(fwd.inverse() == bwd for fwd, bwd in zip(results[::2], results[1::2]))
 
 
 class TestUpperBoundVerdict:

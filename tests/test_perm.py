@@ -86,9 +86,8 @@ class TestCompose:
 
     def test_inverse_cancels(self, weyl):
         rng = random.Random(42)
-        pool = sorted(weyl.elements)
         for _ in range(100):
-            p = rng.choice(pool)
+            p = rng.choice(weyl)
             assert compose(p, p.inverse()) == IDENTITY
             assert compose(p.inverse(), p) == IDENTITY
 
@@ -327,9 +326,8 @@ class TestFingerprints:
 
     def test_conjugate_subgroup_preserves_fingerprint(self, weyl, s4):
         rng = random.Random(3)
-        pool = sorted(weyl.elements)
         for _ in range(10):
-            g = rng.choice(pool)
+            g = rng.choice(weyl)
             assert fingerprint(conjugate_subgroup(s4, g)) == fingerprint(s4)
 
 
