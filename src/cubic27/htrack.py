@@ -26,7 +26,7 @@ fiber that is matched is polished, once.
 
 The tracker works on ragged batches.  A batch has k members, each one
 fiber of n tracked lines on its own path with its own config, and every
-kernel call takes all of them: one (4n, 16) @ (16, 4) contraction and one
+kernel call takes all of them: one (3n, 16) @ (16, 4) contraction and one
 n-fold 4x4 solve per member, and one Plucker overlap of all the lines the
 frame reads off them, stacked along a leading member axis.  Each member
 keeps its own edge, t, step, streak of accepted steps, Newton convergence
@@ -89,8 +89,15 @@ from .perm import N_POINTS, FiniteGroup, Permutation, orbits
 _POLAR_SCATTER = _ORDERINGS / _ORDERINGS.sum(axis=1, keepdims=True)
 
 # The contraction returns G[n, ab, i] = T(e_i, m_a, m_b) for the row pairs
-# ab = (pp, pq, qp, qq) of a line (p, q); flat index ab * 4 + i.
+# ab = (pp, pq, qq) of a line (p, q); flat index ab * 4 + i.  T is symmetric,
+# so qp would equal pq and is not formed.
 _RESIDUAL_WEIGHT = np.array([1, 3, 3, 1])
+
+# Entry (ab, j, k) of the outer products m_a m_b^T is the product of the
+# entries at these flat positions of a line's (2, 4) span matrix.
+_ROW_PAIRS = ((0, 0), (0, 1), (1, 1))
+_OUTER_LEFT = np.array([4 * a + j for a, _ in _ROW_PAIRS for j in range(4) for _ in range(4)])
+_OUTER_RIGHT = np.array([4 * b + k for _, b in _ROW_PAIRS for _ in range(4) for k in range(4)])
 
 # Jacobian column of the unknown at flat position pos (p_j -> j, q_j -> 4 + j):
 # d/dp_j has rows (3G[pp], 6G[pq], 3G[qq], 0) at entry j, d/dq_j the same
@@ -98,7 +105,7 @@ _RESIDUAL_WEIGHT = np.array([1, 3, 3, 1])
 _JAC_INDEX = np.zeros((8, 4), dtype=np.int64)
 _JAC_WEIGHT = np.zeros((8, 4))
 for _j in range(4):
-    _JAC_INDEX[_j, :3] = _JAC_INDEX[4 + _j, 1:] = (_j, 4 + _j, 12 + _j)
+    _JAC_INDEX[_j, :3] = _JAC_INDEX[4 + _j, 1:] = (_j, 4 + _j, 8 + _j)
     _JAC_WEIGHT[_j, :3] = _JAC_WEIGHT[4 + _j, 1:] = (3, 6, 3)
 
 _PLUCKER_PAIRS = tuple(combinations(range(4), 2))
@@ -334,21 +341,21 @@ def _polar(coeffs: np.ndarray) -> np.ndarray:
 
 def _contract(tensor: np.ndarray, mats: np.ndarray) -> np.ndarray:
     """G[m, ..., l, ab, i] = T(e_i, m_a, m_b) over the row pairs ab = (pp,
-    pq, qp, qq) of line l of member m, for each tensor T of member m:
-    tensor (k, ..., 16, 4) and mats (k, n, 2, 4) give (k, ..., n, 4, 4).
-    Each member is one (4n, 16) @ (16, 4) product per tensor."""
+    pq, qq) of line l of member m, for each tensor T of member m:
+    tensor (k, ..., 16, 4) and mats (k, n, 2, 4) give (k, ..., n, 3, 4).
+    Each member is one (3n, 16) @ (16, 4) product per tensor."""
     k, n = mats.shape[:2]
-    lines = mats.reshape(-1, 2, 4)
-    outer = lines[:, :, None, :, None] * lines[:, None, :, None, :]
-    outer = outer.reshape((k,) + (1,) * (tensor.ndim - 3) + (4 * n, 16))
-    return (outer @ tensor).reshape(tensor.shape[:-2] + (n, 4, 4))
+    lines = mats.reshape(-1, 8)
+    outer = lines.take(_OUTER_LEFT, axis=1) * lines.take(_OUTER_RIGHT, axis=1)
+    outer = outer.reshape((k,) + (1,) * (tensor.ndim - 3) + (3 * n, 16))
+    return (outer @ tensor).reshape(tensor.shape[:-2] + (n, 3, 4))
 
 
 def _residual(g: np.ndarray, mats: np.ndarray) -> np.ndarray:
     """(p.G[pp], 3q.G[pp], 3p.G[qq], q.G[qq]): the coefficients of
     T(sp + tq, sp + tq, sp + tq) = f(s*p + t*q) for every line of g
-    (..., 4, 4) and mats (..., 2, 4); (..., 4)."""
-    flat = np.einsum("nci,ndi->ndc", mats.reshape(-1, 2, 4), g.reshape(-1, 4, 4)[:, ::3])
+    (..., 3, 4) and mats (..., 2, 4); (..., 4)."""
+    flat = np.einsum("nci,ndi->ndc", mats.reshape(-1, 2, 4), g.reshape(-1, 3, 4)[:, ::2])
     return flat.reshape(mats.shape[:-2] + (4,)) * _RESIDUAL_WEIGHT
 
 
@@ -370,7 +377,7 @@ class _Chart:
         lines = np.arange(len(slots))
         self.gauges = gauges
         self.unknowns = _SLOT_FREE[slots] + 8 * lines[:, None]
-        self.jac_index = _SLOT_JAC_INDEX[slots] + 16 * lines[:, None, None]
+        self.jac_index = _SLOT_JAC_INDEX[slots] + 12 * lines[:, None, None]
         self.jac_weight = _SLOT_JAC_WEIGHT[slots]
 
     def members(self, idx: Sequence[int], n: int) -> "_Chart":

@@ -9,8 +9,9 @@ canonical class is 3h - e1 - ... - e6 and every line class L has
 Q(L,L) = -1, Q(L,K) = 1.  A marking is one integer class matrix V whose
 row k - 1 is the class of line k, built from the incidence graph's adjacency
 array; every consumer reads the lattice from it.  The markings of many
-ordered sixes are one stacked array, and reflections in a stack of roots
-permute the 27 classes of every marking in one product over all of them.
+ordered sixes are one stacked array, and the rows that reflections in a
+stack of roots send the 27 classes of every marking to are found by one
+search over integer keys of the classes.
 
 The mod-3 image of a whole group is read off seven line lookups per element:
 an element's image is linear in the classes of the seven basis lines' images,
@@ -45,6 +46,10 @@ _Q = np.diag([1, -1, -1, -1, -1, -1, -1])
 _BASIS = np.vstack([[1, -1, -1, 0, 0, 0, 0], np.eye(7, dtype=np.int64)[1:]])
 _UNBASIS = np.eye(7, dtype=np.int64)
 _UNBASIS[0, :3] = 1
+
+# A line class has entries in -1..2, so two classes differ by at most 3 in
+# each entry, and the base-4 key x . _KEY tells them apart.
+_KEY = 4 ** np.arange(7, dtype=np.int64)
 
 
 def q_form(x: Sequence[int], y: Sequence[int]) -> int:
@@ -104,7 +109,9 @@ def markings(sixes: Sequence[Sequence[int]]) -> np.ndarray:
     meets = adj[members].transpose(0, 2, 1)  # (k, 27, 6): line l meets member i
     v = np.concatenate([np.where(meets.sum(axis=2) == 2, 1, 2)[..., None], -meets], axis=2)
     v[np.arange(len(v))[:, None], members] = np.eye(7, dtype=np.int64)[1:]
-    bad = ~(v @ _Q @ v.transpose(0, 2, 1) == adj - np.eye(lines_mod.N_LINES, dtype=np.int64)).all(axis=(1, 2))
+    small = v.astype(np.int8)  # entries -1..2, so every pairing fits in int8
+    gram = small @ _Q.astype(np.int8) @ small.transpose(0, 2, 1)
+    bad = ~(gram == (adj - np.eye(lines_mod.N_LINES, dtype=np.int64)).astype(np.int8)).all(axis=(1, 2))
     if bad.any():
         six = tuple((members[bad.argmax()] + 1).tolist())
         raise ValueError(f"lines {six} are not a skew six: V Q V^T != A - I")
@@ -126,19 +133,34 @@ def _basis_rows(v: np.ndarray) -> np.ndarray:
 def _reflection_rows(v: np.ndarray, roots: Sequence[Sequence[int]]) -> np.ndarray:
     """The (k, n, 27) uint8 0-based line permutations induced by the
     reflections in a stack of n roots, read through each of k class matrices
-    (k, 27, 7).  All rows are reflected in every root in one (k, n, 27, 7)
-    product; two line classes pair to -1 only when they are equal, so each
-    image is the row whose Q-pairing with it is -1 (float64 products of
-    small integers, exact), and then compared exactly."""
+    (k, 27, 7).
+
+    Each class x has the integer key x . _KEY, linear in x, so the image
+    x + Q(x, r) r of a row has the key key(x) + Q(x, r) key(r), read off the
+    rows' keys and the (k, n, 27) pairings without forming the image.  The
+    keys of all markings, offset into disjoint ranges, are sorted once, and
+    one search finds every image's row, read as a row of its own marking.
+    The rows found are then compared exactly with the images, computed in
+    int8 when every entry fits, so a key that aliases or is missing raises."""
     r = np.asarray(roots, dtype=np.int64).reshape(-1, 7)
     if np.any((r @ _Q * r).sum(axis=1) != -2):
         raise ValueError("reflection vector must have self-intersection -2")
-    dual = (_Q @ v.transpose(0, 2, 1))[:, None]  # (k, 1, 7, 27)
-    images = v[:, None] + (r @ dual[:, 0])[..., None] * r[:, None, :]
-    target = (images.astype(float) @ dual == -1).argmax(axis=3)
-    if not np.array_equal(v[np.arange(len(v))[:, None, None], target], images):
+    k, n_lines = v.shape[:2]
+    pairings = r @ _Q @ v.transpose(0, 2, 1)  # (k, n, 27)
+    keys = v @ _KEY  # (k, 27)
+    lo = keys.min()
+    keys += (np.arange(k) * (keys.max() - lo + 1) - lo)[:, None]  # one range per marking
+    order = np.argsort(keys.ravel())
+    found = np.searchsorted(keys.ravel()[order], keys[:, None] + pairings * (r @ _KEY)[:, None])
+    target = (order.take(found, mode="clip") % n_lines).astype(np.uint8)
+    bound = np.abs(v).max() + np.abs(pairings).max() * np.abs(r).max()  # of every image entry
+    narrow = np.int8 if bound <= np.iinfo(np.int8).max else np.int64
+    small = v.transpose(2, 0, 1).astype(narrow)  # (7, k, 27)
+    images = small[:, :, None] + r.T.astype(narrow)[:, None, :, None] * pairings.astype(narrow)
+    rows = (np.arange(k) * n_lines)[:, None, None] + target
+    if not np.array_equal(small.reshape(7, -1)[:, rows], images):
         raise ValueError("the reflection does not permute the line classes")
-    return target.astype(np.uint8)
+    return target
 
 
 def reflection_permutations(v: np.ndarray, roots: Sequence[Sequence[int]]) -> list[Permutation]:

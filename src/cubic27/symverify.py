@@ -106,16 +106,12 @@ def check_cayley_nodes() -> CheckResult:
     That these are its only singular points is not checked here.
     """
     _, _, m111 = symmetric_basis()
-    details: dict = {"nodes": [], "hessian_dets": []}
-    passed = True
-    for k in range(4):
-        grad, hess = _derivatives(m111, np.eye(4, dtype=np.int64)[k])
-        is_node = not grad.any()
-        details["nodes"].append(is_node)
-        others = [i for i in range(4) if i != k]
-        det = int(_determinants(hess[np.ix_(others, others)]))
-        details["hessian_dets"].append(str(det))
-        passed = passed and is_node and det != 0
+    derivatives = [_derivatives(m111, vertex) for vertex in np.eye(4, dtype=np.int64)]
+    others = [[i for i in range(4) if i != k] for k in range(4)]
+    dets = _determinants(np.stack([hess[np.ix_(o, o)] for (_, hess), o in zip(derivatives, others)]))
+    nodes = [not grad.any() for grad, _ in derivatives]
+    details: dict = {"nodes": nodes, "hessian_dets": [str(d) for d in dets.tolist()]}
+    passed = all(nodes) and bool(dets.all())
     # smooth-point control away from the vertices
     control = bool(_derivatives(m111, [1, 1, 1, 1])[0].any())
     details["smooth_control_point_nonsingular"] = control
@@ -168,16 +164,18 @@ def check_normalizer_family() -> CheckResult:
     """
     samples = [0, 2, 3, -1, 5]
     lam = np.array(samples)
-    c = np.stack([_normalizer_matrix(x) for x in samples])
-    dets_match = bool((_determinants(c) == (lam - 1) ** 3 * (lam + 3)).all())
+    # the samples, then the roots 1 and -3, in one determinant call
+    c = np.stack([_normalizer_matrix(x) for x in samples + [1, -3]])
+    dets = _determinants(c)
+    dets_match = bool((dets[:5] == (lam - 1) ** 3 * (lam + 3)).all())
     perms, _ = _leibniz_table(4)  # the 24 permutations of the coordinates
-    commutes = bool((c[:, perms[:, :, None], perms[:, None, :]] == c[:, None]).all())
+    commutes = bool((c[:5, perms[:, :, None], perms[:, None, :]] == c[:5, None]).all())
     details = {
         "samples": [str(s) for s in samples],
         "determinant_matches_(lam-1)^3(lam+3)": dets_match,
         "commutes_with_permutation_matrices": commutes,
-        "singular_at_1": bool(_determinants(_normalizer_matrix(1)) == 0),
-        "singular_at_-3": bool(_determinants(_normalizer_matrix(-3)) == 0),
+        "singular_at_1": bool(dets[5] == 0),
+        "singular_at_-3": bool(dets[6] == 0),
     }
     ok = dets_match and commutes and details["singular_at_1"] and details["singular_at_-3"]
     return CheckResult("normalizer_matrix_family", ok, details)

@@ -85,6 +85,22 @@ class TestForm:
         with pytest.raises(ValueError, match="does not permute the line classes"):
             reflection_permutations(marking, [root])
 
+    @pytest.mark.parametrize(
+        "altered",
+        [(0, 0, 1, 0, 0, 0, -1), (0, 4, 0, 0, 0, 0, 0)],
+        ids=["missing", "same key as e2"],
+    )
+    def test_altered_class_matches_no_row(self, marking, altered):
+        # the reflection in e1 - e2 sends e1 to e2; with e2's row altered, e2
+        # is in no row of the second marking, though it is in the first
+        # marking's rows, and (0, 4, 0, ...) has e2's key but not its entries
+        stack = np.stack([marking, marking])
+        stack[1, marking.tolist().index(list(_unit(2)))] = altered
+        root = tuple(a - b for a, b in zip(_unit(1), _unit(2)))
+        assert lattice._reflection_rows(stack[:1], [root]).shape == (1, 1, 27)
+        with pytest.raises(ValueError, match="does not permute the line classes"):
+            lattice._reflection_rows(stack, [root])
+
 
 class TestLineClasses:
     def test_count_and_self_intersection(self, marking):

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
@@ -951,6 +952,40 @@ class TestWeylReconstruction:
         assert 24 in generated and 720 in generated  # S4 in set-up, the other S6 in the claims
         assert 720 in closures
         assert 51840 not in generated and 51840 not in closures
+
+
+_EXACT_CLAIMS = (
+    "_claim_weyl_reconstruction",
+    "_claim_s4_action",
+    "_claim_subgroup_ladder",
+    "_claim_exceptional_isomorphism",
+    "_claim_presentation_and_double_sixes",
+    "_claim_non_reflection",
+    "_claim_preferred_double_six",
+    "_claim_exact_identities",
+    "_claim_component_structure",
+)
+
+
+class TestExactClaimMemory:
+    """No exact claim allocates more than 1.5 MiB at a time beyond the state
+    every command shares: the claims run inside a process whose peak resident
+    memory is that state plus the largest of these peaks."""
+
+    @pytest.mark.parametrize("name", _EXACT_CLAIMS)
+    def test_traced_peak_above_start(self, name):
+        claim = getattr(monodromy, name)
+        lines.weyl_group()
+        lines.s4_group()
+        claim()  # fills the caches the claim shares with the others
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            claim()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - start <= 1.5 * 2**20, f"{name} peaks {(peak - start) / 2**20:.2f} MiB above its start"
 
 
 class TestFaultIsolation:
