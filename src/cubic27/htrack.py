@@ -93,12 +93,6 @@ _POLAR_SCATTER = _ORDERINGS / _ORDERINGS.sum(axis=1, keepdims=True)
 # so qp would equal pq and is not formed.
 _RESIDUAL_WEIGHT = np.array([1, 3, 3, 1])
 
-# Entry (ab, j, k) of the outer products m_a m_b^T is the product of the
-# entries at these flat positions of a line's (2, 4) span matrix.
-_ROW_PAIRS = ((0, 0), (0, 1), (1, 1))
-_OUTER_LEFT = np.array([4 * a + j for a, _ in _ROW_PAIRS for j in range(4) for _ in range(4)])
-_OUTER_RIGHT = np.array([4 * b + k for _, b in _ROW_PAIRS for _ in range(4) for k in range(4)])
-
 # Jacobian column of the unknown at flat position pos (p_j -> j, q_j -> 4 + j):
 # d/dp_j has rows (3G[pp], 6G[pq], 3G[qq], 0) at entry j, d/dq_j the same
 # rows shifted down by one.  Zero-weight slots read entry 0 and drop it.
@@ -345,8 +339,8 @@ def _contract(tensor: np.ndarray, mats: np.ndarray) -> np.ndarray:
     tensor (k, ..., 16, 4) and mats (k, n, 2, 4) give (k, ..., n, 3, 4).
     Each member is one (3n, 16) @ (16, 4) product per tensor."""
     k, n = mats.shape[:2]
-    lines = mats.reshape(-1, 8)
-    outer = lines.take(_OUTER_LEFT, axis=1) * lines.take(_OUTER_RIGHT, axis=1)
+    lines = mats.reshape(-1, 2, 4)
+    outer = lines[:, [0, 0, 1], :, None] * lines[:, [0, 1, 1], None, :]
     outer = outer.reshape((k,) + (1,) * (tensor.ndim - 3) + (3 * n, 16))
     return (outer @ tensor).reshape(tensor.shape[:-2] + (n, 3, 4))
 

@@ -141,11 +141,14 @@ def _reflection_rows(v: np.ndarray, roots: Sequence[Sequence[int]]) -> np.ndarra
     keys of all markings, offset into disjoint ranges, are sorted once, and
     one search finds every image's row, read as a row of its own marking.
     The rows found are then compared exactly with the images, computed in
-    int8 when every entry fits, so a key that aliases or is missing raises."""
+    int8, so a key that aliases or is missing raises, as does an image entry
+    past int8, which no line class has."""
     r = np.asarray(roots, dtype=np.int64).reshape(-1, 7)
     if np.any((r @ _Q * r).sum(axis=1) != -2):
         raise ValueError("reflection vector must have self-intersection -2")
     k, n_lines = v.shape[:2]
+    if not len(r):
+        return np.empty((k, 0, n_lines), dtype=np.uint8)
     pairings = r @ _Q @ v.transpose(0, 2, 1)  # (k, n, 27)
     keys = v @ _KEY  # (k, 27)
     lo = keys.min()
@@ -153,10 +156,11 @@ def _reflection_rows(v: np.ndarray, roots: Sequence[Sequence[int]]) -> np.ndarra
     order = np.argsort(keys.ravel())
     found = np.searchsorted(keys.ravel()[order], keys[:, None] + pairings * (r @ _KEY)[:, None])
     target = (order.take(found, mode="clip") % n_lines).astype(np.uint8)
-    bound = np.abs(v).max() + np.abs(pairings).max() * np.abs(r).max()  # of every image entry
-    narrow = np.int8 if bound <= np.iinfo(np.int8).max else np.int64
-    small = v.transpose(2, 0, 1).astype(narrow)  # (7, k, 27)
-    images = small[:, :, None] + r.T.astype(narrow)[:, None, :, None] * pairings.astype(narrow)
+    # an image entry past int8 is no line class (those have entries -1..2)
+    if np.abs(v).max() + np.abs(pairings).max() * np.abs(r).max() > np.iinfo(np.int8).max:
+        raise ValueError("the reflection does not permute the line classes")
+    small = v.transpose(2, 0, 1).astype(np.int8)  # (7, k, 27)
+    images = small[:, :, None] + r.T.astype(np.int8)[:, None, :, None] * pairings.astype(np.int8)
     rows = (np.arange(k) * n_lines)[:, None, None] + target
     if not np.array_equal(small.reshape(7, -1)[:, rows], images):
         raise ValueError("the reflection does not permute the line classes")

@@ -101,6 +101,10 @@ class TestForm:
         with pytest.raises(ValueError, match="does not permute the line classes"):
             lattice._reflection_rows(stack, [root])
 
+    def test_empty_root_stack(self, marking):
+        assert lattice._reflection_rows(marking[None], []).shape == (1, 0, 27)
+        assert reflection_permutations(marking, []) == []
+
 
 class TestLineClasses:
     def test_count_and_self_intersection(self, marking):
