@@ -85,6 +85,12 @@ class TestForm:
         with pytest.raises(ValueError, match="does not permute the line classes"):
             reflection_permutations(marking, [root])
 
+    def test_root_with_images_past_int8_rejected(self, marking):
+        root = (10, 10, 1, 1, 0, 0, 0)
+        assert q_form(root, root) == -2
+        with pytest.raises(ValueError, match="does not permute the line classes"):
+            reflection_permutations(marking, [root])
+
     @pytest.mark.parametrize(
         "altered",
         [(0, 0, 1, 0, 0, 0, -1), (0, 4, 0, 0, 0, 0, 0)],
