@@ -7,6 +7,8 @@ claim-verification suite.
 
 from __future__ import annotations
 
+import cmath
+import math
 import random as _random
 from collections import Counter
 from dataclasses import asdict, dataclass, field
@@ -165,17 +167,31 @@ class Loop:
             raise ValueError("loop must be closed (first vertex = last vertex)")
 
 
-def random_loop(spec: FamilySpec, rng: np.random.Generator, scale: float) -> Loop:
+def _complex_gaussian(rng: _random.Random) -> complex:
+    """A standard complex Gaussian (E|z|^2 = 2) by Box-Muller from two draws
+    of ``rng.random()``."""
+    u, v = rng.random(), rng.random()
+    return math.sqrt(-2 * math.log1p(-u)) * cmath.exp(2j * math.pi * v)
+
+
+def random_loop(spec: FamilySpec, rng: _random.Random, scale: float) -> Loop:
     """Random triangle basepoint -> p1 -> p2 -> basepoint; the p_i are the
     basepoint plus complex Gaussian parameter offsets of root-mean-square
-    norm ``scale`` times the basepoint parameter norm."""
+    norm ``scale`` times the basepoint parameter norm.
+
+    Each offset coordinate is one Box-Muller Gaussian sqrt(-2 log(1 - u))
+    exp(2 pi i v) from two draws u, v of ``rng.random()``, divided by
+    sqrt(2n).  Only ``random()`` is drawn: Python keeps its sequence for a
+    given seed across releases, while numpy's NEP 19 promises no stable
+    stream for its Gaussian samplers, so a seed names the same loops on
+    every installation."""
     base = spec.base
     n = len(base)
     sigma = scale * np.linalg.norm(base) if np.linalg.norm(base) > 0 else scale
     pts = []
     for _ in range(2):
         # unit-rms complex Gaussian offset direction
-        g = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2 * n)
+        g = np.array([_complex_gaussian(rng) for _ in range(n)]) / np.sqrt(2 * n)
         pts.append(base + sigma * g)
     f0 = spec.form_at(base)
     return Loop(
@@ -270,7 +286,7 @@ def probe_discriminant(spec: FamilySpec, direction: Sequence[complex]) -> float 
     return min((t for t in real_roots if 0 < t <= _PROBE_T_MAX), default=None)
 
 
-def _meridian_loop(spec: FamilySpec, rng: np.random.Generator, angle_hint: float) -> Loop:
+def _meridian_loop(spec: FamilySpec, rng: _random.Random, angle_hint: float) -> Loop:
     """Probe a real parameter ray for its first crossing of a discriminant
     component and wind a circle there, of radius a tenth of the crossing
     parameter (at least 0.03); the opposite ray is probed before giving up,
@@ -278,9 +294,10 @@ def _meridian_loop(spec: FamilySpec, rng: np.random.Generator, angle_hint: float
 
     The ray keeps the first parameter fixed (for the symmetric family, the
     affine (b, c) chart); ``angle_hint`` lets the caller stratify ray angles
-    across loops so that consecutive meridians sweep different components.
+    across loops so that consecutive meridians sweep different components,
+    and one draw u of ``rng.random()`` jitters it by 0.4 * u - 0.2.
     """
-    theta = angle_hint + rng.uniform(-0.2, 0.2)
+    theta = angle_hint + (0.4 * rng.random() - 0.2)
     direction = np.array([0.0, np.cos(theta), np.sin(theta)])
     for candidate in (direction, -direction):
         t_star = probe_discriminant(spec, candidate)
@@ -347,12 +364,14 @@ _GOLDEN_ANGLE = 2 * np.pi * 0.6180339887498949
 def _build_loop(spec: FamilySpec, index: int, seed: int) -> Loop:
     """Loop ``index`` of a run: a probed meridian on odd indices when the
     family has discriminant components, otherwise a random triangle of
-    jittered scale."""
-    rng = np.random.default_rng((seed, index))
+    scale ``spec.scale * (0.6 + 0.8 * u)``.  Every draw is ``random()`` of
+    ``random.Random(f"{seed}:{index}")``, whose sequence Python keeps for a
+    given seed; see ``random_loop``."""
+    rng = _random.Random(f"{seed}:{index}")
     if index % 2 == 1 and spec.components:
         hint = (index * _GOLDEN_ANGLE) % (2 * np.pi)
         return _meridian_loop(spec, rng, hint)
-    return random_loop(spec, rng, spec.scale * rng.uniform(0.6, 1.4))
+    return random_loop(spec, rng, spec.scale * (0.6 + 0.8 * rng.random()))
 
 
 def _loop_meta(loop: Loop) -> dict:

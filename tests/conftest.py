@@ -1,4 +1,5 @@
-import numpy as np
+import random
+
 import pytest
 
 from cubic27 import fermat_data, htrack, lattice, lines, monodromy, perm
@@ -53,14 +54,14 @@ def full_report():
 @pytest.fixture(scope="session")
 def reversal_pairs():
     """A function that tracks ``count`` triangles of a family (the symmetric
-    one by default), the j-th drawn from default_rng((seed, 7000 + j)), and
-    their reverses over the catalog in one ``htrack.track_loop`` batch; it
-    returns the results, each triangle's followed by its reverse's."""
+    one by default), the j-th drawn from random.Random(f"{seed}:{7000 + j}"),
+    and their reverses over the catalog in one ``htrack.track_loop`` batch;
+    it returns the results, each triangle's followed by its reverse's."""
 
     def track(spec=None, count=20, seed=1):
         spec = spec or monodromy.symmetric_family()
         triangles = [
-            monodromy.random_loop(spec, np.random.default_rng((seed, 7000 + j)), spec.scale).vertices
+            monodromy.random_loop(spec, random.Random(f"{seed}:{7000 + j}"), spec.scale).vertices
             for j in range(count)
         ]
         loops = [v for loop in triangles for v in (loop, loop[::-1])]

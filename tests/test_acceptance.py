@@ -9,6 +9,39 @@ import numpy as np
 
 from cubic27 import htrack, lattice, lines, monodromy, perm, symverify
 from cubic27.htrack import TrackerConfig
+from cubic27.perm import parse_cycles
+
+# A full-family triangle Fermat -> p1 -> p2 -> Fermat whose permutation has
+# order 3, as the vertex parameters (20 monomial coefficients each).  It is
+# the third reversal pair's triangle of default_rng((1, 7002)), from before
+# loops were drawn from Python's random, kept as literals so that the
+# reversal check keeps a pair that is not an involution.
+ORDER_3_TRIANGLE = (
+    (
+        1.5136625371855494+0.45171645131773674j, -0.4684219469110176+1.3750701802130212j,
+        1.3343388424247038+0.4806203234421321j, -0.07131775630659247-0.6836103763998556j,
+        -0.1866142162618539+0.8166250214769447j, 0.4735384609840464+0.9833218868526912j,
+        -0.04598055703074428+0.37271594534920893j, -0.4487001713041571-0.4081196994863971j,
+        -0.19795506262788312+0.3505342438959853j, -0.2655269171073902-1.089559128129659j,
+        1.057406718560897+0.6061431286310025j, 0.08421112498294088+0.2928953493662477j,
+        -0.4032433327353042-0.3773611888245422j, 0.34308876297832186+0.8910742187625827j,
+        -0.11668405254363692-0.30527983535567804j, -0.7640961889762352-0.9271615541686916j,
+        1.010440548940264-0.9454963176428349j, -0.22872260920109563+0.7833256952993607j,
+        -0.7321563955973217-0.9209364588202953j, 1.2985903319893968+0.9462825477030448j,
+    ),
+    (
+        1.9576918338817628+0.05523277980115779j, 0.7671413258876308-0.2397783248566101j,
+        0.6974975457396808+0.5219012031032427j, -0.43872236147619587-0.4250001012657385j,
+        0.07671187427095434-0.9350191117906271j, -0.9073203787662971-0.4203248274409419j,
+        -0.8488087610988948-0.20391917243190083j, 0.4598637066444218-0.30355510999146595j,
+        0.42369189913497635-0.5355426914043376j, -0.5108633847748348-0.06459663619118224j,
+        0.9433550131663693+0.09081384849461437j, -0.44571597894543774-0.19527635132361856j,
+        -0.15850900914081634-0.6228371945324545j, 0.25233313854841416+0.5036401357326191j,
+        0.05287159304247736+0.23782829963610963j, -1.1009306960667897-0.11347306564978867j,
+        0.4395152637786146+0.16593969855887872j, 0.8890123024429625+0.13908483007562641j,
+        -0.0457435134173235-0.6810413592199621j, 1.111899187088963-1.0431711945944382j,
+    ),
+)
 
 
 def report(criterion, message):
@@ -173,16 +206,22 @@ def test_criterion_12_numeric_hygiene(reversal_pairs):
         err = np.linalg.norm(jac - finite_difference_jacobian(f, cat.mats[i], cat.gauges[i]))
         worst = max(worst, float(err / max(np.linalg.norm(jac), 1e-30)))
     assert worst < 1e-6
-    # loop reversal inverts the permutation, on 20 symmetric pairs none of
-    # which fails; the symmetric monodromy is all involutions, so 3 full-family
-    # pairs, one of order 3, show that a reverse is not tracked forward
+    # loop reversal inverts the permutation, on 20 symmetric and 3
+    # full-family pairs none of which fails; the symmetric monodromy is all
+    # involutions, so the pinned full-family triangle of order 3 shows that a
+    # reverse is not tracked forward
     for spec, count in ((None, 20), (monodromy.full_family(), 3)):
         results = reversal_pairs(spec, count, seed=1)
         assert not any(isinstance(r, htrack.TrackFailure) for r in results)
         assert all(fwd.inverse() == bwd for fwd, bwd in zip(results[::2], results[1::2]))
-    assert any(fwd != fwd.inverse() for fwd in results[::2])
+    full = monodromy.full_family()
+    triangle = tuple(full.form_at(p) for p in (full.base, *ORDER_3_TRIANGLE, full.base))
+    fwd, bwd = htrack.track_loop([triangle, triangle[::-1]], monodromy._catalog_fiber())
+    assert fwd == parse_cycles("(1,10,19)(3,18,24)(4,20,12)(7,13,27)(8,22,25)(9,17,15)")
+    assert bwd == fwd.inverse()
+    assert fwd != fwd.inverse()
     # a fixed seed reproduces the report: one triangle and one meridian
     spec = monodromy.symmetric_family()
     first, second = (monodromy.compute_monodromy(spec, budget=2, seed=1).to_dict() for _ in range(2))
     assert first == second
-    report(12, f"worst FD error {worst:.2e}; 20 + 3 reversal pairs inverse; deterministic reports")
+    report(12, f"worst FD error {worst:.2e}; 20 + 3 + 1 reversal pairs inverse; deterministic reports")

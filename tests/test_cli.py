@@ -25,9 +25,9 @@ STRUCTURED_DIGESTS = {
 # sha256 and exit code of --seed S --format structured monodromy --family
 # symmetric --loops 8: tracker changes must keep these reports byte-identical
 SYMMETRIC_LOOPS_8 = {
-    1: ("59e762755a797dc74b40e59941742c10f6d098d9927b7fefa7c19116273fdf55", 1),
-    100004: ("cd20483e92a66ecb1c79751a74a68385816d780676e28864ed12773e9bae7b6c", 1),
-    200007: ("bc823cf2cb2f3b616233518f84fb44916bacd8ef24dd9e1db02903132255eea2", 1),
+    1: ("6c7b63efa8f994d169d7f1a6f6f7a320665836779210cf030f10f031bf979b48", 1),
+    100004: ("473470bfd7f8aec2971fb95e7924bff9a3c6a25a379cc5347192c53d75aa774d", 1),
+    200007: ("17fe2fb1dd4c1104c5b12ed50194d865b9c22f26589c72e1a913f236c19f134a", 1),
 }
 
 
@@ -245,18 +245,7 @@ class TestVerifyAll:
     def test_exact_claims_leave_numpy_ma_unimported(self):
         # np.unique imports numpy.ma on first use (11-18 ms); the exact
         # claims count distinct values by sorting or bincount instead
-        script = (
-            "import contextlib, io, sys\n"
-            "from cubic27.cli import main\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            "    code = main(['verify-all', '--skip-monodromy'])\n"
-            "print(code, 'numpy.ma' in sys.modules)\n"
-        )
-        env = {**os.environ, "PYTHONPATH": str(Path(cubic27.__file__).resolve().parents[1])}
-        proc = subprocess.run(
-            [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120,
-        )
-        assert proc.stdout.split() == ["0", "False"], proc.stderr
+        assert cold_run_imports(["verify-all", "--skip-monodromy"], ["numpy.ma"]) == (0, [])
 
 
 class TestIso:
@@ -271,3 +260,31 @@ class TestIso:
         for name, matrix in doc["images"].items():
             flat = [x for row in matrix for x in row]
             assert next(x for x in flat if x) == 1
+
+
+def cold_run_imports(argv, modules):
+    """Run the CLI in a fresh interpreter; its exit code and which of
+    ``modules`` it left in ``sys.modules``."""
+    script = (
+        "import contextlib, io, json, sys\n"
+        "from cubic27.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = main({argv!r})\n"
+        f"print(json.dumps([code, [m for m in {modules!r} if m in sys.modules]]))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(cubic27.__file__).resolve().parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return tuple(json.loads(proc.stdout))
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["--seed", "1", "--format", "structured", "monodromy", "--family", "symmetric", "--loops", "8"], 1),
+    (["verify-all", "--skip-monodromy"], 0),
+], ids=["monodromy", "verify-all"])
+def test_runs_leave_numpy_random_unimported(argv, code):
+    # loops draw from Python's random: numpy.random would cost 10-16 ms and
+    # about 5 MiB, most of it secrets -> hmac -> OpenSSL's _hashlib
+    assert cold_run_imports(argv, ["numpy.random", "secrets", "_hashlib"]) == (code, [])
