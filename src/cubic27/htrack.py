@@ -20,9 +20,11 @@ and the chart of all n lines.  Fiber.from_mats builds one from span
 matrices, every tracker entry point takes and returns fibers, and a loop
 carries one from the basepoint to the match.  Each segment takes the
 previous one's end fiber as it is: its charts are fresh, since every
-accepted step re-charts the lines that went stale, and it is within
-newton_tol, so it is neither re-charted nor polished at a vertex.  Only a
-fiber that is matched is polished, once.
+accepted step re-charts the lines that went stale, and it was accepted
+within newton_tol on the very form the segment starts on, so at a vertex
+it is neither re-charted, Newton-checked nor polished.  The Newton check on
+f0 is for a member's first edge only, where its start fiber comes from
+outside.  Only a fiber that is matched is polished, once.
 
 The tracker works on ragged batches.  A batch has k members, each one
 fiber of n tracked lines on its own path with its own config, and every
@@ -57,17 +59,12 @@ Transport back along the stem is the inverse of transport along it, so the
 return leg is not tracked: the fiber that closes the circle is matched
 against the fiber saved where the circle starts.
 
-A loop runs one step-size controller through its whole polygon: each
-segment starts from the step the previous one ended with, rescaled by the
-ratio of the two segments' lengths so that the step keeps its size in the
-space of forms.  Restarting at step_init at every vertex would cost the
-controller's ramp-up on every segment, however short.
-
 Steps are measured in each segment's own parameter t in [0, 1], so the cap
-step_max is per segment, not a length in the space of forms.  Its default
-of 1.0 lets one step cover a whole segment: a short polygon edge then costs
-one accepted step whenever Newton, the quadratic tail and the separation
-barrier accept it, and accuracy, not the cap, sets the step count.
+step_max is per segment, not a length in the space of forms.  Every segment
+starts at its cap, whose default of 1.0 lets one step cover a whole
+segment: a short polygon edge then costs one accepted step whenever Newton,
+the quadratic tail and the separation barrier accept it, and accuracy, not
+a ramp up from a small first step, sets the step count.
 """
 
 from __future__ import annotations
@@ -151,24 +148,24 @@ class TrackerConfig:
     """The settings that revalidation tightens and the polish before a match
     replaces; everything else about the tracker is fixed above.
 
-    step_init and step_max are fractions of the current segment's parameter
-    interval.  step_max = 1.0 allows one step per segment; tightened()
-    halves it, so revalidation takes at least two steps on every edge: an
-    edge the first track crossed in one step is re-tracked along a different
-    step sequence, which keeps revalidation an independent check.
+    step_max is a fraction of the current segment's parameter interval: the
+    first step of every segment and the cap that steps grow back to.
+    step_max = 1.0 allows one step per segment; tightened() halves it, so
+    revalidation takes at least two steps on every edge: an edge the first
+    track crossed in one step is re-tracked along a different step
+    sequence, which keeps revalidation an independent check.
     """
 
     newton_tol: float = 1e-10
     max_newton_iters: int = 8
-    step_init: float = 0.05
     step_max: float = 1.0
     match_margin: float = 10.0
 
     def __post_init__(self):
-        if min(self.newton_tol, self.step_init, self.step_max) <= 0:
-            raise ValueError("tolerances and steps must be positive")
-        if _STEP_MIN >= self.step_init:
-            raise ValueError(f"step_init must exceed the step floor {_STEP_MIN}")
+        if self.newton_tol <= 0:
+            raise ValueError("newton_tol must be positive")
+        if _STEP_MIN >= self.step_max:
+            raise ValueError(f"step_max must exceed the step floor {_STEP_MIN}")
         if self.match_margin <= 1:
             raise ValueError("match_margin must exceed 1")
 
@@ -177,7 +174,6 @@ class TrackerConfig:
         return replace(
             self,
             newton_tol=self.newton_tol / 10,
-            step_init=self.step_init / 2,
             step_max=self.step_max / 2,
             match_margin=self.match_margin * 2,
         )
@@ -518,21 +514,18 @@ class TrackResult:
     ``ends[m]`` is member m's lines at t = 1 of its last segment, each
     within newton_tol of its target form and with a fresh chart, or the
     TrackFailure that stopped the member.  An end fiber is not polished, so
-    that a loop carries it straight into its next segment.  ``steps[m]`` is
-    the step member m's controller would try next, in its last segment's own
-    parameter t; it lies in [_STEP_MIN, step_max], and it is the step that
-    ``onward`` receives.  A member's lines advance in lockstep, so
-    ``newton_iterations`` holds one count per member: its corrector work on
-    accepted steps, the Newton check on each segment's f0 included, summed
-    over its segments.  ``accepted_steps`` is the sum over the members,
-    ``max_residual`` the true maximum over every accepted correction and
-    ``min_separation`` the smallest pairwise line distance seen at any
-    accepted step, over all the lines the frame reads off the tracked ones;
-    a failed member counts up to its failure.
+    that a loop carries it straight into its next segment.  A member's lines
+    advance in lockstep, so ``newton_iterations`` holds one count per
+    member: the Newton check on its first segment's f0 and its corrector
+    work on accepted steps, summed over its segments.  ``accepted_steps`` is
+    the sum over the members, ``max_residual`` the true maximum over the
+    Newton check and every accepted correction and ``min_separation`` the
+    smallest pairwise line distance seen at any accepted step, over all the
+    lines the frame reads off the tracked ones; a failed member counts up to
+    its failure.
     """
 
     ends: list[Fiber | TrackFailure]
-    steps: list[float]
     accepted_steps: int
     newton_iterations: list[int]
     max_residual: float
@@ -729,8 +722,9 @@ def _homotopy(t0: np.ndarray, t1: np.ndarray, t: Sequence[float]) -> np.ndarray:
     return (1 - t) * t0 + t * t1
 
 
-# called as onward(m, end, step) when member m of a batch reaches t = 1
-Onward = Callable[[int, Fiber, float], "tuple[tuple[CubicForm, CubicForm], TrackerConfig] | None"]
+# called as onward(m, end) when member m of a batch reaches t = 1; returns
+# the member's next target form and config, or None
+Onward = Callable[[int, Fiber], "tuple[CubicForm, TrackerConfig] | None"]
 
 
 def track_segment(
@@ -747,27 +741,29 @@ def track_segment(
     line when it is None) and are left as they are; every form on the
     segments must keep the frame's symmetries.
 
-    The batch is ragged.  When member m reaches t = 1, onward(m, end, step)
-    gets its end fiber and the step its controller would try next, and
-    returns the (segment, config) the member tracks next, from that fiber,
-    or None to end it there; without ``onward`` every member ends there.  A
-    member on a new segment starts it in the next round, so each member
-    walks its own path and none waits for another at a vertex.
+    The batch is ragged.  When member m reaches t = 1, onward(m, end) gets
+    its end fiber and returns the member's next target form and config, or
+    None to end it there; without ``onward`` every member ends there.  The
+    next segment runs from the form the member has just reached to that
+    target, and the member starts it in the next round, so each member walks
+    its own path and none waits for another at a vertex.
 
-    A member's lines must pass a Newton check on the f0 of each of its
-    segments, in the round that starts the segment.  Each round then takes
-    one step of every member still tracking: Euler prediction from the
+    The start lines must pass a Newton check on each member's f0, in one
+    batch before the first round.  A later segment starts on the form its
+    lines were accepted on one round earlier, so it is not checked again.
+    Each round takes one step of every member still tracking, the first
+    step of each segment at its config's step_max: Euler prediction from the
     Davidenko system, lockstep Newton correction, then the separation
     barrier (pairwise distance of all the lines the frame reads off the
     tracked ones at least _SEPARATION_FACTOR times the largest last Newton
     correction), the stabilizer check (each tracked line at most
     1/_SEPARATION_FACTOR of that pairwise distance from its stabilizer
     images) and a re-chart of the lines whose gauge went stale.  A member's
-    step halves on any failure and grows after a run of accepted steps; a
-    member whose step falls below the floor ends in a StepUnderflow or
-    SeparationLoss, returned in ``TrackResult.ends`` like a failed Newton
-    check, while the others go on.  The predictor contracts each member's
-    homotopy tensor and its t-derivative in one call.
+    step halves on any failure and grows after a run of accepted steps, up
+    to step_max; a member whose step falls below the floor ends in a
+    StepUnderflow or SeparationLoss, returned in ``TrackResult.ends`` like a
+    failed Newton check, while the others go on.  The predictor contracts
+    each member's homotopy tensor and its t-derivative in one call.
     """
     k = len(segments)
     cfgs = [TrackerConfig()] * k if cfgs is None else list(cfgs)
@@ -780,33 +776,20 @@ def track_segment(
     if len(frame.tracked) != n:
         raise ValueError("the start fibers must hold the frame's tracked lines")
 
-    ends: list[Fiber | TrackFailure | None] = [None] * k
+    targets = [f1 for _, f1 in segments]
     t = [0.0] * k
-    h = [min(c.step_init, c.step_max) for c in cfgs]
+    h = [c.step_max for c in cfgs]
     streak = [0] * k
     accepted = [0] * k
-    newton = [0] * k
-    max_resid = [0.0] * k
     min_sep = [float("inf")] * k
-    # the members whose lines still owe the Newton check on their f0
-    starting = list(range(k))
+    # the start lines must be Newton-correctable on f0
+    mats, norms, _, iters, failures = _newton_batch(tensors[:, 0], mats, chart, cfgs)
+    ends: list[Fiber | TrackFailure | None] = list(failures)
+    newton = [0 if f is not None else i for i, f in zip(iters, failures)]
+    max_resid = norms.max(axis=1).tolist()
 
     live = list(range(k))
     while True:
-        if starting:
-            # the start lines must be Newton-correctable on f0
-            members = [live[i] for i in starting]
-            checked, norms, _, iters, failures = _newton_batch(
-                tensors[members, 0], mats[starting], chart.members(starting, n),
-                [cfgs[m] for m in members],
-            )
-            mats[starting] = checked
-            worst_norm = norms.max(axis=1).tolist()
-            for i, m in enumerate(members):
-                ends[m] = failures[i]
-                if failures[i] is None:
-                    newton[m] += iters[i]
-                    max_resid[m] = max(max_resid[m], worst_norm[i])
         keep = [i for i, m in enumerate(live) if ends[m] is None]
         if len(keep) < len(live):
             if not keep:
@@ -883,26 +866,25 @@ def track_segment(
                 chart = _Chart(gauges.reshape(-1, 2))
 
         # members at a vertex move on to their next segment or end there
-        starting, moving, nexts = [], [], []
+        moving, nexts = [], []
         for i, m in enumerate(live):
             if ends[m] is not None or t[m] < 1.0 - 1e-14:
                 continue
             end = Fiber(mats[i].copy(), gauges[i].copy())
-            nxt = onward(m, end, h[m]) if onward else None
+            nxt = onward(m, end) if onward else None
             if nxt is None:
                 ends[m] = end
                 continue
-            segment, cfgs[m] = nxt
-            t[m], h[m], streak[m] = 0.0, min(cfgs[m].step_init, cfgs[m].step_max), 0
-            starting.append(i)
+            target, cfgs[m] = nxt
+            nexts.append((targets[m], target))
+            targets[m] = target
+            t[m], h[m], streak[m] = 0.0, cfgs[m].step_max, 0
             moving.append(m)
-            nexts.append(segment)
         if moving:
             tensors[moving] = _segment_tensors(nexts)
 
     return TrackResult(
         ends=ends,
-        steps=h,
         accepted_steps=sum(accepted),
         newton_iterations=newton,
         max_residual=max(max_resid),
@@ -953,12 +935,9 @@ def track_loop(
     next round, whatever edge the other members are on.  Each loop carries
     its own Fiber from vertex to vertex: each edge starts from the previous
     one's unpolished end fiber, whose charts are fresh, and nothing is
-    converted on the way.  One step controller runs through each polygon.
-    The first edge starts at the loop's step_init; each later one starts at
-    the previous edge's final step times the ratio of the two edges'
-    lengths (||f_to - f_from|| over the coefficients), so that the step
-    keeps the size it had in the space of forms, whatever the length of the
-    edge.  The carried step never goes below step_init or above step_max.
+    converted or re-checked on the way; only the base fiber is
+    Newton-checked, on the first edge.  Every edge starts at the loop's
+    step_max, whatever step the previous edge ended with.
 
     Lasso reading: when the last k edges retrace the first k in reverse (a
     meridian's stem, k = 1 for circle_loop), the loop is the stem, a cycle
@@ -992,23 +971,22 @@ def track_loop(
     frame = frame or _trivial_frame(N_POINTS)
     start = frame.restrict(base)
     stems = [_retraced_edges(v) for v in loops]
-    edges = [list(zip(v, v[1 : len(v) - k])) for v, k in zip(loops, stems)]
-    lengths = [[float(np.linalg.norm(b.coeffs - a.coeffs)) for a, b in e] for e in edges]
+    # the vertices each member visits: a lasso's return leg is not tracked
+    paths = [v[: len(v) - k] for v, k in zip(loops, stems)]
     stem_ends = [start] * len(loops)
     done = [0] * len(loops)  # edges each member has finished
 
-    def onward(m: int, end: Fiber, step: float):
+    def onward(m: int, end: Fiber):
         done[m] += 1
         i = done[m]
         if i == stems[m]:
             stem_ends[m] = end
-        if i == len(edges[m]):
+        if i == len(paths[m]) - 1:
             return None
-        return edges[m][i], replace(
-            cfgs[m], step_init=_carried_step(cfgs[m], step, *lengths[m][i - 1 : i + 1])
-        )
+        return paths[m][i + 1], cfgs[m]
 
-    ends = track_segment([e[0] for e in edges], [start] * len(loops), cfgs, frame, onward).ends
+    firsts = [(p[0], p[1]) for p in paths]
+    ends = track_segment(firsts, [start] * len(loops), cfgs, frame, onward).ends
     outcomes: list[Permutation | TrackFailure] = list(ends)
     live = [m for m, end in enumerate(ends) if not isinstance(end, TrackFailure)]
     lassos = [m for m in live if stems[m]]
@@ -1023,16 +1001,6 @@ def track_loop(
         except AmbiguousMatch as exc:
             outcomes[m] = exc
     return outcomes
-
-
-def _carried_step(cfg: TrackerConfig, step: float, length: float, next_length: float) -> float:
-    """The start step of a loop's next segment: the previous segment's final
-    ``step`` over its ``length``, rescaled to ``next_length``, kept within
-    [cfg.step_init, cfg.step_max].  A zero-length next segment starts at
-    step_max."""
-    if not next_length:
-        return cfg.step_max
-    return min(cfg.step_max, max(cfg.step_init, step * length / next_length))
 
 
 def match_to_base(tracked: Fiber, base: Fiber, cfg: TrackerConfig) -> Permutation:
@@ -1065,7 +1033,7 @@ def revalidate(
     frame: Frame | None = None,
 ) -> tuple[list[Permutation | TrackFailure], list[bool]]:
     """Track each loop under cfg and re-track it at tightened tolerances
-    (newton_tol/10, step_init/2, step_max/2, match_margin*2), all 2n tracks
+    (newton_tol/10, step_max/2, match_margin*2), all 2n tracks
     one ragged batch of track_loop in the same frame.  Returns each loop's
     first track (its permutation or TrackFailure) and whether the re-track
     confirmed the identical permutation.  A loop whose first track failed

@@ -66,8 +66,6 @@ class MemberSegment(NamedTuple):
     f0: CubicForm
     f1: CubicForm
     cfg: TrackerConfig
-    # the step the member's previous segment ended with; None on its first
-    carried: float | None
 
 
 class SegmentSpy:
@@ -81,14 +79,17 @@ class SegmentSpy:
 
         def spy(segments, starts, cfgs=None, frame=None, onward=None):
             cfgs = [TrackerConfig()] * len(segments) if cfgs is None else cfgs
+            reached = [f1 for _, f1 in segments]
             for m, ((f0, f1), cfg) in enumerate(zip(segments, cfgs)):
-                self.segments.append(MemberSegment(m, f0, f1, cfg, None))
+                self.segments.append(MemberSegment(m, f0, f1, cfg))
 
-            def logged(m, end, step):
-                nxt = onward(m, end, step)
+            def logged(m, end):
+                nxt = onward(m, end)
                 if nxt is not None:
-                    (f0, f1), cfg = nxt
-                    self.segments.append(MemberSegment(m, f0, f1, cfg, step))
+                    target, cfg = nxt
+                    # the next segment runs from the form the member reached
+                    self.segments.append(MemberSegment(m, reached[m], target, cfg))
+                    reached[m] = target
                 return nxt
 
             result = original(segments, starts, cfgs, frame, logged if onward else None)
@@ -410,9 +411,9 @@ C_POINT = (1, 0, (3 + 1j * np.sqrt(135)) / 8)
 
 
 def retracked(loop, catalog):
-    """The lasso's oracle: every edge tracked, the return leg included, from
-    a fiber rebuilt in fresh best gauges at each vertex and at step_init, and
-    the end fiber matched against the catalog."""
+    """The lasso's oracle: every edge tracked, the return leg included, as a
+    fresh track_segment call from a fiber rebuilt in fresh best gauges at
+    each vertex, and the end fiber matched against the catalog."""
     current = catalog
     for f0, f1 in zip(loop, loop[1:]):
         current = Fiber.from_mats(segment(f0, f1, current).ends[0].mats)
@@ -458,25 +459,38 @@ class TestFromMats:
 
 
 class TestCarriedStep:
-    def test_step_carries_across_vertices(self, catalog, monkeypatch):
+    """No step is carried across a vertex: every edge starts at step_max."""
+
+    @pytest.mark.parametrize(
+        "cfg", [TrackerConfig(), TrackerConfig().tightened()], ids=["default", "tightened"]
+    )
+    def test_every_edge_starts_at_step_max(self, catalog, monkeypatch, cfg):
+        # a triangle's long edges take many steps, a meridian's arcs one or
+        # two; revalidation's re-track runs at the tightened config, whose
+        # step_max is half the first track's
         spy = SegmentSpy(monkeypatch)
-        loop = meridian(L1_POINT)
-        cfg = TrackerConfig()
-        assert loop_perm(loop, catalog, cfg) == lines.monodromy_klein_elements()["tau1"]
-        # one member walks the polygon; the return leg retraces the entry
-        # segment and is not tracked
+        trials = []  # the members' t of each _homotopy call
+        homotopy = htrack._homotopy
+
+        def homotopy_spy(t0, t1, t):
+            trials.append(list(t))
+            return homotopy(t0, t1, t)
+
+        monkeypatch.setattr(htrack, "_homotopy", homotopy_spy)
+        loops = [triangle(0.9, seed=12), meridian(L1_POINT)]
+        perms = track_loop(loops, catalog, cfg)
+        assert perms[1] == lines.monodromy_klein_elements()["tau1"]
         assert len(spy.results) == 1
-        assert [(s.f0, s.f1) for s in spy.segments] == list(zip(loop[:-2], loop[1:-1]))
-        lengths = [np.linalg.norm(s.f1.coeffs - s.f0.coeffs) for s in spy.segments]
-        # a long entry segment followed by short arcs
-        assert lengths[0] > 5 * max(lengths[1:])
-        assert spy.segments[0].cfg == cfg and spy.segments[0].carried is None
-        for k in range(1, len(spy.segments)):
-            carried = spy.segments[k].carried
-            want = min(cfg.step_max, max(cfg.step_init, carried * lengths[k - 1] / lengths[k]))
-            assert spy.segments[k].cfg == TrackerConfig(step_init=want)
-        # the arcs start above the parent's restart value
-        assert all(s.cfg.step_init > cfg.step_init for s in spy.segments[1:])
+        assert len(spy.segments) == 3 + 17
+        # the predictor takes each member's t and the corrector its t + step
+        firsts = [
+            t_new for before, after in zip(trials[::2], trials[1::2])
+            for t, t_new in zip(before, after) if t == 0.0
+        ]
+        # a step tried from t = 0 is an edge's first, or a retry of it
+        # after a halving; exactly one per edge tries step_max
+        assert max(firsts) == cfg.step_max
+        assert firsts.count(cfg.step_max) == len(spy.segments)
 
     @pytest.mark.parametrize(
         "cfg, arc_steps", [(TrackerConfig(), 1), (TrackerConfig().tightened(), 2)],
@@ -496,12 +510,6 @@ class TestCarriedStep:
         # sum holds only when every arc takes exactly arc_steps
         [result] = spy.results
         assert result.accepted_steps - entry_steps == 16 * arc_steps
-
-    @pytest.mark.parametrize("cfg", [TrackerConfig(), TrackerConfig().tightened()])
-    def test_result_step_within_bounds(self, forms, catalog, cfg):
-        for target in (forms[0], embed_symmetric(1, 0.2 + 0.1j, -0.15)):
-            [step] = segment(forms[0], target, catalog, cfg).steps
-            assert _STEP_MIN <= step <= cfg.step_max
 
     def test_zero_length_segment(self, catalog):
         loop = triangle(0.9, seed=12)
@@ -634,13 +642,18 @@ class TestBatch:
             assert np.array_equal(reference, alone_reference)
 
     def test_members_walk_their_own_polygons(self, catalog, monkeypatch):
-        # the triangle's long edges take many steps and the meridians' arcs
-        # one each, so in one round the members sit on different edge
-        # indices; none waits at a vertex, and the batch takes as many
-        # rounds as its longest member alone
-        loops = [triangle(0.9, seed=12), meridian(L1_POINT), meridian(C_POINT)]
+        # The first loop opens with two zero-length edges, each crossed in
+        # one step, and the second is a meridian under the tightened config,
+        # whose step_max of 0.5 takes at least two steps on every edge.  So
+        # the first member starts its third edge no later than the second
+        # starts its second, whatever the step counts: in one round the
+        # members sit on different edge indices.  None waits at a vertex,
+        # and the batch takes as many rounds as its longest member alone.
+        tri = triangle(0.9, seed=12)
+        loops = [tri[:1] * 2 + tri, meridian(L1_POINT), meridian(C_POINT)]
+        cfgs = [TrackerConfig(), TrackerConfig().tightened(), TrackerConfig()]
 
-        def rounds_and_log(batch):
+        def rounds_and_log(batch, cfgs):
             calls = []
             original = htrack._homotopy
 
@@ -651,18 +664,18 @@ class TestBatch:
             with monkeypatch.context() as patch:
                 patch.setattr(htrack, "_homotopy", spy)
                 log = SegmentSpy(patch)
-                perms, matches = self.tracked(batch, catalog, None, monkeypatch)
+                perms, matches = self.tracked(batch, catalog, cfgs, monkeypatch)
             # the predictor and the corrector each build one homotopy a round
             return perms, matches, len(calls) // 2, log.segments
 
-        perms, matches, rounds, log = rounds_and_log(loops)
+        perms, matches, rounds, log = rounds_and_log(loops, cfgs)
         started = [0] * len(loops)
         edge_index = []
         for s in log:
             edge_index.append(started[s.member])
             started[s.member] += 1
         assert edge_index != sorted(edge_index)
-        alone = [rounds_and_log([loop]) for loop in loops]
+        alone = [rounds_and_log([loop], [cfg]) for loop, cfg in zip(loops, cfgs)]
         assert rounds == max(r for _, _, r, _ in alone)
         for perm, (end, reference), (solo, [(solo_end, solo_reference)], _, _) in zip(perms, matches, alone):
             assert perm == solo[0]
@@ -671,7 +684,7 @@ class TestBatch:
 
     def test_segment_members_equal_their_batches_of_one(self, forms, catalog):
         # identity motions, whose residuals are the smallest, first and
-        # third: from a step of 0.3 their steps grow to their own caps
+        # third, each under its own step_max
         identity = (forms[0], forms[0])
         segments = [
             identity,
@@ -680,55 +693,61 @@ class TestBatch:
             (forms[0], forms[2]),  # fails
         ]
         cfgs = [
-            TrackerConfig(step_init=0.3, step_max=0.4),
+            TrackerConfig(step_max=0.4),
             TrackerConfig(),
-            TrackerConfig(step_init=0.3),
+            TrackerConfig(step_max=0.3),
             TrackerConfig().tightened(),
         ]
         batch = track_segment(segments, [catalog] * 4, cfgs)
         alone = [track_segment([seg], [catalog], [cfg]) for seg, cfg in zip(segments, cfgs)]
-        for end, step, solo in zip(batch.ends, batch.steps, alone):
+        for end, solo in zip(batch.ends, alone):
             if isinstance(end, TrackFailure):
                 assert type(end) is type(solo.ends[0]) and str(end) == str(solo.ends[0])
             else:
                 assert np.array_equal(end.mats, solo.ends[0].mats)
                 assert np.array_equal(end.gauges, solo.ends[0].gauges)
-                assert step == solo.steps[0]
-        assert batch.steps[0] == 0.4 and batch.steps[2] == 0.6
+        # every step of an identity motion is accepted: 0.4 + 0.4 + 0.2 and
+        # 0.3 + 0.3 + 0.3 + 0.1
+        assert [alone[0].accepted_steps, alone[2].accepted_steps] == [3, 4]
         assert batch.accepted_steps == sum(r.accepted_steps for r in alone)
         assert batch.newton_iterations == [r.newton_iterations[0] for r in alone]
         assert batch.max_residual == max(r.max_residual for r in alone)
         assert batch.min_separation == min(r.min_separation for r in alone)
 
     def test_a_segment_handed_onward_is_tracked_as_a_fresh_call_would(self, forms, catalog):
-        # The first segment ends one accepted step after its step grew, and
-        # the second starts on a form its lines do not lie on, so the Newton
-        # check on that f0 moves them.  The walk equals two track_segment
-        # calls, the second from the first's end fiber: the new segment gets
-        # a fresh t, step and streak and its own Newton check.
-        first_cfg = TrackerConfig(step_init=0.3, step_max=0.4)
-        second = (embed_symmetric(1, 0.01, 0), embed_symmetric(1, 0.2 + 0.1j, -0.15))
-        cfg = TrackerConfig(step_init=0.1)
+        # The member goes from Fermat to a form near it, and from there on
+        # to a target under a config with another step_max.  The walk equals
+        # two track_segment calls, the second from the first's end fiber on
+        # the form it reached: the new segment gets a fresh t, step and
+        # streak, and the Newton check a fresh call makes on its f0 takes no
+        # iteration, since the fiber was accepted on that very form.
+        near = embed_symmetric(1, 0.01, 0)
+        target = embed_symmetric(1, 0.2 + 0.1j, -0.15)
+        first_cfg = TrackerConfig(step_max=0.4)
+        cfg = TrackerConfig()
         handed = []
 
-        def onward(m, end, step):
-            handed.append((end, step))
-            return None if len(handed) > 1 else (second, cfg)
+        def onward(m, end):
+            handed.append(end)
+            return None if len(handed) > 1 else (target, cfg)
 
-        walk = track_segment([(forms[0], forms[0])], [catalog], [first_cfg], onward=onward)
-        first = segment(forms[0], forms[0], catalog, first_cfg)
-        [(middle, step), _] = handed
-        assert np.array_equal(middle.mats, first.ends[0].mats) and step == first.steps[0] == 0.4
+        walk = track_segment([(forms[0], near)], [catalog], [first_cfg], onward=onward)
+        first = segment(forms[0], near, catalog, first_cfg)
+        [middle, last] = handed
+        assert np.array_equal(middle.mats, first.ends[0].mats)
+        assert np.array_equal(middle.gauges, first.ends[0].gauges)
         _, _, _, [check], [failure] = _newton_batch(
-            _polar(second[0].coeffs)[None], middle.mats[None], middle.chart, [cfg]
+            _polar(near.coeffs)[None], middle.mats[None], middle.chart, [cfg]
         )
-        assert failure is None and check > 0
-        alone = segment(*second, middle, cfg)
-        assert np.array_equal(walk.ends[0].mats, alone.ends[0].mats)
-        assert np.array_equal(walk.ends[0].gauges, alone.ends[0].gauges)
-        assert walk.steps == alone.steps
+        assert failure is None and check == 0
+        alone = segment(near, target, middle, cfg)
+        for end in (walk.ends[0], last):
+            assert np.array_equal(end.mats, alone.ends[0].mats)
+            assert np.array_equal(end.gauges, alone.ends[0].gauges)
         assert walk.accepted_steps == first.accepted_steps + alone.accepted_steps
         assert walk.newton_iterations == [first.newton_iterations[0] + alone.newton_iterations[0]]
+        assert walk.max_residual == max(first.max_residual, alone.max_residual)
+        assert walk.min_separation == min(first.min_separation, alone.min_separation)
 
     def test_failing_member_is_isolated(self, forms, catalog, monkeypatch):
         # the Fermat -> Cayley edge of test_fermat_to_cayley_fails, closed
@@ -928,7 +947,9 @@ class TestRevalidate:
 class TestConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
-            TrackerConfig(step_init=1e-8)  # below the step floor
+            TrackerConfig(step_max=1e-8)  # below the step floor
+        with pytest.raises(ValueError, match="step floor"):
+            TrackerConfig(step_max=_STEP_MIN)
         with pytest.raises(ValueError):
             TrackerConfig(newton_tol=-1)
         with pytest.raises(ValueError):
@@ -938,5 +959,5 @@ class TestConfig:
         cfg = TrackerConfig()
         tight = cfg.tightened()
         assert tight.newton_tol == cfg.newton_tol / 10
-        assert tight.step_init == cfg.step_init / 2
+        assert tight.step_max == cfg.step_max / 2
         assert tight.match_margin == cfg.match_margin * 2

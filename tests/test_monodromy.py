@@ -465,8 +465,8 @@ class TestComputeMonodromy:
             calls.append(len(segments))
             member_segments.extend(range(len(segments)))
 
-            def counted(m, end, step):
-                nxt = onward(m, end, step)
+            def counted(m, end):
+                nxt = onward(m, end)
                 if nxt is not None:
                     member_segments.append(m)
                 return nxt
@@ -480,6 +480,42 @@ class TestComputeMonodromy:
         assert calls == [16]
         # members 0-7 track at the default config, 8-15 re-track the same loops
         assert [member_segments.count(m) for m in range(16)] == 2 * [3, 17] * 4
+
+    def test_symmetric_eight_loops_work_counters(self, monkeypatch, capsys):
+        # The tracker's work on `monodromy --family symmetric --loops 8` at
+        # seed 1, pinned so that a run that takes fewer steps can be told
+        # from a faster kernel.  Every segment opens at its step_max, and
+        # only the base fiber is Newton-checked: one start check per
+        # track_segment call beside the one corrector call of each round.
+        counts = {"calls": 0, "accepted": 0, "homotopies": 0, "newton": 0}
+        inside = []
+        track_segment, homotopy, newton = htrack.track_segment, htrack._homotopy, htrack._newton_batch
+
+        def segment_spy(*args):
+            counts["calls"] += 1
+            inside.append(True)
+            result = track_segment(*args)
+            inside.pop()
+            counts["accepted"] += result.accepted_steps
+            return result
+
+        def homotopy_spy(*args):
+            counts["homotopies"] += 1
+            return homotopy(*args)
+
+        def newton_spy(*args):
+            counts["newton"] += bool(inside)
+            return newton(*args)
+
+        monkeypatch.setattr(htrack, "track_segment", segment_spy)
+        monkeypatch.setattr(htrack, "_homotopy", homotopy_spy)
+        monkeypatch.setattr(htrack, "_newton_batch", newton_spy)
+        main(["--seed", "1", "monodromy", "--family", "symmetric", "--loops", "8"])
+        capsys.readouterr()
+        # the predictor and the corrector each build one homotopy a round
+        rounds = counts["homotopies"] // 2
+        assert (counts["calls"], counts["accepted"], rounds) == (1, 253, 34)
+        assert counts["newton"] - rounds == counts["calls"]
 
     @pytest.mark.parametrize(
         "budget, chunks", [(40, [10, 4]), (8, [8]), (0, [])], ids=["stall", "fixed", "none"]
