@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 from typing import Sequence
 
 import numpy as np
@@ -73,6 +74,16 @@ def simple_roots() -> list[Vec7]:
         v[j + 1] = -1
         roots.append(tuple(v))
     return roots  # type: ignore[return-value]
+
+
+def positive_roots() -> list[Vec7]:
+    """The 36 positive roots of E6 for the simple roots above: e_i - e_j
+    (i < j), h - e_i - e_j - e_k and 2h - e1 - ... - e6."""
+    h, *e = np.eye(7, dtype=np.int64)
+    roots = [e[i] - e[j] for i, j in combinations(range(6), 2)]
+    roots += [h - e[i] - e[j] - e[k] for i, j, k in combinations(range(6), 3)]
+    roots.append(2 * h - sum(e))
+    return [tuple(r.tolist()) for r in roots]  # type: ignore[misc]
 
 
 def _root_matrix() -> np.ndarray:
@@ -165,12 +176,6 @@ def _reflection_rows(v: np.ndarray, roots: Sequence[Sequence[int]]) -> np.ndarra
     if not np.array_equal(small.reshape(7, -1)[:, rows], images):
         raise ValueError("the reflection does not permute the line classes")
     return target
-
-
-def reflection_permutations(v: np.ndarray, roots: Sequence[Sequence[int]]) -> list[Permutation]:
-    """The permutations of line labels induced by the reflections in a stack
-    of roots, read through one class matrix (see ``_reflection_rows``)."""
-    return [Permutation(row) for row in (_reflection_rows(v[None], roots)[0] + 1).tolist()]
 
 
 def presentations(sixes: Sequence[Sequence[int]]) -> np.ndarray:

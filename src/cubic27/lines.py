@@ -14,10 +14,12 @@ lines.
 
 The graph is one read-only (27, 27) 0/1 integer adjacency array A, and every
 consumer reads A directly.  Skew sixes are enumerated once, on A, and their
-partners are read off A for all 72 at once.  The automorphism group of A,
-W(E6), is read off the ordered skew sixes, on which it acts simply
-transitively (Dolgachev, Classical Algebraic Geometry, 2012, ch. 9): no
-closure and no search.
+partners are read off A for all 72 at once.  The 36 reflections of W(E6) in
+its positive roots are one table read off the 36 double sixes, each row
+swapping the two halves of one.  The automorphism group of A, W(E6), is
+read off the ordered skew sixes, on which it acts simply transitively
+(Dolgachev, Classical Algebraic Geometry, 2012, ch. 9): no closure and no
+search.
 """
 
 from __future__ import annotations
@@ -404,6 +406,24 @@ def double_sixes() -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
     order, so its i-th line meets every member of six but the i-th."""
     pairs = zip(skew_sixes(), map(tuple, partner_table().tolist()))
     return tuple((six, partner) for six, partner in pairs if six < tuple(sorted(partner)))
+
+
+@lru_cache(maxsize=1)
+def double_six_reflections() -> np.ndarray:
+    """The read-only (36, 27) uint8 table of 0-based line permutations whose
+    row k swaps the i-th lines of the two halves of ``double_sixes()[k]``
+    and fixes the other 15 lines, in one scatter.
+
+    These are the reflections of W(E6) in its 36 positive roots: the root
+    2h - e1 - ... - e6 of the marking by a six a pairs each a_i = e_i with
+    the partner line b_i = 2h - e1 - ... - e6 + e_i, and W(E6) moves it onto
+    every other root (Dolgachev, Classical Algebraic Geometry, 2012, ch. 9).
+    The lattice reflections themselves are not read here."""
+    halves = np.array(double_sixes()) - 1  # (36, 2, 6): six, then partner
+    table = np.tile(np.arange(N_LINES, dtype=np.uint8), (len(halves), 1))
+    table[np.arange(len(halves))[:, None, None], halves] = halves[:, ::-1]
+    table.setflags(write=False)
+    return table
 
 
 # ---------------------------------------------------------------------------

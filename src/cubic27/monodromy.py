@@ -537,29 +537,63 @@ def find_other_s6() -> FiniteGroup:
     The s_i are the W(A5) reflections s1..s5 of the reference skew six and c
     is the reflection in the root 2h - e1 - ... - e6, which is orthogonal to
     every e_j - e_{j+1}, so c commutes with each s_i and lies outside W(A5).
-    Hence w -> w c^(length of w) maps W(A5) isomorphically onto a second
-    S6, which moves the lines in orbits 12 + 15 instead of 6 + 6 + 15.  The
-    length's parity is the sign of the permutation w makes of the six's
-    slots (each s_i swaps two), so the rows that permute the slots oddly
-    are composed with c and the others kept.
+    That root's reflection swaps the halves of the double six the reference
+    six is a half of, so c is read off that double six's row of
+    ``lines.double_six_reflections``.  Hence w -> w c^(length of w) maps
+    W(A5) isomorphically onto a second S6, which moves the lines in orbits
+    12 + 15 instead of 6 + 6 + 15.  The length's parity is the sign of the
+    permutation w makes of the six's slots (each s_i swaps two), so the rows
+    that permute the slots oddly are composed with c and the others kept.
     """
-    six = np.array(fermat_data.PRESENTATION_SIX) - 1
-    v = lattice.marking_vectors(fermat_data.PRESENTATION_SIX)
-    s = lattice.weyl_presentation_from_six(fermat_data.PRESENTATION_SIX)[1:]
-    (c,) = lattice.reflection_permutations(v, [(2, -1, -1, -1, -1, -1, -1)])
+    ref = fermat_data.PRESENTATION_SIX
+    (k,) = [
+        k for k, (s, partner) in enumerate(lines_mod.double_sixes()) if ref in (s, tuple(sorted(partner)))
+    ]
+    c = lines_mod.double_six_reflections()[k]
+    six = np.array(ref) - 1
     table = _presentation_w_a5().table
     slot = np.empty(lines_mod.N_LINES, dtype=np.intp)
     slot[six] = np.arange(6)
     slots = slot[table[:, six]]  # (720, 6): the slot each slot goes to
     odd = np.triu(slots[:, :, None] > slots[:, None, :]).sum(axis=(1, 2)) % 2 == 1
-    twisted = np.where(odd[:, None], table[:, np.array(c.images) - 1], table)
-    return FiniteGroup(generators=tuple(g * c for g in s), table=twisted)
+    twisted = np.where(odd[:, None], table[:, c], table)
+    c_perm = perm._from_row(c.tolist())
+    return FiniteGroup(generators=tuple(g * c_perm for g in _reference_presentation()[1:]), table=twisted)
+
+
+@lru_cache(maxsize=1)
+def _reference_presentation() -> tuple[perm.Permutation, ...]:
+    """s0..s5 of the marking by the reference skew six, built once."""
+    return tuple(lattice.weyl_presentation_from_six(fermat_data.PRESENTATION_SIX))
 
 
 @lru_cache(maxsize=1)
 def _presentation_w_a5() -> FiniteGroup:
     """W(A5) of the reference skew six, the reflection S6."""
-    return perm.generate(lattice.weyl_presentation_from_six(fermat_data.PRESENTATION_SIX)[1:])
+    return perm.generate(_reference_presentation()[1:])
+
+
+def _presentations_off_table(table: np.ndarray, sixes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """s0..s5 of k ordered skew sixes, given as 0-based (k, 6) label rows,
+    read off a table of reflections: the (k, 6, 27) uint8 rows, and for each
+    six whether every one of its six lookups hit exactly one row.  A six
+    whose mask is False has rows that are not to be read.
+
+    In the marking by a six a, a_i has the class e_i.  s_j (j = 1..5), the
+    reflection in e_j - e_{j+1}, sends a_j to a_{j+1}; s0, the reflection in
+    h - e1 - e2 - e3, sends a_1 to h - e2 - e3, the one line that meets a_2
+    and a_3 and no other member.  A reflection is determined by one line it
+    moves and that line's image, whose classes differ by its root up to
+    sign, so each lookup hits at most one row of a table of distinct
+    reflections.
+    """
+    members = lines_mod.incidence_graph()[:, sixes]  # (27, k, 6): line l meets a_i
+    meets_23 = (members == np.array([0, 1, 1, 0, 0, 0])).all(axis=2)  # (27, k)
+    sources = sixes[:, [0, 0, 1, 2, 3, 4]]
+    targets = np.column_stack([meets_23.argmax(axis=0), sixes[:, 1:]])
+    hits = table[:, sources] == targets  # (rows, k, 6)
+    found = (hits.sum(axis=0) == 1).all(axis=1) & (meets_23.sum(axis=0) == 1)
+    return table[hits.argmax(axis=0)], found
 
 
 # ---------------------------------------------------------------------------
@@ -622,7 +656,7 @@ def _generates_weyl(gens: Sequence[perm.Permutation], w: FiniteGroup) -> bool:
     Groups, 1985), and the whole group.  Its only non-abelian quotient is
     then itself, a subgroup of ``w`` of order 51840: all of ``w`` when ``w``
     has that order."""
-    rows = np.array([g.images for g in gens], dtype=np.uint8) - 1
+    rows = perm._rows(gens)
     products = rows[:, rows]
     return (
         bool(perm._member_mask(rows, w).all())
@@ -645,7 +679,7 @@ def _claim_weyl_reconstruction() -> Claim:
     a computed premise fails).  That group lies in the table, so
     ``element_sets_equal`` holds exactly when the two orders agree."""
     w = lines_mod.weyl_group()
-    gens = lattice.weyl_presentation_from_six(fermat_data.PRESENTATION_SIX)
+    gens = _reference_presentation()
     generated = _E6_COXETER_ORDER if _generates_weyl(gens, w) else 0
     details = {
         "generated_order": generated,
@@ -780,24 +814,43 @@ def _claim_exceptional_isomorphism() -> Claim:
 
 def _claim_presentation_and_double_sixes() -> Claim:
     """The reference six's presentation, 10 random sixes' Coxeter relations
-    and the 72 sixes paired into 36 double sixes.  ``full_presentation_order``
-    is ``weyl_group().order`` when the six reference reflections generate it
-    (``_generates_weyl``, no closure), or 0 when a computed premise fails."""
+    and the 72 sixes paired into 36 double sixes.
+
+    The reflections s0..s5 of all 72 sixes and of the 36 partners, in
+    partner_six's order, are read off ``lines.double_six_reflections``
+    (``_presentations_off_table``), whose rows are checked once, as a set,
+    against the lattice reflections in the 36 positive roots through the
+    reference marking.  The reference six and the 10 sampled sixes also go
+    through their own markings (``lattice.presentations``), and their rows
+    must equal the lookups.  A table that is not those reflections, or a
+    lookup that hits no row or two, fails ``partner_pairing_consistent``.
+    ``full_presentation_order`` is ``weyl_group().order`` when the six
+    reference reflections generate it (``_generates_weyl``, no closure), or
+    0 when a computed premise fails."""
     six = fermat_data.PRESENTATION_SIX
-    gens = lattice.weyl_presentation_from_six(six)
+    gens = _reference_presentation()
     printed = [perm.parse_cycles(s) for s in fermat_data.PRESENTATION_GENERATOR_CYCLES]
     sixes = lines_mod.skew_sixes()
     pairs = lines_mod.double_sixes()
     by_six = {s: k for k, s in enumerate(sixes)}
-    # the reflections of all 72 sixes and of the 36 partners, in partner_six's
-    # order, from one batched marking
-    reflections = lattice.presentations(list(sixes) + [partner for _, partner in pairs])
+    table = lines_mod.double_six_reflections()
+    roots = lattice._reflection_rows(lattice.marking_vectors(six)[None], lattice.positive_roots())[0]
+    table_ok = set(map(bytes, table)) == set(map(bytes, roots))
+    reflections, found = _presentations_off_table(
+        table, np.array(list(sixes) + [partner for _, partner in pairs]) - 1
+    )
     rng = _random.Random(11)
     sampled = rng.sample(sixes, 10)
-    sampled_ok = all(_coxeter_ok(reflections[by_six[s]]) for s in sampled)
+    picked = [by_six[s] for s in sampled]
+    sampled_ok = bool(
+        found[picked].all()
+        and np.array_equal(reflections[picked], lattice.presentations(sampled))
+        and all(_coxeter_ok(reflections[k]) for k in picked)
+    )
     w_a5 = _presentation_w_a5()
     w = lines_mod.weyl_group()
-    coxeter_reference = _coxeter_ok(np.array([g.images for g in gens], dtype=np.uint8) - 1)
+    gen_rows = perm._rows(gens)
+    coxeter_reference = _coxeter_ok(gen_rows)
     full_order = w.order if _generates_weyl(gens, w) else 0
     # A six s and its partner b, in partner_six's order, have the same
     # reflections s1..s5 (b_i - b_j = e_i - e_j), so the same W(A5) with no
@@ -806,14 +859,18 @@ def _claim_presentation_and_double_sixes() -> Claim:
     firsts = np.array([by_six[s] for s, _ in pairs])
     seconds = np.array([by_six[tuple(sorted(partner))] for _, partner in pairs])
     a5_gens = reflections[firsts, 1:]
-    pairing_ok = (
-        halves == list(sixes)
+    pairing_ok = bool(
+        table_ok
+        and found.all()
+        and halves == list(sixes)
         and np.array_equal(np.sort(lines_mod.partner_table()[seconds], axis=1), np.array(sixes)[firsts])
         and np.array_equal(reflections[len(sixes) :, 1:], a5_gens)
     )
     subgroups = set(map(tuple, perm.orbit_labels(a5_gens).tolist()))
     details = {
-        "reference_six_reproduces_printed_generators": gens == printed,
+        "reference_six_reproduces_printed_generators": (
+            list(gens) == printed and np.array_equal(reflections[by_six[six]], gen_rows)
+        ),
         "coxeter_relations_reference": coxeter_reference,
         "coxeter_relations_10_random_sixes": sampled_ok,
         "skew_six_count": len(sixes),

@@ -182,6 +182,11 @@ def _row(p: Permutation) -> np.ndarray:
     return np.array(p.images, dtype=np.uint8) - 1
 
 
+def _rows(perms: Sequence[Permutation]) -> np.ndarray:
+    """The (len(perms), 27) uint8 0-based image rows of permutations."""
+    return np.array([p.images for p in perms], dtype=np.uint8).reshape(-1, N_POINTS) - 1
+
+
 def _from_row(row: Sequence[int]) -> Permutation:
     return Permutation([x + 1 for x in row])
 
@@ -288,8 +293,7 @@ class FiniteGroup:
         object.__setattr__(self, "_index", index)
         if not np.array_equal(self.table[0], _IDENTITY_ROW):
             raise ValueError("group must contain the identity")
-        gens = np.array([g.images for g in self.generators], dtype=np.uint8).reshape(-1, N_POINTS)
-        if not _member_mask(gens - 1, self).all():
+        if not _member_mask(_rows(self.generators), self).all():
             raise ValueError("generators must belong to the element set")
 
     @property
@@ -637,17 +641,22 @@ def identify(fp: GroupFingerprint) -> str:
 
 
 def direct_product_check(group: FiniteGroup, a: FiniteGroup, b: FiniteGroup) -> bool:
-    """True iff ``group`` is the internal direct product of ``a`` and ``b``."""
+    """True iff ``group`` is the internal direct product of ``a`` and ``b``.
+
+    Each factor is normal when it holds every conjugate g h g^-1 of its
+    generators h by the group's generators g: all of them are one stacked
+    scatter, ``(g h g^-1)[g] = g[h]``, and one lookup in the factor."""
     if not (a <= group and b <= group) or a.order * b.order != group.order:
         return False
     if _member_mask(a.table, b).sum() != 1:  # only the identity
         return False
+    g = _rows(group.generators)
     for sub in (a, b):
-        for g in group.generators:
-            ginv = g.inverse()
-            for h in sub.generators:
-                if compose(compose(g, h), ginv) not in sub:
-                    return False
+        h = _rows(sub.generators)
+        conj = np.empty((len(g), len(h), N_POINTS), dtype=np.uint8)
+        conj[np.arange(len(g))[:, None, None], np.arange(len(h))[:, None], g[:, None]] = g[:, h]
+        if not _member_mask(conj.reshape(-1, N_POINTS), sub).all():
+            return False
     return True
 
 

@@ -19,7 +19,6 @@ from cubic27.lattice import (
     preserves_q5,
     q_form,
     reflect,
-    reflection_permutations,
     restrict_to_root_coords,
     simple_roots,
     weyl_presentation_from_six,
@@ -50,7 +49,7 @@ class TestForm:
             for _ in range(10):
                 x = tuple(rng.randint(-4, 4) for _ in range(7))
                 assert reflect(reflect(x, root), root) == x
-        for p in reflection_permutations(marking, simple_roots()):
+        for p in _reflections(marking, simple_roots()):
             assert p.order() == 2
 
     def test_stacked_reflections_match_one_root_at_a_time(self, marking):
@@ -58,12 +57,12 @@ class TestForm:
         # its image up among the rows
         roots = simple_roots() + [(2, -1, -1, -1, -1, -1, -1)]
         index = {tuple(row): k for k, row in enumerate(marking.tolist(), start=1)}
-        stacked = reflection_permutations(marking, roots)
+        stacked = _reflections(marking, roots)
         assert len(stacked) == len(roots)
         for root, p in zip(roots, stacked):
             images = [index[reflect(row, root)] for row in marking.tolist()]
             assert p == Permutation(images)
-            assert reflection_permutations(marking, [root]) == [p]
+            assert _reflections(marking, [root]) == [p]
 
     def test_reflection_moves_basis_vector(self):
         root = tuple(a - b for a, b in zip(_unit(1), _unit(2)))
@@ -73,9 +72,9 @@ class TestForm:
         with pytest.raises(ValueError):
             reflect(_unit(1), _unit(1))
         with pytest.raises(ValueError):
-            reflection_permutations(marking, [_unit(1)])
+            _reflections(marking, [_unit(1)])
         with pytest.raises(ValueError):  # one bad root in the stack
-            reflection_permutations(marking, simple_roots() + [_unit(1)])
+            _reflections(marking, simple_roots() + [_unit(1)])
 
     def test_root_moving_a_line_off_the_classes_rejected(self, marking):
         # e1 + e2 is a root (Q = -2) but not orthogonal to K: its reflection
@@ -83,13 +82,13 @@ class TestForm:
         root = (0, 1, 1, 0, 0, 0, 0)
         assert q_form(root, root) == -2 and reflect(_unit(1), root) == (0, 0, -1, 0, 0, 0, 0)
         with pytest.raises(ValueError, match="does not permute the line classes"):
-            reflection_permutations(marking, [root])
+            _reflections(marking, [root])
 
     def test_root_with_images_past_int8_rejected(self, marking):
         root = (10, 10, 1, 1, 0, 0, 0)
         assert q_form(root, root) == -2
         with pytest.raises(ValueError, match="does not permute the line classes"):
-            reflection_permutations(marking, [root])
+            _reflections(marking, [root])
 
     @pytest.mark.parametrize(
         "altered",
@@ -109,7 +108,7 @@ class TestForm:
 
     def test_empty_root_stack(self, marking):
         assert lattice._reflection_rows(marking[None], []).shape == (1, 0, 27)
-        assert reflection_permutations(marking, []) == []
+        assert _reflections(marking, []) == []
 
 
 class TestLineClasses:
@@ -255,6 +254,12 @@ def _unit(i):
     v = [0] * 7
     v[i] = 1
     return tuple(v)
+
+
+def _reflections(marking, roots):
+    """The line permutations of the reflections in a stack of roots, read
+    through one marking."""
+    return [Permutation(row) for row in (lattice._reflection_rows(marking[None], roots)[0] + 1).tolist()]
 
 
 class TestMod3Reduction:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import sympy
 
-from cubic27 import fermat_data, lines
+from cubic27 import fermat_data, lattice, lines
 from cubic27.exact import _rank, _times, symmetric_basis
 from cubic27.lattice import marking_vectors
 from cubic27.lines import (
@@ -381,6 +381,39 @@ class TestSkewSixes:
             partner = partner_six(six)
             for a, b in combinations(partner, 2):
                 assert not g[a - 1, b - 1]
+
+
+class TestDoubleSixReflections:
+    def test_read_only_uint8_table(self):
+        table = lines.double_six_reflections()
+        assert table.shape == (36, 27) and table.dtype == np.uint8
+        assert not table.flags.writeable
+
+    def test_rows_swap_the_halves_and_fix_the_rest(self):
+        table = lines.double_six_reflections()
+        for row, (six, partner) in zip(table.tolist(), double_sixes()):
+            for a, b in zip(six, partner):
+                assert row[a - 1] == b - 1 and row[b - 1] == a - 1
+            fixed = set(range(1, 28)) - set(six) - set(partner)
+            assert all(row[x - 1] == x - 1 for x in fixed)
+
+    def test_rows_are_the_weyl_elements_of_type_1_15_2_6(self, weyl):
+        # a mask over W(E6)'s table: the involutions that move 12 lines
+        rows = weyl.table
+        moved = (rows != np.arange(27)).sum(axis=1)
+        involution = (np.take_along_axis(rows, rows, axis=1) == np.arange(27)).all(axis=1)
+        of_type = rows[(moved == 12) & involution]
+        assert len(of_type) == 36
+        table = lines.double_six_reflections()
+        assert sorted(map(bytes, of_type)) == sorted(map(bytes, table))
+
+    def test_each_row_is_the_reflection_in_its_double_six_root(self):
+        # in the marking by a six a, with partner b, the root 2h - e1 - ... - e6
+        # sends a_i = e_i to b_i = 2h - e1 - ... - e6 + e_i
+        sixes = [six for six, _ in double_sixes()]
+        root = (2, -1, -1, -1, -1, -1, -1)
+        through_lattice = lattice._reflection_rows(lattice.markings(sixes), [root])[:, 0]
+        assert np.array_equal(through_lattice, lines.double_six_reflections())
 
 
 _Q = np.diag([1, -1, -1, -1, -1, -1, -1])

@@ -791,6 +791,13 @@ class TestComponentStructure:
         assert labels == ["[S4/C2]", "[S4/C2]", "[S4/D8]"]
 
 
+def _twist(six):
+    """c, the reflection in 2h - e1 - ... - e6, through the marking by six."""
+    root = (2, -1, -1, -1, -1, -1, -1)
+    (row,) = lattice._reflection_rows(lattice.marking_vectors(six)[None], [root])[0]
+    return perm._from_row(row.tolist())
+
+
 class TestOtherS6:
     def test_order_and_orbits(self, other_s6):
         assert other_s6.order == 720
@@ -813,9 +820,7 @@ class TestOtherS6:
         # not in <s_i c>, so s_i -> s_i c extends to an isomorphism
         six = fermat_data.PRESENTATION_SIX
         s = lattice.weyl_presentation_from_six(six)[1:]
-        (c,) = lattice.reflection_permutations(
-            lattice.marking_vectors(six), [(2, -1, -1, -1, -1, -1, -1)]
-        )
+        c = _twist(six)
         assert not c.is_identity() and c.order() == 2
         assert all(g * c == c * g for g in s)
         assert c not in other_s6
@@ -824,9 +829,7 @@ class TestOtherS6:
     def test_written_down_equals_the_closure(self, other_s6):
         six = fermat_data.PRESENTATION_SIX
         s = lattice.weyl_presentation_from_six(six)[1:]
-        (c,) = lattice.reflection_permutations(
-            lattice.marking_vectors(six), [(2, -1, -1, -1, -1, -1, -1)]
-        )
+        c = _twist(six)
         assert other_s6.generators == tuple(g * c for g in s)
         assert other_s6 == generate([g * c for g in s])
 
@@ -905,12 +908,7 @@ class TestPresentationOrder:
     def claim_with(self, monkeypatch, gens):
         """The claim with the reference six's presentation replaced."""
         monodromy._presentation_w_a5()  # cached before the patch
-        real = lattice.weyl_presentation_from_six
-
-        def presentation(six):
-            return list(gens) if tuple(six) == fermat_data.PRESENTATION_SIX else real(six)
-
-        monkeypatch.setattr(lattice, "weyl_presentation_from_six", presentation)
+        monkeypatch.setattr(monodromy, "_reference_presentation", lambda: tuple(gens))
         return _claim_presentation_and_double_sixes()
 
     def test_order_agrees_with_the_closure(self):
@@ -961,6 +959,95 @@ class TestPresentationOrder:
         assert not claim.passed and claim.details["full_presentation_order"] == 0
 
 
+class TestPresentationsOffTheTable:
+    """presentation-double-sixes reads s0..s5 of every six and partner off
+    ``lines.double_six_reflections``; the markings are the oracle."""
+
+    HALVES = list(lines.skew_sixes()) + [partner for _, partner in lines.double_sixes()]
+
+    def lookups(self, table):
+        return monodromy._presentations_off_table(table, np.array(self.HALVES) - 1)
+
+    def test_lookups_equal_the_lattice_presentations(self):
+        rows, found = self.lookups(lines.double_six_reflections())
+        assert found.all()
+        assert np.array_equal(rows, lattice.presentations(self.HALVES))
+
+    def test_a_lookup_that_hits_no_row_is_rejected(self):
+        # without row 0 the sixes that need it find no row; argmax would
+        # read the first remaining row for them
+        table = lines.double_six_reflections()
+        rows, found = self.lookups(table)
+        needs = (rows == table[0]).all(axis=2).any(axis=1)
+        assert needs.any() and not needs.all()
+        _, found = self.lookups(table[1:])
+        assert np.array_equal(found, ~needs)
+
+    def test_a_lookup_that_hits_two_rows_is_rejected(self):
+        table = lines.double_six_reflections()
+        rows, _ = self.lookups(table)
+        needs = (rows == table[0]).all(axis=2).any(axis=1)
+        _, found = self.lookups(np.concatenate([table, table[:1]]))
+        assert np.array_equal(found, ~needs)
+
+    def test_a_six_that_is_not_skew_is_rejected(self):
+        meeting = [int(np.flatnonzero(lines.incidence_graph()[0])[0]) + 1]
+        six = [1] + meeting + list(lines.skew_sixes()[0][2:])
+        _, found = monodromy._presentations_off_table(lines.double_six_reflections(), np.array([six]) - 1)
+        assert not found[0]
+
+    def test_a_row_with_two_entries_swapped_breaks_the_claim(self, monkeypatch):
+        table = lines.double_six_reflections().copy()
+        table[5, [0, 1]] = table[5, [1, 0]]
+        monkeypatch.setattr(lines, "double_six_reflections", lambda: table)
+        claim = _claim_presentation_and_double_sixes()
+        assert not claim.passed
+        assert claim.details["partner_pairing_consistent"] is False
+
+    def test_a_table_the_lattice_disagrees_with_breaks_the_claim(self, monkeypatch):
+        # the lookups still hit one row each; only the set compare with the
+        # lattice reflections, here in 35 of the 36 roots, can fail
+        real = lattice.positive_roots
+        monkeypatch.setattr(lattice, "positive_roots", lambda: real()[:-1] + real()[:1])
+        claim = _claim_presentation_and_double_sixes()
+        assert not claim.passed
+        assert claim.details["partner_pairing_consistent"] is False
+        assert claim.details["coxeter_relations_10_random_sixes"] is True
+
+    def test_a_failed_lookup_breaks_the_claim(self, monkeypatch):
+        real = monodromy._presentations_off_table
+
+        def one_lost(table, sixes):
+            rows, found = real(table, sixes)
+            return rows, np.concatenate([[False], found[1:]])
+
+        monkeypatch.setattr(monodromy, "_presentations_off_table", one_lost)
+        claim = _claim_presentation_and_double_sixes()
+        assert not claim.passed
+        assert claim.details["partner_pairing_consistent"] is False
+
+    def test_a_sampled_six_the_lattice_disagrees_with_breaks_the_claim(self, monkeypatch):
+        real = lattice.presentations
+        monkeypatch.setattr(lattice, "presentations", lambda sixes: real(sixes)[:, ::-1])
+        claim = _claim_presentation_and_double_sixes()
+        assert not claim.passed
+        assert claim.details["coxeter_relations_10_random_sixes"] is False
+
+    def test_the_reference_presentation_is_built_once(self, monkeypatch):
+        # fresh caches, so that the exact pass builds it under the spy
+        for name in ("_reference_presentation", "_presentation_w_a5"):
+            monkeypatch.setattr(monodromy, name, lru_cache(maxsize=1)(getattr(monodromy, name).__wrapped__))
+        real, calls = lattice.weyl_presentation_from_six, []
+
+        def spy(six):
+            calls.append(tuple(six))
+            return real(six)
+
+        monkeypatch.setattr(lattice, "weyl_presentation_from_six", spy)
+        assert monodromy.verify_claims(seed=1, include_monodromy=False).all_passed()
+        assert calls == [fermat_data.PRESENTATION_SIX]
+
+
 class TestWeylReconstruction:
     """weyl-reconstruction counts: the automorphism table's order against the
     order the reference presentation generates, with no closure and no
@@ -980,12 +1067,7 @@ class TestWeylReconstruction:
     def test_a_non_member_breaks_the_claim(self, monkeypatch):
         gens = lattice.weyl_presentation_from_six(fermat_data.PRESENTATION_SIX)
         moved = [perm.parse_cycles("(1,2)")] + gens[1:]
-        real = lattice.weyl_presentation_from_six
-        monkeypatch.setattr(
-            lattice,
-            "weyl_presentation_from_six",
-            lambda six: moved if tuple(six) == fermat_data.PRESENTATION_SIX else real(six),
-        )
+        monkeypatch.setattr(monodromy, "_reference_presentation", lambda: tuple(moved))
         claim = _claim_weyl_reconstruction()
         assert not claim.passed
         assert claim.details == {"generated_order": 0, "automorphism_count": 51840, "element_sets_equal": False}

@@ -354,6 +354,16 @@ class TestDirectProduct:
         rest = generate([p for p in s4.elements if p.order() == 3][:2])
         assert not direct_product_check(s4, stab, rest)
 
+    def test_rejects_a_nonnormal_factor_in_either_place(self):
+        # S3 = C3 x| C2: the orders multiply and the factors meet trivially,
+        # but C2 is not normal, so only the normality lookup can say False
+        s3 = generate([parse_cycles("(1,2,3)"), parse_cycles("(1,2)")])
+        c3, c2 = generate([parse_cycles("(1,2,3)")]), generate([parse_cycles("(1,2)")])
+        assert c3.order * c2.order == s3.order and intersect(c3, c2).order == 1
+        assert compose(compose(s3.generators[0], c2.generators[0]), s3.generators[0].inverse()) not in c2
+        assert not direct_product_check(s3, c3, c2)
+        assert not direct_product_check(s3, c2, c3)
+
 
 def _table(elements) -> np.ndarray:
     return np.array([[x - 1 for x in p.images] for p in elements], dtype=np.uint8)
