@@ -201,13 +201,22 @@ def random_loop(spec: FamilySpec, rng: _random.Random, scale: float) -> Loop:
     )
 
 
-_CIRCLE_SEGMENTS = 16
+_CIRCLE_SEGMENTS = 6
 
 
 def circle_loop(spec: FamilySpec, center: Sequence[complex], radius: float) -> Loop:
-    """Polygonal circle around a parameter point, inside the complex line
-    through the basepoint, entered and left along the straight segment from
-    the basepoint."""
+    """A meridian around a parameter point: the regular hexagon inscribed in
+    the circle of ``radius`` about it, inside the complex line through the
+    basepoint, entered and left along the straight segment from the
+    basepoint.
+
+    A loop's permutation depends only on which branch points it winds.  On
+    the symmetric family's meridians no root of a discriminant component
+    lies between the hexagon and its circumcircle (tested over the meridians
+    of several seeds), so the hexagon gives the circle's permutation.  Each
+    arc is one segment, covered by one tracker step on the first track and
+    two on the tightened re-track; a batch takes as many kernel rounds as
+    its longest member, so the arc count sets a meridian run's rounds."""
     base = spec.base
     c = np.asarray(center, dtype=complex)
     d = base - c

@@ -4,7 +4,7 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from cubic27 import htrack, lines, perm
+from cubic27 import htrack, lines, monodromy, perm
 from cubic27.exact import ZETA_COMPLEX, symmetric_basis
 from cubic27.htrack import (
     CubicForm,
@@ -388,9 +388,10 @@ def triangle(scale, seed):
     ]
 
 
-def meridian(center, radius=0.2, n=16):
+def meridian(center, radius=0.2, n=monodromy._CIRCLE_SEGMENTS):
     """Fermat, then a circle of n vertices around ``center`` (symmetric
-    coordinates) entered along the straight segment from Fermat, then back."""
+    coordinates) entered along the straight segment from Fermat, then back;
+    by default the polygon that ``monodromy.circle_loop`` winds."""
     base = np.array([1, 0, 0], dtype=complex)
     center = np.asarray(center, dtype=complex)
     d = (base - center) / np.linalg.norm(base - center)
@@ -481,7 +482,9 @@ class TestCarriedStep:
         perms = track_loop(loops, catalog, cfg)
         assert perms[1] == lines.monodromy_klein_elements()["tau1"]
         assert len(spy.results) == 1
-        assert len(spy.segments) == 3 + 17
+        # the triangle's 3 edges, and the meridian's entry and arcs (its
+        # return leg is read off the stem)
+        assert len(spy.segments) == 3 + 1 + monodromy._CIRCLE_SEGMENTS
         # the predictor takes each member's t and the corrector its t + step
         firsts = [
             t_new for before, after in zip(trials[::2], trials[1::2])
@@ -497,19 +500,20 @@ class TestCarriedStep:
         ids=["default", "tightened"],
     )
     def test_one_step_covers_a_short_arc(self, catalog, monkeypatch, cfg, arc_steps):
-        # step_max is per segment: the 16 short arcs of a meridian are one
+        # step_max is per segment: the short arcs of a meridian are one
         # step each, and revalidation's halved cap re-tracks them in two
         spy = SegmentSpy(monkeypatch)
         loop = meridian(L1_POINT)
         assert loop_perm(loop, catalog, cfg) == lines.monodromy_klein_elements()["tau1"]
         entry, *arcs = spy.segments
-        assert len(arcs) == 16
+        n = monodromy._CIRCLE_SEGMENTS
+        assert len(arcs) == n
         # the entry segment alone, from the same fiber under the same config
         entry_steps = track_segment([(entry.f0, entry.f1)], [catalog], [cfg]).accepted_steps
         # a segment takes at least 1 / step_max = arc_steps steps, so this
         # sum holds only when every arc takes exactly arc_steps
         [result] = spy.results
-        assert result.accepted_steps - entry_steps == 16 * arc_steps
+        assert result.accepted_steps - entry_steps == n * arc_steps
 
     def test_zero_length_segment(self, catalog):
         loop = triangle(0.9, seed=12)

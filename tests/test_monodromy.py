@@ -204,8 +204,38 @@ class TestLoops:
         spec = symmetric_family()
         loop = circle_loop(spec, (1, 0, -1), radius=0.1)
         assert loop.kind == "circle"
-        assert len(loop.vertices) == 19  # base + 16 ring + ring[0] + base
+        assert len(loop.vertices) == 9  # base + 6 ring + ring[0] + base
         assert np.array_equal(loop.vertices[0].coeffs, loop.vertices[-1].coeffs)
+
+    @pytest.mark.parametrize("seed", [1, 51, 117, 100004, 200007])
+    def test_polygon_winds_the_branch_points_of_its_circle(self, seed):
+        # A loop's permutation depends only on the branch points it winds.
+        # On the complex line center + z*d of each meridian, every root of
+        # every component lies inside the polygon circle_loop winds exactly
+        # when it lies inside the circle of its radius, and the probed
+        # crossing z = 0 is inside.  No tracking.
+        spec = symmetric_family()
+        n = monodromy._CIRCLE_SEGMENTS
+        ring = np.exp(2j * np.pi * np.arange(n) / n)
+        edges = np.roll(ring, -1) - ring
+
+        def in_polygon(w):
+            # w in units of the radius: left of every counterclockwise edge
+            return bool(np.all((np.conj(edges) * (w - ring)).imag > 0))
+
+        meridians = [monodromy._build_loop(spec, i, seed) for i in range(1, 40, 2)]
+        assert [loop.kind for loop in meridians] == ["circle"] * 20
+        for loop in meridians:
+            center, radius = np.array(loop.meta["center"]), loop.meta["radius"]
+            d = (spec.base - center) / np.linalg.norm(spec.base - center)
+            roots = np.concatenate([
+                np.roots(monodromy._restrict_to_line(form, center, d))
+                for form in spec.components.values()
+            ]) / radius
+            for w in roots:
+                assert in_polygon(w) == (abs(w) < 1), (loop.meta, w)
+            crossing = roots[np.argmin(abs(roots))]
+            assert abs(crossing) < 1e-9 and in_polygon(crossing)
 
     def test_open_loop_rejected(self):
         with pytest.raises(ValueError):
@@ -414,6 +444,17 @@ class TestProbe:
         assert t_star == pytest.approx(2, rel=1e-12)
 
 
+# sha256 of the JSON list of [kind, permutation, accepted, revalidated,
+# probe_t] per loop of compute_monodromy(symmetric_family(), 40, seed),
+# recorded when meridians had 16 arcs: the hexagon winds the same branch
+# points, so every loop keeps its outcome (seed 51 stalls inconclusive)
+SYMMETRIC_LOOP_DIGESTS = {
+    10: "819c9d09300a3a4de6ce4a3b74c549fc15ada0c713207fd98013ba9e923057a3",
+    51: "b7e14afd2ab4da00a72b441e4b87f7bfa3c44e21cb8dbc69814e4085cd807a81",
+    200008: "8e4e48fa48ea1e8ee10a41d31a390ea9e11d702e5b183914f428816d9e28d805",
+}
+
+
 class TestComputeMonodromy:
     def test_zero_budget_inconclusive(self):
         report = compute_monodromy(symmetric_family(), budget=0, seed=1)
@@ -453,11 +494,12 @@ class TestComputeMonodromy:
             assert r.meta.get("probe_t") == (None if t is None else pytest.approx(t, rel=1e-12))
         assert all(r.accepted for r in loops)
 
-    def test_symmetric_eight_loops_track_160_segments(self, monkeypatch):
-        # 4 triangles of 3 edges and 4 meridians of 17 (the return leg of
-        # the 18 is read off the stem), each tracked and revalidated: 160
-        # member-segments in one ragged batch of 16 members, the 8 first
-        # tracks and their 8 re-tracks, each walking its own polygon
+    def test_symmetric_eight_loops_track_80_segments(self, monkeypatch):
+        # 4 triangles of 3 edges and 4 meridians of 7 (the entry and the 6
+        # arcs of the hexagon; the return leg of the 8 is read off the stem),
+        # each tracked and revalidated: 80 member-segments in one ragged
+        # batch of 16 members, the 8 first tracks and their 8 re-tracks, each
+        # walking its own polygon
         calls, member_segments = [], []
         original = htrack.track_segment
 
@@ -476,10 +518,10 @@ class TestComputeMonodromy:
         monkeypatch.setattr(htrack, "track_segment", spy)
         report = compute_monodromy(symmetric_family(), 8, seed=1)
         assert [r.kind for r in report.loops] == ["triangle", "circle"] * 4
-        assert len(member_segments) == 160
+        assert len(member_segments) == 80
         assert calls == [16]
         # members 0-7 track at the default config, 8-15 re-track the same loops
-        assert [member_segments.count(m) for m in range(16)] == 2 * [3, 17] * 4
+        assert [member_segments.count(m) for m in range(16)] == 2 * [3, 7] * 4
 
     def test_symmetric_eight_loops_work_counters(self, monkeypatch, capsys):
         # The tracker's work on `monodromy --family symmetric --loops 8` at
@@ -514,7 +556,7 @@ class TestComputeMonodromy:
         capsys.readouterr()
         # the predictor and the corrector each build one homotopy a round
         rounds = counts["homotopies"] // 2
-        assert (counts["calls"], counts["accepted"], rounds) == (1, 253, 34)
+        assert (counts["calls"], counts["accepted"], rounds) == (1, 138, 17)
         assert counts["newton"] - rounds == counts["calls"]
 
     @pytest.mark.parametrize(
@@ -570,6 +612,16 @@ class TestComputeMonodromy:
         records = [[r.kind, r.permutation, r.accepted] for r in full_report.loops]
         digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
         assert digest == "7643464362f0dd1fe94c84a489bead4ed336a76c48f7431267d37b4619f21a91"
+
+    @pytest.mark.parametrize("seed", list(SYMMETRIC_LOOP_DIGESTS))
+    def test_symmetric_loops_pinned(self, seed):
+        report = compute_monodromy(symmetric_family(), 40, seed)
+        records = [
+            [r.kind, r.permutation, r.accepted, r.revalidated, r.meta.get("probe_t")]
+            for r in report.loops
+        ]
+        digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
+        assert digest == SYMMETRIC_LOOP_DIGESTS[seed]
 
     def test_deterministic_reports(self):
         # one loop: a random triangle
