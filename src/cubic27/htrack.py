@@ -15,16 +15,15 @@ f(x) = T(x, x, x), read through exact's table of monomial orderings: one
 batched contraction over the rows of every line gives the residual and the
 chart Jacobian together, one per Newton iteration.
 
-A set of lines is one array Fiber: the (n, 2, 4) span matrices, the gauges
-and the chart of all n lines.  Fiber.from_mats builds one from span
-matrices, every tracker entry point takes and returns fibers, and a loop
-carries one from the basepoint to the match.  Each segment takes the
-previous one's end fiber as it is: its charts are fresh, since every
-accepted step re-charts the lines that went stale, and it was accepted
-within newton_tol on the very form the segment starts on, so at a vertex
-it is neither re-charted, Newton-checked nor polished.  The Newton check on
-f0 is for a member's first edge only, where its start fiber comes from
-outside.  Only a fiber that is matched is polished, once.
+A set of lines is one array Fiber: the (n, 2, 4) span matrices and the
+gauges of all n lines.  Fiber.from_mats builds one from span matrices,
+every tracker entry point takes and returns fibers, and a loop carries one
+from the basepoint to the match.  Newton runs only inside track_segment:
+each accepted step leaves every line within newton_tol of its form and
+re-charts the lines whose gauge went stale, so a segment takes the previous
+one's end fiber as it is, and a loop matches its end fiber as the last
+segment returns it.  The Newton check on f0 is for a member's first edge
+only, where its start fiber comes from outside.
 
 The tracker works on ragged batches.  A batch has k members, each one
 fiber of n tracked lines on its own path with its own config, and every
@@ -128,6 +127,8 @@ class AmbiguousMatch(TrackFailure):
 _STEP_MIN = 1e-7
 _STEP_GROW = 2.0
 _GROW_AFTER = 3
+# a Newton run that misses newton_tol in this many iterations fails
+_MAX_NEWTON_ITERS = 8
 # accepted steps keep every pair of lines this many last Newton corrections
 # apart, and each tracked line this many times nearer its stabilizer images
 # than the nearest pair of lines
@@ -139,14 +140,12 @@ _RECHART_COND = 20.0
 # a Newton correction must stay below factor * previous**2 + floor
 _QUAD_TAIL_FACTOR = 10.0
 _QUAD_TAIL_FLOOR = 1e-12
-# best-effort residual target for the polish of a fiber before it is matched
-_POLISH_TOL = 1e-13
 
 
 @dataclass(frozen=True)
 class TrackerConfig:
-    """The settings that revalidation tightens and the polish before a match
-    replaces; everything else about the tracker is fixed above.
+    """The settings that revalidation tightens; everything else about the
+    tracker is fixed above.
 
     step_max is a fraction of the current segment's parameter interval: the
     first step of every segment and the cap that steps grow back to.
@@ -157,7 +156,6 @@ class TrackerConfig:
     """
 
     newton_tol: float = 1e-10
-    max_newton_iters: int = 8
     step_max: float = 1.0
     match_margin: float = 10.0
 
@@ -436,7 +434,7 @@ def _newton_batch(
     leading member axis, the corrected mats, final residual norms and last
     correction norms, and per member the iterations used and the
     NewtonFailure that stopped it or None.  A member fails when some line
-    misses newton_tol within max_newton_iters or loses the quadratic
+    misses newton_tol within _MAX_NEWTON_ITERS or loses the quadratic
     convergence tail; a failed member's mats are its input and its norms 0.
     A member's singular Jacobian fails it with a zero correction.
 
@@ -452,7 +450,6 @@ def _newton_batch(
     failures: list[NewtonFailure | None] = [None] * k
     live = list(range(k))
     tol = np.array([c.newton_tol for c in cfgs])
-    limits = [c.max_newton_iters for c in cfgs]
     cur, last = mats, np.zeros((k, n))
     g = _contract(tensors, cur)
     res = _residual(g, cur)
@@ -462,7 +459,7 @@ def _newton_batch(
         going = (norms.max(axis=1) > tol).tolist()
         stopped = {
             i for i, m in enumerate(live)
-            if failures[m] is not None or not going[i] or limits[m] <= iters
+            if failures[m] is not None or not going[i] or iters >= _MAX_NEWTON_ITERS
         }
         if stopped:
             for i in stopped:
@@ -471,7 +468,7 @@ def _newton_batch(
                 if failures[m] is not None:
                     continue
                 if going[i]:
-                    failures[m] = NewtonFailure(f"no convergence in {limits[m]} iterations")
+                    failures[m] = NewtonFailure(f"no convergence in {_MAX_NEWTON_ITERS} iterations")
                 else:
                     out[m], out_norms[m], out_last[m] = cur[i], norms[i], last[i]
             keep = [i for i in range(len(live)) if i not in stopped]
@@ -513,11 +510,10 @@ class TrackResult:
 
     ``ends[m]`` is member m's lines at t = 1 of its last segment, each
     within newton_tol of its target form and with a fresh chart, or the
-    TrackFailure that stopped the member.  An end fiber is not polished, so
-    that a loop carries it straight into its next segment.  A member's lines
-    advance in lockstep, so ``newton_iterations`` holds one count per
-    member: the Newton check on its first segment's f0 and its corrector
-    work on accepted steps, summed over its segments.  ``accepted_steps`` is
+    TrackFailure that stopped the member.  A member's lines advance in
+    lockstep, so ``newton_iterations`` holds one count per member: the
+    Newton check on its first segment's f0 and its corrector work on
+    accepted steps, summed over its segments.  ``accepted_steps`` is
     the sum over the members, ``max_residual`` the true maximum over the
     Newton check and every accepted correction and ``min_separation`` the
     smallest pairwise line distance seen at any accepted step, over all the
@@ -533,24 +529,16 @@ class TrackResult:
 
 
 class Fiber:
-    """A set of numeric lines: their (n, 2, 4) span matrices, the gauge
-    column pair of each line, where its span matrix holds the identity, and
-    the chart built from the gauges.  It is the tracker's only line type:
-    every entry point takes and returns fibers, and a fiber is never changed
-    in place."""
+    """A set of numeric lines: their (n, 2, 4) span matrices and the gauge
+    column pair of each line, where its span matrix holds the identity.  It
+    is the tracker's only line type: every entry point takes and returns
+    fibers, and a fiber is never changed in place."""
 
-    __slots__ = ("mats", "gauges", "_chart")
+    __slots__ = ("mats", "gauges")
 
-    def __init__(self, mats: np.ndarray, gauges: np.ndarray, chart: _Chart | None = None):
+    def __init__(self, mats: np.ndarray, gauges: np.ndarray):
         self.mats = mats
         self.gauges = gauges
-        self._chart = chart
-
-    @property
-    def chart(self) -> _Chart:
-        if self._chart is None:
-            self._chart = _Chart(self.gauges)
-        return self._chart
 
     @classmethod
     def from_mats(cls, mats: np.ndarray) -> "Fiber":
@@ -563,23 +551,6 @@ class Fiber:
             raise ValueError("span matrix must have rank 2")
         gauges = _best_gauges(mats)
         return cls(_normalize_batch(mats, gauges), gauges)
-
-    def moved(self, mats: np.ndarray) -> "Fiber":
-        """The same charts carrying new span matrices."""
-        return Fiber(mats, self.gauges, self._chart)
-
-    def recharted(self, cond_limit: float = _RECHART_COND) -> "Fiber":
-        """The fiber with the gauge of every line whose gauge condition
-        exceeds cond_limit re-selected; only those lines pay for the
-        six-minor SVD, and a fiber with none is returned as it is."""
-        unknowns = self.mats.reshape(-1)[self.chart.unknowns]
-        stale = _gauge_conds(unknowns) > cond_limit
-        if not stale.any():
-            return self
-        mats, gauges = self.mats.copy(), self.gauges.copy()
-        gauges[stale] = _best_gauges(mats[stale])
-        mats[stale] = _normalize_batch(mats[stale], gauges[stale])
-        return Fiber(mats, gauges)
 
 
 def _moved_positions(positions: Sequence[int], sigmas: Sequence[Sequence[int]]) -> np.ndarray:
@@ -892,21 +863,6 @@ def track_segment(
     )
 
 
-def _polish(forms: Sequence[CubicForm], fibers: Sequence[Fiber]) -> list[Fiber]:
-    """Newton-polish each fiber on Z(form) toward machine precision before
-    it is matched, all in one batch; a fiber whose polish fails is kept as it
-    is (already in tolerance).  The polish replaces the tolerance and the
-    iteration cap, the only settings Newton reads, so it is the same under
-    every config."""
-    if not fibers:
-        return []
-    mats, _, chart = _stack(fibers)
-    coeffs = np.stack([f.coeffs for f in forms])
-    polish_cfg = TrackerConfig(newton_tol=_POLISH_TOL, max_newton_iters=3)
-    out, _, _, _, failures = _newton_batch(_polar(coeffs), mats, chart, [polish_cfg] * len(fibers))
-    return [f.moved(m) if failure is None else f for f, m, failure in zip(fibers, out, failures)]
-
-
 def _retraced_edges(vertices: Sequence[CubicForm]) -> int:
     """The largest k <= n/2 for which the last k of the polygon's n edges
     retrace its first k in reverse: vertex n - j equals vertex j exactly for
@@ -934,10 +890,9 @@ def track_loop(
     walks its own polygon, and at a vertex it starts its next edge in the
     next round, whatever edge the other members are on.  Each loop carries
     its own Fiber from vertex to vertex: each edge starts from the previous
-    one's unpolished end fiber, whose charts are fresh, and nothing is
-    converted or re-checked on the way; only the base fiber is
-    Newton-checked, on the first edge.  Every edge starts at the loop's
-    step_max, whatever step the previous edge ended with.
+    one's end fiber, and nothing is converted or re-checked on the way; only
+    the base fiber is Newton-checked, on the first edge.  Every edge starts
+    at the loop's step_max, whatever step the previous edge ended with.
 
     Lasso reading: when the last k edges retrace the first k in reverse (a
     meridian's stem, k = 1 for circle_loop), the loop is the stem, a cycle
@@ -945,13 +900,12 @@ def track_loop(
     transport along it, so only the first n - k edges are tracked and the
     final fiber is matched against the fiber at the end of edge k.  A
     polygon with k = 0, such as a triangle, is matched against the base
-    fiber.  Each fiber that is matched is Newton-polished once first, in
-    one batch for all loops, so a loop polishes at most twice.
+    fiber.  Both fibers of a match are the ends track_segment returns.
 
-    Only the tracked lines of ``frame`` are carried round, and polished;
-    every fiber that is matched is first expanded to all 27 lines by the
-    frame's column permutations.  The frame must be one whose symmetries
-    every form of every loop keeps; None tracks every line.
+    Only the tracked lines of ``frame`` are carried round; every fiber that
+    is matched is first expanded to all 27 lines by the frame's column
+    permutations.  The frame must be one whose symmetries every form of
+    every loop keeps; None tracks every line.
 
     A match is accepted only when every nearest/second-nearest distance
     ratio clears the loop's match_margin and the assignment is a bijection.
@@ -988,16 +942,12 @@ def track_loop(
     firsts = [(p[0], p[1]) for p in paths]
     ends = track_segment(firsts, [start] * len(loops), cfgs, frame, onward).ends
     outcomes: list[Permutation | TrackFailure] = list(ends)
-    live = [m for m, end in enumerate(ends) if not isinstance(end, TrackFailure)]
-    lassos = [m for m in live if stems[m]]
-    polished = _polish(
-        [loops[m][stems[m]] for m in live + lassos],
-        [ends[m] for m in live] + [stem_ends[m] for m in lassos],
-    )
-    references = {m: frame.expand(f) for m, f in zip(lassos, polished[len(live) :])}
-    for m, end in zip(live, polished):
+    for m, end in enumerate(ends):
+        if isinstance(end, TrackFailure):
+            continue
+        reference = frame.expand(stem_ends[m]) if stems[m] else base
         try:
-            outcomes[m] = match_to_base(frame.expand(end), references.get(m, base), cfgs[m])
+            outcomes[m] = match_to_base(frame.expand(end), reference, cfgs[m])
         except AmbiguousMatch as exc:
             outcomes[m] = exc
     return outcomes
@@ -1027,19 +977,16 @@ def match_to_base(tracked: Fiber, base: Fiber, cfg: TrackerConfig) -> Permutatio
 
 
 def revalidate(
-    loops: Sequence[Sequence[CubicForm]],
-    base: Fiber,
-    cfg: TrackerConfig | None = None,
-    frame: Frame | None = None,
+    loops: Sequence[Sequence[CubicForm]], base: Fiber, frame: Frame | None = None
 ) -> tuple[list[Permutation | TrackFailure], list[bool]]:
-    """Track each loop under cfg and re-track it at tightened tolerances
-    (newton_tol/10, step_max/2, match_margin*2), all 2n tracks
+    """Track each loop under the default config and re-track it at tightened
+    tolerances (newton_tol/10, step_max/2, match_margin*2), all 2n tracks
     one ragged batch of track_loop in the same frame.  Returns each loop's
     first track (its permutation or TrackFailure) and whether the re-track
     confirmed the identical permutation.  A loop whose first track failed
     is not confirmed and its re-track is discarded; a loop whose re-track
     fails is not confirmed."""
-    cfg = cfg or TrackerConfig()
+    cfg = TrackerConfig()
     n = len(loops)
     outcomes = track_loop(list(loops) * 2, base, [cfg] * n + [cfg.tightened()] * n, frame)
     first, again = outcomes[:n], outcomes[n:]

@@ -23,10 +23,6 @@ from .htrack import CubicForm, Fiber, TrackerConfig, TrackFailure
 from .perm import FiniteGroup, format_cycles
 
 
-class SingularBasepoint(ValueError):
-    """Basepoint form does not carry 27 separable Newton-stable lines."""
-
-
 def embed_symmetric(a: complex, b: complex, c: complex) -> CubicForm:
     """The symmetric family's form a*m3 + b*m21 + c*m111."""
     return symmetric_family().form_at((a, b, c))
@@ -46,15 +42,15 @@ class FamilySpec:
     ``p @ basis``.
 
     ``basis`` is a k x 20 complex array and ``base`` the parameters of the
-    smooth basepoint.  ``symmetry`` is the group H of coordinate symmetries
-    that every form of the family keeps, as permutations of the 27 lines;
-    a run tracks the lines of the frame it gives (htrack.Frame) and reads
-    the others off them.  ``scale`` is the root-mean-square size of a
-    random triangle's parameter offsets relative to |base|.  ``components``
-    are the exact components of the family's discriminant that meridians
-    circle, as forms in three parameters {(i, j, k): coefficient of
-    p0^i p1^j p2^k}; a family without them is explored by random triangles
-    alone.
+    basepoint, whose form must be the Fermat form (see basepoint_fiber).
+    ``symmetry`` is the group H of coordinate symmetries that every form of
+    the family keeps, as permutations of the 27 lines; a run tracks the
+    lines of the frame it gives (htrack.Frame) and reads the others off
+    them.  ``scale`` is the root-mean-square size of a random triangle's
+    parameter offsets relative to |base|.  ``components`` are the exact
+    components of the family's discriminant that meridians circle, as forms
+    in three parameters {(i, j, k): coefficient of p0^i p1^j p2^k}; a family
+    without them is explored by random triangles alone.
     """
 
     name: str
@@ -118,33 +114,12 @@ def _catalog_fiber() -> Fiber:
 
 
 def basepoint_fiber(spec: FamilySpec) -> Fiber:
-    """The 27 labeled numeric lines over the family's basepoint.
-
-    Labels come from the exact catalog: for the Fermat basepoint this is the
-    direct numeric embedding; any other basepoint must admit one Newton
-    refinement of the whole catalog fiber whose 27 lines are separable and
-    each still uniquely nearest its own catalog label.
-    """
-    cat = _catalog_fiber()
-    base = spec.form_at(spec.base)
-    if base == fermat_form():
-        return cat
-    cfg = TrackerConfig()
-    mats, _, _, _, [failure] = htrack._newton_batch(
-        htrack._polar(base.coeffs)[None], cat.mats[None], cat.chart, [cfg]
-    )
-    if failure is not None:
-        raise SingularBasepoint("catalog lines do not Newton-refine on the basepoint") from failure
-    refined = cat.moved(mats[0])
-    if htrack._min_pairwise_distance(mats[0]) < 1e-6:
-        raise SingularBasepoint("refined basepoint lines are not separable")
-    try:
-        preserved = htrack.match_to_base(refined, cat, cfg).is_identity()
-    except TrackFailure:
-        preserved = False
-    if not preserved:
-        raise SingularBasepoint("refined lines do not preserve catalog labels")
-    return refined.recharted()
+    """The 27 labeled numeric lines over the family's basepoint, which must
+    be the Fermat form: the numeric embedding of the exact catalog, shared
+    and read-only.  ValueError for any other basepoint."""
+    if spec.form_at(spec.base) != fermat_form():
+        raise ValueError(f"the {spec.name} family's basepoint is not the Fermat form")
+    return _catalog_fiber()
 
 
 # ---------------------------------------------------------------------------

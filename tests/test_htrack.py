@@ -192,23 +192,32 @@ class TestRechart:
         svd = _minor_conds(charted)[np.arange(n), slots]
         assert np.allclose(_gauge_conds(unknowns), svd, rtol=1e-12, atol=0)
 
-    def test_rechart_picks_the_svd_gauges_on_stale_lines(self):
-        rng = np.random.default_rng(78)
-        n, limit = 60, 2.0
-        slots = rng.integers(0, 6, n)
-        gauges = np.array(_PLUCKER_PAIRS, dtype=np.int64)[slots]
-        mats = _normalize_batch(_random_mats(rng, n), gauges)
-        stale = _minor_conds(mats)[np.arange(n), slots] > limit
-        assert 0 < stale.sum() < n
-        want = gauges.copy()
-        want[stale] = _best_gauges(mats[stale])
-        given = Fiber(mats, gauges)
-        batch = given.recharted(limit)
-        assert np.array_equal(given.mats, mats)
-        assert np.array_equal(batch.gauges, want)
-        assert np.array_equal(batch.mats[~stale], mats[~stale])
-        assert np.array_equal(batch.mats[stale], _normalize_batch(mats[stale], want[stale]))
-        assert np.all(_minor_conds(batch.mats)[stale].min(axis=1) <= limit)
+    def test_a_step_recharts_its_stale_lines_to_the_svd_gauges(self, forms, catalog, monkeypatch):
+        # One accepted step from the catalog.  At an infinite limit it keeps
+        # every start gauge; at 1.1 some lines go stale, and the step
+        # re-charts exactly those, to the gauges the six-minor SVD picks.
+        def conds(fiber):
+            return _gauge_conds(fiber.mats.reshape(-1)[_Chart(fiber.gauges).unknowns])
+
+        target = embed_symmetric(1, 0.2 + 0.1j, -0.15)
+        ends = {}
+        for limit in (np.inf, 1.1):
+            monkeypatch.setattr(htrack, "_RECHART_COND", limit)
+            result = segment(forms[0], target, catalog)
+            assert result.accepted_steps == 1
+            ends[limit] = result.ends[0]
+        kept, recharted = ends[np.inf], ends[1.1]
+        assert np.array_equal(kept.gauges, catalog.gauges)
+        stale = conds(kept) > 1.1
+        assert 0 < stale.sum() < len(stale)
+        want = kept.gauges.copy()
+        want[stale] = _best_gauges(kept.mats[stale])
+        assert np.array_equal(recharted.gauges, want)
+        assert np.array_equal(recharted.mats[~stale], kept.mats[~stale])
+        assert np.array_equal(recharted.mats[stale], _normalize_batch(kept.mats[stale], want[stale]))
+        after = conds(recharted)[stale]
+        assert np.all(after < conds(kept)[stale])
+        assert np.all(after <= _minor_conds(recharted.mats)[stale].min(axis=1) * (1 + 1e-12))
 
 
 class TestJacobian:
@@ -248,7 +257,7 @@ class TestNewton:
         rng = np.random.default_rng(5)
         noisy = _normalize_batch(catalog.mats + 1e-4 * _random_mats(rng, 27), catalog.gauges)
         fixed, _, _, _, [failure] = _newton_batch(
-            _polar(forms[0].coeffs)[None], noisy[None], catalog.chart, [TrackerConfig()]
+            _polar(forms[0].coeffs)[None], noisy[None], _Chart(catalog.gauges), [TrackerConfig()]
         )
         assert failure is None
         for line, want in zip(fixed[0], catalog.mats):
@@ -256,10 +265,11 @@ class TestNewton:
 
     def test_members_converge_and_fail_as_alone(self, forms, catalog):
         # five members, each giving what it gives in a batch of one: a
-        # catalog moved by 1e-4 converges on Fermat in a few iterations but
-        # not in one; the catalog is far from Z(forms[1]); a move of 0.3
-        # loses the quadratic tail; and lines in gauge (0, 1) have a zero
-        # Jacobian on x0^3, which does not vanish on them
+        # catalog moved by 1e-4 converges on Fermat in two iterations at the
+        # default newton_tol and in one at 1e-6; the catalog is far from
+        # Z(forms[1]); a move of 0.3 loses the quadratic tail; and lines in
+        # gauge (0, 1) have a zero Jacobian on x0^3, which does not vanish
+        # on them
         rng = np.random.default_rng(6)
         noisy = _normalize_batch(catalog.mats + 1e-4 * _random_mats(rng, 27), catalog.gauges)
         far = _normalize_batch(catalog.mats + 0.3 * _random_mats(np.random.default_rng(0), 27), catalog.gauges)
@@ -269,16 +279,17 @@ class TestNewton:
         coeffs = [forms[0].coeffs, forms[1].coeffs, forms[0].coeffs, forms[0].coeffs, cube]
         mats = [noisy, catalog.mats, noisy, far, _normalize_batch(_random_mats(rng, 27), gauge01)]
         gauges = [catalog.gauges] * 4 + [gauge01]
-        cfgs = [TrackerConfig()] * 2 + [TrackerConfig(max_newton_iters=1)] + [TrackerConfig()] * 2
+        cfgs = [TrackerConfig()] * 2 + [TrackerConfig(newton_tol=1e-6)] + [TrackerConfig()] * 2
         tensors, mats = _polar(np.stack(coeffs)), np.stack(mats)
         batch = _newton_batch(tensors, mats, _Chart(np.concatenate(gauges)), cfgs)
         assert [None if f is None else str(f) for f in batch[4]] == [
             None,
             "no convergence in 8 iterations",
-            "no convergence in 1 iterations",
+            None,
             "quadratic convergence tail lost",
             "singular Jacobian",
         ]
+        assert (batch[3][0], batch[3][2]) == (2, 1)
         for m in range(5):
             alone = _newton_batch(tensors[m : m + 1], mats[m : m + 1], _Chart(gauges[m]), cfgs[m : m + 1])
             for got, want in zip(batch[:3], alone[:3]):
@@ -437,7 +448,7 @@ class TestFromMats:
     def test_catalog_in_best_gauges_with_identity_minors(self, catalog):
         assert catalog.mats.shape == (27, 2, 4)
         # each gauge is a best one: ties between pairs make argmin itself unstable
-        unknowns = catalog.mats.reshape(-1)[catalog.chart.unknowns]
+        unknowns = catalog.mats.reshape(-1)[_Chart(catalog.gauges).unknowns]
         assert np.all(_gauge_conds(unknowns) <= _minor_conds(catalog.mats).min(axis=1) * (1 + 1e-12))
         minors = np.take_along_axis(catalog.mats, catalog.gauges[:, None, :], axis=2)
         assert (minors == np.eye(2)).all()
@@ -565,31 +576,28 @@ class TestLasso:
         assert [(s.f0, s.f1) for s in spy.segments] == [(forms[0], v)]
 
     @pytest.mark.parametrize(
-        "loop, polishes",
-        [(meridian(L1_POINT), 2), (triangle(0.9, seed=12), 1)],
-        ids=["meridian", "triangle"],
+        "loop", [meridian(L1_POINT), triangle(0.9, seed=12)], ids=["meridian", "triangle"]
     )
-    def test_one_polish_per_matched_fiber_and_no_lines_between_vertices(
-        self, catalog, monkeypatch, loop, polishes
-    ):
+    def test_one_segment_call_and_no_newton_or_lines_after_it(self, catalog, monkeypatch, loop):
+        # the end fibers are matched as track_segment returns them: no
+        # Newton pass after the call, and no lines rebuilt between vertices
         spy = SegmentSpy(monkeypatch)
-        polished = []  # per polished fiber, the track_segment calls done by then
-        polish = htrack._polish
+        newton_calls = []  # per _newton_batch call, the track_segment calls returned by then
+        newton = htrack._newton_batch
 
-        def polish_spy(forms, fibers):
-            # a batch polishes all of them at once
-            polished.extend([len(spy.results)] * len(fibers))
-            return polish(forms, fibers)
+        def newton_spy(*args):
+            newton_calls.append(len(spy.results))
+            return newton(*args)
 
         def no_lines(*args, **kwargs):
             raise AssertionError("a loop built lines between vertices")
 
-        monkeypatch.setattr(htrack, "_polish", polish_spy)
+        monkeypatch.setattr(htrack, "_newton_batch", newton_spy)
         monkeypatch.setattr(Fiber, "from_mats", classmethod(no_lines))
         loop_perm(loop, catalog)
+        assert len(spy.results) == 1
         assert len(spy.segments) == len(loop) - 1 - htrack._retraced_edges(loop)
-        # every polish comes after the one track_segment call has returned
-        assert polished == [1] * polishes and polishes <= 2
+        assert newton_calls and set(newton_calls) == {0}
 
 
 class TestBatch:
@@ -741,7 +749,7 @@ class TestBatch:
         assert np.array_equal(middle.mats, first.ends[0].mats)
         assert np.array_equal(middle.gauges, first.ends[0].gauges)
         _, _, _, [check], [failure] = _newton_batch(
-            _polar(near.coeffs)[None], middle.mats[None], middle.chart, [cfg]
+            _polar(near.coeffs)[None], middle.mats[None], _Chart(middle.gauges), [cfg]
         )
         assert failure is None and check == 0
         alone = segment(near, target, middle, cfg)

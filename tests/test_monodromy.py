@@ -15,10 +15,9 @@ import sympy
 from cubic27 import fermat_data, htrack, lattice, lines, monodromy, perm
 from cubic27.cli import main
 from cubic27.exact import ZETA_COMPLEX, _derivatives, symmetric_basis
-from cubic27.htrack import CubicForm, MONOMIAL_EXPONENTS
+from cubic27.htrack import MONOMIAL_EXPONENTS
 from cubic27.monodromy import (
     Loop,
-    SingularBasepoint,
     _claim_monodromy,
     _claim_non_reflection,
     _claim_presentation_and_double_sixes,
@@ -38,7 +37,7 @@ from cubic27.monodromy import (
     symmetric_family,
     upper_bound,
 )
-from cubic27.htrack import TrackerConfig, line_distance, match_to_base, residual
+from cubic27.htrack import TrackerConfig, line_distance
 from cubic27.perm import (
     fingerprint,
     format_cycles,
@@ -96,68 +95,30 @@ class TestBasepointFiber:
         for numeric, exact in zip(fiber.mats, cat):
             assert line_distance(numeric, exact[..., 0] + exact[..., 1] * ZETA_COMPLEX) < 1e-12
 
-    def test_perturbed_basepoint_keeps_labels(self):
-        spec = replace(full_family(), base=embed_symmetric(1, 0.02, -0.01j).coeffs)
-        fiber = basepoint_fiber(spec)
-        assert fiber.mats.shape == (27, 2, 4)
-        fermat = basepoint_fiber(full_family())
-        assert match_to_base(fiber, fermat, TrackerConfig()).is_identity()
+    @pytest.mark.parametrize("near", [False, True], ids=["cayley", "near_fermat"])
+    def test_non_fermat_base_refused_before_tracking(self, monkeypatch, near):
+        # the four-node Cayley form, and Fermat with one coefficient moved
+        # by 1e-7 relative
+        base = cayley_form().coeffs
+        if near:
+            base = fermat_form().coeffs.copy()
+            base[MONOMIAL_EXPONENTS.index((3, 0, 0, 0))] *= 1 + 1e-7
 
-    def test_near_fermat_basepoint_is_refined(self):
-        # a basepoint within 1e-5 relative of Fermat is not Fermat: its lines
-        # must be Newton-refined, not the raw catalog
-        coeffs = fermat_form().coeffs.copy()
-        coeffs[MONOMIAL_EXPONENTS.index((3, 0, 0, 0))] *= 1 + 1e-7
-        base = CubicForm(coeffs)
-        fiber = basepoint_fiber(replace(full_family(), base=coeffs))
-        raw = np.abs(residual(base, basepoint_fiber(full_family()).mats)).max()
-        assert raw > 1e-9
-        assert np.abs(residual(base, fiber.mats)).max() < 1e-10
+        def no_tracking(*args, **kwargs):
+            raise AssertionError("a refused basepoint was tracked")
 
-    def test_cayley_basepoint_rejected(self):
-        # the four-node surface carries 9 lines, so refined lines coincide
-        spec = replace(full_family(), base=cayley_form().coeffs)
-        with pytest.raises(SingularBasepoint, match="not separable"):
+        monkeypatch.setattr(htrack, "track_segment", no_tracking)
+        spec = replace(full_family(), base=base)
+        with pytest.raises(ValueError, match="not the Fermat form"):
             basepoint_fiber(spec)
-
-    def test_far_basepoint_fails_newton(self):
-        # the catalog is too far from the lines of m21 for Newton to converge
-        spec = replace(symmetric_family(), base=(0, 1, 0))
-        with pytest.raises(SingularBasepoint, match="Newton-refine") as info:
-            basepoint_fiber(spec)
-        assert isinstance(info.value.__cause__, htrack.NewtonFailure)
+        with pytest.raises(ValueError, match="not the Fermat form"):
+            compute_monodromy(spec, budget=2)
 
     def test_fermat_fiber_is_shared_and_read_only(self):
         fiber = basepoint_fiber(symmetric_family())
         assert basepoint_fiber(full_family()) is fiber
         with pytest.raises(ValueError):
             fiber.mats[0, 0, 0] = 0
-
-    @pytest.mark.parametrize(
-        "move, reason",
-        [
-            (lambda mats: mats[[0, 0] + list(range(2, 27))], "not separable"),
-            (lambda mats: mats[[1, 0] + list(range(2, 27))], "do not preserve catalog labels"),
-            (
-                lambda mats: np.concatenate((mats[1:2] + [[0.05], [0]], mats[1:])),
-                "do not preserve catalog labels",
-            ),
-        ],
-        ids=["coincident", "swapped", "near_another"],
-    )
-    def test_refinement_failures_are_singular_basepoints(self, monkeypatch, move, reason):
-        # a refinement that lands two lines on one, swaps two labels, or
-        # leaves two lines nearest one catalog line (an ambiguous match)
-        newton = htrack._newton_batch
-
-        def stub(*args):
-            mats, norms, last, iters, failures = newton(*args)
-            return move(mats[0])[None], norms, last, iters, failures
-
-        monkeypatch.setattr(htrack, "_newton_batch", stub)
-        spec = replace(full_family(), base=embed_symmetric(1, 0.02, -0.01j).coeffs)
-        with pytest.raises(SingularBasepoint, match=reason):
-            basepoint_fiber(spec)
 
 
 class TestLoops:
@@ -671,6 +632,25 @@ class TestEquivariantFrame:
         expected = parse_cycles("(13,23)(14,19)(15,18)(16,22)(17,24)(20,21)")
         for frame in (monodromy._frame(spec.symmetry), monodromy._frame(perm.TRIVIAL_GROUP)):
             assert htrack.track_loop([loop], base, frame=frame) == [expected]
+
+    def test_a_jump_that_revalidates_is_caught_only_by_the_upper_bound(self):
+        # At seed 23, loop 2 (a triangle at scale 1.09) carries lines 22 and
+        # 23 onto each other's paths on its first track and on its tightened
+        # re-track alike.  Both lines are tracked, with the same stabilizer,
+        # and neither the separation barrier nor the revalidation sees the
+        # jump: only the upper bound rejects the transposition (22,23).
+        report = compute_monodromy(symmetric_family(), 3, 23)
+        loop = report.loops[2]
+        assert (loop.kind, loop.permutation) == ("triangle", "(22,23)")
+        assert (loop.revalidated, loop.in_bound) == (True, False)
+        assert loop.failure == "permutation outside the upper bound"
+        assert report.invariant_violations == 1
+
+    def test_the_jump_at_seed_23_fails_the_claim_although_the_group_is_k4(self):
+        claim = _claim_monodromy(symmetric_family(), 23, 40)
+        assert claim.details["conclusive"] is True and claim.details["group_order"] == 4
+        assert claim.details["invariant_violations"] == 1
+        assert claim.passed is False
 
 
 class TestNumericHygiene:
