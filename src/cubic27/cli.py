@@ -113,7 +113,7 @@ def cmd_monodromy(args) -> int:
             status = "accepted" if r.accepted else f"rejected ({r.failure})"
             print(f"loop {r.index:3d} [{r.kind:8s}] {status}: {r.permutation or '-'}")
         print(f"group order: {report.group['order']}")
-        if report.group["order"] <= 100:
+        if report.group_elements is not None:
             for cycles in report.group_elements:
                 print(f"  element: {cycles}")
         else:

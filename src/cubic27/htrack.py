@@ -71,7 +71,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import combinations
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -202,19 +202,16 @@ class CubicForm:
 # Gauges, charts and line distances
 # ---------------------------------------------------------------------------
 
-# gauge pair (j1, j2) -> flat positions of the 4 chart unknowns
-_FREE_TABLE = np.zeros((4, 4, 4), dtype=np.int64)
-for _a, _b in _PLUCKER_PAIRS:
-    _f1, _f2 = (k for k in range(4) if k not in (_a, _b))
-    _FREE_TABLE[_a, _b] = _FREE_TABLE[_b, _a] = (_f1, _f2, 4 + _f1, 4 + _f2)
-
 _PLUCKER_A, _PLUCKER_B = np.array(_PLUCKER_PAIRS).T
 
 # gauge pair -> its slot in _PLUCKER_PAIRS, and per slot the flat positions
-# of the chart unknowns and the Jacobian gather and weights of _JAC_INDEX
+# of the chart unknowns (the two columns off the gauge, in both rows) and
+# the Jacobian gather and weights of _JAC_INDEX
 _SLOT = np.zeros((4, 4), dtype=np.int64)
 _SLOT[_PLUCKER_A, _PLUCKER_B] = _SLOT[_PLUCKER_B, _PLUCKER_A] = np.arange(len(_PLUCKER_PAIRS))
-_SLOT_FREE = _FREE_TABLE[_PLUCKER_A, _PLUCKER_B]
+_SLOT_FREE = np.array(
+    [[j + 4 * r for r in (0, 1) for j in range(4) if j not in pair] for pair in _PLUCKER_PAIRS]
+)
 _SLOT_JAC_INDEX = _JAC_INDEX[_SLOT_FREE].transpose(0, 2, 1).copy()
 _SLOT_JAC_WEIGHT = _JAC_WEIGHT[_SLOT_FREE].transpose(0, 2, 1).copy()
 
@@ -381,11 +378,6 @@ class _Chart:
         return out
 
 
-def _free_indices(gauges: np.ndarray) -> np.ndarray:
-    """Flat positions of the 4 chart unknowns for each line; (n, 4)."""
-    return _FREE_TABLE[gauges[:, 0], gauges[:, 1]]
-
-
 def residual(f: CubicForm, mats: np.ndarray) -> np.ndarray:
     """The binary-cubic coefficients of f restricted to each line: (4,) for
     one 2x4 span matrix, (n, 4) for an (n, 2, 4) stack."""
@@ -506,22 +498,22 @@ def _newton_batch(
 
 @dataclass
 class TrackResult:
-    """End state of a batch of tracked segments.
+    """End state of a batch of tracked paths.
 
-    ``ends[m]`` is member m's lines at t = 1 of its last segment, each
-    within newton_tol of its target form and with a fresh chart, or the
-    TrackFailure that stopped the member.  A member's lines advance in
-    lockstep, so ``newton_iterations`` holds one count per member: the
-    Newton check on its first segment's f0 and its corrector work on
-    accepted steps, summed over its segments.  ``accepted_steps`` is
-    the sum over the members, ``max_residual`` the true maximum over the
-    Newton check and every accepted correction and ``min_separation`` the
-    smallest pairwise line distance seen at any accepted step, over all the
-    lines the frame reads off the tracked ones; a failed member counts up to
-    its failure.
+    ``ends[m]`` is member m's fibers at every vertex of its path after the
+    first, in path order, each line within newton_tol of the vertex form and
+    with a fresh chart, or the TrackFailure that stopped the member.  A
+    member's lines advance in lockstep, so ``newton_iterations`` holds one
+    count per member: the Newton check on its path's first form and its
+    corrector work on accepted steps, summed over its edges.
+    ``accepted_steps`` is the sum over the members, ``max_residual`` the
+    true maximum over the Newton check and every accepted correction and
+    ``min_separation`` the smallest pairwise line distance seen at any
+    accepted step, over all the lines the frame reads off the tracked ones;
+    a failed member counts up to its failure.
     """
 
-    ends: list[Fiber | TrackFailure]
+    ends: list[list[Fiber] | TrackFailure]
     accepted_steps: int
     newton_iterations: list[int]
     max_residual: float
@@ -693,38 +685,32 @@ def _homotopy(t0: np.ndarray, t1: np.ndarray, t: Sequence[float]) -> np.ndarray:
     return (1 - t) * t0 + t * t1
 
 
-# called as onward(m, end) when member m of a batch reaches t = 1; returns
-# the member's next target form and config, or None
-Onward = Callable[[int, Fiber], "tuple[CubicForm, TrackerConfig] | None"]
-
-
 def track_segment(
-    segments: Sequence[tuple[CubicForm, CubicForm]],
+    paths: Sequence[Sequence[CubicForm]],
     starts: Sequence[Fiber],
     cfgs: Sequence[TrackerConfig] | None = None,
     frame: Frame | None = None,
-    onward: Onward | None = None,
 ) -> TrackResult:
-    """Track a batch of fibers, each along its own linear homotopy: member m
-    carries starts[m] from Z(f0) along (1-t) f0 + t f1 to t = 1, for
-    (f0, f1) = segments[m], under cfgs[m] (the default config if cfgs is
-    None).  The start fibers all hold the tracked lines of ``frame`` (every
-    line when it is None) and are left as they are; every form on the
-    segments must keep the frame's symmetries.
+    """Track a batch of fibers, each along its own polygon of linear
+    homotopies: member m carries starts[m] from Z(f0) at the first form of
+    paths[m] along (1-t) f0 + t f1 over each edge (f0, f1) in turn, under
+    cfgs[m] (the default config if cfgs is None).  Every path has at least
+    two forms.  The start fibers all hold the tracked lines of ``frame``
+    (every line when it is None) and are left as they are; every form on
+    the paths must keep the frame's symmetries.
 
-    The batch is ragged.  When member m reaches t = 1, onward(m, end) gets
-    its end fiber and returns the member's next target form and config, or
-    None to end it there; without ``onward`` every member ends there.  The
-    next segment runs from the form the member has just reached to that
-    target, and the member starts it in the next round, so each member walks
-    its own path and none waits for another at a vertex.
+    The batch is ragged.  A member that reaches the end of an edge starts
+    its next edge in the next round, at a fresh t, step and streak, so each
+    member walks its own path and none waits for another at a vertex.
+    ``TrackResult.ends[m]`` holds member m's fiber at every vertex after
+    the first, in path order, or the TrackFailure that stopped it.
 
-    The start lines must pass a Newton check on each member's f0, in one
-    batch before the first round.  A later segment starts on the form its
-    lines were accepted on one round earlier, so it is not checked again.
-    Each round takes one step of every member still tracking, the first
-    step of each segment at its config's step_max: Euler prediction from the
-    Davidenko system, lockstep Newton correction, then the separation
+    The start lines must pass a Newton check on each member's first form,
+    in one batch before the first round.  A later edge starts on the form
+    its lines were accepted on one round earlier, so it is not checked
+    again.  Each round takes one step of every member still tracking, the
+    first step of each edge at its config's step_max: Euler prediction from
+    the Davidenko system, lockstep Newton correction, then the separation
     barrier (pairwise distance of all the lines the frame reads off the
     tracked ones at least _SEPARATION_FACTOR times the largest last Newton
     correction), the stabilizer check (each tracked line at most
@@ -736,26 +722,32 @@ def track_segment(
     failed Newton check, while the others go on.  The predictor contracts
     each member's homotopy tensor and its t-derivative in one call.
     """
-    k = len(segments)
+    k = len(paths)
     cfgs = [TrackerConfig()] * k if cfgs is None else list(cfgs)
     if len(starts) != k or len(cfgs) != k:
-        raise ValueError("expected one start fiber and one config per segment")
-    tensors = _segment_tensors(segments)
+        raise ValueError("expected one start fiber and one config per path")
+    if any(len(p) < 2 for p in paths):
+        raise ValueError("a path needs at least two forms")
+    # every member's edges, one after another: member m's are
+    # tensors[bounds[m]:bounds[m + 1]], and edge[m] is the one it is on
+    tensors = _segment_tensors([e for p in paths for e in zip(p, p[1:])])
+    bounds = np.cumsum([0] + [len(p) - 1 for p in paths]).tolist()
+    edge = bounds[:-1]
     mats, gauges, chart = _stack(starts)
     n = mats.shape[1]
     frame = frame or _trivial_frame(n)
     if len(frame.tracked) != n:
         raise ValueError("the start fibers must hold the frame's tracked lines")
 
-    targets = [f1 for _, f1 in segments]
     t = [0.0] * k
     h = [c.step_max for c in cfgs]
     streak = [0] * k
     accepted = [0] * k
     min_sep = [float("inf")] * k
-    # the start lines must be Newton-correctable on f0
-    mats, norms, _, iters, failures = _newton_batch(tensors[:, 0], mats, chart, cfgs)
-    ends: list[Fiber | TrackFailure | None] = list(failures)
+    vertices: list[list[Fiber]] = [[] for _ in range(k)]
+    # the start lines must be Newton-correctable on each path's first form
+    mats, norms, _, iters, failures = _newton_batch(tensors[edge, 0], mats, chart, cfgs)
+    ends: list[list[Fiber] | TrackFailure | None] = list(failures)
     newton = [0 if f is not None else i for i, f in zip(iters, failures)]
     max_resid = norms.max(axis=1).tolist()
 
@@ -769,7 +761,7 @@ def track_segment(
             mats, gauges = mats[keep], gauges[keep]
             chart = chart.members(keep, n)
 
-        seg = tensors[live]
+        seg = tensors[[edge[m] for m in live]]
         h_eff = [min(h[m], 1.0 - t[m]) for m in live]
         t_new = [t[m] + step for m, step in zip(live, h_eff)]
         pair = np.stack((_homotopy(seg[:, 0], seg[:, 1], [t[m] for m in live]), seg[:, 2]), axis=1)
@@ -836,23 +828,16 @@ def track_segment(
                 mats[stale] = _normalize_batch(mats[stale], gauges[stale])
                 chart = _Chart(gauges.reshape(-1, 2))
 
-        # members at a vertex move on to their next segment or end there
-        moving, nexts = [], []
+        # members at a vertex record its fiber and start their next edge
         for i, m in enumerate(live):
             if ends[m] is not None or t[m] < 1.0 - 1e-14:
                 continue
-            end = Fiber(mats[i].copy(), gauges[i].copy())
-            nxt = onward(m, end) if onward else None
-            if nxt is None:
-                ends[m] = end
+            vertices[m].append(Fiber(mats[i].copy(), gauges[i].copy()))
+            if edge[m] + 1 == bounds[m + 1]:
+                ends[m] = vertices[m]
                 continue
-            target, cfgs[m] = nxt
-            nexts.append((targets[m], target))
-            targets[m] = target
+            edge[m] += 1
             t[m], h[m], streak[m] = 0.0, cfgs[m].step_max, 0
-            moving.append(m)
-        if moving:
-            tensors[moving] = _segment_tensors(nexts)
 
     return TrackResult(
         ends=ends,
@@ -927,27 +912,15 @@ def track_loop(
     stems = [_retraced_edges(v) for v in loops]
     # the vertices each member visits: a lasso's return leg is not tracked
     paths = [v[: len(v) - k] for v, k in zip(loops, stems)]
-    stem_ends = [start] * len(loops)
-    done = [0] * len(loops)  # edges each member has finished
-
-    def onward(m: int, end: Fiber):
-        done[m] += 1
-        i = done[m]
-        if i == stems[m]:
-            stem_ends[m] = end
-        if i == len(paths[m]) - 1:
-            return None
-        return paths[m][i + 1], cfgs[m]
-
-    firsts = [(p[0], p[1]) for p in paths]
-    ends = track_segment(firsts, [start] * len(loops), cfgs, frame, onward).ends
+    ends = track_segment(paths, [start] * len(loops), cfgs, frame).ends
     outcomes: list[Permutation | TrackFailure] = list(ends)
-    for m, end in enumerate(ends):
-        if isinstance(end, TrackFailure):
+    for m, fibers in enumerate(ends):
+        if isinstance(fibers, TrackFailure):
             continue
-        reference = frame.expand(stem_ends[m]) if stems[m] else base
+        # the fiber at vertex k of a lasso's k-edge stem, or the base fiber
+        reference = frame.expand(fibers[stems[m] - 1]) if stems[m] else base
         try:
-            outcomes[m] = match_to_base(frame.expand(end), reference, cfgs[m])
+            outcomes[m] = match_to_base(frame.expand(fibers[-1]), reference, cfgs[m])
         except AmbiguousMatch as exc:
             outcomes[m] = exc
     return outcomes

@@ -327,7 +327,9 @@ class MonodromyReport:
     config: dict
     loops: list[LoopRecord]
     group: dict
-    group_elements: list[str]
+    # every element's cycle string, for a group of order at most
+    # _LISTED_ORDER; None above it, and then absent from to_dict()
+    group_elements: list[str] | None
     components: list[dict]
     bound_order: int
     conclusive: bool
@@ -339,7 +341,10 @@ class MonodromyReport:
     )
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        out = asdict(self)
+        if self.group_elements is None:
+            del out["group_elements"]
+        return out
 
 
 _GOLDEN_ANGLE = 2 * np.pi * 0.6180339887498949
@@ -396,6 +401,9 @@ def _frame(symmetry: FiniteGroup) -> htrack.Frame:
 
 # a run stops once this many accepted loops in a row add no new element
 _STALL_THRESHOLD = 10
+# a report lists every element of a group of at most this order; a larger
+# group is given by its generators alone
+_LISTED_ORDER = 100
 
 
 def compute_monodromy(spec: FamilySpec, budget: int = 40, seed: int = 1) -> MonodromyReport:
@@ -472,7 +480,9 @@ def compute_monodromy(spec: FamilySpec, budget: int = 40, seed: int = 1) -> Mono
         config=asdict(TrackerConfig()),
         loops=records,
         group=group.to_record(),
-        group_elements=sorted(format_cycles(p) for p in group),
+        group_elements=(
+            sorted(format_cycles(p) for p in group) if group.order <= _LISTED_ORDER else None
+        ),
         components=components,
         bound_order=bound.order,
         conclusive=stabilized_after is not None and group.order == bound.order,

@@ -186,7 +186,7 @@ def finite_difference_jacobian(f, mat, gauge, h=1e-7):
     residual in the line's four free entries."""
     flat = mat.reshape(8)
     out = np.zeros((4, 4), dtype=complex)
-    for k, pos in enumerate(htrack._free_indices(gauge[None])[0]):
+    for k, pos in enumerate(htrack._Chart(gauge[None]).unknowns[0]):
         step = np.zeros(8)
         step[pos] = h
         plus, minus = ((flat + d).reshape(2, 4) for d in (step, -step))

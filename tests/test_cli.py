@@ -104,6 +104,21 @@ class TestMonodromyCommand:
             "match_margin", "newton_tol", "step_max",
         ]
 
+    @pytest.mark.parametrize("listed, elements", [(100, True), (1, False)])
+    def test_one_listing_rule_for_both_formats(self, capsys, monkeypatch, listed, elements):
+        # seed 1's first two loops find a group of order 2: a report lists
+        # its elements up to the listed order and gives only generators
+        # above it, where the structured key is absent rather than null
+        monkeypatch.setattr(monodromy, "_LISTED_ORDER", listed)
+        argv = ("--seed", "1", "monodromy", "--family", "symmetric", "--loops", "2")
+        _, out = run_cli(capsys, "--format", "structured", *argv)
+        doc = json.loads(out)
+        assert doc["group"]["order"] == 2
+        assert ("group_elements" in doc) is elements
+        _, text = run_cli(capsys, *argv)
+        assert ("  element: " in text) is elements
+        assert ("  generator: " in text) is not elements
+
     @pytest.mark.parametrize("seed", list(SYMMETRIC_LOOPS_8))
     def test_symmetric_eight_loops_bytes(self, capsys, seed):
         code, out = run_cli(

@@ -27,7 +27,6 @@ from cubic27.htrack import (
     _Chart,
     _best_gauges,
     _contract,
-    _free_indices,
     _gauge_conds,
     _min_pairwise_distance,
     _minor_conds,
@@ -46,11 +45,13 @@ def forms():
 
 
 def segment(f0, f1, start, cfg=None):
-    """track_segment on a batch of one; the member's failure is raised."""
-    result = track_segment([(f0, f1)], [start], None if cfg is None else [cfg])
-    if isinstance(result.ends[0], TrackFailure):
-        raise result.ends[0]
-    return result
+    """track_segment on a batch of one one-edge path: the end fiber and the
+    result; the member's failure is raised."""
+    result = track_segment([[f0, f1]], [start], None if cfg is None else [cfg])
+    [end] = result.ends
+    if isinstance(end, TrackFailure):
+        raise end
+    return end[0], result
 
 
 def loop_perm(loop, base, cfg=None):
@@ -69,30 +70,19 @@ class MemberSegment(NamedTuple):
 
 
 class SegmentSpy:
-    """Logs every member-segment that htrack.track_segment tracks, in the
-    order the members start them, and the result of every call."""
+    """Logs every member-segment that htrack.track_segment is handed, member
+    by member in path order, and the result of every call."""
 
     def __init__(self, monkeypatch):
         self.segments: list[MemberSegment] = []
         self.results = []
         original = htrack.track_segment
 
-        def spy(segments, starts, cfgs=None, frame=None, onward=None):
-            cfgs = [TrackerConfig()] * len(segments) if cfgs is None else cfgs
-            reached = [f1 for _, f1 in segments]
-            for m, ((f0, f1), cfg) in enumerate(zip(segments, cfgs)):
-                self.segments.append(MemberSegment(m, f0, f1, cfg))
-
-            def logged(m, end):
-                nxt = onward(m, end)
-                if nxt is not None:
-                    target, cfg = nxt
-                    # the next segment runs from the form the member reached
-                    self.segments.append(MemberSegment(m, reached[m], target, cfg))
-                    reached[m] = target
-                return nxt
-
-            result = original(segments, starts, cfgs, frame, logged if onward else None)
+        def spy(paths, starts, cfgs=None, frame=None):
+            cfgs = [TrackerConfig()] * len(paths) if cfgs is None else cfgs
+            for m, (path, cfg) in enumerate(zip(paths, cfgs)):
+                self.segments.extend(MemberSegment(m, f0, f1, cfg) for f0, f1 in zip(path, path[1:]))
+            result = original(paths, starts, cfgs, frame)
             self.results.append(result)
             return result
 
@@ -188,7 +178,7 @@ class TestRechart:
         slots = rng.integers(0, 6, n)
         gauges = np.array(_PLUCKER_PAIRS, dtype=np.int64)[slots]
         charted = _normalize_batch(_random_mats(rng, n), gauges)
-        unknowns = np.take_along_axis(charted.reshape(n, 8), _free_indices(gauges), axis=1)
+        unknowns = charted.reshape(-1)[_Chart(gauges).unknowns]
         svd = _minor_conds(charted)[np.arange(n), slots]
         assert np.allclose(_gauge_conds(unknowns), svd, rtol=1e-12, atol=0)
 
@@ -203,9 +193,8 @@ class TestRechart:
         ends = {}
         for limit in (np.inf, 1.1):
             monkeypatch.setattr(htrack, "_RECHART_COND", limit)
-            result = segment(forms[0], target, catalog)
+            ends[limit], result = segment(forms[0], target, catalog)
             assert result.accepted_steps == 1
-            ends[limit] = result.ends[0]
         kept, recharted = ends[np.inf], ends[1.1]
         assert np.array_equal(kept.gauges, catalog.gauges)
         stale = conds(kept) > 1.1
@@ -227,7 +216,7 @@ class TestJacobian:
             f = CubicForm((rng.standard_normal(20) + 1j * rng.standard_normal(20)))
             i = int(rng.integers(0, 27))
             jac = jacobian(f, catalog.mats[i], catalog.gauges[i])
-            free = _free_indices(catalog.gauges[i : i + 1])[0]
+            free = _Chart(catalog.gauges[i : i + 1]).unknowns[0]
             fd = np.zeros((4, 4), dtype=complex)
             h = 1e-7
             flat = catalog.mats[i].reshape(8)
@@ -345,24 +334,24 @@ class TestLineDistance:
 
 class TestTrackSegment:
     def test_identity_motion(self, forms, catalog):
-        res = segment(forms[0], forms[0], catalog)
+        end, res = segment(forms[0], forms[0], catalog)
         assert res.max_residual < 1e-12
-        for a, b in zip(res.ends[0].mats, catalog.mats):
+        for a, b in zip(end.mats, catalog.mats):
             assert line_distance(a, b) < 1e-12
 
     def test_round_trip(self, forms, catalog):
         target = embed_symmetric(1, 0.2 + 0.1j, -0.15)
-        out = segment(forms[0], target, catalog)
-        back = segment(target, forms[0], out.ends[0])
-        for a, b in zip(back.ends[0].mats, catalog.mats):
+        out, _ = segment(forms[0], target, catalog)
+        back, _ = segment(target, forms[0], out)
+        for a, b in zip(back.mats, catalog.mats):
             assert line_distance(a, b) < 1e-8
 
     def test_generic_smooth_target(self, forms, catalog):
         cfg = TrackerConfig()
         target = embed_symmetric(1, 0.1, 0.1)
-        res = segment(forms[0], target, catalog, cfg)
+        end, res = segment(forms[0], target, catalog, cfg)
         assert res.max_residual <= cfg.newton_tol
-        assert _min_pairwise_distance(res.ends[0].mats) > 0.1
+        assert _min_pairwise_distance(end.mats) > 0.1
 
     def test_fermat_to_cayley_fails(self, forms, catalog):
         with pytest.raises(TrackFailure):
@@ -371,12 +360,12 @@ class TestTrackSegment:
     def test_bitwise_deterministic(self, forms, catalog):
         target = embed_symmetric(1, 0.2 + 0.1j, -0.15)
         start = catalog
-        r1 = segment(forms[0], target, start)
-        r2 = segment(forms[0], target, start)
+        e1, r1 = segment(forms[0], target, start)
+        e2, r2 = segment(forms[0], target, start)
         assert r1.accepted_steps == r2.accepted_steps
         assert r1.max_residual == r2.max_residual
-        assert np.array_equal(r1.ends[0].mats, r2.ends[0].mats)
-        assert np.array_equal(r1.ends[0].gauges, r2.ends[0].gauges)
+        assert np.array_equal(e1.mats, e2.mats)
+        assert np.array_equal(e1.gauges, e2.gauges)
 
     def test_start_fiber_left_unchanged(self, forms, catalog):
         start = catalog
@@ -428,7 +417,7 @@ def retracked(loop, catalog):
     each vertex, and the end fiber matched against the catalog."""
     current = catalog
     for f0, f1 in zip(loop, loop[1:]):
-        current = Fiber.from_mats(segment(f0, f1, current).ends[0].mats)
+        current = Fiber.from_mats(segment(f0, f1, current)[0].mats)
     return match_to_base(current, catalog, TrackerConfig())
 
 
@@ -520,7 +509,7 @@ class TestCarriedStep:
         n = monodromy._CIRCLE_SEGMENTS
         assert len(arcs) == n
         # the entry segment alone, from the same fiber under the same config
-        entry_steps = track_segment([(entry.f0, entry.f1)], [catalog], [cfg]).accepted_steps
+        entry_steps = segment(entry.f0, entry.f1, catalog, cfg)[1].accepted_steps
         # a segment takes at least 1 / step_max = arc_steps steps, so this
         # sum holds only when every arc takes exactly arc_steps
         [result] = spy.results
@@ -673,20 +662,30 @@ class TestBatch:
                 calls.append(len(t))
                 return original(t0, t1, t)
 
+            class RoundFiber(Fiber):
+                """A fiber that records the round it was made in."""
+
+                __slots__ = ("round",)
+
+                def __init__(self, mats, gauges):
+                    super().__init__(mats, gauges)
+                    # the predictor and the corrector each build one
+                    # homotopy a round
+                    self.round = len(calls) // 2
+
             with monkeypatch.context() as patch:
                 patch.setattr(htrack, "_homotopy", spy)
+                patch.setattr(htrack, "Fiber", RoundFiber)
                 log = SegmentSpy(patch)
                 perms, matches = self.tracked(batch, catalog, cfgs, monkeypatch)
-            # the predictor and the corrector each build one homotopy a round
-            return perms, matches, len(calls) // 2, log.segments
+            # the round in which each member reached each vertex after its first
+            [result] = log.results
+            reached = [[f.round for f in fibers] for fibers in result.ends]
+            return perms, matches, len(calls) // 2, reached
 
-        perms, matches, rounds, log = rounds_and_log(loops, cfgs)
-        started = [0] * len(loops)
-        edge_index = []
-        for s in log:
-            edge_index.append(started[s.member])
-            started[s.member] += 1
-        assert edge_index != sorted(edge_index)
+        perms, matches, rounds, reached = rounds_and_log(loops, cfgs)
+        # a member starts edge j + 1 in the round after it reaches vertex j + 1
+        assert reached[0][1] <= reached[1][0]
         alone = [rounds_and_log([loop], [cfg]) for loop, cfg in zip(loops, cfgs)]
         assert rounds == max(r for _, _, r, _ in alone)
         for perm, (end, reference), (solo, [(solo_end, solo_reference)], _, _) in zip(perms, matches, alone):
@@ -698,7 +697,7 @@ class TestBatch:
         # identity motions, whose residuals are the smallest, first and
         # third, each under its own step_max
         identity = (forms[0], forms[0])
-        segments = [
+        paths = [
             identity,
             (forms[0], embed_symmetric(1, 0.2 + 0.1j, -0.15)),
             identity,
@@ -710,14 +709,16 @@ class TestBatch:
             TrackerConfig(step_max=0.3),
             TrackerConfig().tightened(),
         ]
-        batch = track_segment(segments, [catalog] * 4, cfgs)
-        alone = [track_segment([seg], [catalog], [cfg]) for seg, cfg in zip(segments, cfgs)]
+        batch = track_segment(paths, [catalog] * 4, cfgs)
+        alone = [track_segment([seg], [catalog], [cfg]) for seg, cfg in zip(paths, cfgs)]
         for end, solo in zip(batch.ends, alone):
+            [solo_end] = solo.ends
             if isinstance(end, TrackFailure):
-                assert type(end) is type(solo.ends[0]) and str(end) == str(solo.ends[0])
+                assert type(end) is type(solo_end) and str(end) == str(solo_end)
             else:
-                assert np.array_equal(end.mats, solo.ends[0].mats)
-                assert np.array_equal(end.gauges, solo.ends[0].gauges)
+                [fiber], [solo_fiber] = end, solo_end
+                assert np.array_equal(fiber.mats, solo_fiber.mats)
+                assert np.array_equal(fiber.gauges, solo_fiber.gauges)
         # every step of an identity motion is accepted: 0.4 + 0.4 + 0.2 and
         # 0.3 + 0.3 + 0.3 + 0.1
         assert [alone[0].accepted_steps, alone[2].accepted_steps] == [3, 4]
@@ -726,40 +727,36 @@ class TestBatch:
         assert batch.max_residual == max(r.max_residual for r in alone)
         assert batch.min_separation == min(r.min_separation for r in alone)
 
-    def test_a_segment_handed_onward_is_tracked_as_a_fresh_call_would(self, forms, catalog):
-        # The member goes from Fermat to a form near it, and from there on
-        # to a target under a config with another step_max.  The walk equals
-        # two track_segment calls, the second from the first's end fiber on
-        # the form it reached: the new segment gets a fresh t, step and
-        # streak, and the Newton check a fresh call makes on its f0 takes no
-        # iteration, since the fiber was accepted on that very form.
-        near = embed_symmetric(1, 0.01, 0)
-        target = embed_symmetric(1, 0.2 + 0.1j, -0.15)
-        first_cfg = TrackerConfig(step_max=0.4)
+    def test_a_path_is_tracked_as_chained_one_edge_calls_would(self, forms, catalog):
+        # Fermat, a form 0.65 of the way to the Cayley cubic, then a form
+        # near that.  The first edge halves its step on the way, the second
+        # takes one step from step_max.  The walk's two vertex fibers equal
+        # two one-edge calls, the second from the first's end fiber: the
+        # second edge gets a fresh t, step and streak, and the Newton check
+        # a fresh call makes on its first form takes no iteration, since
+        # the fiber was accepted on that very form.
+        toward = CubicForm(0.35 * forms[0].coeffs + 0.65 * forms[2].coeffs)
+        beyond = CubicForm(toward.coeffs + 0.02 * forms[1].coeffs)
         cfg = TrackerConfig()
-        handed = []
+        walk = track_segment([[forms[0], toward, beyond]], [catalog], [cfg])
+        middle, first = segment(forms[0], toward, catalog, cfg)
+        last, second = segment(toward, beyond, middle, cfg)
+        assert (first.accepted_steps, second.accepted_steps) == (3, 1)
+        [ends] = walk.ends
+        assert len(ends) == 2
+        for end, chained in zip(ends, (middle, last)):
+            assert np.array_equal(end.mats, chained.mats)
+            assert np.array_equal(end.gauges, chained.gauges)
+        assert walk.accepted_steps == first.accepted_steps + second.accepted_steps
+        assert walk.newton_iterations == [first.newton_iterations[0] + second.newton_iterations[0]]
+        assert walk.max_residual == max(first.max_residual, second.max_residual)
+        assert walk.min_separation == min(first.min_separation, second.min_separation)
 
-        def onward(m, end):
-            handed.append(end)
-            return None if len(handed) > 1 else (target, cfg)
-
-        walk = track_segment([(forms[0], near)], [catalog], [first_cfg], onward=onward)
-        first = segment(forms[0], near, catalog, first_cfg)
-        [middle, last] = handed
-        assert np.array_equal(middle.mats, first.ends[0].mats)
-        assert np.array_equal(middle.gauges, first.ends[0].gauges)
-        _, _, _, [check], [failure] = _newton_batch(
-            _polar(near.coeffs)[None], middle.mats[None], _Chart(middle.gauges), [cfg]
-        )
-        assert failure is None and check == 0
-        alone = segment(near, target, middle, cfg)
-        for end in (walk.ends[0], last):
-            assert np.array_equal(end.mats, alone.ends[0].mats)
-            assert np.array_equal(end.gauges, alone.ends[0].gauges)
-        assert walk.accepted_steps == first.accepted_steps + alone.accepted_steps
-        assert walk.newton_iterations == [first.newton_iterations[0] + alone.newton_iterations[0]]
-        assert walk.max_residual == max(first.max_residual, alone.max_residual)
-        assert walk.min_separation == min(first.min_separation, alone.min_separation)
+    @pytest.mark.parametrize("path_length", [0, 1])
+    def test_a_path_of_fewer_than_two_forms_is_refused(self, forms, catalog, path_length):
+        paths = [[forms[0], forms[0]], [forms[0]] * path_length]
+        with pytest.raises(ValueError, match="at least two forms"):
+            track_segment(paths, [catalog] * 2)
 
     def test_failing_member_is_isolated(self, forms, catalog, monkeypatch):
         # the Fermat -> Cayley edge of test_fermat_to_cayley_fails, closed
@@ -836,10 +833,10 @@ class TestFrame:
         start = Fiber.from_mats(mats)
         assert _min_pairwise_distance(s4_frame.expand_mats(mats[None]))[0] > 0.1
         target = embed_symmetric(1, 0.2 + 0.1j, -0.15)
-        [end] = track_segment([(forms[0], target)], [start], frame=s4_frame).ends
+        [end] = track_segment([[forms[0], target]], [start], frame=s4_frame).ends
         assert isinstance(end, SeparationLoss)
         assert "stabilizer image" in str(end.__cause__)
-        [end] = track_segment([(forms[0], target)], [s4_frame.restrict(catalog)], frame=s4_frame).ends
+        [[end]] = track_segment([[forms[0], target]], [s4_frame.restrict(catalog)], frame=s4_frame).ends
         assert isinstance(end, Fiber)
 
     def test_symmetric_loops_give_the_permutations_of_all_27_lines(self, s4_frame, catalog):

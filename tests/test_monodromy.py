@@ -464,17 +464,10 @@ class TestComputeMonodromy:
         calls, member_segments = [], []
         original = htrack.track_segment
 
-        def spy(segments, starts, cfgs=None, frame=None, onward=None):
-            calls.append(len(segments))
-            member_segments.extend(range(len(segments)))
-
-            def counted(m, end):
-                nxt = onward(m, end)
-                if nxt is not None:
-                    member_segments.append(m)
-                return nxt
-
-            return original(segments, starts, cfgs, frame, counted)
+        def spy(paths, starts, cfgs=None, frame=None):
+            calls.append(len(paths))
+            member_segments.extend(m for m, path in enumerate(paths) for _ in path[1:])
+            return original(paths, starts, cfgs, frame)
 
         monkeypatch.setattr(htrack, "track_segment", spy)
         report = compute_monodromy(symmetric_family(), 8, seed=1)
